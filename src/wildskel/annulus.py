@@ -62,7 +62,7 @@ class ValuedSeries:
                 if v.is_neg_inf:
                     continue
                 v = v.value
-            coeffs[int(i)] = Fraction(v)
+            coeffs[int(i)] = v if type(v) is Fraction else Fraction(v)
         if not coeffs:
             raise pmfunc.EmptySeriesError("series has empty support")
         object.__setattr__(self, "coefficients", coeffs)
@@ -209,7 +209,7 @@ def different_profile(
     deriv = derivative(series, setting)
     t_h = pmfunc.tropical_eval(series, domain)
     t_hp = pmfunc.tropical_eval(deriv, domain)
-    profile = t_hp.mul(PMFunction.identity(domain)).mul(t_h.pow(-1))
+    profile = pmfunc.monomial_product(((t_hp, 1), (t_h, -1)), r_exponent=1)
     sup = profile.sup()
     if sup is pmfunc.INF or sup > 0:
         raise InvalidModelError(

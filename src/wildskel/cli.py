@@ -271,7 +271,7 @@ def _cmd_annulus(args) -> int:
             f"m={report.m} n={report.n} log_delta={report.log_delta} "
             f"s={report.slope_s}"
         )
-        if args.domain and not args.json:
+        if args.domain:
             print(f"profile: {payload['profile']}")
     return 0
 

@@ -9,13 +9,27 @@ The tropical evaluation of a valued series ``h = sum_i h_i t^i`` is the
 upper envelope ``x -> max_i (log|h_i| + i*x)``; it is convex, its slopes
 are the exponents that dominate ``|h|`` on the corresponding radius
 range, and ties between exponents are visible at the breakpoints.
+
+Representation.  A function is stored over one common denominator ``D``,
+the lcm of the reduced denominators of its finite breakpoints and left
+values, as three tuples of integers: ``D * x_j`` for the finite
+breakpoints, ``D * v_j`` for the value at the left end of each segment,
+and the slopes.  A ``+inf`` right end is the case of as many finite
+breakpoints as segments (a bounded domain has one more).  ``D`` is
+minimal, so equal functions store equal data.  Validation, evaluation,
+products, hulls and tie sets all run on these integers; a point ``p/q``
+is placed among the breakpoints by comparing ``D*p // q`` with them.
+Fractions are made only where a value leaves the module: ``domain``,
+``breakpoints``, ``segments()``, ``value_at`` (one per call), ``sup``,
+``to_json_dict``, ``repr`` and error messages.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .valuation import INF, ExtendedRational, LogAbs, format_length, parse_length
 
@@ -35,33 +49,48 @@ class EmptySeriesError(ValueError):
 Domain = Tuple[Fraction, ExtendedRational]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, LogAbs):
-        return x.value
-    return Fraction(x)
+def _ratio(x) -> Tuple[int, int]:
+    """Numerator and positive denominator of a rational point."""
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
+    return x.as_integer_ratio()
 
 
-def _normalize_domain(domain) -> Domain:
+def _value_ratio(v) -> Tuple[int, int]:
+    """As :func:`_ratio`, also accepting a finite :class:`LogAbs`."""
+    return _ratio(v.value if isinstance(v, LogAbs) else v)
+
+
+def _over_common_denominator(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """The lcm of the denominators, and each ratio's numerator over it."""
+    den = lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _domain_ends(domain) -> List[Tuple[int, int]]:
+    """The finite ends of ``domain = (a, b)`` as ratios: ``[a]`` when
+    ``b`` is ``+inf``, else ``[a, b]``."""
     a, b = domain
-    a = Fraction(a)
-    if b is not INF:
-        b = Fraction(b)
-        if b < a:
-            raise ValueError(f"empty domain [{a}, {b}]")
-    return (a, b)
+    ra = _ratio(a)
+    if b is INF:
+        return [ra]
+    rb = _ratio(b)
+    if rb[0] * ra[1] < ra[0] * rb[1]:
+        raise ValueError(f"empty domain [{Fraction(*ra)}, {Fraction(*rb)}]")
+    return [ra, rb]
 
 
 class PMFunction:
     """A continuous piecewise linear function with integer slopes.
 
-    Stored as breakpoints ``a = x_0 < ... < x_k = b`` (``b`` may be
+    Given by breakpoints ``a = x_0 < ... < x_k = b`` (``b`` may be
     ``+inf``) together with the value at the left endpoint and the slope
-    of every segment.  Adjacent segments with equal slopes are merged,
-    so equality of instances is equality of functions on a common
-    domain.
+    of every segment, stored over one common denominator (see the module
+    docstring).  Adjacent segments with equal slopes are merged, so
+    equality of instances is equality of functions on a common domain.
     """
 
-    __slots__ = ("_breaks", "_values", "_slopes")
+    __slots__ = ("_den", "_xs", "_vs", "_slopes")
 
     def __init__(
         self,
@@ -73,172 +102,168 @@ class PMFunction:
             slopes
         ) != len(breaks) - 1:
             raise ValueError("inconsistent segment data")
-        bks = [Fraction(x) if x is not INF else INF for x in breaks]
-        if any(b is INF for b in bks[:-1]):
+        breaks = list(breaks)
+        if any(x is INF for x in breaks[:-1]):
             raise ValueError("only the final breakpoint may be infinite")
-        vals = [_as_fraction(v) for v in left_values]
-        slps = [int(s) for s in slopes]
-        degenerate = len(bks) == 2 and bks[0] == bks[1]
-        if not degenerate:
-            for x0, x1 in zip(bks, bks[1:]):
+        finite = [_ratio(x) for x in breaks if x is not INF]
+        den, nums = _over_common_denominator(
+            finite + [_value_ratio(v) for v in left_values]
+        )
+        self._store(
+            den, nums[: len(finite)], nums[len(finite) :], [int(s) for s in slopes]
+        )
+
+    @classmethod
+    def _from_scaled(cls, den: int, xs, vs, slopes) -> "PMFunction":
+        """Validated instance from numerators over the denominator ``den``."""
+        obj = cls.__new__(cls)
+        obj._store(den, xs, vs, slopes)
+        return obj
+
+    def _store(self, den: int, xs, vs, slopes) -> None:
+        """Check, merge and store segment data given over ``den``.
+
+        ``xs`` are the finite breakpoints: one more than ``slopes`` on a
+        bounded domain, as many on an unbounded one.
+        """
+        n = len(slopes)
+        bounded = len(xs) > n
+        if not (bounded and n == 1 and xs[0] == xs[1]):
+            for x0, x1 in zip(xs, xs[1:]):
                 if not x0 < x1:
                     raise ValueError("breakpoints must be strictly increasing")
-        # continuity at interior breakpoints
-        for j in range(len(vals) - 1):
-            width = bks[j + 1] - bks[j]
-            if vals[j] + slps[j] * width != vals[j + 1]:
-                raise ValueError(f"discontinuity at breakpoint {bks[j + 1]}")
-        # merge adjacent segments of equal slope
-        mb, mv, ms = [bks[0]], [], []
-        for j in range(len(vals)):
-            if ms and ms[-1] == slps[j] and not degenerate:
-                mb[-1] = bks[j + 1]
-                continue
-            mv.append(vals[j])
-            ms.append(slps[j])
-            mb.append(bks[j + 1])
-        self._breaks = tuple(mb)
-        self._values = tuple(mv)
-        self._slopes = tuple(ms)
+        for j in range(n - 1):
+            if vs[j] + slopes[j] * (xs[j + 1] - xs[j]) != vs[j + 1]:
+                raise ValueError(
+                    f"discontinuity at breakpoint {Fraction(xs[j + 1], den)}"
+                )
+        keep = [j for j in range(n) if j == 0 or slopes[j] != slopes[j - 1]]
+        mx = [xs[j] for j in keep]
+        if bounded:
+            mx.append(xs[-1])
+        mv = [vs[j] for j in keep]
+        g = gcd(den, *mx, *mv)
+        # tuples are built from lists: one grown from a generator is
+        # resized, which strands a block on CPython's tuple free lists
+        self._den = den // g
+        self._xs = tuple([x // g for x in mx])
+        self._vs = tuple([v // g for v in mv])
+        self._slopes = tuple([slopes[j] for j in keep])
 
     @classmethod
     def constant(cls, domain, value) -> "PMFunction":
-        a, b = _normalize_domain(domain)
-        return cls((a, b), (_as_fraction(value),), (0,))
+        return cls.line(domain, value, 0)
 
     @classmethod
     def line(cls, domain, left_value, slope: int) -> "PMFunction":
-        a, b = _normalize_domain(domain)
-        return cls((a, b), (_as_fraction(left_value),), (slope,))
+        ends = _domain_ends(domain)
+        den, nums = _over_common_denominator(ends + [_value_ratio(left_value)])
+        return cls._from_scaled(den, nums[:-1], nums[-1:], [int(slope)])
 
     @classmethod
     def identity(cls, domain) -> "PMFunction":
         """The function x -> x (slope-one line through the origin)."""
-        a, b = _normalize_domain(domain)
-        return cls.line((a, b), a, 1)
+        return cls.line(domain, domain[0], 1)
+
+    @property
+    def _bounded(self) -> bool:
+        return len(self._xs) > len(self._slopes)
 
     @property
     def domain(self) -> Domain:
-        return (self._breaks[0], self._breaks[-1])
+        xs, d = self._xs, self._den
+        return (Fraction(xs[0], d), Fraction(xs[-1], d) if self._bounded else INF)
 
     @property
     def breakpoints(self) -> Tuple[ExtendedRational, ...]:
-        return self._breaks
+        d = self._den
+        finite = tuple([Fraction(x, d) for x in self._xs])
+        return finite if self._bounded else finite + (INF,)
 
     def segments(self) -> Iterable[tuple]:
         """Yield (x_left, x_right, left_value, slope) per segment."""
-        for j in range(len(self._slopes)):
-            yield (self._breaks[j], self._breaks[j + 1], self._values[j], self._slopes[j])
+        bks, d = self.breakpoints, self._den
+        for j, (v, s) in enumerate(zip(self._vs, self._slopes)):
+            yield (bks[j], bks[j + 1], Fraction(v, d), s)
 
     @property
     def is_degenerate(self) -> bool:
-        return len(self._breaks) == 2 and self._breaks[0] == self._breaks[1]
+        return self._bounded and self._xs[0] == self._xs[-1]
 
-    def _contains(self, x: Fraction) -> bool:
-        a, b = self.domain
-        return a <= x and (b is INF or x <= b)
-
-    def _segment_index(self, x: Fraction) -> int:
-        # rightmost segment whose left endpoint is <= x; x == b uses the
-        # last segment
-        finite = [p for p in self._breaks if p is not INF]
-        i = bisect_right(finite, x) - 1
-        return min(max(i, 0), len(self._slopes) - 1)
+    def _locate(self, x) -> Tuple[int, int, int]:
+        """``(p, q, j)`` with ``x = p/q`` and ``j`` the rightmost segment
+        whose left endpoint is <= x (``x == b`` uses the last segment)."""
+        p, q = _ratio(x)
+        xs, n = self._xs, len(self._slopes)
+        pd = p * self._den
+        if pd < xs[0] * q or (len(xs) > n and pd > xs[-1] * q):
+            raise OutOfDomainError(f"{Fraction(p, q)} outside domain {self.domain}")
+        # for integer x_j: x_j <= pd/q  iff  x_j <= pd // q
+        j = bisect_right(xs, pd // q) - 1
+        return p, q, j if j < n else n - 1
 
     def value_at(self, x) -> Fraction:
-        x = Fraction(x)
-        if not self._contains(x):
-            raise OutOfDomainError(f"{x} outside domain {self.domain}")
-        j = self._segment_index(x)
-        return self._values[j] + self._slopes[j] * (x - self._breaks[j])
+        p, q, j = self._locate(x)
+        d = self._den
+        return Fraction(
+            self._vs[j] * q + self._slopes[j] * (p * d - self._xs[j] * q), d * q
+        )
 
     def eval(self, x) -> LogAbs:
         return LogAbs(self.value_at(x))
 
     def slope_at(self, x, direction: str) -> int:
         """Slope of the segment adjacent to ``x`` on the given side."""
-        x = Fraction(x)
-        if not self._contains(x):
-            raise OutOfDomainError(f"{x} outside domain {self.domain}")
-        a, b = self.domain
+        p, q, j = self._locate(x)
         if self.is_degenerate:
             raise OutOfDomainError("degenerate domain has no adjacent segments")
+        xs, pd = self._xs, p * self._den
         if direction == "left":
-            if x == a:
-                raise OutOfDomainError(f"no segment left of {x}")
-            finite = [p for p in self._breaks if p is not INF]
-            i = bisect_right(finite, x) - 1
-            if 0 <= i < len(finite) and i < len(self._breaks) and self._breaks[i] == x:
-                return self._slopes[i - 1]
-            return self._slopes[self._segment_index(x)]
+            if xs[j] * q == pd:
+                if j == 0:
+                    raise OutOfDomainError(f"no segment left of {Fraction(p, q)}")
+                return self._slopes[j - 1]
+            return self._slopes[j]
         if direction == "right":
-            if b is not INF and x == b:
-                raise OutOfDomainError(f"no segment right of {x}")
-            return self._slopes[self._segment_index(x)]
+            if self._bounded and pd == xs[-1] * q:
+                raise OutOfDomainError(f"no segment right of {Fraction(p, q)}")
+            return self._slopes[j]
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
     def mul(self, other: "PMFunction") -> "PMFunction":
         """Pointwise product in the multiplicative scale: sum of logs."""
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"domains differ: {self.domain} vs {other.domain}"
-            )
-        a, b = self.domain
-        if self.is_degenerate:
-            return PMFunction(
-                (a, b),
-                (self._values[0] + other._values[0],),
-                (self._slopes[0] + other._slopes[0],),
-            )
-        cut = sorted(
-            {p for p in self._breaks + other._breaks if p is not INF}
-        )
-        breaks: list = list(cut)
-        if b is INF:
-            breaks.append(INF)
-        values, slopes = [], []
-        for j in range(len(breaks) - 1):
-            x = breaks[j]
-            values.append(self.value_at(x) + other.value_at(x))
-            slopes.append(
-                self._slopes[self._segment_index(x)]
-                + other._slopes[other._segment_index(x)]
-            )
-        return PMFunction(breaks, values, slopes)
+        return monomial_product(((self, 1), (other, 1)))
 
     def pow(self, n: int) -> "PMFunction":
         """n-th power in the multiplicative scale: log values scale by n."""
-        return PMFunction(
-            self._breaks,
-            [v * n for v in self._values],
-            [s * n for s in self._slopes],
+        return PMFunction._from_scaled(
+            self._den, self._xs, [v * n for v in self._vs], [s * n for s in self._slopes]
         )
 
     def sup(self) -> ExtendedRational:
         """Supremum over the domain (``INF`` if unbounded above)."""
-        best = max(self._values)
-        for j in range(len(self._slopes)):
-            right = self._breaks[j + 1]
-            if right is INF:
-                if self._slopes[j] > 0:
+        xs, vs = self._xs, self._vs
+        best = max(vs)
+        for j, s in enumerate(self._slopes):
+            if j + 1 == len(xs):
+                if s > 0:
                     return INF
                 continue
-            v = self._values[j] + self._slopes[j] * (right - self._breaks[j])
-            if v > best:
-                best = v
-        return best
+            best = max(best, vs[j] + s * (xs[j + 1] - xs[j]))
+        return Fraction(best, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, PMFunction):
             return NotImplemented
         return (
-            self._breaks == other._breaks
-            and self._values == other._values
+            self._den == other._den
+            and self._xs == other._xs
+            and self._vs == other._vs
             and self._slopes == other._slopes
         )
 
     def __hash__(self):
-        return hash((self._breaks, self._values, self._slopes))
+        return hash((self._den, self._xs, self._vs, self._slopes))
 
     def __repr__(self):
         parts = ", ".join(
@@ -247,12 +272,13 @@ class PMFunction:
         return f"PMFunction({parts})"
 
     def to_json_dict(self) -> dict:
+        bks, d = self.breakpoints, self._den
         return {
-            "domain": [format_length(self._breaks[0]), format_length(self._breaks[-1])],
-            "breakpoints": [format_length(x) for x in self._breaks],
+            "domain": [format_length(bks[0]), format_length(bks[-1])],
+            "breakpoints": [format_length(x) for x in bks],
             "segments": [
-                {"left_value": str(v), "slope": s}
-                for v, s in zip(self._values, self._slopes)
+                {"left_value": str(Fraction(v, d)), "slope": s}
+                for v, s in zip(self._vs, self._slopes)
             ],
         }
 
@@ -264,6 +290,46 @@ class PMFunction:
         return cls(breaks, values, slopes)
 
 
+def monomial_product(
+    factors: Sequence[Tuple[PMFunction, int]], r_exponent: int = 0
+) -> PMFunction:
+    """``prod_k f_k^(e_k) * r^c`` for ``factors = ((f_k, e_k), ...)``.
+
+    In log coordinates this is ``x -> sum_k e_k * f_k(x) + c*x``.  It is
+    built in one merge sweep over the breakpoints of all factors, which
+    must share one domain, and validated once.
+    """
+    first = factors[0][0]
+    for f, _ in factors[1:]:
+        if f.domain != first.domain:
+            raise DomainMismatchError(
+                f"domains differ: {first.domain} vs {f.domain}"
+            )
+    den = lcm(*[f._den for f, _ in factors])
+    scaled = []
+    for f, e in factors:
+        k = den // f._den
+        scaled.append(([x * k for x in f._xs], [v * k for v in f._vs], f._slopes, e))
+    cuts = sorted({x for xs, _, _, _ in scaled for x in xs})
+    if first.is_degenerate:
+        cuts.append(cuts[0])
+    starts = cuts[:-1] if first._bounded else cuts
+    at = [0] * len(scaled)
+    values, slopes = [], []
+    for c in starts:
+        v, s = r_exponent * c, r_exponent
+        for k, (xs, vs, ss, e) in enumerate(scaled):
+            j = at[k]
+            while j + 1 < len(ss) and xs[j + 1] <= c:
+                j += 1
+            at[k] = j
+            v += e * (vs[j] + ss[j] * (c - xs[j]))
+            s += e * ss[j]
+        values.append(v)
+        slopes.append(s)
+    return PMFunction._from_scaled(den, cuts, values, slopes)
+
+
 class NewtonProfile(PMFunction):
     """Tropical evaluation of a valued series, with achiever bookkeeping.
 
@@ -272,25 +338,33 @@ class NewtonProfile(PMFunction):
     set at any point.  Just left of a point the minimal achieving
     exponent dominates, just right the maximal one; both conventions are
     exposed because the two sides of an annulus use opposite ones.
+    The coefficients are kept as ``(exponent, numerator)`` pairs over a
+    common denominator of their own.  Instances are built by
+    :func:`tropical_eval`.
     """
 
-    __slots__ = ("_coeffs", "_seg_achievers")
+    __slots__ = ("_cden", "_terms", "_seg_achievers")
 
-    def __init__(self, breaks, left_values, slopes, coeffs, seg_achievers):
-        super().__init__(breaks, left_values, slopes)
-        self._coeffs = dict(coeffs)
-        self._seg_achievers = tuple(frozenset(s) for s in seg_achievers)
+    @classmethod
+    def _build(cls, den: int, xs, vs, slopes, cden: int, terms, seg_achievers):
+        """Validated profile over ``den`` with its terms over ``cden``."""
+        obj = cls._from_scaled(den, xs, vs, slopes)
+        obj._cden = cden
+        obj._terms = tuple(terms)
+        obj._seg_achievers = tuple([frozenset(s) for s in seg_achievers])
+        return obj
 
     @property
     def segment_achievers(self) -> Tuple[frozenset, ...]:
         return self._seg_achievers
 
     def achievers_at(self, x) -> frozenset:
-        x = Fraction(x)
-        if not self._contains(x):
-            raise OutOfDomainError(f"{x} outside domain {self.domain}")
-        best = max(v + i * x for i, v in self._coeffs.items())
-        return frozenset(i for i, v in self._coeffs.items() if v + i * x == best)
+        # every term, hull or not: a collinear middle term ties too
+        p, q, _ = self._locate(x)
+        c = p * self._cden
+        keys = [(n * q + i * c, i) for i, n in self._terms]
+        best = max(k for k, _ in keys)
+        return frozenset(i for k, i in keys if k == best)
 
     def min_achiever(self, x) -> int:
         """Dominant exponent just left of ``x`` (inward convention)."""
@@ -301,7 +375,7 @@ class NewtonProfile(PMFunction):
         return max(self.achievers_at(x))
 
 
-def _upper_hull(points: Sequence[Tuple[int, Fraction]]) -> list:
+def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
     """Strict upper concave hull of points sorted by abscissa."""
 
     def strictly_above(a, b, c) -> bool:
@@ -323,39 +397,47 @@ def tropical_eval(series, domain) -> NewtonProfile:
     object exposing such a mapping as ``.coefficients``).
     """
     coeffs = getattr(series, "coefficients", series)
-    pts = sorted((int(i), _as_fraction(v)) for i, v in coeffs.items())
-    if not pts:
+    items = sorted((int(i), _value_ratio(v)) for i, v in coeffs.items())
+    if not items:
         raise EmptySeriesError("series has empty support")
-    a, b = _normalize_domain(domain)
-    cd = dict(pts)
+    ends = _domain_ends(domain)
+    # values and domain ends over one denominator L
+    big_l, nums = _over_common_denominator([r for _, r in items] + ends)
+    pts = [(i, n) for (i, _), n in zip(items, nums)]
+    lo_end = nums[len(items)]
+    hi_end = nums[-1] if len(ends) == 2 else None
 
+    if hi_end == lo_end:
+        best = max(n + i * lo_end for i, n in pts)
+        owner = min(i for i, n in pts if n + i * lo_end == best)
+        return NewtonProfile._build(
+            big_l, (lo_end, lo_end), (best,), (owner,), big_l, pts, ({owner},)
+        )
+
+    # hull point j is active between the crossings with its neighbours;
+    # positions are kept as (num, den) in units of 1/L, clipped to [a, b]
     hull = _upper_hull(pts)
-    crossings = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        crossings.append(Fraction(v1 - v2, i2 - i1))
-
-    if b is not INF and a == b:
-        best = max(v + i * a for i, v in pts)
-        owner = min(i for i, v in pts if v + i * a == best)
-        return NewtonProfile((a, b), (best,), (owner,), cd, ({owner},))
-
-    # line j is active on [crossings[j-1], crossings[j]]
-    breaks: list = [a]
-    values: list = []
-    slopes: list = []
-    achievers: list = []
-    for j, (i, v) in enumerate(hull):
-        lo = crossings[j - 1] if j > 0 else None
-        hi = crossings[j] if j < len(crossings) else None
-        seg_lo = a if lo is None or lo < a else lo
-        seg_hi = b if hi is None or (b is not INF and hi > b) else hi
-        if seg_hi is not INF and not seg_lo < seg_hi:
+    bounds = [(lo_end, 1)]
+    owners = []
+    for j, (i, n) in enumerate(hull):
+        if j + 1 < len(hull):
+            i2, n2 = hull[j + 1]
+            hi = (n - n2, i2 - i)
+            if hi_end is not None and hi[0] > hi_end * hi[1]:
+                hi = (hi_end, 1)
+        else:
+            hi = None if hi_end is None else (hi_end, 1)
+        lo = bounds[-1]
+        if hi is not None and hi[0] * lo[1] <= lo[0] * hi[1]:
             continue
-        if breaks[-1] != seg_lo:
-            # numeric guard; should not happen
-            raise AssertionError("envelope segments are not contiguous")
-        values.append(v + i * seg_lo)
-        slopes.append(i)
-        achievers.append({i})
-        breaks.append(seg_hi)
-    return NewtonProfile(breaks, values, slopes, cd, achievers)
+        owners.append((i, n))
+        if hi is None:
+            break
+        bounds.append(hi)
+    m = lcm(*[q for _, q in bounds])
+    xs = [p * (m // q) for p, q in bounds]
+    vs = [n * m + i * x for (i, n), x in zip(owners, xs)]
+    slopes = [i for i, _ in owners]
+    return NewtonProfile._build(
+        big_l * m, xs, vs, slopes, big_l, pts, [(i,) for i in slopes]
+    )

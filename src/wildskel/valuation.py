@@ -12,6 +12,7 @@ The normalization of the scale is a free choice; by convention
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -32,7 +33,10 @@ class LogAbs:
     _value: Fraction | None
 
     def __init__(self, value: RationalLike):
-        object.__setattr__(self, "_value", Fraction(value))
+        # Fractions are immutable, so an exact Fraction is shared, not copied
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        object.__setattr__(self, "_value", value)
 
     @classmethod
     def _make_neg_inf(cls) -> "LogAbs":
@@ -92,42 +96,36 @@ class LogAbs:
 
     __rmul__ = __mul__
 
-    def _cmp_key(self):
-        # NEG_INF sorts below every rational.
-        return (0,) if self._value is None else (1, self._value)
+    def _compare(self, other, op):
+        if isinstance(other, LogAbs):
+            b = other._value
+        elif isinstance(other, (int, Fraction)):
+            b = other
+        else:
+            return NotImplemented
+        a = self._value
+        if a is None or b is None:
+            # NEG_INF (None) sorts below every rational
+            return op(a is not None, b is not None)
+        return op(a, b)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._value == other._value
+        return self._compare(other, operator.eq)
 
     def __hash__(self):
         return hash(("LogAbs", self._value))
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() < other._cmp_key()
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() <= other._cmp_key()
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() > other._cmp_key()
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() >= other._cmp_key()
+        return self._compare(other, operator.ge)
 
     def __str__(self) -> str:
         return "-inf" if self._value is None else str(self._value)
@@ -247,18 +245,23 @@ class ResidueSetting:
         if self.char == 0 and self.res_char == 0:
             if self.log_p is not None:
                 raise ValueError("equicharacteristic zero carries no log_p")
+            kind = "equichar0"
         elif self.char == 0 and _is_prime(self.res_char):
             if self.log_p is None:
                 raise ValueError("mixed characteristic requires log_p")
             if self.log_p.is_neg_inf or self.log_p.value >= 0:
                 raise ValueError("log_p must be a strictly negative rational")
+            kind = "mixed"
         elif self.char == self.res_char and _is_prime(self.char):
             if self.log_p is not None:
                 raise ValueError("equicharacteristic p carries no log_p")
+            kind = "equicharp"
         else:
             raise ValueError(
                 f"invalid characteristic pair ({self.char}, {self.res_char})"
             )
+        # decided once here, not on every int_abs call
+        object.__setattr__(self, "_kind", kind)
 
     @classmethod
     def equichar_zero(cls) -> "ResidueSetting":
@@ -274,21 +277,18 @@ class ResidueSetting:
 
     @property
     def kind(self) -> str:
-        if self.char == 0 and self.res_char == 0:
-            return "equichar0"
-        if self.char == 0:
-            return "mixed"
-        return "equicharp"
+        return self._kind
 
     def int_abs(self, n: int) -> LogAbs:
         """log|n| for the integer ``n`` under this setting."""
         if n == 0:
             return NEG_INF
-        n = abs(n)
-        if self.kind == "equichar0":
+        kind = self._kind
+        if kind == "equichar0":
             return ZERO
+        n = abs(n)
         p = self.res_char
-        if self.kind == "equicharp":
+        if kind == "equicharp":
             return NEG_INF if n % p == 0 else ZERO
         vp = 0
         while n % p == 0:

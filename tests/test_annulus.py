@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildskel.annulus import (
     ConstantSeriesError,
     DifferentReport,
     InseparableSeriesError,
+    InvalidModelError,
     UnrealizableTripleError,
     ValuedSeries,
     check_restriction,
@@ -21,7 +22,7 @@ from wildskel.annulus import (
     skeleton_image_law,
 )
 from wildskel.pmfunc import PMFunction, tropical_eval
-from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting
+from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
 EQUI0 = ResidueSetting.equichar_zero()
@@ -286,3 +287,77 @@ class TestProfileSegmentsSatisfyRestriction:
                     ).ok
                     checked += 1
         assert checked > 200
+
+
+# -- different_profile against a brute-force Fraction per-term-max oracle ------
+
+class _OverOne:
+    """A stand-in setting under which every |i| exceeds one."""
+
+    def int_abs(self, n):
+        return LogAbs(1)
+
+
+@st.composite
+def profile_domains(draw):
+    """A finite, an unbounded ``(a, +inf)`` or a one-point ``(a, a)`` domain."""
+    a = draw(st.fractions(min_value=-3, max_value=2, max_denominator=4))
+    kind = draw(st.sampled_from(["finite", "tail", "point"]))
+    if kind == "tail":
+        return (a, INF)
+    if kind == "point":
+        return (a, a)
+    return (a, a + draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)))
+
+
+def _per_term_max(coeffs, x):
+    best = max(v + i * x for i, v in coeffs.items())
+    return best, [i for i, v in coeffs.items() if v + i * x == best]
+
+
+class TestDifferentProfileOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(-5, 7),
+            st.fractions(min_value=-5, max_value=0, max_denominator=4),
+            min_size=1,
+            max_size=7,
+        ),
+        st.sampled_from(["equichar0", "mixed:2:-1", "mixed:3:-1/2", "equicharP:2"]),
+        profile_domains(),
+    )
+    def test_value_and_slopes(self, coeffs, setting_text, domain):
+        setting = ResidueSetting.parse(setting_text)
+        try:
+            series = normalize(ValuedSeries(coeffs))
+            prof = different_profile(series, setting, domain)
+        except (ConstantSeriesError, InseparableSeriesError):
+            return
+        h, dh = series.coefficients, derivative(series, setting).coefficients
+        a, b = domain
+        assert prof.domain == (a, b)
+        if b is INF:
+            pts = [a + Fraction(k, 2) for k in range(12)]
+        else:
+            pts = [a + (b - a) * Fraction(k, 6) for k in range(7)]
+        pts += [x for x in prof.breakpoints if x is not INF]
+        for x in pts:
+            th, ah = _per_term_max(h, x)
+            td, ad = _per_term_max(dh, x)
+            assert prof.value_at(x) == td + x - th
+            if prof.is_degenerate:
+                continue
+            if x > a:
+                assert prof.slope_at(x, "left") == min(ad) + 1 - min(ah)
+            if b is INF or x < b:
+                assert prof.slope_at(x, "right") == max(ad) + 1 - max(ah)
+
+    def test_invalid_model_error_unchanged(self):
+        for domain in ((Fraction(-1), Fraction(0)), (Fraction(0), INF)):
+            with pytest.raises(InvalidModelError) as info:
+                different_profile(ValuedSeries({2: 0}), _OverOne(), domain)
+            assert str(info.value) == (
+                f"different exceeds one on {domain}; the series does not model "
+                "a covering there"
+            )

@@ -200,3 +200,121 @@ class TestValidation:
         assert f.sup() == Fraction(2)
         assert PMFunction.line((0, INF), 0, 1).sup() is INF
         assert PMFunction.line((0, INF), 0, -1).sup() == Fraction(0)
+
+
+# -- integer kernel against a brute-force Fraction oracle ----------------------
+
+coefficient_maps = st.dictionaries(
+    st.integers(-6, 8),
+    st.fractions(min_value=-6, max_value=0, max_denominator=6),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def domains(draw):
+    """A finite, an unbounded ``(a, +inf)`` or a one-point ``(a, a)`` domain."""
+    a = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    kind = draw(st.sampled_from(["finite", "tail", "point"]))
+    if kind == "tail":
+        return (a, INF)
+    if kind == "point":
+        return (a, a)
+    width = draw(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+    return (a, a + width)
+
+
+def sample_points(domain, extra=()):
+    a, b = domain
+    if b is INF:
+        pts = [a + Fraction(k, 3) for k in range(13)]
+    else:
+        pts = [a + (b - a) * Fraction(k, 7) for k in range(8)]
+    return sorted(set(pts) | {x for x in extra if x is not INF})
+
+
+def oracle_achievers(coeffs, x):
+    best = brute_force_max(coeffs, x)
+    return {i for i, v in coeffs.items() if v + i * x == best}
+
+
+class TestIntegerKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_maps, domains())
+    def test_tropical_profile(self, coeffs, domain):
+        prof = tropical_eval(coeffs, domain)
+        a, b = domain
+        assert prof.domain == (a, b)
+        for x in sample_points(domain, prof.breakpoints):
+            ach = oracle_achievers(coeffs, x)
+            assert prof.value_at(x) == brute_force_max(coeffs, x)
+            assert prof.achievers_at(x) == frozenset(ach)
+            if prof.is_degenerate:
+                with pytest.raises(OutOfDomainError):
+                    prof.slope_at(x, "left")
+                continue
+            if x > a:
+                assert prof.slope_at(x, "left") == min(ach)
+            if b is INF or x < b:
+                assert prof.slope_at(x, "right") == max(ach)
+            assert prof.pow(-3).value_at(x) == -3 * prof.value_at(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_maps, domains())
+    def test_boundary_errors_unchanged(self, coeffs, domain):
+        prof = tropical_eval(coeffs, domain)
+        a, b = domain
+        below = a - Fraction(1, 5)
+        for call in (prof.value_at, prof.achievers_at, lambda x: prof.slope_at(x, "left")):
+            with pytest.raises(OutOfDomainError) as info:
+                call(below)
+            assert str(info.value) == f"{below} outside domain {(a, b)}"
+        if b is not INF:
+            with pytest.raises(OutOfDomainError) as info:
+                prof.value_at(b + 1)
+            assert str(info.value) == f"{b + 1} outside domain {(a, b)}"
+        if prof.is_degenerate:
+            with pytest.raises(OutOfDomainError) as info:
+                prof.slope_at(a, "right")
+            assert str(info.value) == "degenerate domain has no adjacent segments"
+            return
+        with pytest.raises(OutOfDomainError) as info:
+            prof.slope_at(a, "left")
+        assert str(info.value) == f"no segment left of {a}"
+        if b is not INF:
+            with pytest.raises(OutOfDomainError) as info:
+                prof.slope_at(b, "right")
+            assert str(info.value) == f"no segment right of {b}"
+        with pytest.raises(ValueError) as info:
+            prof.slope_at(a, "up")
+        assert str(info.value) == "direction must be 'left' or 'right', got 'up'"
+        other = PMFunction.constant((a - 1, a), 0)
+        with pytest.raises(DomainMismatchError) as info:
+            prof.mul(other)
+        assert str(info.value) == f"domains differ: {prof.domain} vs {other.domain}"
+
+    def test_constructor_errors_unchanged(self):
+        with pytest.raises(ValueError) as info:
+            PMFunction((0, Fraction(1, 2), 2), (0, 5), (1, 1))
+        assert str(info.value) == "discontinuity at breakpoint 1/2"
+        for breaks in ((0, 2, 1), (0, 1, 1), (1, 1, INF)):
+            with pytest.raises(ValueError) as info:
+                PMFunction(breaks, (0, 0), (0, 0))
+            assert str(info.value) == "breakpoints must be strictly increasing"
+        with pytest.raises(ValueError) as info:
+            PMFunction((0, INF, 2), (0, 0), (0, 0))
+        assert str(info.value) == "only the final breakpoint may be infinite"
+        with pytest.raises(ValueError) as info:
+            PMFunction((0, 1), (0, 0), (0,))
+        assert str(info.value) == "inconsistent segment data"
+
+    def test_equal_functions_store_equal_data(self):
+        # different denominators and an unmerged split give one function
+        f = PMFunction((0, Fraction(2, 4)), (Fraction(3, 6),), (1,))
+        g = PMFunction.line((0, Fraction(1, 2)), Fraction(1, 2), 1)
+        assert f == g and hash(f) == hash(g)
+        split = PMFunction((0, Fraction(1, 3), 2), (0, Fraction(1, 3)), (1, 1))
+        whole = PMFunction.identity((0, 2))
+        assert split == whole and hash(split) == hash(whole)
+        assert split.breakpoints == (Fraction(0), Fraction(2))

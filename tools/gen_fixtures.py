@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixtures/ directory."""
+"""Regenerate the bundled fixtures/ directory.
 
+Usage: ``python tools/gen_fixtures.py [OUTDIR]``; OUTDIR defaults to the
+repository's ``fixtures/``.
+"""
+
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -78,9 +83,17 @@ def kummer_segment(p: int, log_p: Fraction, length: Fraction) -> MetricDeltaMorp
     )
 
 
-def main() -> None:
-    outdir = Path(__file__).resolve().parent.parent / "fixtures"
-    outdir.mkdir(exist_ok=True)
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "outdir",
+        nargs="?",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent / "fixtures",
+        help="directory to write the fixtures to (default: fixtures/)",
+    )
+    outdir = parser.parse_args(argv).outdir
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # the twelve special shapes and the root-subtree inventory
     code = run(["enumerate-special", "--fixtures", str(outdir)])

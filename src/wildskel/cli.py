@@ -19,13 +19,12 @@ from . import radial as radial_mod
 from .annulus import ValuedSeries, different_profile, different_report, normalize
 from .delta_morphism import (
     DeltaMorphism,
-    MetricDeltaMorphism,
     morphism_from_json_dict,
     morphism_to_json_dict,
     stabilize,
 )
 from .elliptic import EllipticInput, classify_elliptic
-from .genus_graph import GenusGraph, MetricGenusGraph
+from .genus_graph import GenusGraph
 from .special import (
     Lengths,
     UnliftableError,
@@ -49,22 +48,19 @@ def _load_morphism(path: str):
         return morphism_from_json_dict(json.load(fh))
 
 
-def _plain_morphism(m) -> DeltaMorphism:
-    return m.morphism if isinstance(m, MetricDeltaMorphism) else m
-
-
 # -- DOT export -----------------------------------------------------------------
 
 
-def graph_to_dot(g: GenusGraph, name: str = "g", indent: str = "") -> str:
+def graph_to_dot(
+    g: GenusGraph, name: str = "g", indent: str = "", edge_label=str
+) -> str:
     lines = []
-    metric = isinstance(g, MetricGenusGraph)
     for v in g.vertices:
         lines.append(f'{indent}"{name}_{v}" [label="{v} g={g.genus_of(v)}"];')
     for e in g.edge_ids:
         u, v = g.endpoints(e)
-        label = e
-        if metric:
+        label = edge_label(e)
+        if g.is_metric:
             label += f" l={g.length(e)}"
         lines.append(f'{indent}"{name}_{u}" -- "{name}_{v}" [label="{label}"];')
     return "\n".join(lines)
@@ -72,28 +68,22 @@ def graph_to_dot(g: GenusGraph, name: str = "g", indent: str = "") -> str:
 
 def export_dot(obj) -> str:
     """Deterministic DOT text for a graph or a morphism."""
-    if isinstance(obj, (DeltaMorphism, MetricDeltaMorphism)):
-        m = _plain_morphism(obj)
-        metric = isinstance(obj, MetricDeltaMorphism)
+    if isinstance(obj, DeltaMorphism):
         lines = ["graph morphism {"]
         lines.append("  subgraph cluster_source {")
         lines.append('    label="source";')
-        src = obj.source if metric else m.source
-        for v in src.vertices:
-            lines.append(
-                f'    "src_{v}" [label="{v} g={src.genus_of(v)}"];'
+        lines.append(
+            graph_to_dot(
+                obj.source,
+                "src",
+                "    ",
+                lambda e: f"n={obj.mult[e]} sd={obj.sdelta_stored(e)}",
             )
-        for e in src.edge_ids:
-            u, v = src.endpoints(e)
-            label = f"n={m.mult[e]} sd={m.sdelta_stored(e)}"
-            if metric:
-                label += f" l={src.length(e)}"
-            lines.append(f'    "src_{u}" -- "src_{v}" [label="{label}"];')
+        )
         lines.append("  }")
         lines.append("  subgraph cluster_target {")
         lines.append('    label="target";')
-        tgt = obj.target if metric else m.target
-        lines.append(graph_to_dot(tgt, "tgt", "    "))
+        lines.append(graph_to_dot(obj.target, "tgt", "    "))
         lines.append("  }")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -106,7 +96,7 @@ def export_dot(obj) -> str:
 
 
 def _cmd_rh_check(args) -> int:
-    m = _plain_morphism(_load_morphism(args.file))
+    m = _load_morphism(args.file)
     div = m.rh_divisor_identity()
     deg = m.rh_degree_identity()
     if args.json:
@@ -125,8 +115,7 @@ def _cmd_rh_check(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    m = _plain_morphism(_load_morphism(args.file))
-    result = stabilize(m)
+    result = stabilize(_load_morphism(args.file))
     if args.json:
         print(_dump(morphism_to_json_dict(result)))
     else:
@@ -139,8 +128,7 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_classify_special(args) -> int:
-    loaded = _load_morphism(args.file)
-    m = _plain_morphism(loaded)
+    m = _load_morphism(args.file)
     check = is_special(m)
     if not check:
         if args.json:
@@ -155,8 +143,8 @@ def _cmd_classify_special(args) -> int:
         "characteristic_class": t.characteristic_class,
         "ramification_signature": list(ramification_signature(m)),
     }
-    if isinstance(loaded, MetricDeltaMorphism):
-        report["lengths"] = metric_lengths(loaded).to_json_dict()
+    if m.delta is not None:
+        report["lengths"] = metric_lengths(m).to_json_dict()
     if args.json:
         print(_dump(report))
     else:
@@ -278,7 +266,7 @@ def _cmd_annulus(args) -> int:
 
 def _cmd_radial(args) -> int:
     mm = _load_morphism(args.file)
-    if not isinstance(mm, MetricDeltaMorphism):
+    if mm.delta is None:
         print(
             "error: radial needs a metric morphism file with delta values",
             file=sys.stderr,

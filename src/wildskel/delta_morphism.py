@@ -4,7 +4,11 @@ An n-morphism is a graph map with positive integer multiplicities on
 edges, locally constant multiplicity at vertices and constant global
 rank (the degree).  A delta-morphism additionally carries an oriented
 integer function ``sdelta`` on source edges, modelling the slope of the
-different along each edge.
+different along each edge.  When source and target are metric graphs
+(both or neither), it may also carry the different itself: a
+log-different value ``delta`` per source vertex, in a residue
+``setting``.  Such a morphism is a :class:`MetricDeltaMorphism`; every
+operation, contraction included, keeps the metric data when present.
 
 The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
@@ -20,12 +24,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import (
-    Divisor,
-    GenusGraph,
-    MetricGenusGraph,
-    OrientedEdge,
-)
+from .genus_graph import Divisor, GenusGraph, OrientedEdge
 from .pmfunc import PMFunction
 from .valuation import INF, LogAbs, ResidueSetting
 
@@ -44,7 +43,7 @@ class NMorphism:
     Validated on construction: incidence compatibility, local constancy
     of multiplicity at every vertex (which defines ``vertex_mult``), and
     constancy of the global rank (the ``degree``).  Both graphs must be
-    connected.
+    connected, and both metric or both plain.
     """
 
     def __init__(
@@ -55,6 +54,8 @@ class NMorphism:
         edge_map: Mapping[str, str],
         mult: Mapping[str, int],
     ):
+        if source.is_metric != target.is_metric:
+            raise ValueError("source and target must both be metric or both plain")
         self.source = source
         self.target = target
         self.vertex_map = {str(k): str(v) for k, v in vertex_map.items()}
@@ -144,7 +145,14 @@ class NMorphism:
 
 
 class DeltaMorphism(NMorphism):
-    """An n-morphism together with the oriented slope function sdelta."""
+    """An n-morphism together with the oriented slope function sdelta.
+
+    ``delta`` and ``setting`` are ``None`` unless the morphism is a
+    :class:`MetricDeltaMorphism`.
+    """
+
+    delta: Optional[Dict[str, LogAbs]] = None
+    setting: Optional[ResidueSetting] = None
 
     def __init__(
         self,
@@ -168,6 +176,97 @@ class DeltaMorphism(NMorphism):
 
     def sdelta_stored(self, e: str) -> int:
         return self._sdelta[e]
+
+    # -- metric data -------------------------------------------------------
+
+    def _attach_delta(
+        self, delta: Mapping[str, LogAbs], setting: ResidueSetting
+    ) -> None:
+        """Store and validate the different values of a metric morphism.
+
+        Checks the dilation rule ``length(phi(e)) = n_e * length(e)``,
+        linearity of the different along finite edges, the boundary rule
+        ``delta = |n|`` at infinite leaves, and the admissibility of every
+        (multiplicity, slope, different) triple at both ends of every edge.
+        """
+        src = self.source
+        if not src.is_metric:
+            raise ValueError("metric delta-morphisms require metric graphs")
+        self.setting = setting
+        self.delta = {}
+        for v in src.vertices:
+            if v not in delta:
+                raise ValueError(f"vertex {v} has no delta value")
+            d = delta[v]
+            self.delta[v] = d if isinstance(d, LogAbs) else LogAbs(d)
+        for v, d in self.delta.items():
+            if d > 0:
+                raise ValueError(f"delta at {v} must be <= 0, got {d}")
+            if d.is_neg_inf and v not in src.infinite_leaves:
+                raise ValueError(
+                    f"delta vanishes at {v}, which is not an infinite leaf"
+                )
+        for e in src.edge_ids:
+            n = self.mult[e]
+            u, v = src.endpoints(e)
+            l = src.length(e)
+            target_l = self.target.length(self.edge_map[e])
+            if target_l != n * l:
+                raise ValueError(
+                    f"dilation fails on edge {e}: {target_l} != {n} * {l}"
+                )
+            s_uv = self.sdelta(OrientedEdge(e, True))
+            du, dv = self.delta[u], self.delta[v]
+            if l is INF:
+                leaf, inner, s_out, d_leaf, d_inner = (
+                    (v, u, s_uv, dv, du)
+                    if v in src.infinite_leaves
+                    else (u, v, -s_uv, du, dv)
+                )
+                expected = setting.int_abs(n)
+                if d_leaf != expected:
+                    raise ValueError(
+                        f"delta at infinite leaf {leaf} must be |{n}| = "
+                        f"{expected}, got {d_leaf}"
+                    )
+                if s_out > 0:
+                    raise ValueError(
+                        f"delta would exceed one along the tail {e}"
+                    )
+                if s_out == 0 and d_leaf != d_inner:
+                    raise ValueError(
+                        f"delta is not constant along the slope-zero tail {e}"
+                    )
+                if s_out < 0 and not d_leaf.is_neg_inf:
+                    raise ValueError(
+                        f"delta must vanish at the end of the descending tail {e}"
+                    )
+            else:
+                if du.is_neg_inf or dv.is_neg_inf:
+                    raise ValueError(f"finite edge {e} has a vanishing endpoint")
+                if dv != du + Fraction(s_uv) * l:
+                    raise ValueError(
+                        f"delta is not linear along edge {e}: "
+                        f"{dv} != {du} + {s_uv} * {l}"
+                    )
+            for vert, slope in ((u, s_uv), (v, -s_uv)):
+                verdict = check_restriction(n, slope, self.delta[vert], setting)
+                if not verdict:
+                    raise ValueError(
+                        f"edge {e} fails the slope restriction at {vert}: "
+                        f"{verdict.reason}"
+                    )
+
+    def delta_profile(self, e: str) -> PMFunction:
+        """log delta along edge ``e`` in arc length from its finite end."""
+        src = self.source
+        u, v = src.endpoints(e)
+        s = self.sdelta(OrientedEdge(e, True))
+        if self.delta[u].is_neg_inf:
+            u, v, s = v, u, -s
+        if self.delta[u].is_neg_inf:
+            raise ValueError(f"edge {e} has no finite endpoint value")
+        return PMFunction.line((Fraction(0), src.length(e)), self.delta[u].value, s)
 
     # -- indices -----------------------------------------------------------
 
@@ -290,50 +389,54 @@ def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
     merging its two edges; lengths add in the metric case).
     """
     kind, v = move
-    metric = isinstance(g, MetricGenusGraph)
-    genera = {w: g.genus_of(w) for w in g.vertices}
-    edges = {e: g.endpoints(e) for e in g.edge_ids}
-    lengths = {e: g.length(e) for e in g.edge_ids} if metric else None
-
+    if kind not in ("leaf", "smooth"):
+        raise IllegalMoveError(f"unknown move kind {kind!r}")
+    if v not in g.vertices:
+        raise IllegalMoveError(f"no vertex {v}")
     if kind == "leaf":
-        if v not in genera:
-            raise IllegalMoveError(f"no vertex {v}")
         if g.genus_of(v) != 0:
             raise IllegalMoveError(f"leaf {v} has positive genus")
         if not g.is_leaf(v):
             raise IllegalMoveError(f"vertex {v} is not a leaf")
-        (b,) = g.branches(v)
-        del genera[v]
-        del edges[b.edge]
-        if metric:
-            del lengths[b.edge]
-    elif kind == "smooth":
-        if v not in genera:
-            raise IllegalMoveError(f"no vertex {v}")
+    else:
         if g.genus_of(v) != 0:
             raise IllegalMoveError(f"vertex {v} has positive genus")
         branches = g.branches(v)
         if len(branches) != 2:
             raise IllegalMoveError(f"vertex {v} does not have valence 2")
-        b1, b2 = branches
-        if b1.edge == b2.edge:
+        if branches[0].edge == branches[1].edge:
             raise IllegalMoveError(f"cannot smooth the loop vertex {v}")
-        w1, w2 = g.head(b1), g.head(b2)
+    return _contract(g, kind, (v,))
+
+
+def _contract(g: GenusGraph, kind: str, vertices: Iterable[str]) -> GenusGraph:
+    """Remove the given leaves, or smooth the given valence-two vertices.
+
+    The caller has checked the move.  A smoothed vertex's two edges merge
+    into the one with the smaller id, running between the two far ends;
+    lengths add.  Metric data is kept.
+    """
+    vertices = set(vertices)
+    genera = {w: g.genus_of(w) for w in g.vertices if w not in vertices}
+    edges = {e: g.endpoints(e) for e in g.edge_ids}
+    lengths = {e: g.length(e) for e in g.edge_ids} if g.is_metric else None
+    for v in sorted(vertices):
+        if kind == "leaf":
+            (b,) = g.branches(v)
+            del edges[b.edge]
+            if lengths is not None:
+                del lengths[b.edge]
+            continue
+        b1, b2 = g.branches(v)
         new_edge = min(b1.edge, b2.edge)
-        del genera[v]
         del edges[b1.edge]
         del edges[b2.edge]
-        edges[new_edge] = (w1, w2)
-        if metric:
+        edges[new_edge] = (g.head(b1), g.head(b2))
+        if lengths is not None:
             l = lengths.pop(b1.edge) + lengths.pop(b2.edge)
             lengths[new_edge] = l
-    else:
-        raise IllegalMoveError(f"unknown move kind {kind!r}")
-
-    if metric:
-        leaves = set(g.infinite_leaves) & set(genera)
-        return MetricGenusGraph(genera, edges, lengths, infinite_leaves=leaves)
-    return GenusGraph(genera, edges)
+    leaves = g.infinite_leaves & genera.keys()
+    return GenusGraph(genera, edges, lengths, infinite_leaves=leaves)
 
 
 def _morphism_leaf_conditions(m: DeltaMorphism, v2: str) -> Optional[str]:
@@ -398,77 +501,45 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     and ``R = 0``, merging edges upstairs and downstairs.  The merged
     source edges must agree in multiplicity and carry a continuous
     sdelta; this holds automatically for balanced fibers but is checked
-    explicitly.
+    explicitly.  Lengths add on merged edges, and the delta values of
+    the surviving vertices are kept.
     """
     kind, v2 = move
-    if kind == "leaf":
-        reason = _morphism_leaf_conditions(m, v2)
-        if reason:
-            raise IllegalMoveError(reason)
-        (b2,) = m.target.branches(v2)
-        fiber = [v for v in m.source.vertices if m.vertex_map[v] == v2]
-        genera = {
-            v: m.source.genus_of(v) for v in m.source.vertices if v not in fiber
-        }
-        dead_edges = {b.edge for v in fiber for b in m.source.branches(v)}
-        edges = {
-            e: m.source.endpoints(e)
-            for e in m.source.edge_ids
-            if e not in dead_edges
-        }
-        source = GenusGraph(genera, edges)
-        target = contract_graph(m.target, ("leaf", v2))
-        return DeltaMorphism(
-            source,
-            target,
-            {v: m.vertex_map[v] for v in genera},
-            {e: m.edge_map[e] for e in edges},
-            {e: m.mult[e] for e in edges},
-            {e: m.sdelta_stored(e) for e in edges},
-        )
-
+    conditions = {
+        "leaf": _morphism_leaf_conditions,
+        "smooth": _morphism_smooth_conditions,
+    }.get(kind)
+    if conditions is None:
+        raise IllegalMoveError(f"unknown move kind {kind!r}")
+    reason = conditions(m, v2)
+    if reason:
+        raise IllegalMoveError(reason)
+    target = contract_graph(m.target, move)
+    fiber = [v for v in m.source.vertices if m.vertex_map[v] == v2]
+    source = _contract(m.source, kind, fiber)
+    edge_map = {e: m.edge_map[e] for e in source.edge_ids}
+    sdelta = {e: m.sdelta_stored(e) for e in source.edge_ids}
     if kind == "smooth":
-        reason = _morphism_smooth_conditions(m, v2)
-        if reason:
-            raise IllegalMoveError(reason)
-        e1, e2 = (b.edge for b in m.target.branches(v2))
-        merged_target_edge = min(e1, e2)
-        target = contract_graph(m.target, ("smooth", v2))
-        fiber = [v for v in m.source.vertices if m.vertex_map[v] == v2]
-
-        genera = {
-            v: m.source.genus_of(v) for v in m.source.vertices if v not in fiber
-        }
-        edges = {e: m.source.endpoints(e) for e in m.source.edge_ids}
-        edge_map = dict(m.edge_map)
-        mult = dict(m.mult)
-        sdelta = dict(m._sdelta)
+        merged_target_edge = min(b.edge for b in m.target.branches(v2))
         for v in fiber:
-            a, b = m.source.branches(v)
-            x, y = m.source.head(a), m.source.head(b)
-            new_edge = min(a.edge, b.edge)
-            s_through = m.sdelta(-a)  # slope entering v from x, equals exit slope
-            n_through = m.mult[a.edge]
-            for e in (a.edge, b.edge):
-                del edges[e]
-                del edge_map[e]
-                del mult[e]
-                del sdelta[e]
-            edges[new_edge] = (x, y)
-            edge_map[new_edge] = merged_target_edge
-            mult[new_edge] = n_through
-            sdelta[new_edge] = s_through
-        source = GenusGraph(genera, edges)
-        return DeltaMorphism(
+            # the merged edge keeps the smaller id, that of the first
+            # branch ``a``, and now runs from the far end of ``a``
+            a, _ = m.source.branches(v)
+            edge_map[a.edge] = merged_target_edge
+            sdelta[a.edge] = m.sdelta(-a)
+    delta = None if m.delta is None else {v: m.delta[v] for v in source.vertices}
+    return with_delta(
+        DeltaMorphism(
             source,
             target,
-            {v: m.vertex_map[v] for v in genera},
+            {v: m.vertex_map[v] for v in source.vertices},
             edge_map,
-            mult,
+            {e: m.mult[e] for e in source.edge_ids},
             sdelta,
-        )
-
-    raise IllegalMoveError(f"unknown move kind {kind!r}")
+        ),
+        delta,
+        m.setting,
+    )
 
 
 def applicable_moves(m: DeltaMorphism) -> Tuple[Tuple[str, str], ...]:
@@ -497,14 +568,11 @@ def is_stable(m: DeltaMorphism) -> bool:
 # -- metric delta-morphisms ---------------------------------------------------
 
 
-class MetricDeltaMorphism:
+class MetricDeltaMorphism(DeltaMorphism):
     """A delta-morphism of metric genus graphs with different values.
 
-    Carries a log-different value per source vertex.  Construction
-    validates: the dilation rule ``length(phi(e)) = n_e * length(e)``,
-    linearity of the different along finite edges, the boundary rule
-    ``delta = |n|`` at infinite leaves, and the admissibility of every
-    (multiplicity, slope, different) triple at both ends of every edge.
+    Takes over the already validated combinatorial data of ``morphism``
+    and validates ``delta`` against it (see ``DeltaMorphism._attach_delta``).
     """
 
     def __init__(
@@ -513,103 +581,21 @@ class MetricDeltaMorphism:
         delta: Mapping[str, LogAbs],
         setting: ResidueSetting,
     ):
-        if not isinstance(morphism.source, MetricGenusGraph) or not isinstance(
-            morphism.target, MetricGenusGraph
-        ):
-            raise ValueError("metric delta-morphisms require metric graphs")
-        self.morphism = morphism
-        self.setting = setting
-        self.delta: Dict[str, LogAbs] = {}
-        for v in morphism.source.vertices:
-            if v not in delta:
-                raise ValueError(f"vertex {v} has no delta value")
-            d = delta[v]
-            if not isinstance(d, LogAbs):
-                d = LogAbs(d)
-            self.delta[v] = d
-        self._validate()
+        vars(self).update(vars(morphism))
+        self._attach_delta(delta, setting)
 
     @property
-    def source(self) -> MetricGenusGraph:
-        return self.morphism.source
+    def morphism(self) -> "MetricDeltaMorphism":
+        return self
 
-    @property
-    def target(self) -> MetricGenusGraph:
-        return self.morphism.target
 
-    def _validate(self) -> None:
-        src = self.source
-        for v, d in self.delta.items():
-            if d > 0:
-                raise ValueError(f"delta at {v} must be <= 0, got {d}")
-            if d.is_neg_inf and v not in src.infinite_leaves:
-                raise ValueError(
-                    f"delta vanishes at {v}, which is not an infinite leaf"
-                )
-        for e in src.edge_ids:
-            n = self.morphism.mult[e]
-            u, v = src.endpoints(e)
-            l = src.length(e)
-            target_l = self.target.length(self.morphism.edge_map[e])
-            if target_l != n * l:
-                raise ValueError(
-                    f"dilation fails on edge {e}: {target_l} != {n} * {l}"
-                )
-            s_uv = self.morphism.sdelta(OrientedEdge(e, True))
-            du, dv = self.delta[u], self.delta[v]
-            if l is INF:
-                leaf, inner, s_out, d_leaf, d_inner = (
-                    (v, u, s_uv, dv, du)
-                    if v in src.infinite_leaves
-                    else (u, v, -s_uv, du, dv)
-                )
-                expected = self.setting.int_abs(n)
-                if d_leaf != expected:
-                    raise ValueError(
-                        f"delta at infinite leaf {leaf} must be |{n}| = "
-                        f"{expected}, got {d_leaf}"
-                    )
-                if s_out > 0:
-                    raise ValueError(
-                        f"delta would exceed one along the tail {e}"
-                    )
-                if s_out == 0 and d_leaf != d_inner:
-                    raise ValueError(
-                        f"delta is not constant along the slope-zero tail {e}"
-                    )
-                if s_out < 0 and not d_leaf.is_neg_inf:
-                    raise ValueError(
-                        f"delta must vanish at the end of the descending tail {e}"
-                    )
-            else:
-                if du.is_neg_inf or dv.is_neg_inf:
-                    raise ValueError(f"finite edge {e} has a vanishing endpoint")
-                if dv != du + Fraction(s_uv) * l:
-                    raise ValueError(
-                        f"delta is not linear along edge {e}: "
-                        f"{dv} != {du} + {s_uv} * {l}"
-                    )
-            for vert, slope in ((u, s_uv), (v, -s_uv)):
-                verdict = check_restriction(n, slope, self.delta[vert], self.setting)
-                if not verdict:
-                    raise ValueError(
-                        f"edge {e} fails the slope restriction at {vert}: "
-                        f"{verdict.reason}"
-                    )
-
-    def delta_profile(self, e: str) -> PMFunction:
-        """log delta along edge ``e`` in arc length from its finite end."""
-        src = self.source
-        u, v = src.endpoints(e)
-        s = self.morphism.sdelta(OrientedEdge(e, True))
-        if self.delta[u].is_neg_inf:
-            u, v, s = v, u, -s
-        if self.delta[u].is_neg_inf:
-            raise ValueError(f"edge {e} has no finite endpoint value")
-        return PMFunction.line((Fraction(0), src.length(e)), self.delta[u].value, s)
-
-    def __repr__(self):
-        return f"MetricDeltaMorphism({self.morphism!r}, setting={self.setting.describe()})"
+def with_delta(
+    m: DeltaMorphism,
+    delta: Optional[Mapping[str, LogAbs]],
+    setting: Optional[ResidueSetting],
+) -> DeltaMorphism:
+    """``m`` itself without delta values, else the metric morphism over it."""
+    return m if delta is None else MetricDeltaMorphism(m, delta, setting)
 
 
 # -- skeleton certificates -----------------------------------------------------
@@ -672,7 +658,7 @@ def certify_skeleton(
     Passes iff the ramification locus sits in the vertices and every
     annotated off-graph branch has slope index ``-sdelta + n - 1 = 0``.
     """
-    source = m.source if isinstance(m, (NMorphism, MetricDeltaMorphism)) else m
+    source = m.source if isinstance(m, NMorphism) else m
     violations = []
     for v, pairs in sorted(boundary.items()):
         if v not in source.vertices:
@@ -757,14 +743,9 @@ def wide_open_genus_check(
 # -- serialization --------------------------------------------------------------
 
 
-def morphism_to_json_dict(m) -> dict:
-    """JSON form of a DeltaMorphism or MetricDeltaMorphism."""
-    if isinstance(m, MetricDeltaMorphism):
-        base = morphism_to_json_dict(m.morphism)
-        base["delta"] = {v: str(d) for v, d in sorted(m.delta.items())}
-        base["setting"] = m.setting.describe()
-        return base
-    return {
+def morphism_to_json_dict(m: DeltaMorphism) -> dict:
+    """JSON form of a morphism; ``delta`` and ``setting`` when metric."""
+    data = {
         "source": m.source.to_json_dict(),
         "target": m.target.to_json_dict(),
         "vertex_map": {v: m.vertex_map[v] for v in m.source.vertices},
@@ -772,24 +753,26 @@ def morphism_to_json_dict(m) -> dict:
         "n": {e: m.mult[e] for e in m.source.edge_ids},
         "sdelta": {e: m.sdelta_stored(e) for e in m.source.edge_ids},
     }
+    if m.delta is not None:
+        data["delta"] = {v: str(d) for v, d in sorted(m.delta.items())}
+        data["setting"] = m.setting.describe()
+    return data
 
 
-def morphism_from_json_dict(data: Mapping):
-    """Parse a morphism file; metric data promotes the result."""
-    source = GenusGraph.from_json_dict(data["source"])
-    target = GenusGraph.from_json_dict(data["target"])
+def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
+    """Parse a morphism file; delta values make it metric."""
     m = DeltaMorphism(
-        source,
-        target,
+        GenusGraph.from_json_dict(data["source"]),
+        GenusGraph.from_json_dict(data["target"]),
         data["vertex_map"],
         data["edge_map"],
         {e: int(n) for e, n in data["n"].items()},
         {e: int(s) for e, s in data["sdelta"].items()},
     )
+    delta = setting = None
     if "delta" in data:
         if "setting" not in data:
             raise ValueError("delta values require a residue setting")
         setting = ResidueSetting.parse(data["setting"])
         delta = {v: LogAbs.parse(s) for v, s in data["delta"].items()}
-        return MetricDeltaMorphism(m, delta, setting)
-    return m
+    return with_delta(m, delta, setting)

@@ -1,17 +1,19 @@
-"""Finite genus graphs, metric genus graphs and divisors.
+"""Finite genus graphs, with optional metric data, and divisors.
 
 A genus graph is a finite multigraph (loops and parallel edges allowed)
 with a nonnegative genus attached to every vertex; its genus is
-``h^1 + sum of vertex genera``.  The metric variant adds a length in
-``(0, inf]`` per edge, where infinite length is reserved for tails
-ending in genus-zero infinite leaves.
+``h^1 + sum of vertex genera``.  A graph may carry metric data: a length
+in ``(0, inf]`` per edge, where infinite length is reserved for tails
+ending in marked genus-zero infinite leaves.  Metric graphs are
+instances of :class:`MetricGenusGraph`; every operation reads the metric
+fields when they are present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .valuation import INF, ExtendedRational, format_length, parse_length
 
@@ -31,12 +33,25 @@ class OrientedEdge(NamedTuple):
 
 
 class GenusGraph:
-    """Finite connected-or-not multigraph with per-vertex genus."""
+    """Immutable multigraph with per-vertex genus and optional lengths.
+
+    ``lengths`` (one per edge) makes the graph metric: an edge has length
+    ``inf`` exactly when one of its endpoints is a marked infinite leaf,
+    and infinite leaves have genus zero and valence one.  A graph built
+    with lengths is a :class:`MetricGenusGraph`.
+    """
+
+    def __new__(cls, genera, edges, lengths=None, infinite_leaves=()):
+        if cls is GenusGraph and lengths is not None:
+            cls = MetricGenusGraph
+        return super().__new__(cls)
 
     def __init__(
         self,
         genera: Mapping[str, int],
         edges: Mapping[str, Tuple[str, str]],
+        lengths: Optional[Mapping[str, ExtendedRational]] = None,
+        infinite_leaves: Iterable[str] = (),
     ):
         self._genus: Dict[str, int] = {str(v): int(g) for v, g in genera.items()}
         for v, g in self._genus.items():
@@ -48,16 +63,48 @@ class GenusGraph:
             if u not in self._genus or v not in self._genus:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
             self._ends[str(e)] = (u, v)
+        self.vertices: Tuple[str, ...] = tuple(sorted(self._genus))
+        self.edge_ids: Tuple[str, ...] = tuple(sorted(self._ends))
+        out: Dict[str, list] = {v: [] for v in self.vertices}
+        for e in self.edge_ids:
+            a, b = self._ends[e]
+            out[a].append(OrientedEdge(e, True))
+            out[b].append(OrientedEdge(e, False))
+        self._branches: Dict[str, Tuple[OrientedEdge, ...]] = {
+            v: tuple(bs) for v, bs in out.items()
+        }
+        self._lengths: Optional[Dict[str, ExtendedRational]] = None
+        self.infinite_leaves: frozenset = frozenset(str(v) for v in infinite_leaves)
+        if lengths is None:
+            if self.infinite_leaves:
+                raise ValueError("infinite leaves require edge lengths")
+            return
+        self._lengths = {}
+        for e in self.edge_ids:
+            if e not in lengths:
+                raise ValueError(f"edge {e} has no length")
+            l = lengths[e]
+            if l is not INF:
+                l = Fraction(l)
+                if l <= 0:
+                    raise ValueError(f"edge {e} has nonpositive length {l}")
+            self._lengths[e] = l
+        for v in self.infinite_leaves:
+            if v not in self._genus:
+                raise ValueError(f"infinite leaf {v} is not a vertex")
+            if self.genus_of(v) != 0:
+                raise ValueError(f"infinite leaf {v} must have genus 0")
+            if not self.is_leaf(v):
+                raise ValueError(f"infinite leaf {v} must have valence 1")
+        for e in self.edge_ids:
+            u, v = self._ends[e]
+            is_tail = u in self.infinite_leaves or v in self.infinite_leaves
+            if is_tail != (self._lengths[e] is INF):
+                raise ValueError(
+                    f"edge {e} must have infinite length iff it is a tail"
+                )
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def vertices(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._genus))
-
-    @property
-    def edge_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._ends))
 
     def genus_of(self, v: str) -> int:
         return self._genus[v]
@@ -79,14 +126,7 @@ class GenusGraph:
 
     def branches(self, v: str) -> Tuple[OrientedEdge, ...]:
         """Oriented edges leaving ``v``; a loop contributes two."""
-        out = []
-        for e in sorted(self._ends):
-            a, b = self._ends[e]
-            if a == v:
-                out.append(OrientedEdge(e, True))
-            if b == v:
-                out.append(OrientedEdge(e, False))
-        return tuple(out)
+        return self._branches.get(v, ())
 
     def valence(self, v: str) -> int:
         return len(self.branches(v))
@@ -111,6 +151,18 @@ class GenusGraph:
                     stack.append(w)
         return len(seen) == len(verts)
 
+    # -- metric data -----------------------------------------------------
+
+    @property
+    def is_metric(self) -> bool:
+        return self._lengths is not None
+
+    def length(self, e: str) -> ExtendedRational:
+        return self._lengths[e]
+
+    def is_tail(self, e: str) -> bool:
+        return self._lengths[e] is INF
+
     # -- invariants ------------------------------------------------------
 
     def h1(self) -> int:
@@ -131,11 +183,24 @@ class GenusGraph:
     def __eq__(self, other):
         if not isinstance(other, GenusGraph):
             return NotImplemented
-        return self._genus == other._genus and self._ends == other._ends
+        return (
+            self._genus == other._genus
+            and self._ends == other._ends
+            and self._lengths == other._lengths
+            and self.infinite_leaves == other.infinite_leaves
+        )
 
     def __hash__(self):
+        lengths = self._lengths
+        if lengths is not None:
+            lengths = tuple(sorted(lengths.items()))
         return hash(
-            (tuple(sorted(self._genus.items())), tuple(sorted(self._ends.items())))
+            (
+                tuple(sorted(self._genus.items())),
+                tuple(sorted(self._ends.items())),
+                lengths,
+                self.infinite_leaves,
+            )
         )
 
     def __repr__(self):
@@ -145,39 +210,42 @@ class GenusGraph:
         )
 
     def to_json_dict(self) -> dict:
-        return {
+        edges = []
+        for e in self.edge_ids:
+            item = {"id": e, "from": self._ends[e][0], "to": self._ends[e][1]}
+            if self.is_metric:
+                item["length"] = format_length(self._lengths[e])
+            edges.append(item)
+        data = {
             "vertices": [
                 {"id": v, "genus": self._genus[v]} for v in self.vertices
             ],
-            "edges": [
-                {"id": e, "from": self._ends[e][0], "to": self._ends[e][1]}
-                for e in self.edge_ids
-            ],
+            "edges": edges,
         }
+        if self.infinite_leaves:
+            data["infinite_leaves"] = sorted(self.infinite_leaves)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GenusGraph":
+        for key in ("vertices", "edges"):
+            for item in data[key]:
+                if not isinstance(item, Mapping):
+                    raise ValueError(f"{key} entry {item!r} is not an object")
         genera = {v["id"]: v.get("genus", 0) for v in data["vertices"]}
         edges = {e["id"]: (e["from"], e["to"]) for e in data["edges"]}
+        lengths = None
         if any("length" in e for e in data["edges"]) or data.get("infinite_leaves"):
             lengths = {
                 e["id"]: parse_length(e["length"]) for e in data["edges"]
             }
-            return MetricGenusGraph(
-                genera,
-                edges,
-                lengths,
-                infinite_leaves=data.get("infinite_leaves", ()),
-            )
-        return cls(genera, edges)
+        return GenusGraph(
+            genera, edges, lengths, infinite_leaves=data.get("infinite_leaves", ())
+        )
 
 
 class MetricGenusGraph(GenusGraph):
-    """Genus graph with edge lengths; infinite lengths mark tails.
-
-    An edge has length ``inf`` exactly when one of its endpoints is a
-    marked infinite leaf, and infinite leaves have genus zero.
-    """
+    """A genus graph built with edge lengths."""
 
     def __init__(
         self,
@@ -186,68 +254,7 @@ class MetricGenusGraph(GenusGraph):
         lengths: Mapping[str, ExtendedRational],
         infinite_leaves: Iterable[str] = (),
     ):
-        super().__init__(genera, edges)
-        self._lengths: Dict[str, ExtendedRational] = {}
-        for e in self.edge_ids:
-            if e not in lengths:
-                raise ValueError(f"edge {e} has no length")
-            l = lengths[e]
-            if l is not INF:
-                l = Fraction(l)
-                if l <= 0:
-                    raise ValueError(f"edge {e} has nonpositive length {l}")
-            self._lengths[e] = l
-        self._infinite_leaves = frozenset(str(v) for v in infinite_leaves)
-        for v in self._infinite_leaves:
-            if v not in self._genus:
-                raise ValueError(f"infinite leaf {v} is not a vertex")
-            if self.genus_of(v) != 0:
-                raise ValueError(f"infinite leaf {v} must have genus 0")
-            if not self.is_leaf(v):
-                raise ValueError(f"infinite leaf {v} must have valence 1")
-        for e in self.edge_ids:
-            u, v = self.endpoints(e)
-            is_tail = u in self._infinite_leaves or v in self._infinite_leaves
-            if is_tail != (self._lengths[e] is INF):
-                raise ValueError(
-                    f"edge {e} must have infinite length iff it is a tail"
-                )
-
-    @property
-    def infinite_leaves(self) -> frozenset:
-        return self._infinite_leaves
-
-    def length(self, e: str) -> ExtendedRational:
-        return self._lengths[e]
-
-    def is_tail(self, e: str) -> bool:
-        return self._lengths[e] is INF
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricGenusGraph):
-            return NotImplemented
-        return (
-            super().__eq__(other)
-            and self._lengths == other._lengths
-            and self._infinite_leaves == other._infinite_leaves
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                super().__hash__(),
-                tuple(sorted(self._lengths.items(), key=lambda kv: kv[0])),
-                self._infinite_leaves,
-            )
-        )
-
-    def to_json_dict(self) -> dict:
-        data = super().to_json_dict()
-        for e in data["edges"]:
-            e["length"] = format_length(self._lengths[e["id"]])
-        if self._infinite_leaves:
-            data["infinite_leaves"] = sorted(self._infinite_leaves)
-        return data
+        super().__init__(genera, edges, lengths, infinite_leaves)
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,3 @@ class Divisor:
 
     def to_json_dict(self) -> dict:
         return {v: c for v, c in sorted(self.coefficients.items())}
-
-
-def degree(d: Divisor) -> int:
-    return d.degree()

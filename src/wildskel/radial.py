@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .delta_morphism import MetricDeltaMorphism
-from .genus_graph import MetricGenusGraph
+from .genus_graph import GenusGraph, MetricGenusGraph
 from .pmfunc import PMFunction
 from .special import metric_lift
 
@@ -81,17 +81,13 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     (elsewhere the cover splits); the radius there is
     ``-log delta / (p - 1)``.
     """
-    if mm.morphism.degree != p:
-        raise WrongDegreeError(
-            f"morphism has degree {mm.morphism.degree}, expected {p}"
-        )
+    if mm.degree != p:
+        raise WrongDegreeError(f"morphism has degree {mm.degree}, expected {p}")
     src = mm.source
-    edges = [e for e in src.edge_ids if mm.morphism.mult[e] == p]
+    edges = [e for e in src.edge_ids if mm.mult[e] == p]
     verts = {v for e in edges for v in src.endpoints(e)}
-    verts.update(
-        v for v in src.vertices if mm.morphism.vertex_mult[v] == p
-    )
-    center = MetricGenusGraph(
+    verts.update(v for v in src.vertices if mm.vertex_mult[v] == p)
+    center = GenusGraph(
         {v: src.genus_of(v) for v in verts},
         {e: src.endpoints(e) for e in edges},
         {e: src.length(e) for e in edges},
@@ -134,9 +130,7 @@ def supersingular_witness(report, p: int = 2) -> bool:
         raise ValueError("the witness is specific to degree-two covers")
     by_type = report.type.tag in _SLOPE3_TYPES
     mm = metric_lift(report.type, report.lengths, report.setting)
-    by_scan = any(
-        abs(mm.morphism.sdelta_stored(e)) == 3 for e in mm.source.edge_ids
-    )
+    by_scan = any(abs(mm.sdelta_stored(e)) == 3 for e in mm.source.edge_ids)
     by_radial = radial_vs_ball(degree_p_locus(mm, p)).strict
     if not (by_type == by_scan == by_radial):
         raise AssertionError(

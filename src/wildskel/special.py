@@ -23,8 +23,9 @@ from .delta_morphism import (
     DeltaMorphism,
     MetricDeltaMorphism,
     applicable_moves,
+    with_delta,
 )
-from .genus_graph import GenusGraph, MetricGenusGraph, OrientedEdge
+from .genus_graph import GenusGraph, OrientedEdge
 from .valuation import INF, NEG_INF, LogAbs, ResidueSetting, ZERO
 
 
@@ -338,22 +339,21 @@ class _ShapeBuilder:
 
     def __init__(self, metric: bool, lengths: "Lengths | None" = None,
                  setting: ResidueSetting | None = None):
-        self.metric = metric
         self.lengths = lengths
         self.setting = setting
         self.src_genus: Dict[str, int] = {}
         self.src_edges: Dict[str, Tuple[str, str]] = {}
-        self.src_lengths: Dict[str, object] = {}
+        self.src_lengths: Optional[Dict[str, object]] = {} if metric else None
         self.src_leaves: List[str] = []
         self.tgt_genus: Dict[str, int] = {}
         self.tgt_edges: Dict[str, Tuple[str, str]] = {}
-        self.tgt_lengths: Dict[str, object] = {}
+        self.tgt_lengths: Optional[Dict[str, object]] = {} if metric else None
         self.tgt_leaves: List[str] = []
         self.vmap: Dict[str, str] = {}
         self.emap: Dict[str, str] = {}
         self.mult: Dict[str, int] = {}
         self.sdelta: Dict[str, int] = {}
-        self.delta: Dict[str, LogAbs] = {}
+        self.delta: Optional[Dict[str, LogAbs]] = {} if metric else None
         self._counter = 0
 
     def _fresh(self, prefix: str) -> str:
@@ -364,7 +364,8 @@ class _ShapeBuilder:
         self.src_genus[name] = genus
         self.tgt_genus[name + "'"] = genus if genus == 0 else 0
         self.vmap[name] = name + "'"
-        self.delta[name] = delta
+        if self.delta is not None:
+            self.delta[name] = delta
         return name
 
     def add_edge(self, name, u, v, n, sdelta_uv, length=None, target_edge=None):
@@ -374,60 +375,42 @@ class _ShapeBuilder:
         if target_edge is None:
             target_edge = name + "'"
             self.tgt_edges[target_edge] = (self.vmap[u], self.vmap[v])
-            if self.metric:
+            if self.tgt_lengths is not None:
                 self.tgt_lengths[target_edge] = n * length
         self.emap[name] = target_edge
-        if self.metric:
+        if self.src_lengths is not None:
             self.src_lengths[name] = length
         return target_edge
 
     def attach_tree(self, at: str, tree: RootSubtree) -> None:
         child = self._fresh("v")
         label = tree.label
-        delta_at = self.delta[at]
-        if tree.is_leaf_edge:
-            if self.metric:
-                d = delta_at if label == 0 else NEG_INF
-                self.add_vertex(child, 0, d)
-                self.src_leaves.append(child)
-                self.tgt_leaves.append(child + "'")
-                self.add_edge(
-                    self._fresh("e"), at, child, 2, -label, INF
-                )
-            else:
-                self.add_vertex(child, 0)
-                self.add_edge(self._fresh("e"), at, child, 2, -label)
-            return
-        if self.metric:
-            l = self.lengths.of_slope(label)
-            d = delta_at + Fraction(-label) * l
-            self.add_vertex(child, 0, d)
-            self.add_edge(self._fresh("e"), at, child, 2, -label, l)
-        else:
+        if self.delta is None:
             self.add_vertex(child, 0)
             self.add_edge(self._fresh("e"), at, child, 2, -label)
+        elif tree.is_leaf_edge:
+            self.add_vertex(child, 0, self.delta[at] if label == 0 else NEG_INF)
+            self.src_leaves.append(child)
+            self.tgt_leaves.append(child + "'")
+            self.add_edge(self._fresh("e"), at, child, 2, -label, INF)
+        else:
+            l = self.lengths.of_slope(label)
+            self.add_vertex(child, 0, self.delta[at] + Fraction(-label) * l)
+            self.add_edge(self._fresh("e"), at, child, 2, -label, l)
         for sub in tree.children:
             self.attach_tree(child, sub)
 
-    def build(self):
-        if self.metric:
-            source = MetricGenusGraph(
-                self.src_genus, self.src_edges, self.src_lengths,
-                infinite_leaves=self.src_leaves,
-            )
-            target = MetricGenusGraph(
-                self.tgt_genus, self.tgt_edges, self.tgt_lengths,
-                infinite_leaves=self.tgt_leaves,
-            )
-        else:
-            source = GenusGraph(self.src_genus, self.src_edges)
-            target = GenusGraph(self.tgt_genus, self.tgt_edges)
+    def build(self) -> DeltaMorphism:
+        source = GenusGraph(
+            self.src_genus, self.src_edges, self.src_lengths, self.src_leaves
+        )
+        target = GenusGraph(
+            self.tgt_genus, self.tgt_edges, self.tgt_lengths, self.tgt_leaves
+        )
         m = DeltaMorphism(
             source, target, self.vmap, self.emap, self.mult, self.sdelta
         )
-        if self.metric:
-            return MetricDeltaMorphism(m, self.delta, self.setting)
-        return m
+        return with_delta(m, self.delta, self.setting)
 
 
 _0L = RootSubtree(0)
@@ -452,29 +435,19 @@ _SHAPES: Dict[str, tuple] = {
 }
 
 
-def _build_loop(builder: _ShapeBuilder, sides, lengths: "Lengths | None"):
-    builder.add_vertex("t", 0)
-    builder.add_vertex("s", 0)
-    if builder.metric:
-        loop_target = builder.add_edge(
-            "a", "t", "s", 1, 0, lengths.l0
-        )
-        builder.add_edge("b", "t", "s", 1, 0, lengths.l0, target_edge=loop_target)
-    else:
-        loop_target = builder.add_edge("a", "t", "s", 1, 0)
-        builder.add_edge("b", "t", "s", 1, 0, target_edge=loop_target)
-    for core, trees in zip(("t", "s"), sides):
-        for tree in trees:
-            builder.attach_tree(core, tree)
-
-
-def _build_shape(tag: str, metric: bool = False,
-                 lengths: "Lengths | None" = None,
-                 setting: ResidueSetting | None = None):
-    kind, data = _SHAPES[tag]
-    builder = _ShapeBuilder(metric, lengths, setting)
+def _build(kind: str, data, lengths: "Lengths | None" = None,
+           setting: ResidueSetting | None = None) -> DeltaMorphism:
+    """Build a ("loop", sides) or ("genus1", trees) shape, metric with lengths."""
+    builder = _ShapeBuilder(lengths is not None, lengths, setting)
     if kind == "loop":
-        _build_loop(builder, data, lengths)
+        builder.add_vertex("t", 0)
+        builder.add_vertex("s", 0)
+        l0 = None if lengths is None else lengths.l0
+        loop_target = builder.add_edge("a", "t", "s", 1, 0, l0)
+        builder.add_edge("b", "t", "s", 1, 0, l0, target_edge=loop_target)
+        for core, trees in zip(("t", "s"), data):
+            for tree in trees:
+                builder.attach_tree(core, tree)
     else:
         builder.add_vertex("r", 1)
         for tree in data:
@@ -486,7 +459,7 @@ def build_special(tag: str) -> DeltaMorphism:
     """The canonical combinatorial representative of a special type."""
     if tag not in SPECIAL_TAGS:
         raise ValueError(f"unknown special type {tag!r}")
-    return _build_shape(tag)
+    return _build(*_SHAPES[tag])
 
 
 # -- enumeration and classification ---------------------------------------------------
@@ -547,14 +520,7 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
     """
     results: Dict[str, DeltaMorphism] = {}
     for kind, data in _candidate_shapes():
-        builder = _ShapeBuilder(metric=False)
-        if kind == "loop":
-            _build_loop(builder, data, None)
-        else:
-            builder.add_vertex("r", 1)
-            for tree in data:
-                builder.attach_tree("r", tree)
-        m = builder.build()
+        m = _build(kind, data)
         check = is_special(m)
         if not check:
             continue
@@ -759,7 +725,7 @@ def metric_lift(
                 f"got {weighted}"
             )
     try:
-        return _build_shape(tag, metric=True, lengths=lengths, setting=setting)
+        return _build(*_SHAPES[tag], lengths, setting)
     except ValueError as exc:  # pragma: no cover - the prechecks are complete
         raise UnliftableError(str(exc)) from exc
 
@@ -775,7 +741,7 @@ def metric_lengths(mm: MetricDeltaMorphism) -> Lengths:
     for e in src.edge_ids:
         if src.is_tail(e):
             continue
-        slope = abs(mm.morphism.sdelta_stored(e))
+        slope = abs(mm.sdelta_stored(e))
         length = src.length(e)
         if slope in found and found[slope] != length:
             raise ValueError(

@@ -7,6 +7,10 @@ edge as a random transportation plan between the two fibers (row and
 column sums are the vertex multiplicities), splitting plan entries into
 parallel edges.  Local constancy and constant rank hold by
 construction; only source connectivity is enforced by rejection.
+
+``random_genus_graph`` draws such a target multigraph, optionally with
+edge lengths, and ``subdivide_metric`` builds a random metric
+subdivision of a metric morphism that ``stabilize`` must undo.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from wildskel import DeltaMorphism, GenusGraph, ValuedSeries
+from wildskel import (
+    INF,
+    DeltaMorphism,
+    GenusGraph,
+    MetricDeltaMorphism,
+    ValuedSeries,
+)
 
 
 def _random_composition(rng: random.Random, total: int) -> List[int]:
@@ -43,6 +53,19 @@ def _random_target(rng: random.Random, max_vertices: int) -> GenusGraph:
         u, v = rng.sample(order, 2)
         edges[f"F{len(edges)}"] = (u, v)
     return GenusGraph(genera, edges)
+
+
+def random_genus_graph(rng: random.Random, metric: bool) -> GenusGraph:
+    """A random connected multigraph; with ``metric``, random finite lengths."""
+    g = _random_target(rng, 5)
+    if not metric:
+        return g
+    lengths = {e: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for e in g.edge_ids}
+    return GenusGraph(
+        {v: g.genus_of(v) for v in g.vertices},
+        {e: g.endpoints(e) for e in g.edge_ids},
+        lengths,
+    )
 
 
 def _transportation(
@@ -109,3 +132,66 @@ def random_valued_series(
     return ValuedSeries(
         {i: Fraction(rng.randint(-6 * den, 0), den) for i in indices}
     )
+
+
+def subdivide_metric(
+    rng: random.Random, mm: MetricDeltaMorphism
+) -> MetricDeltaMorphism:
+    """A random metric subdivision of ``mm`` that ``stabilize`` must undo.
+
+    One to three non-loop target edges, finite edges and tails alike, get
+    a genus-0 vertex at a rational point, and so does every source edge
+    above them.  Over a target piece of length ``l`` a source piece of
+    multiplicity ``n`` has length ``l / n`` (dilation), and delta at the
+    new source vertex is interpolated linearly.  New names sort after
+    the names they split, so smoothing restores the original edge ids.
+    """
+    src, tgt = mm.source, mm.target
+    tgt_genus = {v: tgt.genus_of(v) for v in tgt.vertices}
+    tgt_edges = {e: tgt.endpoints(e) for e in tgt.edge_ids}
+    tgt_len = {e: tgt.length(e) for e in tgt.edge_ids}
+    src_genus = {v: src.genus_of(v) for v in src.vertices}
+    src_edges = {e: src.endpoints(e) for e in src.edge_ids}
+    src_len = {e: src.length(e) for e in src.edge_ids}
+    vmap, emap, mult = dict(mm.vertex_map), dict(mm.edge_map), dict(mm.mult)
+    sdelta = {e: mm.sdelta_stored(e) for e in src.edge_ids}
+    delta = dict(mm.delta)
+
+    candidates = [f for f in tgt.edge_ids if not tgt.is_loop(f)]
+    chosen = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
+    for k, f in enumerate(chosen, 1):
+        a2, b2 = tgt_edges[f]
+        l = tgt_len[f]
+        if l is not INF:
+            d = l * Fraction(rng.randint(1, 7), 8)
+            pieces = (d, l - d)
+        elif b2 in tgt.infinite_leaves:
+            pieces = (Fraction(rng.randint(1, 12), rng.randint(1, 4)), INF)
+        else:
+            pieces = (INF, Fraction(rng.randint(1, 12), rng.randint(1, 4)))
+        c2, f_new = f"~c{k}'", f"{f}~{k}"
+        tgt_genus[c2] = 0
+        tgt_edges[f], tgt_edges[f_new] = (a2, c2), (c2, b2)
+        tgt_len[f], tgt_len[f_new] = pieces
+        for e in sorted(x for x in src.edge_ids if mm.edge_map[x] == f):
+            x, y = src_edges[e]
+            n, s = mult[e], sdelta[e]
+            # target pieces over (x, c) and (c, y), in that order
+            near, far = (f, f_new) if vmap[x] == a2 else (f_new, f)
+            px, py = (
+                tgt_len[g] if tgt_len[g] is INF else tgt_len[g] / n
+                for g in (near, far)
+            )
+            c, e_new = f"~c{k}.{e}", f"{e}~{k}"
+            src_genus[c] = 0
+            vmap[c] = c2
+            delta[c] = delta[x] + s * px if px is not INF else delta[y] - s * py
+            src_edges[e], src_edges[e_new] = (x, c), (c, y)
+            src_len[e], src_len[e_new] = px, py
+            emap[e], emap[e_new] = near, far
+            mult[e_new], sdelta[e_new] = n, s
+
+    source = GenusGraph(src_genus, src_edges, src_len, src.infinite_leaves)
+    target = GenusGraph(tgt_genus, tgt_edges, tgt_len, tgt.infinite_leaves)
+    m = DeltaMorphism(source, target, vmap, emap, mult, sdelta)
+    return MetricDeltaMorphism(m, delta, mm.setting)

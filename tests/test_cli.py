@@ -144,6 +144,50 @@ class TestReports:
         assert code == 0
         assert "4 vertices, 4 edges" in capsys.readouterr().out
 
+    def test_stabilize_keeps_metric_data(self, tmp_path, capsys):
+        import random
+
+        from tests.support import subdivide_metric
+
+        mm = morphism_from_json_dict(
+            json.loads((FIXTURES / "ms_metric.morphism.json").read_text())
+        )
+        path = tmp_path / "ms_subdivided.json"
+        path.write_text(
+            json.dumps(morphism_to_json_dict(subdivide_metric(random.Random(7), mm)))
+        )
+        assert run(["stabilize", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["setting"] == "mixed:2:-1"
+        assert "delta" in payload
+        assert all("length" in e for e in payload["source"]["edges"])
+        assert payload == morphism_to_json_dict(mm)
+
+
+class TestInputErrors:
+    """Malformed morphism files exit 2 with an error line, no traceback."""
+
+    def _run(self, tmp_path, capsys, data, argv=("rh-check",)):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = run([*argv, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_hybrid_morphism_rejected(self, tmp_path, capsys):
+        from tests.test_delta_morphism import HYBRID_KUMMER
+
+        err = self._run(tmp_path, capsys, HYBRID_KUMMER)
+        assert "must both be metric or both plain" in err
+
+    def test_vertices_as_plain_strings(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "wb.morphism.json").read_text())
+        data["source"]["vertices"] = [v["id"] for v in data["source"]["vertices"]]
+        err = self._run(tmp_path, capsys, data)
+        assert "vertices entry" in err and "is not an object" in err
+
 
 class TestRoundTrips:
     def test_fixture_files_roundtrip(self):

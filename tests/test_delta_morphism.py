@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildskel.delta_morphism import (
     BoundaryAnnotation,
@@ -21,10 +23,10 @@ from wildskel.delta_morphism import (
     wide_open_genus_check,
 )
 from wildskel.genus_graph import Divisor, GenusGraph, MetricGenusGraph, OrientedEdge
-from wildskel.special import Lengths, build_special, metric_lift
+from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
-from tests.support import random_proper_delta_morphism
+from tests.support import random_proper_delta_morphism, subdivide_metric
 
 WILD2 = ResidueSetting.equichar(2)
 MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
@@ -526,3 +528,114 @@ class TestJsonRoundtrip:
         mm2 = morphism_from_json_dict(json.loads(json.dumps(data)))
         assert isinstance(mm2, MetricDeltaMorphism)
         assert morphism_to_json_dict(mm2) == data
+
+
+def kummer_two_edges() -> MetricDeltaMorphism:
+    """The metric Kummer segment of ``kummer_p2_metric``, cut at its midpoint."""
+    src = MetricGenusGraph(
+        {"u": 0, "m": 0, "v": 0},
+        {"e": ("u", "m"), "f": ("m", "v")},
+        {"e": Fraction(1, 2), "f": Fraction(1, 2)},
+    )
+    tgt = MetricGenusGraph(
+        {"u'": 0, "m'": 0, "v'": 0},
+        {"e'": ("u'", "m'"), "f'": ("m'", "v'")},
+        {"e'": Fraction(1), "f'": Fraction(1)},
+    )
+    dm = DeltaMorphism(
+        src,
+        tgt,
+        {"u": "u'", "m": "m'", "v": "v'"},
+        {"e": "e'", "f": "f'"},
+        {"e": 2, "f": 2},
+        {"e": 0, "f": 0},
+    )
+    return MetricDeltaMorphism(dm, {v: LogAbs(-1) for v in "umv"}, MIXED2)
+
+
+#: What contracting ``kummer_two_edges().morphism`` at m' used to return:
+#: a plain source over a metric target, with every delta value dropped.
+HYBRID_KUMMER = {
+    "edge_map": {"e": "e'"},
+    "n": {"e": 2},
+    "sdelta": {"e": 0},
+    "source": {
+        "edges": [{"from": "u", "id": "e", "to": "v"}],
+        "vertices": [{"genus": 0, "id": "u"}, {"genus": 0, "id": "v"}],
+    },
+    "target": {
+        "edges": [{"from": "u'", "id": "e'", "length": "2", "to": "v'"}],
+        "vertices": [{"genus": 0, "id": "u'"}, {"genus": 0, "id": "v'"}],
+    },
+    "vertex_map": {"u": "u'", "v": "v'"},
+}
+
+
+class TestMetricContraction:
+    def test_smoothing_keeps_lengths_and_delta(self):
+        mm = kummer_two_edges()
+        for m in (mm, mm.morphism):
+            out = contract_morphism(m, ("smooth", "m'"))
+            assert isinstance(out, MetricDeltaMorphism)
+            assert isinstance(out.source, MetricGenusGraph)
+            assert isinstance(out.target, MetricGenusGraph)
+            with open("fixtures/kummer_p2_metric.morphism.json") as fh:
+                assert morphism_to_json_dict(out) == json.load(fh)
+
+    def test_stabilize_metric_morphism(self):
+        out = stabilize(kummer_two_edges())
+        assert isinstance(out, MetricDeltaMorphism)
+        assert out.source.length("e") == 1
+        assert out.delta == {"u": LogAbs(-1), "v": LogAbs(-1)}
+
+    def test_contract_graph_keeps_class(self):
+        g = kummer_two_edges().source
+        assert isinstance(contract_graph(g, ("smooth", "m")), MetricGenusGraph)
+        plain = GenusGraph({"a": 0, "b": 0, "c": 0}, {"e": ("a", "b"), "f": ("b", "c")})
+        assert not isinstance(contract_graph(plain, ("leaf", "c")), MetricGenusGraph)
+
+    def test_metric_graphs_without_delta_stay_metric(self):
+        dm = kummer_two_edges()
+        plain_delta = DeltaMorphism(
+            dm.source, dm.target, dm.vertex_map, dm.edge_map, dm.mult,
+            {e: dm.sdelta_stored(e) for e in dm.source.edge_ids},
+        )
+        out = contract_morphism(plain_delta, ("smooth", "m'"))
+        assert not isinstance(out, MetricDeltaMorphism)
+        assert out.delta is None
+        assert out.source.length("e") == 1 and out.target.length("e'") == 2
+
+    @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_stabilize_undoes_metric_subdivision(self, tag, seed):
+        from tests.test_special import canonical_lengths, setting_for
+
+        setting = setting_for(tag)
+        mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
+        sub = subdivide_metric(random.Random(seed), mm)
+        assert not is_stable(sub)
+        out = stabilize(sub)
+        assert isinstance(out, MetricDeltaMorphism)
+        assert morphism_to_json_dict(out) == morphism_to_json_dict(mm)
+
+
+class TestHybridRejected:
+    def test_plain_source_metric_target(self):
+        mm = kummer_two_edges()
+        plain = GenusGraph({"u": 0, "m": 0, "v": 0}, {"e": ("u", "m"), "f": ("m", "v")})
+        with pytest.raises(ValueError, match="must both be metric or both plain"):
+            DeltaMorphism(plain, mm.target, mm.vertex_map, mm.edge_map, mm.mult,
+                          {"e": 0, "f": 0})
+        with pytest.raises(ValueError, match="must both be metric or both plain"):
+            DeltaMorphism(mm.target, plain, {v + "'": v for v in "umv"},
+                          {"e'": "e", "f'": "f"}, {"e'": 1, "f'": 1}, {"e'": 0, "f'": 0})
+
+    def test_delta_needs_metric_graphs(self):
+        with pytest.raises(ValueError, match="require metric graphs"):
+            MetricDeltaMorphism(wb(), {}, WILD2)
+
+    def test_hybrid_json_rejected(self):
+        with pytest.raises(ValueError, match="must both be metric or both plain"):
+            morphism_from_json_dict(HYBRID_KUMMER)
+

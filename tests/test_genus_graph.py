@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildskel.genus_graph import (
     DisconnectedError,
@@ -11,6 +13,8 @@ from wildskel.genus_graph import (
     OrientedEdge,
 )
 from wildskel.valuation import INF
+
+from tests.support import random_genus_graph
 
 
 def triangle():
@@ -155,3 +159,73 @@ class TestJson:
             infinite_leaves=["l"],
         )
         assert GenusGraph.from_json_dict(g.to_json_dict()) == g
+
+
+class TestEqualityAndHash:
+    def test_plain_and_metric_graphs_differ(self):
+        plain = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")})
+        metric = MetricGenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": 1})
+        assert plain != metric
+        assert metric != plain
+        assert len({plain, metric}) == 2
+
+    def test_lengths_select_the_metric_class(self):
+        g = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": 1})
+        assert isinstance(g, MetricGenusGraph)
+        assert g == MetricGenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": 1})
+        assert not isinstance(triangle(), MetricGenusGraph)
+        assert isinstance(GenusGraph.from_json_dict(g.to_json_dict()), MetricGenusGraph)
+        assert not isinstance(
+            GenusGraph.from_json_dict(triangle().to_json_dict()), MetricGenusGraph
+        )
+
+    def test_infinite_leaves_need_lengths(self):
+        with pytest.raises(ValueError, match="require edge lengths"):
+            GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, infinite_leaves=["l"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_equal_graphs_hash_equal(self, seed, metric_a, metric_b):
+        rng = random.Random(seed)
+        a = random_genus_graph(rng, metric_a)
+        # the same random draw again, with or without lengths
+        b = random_genus_graph(random.Random(seed), metric_b)
+        c = random_genus_graph(rng, metric_b)
+        again = GenusGraph.from_json_dict(a.to_json_dict())
+        for x, y in ((a, b), (a, c), (b, c), (a, again)):
+            if x == y:
+                assert hash(x) == hash(y)
+        assert (a == b) == (metric_a == metric_b)
+
+
+class TestJsonInputContract:
+    def test_vertex_entry_must_be_an_object(self):
+        with pytest.raises(ValueError, match="vertices entry 'a' is not an object"):
+            GenusGraph.from_json_dict({"vertices": ["a", "b"], "edges": []})
+
+    def test_edge_entry_must_be_an_object(self):
+        data = {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}
+        with pytest.raises(ValueError, match="edges entry"):
+            GenusGraph.from_json_dict(data)
+
+
+class TestBranchIndex:
+    def test_branches_match_a_scan_of_the_edges(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            g = random_genus_graph(rng, rng.random() < 0.5)
+            for v in g.vertices:
+                scan = []
+                for e in sorted(g.edge_ids):
+                    a, b = g.endpoints(e)
+                    if a == v:
+                        scan.append(OrientedEdge(e, True))
+                    if b == v:
+                        scan.append(OrientedEdge(e, False))
+                assert g.branches(v) == tuple(scan)
+
+    def test_loop_contributes_two_branches(self):
+        g = GenusGraph({"a": 0}, {"l": ("a", "a")})
+        assert g.branches("a") == (OrientedEdge("l", True), OrientedEdge("l", False))
+        assert g.branches("missing") == ()
+

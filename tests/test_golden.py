@@ -4,7 +4,11 @@
 residue settings, the stdout, stderr and exit code of
 ``wildskel annulus --json --domain=-2:1`` and the JSON of
 ``different_profile`` on a finite, an unbounded and a one-point domain
-(or the error it raises).  The fixture test regenerates ``fixtures/``
+(or the error it raises).  ``golden/metric_cli.json`` holds the stdout
+and exit code of ``export-dot``, ``rh-check --json``,
+``classify-special --json`` and ``radial --json`` on the three metric
+fixtures, and of ``metric-lift --json`` for MS.  The fixture test
+regenerates ``fixtures/``
 with ``tools/gen_fixtures.py`` into a temporary directory and compares
 every file byte for byte.
 """
@@ -25,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 ANNULUS_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "annulus.json").read_text()
+)
+METRIC_CLI_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "metric_cli.json").read_text()
 )
 
 
@@ -66,6 +73,15 @@ def test_different_profile_json(case):
         except ValueError as exc:
             got = {"error": f"{type(exc).__name__}: {exc}"}
         assert got == expected, domain
+
+
+@pytest.mark.parametrize(
+    "case", METRIC_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"])
+)
+def test_metric_cli_stdout(case, capsys):
+    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
+    code = run(argv)
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
 
 
 def _load_gen_fixtures():

@@ -20,13 +20,12 @@ triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import LogAbs, ResidueSetting
+from .valuation import Frozen, LogAbs, ResidueSetting
 
 
 class ConstantSeriesError(ValueError):
@@ -45,19 +44,18 @@ class UnrealizableTripleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ValuedSeries:
+class ValuedSeries(Frozen):
     """Finite-support map ``exponent -> log|coefficient|``.
 
     Coefficients with absolute value zero are simply absent, so every
     stored value is a finite rational.
     """
 
-    coefficients: Mapping[int, Fraction]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: Mapping[int, Fraction]):
         coeffs = {}
-        for i, v in dict(self.coefficients).items():
+        for i, v in dict(coefficients).items():
             if isinstance(v, LogAbs):
                 if v.is_neg_inf:
                     continue
@@ -104,8 +102,7 @@ class ValuedSeries:
         return cls(coeffs)
 
 
-@dataclass(frozen=True)
-class DifferentReport:
+class DifferentReport(Frozen):
     """Multiplicity, dominant derivative exponent, different and slope.
 
     ``slope_s`` is the slope of the different toward the inside of the
@@ -113,16 +110,17 @@ class DifferentReport:
     equals ``m - n``.
     """
 
-    m: int
-    n: int
-    log_delta: LogAbs
-    slope_s: int
+    __slots__ = ("m", "n", "log_delta", "slope_s")
 
-    def __post_init__(self):
-        if self.log_delta > 0:
+    def __init__(self, m: int, n: int, log_delta: LogAbs, slope_s: int):
+        if log_delta > 0:
             raise ValueError("log_delta must be <= 0")
-        if self.slope_s != self.m - self.n:
+        if slope_s != m - n:
             raise ValueError("slope_s must equal m - n")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "log_delta", log_delta)
+        object.__setattr__(self, "slope_s", slope_s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,10 +131,12 @@ class DifferentReport:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str = ""
+class Verdict(Frozen):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

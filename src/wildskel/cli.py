@@ -36,7 +36,7 @@ from .special import (
     metric_lift,
     ramification_signature,
 )
-from .valuation import ResidueSetting
+from .valuation import LogAbs, ResidueSetting
 
 
 def _dump(data) -> str:
@@ -218,12 +218,8 @@ def _cmd_elliptic(args) -> int:
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
         print("error: mixed characteristic requires --log-p", file=sys.stderr)
         return 2
-    if args.char == 0 and (args.res_char or 0) == 0:
-        setting = ResidueSetting.equichar_zero()
-    elif args.char == 0:
-        setting = ResidueSetting.mixed(args.res_char, Fraction(args.log_p))
-    else:
-        setting = ResidueSetting.equichar(args.char)
+    log_p = None if args.log_p is None else LogAbs(args.log_p)
+    setting = ResidueSetting(args.char, args.res_char or args.char, log_p)
     if args.j_zero:
         inp = EllipticInput.j_zero(setting)
     else:

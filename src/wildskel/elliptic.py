@@ -10,31 +10,28 @@ wild case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .special import Lengths, SpecialType
-from .valuation import NEG_INF, LogAbs, ResidueSetting, ZERO
+from .valuation import NEG_INF, Frozen, LogAbs, ResidueSetting, ZERO
 
 
 class InvalidSettingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EllipticInput:
+class EllipticInput(Frozen):
     """A residue setting together with ``log|j|`` (``-inf`` means j = 0)."""
 
-    setting: ResidueSetting
-    log_j: LogAbs
+    __slots__ = ("setting", "log_j")
 
-    def __post_init__(self):
-        if not isinstance(self.setting, ResidueSetting):
-            raise InvalidSettingError(
-                f"expected a ResidueSetting, got {self.setting!r}"
-            )
-        if not isinstance(self.log_j, LogAbs):
-            raise InvalidSettingError(f"expected a LogAbs, got {self.log_j!r}")
+    def __init__(self, setting: ResidueSetting, log_j: LogAbs):
+        if not isinstance(setting, ResidueSetting):
+            raise InvalidSettingError(f"expected a ResidueSetting, got {setting!r}")
+        if not isinstance(log_j, LogAbs):
+            raise InvalidSettingError(f"expected a LogAbs, got {log_j!r}")
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "log_j", log_j)
 
     @classmethod
     def of(cls, setting: ResidueSetting, log_j) -> "EllipticInput":
@@ -49,16 +46,26 @@ class EllipticInput:
         return self.log_j.is_neg_inf
 
 
-@dataclass(frozen=True)
-class SkeletonReport:
+class SkeletonReport(Frozen):
     """Skeleton type, metric and reduction behaviour of the cover."""
 
-    type: SpecialType
-    lengths: Lengths
-    reduction: str  # "good" | "bad"
-    reduction_fiber: str  # "ordinary" | "supersingular" | "n/a"
-    setting: ResidueSetting
-    notes: Tuple[str, ...] = ()
+    __slots__ = ("type", "lengths", "reduction", "reduction_fiber", "setting", "notes")
+
+    def __init__(
+        self,
+        type: SpecialType,
+        lengths: Lengths,
+        reduction: str,  # "good" | "bad"
+        reduction_fiber: str,  # "ordinary" | "supersingular" | "n/a"
+        setting: ResidueSetting,
+        notes: Tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "reduction_fiber", reduction_fiber)
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "notes", notes)
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,6 @@ exactly when the radius drops along some edge faster than arc length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -19,22 +18,25 @@ from .delta_morphism import MetricDeltaMorphism
 from .genus_graph import GenusGraph, MetricGenusGraph
 from .pmfunc import PMFunction
 from .special import metric_lift
+from .valuation import Frozen
 
 
 class WrongDegreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeRadius:
+class EdgeRadius(Frozen):
     """Radius along one center edge: ``(-log delta) / denominator``.
 
     The numerator is stored as an exact piecewise linear function in arc
     length from the finite end of the edge; the denominator is ``p-1``.
     """
 
-    neg_log_delta: PMFunction
-    denominator: int
+    __slots__ = ("neg_log_delta", "denominator")
+
+    def __init__(self, neg_log_delta: PMFunction, denominator: int):
+        object.__setattr__(self, "neg_log_delta", neg_log_delta)
+        object.__setattr__(self, "denominator", denominator)
 
     def value_at(self, x) -> Fraction:
         return self.neg_log_delta.value_at(x) / self.denominator
@@ -46,11 +48,18 @@ class EdgeRadius:
         }
 
 
-@dataclass(frozen=True)
-class RadialDescription:
-    center: MetricGenusGraph
-    radii: Mapping[str, EdgeRadius]
-    denominator: int
+class RadialDescription(Frozen):
+    __slots__ = ("center", "radii", "denominator")
+
+    def __init__(
+        self,
+        center: MetricGenusGraph,
+        radii: Mapping[str, EdgeRadius],
+        denominator: int,
+    ):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "denominator", denominator)
 
     def radius_at(self, edge: str, x) -> Fraction:
         return self.radii[edge].value_at(x)
@@ -65,10 +74,12 @@ class RadialDescription:
         }
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    strict: bool
-    witness_edge: Optional[str] = None
+class StrictnessReport(Frozen):
+    __slots__ = ("strict", "witness_edge")
+
+    def __init__(self, strict: bool, witness_edge: Optional[str] = None):
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "witness_edge", witness_edge)
 
     def to_json_dict(self) -> dict:
         return {"strict": self.strict, "witness_edge": self.witness_edge}

@@ -15,7 +15,6 @@ exceptional; prefixed by the characteristic class ``T``/``M``/``W``
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ from .delta_morphism import (
     with_delta,
 )
 from .genus_graph import GenusGraph, OrientedEdge
-from .valuation import INF, NEG_INF, LogAbs, ResidueSetting, ZERO
+from .valuation import INF, NEG_INF, Frozen, LogAbs, ResidueSetting, ZERO
 
 
 class UnclassifiableError(ValueError):
@@ -59,13 +58,13 @@ LIFTABLE_TAGS: Tuple[str, ...] = tuple(
 _CLASS_BY_PREFIX = {"T": "tame", "M": "mixed", "W": "wild"}
 
 
-@dataclass(frozen=True)
-class SpecialType:
-    tag: str
+class SpecialType(Frozen):
+    __slots__ = ("tag",)
 
-    def __post_init__(self):
-        if self.tag not in SPECIAL_TAGS:
-            raise ValueError(f"unknown special type {self.tag!r}")
+    def __init__(self, tag: str):
+        if tag not in SPECIAL_TAGS:
+            raise ValueError(f"unknown special type {tag!r}")
+        object.__setattr__(self, "tag", tag)
 
     @property
     def characteristic_class(self) -> str:
@@ -82,8 +81,7 @@ class SpecialType:
 # -- root subtrees --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSubtree:
+class RootSubtree(Frozen):
     """A rational tree hanging off a skeleton core.
 
     ``label`` is the slope of the different read toward the root on the
@@ -95,16 +93,16 @@ class RootSubtree:
     indices sum to the slope index of the tree.
     """
 
-    label: int
-    children: Tuple["RootSubtree", ...] = ()
+    __slots__ = ("label", "children")
 
-    def __post_init__(self):
-        if self.label < 0:
+    def __init__(self, label: int, children: Tuple["RootSubtree", ...] = ()):
+        if label < 0:
             raise ValueError("labels are nonnegative (the different cannot grow "
                              "toward a ramification leaf)")
-        if self.label != 0 and self.label % 2 == 0:
-            raise ValueError(f"nonzero label {self.label} must be odd")
-        kids = tuple(sorted(self.children, key=_subtree_key))
+        if label != 0 and label % 2 == 0:
+            raise ValueError(f"nonzero label {label} must be odd")
+        kids = tuple(sorted(children, key=_subtree_key))
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", kids)
         if kids:
             if len(kids) < 2:
@@ -223,11 +221,15 @@ def enumerate_root_subtrees(max_leaves: int) -> List[RootSubtree]:
 # -- the special predicate --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialCheck:
-    ok: bool
-    reason: str = ""
-    characteristic_class: Optional[str] = None
+class SpecialCheck(Frozen):
+    __slots__ = ("ok", "reason", "characteristic_class")
+
+    def __init__(
+        self, ok: bool, reason: str = "", characteristic_class: Optional[str] = None
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "characteristic_class", characteristic_class)
 
     def __bool__(self):
         return self.ok
@@ -643,17 +645,19 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
 # -- metric lifting -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lengths:
+class Lengths(Frozen):
     """Inner edge lengths per slope class (tails are always infinite)."""
 
-    l0: Fraction = Fraction(0)
-    l1: Fraction = Fraction(0)
-    l3: Fraction = Fraction(0)
+    __slots__ = ("l0", "l1", "l3")
 
-    def __post_init__(self):
-        for name in ("l0", "l1", "l3"):
-            val = Fraction(getattr(self, name))
+    def __init__(
+        self,
+        l0: Fraction = Fraction(0),
+        l1: Fraction = Fraction(0),
+        l3: Fraction = Fraction(0),
+    ):
+        for name, val in (("l0", l0), ("l1", l1), ("l3", l3)):
+            val = Fraction(val)
             if val < 0:
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, val)

@@ -13,7 +13,6 @@ The normalization of the scale is a free choice; by convention
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -226,8 +225,52 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ResidueSetting:
+class Frozen:
+    """Base of the immutable value classes.
+
+    Attributes can be neither assigned nor deleted after ``__init__``,
+    which sets each slot with ``object.__setattr__``.  Equality, hash and
+    repr run over the fields: the public names in ``__slots__``, in
+    order.  Private slots (a decision cached at construction, say) are
+    not fields.  Instances equal only instances of the very same class.
+
+    These are not dataclasses because of start-up cost: a frozen
+    dataclass generates its methods as source text and ``exec``s it at
+    every import, and ``import dataclasses`` loads ``inspect`` (with
+    ``ast``, ``dis`` and ``tokenize``); together they dominated the
+    start-up of every CLI call.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            [f"{name}={getattr(self, name)!r}" for name in self._fields]
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ResidueSetting(Frozen):
     """Characteristics of the base field and its residue field.
 
     The admissible pairs ``(char, res_char)`` are ``(0, 0)``
@@ -237,29 +280,28 @@ class ResidueSetting:
     value of every integer via :meth:`int_abs`.
     """
 
-    char: int
-    res_char: int
-    log_p: LogAbs | None = None
+    __slots__ = ("char", "res_char", "log_p", "_kind")
 
-    def __post_init__(self):
-        if self.char == 0 and self.res_char == 0:
-            if self.log_p is not None:
+    def __init__(self, char: int, res_char: int, log_p: LogAbs | None = None):
+        if char == 0 and res_char == 0:
+            if log_p is not None:
                 raise ValueError("equicharacteristic zero carries no log_p")
             kind = "equichar0"
-        elif self.char == 0 and _is_prime(self.res_char):
-            if self.log_p is None:
+        elif char == 0 and _is_prime(res_char):
+            if log_p is None:
                 raise ValueError("mixed characteristic requires log_p")
-            if self.log_p.is_neg_inf or self.log_p.value >= 0:
+            if log_p.is_neg_inf or log_p.value >= 0:
                 raise ValueError("log_p must be a strictly negative rational")
             kind = "mixed"
-        elif self.char == self.res_char and _is_prime(self.char):
-            if self.log_p is not None:
+        elif char == res_char and _is_prime(char):
+            if log_p is not None:
                 raise ValueError("equicharacteristic p carries no log_p")
             kind = "equicharp"
         else:
-            raise ValueError(
-                f"invalid characteristic pair ({self.char}, {self.res_char})"
-            )
+            raise ValueError(f"invalid characteristic pair ({char}, {res_char})")
+        object.__setattr__(self, "char", char)
+        object.__setattr__(self, "res_char", res_char)
+        object.__setattr__(self, "log_p", log_p)
         # decided once here, not on every int_abs call
         object.__setattr__(self, "_kind", kind)
 

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from wildskel.cli import export_dot, run
 from wildskel.delta_morphism import morphism_from_json_dict, morphism_to_json_dict
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import build_special
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 class TestExitCodes:
@@ -188,6 +194,42 @@ class TestInputErrors:
         err = self._run(tmp_path, capsys, data)
         assert "vertices entry" in err and "is not an object" in err
 
+    @pytest.mark.parametrize(
+        "key", ["source", "target", "vertex_map", "edge_map", "n", "sdelta", "delta"]
+    )
+    def test_entry_not_an_object(self, tmp_path, capsys, key):
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        data[key] = sorted(data[key].items())
+        err = self._run(tmp_path, capsys, data)
+        assert f"morphism {key} is not an object" in err
+
+    def test_morphism_not_an_object(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "wb.morphism.json").read_text())
+        err = self._run(tmp_path, capsys, [data])
+        assert "morphism is not an object" in err
+
+    def test_graph_not_an_object(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, [], argv=("export-dot",))
+        assert "graph is not an object" in err
+
+
+class TestEllipticSetting:
+    """The elliptic flags are validated as a ``ResidueSetting``."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--char 2 --res-char 3", "invalid characteristic pair (2, 3)"),
+            ("--char 0 --log-p -1", "equicharacteristic zero carries no log_p"),
+            ("--char 2 --log-p -1", "equicharacteristic p carries no log_p"),
+            ("--char 0 --res-char 2", "mixed characteristic requires --log-p"),
+        ],
+    )
+    def test_invalid_flags_exit_2(self, capsys, flags, message):
+        assert run(["elliptic", *flags.split(), "--log-j", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestRoundTrips:
     def test_fixture_files_roundtrip(self):
@@ -232,3 +274,21 @@ class TestDot:
         assert run(["export-dot", str(FIXTURES / "wb.morphism.json")]) == 0
         out = capsys.readouterr().out
         assert out.startswith("graph morphism {")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up guard: generating dataclass methods and loading ``inspect``
+    once made up most of what ``import wildskel.cli`` cost."""
+    code = (
+        "import sys, wildskel.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -620,6 +620,39 @@ class TestMetricContraction:
         assert morphism_to_json_dict(out) == morphism_to_json_dict(mm)
 
 
+def single_tail_identity(end: str, leaf: str) -> MetricDeltaMorphism:
+    """Identity on one tail from ``end`` to the infinite leaf ``leaf``."""
+    g = GenusGraph({end: 0, leaf: 0}, {"e": (end, leaf)}, {"e": INF}, [leaf])
+    return MetricDeltaMorphism(
+        identity_morphism(g),
+        {end: LogAbs(0), leaf: LogAbs(0)},
+        ResidueSetting.equichar_zero(),
+    )
+
+
+class TestInfiniteLeafContraction:
+    """A leaf move must not strand an infinite leaf at valence zero."""
+
+    def test_stabilize_independent_of_vertex_names(self):
+        results = []
+        for end, leaf in (("a", "z"), ("u", "l")):
+            m = single_tail_identity(end, leaf)
+            assert applicable_moves(m) == (("leaf", leaf),)
+            out = stabilize(m)
+            assert out.source.vertices == out.target.vertices == (end,)
+            assert out.source.edge_ids == () and out.source.genus() == 0
+            data = json.dumps(morphism_to_json_dict(out))
+            results.append(data.replace(f'"{end}"', '"END"'))
+        assert results[0] == results[1]
+
+    def test_stranding_move_rejected(self):
+        m = single_tail_identity("a", "z")
+        with pytest.raises(IllegalMoveError, match="isolate the infinite leaf z"):
+            contract_morphism(m, ("leaf", "a"))
+        with pytest.raises(IllegalMoveError, match="isolate the infinite leaf z"):
+            contract_graph(m.source, ("leaf", "a"))
+
+
 class TestHybridRejected:
     def test_plain_source_metric_target(self):
         mm = kummer_two_edges()

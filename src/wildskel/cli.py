@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import annulus as annulus_mod
 from . import radial as radial_mod
@@ -161,13 +161,17 @@ def _cmd_classify_special(args) -> int:
 def _cmd_enumerate_special(args) -> int:
     pairs = enumerate_special()
     if args.fixtures:
-        outdir = Path(args.fixtures)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for t, m in pairs:
-            path = outdir / f"{t.tag.lower()}.morphism.json"
-            path.write_text(_dump(morphism_to_json_dict(m)) + "\n")
+        os.makedirs(args.fixtures, exist_ok=True)
+        files = [
+            (f"{t.tag.lower()}.morphism.json", morphism_to_json_dict(m))
+            for t, m in pairs
+        ]
         trees = [t.to_json_dict() for t in enumerate_root_subtrees(4)]
-        (outdir / "root_subtrees.json").write_text(_dump(trees) + "\n")
+        files.append(("root_subtrees.json", trees))
+        for name, data in files:
+            path = os.path.join(args.fixtures, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_dump(data) + "\n")
     if args.json:
         print(
             _dump(

@@ -824,13 +824,27 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         GenusGraph.from_json_dict(data["target"]),
         data["vertex_map"],
         data["edge_map"],
-        {e: int(n) for e, n in data["n"].items()},
-        {e: int(s) for e, s in data["sdelta"].items()},
+        _parse_values(data, "n", int, (int, float, str), "a number"),
+        _parse_values(data, "sdelta", int, (int, float, str), "a number"),
     )
     delta = setting = None
     if "delta" in data:
         if "setting" not in data:
             raise ValueError("delta values require a residue setting")
+        if not isinstance(data["setting"], str):
+            raise ValueError(f"morphism setting {data['setting']!r} is not a string")
         setting = ResidueSetting.parse(data["setting"])
-        delta = {v: LogAbs.parse(s) for v, s in data["delta"].items()}
+        delta = _parse_values(data, "delta", LogAbs.parse, str, "a string")
     return with_delta(m, delta, setting)
+
+
+def _parse_values(data: Mapping, key: str, parse, kinds, expected: str) -> dict:
+    """``parse`` applied to each value of the object ``data[key]``."""
+    out = {}
+    for k, value in data[key].items():
+        if not isinstance(value, kinds):
+            raise ValueError(
+                f"morphism {key} value of {k!r} is {value!r}, not {expected}"
+            )
+        out[k] = parse(value)
+    return out

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .special import Lengths, SpecialType
-from .valuation import NEG_INF, Frozen, LogAbs, ResidueSetting, ZERO
+from .special import Lengths, SpecialType, setting_class
+from .valuation import NEG_INF, Frozen, LogAbs, ResidueSetting
 
 
 class InvalidSettingError(ValueError):
@@ -92,81 +92,40 @@ def log_256(setting: ResidueSetting) -> LogAbs:
     return setting.int_abs(256)
 
 
+def _report(tag: str, lengths: Lengths, setting: ResidueSetting) -> SkeletonReport:
+    """The report of a type: reduction and fibre are read off the tag."""
+    t = SpecialType(tag)
+    notes = (_LOOP_NOTE,) if t.reduction == "bad" else ()
+    return SkeletonReport(t, lengths, t.reduction, t.reduction_fiber, setting, notes)
+
+
 def classify_elliptic(inp: EllipticInput) -> SkeletonReport:
     """Case split on (characteristics, |j|), with exact lengths."""
     setting = inp.setting
-    two = setting.int_abs(2)
     log_j = inp.log_j
-
-    if two == ZERO:
-        # residue characteristic away from 2: everything is tame
+    cls = setting_class(setting)
+    if cls == "tame":
+        # residue characteristic away from 2
         if log_j > 0:
-            return SkeletonReport(
-                SpecialType("TB"),
-                Lengths(l0=log_j.value / 2),
-                "bad",
-                "n/a",
-                setting,
-                notes=(_LOOP_NOTE,),
-            )
-        return SkeletonReport(
-            SpecialType("TG"), Lengths(), "good", "n/a", setting
-        )
-
-    if two.is_neg_inf:
-        # equicharacteristic 2: wild
+            return _report("TB", Lengths(l0=log_j.value / 2), setting)
+        return _report("TG", Lengths(), setting)
+    if cls == "wild":
+        # equicharacteristic 2
         if inp.j_is_zero:
-            return SkeletonReport(
-                SpecialType("WSS"), Lengths(), "good", "supersingular", setting
-            )
+            return _report("WSS", Lengths(), setting)
         if log_j > 0:
-            return SkeletonReport(
-                SpecialType("WB"),
-                Lengths(l0=log_j.value / 2),
-                "bad",
-                "n/a",
-                setting,
-                notes=(_LOOP_NOTE,),
-            )
+            return _report("WB", Lengths(l0=log_j.value / 2), setting)
         if log_j == 0:
-            return SkeletonReport(
-                SpecialType("WO"), Lengths(), "good", "ordinary", setting
-            )
-        return SkeletonReport(
-            SpecialType("WS"),
-            Lengths(l3=-log_j.value / 24),
-            "good",
-            "supersingular",
-            setting,
-        )
-
+            return _report("WO", Lengths(), setting)
+        return _report("WS", Lengths(l3=-log_j.value / 24), setting)
     # mixed characteristic with residue characteristic 2
-    log2 = two.value
+    log2 = setting.int_abs(2).value
     if log_j > 0:
-        return SkeletonReport(
-            SpecialType("MB"),
-            Lengths(l0=log_j.value / 2, l1=-log2),
-            "bad",
-            "n/a",
-            setting,
-            notes=(_LOOP_NOTE,),
-        )
+        return _report("MB", Lengths(l0=log_j.value / 2, l1=-log2), setting)
     if log_j == 0:
-        return SkeletonReport(
-            SpecialType("MO"), Lengths(l1=-log2), "good", "ordinary", setting
-        )
+        return _report("MO", Lengths(l1=-log2), setting)
     if log_j > log_256(setting):
-        return SkeletonReport(
-            SpecialType("MS"),
-            Lengths(l1=log_j.value / 8 - log2, l3=-log_j.value / 24),
-            "good",
-            "supersingular",
-            setting,
+        return _report(
+            "MS", Lengths(l1=log_j.value / 8 - log2, l3=-log_j.value / 24), setting
         )
-    return SkeletonReport(
-        SpecialType("MSS"),
-        Lengths(l3=-log2 / 3),
-        "good",
-        "supersingular",
-        setting,
-    )
+    return _report("MSS", Lengths(l3=-log2 / 3), setting)

@@ -46,6 +46,10 @@ class GenusGraph:
             cls = MetricGenusGraph
         return super().__new__(cls)
 
+    def __getnewargs__(self):
+        # copy and pickle pass these to __new__, then restore __dict__
+        return (self._genus, self._ends, self._lengths)
+
     def __init__(
         self,
         genera: Mapping[str, int],
@@ -231,19 +235,26 @@ class GenusGraph:
         if not isinstance(data, Mapping):
             raise ValueError("graph is not an object")
         for key in ("vertices", "edges"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"graph {key} is not a list")
             for item in data[key]:
                 if not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
+        infinite_leaves = data.get("infinite_leaves", [])
+        if not isinstance(infinite_leaves, list):
+            raise ValueError("graph infinite_leaves is not a list")
         genera = {v["id"]: v.get("genus", 0) for v in data["vertices"]}
         edges = {e["id"]: (e["from"], e["to"]) for e in data["edges"]}
         lengths = None
-        if any("length" in e for e in data["edges"]) or data.get("infinite_leaves"):
-            lengths = {
-                e["id"]: parse_length(e["length"]) for e in data["edges"]
-            }
-        return GenusGraph(
-            genera, edges, lengths, infinite_leaves=data.get("infinite_leaves", ())
-        )
+        if any("length" in e for e in data["edges"]) or infinite_leaves:
+            lengths = {}
+            for e in data["edges"]:
+                if not isinstance(e["length"], str):
+                    raise ValueError(
+                        f"edge {e['id']} length {e['length']!r} is not a string"
+                    )
+                lengths[e["id"]] = parse_length(e["length"])
+        return GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
 
 
 class MetricGenusGraph(GenusGraph):

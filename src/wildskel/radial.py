@@ -126,20 +126,17 @@ def radial_vs_ball(r: RadialDescription) -> StrictnessReport:
     return StrictnessReport(strict=False)
 
 
-_SLOPE3_TYPES = frozenset({"MS", "MSS", "WS", "WSS"})
-
-
 def supersingular_witness(report, p: int = 2) -> bool:
     """Whether the skeleton carries a slope-3 edge of the different.
 
-    True exactly for the supersingular types.  Cross-checked in two
-    independent ways on the lifted metric morphism: a direct scan for a
-    slope-3 edge, and strictness of the radial set against the metric
-    ball.
+    True exactly for supersingular reduction, as the report's fibre
+    says.  Cross-checked in two independent ways on the lifted metric
+    morphism: a direct scan for a slope-3 edge, and strictness of the
+    radial set against the metric ball.
     """
     if p != 2:
         raise ValueError("the witness is specific to degree-two covers")
-    by_type = report.type.tag in _SLOPE3_TYPES
+    by_type = report.reduction_fiber == "supersingular"
     mm = metric_lift(report.type, report.lengths, report.setting)
     by_scan = any(abs(mm.sdelta_stored(e)) == 3 for e in mm.source.edge_ids)
     by_radial = radial_vs_ball(degree_p_locus(mm, p)).strict

@@ -5,18 +5,21 @@ can hang off a skeleton core, with their slope indices), the predicate
 for a delta-morphism to be special, the twelve-type classification, and
 metric lifting with its length constraints.
 
-Shapes are named by reduction behaviour: ``B`` bad (a loop), ``G`` good
-(a genus-one vertex), ``O`` ordinary (valence two at the genus-one
-vertex), ``S``/``SS`` supersingular and strongly supersingular, ``E``
-exceptional; prefixed by the characteristic class ``T``/``M``/``W``
-(tame, mixed, wild).
+Each per-type fact is written once.  The shape of every type is in
+``_SHAPES``; the tag names it.  A tag is a characteristic-class prefix
+``T``/``M``/``W`` (tame, mixed, wild) followed by a reduction suffix:
+``B`` bad (a loop), ``G`` good (a genus-one vertex), ``O`` ordinary
+(valence two at the genus-one vertex), ``S``/``SS`` supersingular and
+strongly supersingular, ``E``/``ES`` exceptional (never liftable).  The
+type list, classification, liftability and inner slope classes are
+derived from these two at import.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .delta_morphism import (
     DeltaMorphism,
@@ -36,26 +39,30 @@ class UnliftableError(ValueError):
     pass
 
 
-SPECIAL_TAGS: Tuple[str, ...] = (
-    "TB",
-    "MB",
-    "WB",
-    "TG",
-    "MO",
-    "WO",
-    "MS",
-    "WS",
-    "MSS",
-    "WSS",
-    "ME",
-    "MES",
-)
-
-LIFTABLE_TAGS: Tuple[str, ...] = tuple(
-    t for t in SPECIAL_TAGS if t not in ("ME", "MES")
-)
-
+#: The tag grammar: class prefix -> characteristic class, and reduction
+#: suffix -> (reduction, fibre of the reduction).  The exceptional
+#: suffixes carry neither; their types admit no metric lift.
 _CLASS_BY_PREFIX = {"T": "tame", "M": "mixed", "W": "wild"}
+_REDUCTION_BY_SUFFIX = {
+    "B": ("bad", "n/a"),
+    "G": ("good", "n/a"),
+    "O": ("good", "ordinary"),
+    "S": ("good", "supersingular"),
+    "SS": ("good", "supersingular"),
+    "E": (None, None),
+    "ES": (None, None),
+}
+
+
+def setting_class(setting: ResidueSetting) -> str:
+    """The characteristic class of a residue setting, read off ``|2|``.
+
+    ``|2| = 1`` (residue characteristic not 2) is tame, ``|2| = 0``
+    (characteristic 2) is wild, and ``0 < |2| < 1`` is mixed.
+    """
+    if setting.res_char != 2:
+        return "tame"
+    return "wild" if setting.char == 2 else "mixed"
 
 
 class SpecialType(Frozen):
@@ -71,8 +78,18 @@ class SpecialType(Frozen):
         return _CLASS_BY_PREFIX[self.tag[0]]
 
     @property
+    def reduction(self) -> Optional[str]:
+        """``"good"`` or ``"bad"``; None for an exceptional type."""
+        return _REDUCTION_BY_SUFFIX[self.tag[1:]][0]
+
+    @property
+    def reduction_fiber(self) -> Optional[str]:
+        """``"ordinary"``, ``"supersingular"`` or ``"n/a"``; None if exceptional."""
+        return _REDUCTION_BY_SUFFIX[self.tag[1:]][1]
+
+    @property
     def liftable(self) -> bool:
-        return self.tag in LIFTABLE_TAGS
+        return self.reduction is not None
 
     def __str__(self):
         return self.tag
@@ -156,14 +173,13 @@ def _subtree_key(t: RootSubtree):
     return (t.label, tuple(_subtree_key(c) for c in t.children))
 
 
-#: Caps on the number of ramification leaves per differential index,
+#: The differential indices R of ramification leaves, which are also the
+#: slope indices of trees, with the cap on the number of leaves of each
 #: forced by the total sum of indices being four.
 _LEAF_CAPS = {1: 4, 2: 2, 4: 1}
 
-_VALID_SLOPE_INDICES = (1, 2, 4)
 
-
-def _partitions(total: int, parts: Sequence[int], minimum_parts: int):
+def _partitions(total: int, parts: Iterable[int], minimum_parts: int):
     """Multisets (weakly decreasing tuples) of allowed parts summing to total."""
     out = set()
 
@@ -185,7 +201,7 @@ def _bodies(slope_index: int, leaf_r: int, budget: int) -> List[RootSubtree]:
     found: List[RootSubtree] = []
     if slope_index == leaf_r and budget >= 1:
         found.append(RootSubtree(slope_index - 1))
-    for parts in _partitions(slope_index, _VALID_SLOPE_INDICES, 2):
+    for parts in _partitions(slope_index, _LEAF_CAPS, 2):
         options = [_bodies(p, leaf_r, budget) for p in parts]
         for combo in itertools.product(*options):
             if sum(c.leaf_count for c in combo) > budget:
@@ -210,9 +226,9 @@ def enumerate_root_subtrees(max_leaves: int) -> List[RootSubtree]:
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
     trees: Dict[RootSubtree, None] = {}
-    for leaf_r in (1, 2, 4):
-        budget = min(max_leaves, _LEAF_CAPS[leaf_r])
-        for s in _VALID_SLOPE_INDICES:
+    for leaf_r, cap in _LEAF_CAPS.items():
+        budget = min(max_leaves, cap)
+        for s in _LEAF_CAPS:
             for t in _bodies(s, leaf_r, budget):
                 trees[t] = None
     return sorted(trees, key=_subtree_key)
@@ -420,7 +436,9 @@ _1L = RootSubtree(1)
 _3L = RootSubtree(3)
 _1C = RootSubtree(1, (_0L, _0L))
 
-#: Source shape of each type: ("loop", per-side trees) or ("genus1", trees).
+#: Source shape of each type, in listing order: ("loop", per-side trees)
+#: or ("genus1", trees).  The one shape table; the tables below derive
+#: from it.
 _SHAPES: Dict[str, tuple] = {
     "TB": ("loop", ((_0L, _0L), (_0L, _0L))),
     "MB": ("loop", ((_1C,), (_1C,))),
@@ -435,6 +453,43 @@ _SHAPES: Dict[str, tuple] = {
     "ME": ("genus1", (_1C, _0L, _0L)),
     "MES": ("genus1", (RootSubtree(3, (_1C, _0L, _0L)),)),
 }
+
+SPECIAL_TAGS: Tuple[str, ...] = tuple(_SHAPES)
+
+LIFTABLE_TAGS: Tuple[str, ...] = tuple(
+    t for t in SPECIAL_TAGS if SpecialType(t).liftable
+)
+
+
+def _trees_key(trees) -> Tuple[str, ...]:
+    return tuple(t.describe() for t in sorted(trees, key=_subtree_key))
+
+
+def _shape_key(kind: str, data) -> tuple:
+    """Canonical key of a ("loop", sides) or ("genus1", trees) shape."""
+    if kind == "loop":
+        return kind, tuple(sorted(_trees_key(side) for side in data))
+    return kind, _trees_key(data)
+
+
+def _inner_slopes(kind: str, data) -> Tuple[int, ...]:
+    """Slope classes of inner edges: 0 for the loop, and the label of every
+    tree that continues through an inner vertex."""
+    stack = [t for side in data for t in side] if kind == "loop" else list(data)
+    found = {0} if kind == "loop" else set()
+    while stack:
+        tree = stack.pop()
+        if tree.children:
+            found.add(tree.label)
+            stack.extend(tree.children)
+    return tuple(sorted(found))
+
+
+#: Classification: the inverse of ``_SHAPES`` under the canonical key.
+_TAG_BY_SHAPE = {_shape_key(*shape): tag for tag, shape in _SHAPES.items()}
+
+#: Which slope classes have inner edges, per type.
+_INNER_SLOPES = {tag: _inner_slopes(*shape) for tag, shape in _SHAPES.items()}
 
 
 def _build(kind: str, data, lengths: "Lengths | None" = None,
@@ -459,9 +514,7 @@ def _build(kind: str, data, lengths: "Lengths | None" = None,
 
 def build_special(tag: str) -> DeltaMorphism:
     """The canonical combinatorial representative of a special type."""
-    if tag not in SPECIAL_TAGS:
-        raise ValueError(f"unknown special type {tag!r}")
-    return _build(*_SHAPES[tag])
+    return _build(*_SHAPES[SpecialType(tag).tag])
 
 
 # -- enumeration and classification ---------------------------------------------------
@@ -581,65 +634,36 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
     if not check:
         raise ValueError(f"not special: {check.reason}")
     genus1 = [v for v in m.source.vertices if m.source.genus_of(v) == 1]
-
-    if genus1 and m.source.h1() == 0:
+    h1 = m.source.h1()
+    if genus1 and h1 == 0:
         root = genus1[0]
-        trees = tuple(
-            sorted(
-                (_extract_tree(m, root, b) for b in m.source.branches(root)),
-                key=_subtree_key,
-            )
-        )
-        key = tuple(t.describe() for t in trees)
-        table = {
-            ("0", "0", "0", "0"): "TG",
-            ("1(0,0)", "1(0,0)"): "MO",
-            ("1", "1"): "WO",
-            ("3(1(0,0),1(0,0))",): "MS",
-            ("3(1,1)",): "WS",
-            ("3(0,0,0,0)",): "MSS",
-            ("3",): "WSS",
-            ("0", "0", "1(0,0)"): "ME",
-            ("3(0,0,1(0,0))",): "MES",
-        }
-        tag = table.get(key)
-        if tag is None:
-            raise UnclassifiableError(f"unknown good-reduction shape {key}")
-        return SpecialType(tag)
-
-    if not genus1 and m.source.h1() == 1:
+        kind = "genus1"
+        data = [_extract_tree(m, root, b) for b in m.source.branches(root)]
+    elif not genus1 and h1 == 1:
         core_verts, core_edges = _two_core(m.source)
         if len(core_verts) != 2 or len(core_edges) != 2:
             raise UnclassifiableError(
                 "the cycle is not a two-vertex double edge"
             )
-        sides = []
-        for v in sorted(core_verts):
-            trees = tuple(
-                sorted(
-                    (
-                        _extract_tree(m, v, b)
-                        for b in m.source.branches(v)
-                        if b.edge not in core_edges
-                    ),
-                    key=_subtree_key,
-                )
-            )
-            sides.append(tuple(t.describe() for t in trees))
-        key = tuple(sorted(sides))
-        table = {
-            (("0", "0"), ("0", "0")): "TB",
-            (("1(0,0)",), ("1(0,0)",)): "MB",
-            (("1",), ("1",)): "WB",
-        }
-        tag = table.get(key)
-        if tag is None:
-            raise UnclassifiableError(f"unknown bad-reduction shape {key}")
-        return SpecialType(tag)
-
-    raise UnclassifiableError(
-        "neither a genus-one vertex with trees nor a loop with trees"
-    )
+        kind = "loop"
+        data = [
+            [
+                _extract_tree(m, v, b)
+                for b in m.source.branches(v)
+                if b.edge not in core_edges
+            ]
+            for v in sorted(core_verts)
+        ]
+    else:
+        raise UnclassifiableError(
+            "neither a genus-one vertex with trees nor a loop with trees"
+        )
+    key = _shape_key(kind, data)
+    tag = _TAG_BY_SHAPE.get(key)
+    if tag is None:
+        reduction = "bad" if kind == "loop" else "good"
+        raise UnclassifiableError(f"unknown {reduction}-reduction shape {key[1]}")
+    return SpecialType(tag)
 
 
 # -- metric lifting -----------------------------------------------------------------
@@ -669,21 +693,6 @@ class Lengths(Frozen):
         return {"l0": str(self.l0), "l1": str(self.l1), "l3": str(self.l3)}
 
 
-#: Which slope classes have inner edges, per liftable type.
-_INNER_SLOPES: Dict[str, Tuple[int, ...]] = {
-    "TB": (0,),
-    "MB": (0, 1),
-    "WB": (0,),
-    "TG": (),
-    "MO": (1,),
-    "WO": (),
-    "MS": (1, 3),
-    "WS": (3,),
-    "MSS": (3,),
-    "WSS": (),
-}
-
-
 def metric_lift(
     tag_or_type, lengths: Lengths, setting: ResidueSetting
 ) -> MetricDeltaMorphism:
@@ -694,17 +703,13 @@ def metric_lift(
     contains, and in the mixed case must satisfy
     ``sum_i i*l_i = -log|2|``.  The two exceptional types never lift.
     """
-    tag = tag_or_type.tag if isinstance(tag_or_type, SpecialType) else str(tag_or_type)
-    if tag not in SPECIAL_TAGS:
-        raise ValueError(f"unknown special type {tag!r}")
-    if tag not in LIFTABLE_TAGS:
+    t = SpecialType(str(tag_or_type))  # str of a SpecialType is its tag
+    tag = t.tag
+    if not t.liftable:
         raise UnliftableError(f"{tag} is exceptional and admits no metric lift")
 
-    cls = SpecialType(tag).characteristic_class
-    two = setting.int_abs(2)
-    setting_cls = (
-        "tame" if two == ZERO else ("wild" if two.is_neg_inf else "mixed")
-    )
+    cls = t.characteristic_class
+    setting_cls = setting_class(setting)
     if cls != setting_cls:
         raise UnliftableError(
             f"{tag} is a {cls} type but the setting is {setting_cls}"
@@ -723,10 +728,10 @@ def metric_lift(
             )
     if cls == "mixed":
         weighted = lengths.l1 + 3 * lengths.l3
-        if weighted != -two.value:
+        log2 = setting.int_abs(2).value
+        if weighted != -log2:
             raise UnliftableError(
-                f"mixed lengths must satisfy l1 + 3*l3 = {-two.value}, "
-                f"got {weighted}"
+                f"mixed lengths must satisfy l1 + 3*l3 = {-log2}, got {weighted}"
             )
     try:
         return _build(*_SHAPES[tag], lengths, setting)
@@ -765,11 +770,10 @@ def bar_discriminator(lengths: Lengths, setting: ResidueSetting) -> SpecialType:
     Longer than ``-log|16|`` means a loop survives (MB), equality is the
     ordinary case (MO), shorter is supersingular (MS).
     """
-    two = setting.int_abs(2)
-    if two == ZERO or two.is_neg_inf:
+    if setting_class(setting) != "mixed":
         raise ValueError("the bar discriminator applies to the mixed case only")
     bar = 4 * lengths.l1 + lengths.l0
-    threshold = -4 * two.value
+    threshold = -4 * setting.int_abs(2).value
     if bar > threshold:
         return SpecialType("MB")
     if bar == threshold:

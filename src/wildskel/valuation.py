@@ -56,6 +56,10 @@ class LogAbs:
     def __setattr__(self, name, val):  # pragma: no cover - immutability guard
         raise AttributeError("LogAbs is immutable")
 
+    def __setstate__(self, state):
+        # copy and pickle restore the slot here, past the refusing __setattr__
+        object.__setattr__(self, "_value", state[1]["_value"])
+
     @staticmethod
     def _coerce(other) -> "LogAbs":
         if isinstance(other, LogAbs):
@@ -251,6 +255,11 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, past the refusing __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -203,6 +203,35 @@ class TestInputErrors:
         err = self._run(tmp_path, capsys, data)
         assert f"morphism {key} is not an object" in err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("n", "a"), [2], "morphism n value of 'a' is [2], not a number"),
+            (("n", "a"), None, "morphism n value of 'a' is None, not a number"),
+            (("n", "a"), {}, "morphism n value of 'a' is {}, not a number"),
+            (("sdelta", "a"), [0], "morphism sdelta value of 'a' is [0], not a number"),
+            (("sdelta", "a"), None, "morphism sdelta value of 'a' is None, not a number"),
+            (("sdelta", "a"), {}, "morphism sdelta value of 'a' is {}, not a number"),
+            (("delta", "s"), 0, "morphism delta value of 's' is 0, not a string"),
+            (("setting",), 2, "morphism setting 2 is not a string"),
+            (("source", "edges", 0, "length"), 1, "edge a length 1 is not a string"),
+            (("source", "vertices"), {"s": 0}, "graph vertices is not a list"),
+            (("target", "infinite_leaves"), "v1'", "graph infinite_leaves is not a list"),
+        ],
+        ids=[
+            "n-list", "n-null", "n-object", "sdelta-list", "sdelta-null",
+            "sdelta-object", "delta-number", "setting-number", "length-number",
+            "vertices-object", "infinite_leaves-string",
+        ],
+    )
+    def test_value_of_wrong_kind(self, tmp_path, capsys, path, value, message):
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        assert self._run(tmp_path, capsys, data) == f"error: {message}\n"
+
     def test_morphism_not_an_object(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "wb.morphism.json").read_text())
         err = self._run(tmp_path, capsys, [data])
@@ -278,10 +307,11 @@ class TestDot:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up guard: generating dataclass methods and loading ``inspect``
-    once made up most of what ``import wildskel.cli`` cost."""
+    once made up most of what ``import wildskel.cli`` cost; ``pathlib``
+    pulls in ``urllib.parse`` and ``ipaddress``."""
     code = (
         "import sys, wildskel.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

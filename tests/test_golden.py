@@ -7,10 +7,14 @@ residue settings, the stdout, stderr and exit code of
 (or the error it raises).  ``golden/metric_cli.json`` holds the stdout
 and exit code of ``export-dot``, ``rh-check --json``,
 ``classify-special --json`` and ``radial --json`` on the three metric
-fixtures, and of ``metric-lift --json`` for MS.  The fixture test
-regenerates ``fixtures/``
-with ``tools/gen_fixtures.py`` into a temporary directory and compares
-every file byte for byte.
+fixtures, and of ``metric-lift --json`` for MS.  ``golden/special_cli.json``
+holds the stdout, stderr and exit code of ``classify-special --json`` on
+the twelve plain fixtures, ``enumerate-special`` in text and JSON,
+``elliptic --json`` across its case split in five residue settings, and
+``metric-lift --json`` for every tag (and an unknown one) in the tame,
+wild and mixed settings with zero, all-one and fitting lengths.  The
+fixture test regenerates ``fixtures/`` with ``tools/gen_fixtures.py``
+into a temporary directory and compares every file byte for byte.
 """
 
 import importlib.util
@@ -32,6 +36,9 @@ ANNULUS_GOLDEN = json.loads(
 )
 METRIC_CLI_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "metric_cli.json").read_text()
+)
+SPECIAL_CLI_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "special_cli.json").read_text()
 )
 
 
@@ -82,6 +89,20 @@ def test_metric_cli_stdout(case, capsys):
     argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
     code = run(argv)
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize(
+    "case", SPECIAL_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"])
+)
+def test_special_cli_output(case, capsys):
+    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit"],
+        case["stdout"],
+        case["stderr"],
+    )
 
 
 def _load_gen_fixtures():

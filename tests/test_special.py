@@ -134,6 +134,25 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_special(m)
 
+    def test_only_unclassifiable_candidate_is_the_incoherent_loop(self):
+        # of all special candidates the enumeration assembles, exactly one
+        # matches no shape: a loop with two tame tails on one side and a
+        # mixed cherry on the other (the class-coherence cut drops it)
+        from wildskel.special import UnclassifiableError, _build, _candidate_shapes
+
+        errors = []
+        for kind, data in _candidate_shapes():
+            m = _build(kind, data)
+            if not is_special(m):
+                continue
+            try:
+                classify_special(m)
+            except UnclassifiableError as exc:
+                errors.append(str(exc))
+        assert errors == [
+            "unknown bad-reduction shape (('0', '0'), ('1(0,0)',))"
+        ]
+
 
 class TestEnumerateSpecial:
     def test_twelve_types(self):

@@ -3,12 +3,14 @@
 For each of the library's value classes: attributes can be neither
 assigned nor deleted, equal instances compare and hash equal, an
 instance never equals one of another class, there is no per-instance
-``__dict__``, and ``repr`` matches ``golden/values.json``, recorded
-when these classes were frozen dataclasses (``rh-check`` prints
-``Divisor`` reprs).
+``__dict__``, copy, deepcopy and pickle return an equal instance, and
+``repr`` matches ``golden/values.json``, recorded when these classes
+were frozen dataclasses (``rh-check`` prints ``Divisor`` reprs).
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from wildskel.genus_graph import Divisor
 from wildskel.pmfunc import PMFunction
 from wildskel.radial import EdgeRadius, StrictnessReport, degree_p_locus
 from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType
-from wildskel.valuation import LogAbs, ResidueSetting
+from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = json.loads(
@@ -119,6 +121,33 @@ def test_never_equal_to_another_class(name):
             assert value != other and other != value
     assert value != repr(value)
     assert value != tuple(getattr(value, a) for a in type(value).__slots__)
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_pickle_round_trip(name, how):
+    value = BUILDERS[name]()
+    again = ROUND_TRIPS[how](value)
+    assert type(again) is type(value)
+    assert again == value and repr(again) == repr(value)
+    with pytest.raises(AttributeError):
+        setattr(again, type(value).__slots__[0], None)
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_log_abs_copy_and_pickle_round_trip(how):
+    for value in (LogAbs(Fraction(-2, 3)), NEG_INF):
+        again = ROUND_TRIPS[how](value)
+        assert again == value and again.is_neg_inf == value.is_neg_inf
+    with pytest.raises(AttributeError):
+        again._value = Fraction(1)
 
 
 @pytest.mark.parametrize("name", NAMES)

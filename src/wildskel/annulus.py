@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import Frozen, LogAbs, ResidueSetting
+from .valuation import Frozen, LogAbs, ResidueSetting, parse_rational
 
 
 class ConstantSeriesError(ValueError):
@@ -98,7 +98,7 @@ class ValuedSeries(Frozen):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'exponent log_abs'")
-            coeffs[int(parts[0])] = Fraction(parts[1])
+            coeffs[int(parts[0])] = parse_rational(parts[1])
         return cls(coeffs)
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import annulus as annulus_mod
 from . import radial as radial_mod
@@ -36,7 +35,7 @@ from .special import (
     metric_lift,
     ramification_signature,
 )
-from .valuation import LogAbs, ResidueSetting
+from .valuation import LogAbs, ResidueSetting, parse_rational
 
 
 def _dump(data) -> str:
@@ -198,7 +197,7 @@ def _cmd_enumerate_special(args) -> int:
 def _cmd_metric_lift(args) -> int:
     setting = ResidueSetting.parse(args.setting)
     lengths = Lengths(
-        Fraction(args.l0), Fraction(args.l1), Fraction(args.l3)
+        parse_rational(args.l0), parse_rational(args.l1), parse_rational(args.l3)
     )
     try:
         mm = metric_lift(args.type, lengths, setting)
@@ -222,12 +221,12 @@ def _cmd_elliptic(args) -> int:
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
         print("error: mixed characteristic requires --log-p", file=sys.stderr)
         return 2
-    log_p = None if args.log_p is None else LogAbs(args.log_p)
+    log_p = None if args.log_p is None else LogAbs(parse_rational(args.log_p))
     setting = ResidueSetting(args.char, args.res_char or args.char, log_p)
     if args.j_zero:
         inp = EllipticInput.j_zero(setting)
     else:
-        inp = EllipticInput.of(setting, Fraction(args.log_j))
+        inp = EllipticInput.of(setting, parse_rational(args.log_j))
     report = classify_elliptic(inp)
     if args.json:
         print(_dump(report.to_json_dict()))
@@ -249,7 +248,7 @@ def _cmd_annulus(args) -> int:
     report = different_report(series, setting)
     payload = report.to_json_dict()
     if args.domain:
-        lo, hi = (Fraction(part) for part in args.domain.split(":"))
+        lo, hi = (parse_rational(part) for part in args.domain.split(":"))
         profile = different_profile(series, setting, (lo, hi))
         payload["profile"] = profile.to_json_dict()
     if args.json:

@@ -1,14 +1,16 @@
 """Proper edge-weighted graph morphisms with a different-slope datum.
 
-An n-morphism is a graph map with positive integer multiplicities on
-edges, locally constant multiplicity at vertices and constant global
-rank (the degree).  A delta-morphism additionally carries an oriented
-integer function ``sdelta`` on source edges, modelling the slope of the
-different along each edge.  When source and target are metric graphs
-(both or neither), it may also carry the different itself: a
-log-different value ``delta`` per source vertex, in a residue
-``setting``.  Such a morphism is a :class:`MetricDeltaMorphism`; every
-operation, contraction included, keeps the metric data when present.
+One class, :class:`DeltaMorphism` (``NMorphism`` is another name for
+it), holds a graph map with positive integer multiplicities on edges,
+locally constant multiplicity at vertices and constant global rank
+(the degree), and an oriented integer function ``sdelta`` on source
+edges, the slope of the different along each edge.  It indexes its
+``fibers`` (target vertex -> source vertices) once, for the
+contraction moves.  When source and target are metric graphs (both or
+neither), it may also carry the different itself: a log-different
+value ``delta`` per source vertex, in a residue ``setting``.  Such a
+morphism is a :class:`MetricDeltaMorphism`; every operation,
+contraction included, keeps the metric data when present.
 
 The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
@@ -37,14 +39,19 @@ class IllegalMoveError(ValueError):
     pass
 
 
-class NMorphism:
-    """A proper morphism of genus graphs with edge multiplicities.
+class DeltaMorphism:
+    """A proper morphism of genus graphs with multiplicities and sdelta.
 
-    Validated on construction: incidence compatibility, local constancy
-    of multiplicity at every vertex (which defines ``vertex_mult``), and
-    constancy of the global rank (the ``degree``).  Both graphs must be
-    connected, and both metric or both plain.
+    Validated on construction: both graphs metric or both plain,
+    incidence, connectedness, local constancy of multiplicity (which
+    defines ``vertex_mult``), constant global rank (the ``degree``; the
+    ``fibers`` index is built here) and an sdelta value on every edge.
+    ``delta`` and ``setting`` are ``None`` unless the morphism is a
+    :class:`MetricDeltaMorphism`.
     """
+
+    delta: Optional[Dict[str, LogAbs]] = None
+    setting: Optional[ResidueSetting] = None
 
     def __init__(
         self,
@@ -53,6 +60,7 @@ class NMorphism:
         vertex_map: Mapping[str, str],
         edge_map: Mapping[str, str],
         mult: Mapping[str, int],
+        sdelta: Mapping[str, int],
     ):
         if source.is_metric != target.is_metric:
             raise ValueError("source and target must both be metric or both plain")
@@ -68,6 +76,18 @@ class NMorphism:
             v: self._local_mult(v) for v in source.vertices
         }
         self.degree = self._global_degree()
+        self._sdelta = {str(e): int(s) for e, s in sdelta.items()}
+        for e in self.source.edge_ids:
+            if e not in self._sdelta:
+                raise ValueError(f"edge {e} has no sdelta value")
+
+    def sdelta(self, oe: OrientedEdge) -> int:
+        """Slope along the oriented edge; odd under orientation reversal."""
+        s = self._sdelta[oe.edge]
+        return s if oe.forward else -s
+
+    def sdelta_stored(self, e: str) -> int:
+        return self._sdelta[e]
 
     # -- validation -------------------------------------------------------
 
@@ -119,12 +139,17 @@ class NMorphism:
         return values.pop()
 
     def _global_degree(self) -> int:
-        fibers: Dict[str, int] = {v2: 0 for v2 in self.target.vertices}
+        """The constant rank; also builds the ``fibers`` index."""
+        fibers: Dict[str, list] = {v2: [] for v2 in self.target.vertices}
         for v in self.source.vertices:
-            fibers[self.vertex_map[v]] += self.vertex_mult[v]
-        values = set(fibers.values())
+            fibers[self.vertex_map[v]].append(v)
+        self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
+        ranks = {
+            v2: sum([self.vertex_mult[v] for v in vs]) for v2, vs in fibers.items()
+        }
+        values = set(ranks.values())
         if len(values) != 1 or 0 in values:
-            raise NotProperError(f"global rank is not constant: {fibers}")
+            raise NotProperError(f"global rank is not constant: {ranks}")
         return values.pop()
 
     # -- divisors ----------------------------------------------------------
@@ -142,40 +167,6 @@ class NMorphism:
             f"{type(self).__name__}(degree {self.degree}: "
             f"{self.source!r} -> {self.target!r})"
         )
-
-
-class DeltaMorphism(NMorphism):
-    """An n-morphism together with the oriented slope function sdelta.
-
-    ``delta`` and ``setting`` are ``None`` unless the morphism is a
-    :class:`MetricDeltaMorphism`.
-    """
-
-    delta: Optional[Dict[str, LogAbs]] = None
-    setting: Optional[ResidueSetting] = None
-
-    def __init__(
-        self,
-        source: GenusGraph,
-        target: GenusGraph,
-        vertex_map: Mapping[str, str],
-        edge_map: Mapping[str, str],
-        mult: Mapping[str, int],
-        sdelta: Mapping[str, int],
-    ):
-        super().__init__(source, target, vertex_map, edge_map, mult)
-        self._sdelta = {str(e): int(s) for e, s in sdelta.items()}
-        for e in self.source.edge_ids:
-            if e not in self._sdelta:
-                raise ValueError(f"edge {e} has no sdelta value")
-
-    def sdelta(self, oe: OrientedEdge) -> int:
-        """Slope along the oriented edge; odd under orientation reversal."""
-        s = self._sdelta[oe.edge]
-        return s if oe.forward else -s
-
-    def sdelta_stored(self, e: str) -> int:
-        return self._sdelta[e]
 
     # -- metric data -------------------------------------------------------
 
@@ -334,6 +325,9 @@ class DeltaMorphism(NMorphism):
         )
 
 
+NMorphism = DeltaMorphism
+
+
 class RHDivisorReport(Frozen):
     __slots__ = (
         "ok",
@@ -408,27 +402,39 @@ def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
     merging its two edges; lengths add in the metric case).
     """
     kind, v = move
-    if kind not in ("leaf", "smooth"):
-        raise IllegalMoveError(f"unknown move kind {kind!r}")
-    if v not in g.vertices:
-        raise IllegalMoveError(f"no vertex {v}")
-    if kind == "leaf":
-        if g.genus_of(v) != 0:
-            raise IllegalMoveError(f"leaf {v} has positive genus")
-        if not g.is_leaf(v):
-            raise IllegalMoveError(f"vertex {v} is not a leaf")
-        reason = _isolates_infinite_leaf(g, v)
-        if reason:
-            raise IllegalMoveError(reason)
-    else:
-        if g.genus_of(v) != 0:
-            raise IllegalMoveError(f"vertex {v} has positive genus")
-        branches = g.branches(v)
-        if len(branches) != 2:
-            raise IllegalMoveError(f"vertex {v} does not have valence 2")
-        if branches[0].edge == branches[1].edge:
-            raise IllegalMoveError(f"cannot smooth the loop vertex {v}")
+    reason = _vertex_obstruction(g, kind, v, "vertex")
+    if reason:
+        raise IllegalMoveError(reason)
     return _contract(g, kind, (v,))
+
+
+def _vertex_obstruction(
+    g: GenusGraph, kind: str, v: str, noun: str
+) -> Optional[str]:
+    """Why ``g`` admits no ``kind`` move at ``v`` (named ``noun``), if none.
+
+    The graph rules, shared by graph, target and fiber vertices.  An
+    infinite leaf whose neighbour is removed would be left at valence 0.
+    """
+    if kind not in ("leaf", "smooth"):
+        return f"unknown move kind {kind!r}"
+    if v not in g.vertices:
+        return f"no {noun} {v}"
+    if g.genus_of(v) != 0:
+        return f"{noun} {v} has positive genus"
+    branches = g.branches(v)
+    if kind == "leaf":
+        if len(branches) != 1:
+            return f"{noun} {v} is not a leaf"
+        w = g.head(branches[0])
+        if w in g.infinite_leaves:
+            return f"removing leaf {v} would isolate the infinite leaf {w}"
+    else:
+        if len(branches) != 2:
+            return f"{noun} {v} does not have valence 2"
+        if branches[0].edge == branches[1].edge:
+            return f"{noun} {v} is a loop vertex"
+    return None
 
 
 def _contract(g: GenusGraph, kind: str, vertices: Iterable[str]) -> GenusGraph:
@@ -461,102 +467,53 @@ def _contract(g: GenusGraph, kind: str, vertices: Iterable[str]) -> GenusGraph:
     return GenusGraph(genera, edges, lengths, infinite_leaves=leaves)
 
 
-def _isolates_infinite_leaf(g: GenusGraph, leaf: str) -> Optional[str]:
-    """Why removing ``leaf`` would leave an invalid graph, if it would.
+def _move_obstruction(m: DeltaMorphism, kind: str, v2: str) -> Optional[str]:
+    """Why ``m`` admits no ``kind`` move at the target vertex ``v2``, if none.
 
-    The neighbour of the leaf loses its edge; an infinite leaf left with
-    valence zero is no leaf.
+    The graph rules on ``v2`` and on each fiber vertex, then the morphism
+    rules.  Local constancy and balance already make a smoothed fiber
+    vertex join equal multiplicities with a continuous sdelta; both are
+    checked anyway.
     """
-    (b,) = g.branches(leaf)
-    w = g.head(b)
-    if w in g.infinite_leaves:
-        return f"removing leaf {leaf} would isolate the infinite leaf {w}"
-    return None
-
-
-def _morphism_leaf_conditions(m: DeltaMorphism, v2: str) -> Optional[str]:
-    if v2 not in m.target.vertices:
-        return f"no target vertex {v2}"
-    if m.target.genus_of(v2) != 0:
-        return f"target vertex {v2} has positive genus"
-    if not m.target.is_leaf(v2):
-        return f"target vertex {v2} is not a leaf"
-    reason = _isolates_infinite_leaf(m.target, v2)
+    reason = _vertex_obstruction(m.target, kind, v2, "target vertex")
     if reason:
         return reason
-    if len(m.target.edge_ids) == 1 and m.degree > 1:
+    if kind == "leaf" and len(m.target.edge_ids) == 1 and m.degree > 1:
         # collapsing the target to a point leaves the fiber
         # multiplicities of a degree > 1 morphism undetermined
         return "cannot contract the last target edge at degree > 1"
-    for v in m.source.vertices:
-        if m.vertex_map[v] != v2:
-            continue
-        if not m.source.is_leaf(v):
-            return f"fiber vertex {v} is not a leaf"
-        reason = _isolates_infinite_leaf(m.source, v)
+    for v in m.fibers[v2]:
+        reason = _vertex_obstruction(m.source, kind, v, "fiber vertex")
         if reason:
             return reason
-        if m.source.genus_of(v) != 0:
-            return f"fiber vertex {v} has positive genus"
-        if m.differential_index(v) != 0:
-            return f"fiber vertex {v} has R = {m.differential_index(v)} != 0"
-    return None
-
-
-def _morphism_smooth_conditions(m: DeltaMorphism, v2: str) -> Optional[str]:
-    if v2 not in m.target.vertices:
-        return f"no target vertex {v2}"
-    if m.target.genus_of(v2) != 0:
-        return f"target vertex {v2} has positive genus"
-    branches = m.target.branches(v2)
-    if len(branches) != 2:
-        return f"target vertex {v2} does not have valence 2"
-    if branches[0].edge == branches[1].edge:
-        return f"target vertex {v2} is a loop vertex"
-    for v in m.source.vertices:
-        if m.vertex_map[v] != v2:
-            continue
-        if m.source.genus_of(v) != 0:
-            return f"fiber vertex {v} has positive genus"
-        if m.source.valence(v) != 2:
-            return f"fiber vertex {v} does not have valence 2"
-        if m.differential_index(v) != 0:
-            return f"fiber vertex {v} has R = {m.differential_index(v)} != 0"
-        b1, b2 = m.source.branches(v)
-        if b1.edge == b2.edge:
-            return f"fiber vertex {v} is a loop vertex"
-        if m.mult[b1.edge] != m.mult[b2.edge]:
-            return f"fiber vertex {v} joins edges of different multiplicity"
-        if m.sdelta(-b1) != m.sdelta(b2):
-            return f"sdelta is discontinuous through fiber vertex {v}"
+        r = m.differential_index(v)
+        if r != 0:
+            return f"fiber vertex {v} has R = {r} != 0"
+        if kind == "smooth":
+            b1, b2 = m.source.branches(v)
+            if m.mult[b1.edge] != m.mult[b2.edge]:
+                return f"fiber vertex {v} joins edges of different multiplicity"
+            if m.sdelta(-b1) != m.sdelta(b2):
+                return f"sdelta is discontinuous through fiber vertex {v}"
     return None
 
 
 def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     """Apply a contraction move, specified by a target vertex.
 
-    ``("leaf", v')`` removes the genus-zero target leaf ``v'`` and its
-    whole fiber (every fiber vertex must be a genus-zero leaf with
-    ``R = 0``); ``("smooth", v')`` removes a genus-zero valence-two
-    target vertex whose fiber vertices all have genus zero, valence two
-    and ``R = 0``, merging edges upstairs and downstairs.  The merged
-    source edges must agree in multiplicity and carry a continuous
-    sdelta; this holds automatically for balanced fibers but is checked
-    explicitly.  Lengths add on merged edges, and the delta values of
-    the surviving vertices are kept.
+    ``("leaf", v')`` removes the target leaf ``v'`` and its whole fiber
+    of leaves; ``("smooth", v')`` removes the valence-two target vertex
+    ``v'`` and its fiber of valence-two vertices, merging edges upstairs
+    and downstairs.  All of them need genus zero, and the fiber ``R = 0``;
+    an illegal move raises ``IllegalMoveError`` naming the broken rule.
+    Lengths add on merged edges, and surviving vertices keep their delta.
     """
     kind, v2 = move
-    conditions = {
-        "leaf": _morphism_leaf_conditions,
-        "smooth": _morphism_smooth_conditions,
-    }.get(kind)
-    if conditions is None:
-        raise IllegalMoveError(f"unknown move kind {kind!r}")
-    reason = conditions(m, v2)
+    reason = _move_obstruction(m, kind, v2)
     if reason:
         raise IllegalMoveError(reason)
-    target = contract_graph(m.target, move)
-    fiber = [v for v in m.source.vertices if m.vertex_map[v] == v2]
+    fiber = m.fibers[v2]
+    target = _contract(m.target, kind, (v2,))
     source = _contract(m.source, kind, fiber)
     edge_map = {e: m.edge_map[e] for e in source.edge_ids}
     sdelta = {e: m.sdelta_stored(e) for e in source.edge_ids}
@@ -586,10 +543,9 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
 def applicable_moves(m: DeltaMorphism) -> Tuple[Tuple[str, str], ...]:
     moves = []
     for v2 in m.target.vertices:
-        if _morphism_leaf_conditions(m, v2) is None:
-            moves.append(("leaf", v2))
-        if _morphism_smooth_conditions(m, v2) is None:
-            moves.append(("smooth", v2))
+        for kind in ("leaf", "smooth"):
+            if _move_obstruction(m, kind, v2) is None:
+                moves.append((kind, v2))
     return tuple(moves)
 
 
@@ -702,7 +658,7 @@ def certify_skeleton(
     Passes iff the ramification locus sits in the vertices and every
     annotated off-graph branch has slope index ``-sdelta + n - 1 = 0``.
     """
-    source = m.source if isinstance(m, NMorphism) else m
+    source = m.source if isinstance(m, DeltaMorphism) else m
     violations = []
     for v, pairs in sorted(boundary.items()):
         if v not in source.vertices:
@@ -845,6 +801,10 @@ def _parse_values(data: Mapping, key: str, parse, kinds, expected: str) -> dict:
         if not isinstance(value, kinds):
             raise ValueError(
                 f"morphism {key} value of {k!r} is {value!r}, not {expected}"
+            )
+        if isinstance(value, (bool, float)):  # int() would truncate it
+            raise ValueError(
+                f"morphism {key} value of {k!r} is {value!r}, not an integer"
             )
         out[k] = parse(value)
     return out

@@ -6,7 +6,10 @@ with a nonnegative genus attached to every vertex; its genus is
 in ``(0, inf]`` per edge, where infinite length is reserved for tails
 ending in marked genus-zero infinite leaves.  Metric graphs are
 instances of :class:`MetricGenusGraph`; every operation reads the metric
-fields when they are present.
+fields when they are present.  Graphs are the sources and targets of the
+one morphism class, ``delta_morphism.DeltaMorphism`` (also named
+``NMorphism``), which indexes the ``fibers`` over target vertices.  In
+JSON, ids are strings or integers and a genus is an integer.
 """
 
 from __future__ import annotations
@@ -138,18 +141,16 @@ class GenusGraph:
     def is_leaf(self, v: str) -> bool:
         return self.valence(v) == 1
 
-    def neighbors(self, v: str) -> Tuple[str, ...]:
-        return tuple(sorted({self.head(b) for b in self.branches(v)}))
-
     def is_connected(self) -> bool:
         verts = self.vertices
         if not verts:
             return True
+        ends = self._ends
         seen = {verts[0]}
         stack = [verts[0]]
         while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
+            for e, forward in self._branches[stack.pop()]:
+                w = ends[e][forward]  # the head: "to" when forward
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -240,10 +241,19 @@ class GenusGraph:
             for item in data[key]:
                 if not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
+                if type(item["id"]) not in (str, int):
+                    raise ValueError(
+                        f"{key} entry id {item['id']!r} is not a string or an integer"
+                    )
         infinite_leaves = data.get("infinite_leaves", [])
         if not isinstance(infinite_leaves, list):
             raise ValueError("graph infinite_leaves is not a list")
-        genera = {v["id"]: v.get("genus", 0) for v in data["vertices"]}
+        genera = {}
+        for v in data["vertices"]:
+            g = v.get("genus", 0)
+            if type(g) is not int:  # int() would truncate a float, take a bool
+                raise ValueError(f"vertex {v['id']} genus {g!r} is not an integer")
+            genera[v["id"]] = g
         edges = {e["id"]: (e["from"], e["to"]) for e in data["edges"]}
         lengths = None
         if any("length" in e for e in data["edges"]) or infinite_leaves:

@@ -142,7 +142,7 @@ class LogAbs:
         text = text.strip()
         if text == "-inf":
             return NEG_INF
-        return cls(Fraction(text))
+        return cls(parse_rational(text))
 
 
 NEG_INF = LogAbs._make_neg_inf()
@@ -207,11 +207,19 @@ INF = _PlusInfinity()
 ExtendedRational = Union[Fraction, _PlusInfinity]
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator a ``ValueError`` too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def parse_length(text: str) -> ExtendedRational:
     text = text.strip()
     if text == "inf":
         return INF
-    return Fraction(text)
+    return parse_rational(text)
 
 
 def format_length(x: ExtendedRational) -> str:
@@ -363,7 +371,7 @@ class ResidueSetting(Frozen):
         if parts[0] == "equicharP" and len(parts) == 2:
             return cls.equichar(int(parts[1]))
         if parts[0] == "mixed" and len(parts) == 3:
-            return cls.mixed(int(parts[1]), Fraction(parts[2]))
+            return cls.mixed(int(parts[1]), parse_rational(parts[2]))
         raise ValueError(f"cannot parse residue setting {text!r}")
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildskel.cli import export_dot, run
 from wildskel.delta_morphism import morphism_from_json_dict, morphism_to_json_dict
@@ -217,11 +221,34 @@ class TestInputErrors:
             (("source", "edges", 0, "length"), 1, "edge a length 1 is not a string"),
             (("source", "vertices"), {"s": 0}, "graph vertices is not a list"),
             (("target", "infinite_leaves"), "v1'", "graph infinite_leaves is not a list"),
+            (("n", "a"), 1.5, "morphism n value of 'a' is 1.5, not an integer"),
+            (("n", "a"), True, "morphism n value of 'a' is True, not an integer"),
+            (("sdelta", "a"), 0.5, "morphism sdelta value of 'a' is 0.5, not an integer"),
+            (("sdelta", "a"), False, "morphism sdelta value of 'a' is False, not an integer"),
+            (("source", "vertices", 0, "genus"), [1], "vertex s genus [1] is not an integer"),
+            (("source", "vertices", 0, "genus"), {}, "vertex s genus {} is not an integer"),
+            (("source", "vertices", 0, "genus"), None, "vertex s genus None is not an integer"),
+            (("source", "vertices", 0, "genus"), 1.0, "vertex s genus 1.0 is not an integer"),
+            (("source", "vertices", 0, "genus"), True, "vertex s genus True is not an integer"),
+            (("source", "vertices", 0, "id"), ["s"],
+             "vertices entry id ['s'] is not a string or an integer"),
+            (("source", "vertices", 0, "id"), {},
+             "vertices entry id {} is not a string or an integer"),
+            (("source", "edges", 0, "id"), ["a"],
+             "edges entry id ['a'] is not a string or an integer"),
+            (("target", "edges", 0, "id"), {},
+             "edges entry id {} is not a string or an integer"),
+            (("source", "edges", 0, "length"), "1/0", "'1/0' has a zero denominator"),
+            (("delta", "s"), "1/0", "'1/0' has a zero denominator"),
         ],
         ids=[
             "n-list", "n-null", "n-object", "sdelta-list", "sdelta-null",
             "sdelta-object", "delta-number", "setting-number", "length-number",
-            "vertices-object", "infinite_leaves-string",
+            "vertices-object", "infinite_leaves-string", "n-float", "n-bool",
+            "sdelta-float", "sdelta-bool", "genus-list", "genus-object",
+            "genus-null", "genus-float", "genus-bool", "vertex-id-list",
+            "vertex-id-object", "edge-id-list", "edge-id-object",
+            "length-zero-denominator", "delta-zero-denominator",
         ],
     )
     def test_value_of_wrong_kind(self, tmp_path, capsys, path, value, message):
@@ -232,6 +259,43 @@ class TestInputErrors:
         entry[path[-1]] = value
         assert self._run(tmp_path, capsys, data) == f"error: {message}\n"
 
+    def test_integer_ids_still_load(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "wb.morphism.json").read_text())
+        names = {v["id"]: i for i, v in enumerate(data["source"]["vertices"])}
+        for v in data["source"]["vertices"]:
+            v["id"] = names[v["id"]]
+        for e in data["source"]["edges"]:
+            e["from"], e["to"] = names[e["from"]], names[e["to"]]
+        data["vertex_map"] = {names[k]: v for k, v in data["vertex_map"].items()}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert run(["rh-check", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "metric-lift --type MS --setting mixed:2:1/0",
+            "metric-lift --type MS --setting mixed:2:-1 --l1 1/0",
+            "elliptic --char 0 --res-char 2 --log-p -1 --log-j 1/0",
+            "elliptic --char 0 --res-char 2 --log-p 1/0 --log-j 0",
+            "annulus --series SERIES --setting equichar0 --domain=1/0:1",
+        ],
+        ids=["setting", "l1", "log-j", "log-p", "domain"],
+    )
+    def test_zero_denominator_argument(self, capsys, argv):
+        series = str(FIXTURES / "kummer_p2.series")
+        assert run([series if a == "SERIES" else a for a in argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: '1/0' has a zero denominator\n"
+        )
+
+    def test_zero_denominator_in_series(self, tmp_path, capsys):
+        path = tmp_path / "zero.series"
+        path.write_text("2 0\n3 1/0\n")
+        assert run(["annulus", "--series", str(path), "--setting", "equichar0"]) == 2
+        assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+
     def test_morphism_not_an_object(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "wb.morphism.json").read_text())
         err = self._run(tmp_path, capsys, [data])
@@ -240,6 +304,60 @@ class TestInputErrors:
     def test_graph_not_an_object(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, [], argv=("export-dot",))
         assert "graph is not an object" in err
+
+
+def _value_paths(node, prefix=()):
+    """The key path of every value below the JSON document ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+MUTATED_FIXTURES = {
+    path.name: path.read_text() for path in sorted(FIXTURES.glob("*.morphism.json"))
+}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([0.5, -1.0, 2.0]),
+    st.sampled_from(
+        ["", "0", "-1", "1/2", "-1/3", "1/0", "-inf", "inf", "x",
+         "equichar0", "equicharP:2", "mixed:2:-1", "mixed:2:1/0"]
+    ),
+    st.lists(st.sampled_from([0, 1, "a"]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "s"]), st.integers(0, 2), max_size=1),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_exit_without_traceback(tmp_path_factory, data):
+    """One or two values of a bundled morphism file replaced at random."""
+    name = data.draw(st.sampled_from(sorted(MUTATED_FIXTURES)))
+    doc = json.loads(MUTATED_FIXTURES[name])
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_value_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(JSON_VALUES)
+    file = tmp_path_factory.getbasetemp() / "mutated.json"
+    file.write_text(json.dumps(doc))
+    commands = ["rh-check", "stabilize", "classify-special", "radial", "export-dot"]
+    command = data.draw(st.sampled_from(commands))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([command, str(file)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestEllipticSetting:

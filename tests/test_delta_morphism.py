@@ -672,3 +672,241 @@ class TestHybridRejected:
         with pytest.raises(ValueError, match="must both be metric or both plain"):
             morphism_from_json_dict(HYBRID_KUMMER)
 
+
+
+# -- move rules against a reference ---------------------------------------------
+
+
+def _reference_isolates(g: GenusGraph, leaf: str) -> bool:
+    (b,) = g.branches(leaf)
+    return g.head(b) in g.infinite_leaves
+
+
+def _reference_leaf_ok(m: DeltaMorphism, v2: str) -> bool:
+    """The leaf move rules, each fiber found by a scan of the source."""
+    t = m.target
+    if t.genus_of(v2) != 0 or not t.is_leaf(v2) or _reference_isolates(t, v2):
+        return False
+    if len(t.edge_ids) == 1 and m.degree > 1:
+        return False
+    for v in m.source.vertices:
+        if m.vertex_map[v] != v2:
+            continue
+        if not m.source.is_leaf(v) or _reference_isolates(m.source, v):
+            return False
+        if m.source.genus_of(v) != 0 or m.differential_index(v) != 0:
+            return False
+    return True
+
+
+def _reference_smooth_ok(m: DeltaMorphism, v2: str) -> bool:
+    """The smoothing rules, each fiber found by a scan of the source."""
+    branches = m.target.branches(v2)
+    if m.target.genus_of(v2) != 0 or len(branches) != 2:
+        return False
+    if branches[0].edge == branches[1].edge:
+        return False
+    for v in m.source.vertices:
+        if m.vertex_map[v] != v2:
+            continue
+        if m.source.genus_of(v) != 0 or m.source.valence(v) != 2:
+            return False
+        if m.differential_index(v) != 0:
+            return False
+        b1, b2 = m.source.branches(v)
+        if b1.edge == b2.edge or m.mult[b1.edge] != m.mult[b2.edge]:
+            return False
+        if m.sdelta(-b1) != m.sdelta(b2):
+            return False
+    return True
+
+
+def _reference_moves(m: DeltaMorphism):
+    moves = []
+    for v2 in m.target.vertices:
+        if _reference_leaf_ok(m, v2):
+            moves.append(("leaf", v2))
+        if _reference_smooth_ok(m, v2):
+            moves.append(("smooth", v2))
+    return tuple(moves)
+
+
+def _assert_moves_match_reference(m: DeltaMorphism) -> int:
+    """Walk ``stabilize`` from ``m``, comparing the moves at every step."""
+    steps = 0
+    while True:
+        moves = applicable_moves(m)
+        assert moves == _reference_moves(m)
+        if not moves:
+            return steps
+        m = contract_morphism(m, moves[0])
+        steps += 1
+
+
+class TestMoveRulesAgainstReference:
+    def test_random_proper_morphisms(self):
+        rng = random.Random(61)
+        steps = [
+            _assert_moves_match_reference(random_proper_delta_morphism(rng))
+            for _ in range(3000)
+        ]
+        assert sum(1 for s in steps if s) > 10
+
+    def test_stabilize_wb_subdivided(self):
+        with open("fixtures/wb_subdivided.morphism.json") as fh:
+            m = morphism_from_json_dict(json.load(fh))
+        assert _assert_moves_match_reference(m) > 0
+
+    @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
+    def test_stabilize_metric_subdivisions(self, tag):
+        from tests.test_special import canonical_lengths, setting_for
+
+        setting = setting_for(tag)
+        mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
+        for seed in range(5):
+            sub = subdivide_metric(random.Random(seed), mm)
+            assert _assert_moves_match_reference(sub) > 0
+
+
+def _path(*genera: int) -> GenusGraph:
+    names = "abcdefg"[: len(genera)]
+    return GenusGraph(
+        dict(zip(names, genera)),
+        {f"e{i}": (names[i], names[i + 1]) for i in range(len(names) - 1)},
+    )
+
+
+def _loop() -> GenusGraph:
+    return GenusGraph({"a": 0}, {"l": ("a", "a")})
+
+
+def _one_tail() -> GenusGraph:
+    return single_tail_identity("a", "z").source
+
+
+def _over_one_edge(source_genus_b: int, sdelta_e0: int) -> DeltaMorphism:
+    """Degree one over the edge a'-b'; b may have positive genus."""
+    return DeltaMorphism(
+        GenusGraph({"a": 0, "b": source_genus_b}, {"e0": ("a", "b")}),
+        GenusGraph({"a'": 0, "b'": 0}, {"f": ("a'", "b'")}),
+        {"a": "a'", "b": "b'"}, {"e0": "f"}, {"e0": 1}, {"e0": sdelta_e0},
+    )
+
+
+def _degree_two_over_path(fiber_of_z: str) -> DeltaMorphism:
+    """Degree two over the path x-y-z, unramified over x-y.
+
+    ``"double"``: one vertex c over z, joined to b by two edges;
+    ``"split"``: c1 and c2 over z, each joined to b by one edge.
+    """
+    edges = {"ab": ("a", "b")}
+    if fiber_of_z == "double":
+        over_z = {"c": "z"}
+        edges.update({"h1": ("b", "c"), "h2": ("b", "c")})
+    else:
+        over_z = {"c1": "z", "c2": "z"}
+        edges.update({"h1": ("b", "c1"), "h2": ("b", "c2")})
+    genera = {v: 0 for v in ("a", "b", *over_z)}
+    return DeltaMorphism(
+        GenusGraph(genera, edges),
+        GenusGraph({"x": 0, "y": 0, "z": 0}, {"g": ("x", "y"), "h": ("y", "z")}),
+        {"a": "x", "b": "y", **over_z},
+        {"ab": "g", "h1": "h", "h2": "h"},
+        {"ab": 2, "h1": 1, "h2": 1},
+        {"ab": -1, "h1": 0, "h2": 0},
+    )
+
+
+def _tail_onto_finite_end() -> DeltaMorphism:
+    """The source tail ends at its infinite leaf w, over the finite w'."""
+    source = GenusGraph({"v": 0, "w": 0}, {"e": ("v", "w")}, {"e": INF}, ["w"])
+    target = GenusGraph({"v'": 0, "w'": 0}, {"f": ("v'", "w'")}, {"f": INF}, ["v'"])
+    return DeltaMorphism(
+        source, target, {"v": "v'", "w": "w'"}, {"e": "f"}, {"e": 1}, {"e": 0}
+    )
+
+
+def _last_edge_at_degree_two() -> DeltaMorphism:
+    return DeltaMorphism(
+        GenusGraph({"a": 0, "b1": 0, "b2": 0}, {"e1": ("a", "b1"), "e2": ("a", "b2")}),
+        GenusGraph({"x": 0, "y": 0}, {"g": ("x", "y")}),
+        {"a": "x", "b1": "y", "b2": "y"}, {"e1": "g", "e2": "g"},
+        {"e1": 1, "e2": 1}, {"e1": 0, "e2": 0},
+    )
+
+
+# (rule, side) -> the graph or morphism, the move and the message.  A fiber
+# vertex always exists, and no proper morphism has a loop fiber vertex
+# over a non-loop target vertex, or a balanced smoothable fiber vertex
+# joining unequal multiplicities or a broken sdelta, so those
+# (rule, side) pairs have no row.
+MOVE_MESSAGES = {
+    ("kind", "graph"): (
+        lambda: _path(0, 0), ("fold", "a"), "unknown move kind 'fold'"),
+    ("kind", "target"): (
+        lambda: identity_morphism(_path(0, 0)), ("fold", "a"),
+        "unknown move kind 'fold'"),
+    ("vertex", "graph"): (lambda: _path(0, 0), ("leaf", "x"), "no vertex x"),
+    ("vertex", "target"): (
+        lambda: identity_morphism(_path(0, 0)), ("smooth", "x"),
+        "no target vertex x"),
+    ("genus-leaf", "graph"): (
+        lambda: _path(0, 1), ("leaf", "b"), "vertex b has positive genus"),
+    ("genus-smooth", "graph"): (
+        lambda: _path(0, 1, 0), ("smooth", "b"), "vertex b has positive genus"),
+    ("genus", "target"): (
+        lambda: identity_morphism(_path(0, 1)), ("leaf", "b"),
+        "target vertex b has positive genus"),
+    ("genus", "fiber"): (
+        lambda: _over_one_edge(1, 0), ("leaf", "b'"),
+        "fiber vertex b has positive genus"),
+    ("leaf", "graph"): (
+        lambda: _path(0, 0, 0), ("leaf", "b"), "vertex b is not a leaf"),
+    ("leaf", "target"): (
+        lambda: identity_morphism(_path(0, 0, 0)), ("leaf", "b"),
+        "target vertex b is not a leaf"),
+    ("leaf", "fiber"): (
+        lambda: _degree_two_over_path("double"), ("leaf", "z"),
+        "fiber vertex c is not a leaf"),
+    ("valence", "graph"): (
+        lambda: _path(0, 0), ("smooth", "a"), "vertex a does not have valence 2"),
+    ("valence", "target"): (
+        lambda: identity_morphism(_path(0, 0)), ("smooth", "a"),
+        "target vertex a does not have valence 2"),
+    ("valence", "fiber"): (
+        lambda: _degree_two_over_path("split"), ("smooth", "y"),
+        "fiber vertex b does not have valence 2"),
+    ("loop", "graph"): (lambda: _loop(), ("smooth", "a"), "vertex a is a loop vertex"),
+    ("loop", "target"): (
+        lambda: identity_morphism(_loop()), ("smooth", "a"),
+        "target vertex a is a loop vertex"),
+    ("isolate", "graph"): (
+        _one_tail, ("leaf", "a"),
+        "removing leaf a would isolate the infinite leaf z"),
+    ("isolate", "target"): (
+        lambda: identity_morphism(_one_tail()), ("leaf", "a"),
+        "removing leaf a would isolate the infinite leaf z"),
+    ("isolate", "fiber"): (
+        _tail_onto_finite_end, ("leaf", "v'"),
+        "removing leaf v would isolate the infinite leaf w"),
+    ("balance", "fiber"): (
+        lambda: _over_one_edge(0, 1), ("leaf", "b'"),
+        "fiber vertex b has R = -1 != 0"),
+    ("last-edge", "target"): (
+        _last_edge_at_degree_two, ("leaf", "y"),
+        "cannot contract the last target edge at degree > 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, side", list(MOVE_MESSAGES), ids=["-".join(k) for k in MOVE_MESSAGES]
+)
+def test_illegal_move_message(rule, side):
+    build, move, message = MOVE_MESSAGES[(rule, side)]
+    obj = build()
+    contract = contract_graph if side == "graph" else contract_morphism
+    with pytest.raises(IllegalMoveError) as info:
+        contract(obj, move)
+    assert str(info.value) == message
+    if side != "graph":
+        assert move not in applicable_moves(obj)

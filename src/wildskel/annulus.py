@@ -72,11 +72,6 @@ class ValuedSeries(Frozen):
     def __getitem__(self, i: int) -> Fraction:
         return self.coefficients[i]
 
-    def __eq__(self, other):
-        if not isinstance(other, ValuedSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
     def __hash__(self):
         return hash(tuple(sorted(self.coefficients.items())))
 

@@ -126,6 +126,15 @@ def _cmd_stabilize(args) -> int:
     return 0
 
 
+def _type_report(t, m) -> dict:
+    """The per-type fields of classify-special and enumerate-special."""
+    return {
+        "type": t.tag,
+        "characteristic_class": t.characteristic_class,
+        "ramification_signature": list(ramification_signature(m)),
+    }
+
+
 def _cmd_classify_special(args) -> int:
     m = _load_morphism(args.file)
     check = is_special(m)
@@ -136,12 +145,7 @@ def _cmd_classify_special(args) -> int:
             print(f"not special: {check.reason}")
         return 1
     t = classify_special(m)
-    report = {
-        "special": True,
-        "type": t.tag,
-        "characteristic_class": t.characteristic_class,
-        "ramification_signature": list(ramification_signature(m)),
-    }
+    report = {"special": True, **_type_report(t, m)}
     if m.delta is not None:
         report["lengths"] = metric_lengths(m).to_json_dict()
     if args.json:
@@ -173,17 +177,7 @@ def _cmd_enumerate_special(args) -> int:
                 fh.write(_dump(data) + "\n")
     if args.json:
         print(
-            _dump(
-                [
-                    {
-                        "type": t.tag,
-                        "characteristic_class": t.characteristic_class,
-                        "ramification_signature": list(ramification_signature(m)),
-                        "liftable": t.liftable,
-                    }
-                    for t, m in pairs
-                ]
-            )
+            _dump([{**_type_report(t, m), "liftable": t.liftable} for t, m in pairs])
         )
     else:
         for t, m in pairs:
@@ -294,7 +288,7 @@ def _cmd_radial(args) -> int:
 def _cmd_export_dot(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "vertex_map" in data:
+    if isinstance(data, dict) and "vertex_map" in data:
         obj = morphism_from_json_dict(data)
     else:
         obj = GenusGraph.from_json_dict(data)
@@ -366,10 +360,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
 from .pmfunc import PMFunction
 from .valuation import INF, Frozen, LogAbs, ResidueSetting
 
@@ -651,17 +651,16 @@ class CertifyReport(Frozen):
 
 
 def certify_skeleton(
-    m, boundary: BoundaryAnnotation, ram_in_vertices: bool
+    m: DeltaMorphism, boundary: BoundaryAnnotation, ram_in_vertices: bool
 ) -> CertifyReport:
     """Local trivialization test for a subgraph to be a skeleton.
 
     Passes iff the ramification locus sits in the vertices and every
     annotated off-graph branch has slope index ``-sdelta + n - 1 = 0``.
     """
-    source = m.source if isinstance(m, DeltaMorphism) else m
     violations = []
     for v, pairs in sorted(boundary.items()):
-        if v not in source.vertices:
+        if v not in m.source.vertices:
             raise ValueError(f"annotation mentions unknown vertex {v}")
         for i, (n, s) in enumerate(pairs):
             index = -s + n - 1
@@ -707,14 +706,12 @@ def wide_open_genus_check(
     g_source: int,
     g_target: int,
     ram: Iterable[int] = (),
-    morphism: Optional[DeltaMorphism] = None,
 ) -> WideOpenReport:
     """Genus identity for a wide open domain covering.
 
     ``infinity`` lists the branches at infinity as (n, sdelta) pairs or
     as a :class:`BoundaryAnnotation`; ``ram`` gives the differential
-    indices of interior ramification points (a morphism may be passed
-    instead, contributing its unbalanced vertices).  Evaluates
+    indices of interior ramification points.  Evaluates
     ``2g - 2 - degree*(2g' - 2) = sum R + sum (2n_v - 2 - S_v)`` and
     reports the open-disc criterion: a single branch at infinity with
     slope index zero and no ramification forces genus zero.
@@ -723,10 +720,6 @@ def wide_open_genus_check(
         infinity = [pair for _, items in infinity.items() for pair in items]
     pairs = [(int(n), int(s)) for n, s in infinity]
     r_values = [int(r) for r in ram]
-    if morphism is not None:
-        r_values.extend(
-            morphism.differential_index(v) for v in morphism.unbalanced_vertices()
-        )
     lhs = 2 * g_source - 2 - degree * (2 * g_target - 2)
     slope_indices = [-s + n - 1 for n, s in pairs]
     rhs = sum(r_values) + sum(
@@ -776,10 +769,10 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if key in data and not isinstance(data[key], Mapping):
             raise ValueError(f"morphism {key} is not an object")
     m = DeltaMorphism(
-        GenusGraph.from_json_dict(data["source"]),
-        GenusGraph.from_json_dict(data["target"]),
-        data["vertex_map"],
-        data["edge_map"],
+        GenusGraph.from_json_dict(json_field(data, "source", "morphism")),
+        GenusGraph.from_json_dict(json_field(data, "target", "morphism")),
+        json_field(data, "vertex_map", "morphism"),
+        json_field(data, "edge_map", "morphism"),
         _parse_values(data, "n", int, (int, float, str), "a number"),
         _parse_values(data, "sdelta", int, (int, float, str), "a number"),
     )
@@ -797,7 +790,7 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
 def _parse_values(data: Mapping, key: str, parse, kinds, expected: str) -> dict:
     """``parse`` applied to each value of the object ``data[key]``."""
     out = {}
-    for k, value in data[key].items():
+    for k, value in json_field(data, key, "morphism").items():
         if not isinstance(value, kinds):
             raise ValueError(
                 f"morphism {key} value of {k!r} is {value!r}, not {expected}"

@@ -25,6 +25,14 @@ class DisconnectedError(ValueError):
     pass
 
 
+def json_field(data: Mapping, key: str, entry: str):
+    """``data[key]``, or a ValueError naming the entry that lacks the key."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{entry} lacks key {key!r}") from None
+
+
 class OrientedEdge(NamedTuple):
     """An edge with a direction; ``forward`` follows the stored (from, to)."""
 
@@ -44,14 +52,11 @@ class GenusGraph:
     with lengths is a :class:`MetricGenusGraph`.
     """
 
-    def __new__(cls, genera, edges, lengths=None, infinite_leaves=()):
+    def __new__(cls, genera=None, edges=None, lengths=None, infinite_leaves=()):
+        # copy and pickle call this with no arguments, then restore __dict__
         if cls is GenusGraph and lengths is not None:
             cls = MetricGenusGraph
         return super().__new__(cls)
-
-    def __getnewargs__(self):
-        # copy and pickle pass these to __new__, then restore __dict__
-        return (self._genus, self._ends, self._lengths)
 
     def __init__(
         self,
@@ -236,11 +241,13 @@ class GenusGraph:
         if not isinstance(data, Mapping):
             raise ValueError("graph is not an object")
         for key in ("vertices", "edges"):
-            if not isinstance(data[key], list):
+            if not isinstance(json_field(data, key, "graph"), list):
                 raise ValueError(f"graph {key} is not a list")
             for item in data[key]:
                 if not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
+                if "id" not in item:
+                    raise ValueError(f"{key} entry {item!r} lacks key 'id'")
                 if type(item["id"]) not in (str, int):
                     raise ValueError(
                         f"{key} entry id {item['id']!r} is not a string or an integer"
@@ -254,16 +261,18 @@ class GenusGraph:
             if type(g) is not int:  # int() would truncate a float, take a bool
                 raise ValueError(f"vertex {v['id']} genus {g!r} is not an integer")
             genera[v["id"]] = g
-        edges = {e["id"]: (e["from"], e["to"]) for e in data["edges"]}
+        edges = {}
+        for e in data["edges"]:
+            entry = f"edge {e['id']}"
+            edges[e["id"]] = (json_field(e, "from", entry), json_field(e, "to", entry))
         lengths = None
         if any("length" in e for e in data["edges"]) or infinite_leaves:
             lengths = {}
             for e in data["edges"]:
-                if not isinstance(e["length"], str):
-                    raise ValueError(
-                        f"edge {e['id']} length {e['length']!r} is not a string"
-                    )
-                lengths[e["id"]] = parse_length(e["length"])
+                length = json_field(e, "length", f"edge {e['id']}")
+                if not isinstance(length, str):
+                    raise ValueError(f"edge {e['id']} length {length!r} is not a string")
+                lengths[e["id"]] = parse_length(length)
         return GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
 
 
@@ -309,11 +318,6 @@ class Divisor(Frozen):
         for v, c in other.coefficients.items():
             coeffs[v] = coeffs.get(v, 0) - c
         return Divisor(coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return self.coefficients == other.coefficients
 
     def __hash__(self):
         return hash(tuple(sorted(self.coefficients.items())))

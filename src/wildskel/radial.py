@@ -126,7 +126,7 @@ def radial_vs_ball(r: RadialDescription) -> StrictnessReport:
     return StrictnessReport(strict=False)
 
 
-def supersingular_witness(report, p: int = 2) -> bool:
+def supersingular_witness(report) -> bool:
     """Whether the skeleton carries a slope-3 edge of the different.
 
     True exactly for supersingular reduction, as the report's fibre
@@ -134,12 +134,10 @@ def supersingular_witness(report, p: int = 2) -> bool:
     morphism: a direct scan for a slope-3 edge, and strictness of the
     radial set against the metric ball.
     """
-    if p != 2:
-        raise ValueError("the witness is specific to degree-two covers")
     by_type = report.reduction_fiber == "supersingular"
     mm = metric_lift(report.type, report.lengths, report.setting)
     by_scan = any(abs(mm.sdelta_stored(e)) == 3 for e in mm.source.edge_ids)
-    by_radial = radial_vs_ball(degree_p_locus(mm, p)).strict
+    by_radial = radial_vs_ball(degree_p_locus(mm, 2)).strict
     if not (by_type == by_scan == by_radial):
         raise AssertionError(
             f"witness disagreement for {report.type.tag}: type={by_type} "

@@ -13,13 +13,18 @@ Each per-type fact is written once.  The shape of every type is in
 strongly supersingular, ``E``/``ES`` exceptional (never liftable).  The
 type list, classification, liftability and inner slope classes are
 derived from these two at import.
+
+One multiset enumerator serves the search: it splits slope indices into
+parts for root subtrees, and root subtrees into shapes.  The enumeration
+tags each special candidate by the shape key it was built from;
+:func:`classify_special` reads the shape back off a given morphism.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import (
     DeltaMorphism,
@@ -146,15 +151,6 @@ class RootSubtree(Frozen):
             sorted(r for c in self.children for r in c.leaf_r_values())
         )
 
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaf_r_values())
-
-    @property
-    def vertex_count(self) -> int:
-        """Vertices added by attaching this tree (root excluded)."""
-        return 1 + sum(c.vertex_count for c in self.children)
-
     def describe(self) -> str:
         if self.is_leaf_edge:
             return f"{self.label}"
@@ -179,21 +175,22 @@ def _subtree_key(t: RootSubtree):
 _LEAF_CAPS = {1: 4, 2: 2, 4: 1}
 
 
-def _partitions(total: int, parts: Iterable[int], minimum_parts: int):
-    """Multisets (weakly decreasing tuples) of allowed parts summing to total."""
-    out = set()
+def _multisets(items: Sequence, weight: Callable, total: int) -> List[tuple]:
+    """All multisets of ``items`` whose weights add to ``total``, each a
+    tuple in the order of ``items``."""
+    out = []
 
-    def rec(remaining, chosen, max_part):
+    def rec(start: int, remaining: int, chosen: list):
         if remaining == 0:
-            if len(chosen) >= minimum_parts:
-                out.add(tuple(chosen))
+            out.append(tuple(chosen))
             return
-        for p in parts:
-            if p <= max_part and p <= remaining:
-                rec(remaining - p, chosen + [p], p)
+        for i in range(start, len(items)):
+            w = weight(items[i])
+            if w <= remaining:
+                rec(i, remaining - w, chosen + [items[i]])
 
-    rec(total, [], max(parts) if parts else 0)
-    return sorted(out, reverse=True)
+    rec(0, total, [])
+    return out
 
 
 def _bodies(slope_index: int, leaf_r: int, budget: int) -> List[RootSubtree]:
@@ -201,10 +198,12 @@ def _bodies(slope_index: int, leaf_r: int, budget: int) -> List[RootSubtree]:
     found: List[RootSubtree] = []
     if slope_index == leaf_r and budget >= 1:
         found.append(RootSubtree(slope_index - 1))
-    for parts in _partitions(slope_index, _LEAF_CAPS, 2):
+    for parts in _multisets(sorted(_LEAF_CAPS, reverse=True), lambda p: p, slope_index):
+        if len(parts) < 2:
+            continue
         options = [_bodies(p, leaf_r, budget) for p in parts]
         for combo in itertools.product(*options):
-            if sum(c.leaf_count for c in combo) > budget:
+            if sum(len(c.leaf_r_values()) for c in combo) > budget:
                 continue
             try:
                 found.append(RootSubtree(slope_index - 1, tuple(combo)))
@@ -380,7 +379,7 @@ class _ShapeBuilder:
 
     def add_vertex(self, name: str, genus: int, delta: LogAbs = ZERO) -> str:
         self.src_genus[name] = genus
-        self.tgt_genus[name + "'"] = genus if genus == 0 else 0
+        self.tgt_genus[name + "'"] = 0
         self.vmap[name] = name + "'"
         if self.delta is not None:
             self.delta[name] = delta
@@ -492,6 +491,16 @@ _TAG_BY_SHAPE = {_shape_key(*shape): tag for tag, shape in _SHAPES.items()}
 _INNER_SLOPES = {tag: _inner_slopes(*shape) for tag, shape in _SHAPES.items()}
 
 
+def _tag_of(kind: str, data) -> str:
+    """The tag of a shape; UnclassifiableError if it is none of the twelve."""
+    key = _shape_key(kind, data)
+    tag = _TAG_BY_SHAPE.get(key)
+    if tag is None:
+        reduction = "bad" if kind == "loop" else "good"
+        raise UnclassifiableError(f"unknown {reduction}-reduction shape {key[1]}")
+    return tag
+
+
 def _build(kind: str, data, lengths: "Lengths | None" = None,
            setting: ResidueSetting | None = None) -> DeltaMorphism:
     """Build a ("loop", sides) or ("genus1", trees) shape, metric with lengths."""
@@ -520,23 +529,6 @@ def build_special(tag: str) -> DeltaMorphism:
 # -- enumeration and classification ---------------------------------------------------
 
 
-def _multisets_with_index_sum(trees: Sequence[RootSubtree], total: int):
-    """All multisets of trees whose slope indices add to ``total``."""
-    out = []
-
-    def rec(start: int, remaining: int, chosen: list):
-        if remaining == 0:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(trees)):
-            s = trees[i].slope_index
-            if s <= remaining:
-                rec(i, remaining - s, chosen + [trees[i]])
-
-    rec(0, total, [])
-    return out
-
-
 def _homogeneous(tree_multiset: Sequence[RootSubtree]) -> bool:
     rs = [r for t in tree_multiset for r in t.leaf_r_values()]
     if len(set(rs)) != 1:
@@ -548,19 +540,13 @@ def _homogeneous(tree_multiset: Sequence[RootSubtree]) -> bool:
 def _candidate_shapes():
     inventory = enumerate_root_subtrees(4)
     # good reduction: trees hang on the genus-one vertex, indices sum to 4
-    for combo in _multisets_with_index_sum(inventory, 4):
+    for combo in _multisets(inventory, lambda t: t.slope_index, 4):
         if _homogeneous(combo):
-            yield ("genus1", tuple(combo))
-    # bad reduction: two sides of the loop, indices sum to 2 on each
-    sides = [
-        tuple(c) for c in _multisets_with_index_sum(inventory, 2)
-    ]
-    seen = set()
-    for a, b in itertools.product(sides, repeat=2):
-        key = tuple(sorted((tuple(map(_subtree_key, a)), tuple(map(_subtree_key, b)))))
-        if key in seen:
-            continue
-        seen.add(key)
+            yield ("genus1", combo)
+    # bad reduction: two sides of the loop, indices sum to 2 on each;
+    # distinct multisets are distinct tuples, so each unordered pair once
+    sides = _multisets(inventory, lambda t: t.slope_index, 2)
+    for a, b in itertools.combinations_with_replacement(sides, 2):
         if _homogeneous(a + b):
             yield ("loop", (a, b))
 
@@ -570,18 +556,16 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
 
     Candidates are assembled from the root-subtree inventory (at most
     four ramification leaves, homogeneous differential indices), run
-    through :func:`is_special` and the class-coherence cut, and returned
-    as the twelve classified types.
+    through :func:`is_special` and the class-coherence cut, and tagged
+    by the shape they were built from.
     """
     results: Dict[str, DeltaMorphism] = {}
     for kind, data in _candidate_shapes():
         m = _build(kind, data)
         check = is_special(m)
-        if not check:
+        if not check or not _class_coherent(m, check.characteristic_class):
             continue
-        if not _class_coherent(m, check.characteristic_class):
-            continue
-        tag = classify_special(m).tag
+        tag = _tag_of(kind, data)
         if tag in results:
             raise AssertionError(f"duplicate special type {tag}")
         results[tag] = m
@@ -610,7 +594,7 @@ def _two_core(g: GenusGraph) -> Tuple[frozenset, frozenset]:
     return frozenset(verts), frozenset(edges)
 
 
-def _extract_tree(m: DeltaMorphism, parent: str, branch: OrientedEdge) -> RootSubtree:
+def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
     if m.mult[branch.edge] != 2:
         raise UnclassifiableError(
             f"tree edge {branch.edge} has multiplicity {m.mult[branch.edge]}"
@@ -621,7 +605,7 @@ def _extract_tree(m: DeltaMorphism, parent: str, branch: OrientedEdge) -> RootSu
     for b in m.source.branches(child):
         if b.edge == branch.edge:
             continue
-        sub.append(_extract_tree(m, child, b))
+        sub.append(_extract_tree(m, b))
     try:
         return RootSubtree(label, tuple(sub))
     except ValueError as exc:
@@ -638,7 +622,7 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
     if genus1 and h1 == 0:
         root = genus1[0]
         kind = "genus1"
-        data = [_extract_tree(m, root, b) for b in m.source.branches(root)]
+        data = [_extract_tree(m, b) for b in m.source.branches(root)]
     elif not genus1 and h1 == 1:
         core_verts, core_edges = _two_core(m.source)
         if len(core_verts) != 2 or len(core_edges) != 2:
@@ -648,7 +632,7 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
         kind = "loop"
         data = [
             [
-                _extract_tree(m, v, b)
+                _extract_tree(m, b)
                 for b in m.source.branches(v)
                 if b.edge not in core_edges
             ]
@@ -658,12 +642,7 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
         raise UnclassifiableError(
             "neither a genus-one vertex with trees nor a loop with trees"
         )
-    key = _shape_key(kind, data)
-    tag = _TAG_BY_SHAPE.get(key)
-    if tag is None:
-        reduction = "bad" if kind == "loop" else "good"
-        raise UnclassifiableError(f"unknown {reduction}-reduction shape {key[1]}")
-    return SpecialType(tag)
+    return SpecialType(_tag_of(kind, data))
 
 
 # -- metric lifting -----------------------------------------------------------------

@@ -259,6 +259,62 @@ class TestInputErrors:
         entry[path[-1]] = value
         assert self._run(tmp_path, capsys, data) == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("source", "vertices", 0, "id"), "vertices entry {'genus': 0} lacks key 'id'"),
+            (("source", "edges", 0, "id"),
+             "edges entry {'from': 't', 'length': '1', 'to': 's'} lacks key 'id'"),
+            (("source", "edges", 0, "from"), "edge a lacks key 'from'"),
+            (("target", "edges", 1, "to"), "edge e2' lacks key 'to'"),
+            (("source", "edges", 2, "length"), "edge e2 lacks key 'length'"),
+            (("source", "vertices"), "graph lacks key 'vertices'"),
+            (("target", "edges"), "graph lacks key 'edges'"),
+            (("source",), "morphism lacks key 'source'"),
+            (("target",), "morphism lacks key 'target'"),
+            (("vertex_map",), "morphism lacks key 'vertex_map'"),
+            (("edge_map",), "morphism lacks key 'edge_map'"),
+            (("n",), "morphism lacks key 'n'"),
+            (("sdelta",), "morphism lacks key 'sdelta'"),
+        ],
+        ids=[
+            "vertex-id", "edge-id", "from", "to", "length", "vertices", "edges",
+            "source", "target", "vertex_map", "edge_map", "n", "sdelta",
+        ],
+    )
+    def test_missing_key(self, tmp_path, capsys, path, message):
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        del entry[path[-1]]
+        assert self._run(tmp_path, capsys, data) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rh-check", "DIR"),
+            ("annulus", "--series", "DIR", "--setting", "equichar0"),
+            ("metric-lift", "--type", "WB", "--setting", "equicharP:18446744073709551629"),
+        ],
+        ids=["rh-check-directory", "annulus-directory", "characteristic-2^64+13"],
+    )
+    def test_unusable_argument(self, tmp_path, capsys, argv):
+        assert run([str(tmp_path) if a == "DIR" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_characteristic_of_2_64_or_more_in_a_file(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        data["setting"] = "equicharP:18446744073709551629"
+        err = self._run(tmp_path, capsys, data)
+        assert err == "error: characteristic 18446744073709551629 is not below 2^64\n"
+
+    @pytest.mark.parametrize("document", [5, None, True])
+    def test_export_dot_of_a_non_object(self, tmp_path, capsys, document):
+        err = self._run(tmp_path, capsys, document, argv=("export-dot",))
+        assert err == "error: graph is not an object\n"
+
     def test_integer_ids_still_load(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "wb.morphism.json").read_text())
         names = {v["id"]: i for i, v in enumerate(data["source"]["vertices"])}
@@ -339,7 +395,8 @@ JSON_VALUES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_mutated_fixtures_exit_without_traceback(tmp_path_factory, data):
-    """One or two values of a bundled morphism file replaced at random."""
+    """One or two values of a bundled morphism file replaced or deleted at
+    random, or the whole document replaced by another JSON value."""
     name = data.draw(st.sampled_from(sorted(MUTATED_FIXTURES)))
     doc = json.loads(MUTATED_FIXTURES[name])
     for _ in range(data.draw(st.integers(1, 2))):
@@ -347,7 +404,12 @@ def test_mutated_fixtures_exit_without_traceback(tmp_path_factory, data):
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = data.draw(JSON_VALUES)
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(JSON_VALUES)
+    if data.draw(st.integers(0, 9)) == 0:
+        doc = data.draw(JSON_VALUES)
     file = tmp_path_factory.getbasetemp() / "mutated.json"
     file.write_text(json.dumps(doc))
     commands = ["rh-check", "stabilize", "classify-special", "radial", "export-dot"]

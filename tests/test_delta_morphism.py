@@ -768,6 +768,47 @@ class TestMoveRulesAgainstReference:
             assert _assert_moves_match_reference(sub) > 0
 
 
+def _sorted_json(m: DeltaMorphism) -> str:
+    return json.dumps(morphism_to_json_dict(m), sort_keys=True)
+
+
+def _assert_move_order_free(m: DeltaMorphism, rng: random.Random) -> None:
+    """Three runs of uniformly random applicable moves all reach ``stabilize(m)``."""
+    expected = _sorted_json(stabilize(m))
+    for _ in range(3):
+        out = m
+        while moves := applicable_moves(out):
+            out = contract_morphism(out, rng.choice(moves))
+        assert _sorted_json(out) == expected
+
+
+class TestMoveOrder:
+    def test_random_proper_morphisms(self):
+        draws, rng = random.Random(61), random.Random(62)
+        checked = 0
+        for _ in range(3000):
+            m = random_proper_delta_morphism(draws)
+            if applicable_moves(m):
+                _assert_move_order_free(m, rng)
+                checked += 1
+        assert checked > 10
+
+    def test_wb_subdivided(self):
+        with open("fixtures/wb_subdivided.morphism.json") as fh:
+            m = morphism_from_json_dict(json.load(fh))
+        _assert_move_order_free(m, random.Random(63))
+
+    @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
+    def test_metric_subdivisions(self, tag):
+        from tests.test_special import canonical_lengths, setting_for
+
+        setting = setting_for(tag)
+        mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
+        rng = random.Random(64)
+        for seed in range(20):
+            _assert_move_order_free(subdivide_metric(random.Random(seed), mm), rng)
+
+
 def _path(*genera: int) -> GenusGraph:
     names = "abcdefg"[: len(genera)]
     return GenusGraph(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -178,6 +180,18 @@ class TestEqualityAndHash:
         assert not isinstance(
             GenusGraph.from_json_dict(triangle().to_json_dict()), MetricGenusGraph
         )
+
+    @pytest.mark.parametrize(
+        "how",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_keep_class_and_value(self, how):
+        metric = MetricGenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": 1})
+        for g in (triangle(), metric):
+            again = how(g)
+            assert type(again) is type(g) and again == g
+            assert again.branches("a") == g.branches("a")
 
     def test_infinite_leaves_need_lengths(self):
         with pytest.raises(ValueError, match="require edge lengths"):

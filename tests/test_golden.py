@@ -15,6 +15,9 @@ the twelve plain fixtures, ``enumerate-special`` in text and JSON,
 wild and mixed settings with zero, all-one and fitting lengths.  The
 fixture test regenerates ``fixtures/`` with ``tools/gen_fixtures.py``
 into a temporary directory and compares every file byte for byte.
+``golden/special_search.json`` pins the special-type search: the key of
+every candidate shape in the order ``_candidate_shapes`` yields them, and
+the descriptions of ``enumerate_root_subtrees(k)`` for k = 1 to 4.
 """
 
 import importlib.util
@@ -27,6 +30,7 @@ from wildskel.annulus import ValuedSeries, different_profile, normalize
 from wildskel.cli import run
 from wildskel.delta_morphism import morphism_from_json_dict
 from wildskel.pmfunc import PMFunction
+from wildskel.special import _candidate_shapes, _shape_key, enumerate_root_subtrees
 from wildskel.valuation import INF, ResidueSetting, parse_length
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +43,9 @@ METRIC_CLI_GOLDEN = json.loads(
 )
 SPECIAL_CLI_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "special_cli.json").read_text()
+)
+SPECIAL_SEARCH_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "special_search.json").read_text()
 )
 
 
@@ -103,6 +110,16 @@ def test_special_cli_output(case, capsys):
         case["stdout"],
         case["stderr"],
     )
+
+
+def test_special_search():
+    keys = [_shape_key(kind, data) for kind, data in _candidate_shapes()]
+    trees = {
+        str(k): [t.describe() for t in enumerate_root_subtrees(k)] for k in range(1, 5)
+    }
+    # JSON turns the tuples of a key into lists
+    assert json.loads(json.dumps(keys)) == SPECIAL_SEARCH_GOLDEN["candidate_shape_keys"]
+    assert trees == SPECIAL_SEARCH_GOLDEN["root_subtrees"]
 
 
 def _load_gen_fixtures():

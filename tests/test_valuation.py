@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from wildskel.valuation import (
     ZERO,
     LogAbs,
     ResidueSetting,
+    _is_prime,
     int_abs,
     parse_length,
 )
@@ -84,6 +86,29 @@ class TestResidueSetting:
     def test_parse_describe_roundtrip(self):
         for text in ["equichar0", "equicharP:3", "mixed:2:-1", "mixed:5:-2/3"]:
             assert ResidueSetting.parse(text).describe() == text
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(_is_prime(n) == by_trial_division(n) for n in range(20000))
+
+    def test_strong_pseudoprime_to_bases_up_to_23(self):
+        assert not _is_prime(3825123056546413051)
+
+    def test_largest_prime_below_2_64_is_quick(self):
+        start = time.perf_counter()
+        setting = ResidueSetting.parse("equicharP:18446744073709551557")
+        assert time.perf_counter() - start < 0.1
+        assert setting.char == 2**64 - 59
+
+    def test_characteristic_of_2_64_or_more_rejected(self):
+        with pytest.raises(ValueError, match="is not below 2\\^64"):
+            ResidueSetting.equichar(2**64 + 13)
+        with pytest.raises(ValueError, match="is not below 2\\^64"):
+            ResidueSetting.mixed(2**64)
 
 
 class TestIntAbs:

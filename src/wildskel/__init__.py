@@ -7,14 +7,7 @@ genus-one double covers, and radial descriptions of degree-p
 ramification loci.  All arithmetic is exact.
 """
 
-from .valuation import (
-    INF,
-    NEG_INF,
-    ZERO,
-    LogAbs,
-    ResidueSetting,
-    int_abs,
-)
+from .valuation import INF, NEG_INF, ZERO, LogAbs, ResidueSetting
 from .pmfunc import (
     DomainMismatchError,
     EmptySeriesError,

@@ -12,6 +12,11 @@ value ``delta`` per source vertex, in a residue ``setting``.  Such a
 morphism is a :class:`MetricDeltaMorphism`; every operation,
 contraction included, keeps the metric data when present.
 
+Contraction works on one mutable working copy; ``stabilize`` is a
+worklist that after a move at ``v'`` re-examines only the target
+neighbours of ``v'``.  Legal moves keep ``R_v`` and ``delta`` at every
+surviving vertex, so only the final morphism is built and validated.
+
 The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
 ``R_v = chi(v) - sum of S over branches``; the canonical divisor of the
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
 from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
@@ -46,7 +51,8 @@ class DeltaMorphism:
     incidence, connectedness, local constancy of multiplicity (which
     defines ``vertex_mult``), constant global rank (the ``degree``; the
     ``fibers`` index is built here) and an sdelta value on every edge.
-    ``delta`` and ``setting`` are ``None`` unless the morphism is a
+    The differential indices are computed here too, once.  ``delta`` and
+    ``setting`` are ``None`` unless the morphism is a
     :class:`MetricDeltaMorphism`.
     """
 
@@ -66,20 +72,65 @@ class DeltaMorphism:
             raise ValueError("source and target must both be metric or both plain")
         self.source = source
         self.target = target
-        self.vertex_map = {str(k): str(v) for k, v in vertex_map.items()}
+        self.vertex_map = vmap = {str(k): str(v) for k, v in vertex_map.items()}
         self.edge_map = {str(k): str(v) for k, v in edge_map.items()}
-        self.mult = {str(k): int(v) for k, v in mult.items()}
-        self._validate_maps()
+        self.mult = mult = {str(k): int(v) for k, v in mult.items()}
+        fibers: Dict[str, list] = {v2: [] for v2 in target.vertices}
+        for v in source.vertices:
+            v2 = vmap.get(v)
+            if v2 not in fibers:
+                raise NotProperError(f"vertex {v} is not mapped to a target vertex")
+            fibers[v2].append(v)
+        self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
+        # one sweep over the edges checks them and sums n per source vertex
+        # and image branch; loops map slot to slot (from->from, to->to)
+        sums: Dict[Tuple[str, str, bool], int] = {}
+        ends, target_ends = source._ends, target._ends
+        for e in source.edge_ids:
+            e2 = self.edge_map.get(e)
+            if e2 not in target_ends:
+                raise NotProperError(f"edge {e} is not mapped to a target edge")
+            u, v = ends[e]
+            a, b = vmap[u], vmap[v]
+            u2, v2 = target_ends[e2]
+            if not (a == u2 and b == v2 or a == v2 and b == u2):
+                raise NotProperError(f"edge {e} violates incidence under the map")
+            n = mult.get(e, 0)
+            if n < 1:
+                raise NotProperError(f"edge {e} needs a positive multiplicity")
+            forward = u2 == v2 or a == u2  # the image of the branch at u
+            sums[u, e2, forward] = sums.get((u, e2, forward), 0) + n
+            sums[v, e2, not forward] = sums.get((v, e2, not forward), 0) + n
         if not source.is_connected() or not target.is_connected():
             raise NotProperError("properness requires connected graphs")
-        self.vertex_mult: Dict[str, int] = {
-            v: self._local_mult(v) for v in source.vertices
-        }
-        self.degree = self._global_degree()
-        self._sdelta = {str(e): int(s) for e, s in sdelta.items()}
-        for e in self.source.edge_ids:
-            if e not in self._sdelta:
+        self.vertex_mult: Dict[str, int] = {}
+        for v in source.vertices:
+            branches = target.branches(vmap[v])
+            counts = [sums.get((v, e2, forward), 0) for e2, forward in branches]
+            # an isolated fiber point (no branches) has multiplicity one
+            k = counts[0] if counts else 1
+            if k == 0 or counts.count(k) != len(counts):
+                raise NotProperError(
+                    f"multiplicity is not locally constant at vertex {v}: "
+                    f"{dict(zip(branches, counts))}"
+                )
+            self.vertex_mult[v] = k
+        vmult = self.vertex_mult
+        ranks = {v2: sum([vmult[v] for v in vs]) for v2, vs in self.fibers.items()}
+        values = set(ranks.values())
+        if len(values) != 1 or 0 in values:
+            raise NotProperError(f"global rank is not constant: {ranks}")
+        self.degree = values.pop()
+        self._sdelta = sdelta = {str(e): int(s) for e, s in sdelta.items()}
+        # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches
+        self._indices = r = {v: self.chi(v) for v in source.vertices}
+        for e in source.edge_ids:
+            if e not in sdelta:
                 raise ValueError(f"edge {e} has no sdelta value")
+            s, n = sdelta[e], mult[e]
+            u, v = ends[e]
+            r[u] += s - n + 1
+            r[v] -= s + n - 1
 
     def sdelta(self, oe: OrientedEdge) -> int:
         """Slope along the oriented edge; odd under orientation reversal."""
@@ -89,78 +140,11 @@ class DeltaMorphism:
     def sdelta_stored(self, e: str) -> int:
         return self._sdelta[e]
 
-    # -- validation -------------------------------------------------------
-
-    def _validate_maps(self) -> None:
-        for v in self.source.vertices:
-            if self.vertex_map.get(v) not in self.target.vertices:
-                raise NotProperError(f"vertex {v} is not mapped to a target vertex")
-        for e in self.source.edge_ids:
-            e2 = self.edge_map.get(e)
-            if e2 not in self.target.edge_ids:
-                raise NotProperError(f"edge {e} is not mapped to a target edge")
-            u, v = self.source.endpoints(e)
-            img = tuple(sorted((self.vertex_map[u], self.vertex_map[v])))
-            if img != tuple(sorted(self.target.endpoints(e2))):
-                raise NotProperError(f"edge {e} violates incidence under the map")
-            if self.mult.get(e, 0) < 1:
-                raise NotProperError(f"edge {e} needs a positive multiplicity")
-
-    def branch_image(self, oe: OrientedEdge) -> OrientedEdge:
-        """Image branch; loops map slot-to-slot (from->from, to->to)."""
-        e2 = self.edge_map[oe.edge]
-        u2, v2 = self.target.endpoints(e2)
-        if u2 == v2:
-            return OrientedEdge(e2, oe.forward)
-        w = self.vertex_map[self.source.source(oe)]
-        if w == u2:
-            return OrientedEdge(e2, True)
-        if w == v2:
-            return OrientedEdge(e2, False)
-        raise NotProperError(f"branch of {oe.edge} has no image branch")
-
-    def _local_mult(self, v: str) -> int:
-        v2 = self.vertex_map[v]
-        target_branches = self.target.branches(v2)
-        if not target_branches:
-            # isolated target vertex; treat an isolated fiber point as
-            # multiplicity one (single-point local behaviour)
-            if self.source.branches(v):
-                raise NotProperError(f"vertex {v} maps onto an isolated vertex")
-            return 1
-        sums = {b2: 0 for b2 in target_branches}
-        for b in self.source.branches(v):
-            sums[self.branch_image(b)] += self.mult[b.edge]
-        values = set(sums.values())
-        if len(values) != 1 or 0 in values:
-            raise NotProperError(
-                f"multiplicity is not locally constant at vertex {v}: {sums}"
-            )
-        return values.pop()
-
-    def _global_degree(self) -> int:
-        """The constant rank; also builds the ``fibers`` index."""
-        fibers: Dict[str, list] = {v2: [] for v2 in self.target.vertices}
-        for v in self.source.vertices:
-            fibers[self.vertex_map[v]].append(v)
-        self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
-        ranks = {
-            v2: sum([self.vertex_mult[v] for v in vs]) for v2, vs in fibers.items()
-        }
-        values = set(ranks.values())
-        if len(values) != 1 or 0 in values:
-            raise NotProperError(f"global rank is not constant: {ranks}")
-        return values.pop()
-
     # -- divisors ----------------------------------------------------------
 
     def pullback(self, d: Divisor) -> Divisor:
-        return Divisor(
-            {
-                v: d.coefficient(self.vertex_map[v]) * self.vertex_mult[v]
-                for v in self.source.vertices
-            }
-        )
+        vmap, m = self.vertex_map, self.vertex_mult
+        return Divisor({v: d.coefficient(vmap[v]) * m[v] for v in self.source.vertices})
 
     def __repr__(self):
         return (
@@ -270,27 +254,18 @@ class DeltaMorphism:
         return 2 * g - 2 - self.vertex_mult[v] * (2 * g2 - 2)
 
     def differential_index(self, v: str) -> int:
-        return self.chi(v) - sum(
-            self.slope_index(b) for b in self.source.branches(v)
-        )
+        """``R_v = chi(v) - sum of slope_index`` over the branches at ``v``."""
+        return self._indices[v]
 
     def ramification_divisor(self) -> Divisor:
-        return Divisor(
-            {v: self.differential_index(v) for v in self.source.vertices}
-        )
+        return Divisor(self._indices)
 
     def delta_divisor(self) -> Divisor:
-        return Divisor(
-            {
-                v: sum(-self.sdelta(b) for b in self.source.branches(v))
-                for v in self.source.vertices
-            }
-        )
+        src, s = self.source, self.sdelta
+        return Divisor({v: -sum(map(s, src.branches(v))) for v in src.vertices})
 
     def unbalanced_vertices(self) -> Tuple[str, ...]:
-        return tuple(
-            v for v in self.source.vertices if self.differential_index(v) != 0
-        )
+        return tuple(v for v, r in self._indices.items() if r != 0)
 
     # -- Riemann-Hurwitz -----------------------------------------------------
 
@@ -316,9 +291,7 @@ class DeltaMorphism:
 
     def rh_degree_identity(self) -> "RHDegreeReport":
         lhs = 2 * self.source.genus() - 2
-        r_sum = sum(
-            self.differential_index(v) for v in self.source.vertices
-        )
+        r_sum = sum(self._indices.values())
         rhs = self.degree * (2 * self.target.genus() - 2) + r_sum
         return RHDegreeReport(
             ok=lhs == rhs, lhs=lhs, rhs=rhs, degree=self.degree, r_sum=r_sum
@@ -394,6 +367,85 @@ class RHDegreeReport(Frozen):
 # -- contractions ------------------------------------------------------------
 
 
+class _WorkingGraph:
+    """A mutable copy of a graph that the move rules read like a GenusGraph;
+    ``vertices`` maps each vertex to its genus, ``edge_ids`` each edge to its ends."""
+
+    def __init__(self, g: GenusGraph):
+        self.vertices = {v: g.genus_of(v) for v in g.vertices}
+        self.edge_ids = {e: g.endpoints(e) for e in g.edge_ids}
+        self.lengths = {e: g.length(e) for e in g.edge_ids} if g.is_metric else None
+        self.infinite_leaves = g.infinite_leaves
+        self._branches = {v: list(g.branches(v)) for v in g.vertices}
+        self.genus_of = self.vertices.__getitem__
+        self.branches = self._branches.__getitem__
+
+    def head(self, oe: OrientedEdge) -> str:
+        return self.edge_ids[oe.edge][oe.forward]
+
+    def contract(self, kind: str, v: str) -> OrientedEdge:
+        """Remove the leaf ``v`` or smooth ``v`` (a checked move); return the
+        branch at ``v`` along the removed edge, or along the smaller of two merged
+        edges, which keeps its id and runs between their far ends; lengths add."""
+        del self.vertices[v]
+        if kind == "leaf":
+            (a,) = (gone,) = self._branches.pop(v)
+            self._branches[self.head(a)].remove(-a)
+        else:
+            a, gone = sorted(self._branches.pop(v))
+            x, y = self.head(a), self.head(gone)
+            for w, old, forward in ((x, a, True), (y, gone, False)):
+                branches = self._branches[w]
+                branches[branches.index(-old)] = OrientedEdge(a.edge, forward)
+            self.edge_ids[a.edge] = (x, y)
+        del self.edge_ids[gone.edge]
+        if self.lengths is not None:
+            length = self.lengths.pop(gone.edge)
+            if gone is not a:
+                self.lengths[a.edge] += length
+        return a
+
+    def graph(self) -> GenusGraph:
+        leaves = self.infinite_leaves & self.vertices.keys()
+        return GenusGraph(self.vertices, self.edge_ids, self.lengths, leaves)
+
+
+class _WorkingMorphism:
+    """A mutable copy of a morphism that the move rules read like a DeltaMorphism;
+    fibers, multiplicities, indices and delta are read off the original."""
+
+    sdelta = DeltaMorphism.sdelta
+
+    def __init__(self, m: DeltaMorphism):
+        self.original = m
+        self.degree, self.fibers, self.mult = m.degree, m.fibers, m.mult
+        self.differential_index = m.differential_index
+        self.source, self.target = _WorkingGraph(m.source), _WorkingGraph(m.target)
+        self.edge_map, self._sdelta = dict(m.edge_map), dict(m._sdelta)
+
+    def contract(self, kind: str, v2: str) -> None:
+        merged = self.target.contract(kind, v2)
+        for v in self.fibers[v2]:
+            a = self.source.contract(kind, v)
+            if kind == "smooth":  # a's edge is the merged one, from a's far end
+                self.edge_map[a.edge] = merged.edge
+                self._sdelta[a.edge] = self.sdelta(-a)
+
+    def result(self) -> DeltaMorphism:
+        """The contracted morphism, built and validated once."""
+        m, vertices, edges = self.original, self.source.vertices, self.source.edge_ids
+        out = DeltaMorphism(
+            self.source.graph(),
+            self.target.graph(),
+            {v: m.vertex_map[v] for v in vertices},
+            {e: self.edge_map[e] for e in edges},
+            {e: m.mult[e] for e in edges},
+            {e: self._sdelta[e] for e in edges},
+        )
+        delta = None if m.delta is None else {v: m.delta[v] for v in vertices}
+        return with_delta(out, delta, m.setting)
+
+
 def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
     """Apply a contraction move to a genus graph.
 
@@ -405,16 +457,17 @@ def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
     reason = _vertex_obstruction(g, kind, v, "vertex")
     if reason:
         raise IllegalMoveError(reason)
-    return _contract(g, kind, (v,))
+    work = _WorkingGraph(g)
+    work.contract(kind, v)
+    return work.graph()
 
 
-def _vertex_obstruction(
-    g: GenusGraph, kind: str, v: str, noun: str
-) -> Optional[str]:
+def _vertex_obstruction(g, kind: str, v: str, noun: str) -> Optional[str]:
     """Why ``g`` admits no ``kind`` move at ``v`` (named ``noun``), if none.
 
-    The graph rules, shared by graph, target and fiber vertices.  An
-    infinite leaf whose neighbour is removed would be left at valence 0.
+    The graph rules, shared by graph, target and fiber vertices (of a
+    working copy, too).  An infinite leaf whose neighbour is removed would
+    be left at valence 0.
     """
     if kind not in ("leaf", "smooth"):
         return f"unknown move kind {kind!r}"
@@ -437,43 +490,13 @@ def _vertex_obstruction(
     return None
 
 
-def _contract(g: GenusGraph, kind: str, vertices: Iterable[str]) -> GenusGraph:
-    """Remove the given leaves, or smooth the given valence-two vertices.
-
-    The caller has checked the move.  A smoothed vertex's two edges merge
-    into the one with the smaller id, running between the two far ends;
-    lengths add.  Metric data is kept.
-    """
-    vertices = set(vertices)
-    genera = {w: g.genus_of(w) for w in g.vertices if w not in vertices}
-    edges = {e: g.endpoints(e) for e in g.edge_ids}
-    lengths = {e: g.length(e) for e in g.edge_ids} if g.is_metric else None
-    for v in sorted(vertices):
-        if kind == "leaf":
-            (b,) = g.branches(v)
-            del edges[b.edge]
-            if lengths is not None:
-                del lengths[b.edge]
-            continue
-        b1, b2 = g.branches(v)
-        new_edge = min(b1.edge, b2.edge)
-        del edges[b1.edge]
-        del edges[b2.edge]
-        edges[new_edge] = (g.head(b1), g.head(b2))
-        if lengths is not None:
-            l = lengths.pop(b1.edge) + lengths.pop(b2.edge)
-            lengths[new_edge] = l
-    leaves = g.infinite_leaves & genera.keys()
-    return GenusGraph(genera, edges, lengths, infinite_leaves=leaves)
-
-
-def _move_obstruction(m: DeltaMorphism, kind: str, v2: str) -> Optional[str]:
+def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
     """Why ``m`` admits no ``kind`` move at the target vertex ``v2``, if none.
 
     The graph rules on ``v2`` and on each fiber vertex, then the morphism
-    rules.  Local constancy and balance already make a smoothed fiber
-    vertex join equal multiplicities with a continuous sdelta; both are
-    checked anyway.
+    rules; ``m`` may be a working copy.  Local constancy and balance
+    already make a smoothed fiber vertex join equal multiplicities with a
+    continuous sdelta; both are checked anyway.
     """
     reason = _vertex_obstruction(m.target, kind, v2, "target vertex")
     if reason:
@@ -512,54 +535,47 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     reason = _move_obstruction(m, kind, v2)
     if reason:
         raise IllegalMoveError(reason)
-    fiber = m.fibers[v2]
-    target = _contract(m.target, kind, (v2,))
-    source = _contract(m.source, kind, fiber)
-    edge_map = {e: m.edge_map[e] for e in source.edge_ids}
-    sdelta = {e: m.sdelta_stored(e) for e in source.edge_ids}
-    if kind == "smooth":
-        merged_target_edge = min(b.edge for b in m.target.branches(v2))
-        for v in fiber:
-            # the merged edge keeps the smaller id, that of the first
-            # branch ``a``, and now runs from the far end of ``a``
-            a, _ = m.source.branches(v)
-            edge_map[a.edge] = merged_target_edge
-            sdelta[a.edge] = m.sdelta(-a)
-    delta = None if m.delta is None else {v: m.delta[v] for v in source.vertices}
-    return with_delta(
-        DeltaMorphism(
-            source,
-            target,
-            {v: m.vertex_map[v] for v in source.vertices},
-            edge_map,
-            {e: m.mult[e] for e in source.edge_ids},
-            sdelta,
-        ),
-        delta,
-        m.setting,
-    )
+    work = _WorkingMorphism(m)
+    work.contract(kind, v2)
+    return work.result()
 
 
-def applicable_moves(m: DeltaMorphism) -> Tuple[Tuple[str, str], ...]:
-    moves = []
+def _legal_moves(m: DeltaMorphism) -> Iterator[Tuple[str, str]]:
     for v2 in m.target.vertices:
         for kind in ("leaf", "smooth"):
             if _move_obstruction(m, kind, v2) is None:
-                moves.append((kind, v2))
-    return tuple(moves)
+                yield kind, v2
+
+
+def applicable_moves(m: DeltaMorphism) -> Tuple[Tuple[str, str], ...]:
+    return tuple(_legal_moves(m))
 
 
 def stabilize(m: DeltaMorphism) -> DeltaMorphism:
-    """Contract until no move applies; the result is stable."""
-    while True:
-        moves = applicable_moves(m)
-        if not moves:
-            return m
-        m = contract_morphism(m, moves[0])
+    """Contract until no move applies; the result is stable.
+
+    Target vertices are examined smallest first, leaf before smoothing,
+    so the moves are those of taking the first of ``applicable_moves``.
+    """
+    first = next(_legal_moves(m), None)
+    if first is None:
+        return m
+    work = _WorkingMorphism(m)
+    pending = {v2 for v2 in m.target.vertices if v2 >= first[1]}
+    while pending:
+        v2 = min(pending)
+        pending.remove(v2)
+        for kind in ("leaf", "smooth"):
+            if _move_obstruction(work, kind, v2) is None:
+                pending |= {work.target.head(b) for b in work.target.branches(v2)}
+                work.contract(kind, v2)
+                break
+    return work.result()
 
 
 def is_stable(m: DeltaMorphism) -> bool:
-    return not applicable_moves(m)
+    """Whether no move applies; stops at the first legal move."""
+    return next(_legal_moves(m), None) is None
 
 
 # -- metric delta-morphisms ---------------------------------------------------
@@ -768,9 +784,13 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
     for key in ("source", "target", "vertex_map", "edge_map", "n", "sdelta", "delta"):
         if key in data and not isinstance(data[key], Mapping):
             raise ValueError(f"morphism {key} is not an object")
+    source, target = (
+        GenusGraph.from_json_dict(json_field(data, side, "morphism"), f"{side} graph")
+        for side in ("source", "target")
+    )
     m = DeltaMorphism(
-        GenusGraph.from_json_dict(json_field(data, "source", "morphism")),
-        GenusGraph.from_json_dict(json_field(data, "target", "morphism")),
+        source,
+        target,
         json_field(data, "vertex_map", "morphism"),
         json_field(data, "edge_map", "morphism"),
         _parse_values(data, "n", int, (int, float, str), "a number"),

@@ -85,6 +85,7 @@ class GenusGraph:
         self._branches: Dict[str, Tuple[OrientedEdge, ...]] = {
             v: tuple(bs) for v, bs in out.items()
         }
+        self._connected: Optional[bool] = None  # set by is_connected, once
         self._lengths: Optional[Dict[str, ExtendedRational]] = None
         self.infinite_leaves: frozenset = frozenset(str(v) for v in infinite_leaves)
         if lengths is None:
@@ -128,10 +129,6 @@ class GenusGraph:
         u, v = self._ends[e]
         return u == v
 
-    def source(self, oe: OrientedEdge) -> str:
-        u, v = self._ends[oe.edge]
-        return u if oe.forward else v
-
     def head(self, oe: OrientedEdge) -> str:
         u, v = self._ends[oe.edge]
         return v if oe.forward else u
@@ -147,19 +144,17 @@ class GenusGraph:
         return self.valence(v) == 1
 
     def is_connected(self) -> bool:
-        verts = self.vertices
-        if not verts:
-            return True
-        ends = self._ends
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for e, forward in self._branches[stack.pop()]:
-                w = ends[e][forward]  # the head: "to" when forward
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        if self._connected is None:
+            ends, seen = self._ends, set(self.vertices[:1])
+            stack = list(seen)
+            while stack:
+                for e, forward in self._branches[stack.pop()]:
+                    w = ends[e][forward]  # the head: "to" when forward
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._connected = len(seen) == len(self.vertices)
+        return self._connected
 
     # -- metric data -----------------------------------------------------
 
@@ -237,12 +232,13 @@ class GenusGraph:
         return data
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GenusGraph":
+    def from_json_dict(cls, data: Mapping, entry: str = "graph") -> "GenusGraph":
+        """Parse a graph; errors name it ``entry``, e.g. ``source graph``."""
         if not isinstance(data, Mapping):
-            raise ValueError("graph is not an object")
+            raise ValueError(f"{entry} is not an object")
         for key in ("vertices", "edges"):
-            if not isinstance(json_field(data, key, "graph"), list):
-                raise ValueError(f"graph {key} is not a list")
+            if not isinstance(json_field(data, key, entry), list):
+                raise ValueError(f"{entry} {key} is not a list")
             for item in data[key]:
                 if not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
@@ -254,7 +250,7 @@ class GenusGraph:
                     )
         infinite_leaves = data.get("infinite_leaves", [])
         if not isinstance(infinite_leaves, list):
-            raise ValueError("graph infinite_leaves is not a list")
+            raise ValueError(f"{entry} infinite_leaves is not a list")
         genera = {}
         for v in data["vertices"]:
             g = v.get("genus", 0)

@@ -26,12 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .delta_morphism import (
-    DeltaMorphism,
-    MetricDeltaMorphism,
-    applicable_moves,
-    with_delta,
-)
+from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable, with_delta
 from .genus_graph import GenusGraph, OrientedEdge
 from .valuation import INF, NEG_INF, Frozen, LogAbs, ResidueSetting, ZERO
 
@@ -267,7 +262,7 @@ def ramification_signature(m: DeltaMorphism) -> Tuple[int, ...]:
 def is_special(m: DeltaMorphism) -> SpecialCheck:
     """Check the five defining conditions, reporting the first failure."""
     # (1) stable, degree two, genus 1 -> 0
-    if applicable_moves(m):
+    if not is_stable(m):
         return SpecialCheck(False, "violated(1): the morphism is contractible")
     if m.degree != 2:
         return SpecialCheck(False, f"violated(1): degree is {m.degree}, not 2")

@@ -392,8 +392,3 @@ class ResidueSetting(Frozen):
         if parts[0] == "mixed" and len(parts) == 3:
             return cls.mixed(int(parts[1]), parse_rational(parts[2]))
         raise ValueError(f"cannot parse residue setting {text!r}")
-
-
-def int_abs(setting: ResidueSetting, n: int) -> LogAbs:
-    """Module-level alias for :meth:`ResidueSetting.int_abs`."""
-    return setting.int_abs(n)

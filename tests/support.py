@@ -11,6 +11,8 @@ construction; only source connectivity is enforced by rejection.
 ``random_genus_graph`` draws such a target multigraph, optionally with
 edge lengths, and ``subdivide_metric`` builds a random metric
 subdivision of a metric morphism that ``stabilize`` must undo.
+``proper_mutations`` and ``stabilize_corpus`` are the seeded inputs of
+the ``proper_errors`` and ``stabilize`` goldens (``tools/record_goldens.py``).
 """
 
 from __future__ import annotations
@@ -195,3 +197,132 @@ def subdivide_metric(
     target = GenusGraph(tgt_genus, tgt_edges, tgt_len, tgt.infinite_leaves)
     m = DeltaMorphism(source, target, vmap, emap, mult, sdelta)
     return MetricDeltaMorphism(m, delta, mm.setting)
+
+
+def _random_loop_morphism(rng: random.Random) -> DeltaMorphism:
+    """A cover of a target loop, with a path of 0-2 edges hanging off it.
+
+    Over the loop ``f`` at ``x'`` sits a cycle of ``k`` source vertices
+    (a source loop when ``k = 1``), each edge of multiplicity ``m``; over
+    each path edge sits one edge of multiplicity ``m`` per cycle vertex, or
+    two parallel edges of multiplicity one when ``m = 2``.
+    """
+    k, m = rng.randint(1, 3), rng.randint(1, 2)
+    parts = (1, 1) if m == 2 and rng.random() < 0.5 else (m,)
+    path = [f"y{j}'" for j in range(rng.randint(0, 2))]
+    tgt_genera = {"x'": rng.randint(0, 1), **{y: 0 for y in path}}
+    tgt_edges = {"f": ("x'", "x'")}
+    genera, vertex_map, edges, edge_map, mult = {}, {}, {}, {}, {}
+    for i in range(k):
+        genera[f"x{i}"] = rng.randint(0, 1)
+        vertex_map[f"x{i}"] = "x'"
+        edges[f"c{i}"] = (f"x{i}", f"x{(i + 1) % k}")
+        edge_map[f"c{i}"], mult[f"c{i}"] = "f", m
+    previous = "x'"
+    for j, y in enumerate(path):
+        tgt_edges[f"g{j}"] = (previous, y)
+        for i in range(k):
+            genera[f"y{j}_{i}"] = 0
+            vertex_map[f"y{j}_{i}"] = y
+            below = f"x{i}" if j == 0 else f"y{j - 1}_{i}"
+            for q, n in enumerate(parts):
+                edges[f"p{j}_{i}_{q}"] = (below, f"y{j}_{i}")
+                edge_map[f"p{j}_{i}_{q}"], mult[f"p{j}_{i}_{q}"] = f"g{j}", n
+        previous = y
+    return DeltaMorphism(
+        GenusGraph(genera, edges),
+        GenusGraph(tgt_genera, tgt_edges),
+        vertex_map,
+        edge_map,
+        mult,
+        {e: rng.randint(-2, 2) for e in edges},
+    )
+
+
+def proper_mutations(seed: int, count: int):
+    """``count`` seeded mutations of proper morphisms, as constructor arguments.
+
+    The bases are ``random_proper_delta_morphism`` draws, covers of a
+    target loop (source loops and cycles included) and a point over a
+    point.  Each mutation makes one or two edits: delete, swap or zero a
+    ``vertex_map``, ``edge_map`` or ``n`` entry (a zeroed map entry points
+    at another target vertex or edge), or add an isolated vertex to the
+    source or the target.  Yields ``(source, target, vertex_map, edge_map,
+    n, sdelta)``; most of them are not proper.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.75:
+            m = random_proper_delta_morphism(rng)
+        elif roll < 0.95:
+            m = _random_loop_morphism(rng)
+        else:
+            point = GenusGraph({"a": 0}, {})
+            m = DeltaMorphism(point, GenusGraph({"a'": 0}, {}), {"a": "a'"}, {}, {}, {})
+        src, tgt = m.source, m.target
+        graphs = {
+            side: ({v: g.genus_of(v) for v in g.vertices}, {e: g.endpoints(e) for e in g.edge_ids})
+            for side, g in (("source", src), ("target", tgt))
+        }
+        maps = {
+            "vertex_map": dict(m.vertex_map),
+            "edge_map": dict(m.edge_map),
+            "n": dict(m.mult),
+        }
+        for _ in range(rng.randint(1, 2)):
+            op = rng.choice(("delete", "swap", "swap", "zero", "zero", "isolate"))
+            if op == "isolate":
+                side = rng.choice(("source", "target"))
+                name = f"iso{len(graphs[side][0])}"
+                graphs[side][0][name] = 0
+                if side == "source":
+                    maps["vertex_map"][name] = rng.choice(tgt.vertices)
+                continue
+            key = rng.choice(("vertex_map", "edge_map", "n", "n"))
+            entries = maps[key]
+            if not entries:
+                continue
+            a, b = rng.choice(sorted(entries)), rng.choice(sorted(entries))
+            if op == "delete":
+                del entries[a]
+            elif op == "swap":
+                entries[a], entries[b] = entries[b], entries[a]
+            elif key == "n":
+                entries[a] = 0
+            else:
+                pool = tgt.vertices if key == "vertex_map" else tgt.edge_ids
+                entries[a] = rng.choice(pool) if pool else "missing"
+        yield (
+            GenusGraph(*graphs["source"]),
+            GenusGraph(*graphs["target"]),
+            maps["vertex_map"],
+            maps["edge_map"],
+            maps["n"],
+            {e: m.sdelta_stored(e) for e in src.edge_ids},
+        )
+
+
+def stabilize_corpus():
+    """The morphisms the ``stabilize`` golden covers, as ``(group, morphism)``.
+
+    The 3,000 seed-61 ``random_proper_delta_morphism`` draws, the
+    ``wb_subdivided`` fixture and 20 ``subdivide_metric`` draws (seeds
+    0-19) of the canonical metric lift of each liftable type.
+    """
+    import json
+    from pathlib import Path
+
+    from wildskel import LIFTABLE_TAGS, metric_lift, morphism_from_json_dict
+    from tests.test_special import canonical_lengths, setting_for
+
+    rng = random.Random(61)
+    for _ in range(3000):
+        yield "random_proper_seed61", random_proper_delta_morphism(rng)
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "wb_subdivided.morphism.json"
+    yield "wb_subdivided", morphism_from_json_dict(json.loads(path.read_text()))
+    for tag in LIFTABLE_TAGS:
+        setting = setting_for(tag)
+        mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
+        for seed in range(20):
+            yield f"subdivide_metric_{tag}", subdivide_metric(random.Random(seed), mm)

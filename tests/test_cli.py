@@ -219,8 +219,8 @@ class TestInputErrors:
             (("delta", "s"), 0, "morphism delta value of 's' is 0, not a string"),
             (("setting",), 2, "morphism setting 2 is not a string"),
             (("source", "edges", 0, "length"), 1, "edge a length 1 is not a string"),
-            (("source", "vertices"), {"s": 0}, "graph vertices is not a list"),
-            (("target", "infinite_leaves"), "v1'", "graph infinite_leaves is not a list"),
+            (("source", "vertices"), {"s": 0}, "source graph vertices is not a list"),
+            (("target", "infinite_leaves"), "v1'", "target graph infinite_leaves is not a list"),
             (("n", "a"), 1.5, "morphism n value of 'a' is 1.5, not an integer"),
             (("n", "a"), True, "morphism n value of 'a' is True, not an integer"),
             (("sdelta", "a"), 0.5, "morphism sdelta value of 'a' is 0.5, not an integer"),
@@ -240,6 +240,9 @@ class TestInputErrors:
              "edges entry id {} is not a string or an integer"),
             (("source", "edges", 0, "length"), "1/0", "'1/0' has a zero denominator"),
             (("delta", "s"), "1/0", "'1/0' has a zero denominator"),
+            (("target", "vertices"), {"s'": 0}, "target graph vertices is not a list"),
+            (("source", "edges"), "a", "source graph edges is not a list"),
+            (("target", "edges"), None, "target graph edges is not a list"),
         ],
         ids=[
             "n-list", "n-null", "n-object", "sdelta-list", "sdelta-null",
@@ -249,6 +252,7 @@ class TestInputErrors:
             "genus-null", "genus-float", "genus-bool", "vertex-id-list",
             "vertex-id-object", "edge-id-list", "edge-id-object",
             "length-zero-denominator", "delta-zero-denominator",
+            "target-vertices-object", "source-edges-string", "target-edges-null",
         ],
     )
     def test_value_of_wrong_kind(self, tmp_path, capsys, path, value, message):
@@ -268,8 +272,8 @@ class TestInputErrors:
             (("source", "edges", 0, "from"), "edge a lacks key 'from'"),
             (("target", "edges", 1, "to"), "edge e2' lacks key 'to'"),
             (("source", "edges", 2, "length"), "edge e2 lacks key 'length'"),
-            (("source", "vertices"), "graph lacks key 'vertices'"),
-            (("target", "edges"), "graph lacks key 'edges'"),
+            (("source", "vertices"), "source graph lacks key 'vertices'"),
+            (("target", "edges"), "target graph lacks key 'edges'"),
             (("source",), "morphism lacks key 'source'"),
             (("target",), "morphism lacks key 'target'"),
             (("vertex_map",), "morphism lacks key 'vertex_map'"),

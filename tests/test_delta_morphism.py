@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -99,7 +101,55 @@ class TestProperness:
             DeltaMorphism(source, target, {"a": "x", "b": "x"}, {}, {}, {})
 
 
+def _restated_index(m: DeltaMorphism, v: str) -> int:
+    """``chi(v) - sum of S`` from the stored data, each branch found by a scan."""
+    g, g2 = m.source.genus_of(v), m.target.genus_of(m.vertex_map[v])
+    chi = 2 * g - 2 - m.vertex_mult[v] * (2 * g2 - 2)
+    total = 0
+    for e in m.source.edge_ids:
+        a, b = m.source.endpoints(e)
+        n, s = m.mult[e], m.sdelta_stored(e)
+        if a == v:
+            total += -s + n - 1
+        if b == v:
+            total += s + n - 1
+    return chi - total
+
+
 class TestIndices:
+    def test_differential_index_matches_restatement(self):
+        rng = random.Random(23)
+        unbalanced = 0
+        for _ in range(300):
+            m = random_proper_delta_morphism(rng)
+            expected = {v: _restated_index(m, v) for v in m.source.vertices}
+            assert {v: m.differential_index(v) for v in m.source.vertices} == expected
+            assert m.ramification_divisor() == Divisor(expected)
+            assert m.unbalanced_vertices() == tuple(v for v in expected if expected[v])
+            assert m.rh_degree_identity().r_sum == sum(expected.values())
+            unbalanced += bool(m.unbalanced_vertices())
+        assert unbalanced > 100
+
+    @pytest.mark.parametrize(
+        "how",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_index_reads_change_nothing_observable(self, how):
+        rng = random.Random(24)
+        for _ in range(50):
+            m = random_proper_delta_morphism(rng)
+            before = how(m)
+            data = morphism_to_json_dict(m)
+            report = m.rh_divisor_identity().to_json_dict()
+            assert m.rh_degree_identity() and m.unbalanced_vertices() is not None
+            after = how(m)
+            for x in (m, before, after):
+                assert morphism_to_json_dict(x) == data
+                assert x.rh_divisor_identity().to_json_dict() == report
+                assert x.source == m.source and hash(x.source) == hash(m.source)
+            assert vars(before) == vars(after) == vars(m)
+
     def test_slope_index_examples(self):
         m = wb()
         loop_edges = [e for e in m.source.edge_ids if m.mult[e] == 1]

@@ -243,3 +243,74 @@ class TestBranchIndex:
         assert g.branches("a") == (OrientedEdge("l", True), OrientedEdge("l", False))
         assert g.branches("missing") == ()
 
+
+
+def _random_multigraph(rng: random.Random, metric: bool) -> GenusGraph:
+    """Up to five vertices and six edges at random, loops allowed; often disconnected."""
+    names = [f"v{i}" for i in range(rng.randint(0, 5))]
+    edges = {
+        f"e{i}": (rng.choice(names), rng.choice(names))
+        for i in range(rng.randint(0, 6) if names else 0)
+    }
+    lengths = {e: Fraction(rng.randint(1, 5)) for e in edges} if metric else None
+    return GenusGraph({v: rng.randint(0, 1) for v in names}, edges, lengths)
+
+
+def _bfs_connected(g: GenusGraph) -> bool:
+    """Connectedness by breadth-first search over the stored edge ends."""
+    if not g.vertices:
+        return True
+    neighbours = {v: set() for v in g.vertices}
+    for e in g.edge_ids:
+        a, b = g.endpoints(e)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, frontier = {g.vertices[0]}, [g.vertices[0]]
+    while frontier:
+        frontier = [w for v in frontier for w in neighbours[v] if w not in seen]
+        seen.update(frontier)
+    return len(seen) == len(g.vertices)
+
+
+def _observable(g: GenusGraph):
+    return g, hash(g), g.to_json_dict(), type(g)
+
+
+class TestConnectednessCache:
+    def test_matches_breadth_first_search(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(500):
+            g = _random_multigraph(rng, rng.random() < 0.5)
+            expected = _bfs_connected(g)
+            assert g.is_connected() is expected
+            assert g.is_connected() is expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "how",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_cached_call_changes_nothing_observable(self, how):
+        rng = random.Random(18)
+        for _ in range(100):
+            seed = rng.random()
+            g = _random_multigraph(random.Random(seed), rng.random() < 0.5)
+            fresh = _random_multigraph(random.Random(seed), g.is_metric)
+            before = _observable(how(g))
+            connected = g.is_connected()
+            after = how(g)
+            assert _observable(after) == before == _observable(fresh)
+            assert _observable(g) == _observable(fresh) and g == fresh
+            assert after.is_connected() is connected is fresh.is_connected()
+
+    def test_h1_raises_on_every_call(self):
+        g = GenusGraph({"a": 0, "b": 1}, {"l": ("a", "a")})
+        for _ in range(3):
+            with pytest.raises(DisconnectedError):
+                g.h1()
+            with pytest.raises(DisconnectedError):
+                g.genus()
+        assert not g.is_connected()

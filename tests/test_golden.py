@@ -18,6 +18,11 @@ into a temporary directory and compares every file byte for byte.
 ``golden/special_search.json`` pins the special-type search: the key of
 every candidate shape in the order ``_candidate_shapes`` yields them, and
 the descriptions of ``enumerate_root_subtrees(k)`` for k = 1 to 4.
+``golden/stabilize.json`` holds the sha256 of the sorted JSON of
+``stabilize(m)`` on every morphism of ``tests.support.stabilize_corpus``,
+and ``golden/proper_errors.json`` the exception type and message (or
+``null``) of the ``DeltaMorphism`` constructor on 2,000 seeded mutations
+of proper morphisms; ``tools/record_goldens.py`` re-records both.
 """
 
 import importlib.util
@@ -28,10 +33,16 @@ import pytest
 
 from wildskel.annulus import ValuedSeries, different_profile, normalize
 from wildskel.cli import run
-from wildskel.delta_morphism import morphism_from_json_dict
+from wildskel.delta_morphism import (
+    morphism_from_json_dict,
+    morphism_to_json_dict,
+    stabilize,
+)
 from wildskel.pmfunc import PMFunction
 from wildskel.special import _candidate_shapes, _shape_key, enumerate_root_subtrees
 from wildskel.valuation import INF, ResidueSetting, parse_length
+
+from tests.support import stabilize_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -46,6 +57,12 @@ SPECIAL_CLI_GOLDEN = json.loads(
 )
 SPECIAL_SEARCH_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "special_search.json").read_text()
+)
+STABILIZE_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "stabilize.json").read_text()
+)
+PROPER_ERRORS_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "proper_errors.json").read_text()
 )
 
 
@@ -122,17 +139,30 @@ def test_special_search():
     assert trees == SPECIAL_SEARCH_GOLDEN["root_subtrees"]
 
 
-def _load_gen_fixtures():
-    spec = importlib.util.spec_from_file_location(
-        "gen_fixtures", ROOT / "tools" / "gen_fixtures.py"
-    )
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_stabilize_golden():
+    sha256 = _load_tool("record_goldens").sorted_json_sha256
+    got = {}
+    for group, m in stabilize_corpus():
+        out = stabilize(m)
+        back = morphism_from_json_dict(morphism_to_json_dict(out))
+        assert type(back) is type(out) and vars(back) == vars(out)
+        got.setdefault(group, []).append(sha256(out))
+    assert got == STABILIZE_GOLDEN
+
+
+def test_proper_errors_golden():
+    assert _load_tool("record_goldens").proper_errors() == PROPER_ERRORS_GOLDEN
+
+
 def test_regenerated_fixtures_are_byte_identical(tmp_path):
-    _load_gen_fixtures().main([str(tmp_path)])
+    _load_tool("gen_fixtures").main([str(tmp_path)])
     committed = sorted(p.name for p in FIXTURES.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == committed
     for name in committed:

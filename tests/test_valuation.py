@@ -12,7 +12,6 @@ from wildskel.valuation import (
     LogAbs,
     ResidueSetting,
     _is_prime,
-    int_abs,
     parse_length,
 )
 
@@ -114,15 +113,15 @@ class TestPrimality:
 class TestIntAbs:
     def test_mixed_p2(self):
         setting = ResidueSetting.mixed(2, Fraction(-1))
-        assert int_abs(setting, 12) == LogAbs(-2)
+        assert setting.int_abs(12) == LogAbs(-2)
 
     def test_equichar_zero(self):
-        assert int_abs(ResidueSetting.equichar_zero(), 7) == ZERO
+        assert ResidueSetting.equichar_zero().int_abs(7) == ZERO
 
     def test_equichar_p(self):
         setting = ResidueSetting.equichar(3)
-        assert int_abs(setting, 9) == NEG_INF
-        assert int_abs(setting, 4) == ZERO
+        assert setting.int_abs(9) == NEG_INF
+        assert setting.int_abs(4) == ZERO
 
     def test_zero_always_neg_inf(self):
         for setting in (
@@ -130,7 +129,7 @@ class TestIntAbs:
             ResidueSetting.mixed(2),
             ResidueSetting.equichar(5),
         ):
-            assert int_abs(setting, 0) == NEG_INF
+            assert setting.int_abs(0) == NEG_INF
 
     def test_units(self):
         for setting in (
@@ -138,8 +137,8 @@ class TestIntAbs:
             ResidueSetting.mixed(3, Fraction(-1, 2)),
             ResidueSetting.equichar(7),
         ):
-            assert int_abs(setting, 1) == ZERO
-            assert int_abs(setting, -1) == ZERO
+            assert setting.int_abs(1) == ZERO
+            assert setting.int_abs(-1) == ZERO
 
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_multiplicative(self, m, n):
@@ -149,15 +148,13 @@ class TestIntAbs:
             ResidueSetting.mixed(3, Fraction(-1, 3)),
             ResidueSetting.equichar(2),
         ):
-            assert int_abs(setting, m * n) == int_abs(setting, m) + int_abs(
-                setting, n
-            )
+            assert setting.int_abs(m * n) == setting.int_abs(m) + setting.int_abs(n)
 
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_ultrametric(self, m, n):
         setting = ResidueSetting.mixed(2, Fraction(-1))
-        a, b = int_abs(setting, m), int_abs(setting, n)
-        s = int_abs(setting, m + n)
+        a, b = setting.int_abs(m), setting.int_abs(n)
+        s = setting.int_abs(m + n)
         assert s <= max(a, b)
         if a != b:
             assert s == max(a, b)

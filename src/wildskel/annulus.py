@@ -137,12 +137,11 @@ class Verdict(Frozen):
         return self.ok
 
     @classmethod
-    def passed(cls) -> "Verdict":
-        return cls(True)
-
-    @classmethod
     def violated(cls, reason: str) -> "Verdict":
         return cls(False, reason)
+
+
+_PASSED = Verdict(True)  # immutable, so one instance serves every pass
 
 
 def is_normalized(series: ValuedSeries) -> bool:
@@ -238,37 +237,31 @@ def check_restriction(
     """
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
-    if log_delta > 0:
+    d = log_delta._value  # the raw value: a Fraction, or None for -inf
+    if d is not None and d > 0:
         raise ValueError("log_delta must be <= 0")
-    upper = setting.int_abs(m + s)
-    lower = setting.int_abs(m)
-    if (
-        setting.res_char == 2
-        and m % 4 == 2
-        and s != 0
-        and s % 2 == 0
-    ):
+    if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
         return Verdict.violated(
             f"even multiplicity {m} = 2 mod 4 admits only odd nonzero slopes "
             f"in residue characteristic 2, got s={s}"
         )
-    if not upper >= log_delta:
-        return Verdict.violated(
-            f"|m+s| = {upper} < log_delta = {log_delta}"
-        )
-    if not log_delta >= lower:
-        return Verdict.violated(
-            f"log_delta = {log_delta} < |m| = {lower}"
-        )
-    if log_delta == upper and s > 0:
+    upper = setting.int_abs(m + s)
+    u = upper._value
+    if d is not None and (u is None or u < d):
+        return Verdict.violated(f"|m+s| = {upper} < log_delta = {log_delta}")
+    lower = setting.int_abs(m)
+    low = lower._value
+    if low is not None and (d is None or d < low):
+        return Verdict.violated(f"log_delta = {log_delta} < |m| = {lower}")
+    if d == u and s > 0:
         return Verdict.violated(
             f"log_delta attains |m+s| = {upper}, which requires s <= 0, got s={s}"
         )
-    if log_delta == lower and s < 0:
+    if d == low and s < 0:
         return Verdict.violated(
             f"log_delta attains |m| = {lower}, which requires s >= 0, got s={s}"
         )
-    return Verdict.passed()
+    return _PASSED
 
 
 def realize_triple(

@@ -161,8 +161,9 @@ class DeltaMorphism:
 
         Checks the dilation rule ``length(phi(e)) = n_e * length(e)``,
         linearity of the different along finite edges, the boundary rule
-        ``delta = |n|`` at infinite leaves, and the admissibility of every
-        (multiplicity, slope, different) triple at both ends of every edge.
+        ``delta = |n|`` at infinite leaves, and the admissibility of the
+        (multiplicity, slope, different) triple at both ends of every edge:
+        each distinct edge triple, checked once, with the edges in order.
         """
         src = self.source
         if not src.is_metric:
@@ -174,58 +175,63 @@ class DeltaMorphism:
                 raise ValueError(f"vertex {v} has no delta value")
             d = delta[v]
             self.delta[v] = d if isinstance(d, LogAbs) else LogAbs(d)
-        for v, d in self.delta.items():
-            if d > 0:
-                raise ValueError(f"delta at {v} must be <= 0, got {d}")
-            if d.is_neg_inf and v not in src.infinite_leaves:
+        raw = {v: d._value for v, d in self.delta.items()}  # None for -inf
+        for v, x in raw.items():
+            if x is not None and x > 0:
+                raise ValueError(f"delta at {v} must be <= 0, got {self.delta[v]}")
+            if x is None and v not in src.infinite_leaves:
                 raise ValueError(
                     f"delta vanishes at {v}, which is not an infinite leaf"
                 )
+        slot = {}  # one small index per distinct delta value, cheaper to hash
+        vslot = {v: slot.setdefault(x, len(slot)) for v, x in raw.items()}
+        checked = {}  # (n, slope, delta index) -> verdict; bounded by the morphism
+        lengths, target_lengths = src._lengths, self.target._lengths
         for e in src.edge_ids:
             n = self.mult[e]
-            u, v = src.endpoints(e)
-            l = src.length(e)
-            target_l = self.target.length(self.edge_map[e])
+            u, v = src._ends[e]
+            l = lengths[e]
+            target_l = target_lengths[self.edge_map[e]]
             if target_l != n * l:
                 raise ValueError(
                     f"dilation fails on edge {e}: {target_l} != {n} * {l}"
                 )
-            s_uv = self.sdelta(OrientedEdge(e, True))
-            du, dv = self.delta[u], self.delta[v]
+            s_uv = self._sdelta[e]
             if l is INF:
-                leaf, inner, s_out, d_leaf, d_inner = (
-                    (v, u, s_uv, dv, du)
-                    if v in src.infinite_leaves
-                    else (u, v, -s_uv, du, dv)
+                leaf, inner, s_out = (
+                    (v, u, s_uv) if v in src.infinite_leaves else (u, v, -s_uv)
                 )
                 expected = setting.int_abs(n)
-                if d_leaf != expected:
+                if raw[leaf] != expected._value:
                     raise ValueError(
                         f"delta at infinite leaf {leaf} must be |{n}| = "
-                        f"{expected}, got {d_leaf}"
+                        f"{expected}, got {self.delta[leaf]}"
                     )
                 if s_out > 0:
                     raise ValueError(
                         f"delta would exceed one along the tail {e}"
                     )
-                if s_out == 0 and d_leaf != d_inner:
+                if s_out == 0 and raw[leaf] != raw[inner]:
                     raise ValueError(
                         f"delta is not constant along the slope-zero tail {e}"
                     )
-                if s_out < 0 and not d_leaf.is_neg_inf:
+                if s_out < 0 and raw[leaf] is not None:
                     raise ValueError(
                         f"delta must vanish at the end of the descending tail {e}"
                     )
             else:
-                if du.is_neg_inf or dv.is_neg_inf:
+                if raw[u] is None or raw[v] is None:
                     raise ValueError(f"finite edge {e} has a vanishing endpoint")
-                if dv != du + Fraction(s_uv) * l:
+                if raw[v] != raw[u] + s_uv * l:
                     raise ValueError(
                         f"delta is not linear along edge {e}: "
-                        f"{dv} != {du} + {s_uv} * {l}"
+                        f"{self.delta[v]} != {self.delta[u]} + {s_uv} * {l}"
                     )
             for vert, slope in ((u, s_uv), (v, -s_uv)):
-                verdict = check_restriction(n, slope, self.delta[vert], setting)
+                key = n, slope, vslot[vert]
+                if key not in checked:
+                    checked[key] = check_restriction(n, slope, self.delta[vert], setting)
+                verdict = checked[key]
                 if not verdict:
                     raise ValueError(
                         f"edge {e} fails the slope restriction at {vert}: "
@@ -405,6 +411,13 @@ class _WorkingGraph:
                 self.lengths[a.edge] += length
         return a
 
+    def reverse(self, e: str) -> None:
+        """Swap the stored ends of the edge ``e``; its branches turn with them."""
+        x, y = self.edge_ids[e]
+        self.edge_ids[e] = (y, x)
+        for w in {x, y}:
+            self._branches[w] = [-b if b.edge == e else b for b in self._branches[w]]
+
     def graph(self) -> GenusGraph:
         leaves = self.infinite_leaves & self.vertices.keys()
         return GenusGraph(self.vertices, self.edge_ids, self.lengths, leaves)
@@ -428,8 +441,14 @@ class _WorkingMorphism:
         for v in self.fibers[v2]:
             a = self.source.contract(kind, v)
             if kind == "smooth":  # a's edge is the merged one, from a's far end
+                s = self.sdelta(-a)
+                x2, y2 = self.target.edge_ids[merged.edge]
+                if x2 == y2 and self.edge_map[a.edge] != merged.edge:
+                    # a loop maps slot to slot, so run along the kept target edge
+                    self.source.reverse(a.edge)
+                    s = -s
                 self.edge_map[a.edge] = merged.edge
-                self._sdelta[a.edge] = self.sdelta(-a)
+                self._sdelta[a.edge] = s
 
     def result(self) -> DeltaMorphism:
         """The contracted morphism, built and validated once."""

@@ -78,10 +78,11 @@ class GenusGraph:
         self.vertices: Tuple[str, ...] = tuple(sorted(self._genus))
         self.edge_ids: Tuple[str, ...] = tuple(sorted(self._ends))
         out: Dict[str, list] = {v: [] for v in self.vertices}
+        new = tuple.__new__  # skips the namedtuple's Python-level __new__
         for e in self.edge_ids:
             a, b = self._ends[e]
-            out[a].append(OrientedEdge(e, True))
-            out[b].append(OrientedEdge(e, False))
+            out[a].append(new(OrientedEdge, (e, True)))
+            out[b].append(new(OrientedEdge, (e, False)))
         self._branches: Dict[str, Tuple[OrientedEdge, ...]] = {
             v: tuple(bs) for v, bs in out.items()
         }
@@ -98,7 +99,7 @@ class GenusGraph:
                 raise ValueError(f"edge {e} has no length")
             l = lengths[e]
             if l is not INF:
-                l = Fraction(l)
+                l = l if type(l) is Fraction else Fraction(l)
                 if l <= 0:
                     raise ValueError(f"edge {e} has nonpositive length {l}")
             self._lengths[e] = l
@@ -240,7 +241,7 @@ class GenusGraph:
             if not isinstance(json_field(data, key, entry), list):
                 raise ValueError(f"{entry} {key} is not a list")
             for item in data[key]:
-                if not isinstance(item, Mapping):
+                if type(item) is not dict and not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
                 if "id" not in item:
                     raise ValueError(f"{key} entry {item!r} lacks key 'id'")
@@ -259,8 +260,11 @@ class GenusGraph:
             genera[v["id"]] = g
         edges = {}
         for e in data["edges"]:
-            entry = f"edge {e['id']}"
-            edges[e["id"]] = (json_field(e, "from", entry), json_field(e, "to", entry))
+            if "from" in e and "to" in e:
+                edges[e["id"]] = (e["from"], e["to"])
+            else:  # json_field names the missing key
+                name = f"edge {e['id']}"
+                edges[e["id"]] = (json_field(e, "from", name), json_field(e, "to", name))
         lengths = None
         if any("length" in e for e in data["edges"]) or infinite_leaves:
             lengths = {}

@@ -3,11 +3,13 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildskel.annulus import check_restriction
 from wildskel.delta_morphism import (
     BoundaryAnnotation,
     DeltaMorphism,
@@ -30,6 +32,7 @@ from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 from tests.support import random_proper_delta_morphism, subdivide_metric
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WILD2 = ResidueSetting.equichar(2)
 MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
 
@@ -1001,3 +1004,262 @@ def test_illegal_move_message(rule, side):
     assert str(info.value) == message
     if side != "graph":
         assert move not in applicable_moves(obj)
+
+
+# -- smoothing between parallel target edges ------------------------------------
+
+
+def _two_edge_cycle_cover(sigma, tau, mult=1, slope=0, names=None, turn=()):
+    """A cover of the cycle ``f1: x' -> v'``, ``f2: v' -> x'``.
+
+    Over ``f1`` run the edges ``x_i -> v_sigma(i)``, over ``f2`` the edges
+    ``v_j -> x_tau(j)``, all of multiplicity ``mult`` with sdelta ``slope``
+    along that direction.  ``names`` renames the source edges; an edge in
+    ``turn`` is stored the other way round, with its sdelta negated.
+    """
+    d = len(sigma)
+    ends, emap = {}, {}
+    for i in range(d):
+        ends[f"p{i}"], emap[f"p{i}"] = (f"x{i}", f"v{sigma[i]}"), "f1"
+        ends[f"q{i}"], emap[f"q{i}"] = (f"v{i}", f"x{tau[i]}"), "f2"
+    names = names or {e: e for e in ends}
+    sdelta = {names[e]: -slope if e in turn else slope for e in ends}
+    ends = {names[e]: (y, x) if e in turn else (x, y) for e, (x, y) in ends.items()}
+    genera = {f"{c}{i}": 0 for c in "xv" for i in range(d)}
+    return DeltaMorphism(
+        GenusGraph(genera, ends),
+        GenusGraph({"x'": 0, "v'": 0}, {"f1": ("x'", "v'"), "f2": ("v'", "x'")}),
+        {v: f"{v[0]}'" for v in genera},
+        {names[e]: f for e, f in emap.items()},
+        dict.fromkeys(ends, mult),
+        sdelta,
+    )
+
+
+def _assert_stable_round_trip(m: DeltaMorphism) -> DeltaMorphism:
+    out = stabilize(m)
+    assert is_stable(out)
+    assert out.rh_divisor_identity().ok and out.rh_degree_identity().ok
+    back = morphism_from_json_dict(morphism_to_json_dict(out))
+    assert type(back) is type(out) and vars(back) == vars(out)
+    return out
+
+
+class TestParallelEdgeSmoothing:
+    def test_degree_two_cover_stabilizes(self):
+        # a: x0-v0 and z: x1-v1 over f1, b: v0-x1 and d: v1-x0 over f2; at
+        # v1 the kept source edge d lies over the dropped target edge f2
+        names = {"p0": "a", "p1": "z", "q0": "b", "q1": "d"}
+        m = _two_edge_cycle_cover((0, 1), (1, 0), names=names)
+        assert applicable_moves(m)[0] == ("smooth", "v'")
+        out = _assert_stable_round_trip(m)
+        assert out.target.edge_ids == ("f1",) and out.target.is_loop("f1")
+        assert {e: out.source.endpoints(e) for e in out.source.edge_ids} == {
+            "a": ("x0", "x1"),
+            "d": ("x1", "x0"),
+        }
+
+    def test_metric_degree_two_cover_stabilizes(self):
+        names = {"p0": "a", "p1": "z", "q0": "b", "q1": "d"}
+        plain = _two_edge_cycle_cover((0, 1), (1, 0), names=names)
+        graphs = []
+        for g in (plain.source, plain.target):
+            lengths = {
+                e: Fraction(1 if "f1" in (e, plain.edge_map.get(e)) else 2)
+                for e in g.edge_ids
+            }
+            genera = {v: g.genus_of(v) for v in g.vertices}
+            ends = {e: g.endpoints(e) for e in g.edge_ids}
+            graphs.append(GenusGraph(genera, ends, lengths))
+        m = DeltaMorphism(
+            *graphs, plain.vertex_map, plain.edge_map, plain.mult,
+            {e: plain.sdelta_stored(e) for e in plain.source.edge_ids},
+        )
+        mm = MetricDeltaMorphism(m, dict.fromkeys(m.source.vertices, LogAbs(0)), WILD2)
+        out = _assert_stable_round_trip(mm)
+        assert out.target.length("f1") == 3
+        assert [out.source.length(e) for e in out.source.edge_ids] == [3, 3]
+
+    @pytest.mark.parametrize("turn", [(), ("p0",), ("q0",), ("p0", "q0")])
+    def test_result_does_not_depend_on_source_edge_names(self, turn):
+        # a degree-one cover: the merged loop runs along the target loop
+        # whichever of its two source edges keeps its id
+        plain = _two_edge_cycle_cover((0,), (0,), slope=2, names={"p0": "a", "q0": "b"})
+        swapped = _two_edge_cycle_cover(
+            (0,), (0,), slope=2, names={"p0": "b", "q0": "a"}, turn=turn
+        )
+        assert morphism_to_json_dict(stabilize(swapped)) == morphism_to_json_dict(
+            stabilize(plain)
+        )
+        assert stabilize(plain).sdelta_stored("a") == 2
+
+    def test_permutation_covers(self):
+        done = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            mult = rng.randint(1, 2)
+            d = rng.randint(1, 4 // mult)
+            sigma, tau = rng.sample(range(d), d), rng.sample(range(d), d)
+            edges = [f"{c}{i}" for c in "pq" for i in range(d)]
+            names = dict(zip(edges, rng.sample([f"e{k}" for k in range(2 * d)], 2 * d)))
+            turn = {e for e in edges if rng.random() < 0.5}
+            try:
+                m = _two_edge_cycle_cover(
+                    sigma, tau, mult, rng.randint(-2, 2), names, turn
+                )
+            except NotProperError:  # a disconnected source
+                continue
+            out = _assert_stable_round_trip(m)
+            assert out.degree == d * mult and out.target.edge_ids == ("f1",)
+            done += 1
+        assert done > 100
+
+
+# -- the metric checks against the unmemoized loop --------------------------------
+
+
+def _reference_attach_delta(m, delta, setting):
+    """The first message of the metric checks, restated from the loop that
+    tests both ends of every edge (no memo), or None when they pass."""
+    src = m.source
+    for v in src.vertices:
+        if v not in delta:
+            return f"vertex {v} has no delta value"
+    for v in src.vertices:
+        d = delta[v]
+        if d > 0:
+            return f"delta at {v} must be <= 0, got {d}"
+        if d.is_neg_inf and v not in src.infinite_leaves:
+            return f"delta vanishes at {v}, which is not an infinite leaf"
+    for e in src.edge_ids:
+        n = m.mult[e]
+        u, v = src.endpoints(e)
+        l = src.length(e)
+        target_l = m.target.length(m.edge_map[e])
+        if target_l != n * l:
+            return f"dilation fails on edge {e}: {target_l} != {n} * {l}"
+        s_uv = m.sdelta(OrientedEdge(e, True))
+        du, dv = delta[u], delta[v]
+        if l is INF:
+            leaf, s_out, d_leaf, d_inner = (
+                (v, s_uv, dv, du) if v in src.infinite_leaves else (u, -s_uv, du, dv)
+            )
+            expected = setting.int_abs(n)
+            if d_leaf != expected:
+                return (
+                    f"delta at infinite leaf {leaf} must be |{n}| = {expected}, "
+                    f"got {d_leaf}"
+                )
+            if s_out > 0:
+                return f"delta would exceed one along the tail {e}"
+            if s_out == 0 and d_leaf != d_inner:
+                return f"delta is not constant along the slope-zero tail {e}"
+            if s_out < 0 and not d_leaf.is_neg_inf:
+                return f"delta must vanish at the end of the descending tail {e}"
+        else:
+            if du.is_neg_inf or dv.is_neg_inf:
+                return f"finite edge {e} has a vanishing endpoint"
+            if dv != du + Fraction(s_uv) * l:
+                return (
+                    f"delta is not linear along edge {e}: {dv} != {du} + {s_uv} * {l}"
+                )
+        for vert, slope in ((u, s_uv), (v, -s_uv)):
+            verdict = check_restriction(n, slope, delta[vert], setting)
+            if not verdict:
+                reason = verdict.reason
+                return f"edge {e} fails the slope restriction at {vert}: {reason}"
+    return None
+
+
+def _metric_bases():
+    from tests.test_special import canonical_lengths, setting_for
+
+    for tag in LIFTABLE_TAGS:
+        setting = setting_for(tag)
+        yield tag, metric_lift(tag, canonical_lengths(tag, setting), setting)
+    for path in sorted(FIXTURES.glob("*_metric.morphism.json")):
+        yield path.name, morphism_from_json_dict(json.loads(path.read_text()))
+
+
+def _rebuild(mm, sdelta=None, src_len=None, tgt_len=None) -> DeltaMorphism:
+    """The combinatorial morphism of ``mm`` with some data replaced."""
+    graphs = []
+    for g, lengths in ((mm.source, src_len), (mm.target, tgt_len)):
+        graphs.append(
+            GenusGraph(
+                {v: g.genus_of(v) for v in g.vertices},
+                {e: g.endpoints(e) for e in g.edge_ids},
+                lengths or {e: g.length(e) for e in g.edge_ids},
+                g.infinite_leaves,
+            )
+        )
+    return DeltaMorphism(
+        *graphs,
+        mm.vertex_map,
+        mm.edge_map,
+        mm.mult,
+        sdelta or {e: mm.sdelta_stored(e) for e in mm.source.edge_ids},
+    )
+
+
+def _metric_mutants(mm, rng: random.Random):
+    """``(combinatorial morphism, delta)`` pairs, each with one value changed,
+    or (``shift``) every finite delta moved alike, which keeps linearity."""
+    src, tgt = mm.source, mm.target
+    lengths = {e: src.length(e) for e in src.edge_ids}
+    finite = [e for e in tgt.edge_ids if not tgt.is_tail(e)]
+    for _ in range(40):
+        delta, base = dict(mm.delta), mm
+        kind = rng.choice(("delta", "slope", "length", "rescale", "shift"))
+        if kind == "shift":
+            c = rng.choice((Fraction(-1, 2), -1, Fraction(-1, 3), Fraction(1, 3)))
+            delta = {v: d if d.is_neg_inf else d + c for v, d in delta.items()}
+        elif kind == "delta":
+            v = rng.choice(src.vertices)
+            shift = rng.choice((Fraction(-1, 2), Fraction(1, 3), -1, 1))
+            choices = [NEG_INF, LogAbs(0), mm.setting.int_abs(2), mm.setting.int_abs(3)]
+            if not delta[v].is_neg_inf:
+                choices.append(delta[v] + shift)
+            delta[v] = rng.choice(choices)
+        elif kind == "slope":
+            e = rng.choice(src.edge_ids)
+            sdelta = {x: mm.sdelta_stored(x) for x in src.edge_ids}
+            sdelta[e] = rng.choice((-1, 1, -2, 2)) + sdelta[e]
+            base = _rebuild(mm, sdelta=sdelta)
+        elif kind == "length":
+            g, side = rng.choice(((src, "src_len"), (tgt, "tgt_len")))
+            e = rng.choice(g.edge_ids)
+            changed = {x: g.length(x) for x in g.edge_ids}
+            if changed[e] is not INF:
+                changed[e] *= rng.choice((2, Fraction(1, 2), Fraction(3, 2)))
+            base = _rebuild(mm, **{side: changed})
+        elif finite:  # a target edge and the source edges over it, scaled alike
+            f = rng.choice(finite)
+            k = rng.choice((2, Fraction(1, 2), Fraction(1, 3)))
+            tgt_len = {x: tgt.length(x) * (k if x == f else 1) for x in tgt.edge_ids}
+            src_len = {
+                x: l * (k if mm.edge_map[x] == f else 1) for x, l in lengths.items()
+            }
+            base = _rebuild(mm, src_len=src_len, tgt_len=tgt_len)
+        yield base, delta
+
+
+class TestAttachDeltaAgainstReference:
+    def test_mutants_agree_with_unmemoized_checks(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for name, mm in _metric_bases():
+            assert _reference_attach_delta(mm, mm.delta, mm.setting) is None, name
+            for base, delta in _metric_mutants(mm, rng):
+                expected = _reference_attach_delta(base, delta, mm.setting)
+                try:
+                    MetricDeltaMorphism(base, delta, mm.setting)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, name
+                outcomes.add(expected is None)
+                if expected is not None:
+                    outcomes.add(expected.split(" ")[0])
+        # both verdicts and several rules occur
+        assert {True, False, "edge", "delta", "dilation"} <= outcomes

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,29 @@ class TestJsonInputContract:
         data = {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}
         with pytest.raises(ValueError, match="edges entry"):
             GenusGraph.from_json_dict(data)
+
+    @pytest.mark.parametrize("metric", [False, True])
+    def test_mapping_entries_load_like_dicts(self, metric):
+        data = random_genus_graph(random.Random(5), metric).to_json_dict()
+        proxied = dict(data)
+        for key in ("vertices", "edges"):
+            proxied[key] = [types.MappingProxyType(item) for item in data[key]]
+        assert GenusGraph.from_json_dict(types.MappingProxyType(proxied)) == (
+            GenusGraph.from_json_dict(data)
+        )
+
+    @pytest.mark.parametrize("proxy", [False, True])
+    @pytest.mark.parametrize("key", ["from", "to"])
+    def test_missing_end_names_the_edge(self, key, proxy):
+        edge = {"id": "a", "from": "u", "to": "v"}
+        del edge[key]
+        data = {
+            "vertices": [{"id": "u"}, {"id": "v"}],
+            "edges": [types.MappingProxyType(edge) if proxy else edge],
+        }
+        with pytest.raises(ValueError) as info:
+            GenusGraph.from_json_dict(data)
+        assert str(info.value) == f"edge a lacks key {key!r}"
 
 
 class TestBranchIndex:

@@ -22,7 +22,11 @@ the descriptions of ``enumerate_root_subtrees(k)`` for k = 1 to 4.
 ``stabilize(m)`` on every morphism of ``tests.support.stabilize_corpus``,
 and ``golden/proper_errors.json`` the exception type and message (or
 ``null``) of the ``DeltaMorphism`` constructor on 2,000 seeded mutations
-of proper morphisms; ``tools/record_goldens.py`` re-records both.
+of proper morphisms.  ``golden/admissibility.json`` holds the verdict
+(``ok`` and reason) of ``check_restriction`` on every multiplicity 1 to 8,
+slope -5 to 5 and a set of delta values that contains -inf, 0, ``|m|`` and
+``|m+s|``, in six residue settings, and its two ``ValueError`` messages;
+``tools/record_goldens.py`` re-records these three.
 """
 
 import importlib.util
@@ -159,6 +163,11 @@ def test_stabilize_golden():
 
 def test_proper_errors_golden():
     assert _load_tool("record_goldens").proper_errors() == PROPER_ERRORS_GOLDEN
+
+
+def test_admissibility_golden():
+    path = Path(__file__).resolve().parent / "golden" / "admissibility.json"
+    assert _load_tool("record_goldens").admissibility_text() == path.read_text()
 
 
 def test_regenerated_fixtures_are_byte_identical(tmp_path):

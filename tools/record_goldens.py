@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the contraction and properness goldens under tests/golden/.
+"""Re-record the contraction, properness and admissibility goldens.
 
 Usage: ``PYTHONPATH=src python tools/record_goldens.py [OUTDIR]``; OUTDIR
 defaults to the repository's ``tests/golden/``.  Writes:
@@ -8,25 +8,38 @@ defaults to the repository's ``tests/golden/``.  Writes:
   the sha256 of the sorted JSON of ``stabilize(m)`` for each morphism;
 - ``proper_errors.json``: for each of the 2,000 seeded mutations of
   ``tests.support.proper_mutations``, the ``[exception type, message]``
-  the ``DeltaMorphism`` constructor raises, or ``null`` if it accepts.
+  the ``DeltaMorphism`` constructor raises, or ``null`` if it accepts;
+- ``admissibility.json``: per residue setting, one ``[m, s, delta, ok,
+  reason]`` row per line for every verdict of ``check_restriction`` on
+  m in 1..8, s in -5..5 and the delta values ``-inf``, 0, -1/3, -1, -2,
+  ``|m|`` and ``|m+s|``, then the ``[exception type, message]`` of its
+  invalid arguments.
 
-Both files pin behaviour, so re-record them only on purpose.
+The files pin behaviour, so re-record them only on purpose.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from wildskel import DeltaMorphism, morphism_to_json_dict, stabilize  # noqa: E402
+from wildskel.annulus import check_restriction  # noqa: E402
+from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting  # noqa: E402
 
 from tests.support import proper_mutations, stabilize_corpus  # noqa: E402
 
 PROPER_SEED, PROPER_COUNT = 71, 2000
+ADMISSIBILITY_SETTINGS = (
+    "equichar0", "equicharP:2", "equicharP:3",
+    "mixed:2:-1", "mixed:2:-2/3", "mixed:3:-1",
+)
+FIXED_DELTAS = (NEG_INF, LogAbs(0), LogAbs(Fraction(-1, 3)), LogAbs(-1), LogAbs(-2))
 
 
 def sorted_json_sha256(m) -> str:
@@ -54,6 +67,31 @@ def proper_errors() -> list:
     return [constructor_outcome(a) for a in proper_mutations(PROPER_SEED, PROPER_COUNT)]
 
 
+def admissibility_text() -> str:
+    """The admissibility golden, one JSON row per line."""
+    lines = []
+    for text in ADMISSIBILITY_SETTINGS:
+        setting = ResidueSetting.parse(text)
+        lines.append(json.dumps(text) + ": [")
+        rows = []
+        for m in range(1, 9):
+            for s in range(-5, 6):
+                extra = (setting.int_abs(m), setting.int_abs(m + s))
+                for d in sorted(set(FIXED_DELTAS + extra)):
+                    verdict = check_restriction(m, s, d, setting)
+                    rows.append(json.dumps([m, s, str(d), verdict.ok, verdict.reason]))
+        lines.append(",\n".join(rows))
+        lines.append("],")
+    errors, equichar0 = [], ResidueSetting.parse("equichar0")
+    for m, s, d in ((0, 0, "0"), (-2, 1, "1/2"), (2, 0, "1/2"), (1, 3, "1")):
+        try:
+            check_restriction(m, s, LogAbs(Fraction(d)), equichar0)
+        except ValueError as exc:
+            errors.append(json.dumps([m, s, d, type(exc).__name__, str(exc)]))
+    lines.append('"errors": [\n' + ",\n".join(errors) + "\n]")
+    return "{\n" + "\n".join(lines) + "\n}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", nargs="?", default=str(ROOT / "tests" / "golden"))
@@ -63,6 +101,7 @@ def main(argv=None) -> int:
         ("proper_errors.json", proper_errors()),
     ):
         (outdir / name).write_text(json.dumps(payload, indent=1) + "\n")
+    (outdir / "admissibility.json").write_text(admissibility_text())
     return 0
 
 

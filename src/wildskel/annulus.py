@@ -63,7 +63,7 @@ class ValuedSeries(Frozen):
             coeffs[int(i)] = v if type(v) is Fraction else Fraction(v)
         if not coeffs:
             raise pmfunc.EmptySeriesError("series has empty support")
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__init__(coeffs)
 
     @property
     def support(self) -> Tuple[int, ...]:
@@ -112,10 +112,7 @@ class DifferentReport(Frozen):
             raise ValueError("log_delta must be <= 0")
         if slope_s != m - n:
             raise ValueError("slope_s must equal m - n")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "log_delta", log_delta)
-        object.__setattr__(self, "slope_s", slope_s)
+        super().__init__(m, n, log_delta, slope_s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,10 +125,7 @@ class DifferentReport(Frozen):
 
 class Verdict(Frozen):
     __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": ""}
 
     def __bool__(self) -> bool:
         return self.ok

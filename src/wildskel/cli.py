@@ -53,15 +53,21 @@ def _load_morphism(path: str):
 def graph_to_dot(
     g: GenusGraph, name: str = "g", indent: str = "", edge_label=str
 ) -> str:
+    def quote(text: str) -> str:
+        # ids come from input files: a '"' or a trailing backslash would end it
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = []
     for v in g.vertices:
-        lines.append(f'{indent}"{name}_{v}" [label="{v} g={g.genus_of(v)}"];')
+        node, label = quote(f"{name}_{v}"), quote(f"{v} g={g.genus_of(v)}")
+        lines.append(f"{indent}{node} [label={label}];")
     for e in g.edge_ids:
         u, v = g.endpoints(e)
         label = edge_label(e)
         if g.is_metric:
             label += f" l={g.length(e)}"
-        lines.append(f'{indent}"{name}_{u}" -- "{name}_{v}" [label="{label}"];')
+        tail, head = quote(f"{name}_{u}"), quote(f"{name}_{v}")
+        lines.append(f"{indent}{tail} -- {head} [label={quote(label)}];")
     return "\n".join(lines)
 
 

@@ -286,22 +286,14 @@ class DeltaMorphism:
             if k.coefficient(v)
             != pk.coefficient(v) + r.coefficient(v) + d.coefficient(v)
         )
-        return RHDivisorReport(
-            ok=not mism,
-            canonical=k,
-            pullback_canonical=pk,
-            ramification=r,
-            delta=d,
-            mismatched_vertices=mism,
-        )
+        # positional: built on every checked morphism, skips keyword binding
+        return RHDivisorReport(not mism, k, pk, r, d, mism)
 
     def rh_degree_identity(self) -> "RHDegreeReport":
         lhs = 2 * self.source.genus() - 2
         r_sum = sum(self._indices.values())
         rhs = self.degree * (2 * self.target.genus() - 2) + r_sum
-        return RHDegreeReport(
-            ok=lhs == rhs, lhs=lhs, rhs=rhs, degree=self.degree, r_sum=r_sum
-        )
+        return RHDegreeReport(lhs == rhs, lhs, rhs, self.degree, r_sum)
 
 
 NMorphism = DeltaMorphism
@@ -316,22 +308,6 @@ class RHDivisorReport(Frozen):
         "delta",
         "mismatched_vertices",
     )
-
-    def __init__(
-        self,
-        ok: bool,
-        canonical: Divisor,
-        pullback_canonical: Divisor,
-        ramification: Divisor,
-        delta: Divisor,
-        mismatched_vertices: Tuple[str, ...],
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "pullback_canonical", pullback_canonical)
-        object.__setattr__(self, "ramification", ramification)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "mismatched_vertices", mismatched_vertices)
 
     def __bool__(self):
         return self.ok
@@ -349,13 +325,6 @@ class RHDivisorReport(Frozen):
 
 class RHDegreeReport(Frozen):
     __slots__ = ("ok", "lhs", "rhs", "degree", "r_sum")
-
-    def __init__(self, ok: bool, lhs: int, rhs: int, degree: int, r_sum: int):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "r_sum", r_sum)
 
     def __bool__(self):
         return self.ok
@@ -650,21 +619,15 @@ class BoundaryAnnotation(Frozen):
                 if n < 1:
                     raise ValueError(f"off-graph branch at {v} needs n >= 1")
             data[str(v)] = pairs
-        object.__setattr__(self, "branches", data)
+        super().__init__(data)
 
     def items(self):
         return self.branches.items()
 
 
 class CertifyReport(Frozen):
+    # violations: (vertex, branch index, n, sdelta, slope index) per failing branch
     __slots__ = ("ok", "violations")
-
-    def __init__(
-        self, ok: bool, violations: Tuple[Tuple[str, int, int, int, int], ...]
-    ):
-        object.__setattr__(self, "ok", ok)
-        # (vertex, branch index, n, sdelta, slope index) per failing branch
-        object.__setattr__(self, "violations", violations)
 
     def __bool__(self):
         return self.ok
@@ -707,20 +670,6 @@ def certify_skeleton(
 
 class WideOpenReport(Frozen):
     __slots__ = ("ok", "lhs", "rhs", "solved_genus", "disc_criterion")
-
-    def __init__(
-        self,
-        ok: bool,
-        lhs: int,
-        rhs: int,
-        solved_genus: Fraction,
-        disc_criterion: bool,
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "solved_genus", solved_genus)
-        object.__setattr__(self, "disc_criterion", disc_criterion)
 
     def __bool__(self):
         return self.ok

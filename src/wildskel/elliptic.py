@@ -10,8 +10,6 @@ wild case.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .special import Lengths, SpecialType, setting_class
 from .valuation import NEG_INF, Frozen, LogAbs, ResidueSetting
 
@@ -30,8 +28,7 @@ class EllipticInput(Frozen):
             raise InvalidSettingError(f"expected a ResidueSetting, got {setting!r}")
         if not isinstance(log_j, LogAbs):
             raise InvalidSettingError(f"expected a LogAbs, got {log_j!r}")
-        object.__setattr__(self, "setting", setting)
-        object.__setattr__(self, "log_j", log_j)
+        super().__init__(setting, log_j)
 
     @classmethod
     def of(cls, setting: ResidueSetting, log_j) -> "EllipticInput":
@@ -49,23 +46,9 @@ class EllipticInput(Frozen):
 class SkeletonReport(Frozen):
     """Skeleton type, metric and reduction behaviour of the cover."""
 
+    # reduction: "good" | "bad"; reduction_fiber: "ordinary" | "supersingular" | "n/a"
     __slots__ = ("type", "lengths", "reduction", "reduction_fiber", "setting", "notes")
-
-    def __init__(
-        self,
-        type: SpecialType,
-        lengths: Lengths,
-        reduction: str,  # "good" | "bad"
-        reduction_fiber: str,  # "ordinary" | "supersingular" | "n/a"
-        setting: ResidueSetting,
-        notes: Tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "reduction_fiber", reduction_fiber)
-        object.__setattr__(self, "setting", setting)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     def to_json_dict(self) -> dict:
         return {

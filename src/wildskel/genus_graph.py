@@ -273,7 +273,18 @@ class GenusGraph:
                 if not isinstance(length, str):
                     raise ValueError(f"edge {e['id']} length {length!r} is not a string")
                 lengths[e["id"]] = parse_length(length)
-        return GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
+        g = GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
+        # a repeated id keeps only the last entry, and ids are keyed by str(),
+        # so 1 and "1" are the same id: either leaves fewer vertices or edges
+        for key, kind, kept in (
+            ("vertices", "vertex", g.vertices),
+            ("edges", "edge", g.edge_ids),
+        ):
+            if len(kept) != len(data[key]):
+                ids = [str(item["id"]) for item in data[key]]
+                ident = next(i for n, i in enumerate(ids) if i in ids[:n])
+                raise ValueError(f"{entry} repeats {kind} id {ident!r}")
+        return g
 
 
 class MetricGenusGraph(GenusGraph):
@@ -295,10 +306,8 @@ class Divisor(Frozen):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Mapping[str, int]):
-        object.__setattr__(
-            self,
-            "coefficients",
-            {str(v): int(c) for v, c in dict(coefficients).items() if c != 0},
+        super().__init__(
+            {str(v): int(c) for v, c in dict(coefficients).items() if c != 0}
         )
 
     def coefficient(self, v: str) -> int:

@@ -12,11 +12,9 @@ exactly when the radius drops along some edge faster than arc length.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
 
 from .delta_morphism import MetricDeltaMorphism
-from .genus_graph import GenusGraph, MetricGenusGraph
-from .pmfunc import PMFunction
+from .genus_graph import GenusGraph
 from .special import metric_lift
 from .valuation import Frozen
 
@@ -34,10 +32,6 @@ class EdgeRadius(Frozen):
 
     __slots__ = ("neg_log_delta", "denominator")
 
-    def __init__(self, neg_log_delta: PMFunction, denominator: int):
-        object.__setattr__(self, "neg_log_delta", neg_log_delta)
-        object.__setattr__(self, "denominator", denominator)
-
     def value_at(self, x) -> Fraction:
         return self.neg_log_delta.value_at(x) / self.denominator
 
@@ -50,16 +44,6 @@ class EdgeRadius(Frozen):
 
 class RadialDescription(Frozen):
     __slots__ = ("center", "radii", "denominator")
-
-    def __init__(
-        self,
-        center: MetricGenusGraph,
-        radii: Mapping[str, EdgeRadius],
-        denominator: int,
-    ):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "denominator", denominator)
 
     def radius_at(self, edge: str, x) -> Fraction:
         return self.radii[edge].value_at(x)
@@ -76,10 +60,7 @@ class RadialDescription(Frozen):
 
 class StrictnessReport(Frozen):
     __slots__ = ("strict", "witness_edge")
-
-    def __init__(self, strict: bool, witness_edge: Optional[str] = None):
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "witness_edge", witness_edge)
+    _defaults = {"witness_edge": None}
 
     def to_json_dict(self) -> dict:
         return {"strict": self.strict, "witness_edge": self.witness_edge}

@@ -71,7 +71,7 @@ class SpecialType(Frozen):
     def __init__(self, tag: str):
         if tag not in SPECIAL_TAGS:
             raise ValueError(f"unknown special type {tag!r}")
-        object.__setattr__(self, "tag", tag)
+        super().__init__(tag)
 
     @property
     def characteristic_class(self) -> str:
@@ -119,8 +119,7 @@ class RootSubtree(Frozen):
         if label != 0 and label % 2 == 0:
             raise ValueError(f"nonzero label {label} must be odd")
         kids = tuple(sorted(children, key=_subtree_key))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", kids)
+        super().__init__(label, kids)
         if kids:
             if len(kids) < 2:
                 raise ValueError("an inner vertex needs at least two subtrees "
@@ -233,13 +232,7 @@ def enumerate_root_subtrees(max_leaves: int) -> List[RootSubtree]:
 
 class SpecialCheck(Frozen):
     __slots__ = ("ok", "reason", "characteristic_class")
-
-    def __init__(
-        self, ok: bool, reason: str = "", characteristic_class: Optional[str] = None
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "characteristic_class", characteristic_class)
+    _defaults = {"reason": "", "characteristic_class": None}
 
     def __bool__(self):
         return self.ok
@@ -654,11 +647,13 @@ class Lengths(Frozen):
         l1: Fraction = Fraction(0),
         l3: Fraction = Fraction(0),
     ):
+        values = []
         for name, val in (("l0", l0), ("l1", l1), ("l3", l3)):
             val = Fraction(val)
             if val < 0:
                 raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, val)
+            values.append(val)
+        super().__init__(*values)
 
     def of_slope(self, slope: int) -> Fraction:
         return {0: self.l0, 1: self.l1, 3: self.l3}[slope]

@@ -19,7 +19,96 @@ from typing import Union
 RationalLike = Union[int, str, Fraction]
 
 
-class LogAbs:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields once, as the public names in ``__slots__``;
+    private slots (a decision cached at construction, say) are not fields.
+    The constructor binds positional arguments to the fields in slot order
+    and keyword arguments by name, with defaults from the class's
+    ``_defaults`` dict; a surplus, repeated, unknown or missing argument is
+    a ``TypeError``.  A class that checks or coerces its input keeps its own
+    ``__init__`` and stores through ``super().__init__(...)``.  Attributes
+    can be neither assigned nor deleted; equality, hash and repr run over
+    the fields, and instances equal only instances of the very same class.
+
+    These are not dataclasses because of start-up cost: a frozen
+    dataclass generates its methods as source text and ``exec``s it at
+    every import, and ``import dataclasses`` loads ``inspect`` (with
+    ``ast``, ``dis`` and ``tokenize``); together they dominated the
+    start-up of every CLI call.
+    """
+
+    __slots__ = ()
+
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # each field slot's own setter stores past the refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        # by index, not zip(): a zip costs more than the store of a one-field
+        # value, and several Divisors are built for every checked morphism
+        i = 0
+        for value in args:
+            setters[i](self, value)
+            i += 1
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a keyword or short call, in slot order."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        rest = fields[len(args):]
+        for key in kwargs:
+            if key not in rest:
+                what = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {what} argument {key!r}")
+        given = {**cls._defaults, **kwargs}
+        for field in rest:
+            if field not in given:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        return [*args, *[given[field] for field in rest]]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, past the refusing __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            [f"{name}={getattr(self, name)!r}" for name in self._fields]
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class LogAbs(Frozen):
     """A log-scale absolute value: an exact rational or ``-inf``.
 
     Instances are immutable and totally ordered, with ``NEG_INF`` below
@@ -52,13 +141,6 @@ class LogAbs:
         if self._value is None:
             raise ValueError("NEG_INF has no finite value")
         return self._value
-
-    def __setattr__(self, name, val):  # pragma: no cover - immutability guard
-        raise AttributeError("LogAbs is immutable")
-
-    def __setstate__(self, state):
-        # copy and pickle restore the slot here, past the refusing __setattr__
-        object.__setattr__(self, "_value", state[1]["_value"])
 
     @staticmethod
     def _coerce(other) -> "LogAbs":
@@ -254,56 +336,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Frozen:
-    """Base of the immutable value classes.
-
-    Attributes can be neither assigned nor deleted after ``__init__``,
-    which sets each slot with ``object.__setattr__``.  Equality, hash and
-    repr run over the fields: the public names in ``__slots__``, in
-    order.  Private slots (a decision cached at construction, say) are
-    not fields.  Instances equal only instances of the very same class.
-
-    These are not dataclasses because of start-up cost: a frozen
-    dataclass generates its methods as source text and ``exec``s it at
-    every import, and ``import dataclasses`` loads ``inspect`` (with
-    ``ast``, ``dis`` and ``tokenize``); together they dominated the
-    start-up of every CLI call.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        # copy and pickle restore the slots here, past the refusing __setattr__
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            [f"{name}={getattr(self, name)!r}" for name in self._fields]
-        )
-        return f"{self.__class__.__qualname__}({fields})"
-
-
 class ResidueSetting(Frozen):
     """Characteristics of the base field and its residue field.
 
@@ -335,9 +367,7 @@ class ResidueSetting(Frozen):
             kind = "equicharp"
         else:
             raise ValueError(f"invalid characteristic pair ({char}, {res_char})")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "res_char", res_char)
-        object.__setattr__(self, "log_p", log_p)
+        super().__init__(char, res_char, log_p)
         # decided once here, not on every int_abs call
         object.__setattr__(self, "_kind", kind)
 

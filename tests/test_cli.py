@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,28 @@ class TestInputErrors:
         err = self._run(tmp_path, capsys, [], argv=("export-dot",))
         assert "graph is not an object" in err
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize(
+        "key, added, message",
+        [
+            ("vertices", [0], "repeats vertex id {id0!r}"),
+            ("edges", [0], "repeats edge id {id0!r}"),
+            ("vertices", [7, "7"], "repeats vertex id '7'"),
+            ("edges", [7, "7"], "repeats edge id '7'"),
+        ],
+        ids=["vertex", "edge", "vertex-int-str", "edge-int-str"],
+    )
+    def test_repeated_id(self, tmp_path, capsys, side, key, added, message):
+        """A second entry with an id the graph already has, or ``1`` next
+        to ``"1"``, would silently replace the first one."""
+        data = json.loads((FIXTURES / "wb.morphism.json").read_text())
+        entries = data[side][key]
+        first = entries[0]
+        for ident in added:
+            entries.append(dict(first, id=first["id"] if ident == 0 else ident))
+        message = message.format(id0=first["id"])
+        assert self._run(tmp_path, capsys, data) == f"error: {side} graph {message}\n"
+
 
 def _value_paths(node, prefix=()):
     """The key path of every value below the JSON document ``node``."""
@@ -487,6 +510,17 @@ class TestDot:
         assert run(["export-dot", str(FIXTURES / "wb.morphism.json")]) == 0
         out = capsys.readouterr().out
         assert out.startswith("graph morphism {")
+
+    def test_quote_and_backslash_in_ids_stay_quoted(self):
+        g = GenusGraph({'a"b': 0, "c\\": 1}, {'e"\\': ('a"b', "c\\")})
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        strings = []
+        for line in export_dot(g).splitlines()[1:-1]:
+            assert '"' not in quoted.sub("", line)
+            strings += [re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line)]
+        assert strings == [
+            'g_a"b', 'a"b g=0', "g_c\\", "c\\ g=1", 'g_a"b', "g_c\\", 'e"\\'
+        ]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -5,7 +5,9 @@ assigned nor deleted, equal instances compare and hash equal, an
 instance never equals one of another class, there is no per-instance
 ``__dict__``, copy, deepcopy and pickle return an equal instance, and
 ``repr`` matches ``golden/values.json``, recorded when these classes
-were frozen dataclasses (``rh-check`` prints ``Divisor`` reprs).
+were frozen dataclasses (``rh-check`` prints ``Divisor`` reprs).  The
+record classes, which only store their arguments, bind them like a
+function signature over their fields.
 """
 
 import copy
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import wildskel  # noqa: F401 - loads every module, so every value class
 from wildskel.annulus import DifferentReport, ValuedSeries, Verdict
 from wildskel.delta_morphism import (
     BoundaryAnnotation,
@@ -28,7 +31,7 @@ from wildskel.genus_graph import Divisor
 from wildskel.pmfunc import PMFunction
 from wildskel.radial import EdgeRadius, StrictnessReport, degree_p_locus
 from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType
-from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting
+from wildskel.valuation import NEG_INF, ZERO, Frozen, LogAbs, ResidueSetting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = json.loads(
@@ -73,6 +76,32 @@ BUILDERS = {
 UNHASHABLE = {"BoundaryAnnotation", "RadialDescription"}
 
 NAMES = sorted(BUILDERS)
+
+#: The classes whose constructor only stores its arguments: they define no
+#: ``__init__`` and take ``Frozen``'s, which binds to the fields in order.
+RECORDS = sorted([
+    "CertifyReport", "EdgeRadius", "RHDegreeReport", "RHDivisorReport",
+    "RadialDescription", "SkeletonReport", "SpecialCheck", "StrictnessReport",
+    "Verdict", "WideOpenReport",
+])
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_has_a_builder():
+    """A new value class joins the contract tests below by a BUILDERS entry.
+    ``LogAbs`` has no public field (it equals numbers by design) and keeps
+    its own tests."""
+    classes = {
+        sub.__name__
+        for sub in _subclasses(Frozen)
+        if sub.__module__.startswith("wildskel.") and sub._fields
+    }
+    assert classes == set(BUILDERS)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -150,6 +179,18 @@ def test_log_abs_copy_and_pickle_round_trip(how):
         again._value = Fraction(1)
 
 
+def test_log_abs_value_cannot_be_deleted():
+    for value in (LogAbs(1), ZERO, NEG_INF):
+        before = value._value
+        try:
+            with pytest.raises(AttributeError):
+                del value._value
+        finally:  # keep the shared constants intact for later tests
+            object.__setattr__(value, "_value", before)
+    assert LogAbs(1) == 1 and ZERO == 0 and NEG_INF < ZERO < LogAbs(1)
+    assert NEG_INF.is_neg_inf and not ZERO.is_neg_inf
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_repr_golden(name):
     assert repr(BUILDERS[name]()) == GOLDEN[name]
@@ -177,3 +218,26 @@ def test_keyword_construction_and_defaults():
     assert Lengths() == Lengths(0, 0, 0)
     assert RootSubtree(label=0).children == ()
     assert ResidueSetting(char=0, res_char=0).log_p is None
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_binds_positional_and_keyword_arguments(name):
+    value = BUILDERS[name]()
+    cls = type(value)
+    assert "__init__" not in vars(cls)
+    fields = cls._fields
+    values = [getattr(value, f) for f in fields]
+    assert cls(*values) == value
+    assert cls(**dict(zip(fields, values))) == value
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == value
+    with pytest.raises(TypeError, match="positional"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*values, not_a_field=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{fields[0]}'"):
+        cls(*values, **{fields[0]: values[0]})
+    for field in fields:
+        if field not in cls._defaults:
+            others = {f: v for f, v in zip(fields, values) if f != field}
+            with pytest.raises(TypeError, match=f"missing required argument '{field}'"):
+                cls(**others)

@@ -45,7 +45,6 @@ from .delta_morphism import (
     DeltaMorphism,
     IllegalMoveError,
     MetricDeltaMorphism,
-    NMorphism,
     NotProperError,
     applicable_moves,
     certify_skeleton,

@@ -42,9 +42,32 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _load_morphism(path: str):
+def _load_json(path: str):
+    """The JSON document in ``path``.  A key repeated in one object (whose
+    earlier values ``json.load`` would drop) is an error naming the key."""
+    repeats = []  # (object, key), in the order the objects close
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            repeats.append((obj, next(k for i, k in enumerate(keys) if k in keys[:i])))
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
-        return morphism_from_json_dict(json.load(fh))
+        data = json.load(fh, object_pairs_hook=pairs_hook)
+    if repeats:
+        obj, key = repeats[0]
+        name = "a JSON object"
+        if isinstance(data, dict) and "vertex_map" in data:  # a morphism
+            entries = (f"morphism {k}" for k, v in data.items() if v is obj)
+            name = "morphism" if obj is data else next(entries, name)
+        raise ValueError(f"{name} repeats key {key!r}")
+    return data
+
+
+def _load_morphism(path: str):
+    return morphism_from_json_dict(_load_json(path))
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -292,8 +315,7 @@ def _cmd_radial(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(args.file)
     if isinstance(data, dict) and "vertex_map" in data:
         obj = morphism_from_json_dict(data)
     else:

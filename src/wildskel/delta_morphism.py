@@ -1,16 +1,15 @@
 """Proper edge-weighted graph morphisms with a different-slope datum.
 
-One class, :class:`DeltaMorphism` (``NMorphism`` is another name for
-it), holds a graph map with positive integer multiplicities on edges,
-locally constant multiplicity at vertices and constant global rank
-(the degree), and an oriented integer function ``sdelta`` on source
-edges, the slope of the different along each edge.  It indexes its
-``fibers`` (target vertex -> source vertices) once, for the
-contraction moves.  When source and target are metric graphs (both or
-neither), it may also carry the different itself: a log-different
-value ``delta`` per source vertex, in a residue ``setting``.  Such a
-morphism is a :class:`MetricDeltaMorphism`; every operation,
-contraction included, keeps the metric data when present.
+One class, :class:`DeltaMorphism`, holds a graph map with positive
+integer multiplicities on edges, locally constant multiplicity at
+vertices and constant global rank (the degree), and an oriented integer
+function ``sdelta`` on source edges, the slope of the different along
+each edge.  It indexes its ``fibers`` (target vertex -> source vertices)
+once, for the contraction moves.  When source and target are metric
+graphs (both or neither), it may also carry the different itself: a
+log-different value ``delta`` per source vertex, in a residue
+``setting``.  Such a morphism is a :class:`MetricDeltaMorphism`; every
+operation, contraction included, keeps the metric data when present.
 
 Contraction works on one mutable working copy; ``stabilize`` is a
 worklist that after a move at ``v'`` re-examines only the target
@@ -84,7 +83,7 @@ class DeltaMorphism:
         self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         # one sweep over the edges checks them and sums n per source vertex
         # and image branch; loops map slot to slot (from->from, to->to)
-        sums: Dict[Tuple[str, str, bool], int] = {}
+        sums: Dict[str, Dict[Tuple[str, bool], int]] = {v: {} for v in source.vertices}
         ends, target_ends = source._ends, target._ends
         for e in source.edge_ids:
             e2 = self.edge_map.get(e)
@@ -99,31 +98,38 @@ class DeltaMorphism:
             if n < 1:
                 raise NotProperError(f"edge {e} needs a positive multiplicity")
             forward = u2 == v2 or a == u2  # the image of the branch at u
-            sums[u, e2, forward] = sums.get((u, e2, forward), 0) + n
-            sums[v, e2, not forward] = sums.get((v, e2, not forward), 0) + n
+            at_u, at_v = sums[u], sums[v]
+            at_u[e2, forward] = at_u.get((e2, forward), 0) + n
+            at_v[e2, not forward] = at_v.get((e2, not forward), 0) + n
         if not source.is_connected() or not target.is_connected():
             raise NotProperError("properness requires connected graphs")
-        self.vertex_mult: Dict[str, int] = {}
+        # R_v starts from chi(v) = 2g - 2 - vertex_mult * (2g' - 2)
+        self.vertex_mult = vmult = {}
+        self._indices = r = {}
+        ranks = dict.fromkeys(target.vertices, 0)
+        genus, genus2, branches2 = source._genus, target._genus, target._branches
         for v in source.vertices:
-            branches = target.branches(vmap[v])
-            counts = [sums.get((v, e2, forward), 0) for e2, forward in branches]
-            # an isolated fiber point (no branches) has multiplicity one
-            k = counts[0] if counts else 1
-            if k == 0 or counts.count(k) != len(counts):
+            v2, counts = vmap[v], sums[v]
+            # counts has an entry for each branch at v2 that an edge at v
+            # covers; every branch needs one, and all the same sum
+            if len(counts) != len(branches2[v2]) or len(set(counts.values())) > 1:
+                branches = branches2[v2]
                 raise NotProperError(
                     f"multiplicity is not locally constant at vertex {v}: "
-                    f"{dict(zip(branches, counts))}"
+                    f"{ {b: counts.get(b, 0) for b in branches} }"
                 )
-            self.vertex_mult[v] = k
-        vmult = self.vertex_mult
-        ranks = {v2: sum([vmult[v] for v in vs]) for v2, vs in self.fibers.items()}
+            # an isolated fiber point (no branches) has multiplicity one
+            vmult[v] = k = max(counts.values(), default=1)
+            ranks[v2] += k
+            r[v] = 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
         values = set(ranks.values())
         if len(values) != 1 or 0 in values:
             raise NotProperError(f"global rank is not constant: {ranks}")
         self.degree = values.pop()
         self._sdelta = sdelta = {str(e): int(s) for e, s in sdelta.items()}
-        # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches
-        self._indices = r = {v: self.chi(v) for v in source.vertices}
+        # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches,
+        # and Delta_v = -sum of sdelta(b); the branch at v runs against e
+        self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
         for e in source.edge_ids:
             if e not in sdelta:
                 raise ValueError(f"edge {e} has no sdelta value")
@@ -131,6 +137,8 @@ class DeltaMorphism:
             u, v = ends[e]
             r[u] += s - n + 1
             r[v] -= s + n - 1
+            d[u] -= s
+            d[v] += s
 
     def sdelta(self, oe: OrientedEdge) -> int:
         """Slope along the oriented edge; odd under orientation reversal."""
@@ -143,8 +151,12 @@ class DeltaMorphism:
     # -- divisors ----------------------------------------------------------
 
     def pullback(self, d: Divisor) -> Divisor:
-        vmap, m = self.vertex_map, self.vertex_mult
-        return Divisor({v: d.coefficient(vmap[v]) * m[v] for v in self.source.vertices})
+        return Divisor(self._pulled_back(d.coefficients))
+
+    def _pulled_back(self, coefficients: Mapping[str, int]) -> Dict[str, int]:
+        """The pullback's coefficient at every source vertex, zeros included."""
+        vmap, m, get = self.vertex_map, self.vertex_mult, coefficients.get
+        return {v: get(vmap[v], 0) * k for v, k in m.items()}
 
     def __repr__(self):
         return (
@@ -267,8 +279,7 @@ class DeltaMorphism:
         return Divisor(self._indices)
 
     def delta_divisor(self) -> Divisor:
-        src, s = self.source, self.sdelta
-        return Divisor({v: -sum(map(s, src.branches(v))) for v in src.vertices})
+        return Divisor(self._delta_coefficients)
 
     def unbalanced_vertices(self) -> Tuple[str, ...]:
         return tuple(v for v, r in self._indices.items() if r != 0)
@@ -276,27 +287,19 @@ class DeltaMorphism:
     # -- Riemann-Hurwitz -----------------------------------------------------
 
     def rh_divisor_identity(self) -> "RHDivisorReport":
-        k = self.source.canonical_divisor()
-        pk = self.pullback(self.target.canonical_divisor())
-        r = self.ramification_divisor()
-        d = self.delta_divisor()
-        mism = tuple(
-            v
-            for v in self.source.vertices
-            if k.coefficient(v)
-            != pk.coefficient(v) + r.coefficient(v) + d.coefficient(v)
-        )
+        # plain dicts with every source vertex; each Divisor is built once
+        k = self.source._canonical_coefficients()
+        pk = self._pulled_back(self.target._canonical_coefficients())
+        r, d = self._indices, self._delta_coefficients
+        mism = tuple(v for v in k if k[v] != pk[v] + r[v] + d[v])
         # positional: built on every checked morphism, skips keyword binding
-        return RHDivisorReport(not mism, k, pk, r, d, mism)
+        return RHDivisorReport(not mism, *map(Divisor, (k, pk, r, d)), mism)
 
     def rh_degree_identity(self) -> "RHDegreeReport":
         lhs = 2 * self.source.genus() - 2
         r_sum = sum(self._indices.values())
         rhs = self.degree * (2 * self.target.genus() - 2) + r_sum
         return RHDegreeReport(lhs == rhs, lhs, rhs, self.degree, r_sum)
-
-
-NMorphism = DeltaMorphism
 
 
 class RHDivisorReport(Frozen):
@@ -746,11 +749,13 @@ def morphism_to_json_dict(m: DeltaMorphism) -> dict:
 
 
 def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
-    """Parse a morphism file; delta values make it metric."""
-    if not isinstance(data, Mapping):
+    """Parse a morphism file; delta values make it metric.  An entry whose
+    key names no source vertex or edge is an error, checked last."""
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise ValueError("morphism is not an object")
     for key in ("source", "target", "vertex_map", "edge_map", "n", "sdelta", "delta"):
-        if key in data and not isinstance(data[key], Mapping):
+        value = data.get(key, {})
+        if type(value) is not dict and not isinstance(value, Mapping):
             raise ValueError(f"morphism {key} is not an object")
     source, target = (
         GenusGraph.from_json_dict(json_field(data, side, "morphism"), f"{side} graph")
@@ -771,21 +776,35 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if not isinstance(data["setting"], str):
             raise ValueError(f"morphism setting {data['setting']!r} is not a string")
         setting = ResidueSetting.parse(data["setting"])
-        delta = _parse_values(data, "delta", LogAbs.parse, str, "a string")
-    return with_delta(m, delta, setting)
+        delta = _parse_values(data, "delta", LogAbs.parse, (str,), "a string")
+    m = with_delta(m, delta, setting)
+    # every source id has an entry by now, so a longer object names an id
+    # the source lacks; the morphism's copies of the first four have str keys
+    vertices, edges = source._genus, source._ends
+    for key, given, ids in (
+        ("vertex_map", m.vertex_map, vertices), ("edge_map", m.edge_map, edges),
+        ("n", m.mult, edges), ("sdelta", m._sdelta, edges), ("delta", delta, vertices),
+    ):
+        if given is not None and len(given) != len(ids):
+            unknown = next(k for k in given if k not in ids)
+            kind = "vertex" if ids is vertices else "edge"
+            raise ValueError(f"morphism {key} names unknown {kind} {unknown!r}")
+    return m
 
 
-def _parse_values(data: Mapping, key: str, parse, kinds, expected: str) -> dict:
+def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:
     """``parse`` applied to each value of the object ``data[key]``."""
     out = {}
     for k, value in json_field(data, key, "morphism").items():
-        if not isinstance(value, kinds):
-            raise ValueError(
-                f"morphism {key} value of {k!r} is {value!r}, not {expected}"
-            )
-        if isinstance(value, (bool, float)):  # int() would truncate it
-            raise ValueError(
-                f"morphism {key} value of {k!r} is {value!r}, not an integer"
-            )
+        # exact types skip the checks: a bool is an int, a float may be in kinds
+        if type(value) not in kinds or type(value) is float:
+            if not isinstance(value, kinds):
+                raise ValueError(
+                    f"morphism {key} value of {k!r} is {value!r}, not {expected}"
+                )
+            if isinstance(value, (bool, float)):  # int() would truncate it
+                raise ValueError(
+                    f"morphism {key} value of {k!r} is {value!r}, not an integer"
+                )
         out[k] = parse(value)
     return out

@@ -7,9 +7,10 @@ in ``(0, inf]`` per edge, where infinite length is reserved for tails
 ending in marked genus-zero infinite leaves.  Metric graphs are
 instances of :class:`MetricGenusGraph`; every operation reads the metric
 fields when they are present.  Graphs are the sources and targets of the
-one morphism class, ``delta_morphism.DeltaMorphism`` (also named
-``NMorphism``), which indexes the ``fibers`` over target vertices.  In
-JSON, ids are strings or integers and a genus is an integer.
+one morphism class, ``delta_morphism.DeltaMorphism``, which indexes the
+``fibers`` over target vertices.  In JSON, ids are strings or integers
+and a genus is an integer; every id is keyed by its ``str()``, so two ids
+that are equal as strings (``1`` and ``"1"``) are an error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ class OrientedEdge(NamedTuple):
         return OrientedEdge(self.edge, not self.forward)
 
 
+def _repeated_id(entry: str, kind: str, ids: Iterable) -> None:
+    """Raise the error for two ``ids`` that are equal after ``str()``."""
+    ids = list(map(str, ids))
+    ident = next(i for n, i in enumerate(ids) if i in ids[:n])
+    raise ValueError(f"{entry} repeats {kind} id {ident!r}")
+
+
 class GenusGraph:
     """Immutable multigraph with per-vertex genus and optional lengths.
 
@@ -66,6 +74,8 @@ class GenusGraph:
         infinite_leaves: Iterable[str] = (),
     ):
         self._genus: Dict[str, int] = {str(v): int(g) for v, g in genera.items()}
+        if len(self._genus) != len(genera):
+            _repeated_id("graph", "vertex", genera)
         for v, g in self._genus.items():
             if g < 0:
                 raise ValueError(f"vertex {v} has negative genus")
@@ -75,6 +85,8 @@ class GenusGraph:
             if u not in self._genus or v not in self._genus:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
             self._ends[str(e)] = (u, v)
+        if len(self._ends) != len(edges):
+            _repeated_id("graph", "edge", edges)
         self.vertices: Tuple[str, ...] = tuple(sorted(self._genus))
         self.edge_ids: Tuple[str, ...] = tuple(sorted(self._ends))
         out: Dict[str, list] = {v: [] for v in self.vertices}
@@ -88,7 +100,7 @@ class GenusGraph:
         }
         self._connected: Optional[bool] = None  # set by is_connected, once
         self._lengths: Optional[Dict[str, ExtendedRational]] = None
-        self.infinite_leaves: frozenset = frozenset(str(v) for v in infinite_leaves)
+        self.infinite_leaves: frozenset = frozenset(map(str, infinite_leaves))
         if lengths is None:
             if self.infinite_leaves:
                 raise ValueError("infinite leaves require edge lengths")
@@ -179,10 +191,13 @@ class GenusGraph:
     def genus(self) -> int:
         return self.h1() + sum(self._genus.values())
 
+    def _canonical_coefficients(self) -> Dict[str, int]:
+        """``K_v = valence + 2g - 2`` at every vertex, zeros included."""
+        genus = self._genus
+        return {v: len(bs) + 2 * genus[v] - 2 for v, bs in self._branches.items()}
+
     def canonical_divisor(self) -> "Divisor":
-        return Divisor(
-            {v: self.valence(v) + 2 * self.genus_of(v) - 2 for v in self.vertices}
-        )
+        return Divisor(self._canonical_coefficients())
 
     # -- misc -------------------------------------------------------------
 
@@ -235,55 +250,58 @@ class GenusGraph:
     @classmethod
     def from_json_dict(cls, data: Mapping, entry: str = "graph") -> "GenusGraph":
         """Parse a graph; errors name it ``entry``, e.g. ``source graph``."""
-        if not isinstance(data, Mapping):
+        if type(data) is not dict and not isinstance(data, Mapping):
             raise ValueError(f"{entry} is not an object")
+        # the checks keep their order (entries and ids, genera, endpoints,
+        # lengths, the graph, repeats); a list is walked once per stage
+        ids = {}  # per list, each entry's id, through str() once
         for key in ("vertices", "edges"):
-            if not isinstance(json_field(data, key, entry), list):
+            items = json_field(data, key, entry)
+            if not isinstance(items, list):
                 raise ValueError(f"{entry} {key} is not a list")
-            for item in data[key]:
+            ids[key] = names = []
+            for item in items:
                 if type(item) is not dict and not isinstance(item, Mapping):
                     raise ValueError(f"{key} entry {item!r} is not an object")
-                if "id" not in item:
-                    raise ValueError(f"{key} entry {item!r} lacks key 'id'")
-                if type(item["id"]) not in (str, int):
+                ident = item.get("id")
+                if type(ident) is not str and type(ident) is not int:
+                    if "id" not in item:
+                        raise ValueError(f"{key} entry {item!r} lacks key 'id'")
                     raise ValueError(
-                        f"{key} entry id {item['id']!r} is not a string or an integer"
+                        f"{key} entry id {ident!r} is not a string or an integer"
                     )
+                names.append(str(ident))
         infinite_leaves = data.get("infinite_leaves", [])
         if not isinstance(infinite_leaves, list):
             raise ValueError(f"{entry} infinite_leaves is not a list")
         genera = {}
-        for v in data["vertices"]:
-            g = v.get("genus", 0)
+        for v, item in zip(ids["vertices"], data["vertices"]):
+            g = item.get("genus", 0)
             if type(g) is not int:  # int() would truncate a float, take a bool
-                raise ValueError(f"vertex {v['id']} genus {g!r} is not an integer")
-            genera[v["id"]] = g
-        edges = {}
-        for e in data["edges"]:
-            if "from" in e and "to" in e:
-                edges[e["id"]] = (e["from"], e["to"])
+                raise ValueError(f"vertex {v} genus {g!r} is not an integer")
+            genera[v] = g
+        edges, metric = {}, bool(infinite_leaves)
+        for e, item in zip(ids["edges"], data["edges"]):
+            metric = metric or "length" in item
+            if "from" in item and "to" in item:
+                edges[e] = (item["from"], item["to"])
             else:  # json_field names the missing key
-                name = f"edge {e['id']}"
-                edges[e["id"]] = (json_field(e, "from", name), json_field(e, "to", name))
+                name = f"edge {e}"
+                edges[e] = (json_field(item, "from", name), json_field(item, "to", name))
         lengths = None
-        if any("length" in e for e in data["edges"]) or infinite_leaves:
+        if metric:
             lengths = {}
-            for e in data["edges"]:
-                length = json_field(e, "length", f"edge {e['id']}")
+            for e, item in zip(ids["edges"], data["edges"]):
+                length = json_field(item, "length", f"edge {e}")
                 if not isinstance(length, str):
-                    raise ValueError(f"edge {e['id']} length {length!r} is not a string")
-                lengths[e["id"]] = parse_length(length)
+                    raise ValueError(f"edge {e} length {length!r} is not a string")
+                lengths[e] = parse_length(length)
         g = GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
-        # a repeated id keeps only the last entry, and ids are keyed by str(),
-        # so 1 and "1" are the same id: either leaves fewer vertices or edges
-        for key, kind, kept in (
-            ("vertices", "vertex", g.vertices),
-            ("edges", "edge", g.edge_ids),
-        ):
-            if len(kept) != len(data[key]):
-                ids = [str(item["id"]) for item in data[key]]
-                ident = next(i for n, i in enumerate(ids) if i in ids[:n])
-                raise ValueError(f"{entry} repeats {kind} id {ident!r}")
+        # keyed by str(), a repeated id, also 1 beside "1", keeps only the
+        # last entry and leaves fewer vertices or edges
+        for kind, kept, key in ("vertex", genera, "vertices"), ("edge", edges, "edges"):
+            if len(kept) != len(ids[key]):
+                _repeated_id(entry, kind, ids[key])
         return g
 
 
@@ -340,4 +358,4 @@ class Divisor(Frozen):
         return f"Divisor({terms})"
 
     def to_json_dict(self) -> dict:
-        return {v: c for v, c in sorted(self.coefficients.items())}
+        return dict(sorted(self.coefficients.items()))

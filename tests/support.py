@@ -11,8 +11,9 @@ construction; only source connectivity is enforced by rejection.
 ``random_genus_graph`` draws such a target multigraph, optionally with
 edge lengths, and ``subdivide_metric`` builds a random metric
 subdivision of a metric morphism that ``stabilize`` must undo.
-``proper_mutations`` and ``stabilize_corpus`` are the seeded inputs of
-the ``proper_errors`` and ``stabilize`` goldens (``tools/record_goldens.py``).
+``proper_mutations``, ``load_mutations`` and ``stabilize_corpus`` are
+the seeded inputs of the ``proper_errors``, ``load_errors`` and
+``stabilize`` goldens (``tools/record_goldens.py``).
 """
 
 from __future__ import annotations
@@ -326,3 +327,93 @@ def stabilize_corpus():
         mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
         for seed in range(20):
             yield f"subdivide_metric_{tag}", subdivide_metric(random.Random(seed), mm)
+
+
+def json_value_paths(node, prefix=()):
+    """The key path of every value below the JSON document ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_value_paths(value, prefix + (key,))
+
+
+def _retyped(rng: random.Random, value):
+    """``value`` as a list, null, float, bool or string."""
+    kind = rng.choice(("list", "null", "float", "bool", "str"))
+    if kind == "list":
+        return [value]
+    if kind == "null":
+        return None
+    if kind == "float":
+        return float(value) if type(value) is int else 0.5
+    if kind == "bool":
+        return rng.choice((True, False))
+    return str(value) if not isinstance(value, str) else value + "x"
+
+
+def load_mutations(seed: int, count: int):
+    """``count`` seeded mutations of the morphism fixtures, as JSON documents.
+
+    Each mutation makes one or two edits to a fixture: delete a key of
+    any object, retype any value to a list, null, float, bool or string,
+    repeat a vertex or edge entry of a graph, rename a graph id or a key
+    of ``vertex_map``, ``edge_map``, ``n``, ``sdelta`` or ``delta`` (other
+    entries still use the old name), or add an isolated vertex to the
+    source (mapped to a target vertex) or the target.
+    """
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    texts = [p.read_text() for p in sorted(root.glob("*.morphism.json"))]
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = json.loads(rng.choice(texts))
+        for _ in range(rng.randint(1, 2)):
+            op = rng.choice(("delete", "retype", "retype", "repeat", "rename", "isolate"))
+            side = rng.choice(("source", "target"))
+            graph = data.get(side)
+            if op in ("repeat", "rename", "isolate") and not (
+                isinstance(graph, dict)
+                and isinstance(graph.get("vertices"), list)
+                and isinstance(graph.get("edges"), list)
+            ):
+                continue
+            if op in ("delete", "retype"):
+                paths = list(json_value_paths(data))
+                if op == "delete":
+                    paths = [p for p in paths if isinstance(p[-1], str)]
+                path = rng.choice(paths)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                if op == "delete":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = _retyped(rng, parent[path[-1]])
+            elif op == "repeat":
+                entries = graph[rng.choice(("vertices", "edges"))]
+                if entries:
+                    entries.append(rng.choice(entries))
+            elif op == "rename":
+                names = [k for k in ("vertex_map", "edge_map", "n", "sdelta", "delta")
+                         if isinstance(data.get(k), dict) and data[k]]
+                if names and rng.random() < 0.5:
+                    entries = data[rng.choice(names)]
+                    entries["zz"] = entries.pop(rng.choice(sorted(entries)))
+                else:
+                    entries = graph[rng.choice(("vertices", "edges"))]
+                    entry = rng.choice(entries) if entries else None
+                    if isinstance(entry, dict):
+                        entry["id"] = "zz"
+            else:
+                graph["vertices"].append({"id": "iso", "genus": 0})
+                vmap = data.get("vertex_map")
+                if side == "source" and isinstance(vmap, dict) and vmap:
+                    vmap["iso"] = rng.choice(sorted(str(v) for v in vmap.values()))
+        yield data

@@ -16,6 +16,8 @@ from wildskel.delta_morphism import morphism_from_json_dict, morphism_to_json_di
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import build_special
 
+from tests.support import json_value_paths
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -389,17 +391,41 @@ class TestInputErrors:
         assert self._run(tmp_path, capsys, data) == f"error: {side} graph {message}\n"
 
 
-def _value_paths(node, prefix=()):
-    """The key path of every value below the JSON document ``node``."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _value_paths(value, prefix + (key,))
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("vertex_map", "s'", "morphism vertex_map names unknown vertex 'zz'"),
+            ("edge_map", "a'", "morphism edge_map names unknown edge 'zz'"),
+            ("n", 2, "morphism n names unknown edge 'zz'"),
+            ("sdelta", 0, "morphism sdelta names unknown edge 'zz'"),
+            ("delta", "0", "morphism delta names unknown vertex 'zz'"),
+        ],
+        ids=["vertex_map", "edge_map", "n", "sdelta", "delta"],
+    )
+    def test_unknown_id(self, tmp_path, capsys, key, value, message):
+        """An entry for an id the source graph lacks would be ignored."""
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        data[key]["zz"] = value
+        assert self._run(tmp_path, capsys, data) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [("rh-check",), ("export-dot",)])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"sdelta": {', '"sdelta": {"a": 5, ', "morphism sdelta repeats key 'a'"),
+            ('"delta": {', '"delta": {"s": "-1", ', "morphism delta repeats key 's'"),
+            ('"genus": 0', '"genus": 0, "genus": 1', "a JSON object repeats key 'genus'"),
+            ('"n": {', '"n": {}, "n": {', "morphism repeats key 'n'"),
+        ],
+        ids=["sdelta", "delta", "vertex-entry", "document"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, argv, old, new, message):
+        """json.load would keep the last value of a repeated key."""
+        text = json.dumps(json.loads((FIXTURES / "wb_metric.morphism.json").read_text()))
+        path = tmp_path / "input.json"
+        path.write_text(text.replace(old, new, 1))
+        assert run([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 MUTATED_FIXTURES = {
@@ -427,7 +453,7 @@ def test_mutated_fixtures_exit_without_traceback(tmp_path_factory, data):
     name = data.draw(st.sampled_from(sorted(MUTATED_FIXTURES)))
     doc = json.loads(MUTATED_FIXTURES[name])
     for _ in range(data.draw(st.integers(1, 2))):
-        path = data.draw(st.sampled_from(list(_value_paths(doc))))
+        path = data.draw(st.sampled_from(list(json_value_paths(doc))))
         node = doc
         for key in path[:-1]:
             node = node[key]

@@ -30,7 +30,8 @@ from wildskel.genus_graph import Divisor, GenusGraph, MetricGenusGraph, Oriented
 from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
-from tests.support import random_proper_delta_morphism, subdivide_metric
+from tests.support import random_proper_delta_morphism, stabilize_corpus, subdivide_metric
+from tests.test_special import canonical_lengths, setting_for
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WILD2 = ResidueSetting.equichar(2)
@@ -222,6 +223,42 @@ class TestRiemannHurwitz:
             assert m.rh_divisor_identity().ok
             assert m.rh_degree_identity().ok
             assert m.delta_divisor().degree() == 0
+
+    def test_divisors_match_restatement(self):
+        """Every divisor of the identity, restated per vertex in integers
+        from ``branches()`` and ``sdelta()``, on random, contracted and
+        metric morphisms."""
+
+        def check(m):
+            src, tgt = m.source, m.target
+            k, pk, r, d = {}, {}, {}, {}
+            for v in src.vertices:
+                g, v2 = src.genus_of(v), m.vertex_map[v]
+                g2, mv = tgt.genus_of(v2), m.vertex_mult[v]
+                k[v] = len(src.branches(v)) + 2 * g - 2
+                pk[v] = mv * (len(tgt.branches(v2)) + 2 * g2 - 2)
+                chi = 2 * g - 2 - mv * (2 * g2 - 2)
+                r[v] = chi - sum(
+                    -m.sdelta(b) + m.mult[b.edge] - 1 for b in src.branches(v)
+                )
+                d[v] = -sum(m.sdelta(b) for b in src.branches(v))
+            mism = tuple(v for v in src.vertices if k[v] != pk[v] + r[v] + d[v])
+            k, pk, r, d = (Divisor(x) for x in (k, pk, r, d))
+            assert src.canonical_divisor() == k
+            assert m.pullback(tgt.canonical_divisor()) == pk
+            assert m.ramification_divisor() == r
+            assert m.delta_divisor() == d
+            rep = m.rh_divisor_identity()
+            assert (rep.canonical, rep.pullback_canonical) == (k, pk)
+            assert (rep.ramification, rep.delta) == (r, d)
+            assert (rep.ok, rep.mismatched_vertices) == (not mism, mism)
+
+        for _, m in stabilize_corpus():
+            check(m)
+            check(stabilize(m))
+        for tag in LIFTABLE_TAGS:
+            setting = setting_for(tag)
+            check(metric_lift(tag, canonical_lengths(tag, setting), setting))
 
     def test_pullback_degree_multiplicative(self):
         rng = random.Random(19)

@@ -247,6 +247,29 @@ class TestJsonInputContract:
         assert str(info.value) == f"edge a lacks key {key!r}"
 
 
+    @pytest.mark.parametrize(
+        "genera, edges, message",
+        [
+            ({1: 0, "1": 1}, {}, "graph repeats vertex id '1'"),
+            ({"a": 0, "b": 0}, {7: ("a", "b"), "7": ("b", "a")}, "graph repeats edge id '7'"),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_ids_equal_as_strings_rejected(self, genera, edges, message):
+        """Ids are keyed by str(): 1 beside "1" would merge two entries."""
+        with pytest.raises(ValueError) as info:
+            GenusGraph(genera, edges)
+        assert str(info.value) == message
+
+    def test_integer_edge_id_of_a_metric_graph_loads(self):
+        data = {
+            "vertices": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"id": 7, "from": "a", "to": "b", "length": "1"}],
+        }
+        g = GenusGraph.from_json_dict(data)
+        assert g.edge_ids == ("7",) and g.length("7") == 1
+
+
 class TestBranchIndex:
     def test_branches_match_a_scan_of_the_edges(self):
         rng = random.Random(5)

@@ -22,11 +22,14 @@ the descriptions of ``enumerate_root_subtrees(k)`` for k = 1 to 4.
 ``stabilize(m)`` on every morphism of ``tests.support.stabilize_corpus``,
 and ``golden/proper_errors.json`` the exception type and message (or
 ``null``) of the ``DeltaMorphism`` constructor on 2,000 seeded mutations
-of proper morphisms.  ``golden/admissibility.json`` holds the verdict
+of proper morphisms; ``golden/load_errors.json`` holds the same for
+``morphism_from_json_dict`` on 2,000 seeded mutations of the morphism
+fixtures, which pins the loader's messages and their precedence.
+``golden/admissibility.json`` holds the verdict
 (``ok`` and reason) of ``check_restriction`` on every multiplicity 1 to 8,
 slope -5 to 5 and a set of delta values that contains -inf, 0, ``|m|`` and
 ``|m+s|``, in six residue settings, and its two ``ValueError`` messages;
-``tools/record_goldens.py`` re-records these three.
+``tools/record_goldens.py`` re-records these four.
 """
 
 import importlib.util
@@ -67,6 +70,9 @@ STABILIZE_GOLDEN = json.loads(
 )
 PROPER_ERRORS_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "proper_errors.json").read_text()
+)
+LOAD_ERRORS_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "load_errors.json").read_text()
 )
 
 
@@ -163,6 +169,10 @@ def test_stabilize_golden():
 
 def test_proper_errors_golden():
     assert _load_tool("record_goldens").proper_errors() == PROPER_ERRORS_GOLDEN
+
+
+def test_load_errors_golden():
+    assert _load_tool("record_goldens").load_errors() == LOAD_ERRORS_GOLDEN
 
 
 def test_admissibility_golden():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the contraction, properness and admissibility goldens.
+"""Re-record the contraction, properness, loader and admissibility goldens.
 
 Usage: ``PYTHONPATH=src python tools/record_goldens.py [OUTDIR]``; OUTDIR
 defaults to the repository's ``tests/golden/``.  Writes:
@@ -9,6 +9,10 @@ defaults to the repository's ``tests/golden/``.  Writes:
 - ``proper_errors.json``: for each of the 2,000 seeded mutations of
   ``tests.support.proper_mutations``, the ``[exception type, message]``
   the ``DeltaMorphism`` constructor raises, or ``null`` if it accepts;
+- ``load_errors.json``: for each of the 2,000 seeded mutations of the
+  morphism fixtures by ``tests.support.load_mutations``, the
+  ``[exception type, message]`` ``morphism_from_json_dict`` raises, or
+  ``null`` if it accepts;
 - ``admissibility.json``: per residue setting, one ``[m, s, delta, ok,
   reason]`` row per line for every verdict of ``check_restriction`` on
   m in 1..8, s in -5..5 and the delta values ``-inf``, 0, -1/3, -1, -2,
@@ -28,13 +32,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from wildskel import DeltaMorphism, morphism_to_json_dict, stabilize  # noqa: E402
+from wildskel import (  # noqa: E402
+    DeltaMorphism,
+    morphism_from_json_dict,
+    morphism_to_json_dict,
+    stabilize,
+)
 from wildskel.annulus import check_restriction  # noqa: E402
 from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting  # noqa: E402
 
-from tests.support import proper_mutations, stabilize_corpus  # noqa: E402
+from tests.support import load_mutations, proper_mutations, stabilize_corpus  # noqa: E402
 
 PROPER_SEED, PROPER_COUNT = 71, 2000
+LOAD_SEED, LOAD_COUNT = 83, 2000
 ADMISSIBILITY_SETTINGS = (
     "equichar0", "equicharP:2", "equicharP:3",
     "mixed:2:-1", "mixed:2:-2/3", "mixed:3:-1",
@@ -54,17 +64,23 @@ def stabilize_hashes() -> dict:
     return groups
 
 
-def constructor_outcome(args):
-    """``[exception type, message]`` of ``DeltaMorphism(*args)``, or None."""
+def outcome(build, *args):
+    """``[exception type, message]`` of ``build(*args)``, or None."""
     try:
-        DeltaMorphism(*args)
+        build(*args)
     except Exception as exc:  # the golden pins the type, whatever it is
         return [type(exc).__name__, str(exc)]
     return None
 
 
 def proper_errors() -> list:
-    return [constructor_outcome(a) for a in proper_mutations(PROPER_SEED, PROPER_COUNT)]
+    mutations = proper_mutations(PROPER_SEED, PROPER_COUNT)
+    return [outcome(DeltaMorphism, *args) for args in mutations]
+
+
+def load_errors() -> list:
+    mutations = load_mutations(LOAD_SEED, LOAD_COUNT)
+    return [outcome(morphism_from_json_dict, data) for data in mutations]
 
 
 def admissibility_text() -> str:
@@ -99,6 +115,7 @@ def main(argv=None) -> int:
     for name, payload in (
         ("stabilize.json", stabilize_hashes()),
         ("proper_errors.json", proper_errors()),
+        ("load_errors.json", load_errors()),
     ):
         (outdir / name).write_text(json.dumps(payload, indent=1) + "\n")
     (outdir / "admissibility.json").write_text(admissibility_text())

@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import Frozen, LogAbs, ResidueSetting, parse_rational
+from .valuation import Frozen, LogAbs, Record, ResidueSetting, parse_rational
 
 
 class ConstantSeriesError(ValueError):
@@ -97,7 +97,7 @@ class ValuedSeries(Frozen):
         return cls(coeffs)
 
 
-class DifferentReport(Frozen):
+class DifferentReport(Record):
     """Multiplicity, dominant derivative exponent, different and slope.
 
     ``slope_s`` is the slope of the different toward the inside of the
@@ -114,21 +114,10 @@ class DifferentReport(Frozen):
             raise ValueError("slope_s must equal m - n")
         super().__init__(m, n, log_delta, slope_s)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "log_delta": str(self.log_delta),
-            "slope_s": self.slope_s,
-        }
-
 
 class Verdict(Frozen):
     __slots__ = ("ok", "reason")
     _defaults = {"reason": ""}
-
-    def __bool__(self) -> bool:
-        return self.ok
 
     @classmethod
     def violated(cls, reason: str) -> "Verdict":

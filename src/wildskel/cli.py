@@ -44,7 +44,8 @@ def _dump(data) -> str:
 
 def _load_json(path: str):
     """The JSON document in ``path``.  A key repeated in one object (whose
-    earlier values ``json.load`` would drop) is an error naming the key."""
+    earlier values ``json.load`` would drop) is an error naming the key,
+    and so is nesting too deep for the decoder."""
     repeats = []  # (object, key), in the order the objects close
 
     def pairs_hook(pairs):
@@ -55,7 +56,10 @@ def _load_json(path: str):
         return obj
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=pairs_hook)
+        try:
+            data = json.load(fh, object_pairs_hook=pairs_hook)
+        except RecursionError:
+            raise ValueError("the JSON document nests too deeply") from None
     if repeats:
         obj, key = repeats[0]
         name = "a JSON object"
@@ -242,8 +246,7 @@ def _cmd_metric_lift(args) -> int:
 
 def _cmd_elliptic(args) -> int:
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
-        print("error: mixed characteristic requires --log-p", file=sys.stderr)
-        return 2
+        raise ValueError("mixed characteristic requires --log-p")
     log_p = None if args.log_p is None else LogAbs(parse_rational(args.log_p))
     setting = ResidueSetting(args.char, args.res_char or args.char, log_p)
     if args.j_zero:
@@ -289,11 +292,7 @@ def _cmd_annulus(args) -> int:
 def _cmd_radial(args) -> int:
     mm = _load_morphism(args.file)
     if mm.delta is None:
-        print(
-            "error: radial needs a metric morphism file with delta values",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("radial needs a metric morphism file with delta values")
     desc = radial_mod.degree_p_locus(mm, args.p)
     strict = radial_mod.radial_vs_ball(desc)
     payload = desc.to_json_dict()

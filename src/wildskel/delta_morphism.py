@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .annulus import check_restriction
 from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
 from .pmfunc import PMFunction
-from .valuation import INF, Frozen, LogAbs, ResidueSetting
+from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting
 
 
 class NotProperError(ValueError):
@@ -302,7 +302,7 @@ class DeltaMorphism:
         return RHDegreeReport(lhs == rhs, lhs, rhs, self.degree, r_sum)
 
 
-class RHDivisorReport(Frozen):
+class RHDivisorReport(Record):
     __slots__ = (
         "ok",
         "canonical",
@@ -312,34 +312,9 @@ class RHDivisorReport(Frozen):
         "mismatched_vertices",
     )
 
-    def __bool__(self):
-        return self.ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "canonical": self.canonical.to_json_dict(),
-            "pullback_canonical": self.pullback_canonical.to_json_dict(),
-            "ramification": self.ramification.to_json_dict(),
-            "delta": self.delta.to_json_dict(),
-            "mismatched_vertices": list(self.mismatched_vertices),
-        }
-
-
-class RHDegreeReport(Frozen):
+class RHDegreeReport(Record):
     __slots__ = ("ok", "lhs", "rhs", "degree", "r_sum")
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "degree": self.degree,
-            "r_sum": self.r_sum,
-        }
 
 
 # -- contractions ------------------------------------------------------------
@@ -632,23 +607,10 @@ class CertifyReport(Frozen):
     # violations: (vertex, branch index, n, sdelta, slope index) per failing branch
     __slots__ = ("ok", "violations")
 
-    def __bool__(self):
-        return self.ok
-
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {
-                    "vertex": v,
-                    "branch": i,
-                    "n": n,
-                    "sdelta": s,
-                    "slope_index": si,
-                }
-                for v, i, n, s, si in self.violations
-            ],
-        }
+        keys = ("vertex", "branch", "n", "sdelta", "slope_index")
+        violations = [dict(zip(keys, v)) for v in self.violations]
+        return {"ok": self.ok, "violations": violations}
 
 
 def certify_skeleton(
@@ -671,20 +633,8 @@ def certify_skeleton(
     return CertifyReport(ok=ok, violations=tuple(violations))
 
 
-class WideOpenReport(Frozen):
+class WideOpenReport(Record):
     __slots__ = ("ok", "lhs", "rhs", "solved_genus", "disc_criterion")
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "solved_genus": str(self.solved_genus),
-            "disc_criterion": self.disc_criterion,
-        }
 
 
 def wide_open_genus_check(

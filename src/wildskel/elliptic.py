@@ -54,9 +54,7 @@ class SkeletonReport(Frozen):
         return {
             "type": self.type.tag,
             "characteristic_class": self.type.characteristic_class,
-            "l0": str(self.lengths.l0),
-            "l1": str(self.lengths.l1),
-            "l3": str(self.lengths.l3),
+            **self.lengths.to_json_dict(),
             "reduction": self.reduction,
             "reduction_fiber": self.reduction_fiber,
             "setting": self.setting.describe(),

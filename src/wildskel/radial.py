@@ -16,14 +16,14 @@ from fractions import Fraction
 from .delta_morphism import MetricDeltaMorphism
 from .genus_graph import GenusGraph
 from .special import metric_lift
-from .valuation import Frozen
+from .valuation import Frozen, Record
 
 
 class WrongDegreeError(ValueError):
     pass
 
 
-class EdgeRadius(Frozen):
+class EdgeRadius(Record):
     """Radius along one center edge: ``(-log delta) / denominator``.
 
     The numerator is stored as an exact piecewise linear function in arc
@@ -34,12 +34,6 @@ class EdgeRadius(Frozen):
 
     def value_at(self, x) -> Fraction:
         return self.neg_log_delta.value_at(x) / self.denominator
-
-    def to_json_dict(self) -> dict:
-        return {
-            "neg_log_delta": self.neg_log_delta.to_json_dict(),
-            "denominator": self.denominator,
-        }
 
 
 class RadialDescription(Frozen):
@@ -58,12 +52,9 @@ class RadialDescription(Frozen):
         }
 
 
-class StrictnessReport(Frozen):
+class StrictnessReport(Record):
     __slots__ = ("strict", "witness_edge")
     _defaults = {"witness_edge": None}
-
-    def to_json_dict(self) -> dict:
-        return {"strict": self.strict, "witness_edge": self.witness_edge}
 
 
 def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable, with_delta
 from .genus_graph import GenusGraph, OrientedEdge
-from .valuation import INF, NEG_INF, Frozen, LogAbs, ResidueSetting, ZERO
+from .valuation import INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, ZERO
 
 
 class UnclassifiableError(ValueError):
@@ -234,9 +234,6 @@ class SpecialCheck(Frozen):
     __slots__ = ("ok", "reason", "characteristic_class")
     _defaults = {"reason": "", "characteristic_class": None}
 
-    def __bool__(self):
-        return self.ok
-
 
 def _wild_vertices(m: DeltaMorphism) -> frozenset:
     return frozenset(
@@ -342,8 +339,9 @@ def _class_coherent(m: DeltaMorphism, cls: str) -> bool:
 class _ShapeBuilder:
     """Accumulates a degree-two morphism (optionally metric) shape by shape."""
 
-    def __init__(self, metric: bool, lengths: "Lengths | None" = None,
+    def __init__(self, lengths: "Lengths | None" = None,
                  setting: ResidueSetting | None = None):
+        metric = lengths is not None
         self.lengths = lengths
         self.setting = setting
         self.src_genus: Dict[str, int] = {}
@@ -492,7 +490,7 @@ def _tag_of(kind: str, data) -> str:
 def _build(kind: str, data, lengths: "Lengths | None" = None,
            setting: ResidueSetting | None = None) -> DeltaMorphism:
     """Build a ("loop", sides) or ("genus1", trees) shape, metric with lengths."""
-    builder = _ShapeBuilder(lengths is not None, lengths, setting)
+    builder = _ShapeBuilder(lengths, setting)
     if kind == "loop":
         builder.add_vertex("t", 0)
         builder.add_vertex("s", 0)
@@ -636,7 +634,7 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
 # -- metric lifting -----------------------------------------------------------------
 
 
-class Lengths(Frozen):
+class Lengths(Record):
     """Inner edge lengths per slope class (tails are always infinite)."""
 
     __slots__ = ("l0", "l1", "l3")
@@ -657,9 +655,6 @@ class Lengths(Frozen):
 
     def of_slope(self, slope: int) -> Fraction:
         return {0: self.l0, 1: self.l1, 3: self.l3}[slope]
-
-    def to_json_dict(self) -> dict:
-        return {"l0": str(self.l0), "l1": str(self.l1), "l3": str(self.l3)}
 
 
 def metric_lift(

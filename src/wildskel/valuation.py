@@ -29,8 +29,11 @@ class Frozen:
     ``_defaults`` dict; a surplus, repeated, unknown or missing argument is
     a ``TypeError``.  A class that checks or coerces its input keeps its own
     ``__init__`` and stores through ``super().__init__(...)``.  Attributes
-    can be neither assigned nor deleted; equality, hash and repr run over
-    the fields, and instances equal only instances of the very same class.
+    can be neither assigned nor deleted; equality, hash, repr and truth
+    come from the fields, and instances equal only instances of the very
+    same class.  An instance is as true as its ``ok`` field, and always
+    true if its class has none.  A :class:`Record` also takes its JSON
+    form from its fields.
 
     These are not dataclasses because of start-up cost: a frozen
     dataclass generates its methods as source text and ``exec``s it at
@@ -106,6 +109,41 @@ class Frozen:
             [f"{name}={getattr(self, name)!r}" for name in self._fields]
         )
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __bool__(self) -> bool:
+        return self.ok if "ok" in self._fields else True
+
+
+class Record(Frozen):
+    """A value class whose JSON form is its fields, in slot order.
+
+    ``None``, bools, ints and strs stay as they are, a tuple becomes a
+    list of its encoded items, a ``Fraction`` or ``LogAbs`` its ``str``,
+    and a value with a ``to_json_dict`` method what that returns.
+    """
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return {name: _encode(getattr(self, name)) for name in self._fields}
+
+
+_PLAIN = frozenset((type(None), bool, int, str))
+
+
+def _encode(value):
+    """The JSON form of one field value of a :class:`Record`."""
+    cls = type(value)
+    if cls in _PLAIN:
+        return value
+    if cls is tuple:
+        return list(map(_encode, value))
+    if cls is Fraction or cls is LogAbs:
+        return str(value)
+    render = getattr(value, "to_json_dict", None)
+    if render is None:
+        raise TypeError(f"a {cls.__name__} field has no JSON form")
+    return render()
 
 
 class LogAbs(Frozen):

@@ -103,7 +103,7 @@ def test_criterion_03_root_subtrees():
         assert sum(t.leaf_r_values()) == t.slope_index
         # (i) every edge has multiplicity two: attach the tree to a
         # genus-one root and inspect the built morphism
-        builder = _ShapeBuilder(metric=False)
+        builder = _ShapeBuilder()
         builder.add_vertex("r", 1)
         builder.attach_tree("r", t)
         m = builder.build()

@@ -427,6 +427,23 @@ class TestInputErrors:
         assert run([*argv, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [("rh-check",), ("stabilize",), ("export-dot",)])
+    @pytest.mark.parametrize("where", ["document", "vertex_map"])
+    def test_deep_nesting(self, tmp_path, capsys, argv, where):
+        """The decoder's RecursionError is an input error, not a traceback
+        with exit code 1 (which would read as a failing verdict)."""
+        nested = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "input.json"
+        path.write_text(nested if where == "document" else f'{{"vertex_map": {nested}}}')
+        assert run([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == "error: the JSON document nests too deeply\n"
+
+    def test_radial_needs_delta_values(self, capsys):
+        assert run(["radial", str(FIXTURES / "wb.morphism.json")]) == 2
+        captured = capsys.readouterr()
+        message = "error: radial needs a metric morphism file with delta values\n"
+        assert (captured.out, captured.err) == ("", message)
+
 
 MUTATED_FIXTURES = {
     path.name: path.read_text() for path in sorted(FIXTURES.glob("*.morphism.json"))

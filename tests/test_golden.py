@@ -28,8 +28,11 @@ fixtures, which pins the loader's messages and their precedence.
 ``golden/admissibility.json`` holds the verdict
 (``ok`` and reason) of ``check_restriction`` on every multiplicity 1 to 8,
 slope -5 to 5 and a set of delta values that contains -inf, 0, ``|m|`` and
-``|m+s|``, in six residue settings, and its two ``ValueError`` messages;
-``tools/record_goldens.py`` re-records these four.
+``|m+s|``, in six residue settings, and its two ``ValueError`` messages.
+``golden/value_json.json`` holds, for the instance of every value class
+that ``tests.test_values.BUILDERS`` makes, its truth and, where the class
+has one, its ``to_json_dict()``; it was recorded while each class still
+wrote both by hand.  ``tools/record_goldens.py`` re-records these five.
 """
 
 import importlib.util
@@ -178,6 +181,12 @@ def test_load_errors_golden():
 def test_admissibility_golden():
     path = Path(__file__).resolve().parent / "golden" / "admissibility.json"
     assert _load_tool("record_goldens").admissibility_text() == path.read_text()
+
+
+def test_value_json_golden():
+    path = Path(__file__).resolve().parent / "golden" / "value_json.json"
+    text = json.dumps(_load_tool("record_goldens").value_json(), indent=1) + "\n"
+    assert text == path.read_text()
 
 
 def test_regenerated_fixtures_are_byte_identical(tmp_path):

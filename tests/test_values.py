@@ -5,8 +5,9 @@ assigned nor deleted, equal instances compare and hash equal, an
 instance never equals one of another class, there is no per-instance
 ``__dict__``, copy, deepcopy and pickle return an equal instance, and
 ``repr`` matches ``golden/values.json``, recorded when these classes
-were frozen dataclasses (``rh-check`` prints ``Divisor`` reprs).  The
-record classes, which only store their arguments, bind them like a
+were frozen dataclasses (``rh-check`` prints ``Divisor`` reprs).  No
+class defines its own truth: an instance is as true as its ``ok`` field.
+The record classes, which only store their arguments, bind them like a
 function signature over their fields.
 """
 
@@ -31,7 +32,7 @@ from wildskel.genus_graph import Divisor
 from wildskel.pmfunc import PMFunction
 from wildskel.radial import EdgeRadius, StrictnessReport, degree_p_locus
 from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType
-from wildskel.valuation import NEG_INF, ZERO, Frozen, LogAbs, ResidueSetting
+from wildskel.valuation import NEG_INF, ZERO, Frozen, LogAbs, Record, ResidueSetting
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = json.loads(
@@ -194,6 +195,28 @@ def test_log_abs_value_cannot_be_deleted():
 @pytest.mark.parametrize("name", NAMES)
 def test_repr_golden(name):
     assert repr(BUILDERS[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_truth_and_json_come_from_the_fields(name):
+    """Truth is the ``ok`` field, if any; a record renders its fields."""
+    cls = type(BUILDERS[name]())
+    assert "__bool__" not in vars(cls)
+    if issubclass(cls, Record) and "to_json_dict" not in vars(cls):
+        assert list(BUILDERS[name]().to_json_dict()) == list(cls._fields)
+
+
+def test_truth_follows_ok():
+    assert not Verdict(False) and Verdict(True)
+    assert not SpecialCheck(False, "r") and SpecialCheck(True)
+    assert not CertifyReport(False, ()) and CertifyReport(True, ())
+    assert not wide_open_genus_check([(2, 1)], 2, 1, 0)
+    assert LogAbs(1) and NEG_INF and Lengths() and Divisor({})
+
+
+def test_record_field_without_json_form():
+    with pytest.raises(TypeError, match="a SpecialType field has no JSON form"):
+        StrictnessReport(True, SpecialType("MSS")).to_json_dict()
 
 
 def test_fields_differ_means_unequal():

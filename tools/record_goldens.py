@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the contraction, properness, loader and admissibility goldens.
+"""Re-record the contraction, properness, loader, admissibility and value goldens.
 
 Usage: ``PYTHONPATH=src python tools/record_goldens.py [OUTDIR]``; OUTDIR
 defaults to the repository's ``tests/golden/``.  Writes:
@@ -17,7 +17,10 @@ defaults to the repository's ``tests/golden/``.  Writes:
   reason]`` row per line for every verdict of ``check_restriction`` on
   m in 1..8, s in -5..5 and the delta values ``-inf``, 0, -1/3, -1, -2,
   ``|m|`` and ``|m+s|``, then the ``[exception type, message]`` of its
-  invalid arguments.
+  invalid arguments;
+- ``value_json.json``: for the instance of every value class that
+  ``tests.test_values.BUILDERS`` makes, ``bool`` of it and, where the
+  class has one, its ``to_json_dict()``.
 
 The files pin behaviour, so re-record them only on purpose.
 """
@@ -42,6 +45,7 @@ from wildskel.annulus import check_restriction  # noqa: E402
 from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting  # noqa: E402
 
 from tests.support import load_mutations, proper_mutations, stabilize_corpus  # noqa: E402
+from tests.test_values import BUILDERS  # noqa: E402
 
 PROPER_SEED, PROPER_COUNT = 71, 2000
 LOAD_SEED, LOAD_COUNT = 83, 2000
@@ -83,6 +87,18 @@ def load_errors() -> list:
     return [outcome(morphism_from_json_dict, data) for data in mutations]
 
 
+def value_json() -> dict:
+    """Truth and JSON form of each value class's ``BUILDERS`` instance."""
+    values = {}
+    for name in sorted(BUILDERS):
+        value = BUILDERS[name]()
+        entry = {"bool": bool(value)}
+        if hasattr(value, "to_json_dict"):
+            entry["json"] = value.to_json_dict()
+        values[name] = entry
+    return values
+
+
 def admissibility_text() -> str:
     """The admissibility golden, one JSON row per line."""
     lines = []
@@ -116,6 +132,7 @@ def main(argv=None) -> int:
         ("stabilize.json", stabilize_hashes()),
         ("proper_errors.json", proper_errors()),
         ("load_errors.json", load_errors()),
+        ("value_json.json", value_json()),
     ):
         (outdir / name).write_text(json.dumps(payload, indent=1) + "\n")
     (outdir / "admissibility.json").write_text(admissibility_text())

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, echo, json_field
 from .pmfunc import PMFunction
 from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting
 
@@ -43,6 +43,11 @@ class IllegalMoveError(ValueError):
     pass
 
 
+def _check_kind(source: GenusGraph, target: GenusGraph) -> None:
+    if source.is_metric != target.is_metric:
+        raise ValueError("source and target must both be metric or both plain")
+
+
 class DeltaMorphism:
     """A proper morphism of genus graphs with multiplicities and sdelta.
 
@@ -52,7 +57,9 @@ class DeltaMorphism:
     ``fibers`` index is built here) and an sdelta value on every edge.
     The differential indices are computed here too, once.  ``delta`` and
     ``setting`` are ``None`` unless the morphism is a
-    :class:`MetricDeltaMorphism`.
+    :class:`MetricDeltaMorphism`.  Only the constructor and the loader
+    coerce the four maps; they, the contractions and the shape builder
+    enter one validating core.
     """
 
     delta: Optional[Dict[str, LogAbs]] = None
@@ -67,13 +74,25 @@ class DeltaMorphism:
         mult: Mapping[str, int],
         sdelta: Mapping[str, int],
     ):
-        if source.is_metric != target.is_metric:
-            raise ValueError("source and target must both be metric or both plain")
+        _check_kind(source, target)  # before any map is read
+        maps = [{str(k): str(v) for k, v in m.items()} for m in (vertex_map, edge_map)]
+        maps += [{str(k): int(v) for k, v in m.items()} for m in (mult, sdelta)]
+        self._store(source, target, *maps)
+
+    @classmethod
+    def _from_normal(cls, source, target, vertex_map, edge_map, mult, sdelta):
+        _check_kind(source, target)
+        m = cls.__new__(cls)
+        m._store(source, target, vertex_map, edge_map, mult, sdelta)
+        return m
+
+    def _store(self, source, target, vertex_map, edge_map, mult, sdelta) -> None:
+        """The core past ``_check_kind``: check and keep the normal-form maps."""
         self.source = source
         self.target = target
-        self.vertex_map = vmap = {str(k): str(v) for k, v in vertex_map.items()}
-        self.edge_map = {str(k): str(v) for k, v in edge_map.items()}
-        self.mult = mult = {str(k): int(v) for k, v in mult.items()}
+        self.vertex_map = vmap = vertex_map
+        self.edge_map = edge_map
+        self.mult = mult
         fibers: Dict[str, list] = {v2: [] for v2 in target.vertices}
         for v in source.vertices:
             v2 = vmap.get(v)
@@ -86,7 +105,7 @@ class DeltaMorphism:
         sums: Dict[str, Dict[Tuple[str, bool], int]] = {v: {} for v in source.vertices}
         ends, target_ends = source._ends, target._ends
         for e in source.edge_ids:
-            e2 = self.edge_map.get(e)
+            e2 = edge_map.get(e)
             if e2 not in target_ends:
                 raise NotProperError(f"edge {e} is not mapped to a target edge")
             u, v = ends[e]
@@ -126,7 +145,7 @@ class DeltaMorphism:
         if len(values) != 1 or 0 in values:
             raise NotProperError(f"global rank is not constant: {ranks}")
         self.degree = values.pop()
-        self._sdelta = sdelta = {str(e): int(s) for e, s in sdelta.items()}
+        self._sdelta = sdelta
         # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches,
         # and Delta_v = -sum of sdelta(b); the branch at v runs against e
         self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
@@ -151,7 +170,7 @@ class DeltaMorphism:
     # -- divisors ----------------------------------------------------------
 
     def pullback(self, d: Divisor) -> Divisor:
-        return Divisor(self._pulled_back(d.coefficients))
+        return Divisor._from_normal(self._pulled_back(d.coefficients))
 
     def _pulled_back(self, coefficients: Mapping[str, int]) -> Dict[str, int]:
         """The pullback's coefficient at every source vertex, zeros included."""
@@ -276,10 +295,10 @@ class DeltaMorphism:
         return self._indices[v]
 
     def ramification_divisor(self) -> Divisor:
-        return Divisor(self._indices)
+        return Divisor._from_normal(self._indices)
 
     def delta_divisor(self) -> Divisor:
-        return Divisor(self._delta_coefficients)
+        return Divisor._from_normal(self._delta_coefficients)
 
     def unbalanced_vertices(self) -> Tuple[str, ...]:
         return tuple(v for v, r in self._indices.items() if r != 0)
@@ -293,7 +312,7 @@ class DeltaMorphism:
         r, d = self._indices, self._delta_coefficients
         mism = tuple(v for v in k if k[v] != pk[v] + r[v] + d[v])
         # positional: built on every checked morphism, skips keyword binding
-        return RHDivisorReport(not mism, *map(Divisor, (k, pk, r, d)), mism)
+        return RHDivisorReport(not mism, *map(Divisor._from_normal, (k, pk, r, d)), mism)
 
     def rh_degree_identity(self) -> "RHDegreeReport":
         lhs = 2 * self.source.genus() - 2
@@ -366,8 +385,8 @@ class _WorkingGraph:
             self._branches[w] = [-b if b.edge == e else b for b in self._branches[w]]
 
     def graph(self) -> GenusGraph:
-        leaves = self.infinite_leaves & self.vertices.keys()
-        return GenusGraph(self.vertices, self.edge_ids, self.lengths, leaves)
+        leaves = self.infinite_leaves.intersection(self.vertices)
+        return GenusGraph._from_normal(self.vertices, self.edge_ids, self.lengths, leaves)
 
 
 class _WorkingMorphism:
@@ -398,9 +417,9 @@ class _WorkingMorphism:
                 self._sdelta[a.edge] = s
 
     def result(self) -> DeltaMorphism:
-        """The contracted morphism, built and validated once."""
+        """The contracted morphism, built and validated once, on the copy's own dicts."""
         m, vertices, edges = self.original, self.source.vertices, self.source.edge_ids
-        out = DeltaMorphism(
+        out = DeltaMorphism._from_normal(
             self.source.graph(),
             self.target.graph(),
             {v: m.vertex_map[v] for v in vertices},
@@ -711,11 +730,11 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         GenusGraph.from_json_dict(json_field(data, side, "morphism"), f"{side} graph")
         for side in ("source", "target")
     )
-    m = DeltaMorphism(
+    m = DeltaMorphism._from_normal(
         source,
         target,
-        json_field(data, "vertex_map", "morphism"),
-        json_field(data, "edge_map", "morphism"),
+        *({str(k): str(v) for k, v in json_field(data, key, "morphism").items()}
+          for key in ("vertex_map", "edge_map")),
         _parse_values(data, "n", int, (int, float, str), "a number"),
         _parse_values(data, "sdelta", int, (int, float, str), "a number"),
     )
@@ -724,12 +743,12 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if "setting" not in data:
             raise ValueError("delta values require a residue setting")
         if not isinstance(data["setting"], str):
-            raise ValueError(f"morphism setting {data['setting']!r} is not a string")
+            raise ValueError(f"morphism setting {echo(data['setting'])} is not a string")
         setting = ResidueSetting.parse(data["setting"])
         delta = _parse_values(data, "delta", LogAbs.parse, (str,), "a string")
     m = with_delta(m, delta, setting)
     # every source id has an entry by now, so a longer object names an id
-    # the source lacks; the morphism's copies of the first four have str keys
+    # the source lacks; every one of them is keyed by str
     vertices, edges = source._genus, source._ends
     for key, given, ids in (
         ("vertex_map", m.vertex_map, vertices), ("edge_map", m.edge_map, edges),
@@ -738,23 +757,23 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if given is not None and len(given) != len(ids):
             unknown = next(k for k in given if k not in ids)
             kind = "vertex" if ids is vertices else "edge"
-            raise ValueError(f"morphism {key} names unknown {kind} {unknown!r}")
+            raise ValueError(f"morphism {key} names unknown {kind} {echo(unknown)}")
     return m
 
 
 def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:
-    """``parse`` applied to each value of the object ``data[key]``."""
+    """``parse`` applied to each value of the object ``data[key]``, keyed by str."""
     out = {}
     for k, value in json_field(data, key, "morphism").items():
         # exact types skip the checks: a bool is an int, a float may be in kinds
         if type(value) not in kinds or type(value) is float:
             if not isinstance(value, kinds):
                 raise ValueError(
-                    f"morphism {key} value of {k!r} is {value!r}, not {expected}"
+                    f"morphism {key} value of {echo(k)} is {echo(value)}, not {expected}"
                 )
             if isinstance(value, (bool, float)):  # int() would truncate it
                 raise ValueError(
-                    f"morphism {key} value of {k!r} is {value!r}, not an integer"
+                    f"morphism {key} value of {echo(k)} is {echo(value)}, not an integer"
                 )
-        out[k] = parse(value)
+        out[str(k)] = parse(value)
     return out

@@ -10,7 +10,10 @@ fields when they are present.  Graphs are the sources and targets of the
 one morphism class, ``delta_morphism.DeltaMorphism``, which indexes the
 ``fibers`` over target vertices.  In JSON, ids are strings or integers
 and a genus is an integer; every id is keyed by its ``str()``, so two ids
-that are equal as strings (``1`` and ``"1"``) are an error.
+that are equal as strings (``1`` and ``"1"``) are an error.  Only the
+public constructors and the loaders coerce (ids to ``str``, numbers to
+``int``); they and the library's own constructions enter one validating
+core with ``str`` ids, ``int`` values and plain dicts, which it keeps.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ def json_field(data: Mapping, key: str, entry: str):
         raise ValueError(f"{entry} lacks key {key!r}") from None
 
 
+def echo(value) -> str:
+    """``repr(value)`` for a message, cut after 400 characters: the cap must
+    stay above the longest message a golden pins (344 characters)."""
+    text = repr(value)
+    more = len(text) - 400
+    return text if more <= 0 else f"{text[:400]}... ({more} more characters)"
+
+
 class OrientedEdge(NamedTuple):
     """An edge with a direction; ``forward`` follows the stored (from, to)."""
 
@@ -48,7 +59,17 @@ def _repeated_id(entry: str, kind: str, ids: Iterable) -> None:
     """Raise the error for two ``ids`` that are equal after ``str()``."""
     ids = list(map(str, ids))
     ident = next(i for n, i in enumerate(ids) if i in ids[:n])
-    raise ValueError(f"{entry} repeats {kind} id {ident!r}")
+    raise ValueError(f"{entry} repeats {kind} id {echo(ident)}")
+
+
+def _check_ends(genus: Mapping[str, int], ends: Iterable) -> None:
+    """Every genus nonnegative and both ends of each ``(e, (u, v))`` vertices."""
+    for v, g in genus.items():
+        if g < 0:
+            raise ValueError(f"vertex {v} has negative genus")
+    for e, (u, v) in ends:
+        if u not in genus or v not in genus:
+            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
 
 
 class GenusGraph:
@@ -73,22 +94,29 @@ class GenusGraph:
         lengths: Optional[Mapping[str, ExtendedRational]] = None,
         infinite_leaves: Iterable[str] = (),
     ):
-        self._genus: Dict[str, int] = {str(v): int(g) for v, g in genera.items()}
-        if len(self._genus) != len(genera):
+        genus = {str(v): int(g) for v, g in genera.items()}
+        if len(genus) != len(genera):
             _repeated_id("graph", "vertex", genera)
-        for v, g in self._genus.items():
-            if g < 0:
-                raise ValueError(f"vertex {v} has negative genus")
-        self._ends: Dict[str, Tuple[str, str]] = {}
-        for e, (u, v) in edges.items():
-            u, v = str(u), str(v)
-            if u not in self._genus or v not in self._genus:
-                raise ValueError(f"edge {e} has an endpoint outside the vertex set")
-            self._ends[str(e)] = (u, v)
-        if len(self._ends) != len(edges):
+        ends = {str(e): (str(u), str(v)) for e, (u, v) in edges.items()}
+        if len(ends) != len(edges):
+            # the checks before this one also see the entries a repeat hides
+            _check_ends(genus, ((e, (str(u), str(v))) for e, (u, v) in edges.items()))
             _repeated_id("graph", "edge", edges)
-        self.vertices: Tuple[str, ...] = tuple(sorted(self._genus))
-        self.edge_ids: Tuple[str, ...] = tuple(sorted(self._ends))
+        self._store(genus, ends, lengths, map(str, infinite_leaves))
+
+    @classmethod
+    def _from_normal(cls, genus, ends, lengths, infinite_leaves) -> "GenusGraph":
+        g = cls.__new__(cls, lengths=lengths)
+        g._store(genus, ends, lengths, infinite_leaves)
+        return g
+
+    def _store(self, genus, ends, lengths, infinite_leaves) -> None:
+        """The core: all checks but repeated ids; it keeps ``genus`` and ``ends``."""
+        _check_ends(genus, ends.items())
+        self._genus: Dict[str, int] = genus
+        self._ends: Dict[str, Tuple[str, str]] = ends
+        self.vertices: Tuple[str, ...] = tuple(sorted(genus))
+        self.edge_ids: Tuple[str, ...] = tuple(sorted(ends))
         out: Dict[str, list] = {v: [] for v in self.vertices}
         new = tuple.__new__  # skips the namedtuple's Python-level __new__
         for e in self.edge_ids:
@@ -100,7 +128,7 @@ class GenusGraph:
         }
         self._connected: Optional[bool] = None  # set by is_connected, once
         self._lengths: Optional[Dict[str, ExtendedRational]] = None
-        self.infinite_leaves: frozenset = frozenset(map(str, infinite_leaves))
+        self.infinite_leaves: frozenset = frozenset(infinite_leaves)
         if lengths is None:
             if self.infinite_leaves:
                 raise ValueError("infinite leaves require edge lengths")
@@ -197,7 +225,7 @@ class GenusGraph:
         return {v: len(bs) + 2 * genus[v] - 2 for v, bs in self._branches.items()}
 
     def canonical_divisor(self) -> "Divisor":
-        return Divisor(self._canonical_coefficients())
+        return Divisor._from_normal(self._canonical_coefficients())
 
     # -- misc -------------------------------------------------------------
 
@@ -262,13 +290,13 @@ class GenusGraph:
             ids[key] = names = []
             for item in items:
                 if type(item) is not dict and not isinstance(item, Mapping):
-                    raise ValueError(f"{key} entry {item!r} is not an object")
+                    raise ValueError(f"{key} entry {echo(item)} is not an object")
                 ident = item.get("id")
                 if type(ident) is not str and type(ident) is not int:
                     if "id" not in item:
-                        raise ValueError(f"{key} entry {item!r} lacks key 'id'")
+                        raise ValueError(f"{key} entry {echo(item)} lacks key 'id'")
                     raise ValueError(
-                        f"{key} entry id {ident!r} is not a string or an integer"
+                        f"{key} entry id {echo(ident)} is not a string or an integer"
                     )
                 names.append(str(ident))
         infinite_leaves = data.get("infinite_leaves", [])
@@ -278,25 +306,26 @@ class GenusGraph:
         for v, item in zip(ids["vertices"], data["vertices"]):
             g = item.get("genus", 0)
             if type(g) is not int:  # int() would truncate a float, take a bool
-                raise ValueError(f"vertex {v} genus {g!r} is not an integer")
+                raise ValueError(f"vertex {v} genus {echo(g)} is not an integer")
             genera[v] = g
         edges, metric = {}, bool(infinite_leaves)
         for e, item in zip(ids["edges"], data["edges"]):
             metric = metric or "length" in item
             if "from" in item and "to" in item:
-                edges[e] = (item["from"], item["to"])
+                u, v = item["from"], item["to"]
             else:  # json_field names the missing key
                 name = f"edge {e}"
-                edges[e] = (json_field(item, "from", name), json_field(item, "to", name))
+                u, v = json_field(item, "from", name), json_field(item, "to", name)
+            edges[e] = (str(u), str(v))
         lengths = None
         if metric:
             lengths = {}
             for e, item in zip(ids["edges"], data["edges"]):
                 length = json_field(item, "length", f"edge {e}")
                 if not isinstance(length, str):
-                    raise ValueError(f"edge {e} length {length!r} is not a string")
+                    raise ValueError(f"edge {e} length {echo(length)} is not a string")
                 lengths[e] = parse_length(length)
-        g = GenusGraph(genera, edges, lengths, infinite_leaves=infinite_leaves)
+        g = GenusGraph._from_normal(genera, edges, lengths, map(str, infinite_leaves))
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges
         for kind, kept, key in ("vertex", genera, "vertices"), ("edge", edges, "edges"):
@@ -319,14 +348,29 @@ class MetricGenusGraph(GenusGraph):
 
 
 class Divisor(Frozen):
-    """Formal integer combination of vertices."""
+    """Formal integer combination of vertices, zeros dropped; a coefficient
+    that is not an ``int`` or two ids equal after ``str()`` are a ValueError."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Mapping[str, int]):
-        super().__init__(
-            {str(v): int(c) for v, c in dict(coefficients).items() if c != 0}
-        )
+        given, coeffs = dict(coefficients), {}
+        for v, c in given.items():
+            if type(c) is not int:  # int() would truncate a float, take a bool or a str
+                raise ValueError(
+                    f"divisor coefficient of vertex {v} is {echo(c)}, not an integer"
+                )
+            coeffs[str(v)] = c
+        if len(coeffs) != len(given):
+            _repeated_id("divisor", "vertex", given)
+        super().__init__({v: c for v, c in coeffs.items() if c})
+
+    @classmethod
+    def _from_normal(cls, coefficients: Dict[str, int]) -> "Divisor":
+        """The divisor of a ``str -> int`` dict: zeros are dropped, nothing is checked."""
+        d = cls.__new__(cls)
+        Frozen.__init__(d, {v: c for v, c in coefficients.items() if c})
+        return d
 
     def coefficient(self, v: str) -> int:
         return self.coefficients.get(v, 0)
@@ -338,13 +382,10 @@ class Divisor(Frozen):
         coeffs = dict(self.coefficients)
         for v, c in other.coefficients.items():
             coeffs[v] = coeffs.get(v, 0) + c
-        return Divisor(coeffs)
+        return Divisor._from_normal(coeffs)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        coeffs = dict(self.coefficients)
-        for v, c in other.coefficients.items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        return Divisor(coeffs)
+        return self + Divisor._from_normal({v: -c for v, c in other.coefficients.items()})
 
     def __hash__(self):
         return hash(tuple(sorted(self.coefficients.items())))

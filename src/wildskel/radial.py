@@ -70,11 +70,11 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     edges = [e for e in src.edge_ids if mm.mult[e] == p]
     verts = {v for e in edges for v in src.endpoints(e)}
     verts.update(v for v in src.vertices if mm.vertex_mult[v] == p)
-    center = GenusGraph(
+    center = GenusGraph._from_normal(
         {v: src.genus_of(v) for v in verts},
         {e: src.endpoints(e) for e in edges},
         {e: src.length(e) for e in edges},
-        infinite_leaves=src.infinite_leaves & verts,
+        src.infinite_leaves & verts,
     )
     radii = {
         e: EdgeRadius(mm.delta_profile(e).pow(-1), p - 1) for e in edges

@@ -404,13 +404,13 @@ class _ShapeBuilder:
             self.attach_tree(child, sub)
 
     def build(self) -> DeltaMorphism:
-        source = GenusGraph(
+        source = GenusGraph._from_normal(
             self.src_genus, self.src_edges, self.src_lengths, self.src_leaves
         )
-        target = GenusGraph(
+        target = GenusGraph._from_normal(
             self.tgt_genus, self.tgt_edges, self.tgt_lengths, self.tgt_leaves
         )
-        m = DeltaMorphism(
+        m = DeltaMorphism._from_normal(
             source, target, self.vmap, self.emap, self.mult, self.sdelta
         )
         return with_delta(m, self.delta, self.setting)

@@ -438,6 +438,46 @@ class TestInputErrors:
         assert run([*argv, str(path)]) == 2
         assert capsys.readouterr().err == "error: the JSON document nests too deeply\n"
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("n", "zz"), "morphism n value of 'zz' is {}, not a number"),
+            (("setting",), "morphism setting {} is not a string"),
+            (("source", "vertices", 0), "vertices entry {} is not an object"),
+            (("source", "vertices", 0, "id"), "vertices entry id {} is not a string or an integer"),
+            (("source", "vertices", 0, "genus"), "vertex s genus {} is not an integer"),
+            (("source", "edges", 0, "length"), "edge a length {} is not a string"),
+        ],
+        ids=["n", "setting", "entry", "id", "genus", "length"],
+    )
+    def test_long_value_is_cut_in_the_message(self, tmp_path, capsys, path, message):
+        """A message echoed a wrong value whole, however long."""
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = json.loads("[" * 300 + "]" * 300)
+        shown = "[" * 300 + "]" * 100 + "... (200 more characters)"
+        assert self._run(tmp_path, capsys, data) == f"error: {message.format(shown)}\n"
+
+    def test_value_nested_960_deep_is_cut(self, tmp_path):
+        """The echo of a list nested 960 deep was a 1,970-byte error line.  The
+        decoder gets this deep only near the bottom of the stack, so the CLI
+        runs in a process of its own."""
+        text = json.dumps(json.loads((FIXTURES / "wb.morphism.json").read_text()))
+        path = tmp_path / "input.json"
+        path.write_text(text.replace('"n": {', '"n": {"zz": ' + "[" * 960 + "]" * 960 + ", ", 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wildskel.cli", "rh-check", str(path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        shown = "[" * 400 + "... (1520 more characters)"
+        message = f"error: morphism n value of 'zz' is {shown}, not a number\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
     def test_radial_needs_delta_values(self, capsys):
         assert run(["radial", str(FIXTURES / "wb.morphism.json")]) == 2
         captured = capsys.readouterr()

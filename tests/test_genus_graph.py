@@ -95,6 +95,31 @@ class TestDivisor:
         assert d + e == Divisor({"a": 1, "c": 1})
         assert d - d == Divisor({})
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(0.4, "0.4"), (1.9, "1.9"), (2.0, "2.0"), ("3", "'3'"), (True, "True")],
+        ids=["float-below-one", "float", "integral-float", "str", "bool"],
+    )
+    def test_coefficient_must_be_an_int(self, value, shown):
+        """A coefficient was filtered as nonzero and then passed to int(),
+        which stored 0.4 as a zero, truncated 1.9 and took "3"."""
+        message = f"divisor coefficient of vertex a is {shown}, not an integer"
+        with pytest.raises(ValueError) as info:
+            Divisor({"b": 1, "a": value})
+        assert str(info.value) == message
+
+    def test_ids_equal_as_strings_rejected(self):
+        for coefficients in ({1: 2, "1": 3}, {"1": 0, 1: 0}):
+            with pytest.raises(ValueError) as info:
+                Divisor(coefficients)
+            assert str(info.value) == "divisor repeats vertex id '1'"
+
+    def test_zeros_dropped_after_the_check(self):
+        d = Divisor({"a": 0, 1: 2})
+        assert d.coefficients == {"1": 2} and type(d.coefficients) is dict
+        assert Divisor({"a": 0}) == Divisor({}) and hash(Divisor({"a": 0})) == hash(Divisor({}))
+        assert Divisor([("a", 1), ("b", 0)]) == Divisor({"a": 1})
+
 
 class TestBranches:
     def test_negation_involution(self):

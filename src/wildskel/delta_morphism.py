@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, echo, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, cut, echo, json_field
 from .pmfunc import PMFunction
 from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting
 
@@ -76,7 +76,8 @@ class DeltaMorphism:
     ):
         _check_kind(source, target)  # before any map is read
         maps = [{str(k): str(v) for k, v in m.items()} for m in (vertex_map, edge_map)]
-        maps += [{str(k): int(v) for k, v in m.items()} for m in (mult, sdelta)]
+        ints = {"mult": mult, "sdelta": sdelta}
+        maps += [{str(k): as_int(v, n, k) for k, v in m.items()} for n, m in ints.items()]
         self._store(source, target, *maps)
 
     @classmethod
@@ -97,7 +98,7 @@ class DeltaMorphism:
         for v in source.vertices:
             v2 = vmap.get(v)
             if v2 not in fibers:
-                raise NotProperError(f"vertex {v} is not mapped to a target vertex")
+                raise NotProperError(f"vertex {cut(v)} is not mapped to a target vertex")
             fibers[v2].append(v)
         self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         # one sweep over the edges checks them and sums n per source vertex
@@ -107,15 +108,15 @@ class DeltaMorphism:
         for e in source.edge_ids:
             e2 = edge_map.get(e)
             if e2 not in target_ends:
-                raise NotProperError(f"edge {e} is not mapped to a target edge")
+                raise NotProperError(f"edge {cut(e)} is not mapped to a target edge")
             u, v = ends[e]
             a, b = vmap[u], vmap[v]
             u2, v2 = target_ends[e2]
             if not (a == u2 and b == v2 or a == v2 and b == u2):
-                raise NotProperError(f"edge {e} violates incidence under the map")
+                raise NotProperError(f"edge {cut(e)} violates incidence under the map")
             n = mult.get(e, 0)
             if n < 1:
-                raise NotProperError(f"edge {e} needs a positive multiplicity")
+                raise NotProperError(f"edge {cut(e)} needs a positive multiplicity")
             forward = u2 == v2 or a == u2  # the image of the branch at u
             at_u, at_v = sums[u], sums[v]
             at_u[e2, forward] = at_u.get((e2, forward), 0) + n
@@ -134,8 +135,8 @@ class DeltaMorphism:
             if len(counts) != len(branches2[v2]) or len(set(counts.values())) > 1:
                 branches = branches2[v2]
                 raise NotProperError(
-                    f"multiplicity is not locally constant at vertex {v}: "
-                    f"{ {b: counts.get(b, 0) for b in branches} }"
+                    f"multiplicity is not locally constant at vertex {cut(v)}: "
+                    f"{echo({b: counts.get(b, 0) for b in branches})}"
                 )
             # an isolated fiber point (no branches) has multiplicity one
             vmult[v] = k = max(counts.values(), default=1)
@@ -143,7 +144,7 @@ class DeltaMorphism:
             r[v] = 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
         values = set(ranks.values())
         if len(values) != 1 or 0 in values:
-            raise NotProperError(f"global rank is not constant: {ranks}")
+            raise NotProperError(f"global rank is not constant: {echo(ranks)}")
         self.degree = values.pop()
         self._sdelta = sdelta
         # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches,
@@ -151,7 +152,7 @@ class DeltaMorphism:
         self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
         for e in source.edge_ids:
             if e not in sdelta:
-                raise ValueError(f"edge {e} has no sdelta value")
+                raise ValueError(f"edge {cut(e)} has no sdelta value")
             s, n = sdelta[e], mult[e]
             u, v = ends[e]
             r[u] += s - n + 1
@@ -203,16 +204,16 @@ class DeltaMorphism:
         self.delta = {}
         for v in src.vertices:
             if v not in delta:
-                raise ValueError(f"vertex {v} has no delta value")
+                raise ValueError(f"vertex {cut(v)} has no delta value")
             d = delta[v]
             self.delta[v] = d if isinstance(d, LogAbs) else LogAbs(d)
         raw = {v: d._value for v, d in self.delta.items()}  # None for -inf
         for v, x in raw.items():
             if x is not None and x > 0:
-                raise ValueError(f"delta at {v} must be <= 0, got {self.delta[v]}")
+                raise ValueError(f"delta at {cut(v)} must be <= 0, got {self.delta[v]}")
             if x is None and v not in src.infinite_leaves:
                 raise ValueError(
-                    f"delta vanishes at {v}, which is not an infinite leaf"
+                    f"delta vanishes at {cut(v)}, which is not an infinite leaf"
                 )
         slot = {}  # one small index per distinct delta value, cheaper to hash
         vslot = {v: slot.setdefault(x, len(slot)) for v, x in raw.items()}
@@ -225,7 +226,7 @@ class DeltaMorphism:
             target_l = target_lengths[self.edge_map[e]]
             if target_l != n * l:
                 raise ValueError(
-                    f"dilation fails on edge {e}: {target_l} != {n} * {l}"
+                    f"dilation fails on edge {cut(e)}: {target_l} != {n} * {l}"
                 )
             s_uv = self._sdelta[e]
             if l is INF:
@@ -235,27 +236,27 @@ class DeltaMorphism:
                 expected = setting.int_abs(n)
                 if raw[leaf] != expected._value:
                     raise ValueError(
-                        f"delta at infinite leaf {leaf} must be |{n}| = "
+                        f"delta at infinite leaf {cut(leaf)} must be |{n}| = "
                         f"{expected}, got {self.delta[leaf]}"
                     )
                 if s_out > 0:
                     raise ValueError(
-                        f"delta would exceed one along the tail {e}"
+                        f"delta would exceed one along the tail {cut(e)}"
                     )
                 if s_out == 0 and raw[leaf] != raw[inner]:
                     raise ValueError(
-                        f"delta is not constant along the slope-zero tail {e}"
+                        f"delta is not constant along the slope-zero tail {cut(e)}"
                     )
                 if s_out < 0 and raw[leaf] is not None:
                     raise ValueError(
-                        f"delta must vanish at the end of the descending tail {e}"
+                        f"delta must vanish at the end of the descending tail {cut(e)}"
                     )
             else:
                 if raw[u] is None or raw[v] is None:
-                    raise ValueError(f"finite edge {e} has a vanishing endpoint")
+                    raise ValueError(f"finite edge {cut(e)} has a vanishing endpoint")
                 if raw[v] != raw[u] + s_uv * l:
                     raise ValueError(
-                        f"delta is not linear along edge {e}: "
+                        f"delta is not linear along edge {cut(e)}: "
                         f"{self.delta[v]} != {self.delta[u]} + {s_uv} * {l}"
                     )
             for vert, slope in ((u, s_uv), (v, -s_uv)):
@@ -265,7 +266,7 @@ class DeltaMorphism:
                 verdict = checked[key]
                 if not verdict:
                     raise ValueError(
-                        f"edge {e} fails the slope restriction at {vert}: "
+                        f"edge {cut(e)} fails the slope restriction at {cut(vert)}: "
                         f"{verdict.reason}"
                     )
 
@@ -479,9 +480,7 @@ def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
     """Why ``m`` admits no ``kind`` move at the target vertex ``v2``, if none.
 
     The graph rules on ``v2`` and on each fiber vertex, then the morphism
-    rules; ``m`` may be a working copy.  Local constancy and balance
-    already make a smoothed fiber vertex join equal multiplicities with a
-    continuous sdelta; both are checked anyway.
+    rules; ``m`` may be a working copy.
     """
     reason = _vertex_obstruction(m.target, kind, v2, "target vertex")
     if reason:
@@ -494,15 +493,11 @@ def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
         reason = _vertex_obstruction(m.source, kind, v, "fiber vertex")
         if reason:
             return reason
+        # a smoothed fiber vertex has one edge over each target branch, both of
+        # multiplicity vertex_mult; R_v = sdelta(b1) + sdelta(b2) = 0 is continuity
         r = m.differential_index(v)
         if r != 0:
             return f"fiber vertex {v} has R = {r} != 0"
-        if kind == "smooth":
-            b1, b2 = m.source.branches(v)
-            if m.mult[b1.edge] != m.mult[b2.edge]:
-                return f"fiber vertex {v} joins edges of different multiplicity"
-            if m.sdelta(-b1) != m.sdelta(b2):
-                return f"sdelta is discontinuous through fiber vertex {v}"
     return None
 
 
@@ -775,5 +770,13 @@ def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -
                 raise ValueError(
                     f"morphism {key} value of {echo(k)} is {echo(value)}, not an integer"
                 )
-        out[str(k)] = parse(value)
+        try:
+            out[str(k)] = parse(value)
+        except ValueError as exc:
+            if isinstance(exc.__context__, ZeroDivisionError):  # names itself
+                raise
+            noun = "an integer" if parse is int else "a rational or -inf"
+            raise ValueError(
+                f"morphism {key} value of {echo(k)} is {echo(value)}, not {noun}"
+            ) from None
     return out

@@ -37,12 +37,23 @@ def json_field(data: Mapping, key: str, entry: str):
         raise ValueError(f"{entry} lacks key {key!r}") from None
 
 
-def echo(value) -> str:
-    """``repr(value)`` for a message, cut after 400 characters: the cap must
-    stay above the longest message a golden pins (344 characters)."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """``text`` for a message, cut after 400 characters: the cap must stay
+    above the longest message a golden pins (344 characters)."""
     more = len(text) - 400
     return text if more <= 0 else f"{text[:400]}... ({more} more characters)"
+
+
+def echo(value) -> str:
+    return cut(repr(value))
+
+
+def as_int(value, entry: str, key) -> int:
+    """``int(value)`` for a public constructor's map ``entry``; a float would
+    be truncated and a bool taken as a number, so both are a ValueError."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not an integer")
+    return int(value)
 
 
 class OrientedEdge(NamedTuple):
@@ -66,10 +77,10 @@ def _check_ends(genus: Mapping[str, int], ends: Iterable) -> None:
     """Every genus nonnegative and both ends of each ``(e, (u, v))`` vertices."""
     for v, g in genus.items():
         if g < 0:
-            raise ValueError(f"vertex {v} has negative genus")
+            raise ValueError(f"vertex {cut(v)} has negative genus")
     for e, (u, v) in ends:
         if u not in genus or v not in genus:
-            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+            raise ValueError(f"edge {cut(e)} has an endpoint outside the vertex set")
 
 
 class GenusGraph:
@@ -94,7 +105,7 @@ class GenusGraph:
         lengths: Optional[Mapping[str, ExtendedRational]] = None,
         infinite_leaves: Iterable[str] = (),
     ):
-        genus = {str(v): int(g) for v, g in genera.items()}
+        genus = {str(v): as_int(g, "genera", v) for v, g in genera.items()}
         if len(genus) != len(genera):
             _repeated_id("graph", "vertex", genera)
         ends = {str(e): (str(u), str(v)) for e, (u, v) in edges.items()}
@@ -136,26 +147,26 @@ class GenusGraph:
         self._lengths = {}
         for e in self.edge_ids:
             if e not in lengths:
-                raise ValueError(f"edge {e} has no length")
+                raise ValueError(f"edge {cut(e)} has no length")
             l = lengths[e]
             if l is not INF:
                 l = l if type(l) is Fraction else Fraction(l)
                 if l <= 0:
-                    raise ValueError(f"edge {e} has nonpositive length {l}")
+                    raise ValueError(f"edge {cut(e)} has nonpositive length {l}")
             self._lengths[e] = l
         for v in self.infinite_leaves:
             if v not in self._genus:
-                raise ValueError(f"infinite leaf {v} is not a vertex")
+                raise ValueError(f"infinite leaf {cut(v)} is not a vertex")
             if self.genus_of(v) != 0:
-                raise ValueError(f"infinite leaf {v} must have genus 0")
+                raise ValueError(f"infinite leaf {cut(v)} must have genus 0")
             if not self.is_leaf(v):
-                raise ValueError(f"infinite leaf {v} must have valence 1")
+                raise ValueError(f"infinite leaf {cut(v)} must have valence 1")
         for e in self.edge_ids:
             u, v = self._ends[e]
             is_tail = u in self.infinite_leaves or v in self.infinite_leaves
             if is_tail != (self._lengths[e] is INF):
                 raise ValueError(
-                    f"edge {e} must have infinite length iff it is a tail"
+                    f"edge {cut(e)} must have infinite length iff it is a tail"
                 )
 
     # -- basic structure ------------------------------------------------
@@ -306,7 +317,7 @@ class GenusGraph:
         for v, item in zip(ids["vertices"], data["vertices"]):
             g = item.get("genus", 0)
             if type(g) is not int:  # int() would truncate a float, take a bool
-                raise ValueError(f"vertex {v} genus {echo(g)} is not an integer")
+                raise ValueError(f"vertex {cut(v)} genus {echo(g)} is not an integer")
             genera[v] = g
         edges, metric = {}, bool(infinite_leaves)
         for e, item in zip(ids["edges"], data["edges"]):
@@ -314,17 +325,26 @@ class GenusGraph:
             if "from" in item and "to" in item:
                 u, v = item["from"], item["to"]
             else:  # json_field names the missing key
-                name = f"edge {e}"
+                name = f"edge {cut(e)}"
                 u, v = json_field(item, "from", name), json_field(item, "to", name)
             edges[e] = (str(u), str(v))
         lengths = None
         if metric:
             lengths = {}
             for e, item in zip(ids["edges"], data["edges"]):
-                length = json_field(item, "length", f"edge {e}")
+                length = json_field(item, "length", f"edge {cut(e)}")
                 if not isinstance(length, str):
-                    raise ValueError(f"edge {e} length {echo(length)} is not a string")
-                lengths[e] = parse_length(length)
+                    raise ValueError(
+                        f"edge {cut(e)} length {echo(length)} is not a string"
+                    )
+                try:
+                    lengths[e] = parse_length(length)
+                except ValueError as exc:
+                    if isinstance(exc.__context__, ZeroDivisionError):  # names itself
+                        raise
+                    raise ValueError(
+                        f"edge {cut(e)} length {echo(length)} is not a rational or inf"
+                    ) from None
         g = GenusGraph._from_normal(genera, edges, lengths, map(str, infinite_leaves))
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges

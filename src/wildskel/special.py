@@ -17,7 +17,10 @@ derived from these two at import.
 One multiset enumerator serves the search: it splits slope indices into
 parts for root subtrees, and root subtrees into shapes.  The enumeration
 tags each special candidate by the shape key it was built from;
-:func:`classify_special` reads the shape back off a given morphism.
+:func:`classify_special` reads the shape back off a given morphism: its
+trees hang off the genus-one vertex or off the cycle of multiplicity-one
+edges.  The shape builder records the source only and derives the target
+as its quotient.
 """
 
 from __future__ import annotations
@@ -199,10 +202,7 @@ def _bodies(slope_index: int, leaf_r: int, budget: int) -> List[RootSubtree]:
         for combo in itertools.product(*options):
             if sum(len(c.leaf_r_values()) for c in combo) > budget:
                 continue
-            try:
-                found.append(RootSubtree(slope_index - 1, tuple(combo)))
-            except ValueError:
-                continue
+            found.append(RootSubtree(slope_index - 1, tuple(combo)))
     unique = {t: None for t in found}
     return list(unique)
 
@@ -236,11 +236,8 @@ class SpecialCheck(Frozen):
 
 
 def _wild_vertices(m: DeltaMorphism) -> frozenset:
-    return frozenset(
-        v
-        for v in m.source.vertices
-        if any(m.sdelta(b) != 0 for b in m.source.branches(v))
-    )
+    ends = m.source.endpoints
+    return frozenset(v for e in m.source.edge_ids if m.sdelta_stored(e) for v in ends(e))
 
 
 def ramification_signature(m: DeltaMorphism) -> Tuple[int, ...]:
@@ -263,10 +260,8 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
             f"{m.target.genus()}, not 1 -> 0",
         )
     # (2) unbalanced vertices: genus-zero leaves, R > 0, multiplicity 2
-    for v in m.source.vertices:
+    for v in m.unbalanced_vertices():
         r = m.differential_index(v)
-        if r == 0:
-            continue
         if not m.source.is_leaf(v):
             return SpecialCheck(
                 False, f"violated(2): vertex {v} has R = {r} but is not a leaf"
@@ -337,22 +332,18 @@ def _class_coherent(m: DeltaMorphism, cls: str) -> bool:
 
 
 class _ShapeBuilder:
-    """Accumulates a degree-two morphism (optionally metric) shape by shape."""
+    """Accumulates the source of a degree-two morphism (optionally metric)
+    shape by shape; :meth:`build` derives the target as its quotient."""
 
     def __init__(self, lengths: "Lengths | None" = None,
                  setting: ResidueSetting | None = None):
         metric = lengths is not None
         self.lengths = lengths
         self.setting = setting
-        self.src_genus: Dict[str, int] = {}
-        self.src_edges: Dict[str, Tuple[str, str]] = {}
-        self.src_lengths: Optional[Dict[str, object]] = {} if metric else None
-        self.src_leaves: List[str] = []
-        self.tgt_genus: Dict[str, int] = {}
-        self.tgt_edges: Dict[str, Tuple[str, str]] = {}
-        self.tgt_lengths: Optional[Dict[str, object]] = {} if metric else None
-        self.tgt_leaves: List[str] = []
-        self.vmap: Dict[str, str] = {}
+        self.genus: Dict[str, int] = {}
+        self.edges: Dict[str, Tuple[str, str]] = {}
+        self.edge_lengths: Optional[Dict[str, object]] = {} if metric else None
+        self.leaves: List[str] = []
         self.emap: Dict[str, str] = {}
         self.mult: Dict[str, int] = {}
         self.sdelta: Dict[str, int] = {}
@@ -363,26 +354,18 @@ class _ShapeBuilder:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
-    def add_vertex(self, name: str, genus: int, delta: LogAbs = ZERO) -> str:
-        self.src_genus[name] = genus
-        self.tgt_genus[name + "'"] = 0
-        self.vmap[name] = name + "'"
+    def add_vertex(self, name: str, genus: int, delta: LogAbs = ZERO) -> None:
+        self.genus[name] = genus
         if self.delta is not None:
             self.delta[name] = delta
-        return name
 
     def add_edge(self, name, u, v, n, sdelta_uv, length=None, target_edge=None):
-        self.src_edges[name] = (u, v)
+        self.edges[name] = (u, v)
         self.mult[name] = n
         self.sdelta[name] = sdelta_uv
-        if target_edge is None:
-            target_edge = name + "'"
-            self.tgt_edges[target_edge] = (self.vmap[u], self.vmap[v])
-            if self.tgt_lengths is not None:
-                self.tgt_lengths[target_edge] = n * length
-        self.emap[name] = target_edge
-        if self.src_lengths is not None:
-            self.src_lengths[name] = length
+        self.emap[name] = target_edge = target_edge or name + "'"
+        if self.edge_lengths is not None:
+            self.edge_lengths[name] = length
         return target_edge
 
     def attach_tree(self, at: str, tree: RootSubtree) -> None:
@@ -393,8 +376,7 @@ class _ShapeBuilder:
             self.add_edge(self._fresh("e"), at, child, 2, -label)
         elif tree.is_leaf_edge:
             self.add_vertex(child, 0, self.delta[at] if label == 0 else NEG_INF)
-            self.src_leaves.append(child)
-            self.tgt_leaves.append(child + "'")
+            self.leaves.append(child)
             self.add_edge(self._fresh("e"), at, child, 2, -label, INF)
         else:
             l = self.lengths.of_slope(label)
@@ -404,14 +386,25 @@ class _ShapeBuilder:
             self.attach_tree(child, sub)
 
     def build(self) -> DeltaMorphism:
+        """The morphism onto the quotient: ``v`` maps to ``v'`` of genus zero,
+        ``e`` to ``e'`` unless it named another image, and ``e'`` has length
+        ``n * l``."""
+        vmap = {v: v + "'" for v in self.genus}
+        own = [e for e, e2 in self.emap.items() if e2 == e + "'"]
+        target_lengths = None if self.edge_lengths is None else {
+            e + "'": self.mult[e] * self.edge_lengths[e] for e in own
+        }
         source = GenusGraph._from_normal(
-            self.src_genus, self.src_edges, self.src_lengths, self.src_leaves
+            self.genus, self.edges, self.edge_lengths, self.leaves
         )
         target = GenusGraph._from_normal(
-            self.tgt_genus, self.tgt_edges, self.tgt_lengths, self.tgt_leaves
+            dict.fromkeys(vmap.values(), 0),
+            {e + "'": tuple(map(vmap.get, self.edges[e])) for e in own},
+            target_lengths,
+            [v + "'" for v in self.leaves],
         )
         m = DeltaMorphism._from_normal(
-            source, target, self.vmap, self.emap, self.mult, self.sdelta
+            source, target, vmap, self.emap, self.mult, self.sdelta
         )
         return with_delta(m, self.delta, self.setting)
 
@@ -560,26 +553,6 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
     ]
 
 
-def _two_core(g: GenusGraph) -> Tuple[frozenset, frozenset]:
-    """Vertices and edges left after iterated leaf stripping."""
-    verts = set(g.vertices)
-    edges = {e: g.endpoints(e) for e in g.edge_ids}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(verts):
-            deg = sum(
-                (1 if u == v else 0) + (1 if w == v else 0)
-                for u, w in edges.values()
-            )
-            if deg <= 1:
-                verts.remove(v)
-                for e in [e for e, (u, w) in edges.items() if v in (u, w)]:
-                    del edges[e]
-                changed = True
-    return frozenset(verts), frozenset(edges)
-
-
 def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
     if m.mult[branch.edge] != 2:
         raise UnclassifiableError(
@@ -599,36 +572,37 @@ def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
 
 
 def classify_special(m: DeltaMorphism) -> SpecialType:
-    """Match a special morphism against the twelve shapes."""
+    """Match a special morphism against the twelve shapes.
+
+    Trees hang off the genus-one vertex, or off the two ends of the cycle.
+    The target is a tree, so a cycle upstairs runs over each of its edges
+    twice, and those edges are split; a split edge off the cycle would end
+    in genus-zero leaves of multiplicity one with ``R = 0``, and a stable
+    morphism has none.  So the cycle is the set of multiplicity-one edges.
+    """
     check = is_special(m)
     if not check:
         raise ValueError(f"not special: {check.reason}")
-    genus1 = [v for v in m.source.vertices if m.source.genus_of(v) == 1]
-    h1 = m.source.h1()
+    src = m.source
+    genus1 = [v for v in src.vertices if src.genus_of(v) == 1]
+    h1 = src.h1()
     if genus1 and h1 == 0:
-        root = genus1[0]
-        kind = "genus1"
-        data = [_extract_tree(m, b) for b in m.source.branches(root)]
+        kind, roots, cycle = "genus1", genus1[:1], ()
     elif not genus1 and h1 == 1:
-        core_verts, core_edges = _two_core(m.source)
-        if len(core_verts) != 2 or len(core_edges) != 2:
-            raise UnclassifiableError(
-                "the cycle is not a two-vertex double edge"
-            )
+        cycle = [e for e in src.edge_ids if m.mult[e] == 1]
+        roots = sorted({v for e in cycle for v in src.endpoints(e)})
+        if len(roots) != 2 or len(cycle) != 2:
+            raise UnclassifiableError("the cycle is not a two-vertex double edge")
         kind = "loop"
-        data = [
-            [
-                _extract_tree(m, b)
-                for b in m.source.branches(v)
-                if b.edge not in core_edges
-            ]
-            for v in sorted(core_verts)
-        ]
     else:
         raise UnclassifiableError(
             "neither a genus-one vertex with trees nor a loop with trees"
         )
-    return SpecialType(_tag_of(kind, data))
+    data = [
+        [_extract_tree(m, b) for b in src.branches(v) if b.edge not in cycle]
+        for v in roots
+    ]
+    return SpecialType(_tag_of(kind, data[0] if kind == "genus1" else data))
 
 
 # -- metric lifting -----------------------------------------------------------------

@@ -246,6 +246,11 @@ class TestInputErrors:
             (("target", "vertices"), {"s'": 0}, "target graph vertices is not a list"),
             (("source", "edges"), "a", "source graph edges is not a list"),
             (("target", "edges"), None, "target graph edges is not a list"),
+            (("sdelta", "a"), "x", "morphism sdelta value of 'a' is 'x', not an integer"),
+            (("n", "a"), "2x", "morphism n value of 'a' is '2x', not an integer"),
+            (("delta", "s"), "-1x",
+             "morphism delta value of 's' is '-1x', not a rational or -inf"),
+            (("source", "edges", 0, "length"), "1x", "edge a length '1x' is not a rational or inf"),
         ],
         ids=[
             "n-list", "n-null", "n-object", "sdelta-list", "sdelta-null",
@@ -256,6 +261,7 @@ class TestInputErrors:
             "vertex-id-object", "edge-id-list", "edge-id-object",
             "length-zero-denominator", "delta-zero-denominator",
             "target-vertices-object", "source-edges-string", "target-edges-null",
+            "sdelta-text", "n-text", "delta-text", "length-text",
         ],
     )
     def test_value_of_wrong_kind(self, tmp_path, capsys, path, value, message):
@@ -458,6 +464,24 @@ class TestInputErrors:
             parent = parent[key]
         parent[path[-1]] = json.loads("[" * 300 + "]" * 300)
         shown = "[" * 300 + "]" * 100 + "... (200 more characters)"
+        assert self._run(tmp_path, capsys, data) == f"error: {message.format(shown)}\n"
+
+    @pytest.mark.parametrize(
+        "fixture, to, message",
+        [
+            ("wb.morphism.json", "zz", "edge {} has an endpoint outside the vertex set"),
+            ("wb.morphism.json", "s", "edge {} is not mapped to a target edge"),
+            ("wb_metric.morphism.json", "s", "edge {} lacks key 'length'"),
+        ],
+        ids=["endpoint", "unmapped", "length"],
+    )
+    def test_long_id_is_cut_in_the_message(self, tmp_path, capsys, fixture, to, message):
+        """A message showed an id whole: 100,044 characters for the first."""
+        data = json.loads((FIXTURES / fixture).read_text())
+        edge = data["source"]["edges"][0]
+        edge["id"], edge["to"] = "e" * 100_000, to
+        edge.pop("length", None)
+        shown = "e" * 400 + "... (99600 more characters)"
         assert self._run(tmp_path, capsys, data) == f"error: {message.format(shown)}\n"
 
     def test_value_nested_960_deep_is_cut(self, tmp_path):

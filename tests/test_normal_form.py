@@ -328,3 +328,27 @@ def test_public_constructor_precedence():
         with pytest.raises(ValueError, match="invalid literal for int") as caught:
             DeltaMorphism(source, target, unmapped, edge_map, *bad)
         assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("value", [1.5, 1.9, True, False])
+def test_public_constructors_reject_floats_and_bools(value):
+    """``int()`` truncated a float and took a bool: genus 1.5 built genus 1,
+    and ``mult`` 1.9 stored 1.  The rejection keeps its place before the core
+    checks, like a value that ``int()`` cannot convert."""
+    with pytest.raises(ValueError) as caught:
+        GenusGraph({"a": value}, {})
+    assert str(caught.value) == f"genera value of 'a' is {value!r}, not an integer"
+    data = json.loads((FIXTURES / "wb.morphism.json").read_text())
+    source = GenusGraph(*_graph_args(data["source"], False))
+    target = GenusGraph(*_graph_args(data["target"], False))
+    vertex_map, edge_map, mult, sdelta = _maps(data, False)
+    unmapped = {v: x for v, x in vertex_map.items() if v != source.vertices[0]}
+    for name, bad in (
+        ("mult", ({**mult, "a": value}, sdelta)),
+        ("sdelta", (mult, {**sdelta, "a": value})),
+    ):
+        for vmap in vertex_map, unmapped:
+            with pytest.raises(ValueError) as caught:
+                DeltaMorphism(source, target, vmap, edge_map, *bad)
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == f"{name} value of 'a' is {value!r}, not an integer"

@@ -16,12 +16,23 @@ The triple ``(m, s, delta)`` obeys ``|m+s| >= delta >= |m|``, with
 the lower one is; :func:`check_restriction` tests the condition and
 :func:`realize_triple` produces a witness series for any admissible
 triple.
+
+Representation.  A series is stored like a
+:class:`~wildskel.pmfunc.PMFunction`: over the least common denominator
+``D`` of its values, as ``(exponent, D * value)`` pairs sorted by
+exponent.  ``D`` is minimal, so equal series store equal data.
+Normalization, derivatives, reports, image laws, witnesses and the
+slope restriction all run on these integers, and :func:`tropical_eval`
+reads them directly.  Fractions are made only where a value leaves the
+module: ``coefficients``, ``series[i]``, ``to_text``, ``repr``, report
+values and messages.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from math import gcd, lcm
+from typing import Dict, Mapping, Sequence, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
@@ -48,40 +59,51 @@ class ValuedSeries(Frozen):
     """Finite-support map ``exponent -> log|coefficient|``.
 
     Coefficients with absolute value zero are simply absent, so every
-    stored value is a finite rational.
+    stored value is a finite rational.  The fields ``den`` and ``terms``
+    hold the integer form described in the module docstring.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("den", "terms")
 
     def __init__(self, coefficients: Mapping[int, Fraction]):
-        coeffs = {}
-        for i, v in dict(coefficients).items():
-            if isinstance(v, LogAbs):
-                if v.is_neg_inf:
-                    continue
-                v = v.value
-            coeffs[int(i)] = v if type(v) is Fraction else Fraction(v)
-        if not coeffs:
-            raise pmfunc.EmptySeriesError("series has empty support")
-        super().__init__(coeffs)
+        coeffs = {
+            int(i): v
+            for i, v in dict(coefficients).items()
+            if not (isinstance(v, LogAbs) and v.is_neg_inf)
+        }
+        self._store(*pmfunc.scaled_series(coeffs))
+
+    @classmethod
+    def _from_scaled(cls, den: int, terms: Sequence[Tuple[int, int]]) -> "ValuedSeries":
+        """The series of sorted ``(exponent, numerator)`` pairs over ``den``."""
+        obj = cls.__new__(cls)
+        obj._store(den, terms)
+        return obj
+
+    def _store(self, den: int, terms) -> None:
+        g = gcd(den, *[n for _, n in terms])
+        Frozen.__init__(self, den // g, tuple([(i, n // g) for i, n in terms]))
+
+    @property
+    def coefficients(self) -> Dict[int, Fraction]:
+        """The map ``exponent -> log|coefficient|``, made afresh."""
+        d = self.den
+        return {i: Fraction(n, d) for i, n in self.terms}
 
     @property
     def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.coefficients))
+        return tuple([i for i, _ in self.terms])
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coefficients[i]
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coefficients.items())))
-
     def __repr__(self):
-        terms = ", ".join(f"{i}: {v}" for i, v in sorted(self.coefficients.items()))
+        terms = ", ".join(f"{i}: {v}" for i, v in self.coefficients.items())
         return f"ValuedSeries({{{terms}}})"
 
     def to_text(self) -> str:
         """One ``exponent log_abs`` pair per line."""
-        return "\n".join(f"{i} {v}" for i, v in sorted(self.coefficients.items()))
+        return "\n".join(f"{i} {v}" for i, v in self.coefficients.items())
 
     @classmethod
     def from_text(cls, text: str) -> "ValuedSeries":
@@ -128,16 +150,17 @@ _PASSED = Verdict(True)  # immutable, so one instance serves every pass
 
 
 def is_normalized(series: ValuedSeries) -> bool:
-    return 0 not in series.coefficients and max(series.coefficients.values()) == 0
+    terms = series.terms
+    return all([i for i, _ in terms]) and max([n for _, n in terms]) == 0
 
 
 def normalize(series: ValuedSeries) -> ValuedSeries:
     """Drop the constant term and rescale so the sup norm is one."""
-    coeffs = {i: v for i, v in series.coefficients.items() if i != 0}
-    if not coeffs:
+    terms = [(i, n) for i, n in series.terms if i != 0]
+    if not terms:
         raise ConstantSeriesError("series is constant after dropping exponent 0")
-    top = max(coeffs.values())
-    return ValuedSeries({i: v - top for i, v in coeffs.items()})
+    top = max([n for _, n in terms])
+    return ValuedSeries._from_scaled(series.den, [(i, n - top) for i, n in terms])
 
 
 def _require_normalized(series: ValuedSeries) -> None:
@@ -153,25 +176,30 @@ def skeleton_image_law(series: ValuedSeries, at_log_r) -> Tuple[int, LogAbs]:
     map on the skeleton is ``|m|``.
     """
     _require_normalized(series)
-    x = Fraction(at_log_r)
-    best = max(v + i * x for i, v in series.coefficients.items())
-    m = min(i for i, v in series.coefficients.items() if v + i * x == best)
-    return m, LogAbs(series.coefficients[m])
+    p, q = pmfunc._ratio(at_log_r)
+    pd = p * series.den
+    # (m, h_m) with h_m + m*x maximal, scaled by D*q; the minimal m wins a tie
+    m, n = max(series.terms, key=lambda t: (t[1] * q + t[0] * pd, -t[0]))
+    return m, LogAbs(Fraction(n, series.den))
 
 
 def derivative(series: ValuedSeries, setting: ResidueSetting) -> ValuedSeries:
     """Term-wise derivative: ``log|i * h_i|`` placed at exponent ``i - 1``."""
-    coeffs: Dict[int, Fraction] = {}
-    for i, v in series.coefficients.items():
-        scale = setting.int_abs(i)
-        if scale.is_neg_inf:
-            continue
-        coeffs[i - 1] = scale.value + v
-    if not coeffs:
+    den, kept = series.den, []
+    for i, n in series.terms:
+        scale = setting.int_abs(i)._value  # None for -inf
+        if scale is not None:
+            a, b = scale.as_integer_ratio()
+            den = lcm(den, b)
+            kept.append((i, n, a, b))
+    if not kept:
         raise InseparableSeriesError(
             "derivative vanishes identically; the covering is inseparable"
         )
-    return ValuedSeries(coeffs)
+    k = den // series.den
+    return ValuedSeries._from_scaled(
+        den, [(i - 1, n * k + a * (den // b)) for i, n, a, b in kept]
+    )
 
 
 def different_profile(
@@ -199,12 +227,14 @@ def different_profile(
 def different_report(series: ValuedSeries, setting: ResidueSetting) -> DifferentReport:
     """Invariants at the reference point ``log r = 0``."""
     _require_normalized(series)
-    m = min(i for i, v in series.coefficients.items() if v == 0)
+    # terms are sorted, so the first exponent found is the minimal one
+    m = next(i for i, n in series.terms if n == 0)
     deriv = derivative(series, setting)
+    top = max([v for _, v in deriv.terms])
     # exponents shift by one under differentiation
-    top = max(deriv.coefficients.values())
-    n = min(j for j, v in deriv.coefficients.items() if v == top) + 1
-    return DifferentReport(m=m, n=n, log_delta=LogAbs(top), slope_s=m - n)
+    n = next(j for j, v in deriv.terms if v == top) + 1
+    log_delta = LogAbs(Fraction(top, deriv.den))
+    return DifferentReport(m=m, n=n, log_delta=log_delta, slope_s=m - n)
 
 
 def check_restriction(
@@ -221,28 +251,36 @@ def check_restriction(
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
     d = log_delta._value  # the raw value: a Fraction, or None for -inf
-    if d is not None and d > 0:
+    if d is not None and d.numerator > 0:
         raise ValueError("log_delta must be <= 0")
     if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
         return Verdict.violated(
             f"even multiplicity {m} = 2 mod 4 admits only odd nonzero slopes "
             f"in residue characteristic 2, got s={s}"
         )
-    upper = setting.int_abs(m + s)
-    u = upper._value
+    # |m+s|, |m| and delta as integers over one denominator, None for -inf
+    ratios = (
+        setting._int_abs_ratio(m + s),
+        setting._int_abs_ratio(m),
+        None if d is None else d.as_integer_ratio(),
+    )
+    den = lcm(*[r[1] for r in ratios if r is not None])
+    u, low, d = [None if r is None else r[0] * (den // r[1]) for r in ratios]
     if d is not None and (u is None or u < d):
-        return Verdict.violated(f"|m+s| = {upper} < log_delta = {log_delta}")
-    lower = setting.int_abs(m)
-    low = lower._value
+        return Verdict.violated(
+            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {log_delta}"
+        )
     if low is not None and (d is None or d < low):
-        return Verdict.violated(f"log_delta = {log_delta} < |m| = {lower}")
+        return Verdict.violated(f"log_delta = {log_delta} < |m| = {setting.int_abs(m)}")
     if d == u and s > 0:
         return Verdict.violated(
-            f"log_delta attains |m+s| = {upper}, which requires s <= 0, got s={s}"
+            f"log_delta attains |m+s| = {setting.int_abs(m + s)}, which requires "
+            f"s <= 0, got s={s}"
         )
     if d == low and s < 0:
         return Verdict.violated(
-            f"log_delta attains |m| = {lower}, which requires s >= 0, got s={s}"
+            f"log_delta attains |m| = {setting.int_abs(m)}, which requires s >= 0, "
+            f"got s={s}"
         )
     return _PASSED
 
@@ -261,12 +299,11 @@ def realize_triple(
     if not verdict:
         raise UnrealizableTripleError(verdict.reason)
     if s == 0:
-        return ValuedSeries({m: Fraction(0)})
-    scale = setting.int_abs(m - s)
-    coeff = log_delta - scale
-    if coeff > 0:
-        # cannot happen for admissible triples; guard against misuse
-        raise UnrealizableTripleError(
-            f"witness coefficient would have positive log {coeff}"
-        )
-    return ValuedSeries({m: Fraction(0), m - s: coeff.value})
+        return ValuedSeries._from_scaled(1, [(m, 0)])
+    # log|a| = log_delta - |m-s| over the denominator dq * b.  For an
+    # admissible triple with s != 0, |m-s| is finite and at least delta:
+    # |m-s| < delta would force |m+s| = |2m| = |2s| with delta in [|m|, |2m|],
+    # which leaves only s = 0 in every setting.
+    dp, dq = log_delta.value.as_integer_ratio()
+    a, b = setting._int_abs_ratio(m - s)
+    return ValuedSeries._from_scaled(dq * b, sorted([(m, 0), (m - s, dp * b - a * dq)]))

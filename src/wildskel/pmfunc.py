@@ -27,9 +27,10 @@ Fractions are made only where a value leaves the module: ``domain``,
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .valuation import INF, ExtendedRational, LogAbs, format_length, parse_length
 
@@ -390,22 +391,31 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
     return hull
 
 
-def tropical_eval(series, domain) -> NewtonProfile:
-    """Upper envelope ``x -> max_i (log|h_i| + i*x)`` on ``domain``.
-
-    ``series`` is a mapping ``exponent -> log coefficient`` (or any
-    object exposing such a mapping as ``.coefficients``).
-    """
-    coeffs = getattr(series, "coefficients", series)
+def scaled_series(coeffs: Mapping) -> Tuple[int, List[Tuple[int, int]]]:
+    """A map ``exponent -> log coefficient`` over its least common
+    denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
     items = sorted((int(i), _value_ratio(v)) for i, v in coeffs.items())
     if not items:
         raise EmptySeriesError("series has empty support")
+    den, nums = _over_common_denominator([r for _, r in items])
+    return den, [(i, n) for (i, _), n in zip(items, nums)]
+
+
+def tropical_eval(series, domain) -> NewtonProfile:
+    """Upper envelope ``x -> max_i (log|h_i| + i*x)`` on ``domain``.
+
+    ``series`` is a :class:`~wildskel.annulus.ValuedSeries`, read in its
+    integer form ``(den, terms)``, or a mapping ``exponent -> log
+    coefficient``, first brought to that form by :func:`scaled_series`.
+    """
+    is_map = isinstance(series, Mapping)
+    den, terms = scaled_series(series) if is_map else (series.den, series.terms)
     ends = _domain_ends(domain)
     # values and domain ends over one denominator L
-    big_l, nums = _over_common_denominator([r for _, r in items] + ends)
-    pts = [(i, n) for (i, _), n in zip(items, nums)]
-    lo_end = nums[len(items)]
-    hi_end = nums[-1] if len(ends) == 2 else None
+    big_l = lcm(den, *[q for _, q in ends])
+    pts = [(i, n * (big_l // den)) for i, n in terms]
+    lo_end, *hi = [p * (big_l // q) for p, q in ends]
+    hi_end = hi[0] if hi else None
 
     if hi_end == lo_end:
         best = max(n + i * lo_end for i, n in pts)

@@ -427,20 +427,28 @@ class ResidueSetting(Frozen):
 
     def int_abs(self, n: int) -> LogAbs:
         """log|n| for the integer ``n`` under this setting."""
-        if n == 0:
+        ratio = self._int_abs_ratio(n)
+        if ratio is None:
             return NEG_INF
+        return ZERO if ratio[0] == 0 else LogAbs(Fraction(*ratio))
+
+    def _int_abs_ratio(self, n: int):
+        """log|n| as ``(numerator, positive denominator)``, None for -inf."""
+        if n == 0:
+            return None
         kind = self._kind
         if kind == "equichar0":
-            return ZERO
+            return 0, 1
         n = abs(n)
         p = self.res_char
         if kind == "equicharp":
-            return NEG_INF if n % p == 0 else ZERO
+            return None if n % p == 0 else (0, 1)
         vp = 0
         while n % p == 0:
             n //= p
             vp += 1
-        return self.log_p * vp if vp else ZERO
+        a, b = self.log_p._value.as_integer_ratio()
+        return a * vp, b
 
     def describe(self) -> str:
         if self.kind == "equichar0":

@@ -26,7 +26,8 @@ from wildskel.annulus import (
     realize_triple,
     skeleton_image_law,
 )
-from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting
+from wildskel.pmfunc import tropical_eval
+from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 SETTINGS = ["equichar0", "equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1/2"]
 DRAWS = 3000
@@ -211,3 +212,45 @@ def test_restated_errors_are_the_library_errors():
     assert outcome(skeleton_image_law, ValuedSeries({2: -1}), 0) == outcome(
         ref_image_law, {2: Fraction(-1)}, 0
     )
+
+
+# -- the integer form -------------------------------------------------------------
+
+
+def test_equal_maps_store_equal_data():
+    """A value given as text, Fraction or LogAbs: one series, one minimal D."""
+    given = [
+        {1: "2/4", 3: "-1/3", 5: 0},
+        {1: Fraction(1, 2), 3: Fraction(-1, 3), 5: Fraction(0)},
+        {1: LogAbs(Fraction(1, 2)), 3: LogAbs(Fraction(-2, 6)), 5: LogAbs(0), 7: NEG_INF},
+    ]
+    series = [ValuedSeries(c) for c in given]
+    assert series[0] == series[1] == series[2]
+    assert len({hash(s) for s in series}) == 1
+    for s in series:
+        assert s.den == 6 and s.terms == ((1, 3), (3, -2), (5, 0))
+        assert s[3] == Fraction(-1, 3) and s.support == (1, 3, 5)
+
+
+def test_internal_results_store_the_minimal_denominator():
+    """normalize, derivative and realize_triple reduce what they compute."""
+    # 1/2 - 5/2 and -3/2 - (-7/2) are integers once shifted
+    assert normalize(ValuedSeries({1: Fraction(-5, 2), 2: Fraction(-1, 2)})).den == 1
+    mixed3 = ResidueSetting.parse("mixed:3:-1/2")
+    # log|3| = -1/2 cancels the half of -1/2
+    deriv = derivative(ValuedSeries({3: Fraction(1, 2), 2: 0}), mixed3)
+    assert (deriv.den, deriv.terms) == (1, ((1, 0), (2, 0)))
+    back = realize_triple(2, -1, LogAbs(Fraction(-1, 2)), ResidueSetting.mixed(2, -1))
+    assert (back.den, back.terms) == (2, ((2, 0), (3, -1)))
+
+
+def test_tropical_eval_reads_series_and_maps_alike():
+    def form(profile):
+        return profile, profile._cden, profile._terms, profile.segment_achievers
+
+    rng = random.Random("envelope")
+    domains = [(Fraction(-2), Fraction(1)), (Fraction(-1, 3), INF), (Fraction(1, 2),) * 2]
+    for _ in range(500):
+        s = random_valued_series(rng)
+        for domain in domains:
+            assert form(tropical_eval(s, domain)) == form(tropical_eval(s.coefficients, domain))

@@ -36,7 +36,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import Frozen, LogAbs, Record, ResidueSetting, parse_rational
+from .valuation import Frozen, LogAbs, Record, ResidueSetting, echo, parse_rational
 
 
 class ConstantSeriesError(ValueError):
@@ -107,6 +107,8 @@ class ValuedSeries(Frozen):
 
     @classmethod
     def from_text(cls, text: str) -> "ValuedSeries":
+        """Parse one ``exponent log_abs`` pair per line; ``#`` starts a
+        comment.  An error names the line, and so does a repeated exponent."""
         coeffs: Dict[int, Fraction] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -115,7 +117,24 @@ class ValuedSeries(Frozen):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'exponent log_abs'")
-            coeffs[int(parts[0])] = parse_rational(parts[1])
+            exponent, value = parts
+            try:
+                i = int(exponent)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: exponent {echo(exponent)} is not an integer"
+                ) from None
+            try:
+                v = parse_rational(value)
+            except ValueError as exc:
+                if isinstance(exc.__context__, ZeroDivisionError):  # names itself
+                    raise
+                raise ValueError(
+                    f"line {lineno}: value {echo(value)} is not a rational"
+                ) from None
+            if i in coeffs:
+                raise ValueError(f"line {lineno} repeats exponent {i}")
+            coeffs[i] = v
         return cls(coeffs)
 
 

@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, cut, echo, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, json_field
 from .pmfunc import PMFunction
-from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting
+from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo
 
 
 class NotProperError(ValueError):

@@ -22,7 +22,9 @@ from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from .valuation import INF, ExtendedRational, Frozen, format_length, parse_length
+from .valuation import (
+    INF, ExtendedRational, Frozen, cut, echo, format_length, parse_length
+)
 
 
 class DisconnectedError(ValueError):
@@ -35,17 +37,6 @@ def json_field(data: Mapping, key: str, entry: str):
         return data[key]
     except KeyError:
         raise ValueError(f"{entry} lacks key {key!r}") from None
-
-
-def cut(text: str) -> str:
-    """``text`` for a message, cut after 400 characters: the cap must stay
-    above the longest message a golden pins (344 characters)."""
-    more = len(text) - 400
-    return text if more <= 0 else f"{text[:400]}... ({more} more characters)"
-
-
-def echo(value) -> str:
-    return cut(repr(value))
 
 
 def as_int(value, entry: str, key) -> int:

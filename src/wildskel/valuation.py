@@ -13,6 +13,7 @@ The normalization of the scale is a free choice; by convention
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -327,8 +328,34 @@ INF = _PlusInfinity()
 ExtendedRational = Union[Fraction, _PlusInfinity]
 
 
+def cut(text: str) -> str:
+    """``text`` for a message, cut after 400 characters: the cap must stay
+    above the longest message a golden pins (344 characters)."""
+    more = len(text) - 400
+    return text if more <= 0 else f"{text[:400]}... ({more} more characters)"
+
+
+def echo(value) -> str:
+    return cut(repr(value))
+
+
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, with a zero denominator a ``ValueError`` too."""
+    """``Fraction(text)``, with a zero denominator a ``ValueError`` too.
+
+    So is a text whose numerator or denominator could have more digits
+    than the interpreter converts to a string
+    (``sys.get_int_max_str_digits()``), checked before any power of ten is
+    built: the digits of the mantissa plus the exponent bound both.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and (len(text) > limit or "e" in text or "E" in text):
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        bound = sum([c.isdecimal() for c in mantissa])
+        if exponent.isdecimal():  # an exponent longer than the limit's exceeds it
+            bound += int(exponent) if len(exponent) <= len(str(limit)) else limit
+        if bound > limit:
+            raise ValueError(f"{echo(text)} has more than {limit} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -251,6 +251,10 @@ class TestInputErrors:
             (("delta", "s"), "-1x",
              "morphism delta value of 's' is '-1x', not a rational or -inf"),
             (("source", "edges", 0, "length"), "1x", "edge a length '1x' is not a rational or inf"),
+            (("source", "edges", 0, "length"), "1e1000000",
+             "edge a length '1e1000000' is not a rational or inf"),
+            (("delta", "s"), "1e999999",
+             "morphism delta value of 's' is '1e999999', not a rational or -inf"),
         ],
         ids=[
             "n-list", "n-null", "n-object", "sdelta-list", "sdelta-null",
@@ -262,6 +266,7 @@ class TestInputErrors:
             "length-zero-denominator", "delta-zero-denominator",
             "target-vertices-object", "source-edges-string", "target-edges-null",
             "sdelta-text", "n-text", "delta-text", "length-text",
+            "length-digits", "delta-digits",
         ],
     )
     def test_value_of_wrong_kind(self, tmp_path, capsys, path, value, message):
@@ -364,6 +369,39 @@ class TestInputErrors:
         path.write_text("2 0\n3 1/0\n")
         assert run(["annulus", "--series", str(path), "--setting", "equichar0"]) == 2
         assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 0\n3 1x\n", "line 2: value '1x' is not a rational"),
+            ("2 0\nx 0\n", "line 2: exponent 'x' is not an integer"),
+            ("1 0\n1 -1\n", "line 2 repeats exponent 1"),
+            ("# head\n2 0\n3 1e999999\n", "line 3: value '1e999999' is not a rational"),
+            ("2 0 1\n", "line 1: expected 'exponent log_abs'"),
+        ],
+        ids=["value", "exponent", "repeated", "digits", "shape"],
+    )
+    def test_series_file_error_names_the_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.series"
+        path.write_text(text)
+        assert run(["annulus", "--series", str(path), "--setting", "mixed:2:-1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "annulus --series SERIES --setting mixed:2:1e999999",
+            "elliptic --char 0 --res-char 2 --log-p -1 --log-j 1e999999",
+        ],
+        ids=["setting", "log-j"],
+    )
+    def test_argument_over_the_digit_limit(self, capsys, argv):
+        series = str(FIXTURES / "kummer_p2.series")
+        assert run([series if a == "SERIES" else a for a in argv.split()]) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == (
+            "", f"error: '1e999999' has more than {limit} digits\n"
+        )
 
     def test_morphism_not_an_object(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "wb.morphism.json").read_text())

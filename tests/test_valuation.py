@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from wildskel.valuation import (
     ResidueSetting,
     _is_prime,
     parse_length,
+    parse_rational,
 )
 
 
@@ -158,3 +160,33 @@ class TestIntAbs:
         assert s <= max(a, b)
         if a != b:
             assert s == max(a, b)
+
+
+class TestParseRational:
+    def test_exponent_notation_loads(self):
+        assert parse_rational("1e3") == 1000
+        assert parse_rational("2.5E-1") == Fraction(1, 4)
+        assert parse_rational("-1_0e+0_2") == -1000
+
+    def test_digits_over_the_limit_rejected_before_they_are_built(self):
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        for text in ("1e3000000", "-2.5e-3000000", "1e" + "9" * 5000, "7" * (limit + 1)):
+            with pytest.raises(ValueError, match=f"has more than {limit} digits"):
+                parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_the_bound_is_the_mantissa_digits_plus_the_exponent(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+        assert parse_rational(f"1e-00{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        with pytest.raises(ValueError, match="has more than"):
+            parse_rational(f"1.0e{limit - 1}")
+
+    def test_no_limit_no_check(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(before)

@@ -272,14 +272,18 @@ class DeltaMorphism:
 
     def delta_profile(self, e: str) -> PMFunction:
         """log delta along edge ``e`` in arc length from its finite end."""
-        src = self.source
-        u, v = src.endpoints(e)
-        s = self.sdelta(OrientedEdge(e, True))
+        value, s = self._finite_end(e)
+        return PMFunction.line((Fraction(0), self.source.length(e)), value, s)
+
+    def _finite_end(self, e: str) -> Tuple[Fraction, int]:
+        """log delta at the finite end of ``e`` and its slope into the edge."""
+        u, v = self.source.endpoints(e)
+        s = self._sdelta[e]
         if self.delta[u].is_neg_inf:
-            u, v, s = v, u, -s
+            u, s = v, -s
         if self.delta[u].is_neg_inf:
             raise ValueError(f"edge {e} has no finite endpoint value")
-        return PMFunction.line((Fraction(0), src.length(e)), self.delta[u].value, s)
+        return self.delta[u].value, s
 
     # -- indices -----------------------------------------------------------
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .delta_morphism import MetricDeltaMorphism
 from .genus_graph import GenusGraph
+from .pmfunc import PMFunction
 from .special import metric_lift
 from .valuation import Frozen, Record
 
@@ -76,9 +77,11 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
         {e: src.length(e) for e in edges},
         src.infinite_leaves & verts,
     )
-    radii = {
-        e: EdgeRadius(mm.delta_profile(e).pow(-1), p - 1) for e in edges
-    }
+    radii = {}
+    for e in edges:
+        value, s = mm._finite_end(e)
+        line = PMFunction.line((0, src.length(e)), -value, -s)
+        radii[e] = EdgeRadius(line, p - 1)
     return RadialDescription(center=center, radii=radii, denominator=p - 1)
 
 
@@ -92,9 +95,8 @@ def radial_vs_ball(r: RadialDescription) -> StrictnessReport:
     """
     for e in sorted(r.radii):
         er = r.radii[e]
-        for _, _, _, slope in er.neg_log_delta.segments():
-            if abs(slope) > er.denominator:
-                return StrictnessReport(strict=True, witness_edge=e)
+        if any(abs(s) > er.denominator for s in er.neg_log_delta._slopes):
+            return StrictnessReport(strict=True, witness_edge=e)
     return StrictnessReport(strict=False)
 
 

@@ -187,7 +187,9 @@ def test_realize_triple_matches_the_restatement(setting_text):
     rng = random.Random(f"triples-{setting_text}")
     for _ in range(DRAWS):
         m, s = rng.randint(1, 12), rng.randint(-8, 8)
-        delta = None if rng.random() < 0.1 else Fraction(rng.randint(-12, 0), rng.choice([1, 2, 3]))
+        delta = Fraction(rng.randint(-12, 0), rng.choice([1, 2, 3]))
+        if rng.random() < 0.1:
+            delta = None
         log_delta = NEG_INF if delta is None else LogAbs(delta)
         got = outcome(realize_triple, m, s, log_delta, setting)
         want = ref_realize(m, s, delta, setting_text)
@@ -234,10 +236,10 @@ def test_equal_maps_store_equal_data():
 
 def test_internal_results_store_the_minimal_denominator():
     """normalize, derivative and realize_triple reduce what they compute."""
-    # 1/2 - 5/2 and -3/2 - (-7/2) are integers once shifted
+    # -5/2 and -1/2, shifted by the top value -1/2, are integers
     assert normalize(ValuedSeries({1: Fraction(-5, 2), 2: Fraction(-1, 2)})).den == 1
     mixed3 = ResidueSetting.parse("mixed:3:-1/2")
-    # log|3| = -1/2 cancels the half of -1/2
+    # log|3| = -1/2 cancels the half of 1/2
     deriv = derivative(ValuedSeries({3: Fraction(1, 2), 2: 0}), mixed3)
     assert (deriv.den, deriv.terms) == (1, ((1, 0), (2, 0)))
     back = realize_triple(2, -1, LogAbs(Fraction(-1, 2)), ResidueSetting.mixed(2, -1))

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
+from wildskel.delta_morphism import (
+    DeltaMorphism,
+    MetricDeltaMorphism,
+    morphism_from_json_dict,
+    morphism_to_json_dict,
+)
 from wildskel.elliptic import EllipticInput, classify_elliptic
 from wildskel.genus_graph import MetricGenusGraph
 from wildskel.radial import (
@@ -91,6 +96,24 @@ class TestDegreePLocus:
         assert len(desc.center.edge_ids) == 2
         for e in desc.center.edge_ids:
             assert mm.morphism.mult[e] == 2
+
+
+    @pytest.mark.parametrize(
+        "tag, lengths", [("WB", Lengths(l0=Fraction(1))), ("WO", Lengths())]
+    )
+    def test_radius_starts_at_the_finite_end_either_way(self, tag, lengths):
+        """Reversing every source edge (and its slope) moves the infinite
+        leaf of each tail to the edge's start; the radii stay the same."""
+        mm = metric_lift(tag, lengths, WILD2)
+        data = morphism_to_json_dict(mm)
+        for edge in data["source"]["edges"]:
+            edge["from"], edge["to"] = edge["to"], edge["from"]
+        data["sdelta"] = {e: -s for e, s in data["sdelta"].items()}
+        flipped = morphism_from_json_dict(data)
+        assert any(flipped.delta[flipped.source.endpoints(e)[0]].is_neg_inf
+                   for e in flipped.source.edge_ids)
+        radii = degree_p_locus(mm, 2).to_json_dict()["per_edge_radius"]
+        assert degree_p_locus(flipped, 2).to_json_dict()["per_edge_radius"] == radii
 
 
 class TestRadialVsBall:

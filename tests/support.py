@@ -24,10 +24,15 @@ from typing import Dict, List, Tuple
 
 from wildskel import (
     INF,
+    ZERO,
     DeltaMorphism,
     GenusGraph,
+    LogAbs,
     MetricDeltaMorphism,
+    OrientedEdge,
+    ResidueSetting,
     ValuedSeries,
+    check_restriction,
 )
 
 
@@ -198,6 +203,103 @@ def subdivide_metric(
     target = GenusGraph(tgt_genus, tgt_edges, tgt_len, tgt.infinite_leaves)
     m = DeltaMorphism(source, target, vmap, emap, mult, sdelta)
     return MetricDeltaMorphism(m, delta, mm.setting)
+
+
+#: The residue settings with a positive residue characteristic, where the
+#: slope restriction constrains delta; the annulus kernel tests use them too.
+NON_TAME_SETTINGS = ("equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1/2")
+
+
+def random_metric_delta_morphism(
+    rng: random.Random, setting: ResidueSetting
+) -> MetricDeltaMorphism:
+    """A random metric delta-morphism in ``setting`` that the plain-Fraction
+    restatement of the metric checks accepts.
+
+    Built on ``random_proper_delta_morphism``: target edges get lengths with
+    denominators in {1, 2, 3, 6} and a source edge of multiplicity ``n``
+    length ``l' / n``.  Delta is carried from one anchor along a spanning
+    tree of the finite edges with integer slopes, each chosen among those
+    the slope restriction admits at both ends; an edge off the tree gets the
+    slope that closes its cycle (``sum s * l = 0``), and the draw is redrawn
+    when that slope is not an integer.  Tails, over zero to two target
+    vertices, end at infinite leaves with ``delta = |n|``: descending where
+    ``|n| = -inf``, else flat, so delta at their inner end must be ``|n|``.
+    A draw is kept only if ``_reference_attach_delta`` accepts it.
+    """
+    from tests.test_delta_morphism import _reference_attach_delta
+
+    while True:
+        drawn = _metric_draw(rng, setting)
+        if drawn is not None and _reference_attach_delta(*drawn, setting) is None:
+            return MetricDeltaMorphism(*drawn, setting)
+
+
+def _admitted_slopes(n: int, delta: LogAbs, setting: ResidueSetting) -> List[int]:
+    return [s for s in range(-3, 4) if check_restriction(n, s, delta, setting)]
+
+
+def _metric_draw(rng: random.Random, setting: ResidueSetting):
+    """``(morphism, delta)`` of one draw, or None when a cycle does not close."""
+    m = random_proper_delta_morphism(rng)
+    src, tgt = m.source, m.target
+    tgt_len = {
+        f: Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 6))) for f in tgt.edge_ids
+    }
+    src_len = {e: tgt_len[m.edge_map[e]] / m.mult[e] for e in src.edge_ids}
+    two = setting.int_abs(2)
+    anchor = rng.choice(src.vertices)
+    delta = {anchor: rng.choice(
+        [ZERO, ZERO, LogAbs(Fraction(-rng.randint(1, 6), rng.choice((1, 2, 3))))]
+        + ([] if two.is_neg_inf else [two])
+    )}
+    sdelta: Dict[str, int] = {}
+    stack = [anchor]
+    while stack:  # depth first: the tree edges, each from its visited end
+        u = stack.pop()
+        for e, forward in src.branches(u):
+            w = src.head(OrientedEdge(e, forward))
+            if w in delta or e in sdelta:
+                continue
+            n, l = m.mult[e], src_len[e]
+            options = []
+            for s in _admitted_slopes(n, delta[u], setting):
+                d = delta[u] + Fraction(s) * l
+                if d <= 0 and check_restriction(n, -s, d, setting):
+                    options.append((s, d))
+            s, delta[w] = rng.choice(options) if options else (0, delta[u])
+            sdelta[e] = s if forward else -s
+            stack.append(w)
+    for e in src.edge_ids:  # the edges off the tree close their cycles
+        if e not in sdelta:
+            u, v = src.endpoints(e)
+            s = (delta[v].value - delta[u].value) / src_len[e]
+            if s.denominator != 1:
+                return None
+            sdelta[e] = int(s)
+    genera = {v: src.genus_of(v) for v in src.vertices}
+    edges = {e: src.endpoints(e) for e in src.edge_ids}
+    vmap, emap, mult = dict(m.vertex_map), dict(m.edge_map), dict(m.mult)
+    tgt_genera = {v: tgt.genus_of(v) for v in tgt.vertices}
+    tgt_edges = {f: tgt.endpoints(f) for f in tgt.edge_ids}
+    leaves, tgt_leaves = [], []
+    for k, v2 in enumerate(rng.sample(tgt.vertices, rng.randint(0, 2))):
+        leaf2, f = f"I{k}'", f"G{k}"
+        tgt_genera[leaf2] = 0
+        tgt_edges[f], tgt_len[f] = (v2, leaf2), INF
+        tgt_leaves.append(leaf2)
+        for v in m.fibers[v2]:
+            for j, n in enumerate(_random_composition(rng, m.vertex_mult[v])):
+                leaf, e = f"{v}_I{k}_{j}", f"g{k}_{v}_{j}"
+                genera[leaf], vmap[leaf] = 0, leaf2
+                edges[e], emap[e], mult[e], src_len[e] = (v, leaf), f, n, INF
+                delta[leaf] = setting.int_abs(n)
+                leaves.append(leaf)
+                down = [s for s in _admitted_slopes(n, delta[v], setting) if s < 0]
+                sdelta[e] = 0 if not delta[leaf].is_neg_inf else rng.choice(down or [-1])
+    source = GenusGraph(genera, edges, src_len, leaves)
+    target = GenusGraph(tgt_genera, tgt_edges, tgt_len, tgt_leaves)
+    return DeltaMorphism(source, target, vmap, emap, mult, sdelta), delta
 
 
 def _random_loop_morphism(rng: random.Random) -> DeltaMorphism:

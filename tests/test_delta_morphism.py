@@ -30,7 +30,13 @@ from wildskel.genus_graph import Divisor, GenusGraph, MetricGenusGraph, Oriented
 from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
-from tests.support import random_proper_delta_morphism, stabilize_corpus, subdivide_metric
+from tests.support import (
+    NON_TAME_SETTINGS,
+    random_metric_delta_morphism,
+    random_proper_delta_morphism,
+    stabilize_corpus,
+    subdivide_metric,
+)
 from tests.test_special import canonical_lengths, setting_for
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1300,3 +1306,91 @@ class TestAttachDeltaAgainstReference:
                     outcomes.add(expected.split(" ")[0])
         # both verdicts and several rules occur
         assert {True, False, "edge", "delta", "dilation"} <= outcomes
+
+
+# -- random metric morphisms against the reference ----------------------------------
+
+
+def _one_value_mutant(mm, rng: random.Random):
+    """``(kind, document, base, delta, setting)`` for ``mm`` with one length,
+    delta value, slope, multiplicity or the setting changed: the mutant's
+    morphism file, and the combinatorial morphism (or the NotProperError
+    that building it raises) with the delta values and the setting."""
+    src, tgt = mm.source, mm.target
+    delta, setting, base = dict(mm.delta), mm.setting, mm
+    sdelta = {e: mm.sdelta_stored(e) for e in src.edge_ids}
+    kind = rng.choice(("length", "delta", "slope", "multiplicity", "setting"))
+    if kind == "length":
+        g, side = rng.choice(((src, "src_len"), (tgt, "tgt_len")))
+        changed = {x: g.length(x) for x in g.edge_ids}
+        finite = [x for x in g.edge_ids if not g.is_tail(x)]
+        if finite:
+            changed[rng.choice(finite)] *= rng.choice((2, Fraction(1, 2), Fraction(2, 3)))
+        base = _rebuild(mm, **{side: changed})
+    elif kind == "delta":
+        v = rng.choice(src.vertices)
+        choices = [NEG_INF, LogAbs(0), setting.int_abs(2), setting.int_abs(3)]
+        if not delta[v].is_neg_inf:
+            choices.append(delta[v] + rng.choice((Fraction(-1, 2), Fraction(1, 3), -1)))
+        delta[v] = rng.choice(choices)
+    elif kind == "slope":
+        e = rng.choice(src.edge_ids)
+        sdelta[e] += rng.choice((-2, -1, 1, 2))
+        base = _rebuild(mm, sdelta=sdelta)
+    elif kind == "multiplicity":
+        e = rng.choice(src.edge_ids)
+        mult = dict(mm.mult)
+        mult[e] = rng.choice([k for k in (mult[e] - 1, mult[e] + 1) if k >= 1])
+        try:
+            base = DeltaMorphism(src, tgt, mm.vertex_map, mm.edge_map, mult, sdelta)
+        except NotProperError as exc:
+            base = exc
+        doc = morphism_to_json_dict(mm)
+        doc["n"] = mult
+        return kind, doc, base, delta, setting
+    else:
+        setting = ResidueSetting.parse(rng.choice(NON_TAME_SETTINGS))
+    doc = morphism_to_json_dict(base)
+    doc["delta"] = {v: str(d) for v, d in delta.items()}
+    doc["setting"] = setting.describe()
+    return kind, doc, base, delta, setting
+
+
+def _message(build) -> str:
+    """None if ``build()`` succeeds, else the message of its ValueError."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRandomMetricMorphisms:
+    def test_draws_and_one_value_mutants_agree_with_the_reference(self):
+        seen = set()
+        for name in NON_TAME_SETTINGS:
+            setting = ResidueSetting.parse(name)
+            rng = random.Random(f"metric-{name}")
+            for _ in range(500):
+                mm = random_metric_delta_morphism(rng, setting)
+                data = morphism_to_json_dict(mm)
+                back = morphism_from_json_dict(json.loads(json.dumps(data)))
+                assert morphism_to_json_dict(back) == data
+                assert (back.delta, back.setting) == (mm.delta, mm.setting)
+                for g, h in ((mm.source, back.source), (mm.target, back.target)):
+                    assert h == g and all(h.length(e) == g.length(e) for e in g.edge_ids)
+                kind, doc, base, delta, st = _one_value_mutant(mm, rng)
+                if isinstance(base, NotProperError):
+                    expected = str(base)
+                else:
+                    expected = _reference_attach_delta(base, delta, st)
+                    got = _message(lambda: MetricDeltaMorphism(base, delta, st))
+                    assert got == expected, (name, kind)
+                doc = json.loads(json.dumps(doc))
+                assert _message(lambda: morphism_from_json_dict(doc)) == expected, (name, kind)
+                seen.add((kind, None if expected is None else expected.split(" ")[0]))
+        # every kind of mutant is rejected, and each metric rule fires
+        assert {k for k, first in seen if first} == {
+            "length", "delta", "slope", "multiplicity", "setting"
+        }
+        assert {"dilation", "delta", "edge", "multiplicity"} <= {first for _, first in seen}

@@ -66,12 +66,14 @@ class ValuedSeries(Frozen):
     __slots__ = ("den", "terms")
 
     def __init__(self, coefficients: Mapping[int, Fraction]):
-        coeffs = {
-            int(i): v
-            for i, v in dict(coefficients).items()
-            if not (isinstance(v, LogAbs) and v.is_neg_inf)
-        }
-        self._store(*pmfunc.scaled_series(coeffs))
+        given = dict(coefficients)
+        coeffs = {int(i): v for i, v in given.items()}
+        if len(coeffs) != len(given):  # keys equal after int(), "1" beside 1
+            keys = list(map(int, given))
+            repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
+            raise ValueError(f"series repeats exponent {repeat}")
+        zero = [i for i, v in coeffs.items() if isinstance(v, LogAbs) and v.is_neg_inf]
+        self._store(*pmfunc.scaled_series({i: coeffs[i] for i in coeffs.keys() - zero}))
 
     @classmethod
     def _from_scaled(cls, den: int, terms: Sequence[Tuple[int, int]]) -> "ValuedSeries":
@@ -311,14 +313,19 @@ def realize_triple(
 
     For ``s = 0`` the monomial ``t^m`` works; otherwise
     ``t^m + a t^{m-s}`` with ``log|a| = log_delta - |m-s|``.  All log
-    values here are rational, so a witness always exists at the
-    reference point (no irrational radius is ever needed).
+    values here are rational, so a finite ``log_delta`` has a witness at the
+    reference point (no irrational radius is ever needed); ``-inf`` with
+    ``s != 0`` has none (``a = 0``), an :class:`UnrealizableTripleError`.
     """
     verdict = check_restriction(m, s, log_delta, setting)
     if not verdict:
         raise UnrealizableTripleError(verdict.reason)
     if s == 0:
         return ValuedSeries._from_scaled(1, [(m, 0)])
+    if log_delta.is_neg_inf:
+        raise UnrealizableTripleError(
+            f"log_delta = -inf needs s = 0 (the witness would need a = 0), got s={s}"
+        )
     # log|a| = log_delta - |m-s| over the denominator dq * b.  For an
     # admissible triple with s != 0, |m-s| is finite and at least delta:
     # |m-s| < delta would force |m+s| = |2m| = |2s| with delta in [|m|, |2m|],

@@ -361,3 +361,20 @@ class TestDifferentProfileOracle:
                 f"different exceeds one on {domain}; the series does not model "
                 "a covering there"
             )
+
+
+def test_series_keys_equal_after_int_are_an_error():
+    # the constructor used to keep the last of them: ValuedSeries({1: -1})
+    with pytest.raises(ValueError, match=r"^series repeats exponent 1$"):
+        ValuedSeries({1: 0, "1": -1})
+    with pytest.raises(ValueError, match=r"^series repeats exponent 2$"):
+        ValuedSeries({2: NEG_INF, "2": 0})  # checked before -inf values drop
+    assert ValuedSeries({1: 0, "2": NEG_INF}) == ValuedSeries({1: 0})
+
+
+def test_admissible_triple_with_vanishing_delta_and_nonzero_slope():
+    setting = ResidueSetting.equichar(2)
+    assert check_restriction(2, 3, NEG_INF, setting)
+    with pytest.raises(UnrealizableTripleError, match=r"log_delta = -inf needs s = 0"):
+        realize_triple(2, 3, NEG_INF, setting)
+    assert realize_triple(2, 0, NEG_INF, setting) == ValuedSeries({2: 0})

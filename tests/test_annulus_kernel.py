@@ -117,7 +117,10 @@ def ref_realize(m, s, delta, setting):
     if s == 0:
         return {m: Fraction(0)}
     if delta is None:  # the witness coefficient would be zero
-        return ValueError, "NEG_INF has no finite value"
+        return (
+            UnrealizableTripleError,
+            f"log_delta = -inf needs s = 0 (the witness would need a = 0), got s={s}",
+        )
     coeff = delta - ref_abs(setting, m - s)
     if coeff > 0:
         return UnrealizableTripleError, f"witness coefficient would have positive log {coeff}"

@@ -179,7 +179,7 @@ def _cmd_classify_special(args) -> int:
         return 1
     t = classify_special(m)
     report = {"special": True, **_type_report(t, m)}
-    if m.delta is not None:
+    if m.setting is not None:
         report["lengths"] = metric_lengths(m).to_json_dict()
     if args.json:
         print(_dump(report))
@@ -291,7 +291,7 @@ def _cmd_annulus(args) -> int:
 
 def _cmd_radial(args) -> int:
     mm = _load_morphism(args.file)
-    if mm.delta is None:
+    if mm.setting is None:
         raise ValueError("radial needs a metric morphism file with delta values")
     desc = radial_mod.degree_p_locus(mm, args.p)
     strict = radial_mod.radial_vs_ball(desc)

@@ -21,18 +21,29 @@ The bookkeeping revolves around the differential slope index
 ``R_v = chi(v) - sum of S over branches``; the canonical divisor of the
 source then decomposes as ``K = pullback(K') + R + Delta`` and the
 degrees give ``2g - 2 = deg * (2g' - 2) + sum R_v``.
+
+Representation.  The finite ``delta`` values are integer numerators over
+one minimal denominator per morphism, ``None`` for ``-inf``, as the
+graph lengths are.  Dilation (``l' * D = n * l * D'``), linearity, the
+tail rules and the memo of slope-restriction verdicts run on integers;
+``delta``, the JSON text and messages make Fractions and ``LogAbs``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
+from itertools import takewhile
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
 from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, json_field
 from .pmfunc import PMFunction
-from .valuation import INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo
+from .valuation import (
+    INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo, parse_ratio,
+    ratio_text, scaled,
+)
 
 
 class NotProperError(ValueError):
@@ -62,7 +73,8 @@ class DeltaMorphism:
     enter one validating core.
     """
 
-    delta: Optional[Dict[str, LogAbs]] = None
+    _delta: Optional[Dict[str, Optional[int]]] = None  # over _delta_den, None for -inf
+    _delta_den = 1
     setting: Optional[ResidueSetting] = None
 
     def __init__(
@@ -186,58 +198,66 @@ class DeltaMorphism:
 
     # -- metric data -------------------------------------------------------
 
-    def _attach_delta(
-        self, delta: Mapping[str, LogAbs], setting: ResidueSetting
-    ) -> None:
-        """Store and validate the different values of a metric morphism.
+    @property
+    def delta(self) -> Optional[Dict[str, LogAbs]]:
+        """log delta per source vertex, made afresh; None without delta values."""
+        d, den = self._delta, self._delta_den
+        return None if d is None else {
+            v: NEG_INF if x is None else LogAbs(Fraction(x, den)) for v, x in d.items()
+        }
 
-        Checks the dilation rule ``length(phi(e)) = n_e * length(e)``,
-        linearity of the different along finite edges, the boundary rule
-        ``delta = |n|`` at infinite leaves, and the admissibility of the
-        (multiplicity, slope, different) triple at both ends of every edge:
-        each distinct edge triple, checked once, with the edges in order.
-        """
+    def _dilated(self, e: str) -> None:
+        """Raise unless ``length(phi(e)) = n_e * length(e)``; ``INF * k`` is INF."""
+        src, tgt, n = self.source, self.target, self.mult[e]
+        l, target_l = src._lengths[e], tgt._lengths[self.edge_map[e]]
+        if target_l * src._den != n * l * tgt._den:
+            raise ValueError(
+                f"dilation fails on edge {cut(e)}: {ratio_text(target_l, tgt._den)} != "
+                f"{n} * {ratio_text(l, src._den)}"
+            )
+
+    def _attach_delta(self, morphism, den: int, delta: Mapping, setting) -> None:
+        """Take over the data of ``morphism``, then store and validate delta,
+        numerators over ``den`` (None for -inf): dilation, linearity along
+        finite edges, ``delta = |n|`` at infinite leaves and the admissibility
+        of the (multiplicity, slope, different) triple at both ends of every
+        edge, each distinct triple checked once, with the edges in order."""
+        vars(self).update(vars(morphism))
         src = self.source
         if not src.is_metric:
             raise ValueError("metric delta-morphisms require metric graphs")
         self.setting = setting
-        self.delta = {}
         for v in src.vertices:
             if v not in delta:
                 raise ValueError(f"vertex {cut(v)} has no delta value")
-            d = delta[v]
-            self.delta[v] = d if isinstance(d, LogAbs) else LogAbs(d)
-        raw = {v: d._value for v, d in self.delta.items()}  # None for -inf
+        raw = {v: delta[v] for v in src.vertices}
+        g = gcd(den, *[x for x in raw.values() if x is not None])
+        self._delta_den = den = den // g
+        self._delta = raw = {v: None if x is None else x // g for v, x in raw.items()}
+        leaves = src.infinite_leaves
         for v, x in raw.items():
             if x is not None and x > 0:
-                raise ValueError(f"delta at {cut(v)} must be <= 0, got {self.delta[v]}")
-            if x is None and v not in src.infinite_leaves:
+                raise ValueError(
+                    f"delta at {cut(v)} must be <= 0, got {ratio_text(x, den)}"
+                )
+            if x is None and v not in leaves:
                 raise ValueError(
                     f"delta vanishes at {cut(v)}, which is not an infinite leaf"
                 )
-        slot = {}  # one small index per distinct delta value, cheaper to hash
-        vslot = {v: slot.setdefault(x, len(slot)) for v, x in raw.items()}
-        checked = {}  # (n, slope, delta index) -> verdict; bounded by the morphism
-        lengths, target_lengths = src._lengths, self.target._lengths
+        checked = {}  # (n, slope, delta) -> verdict; bounded by the morphism
+        mult, ends, sdelta, lengths = self.mult, src._ends, self._sdelta, src._lengths
         for e in src.edge_ids:
-            n = self.mult[e]
-            u, v = src._ends[e]
-            l = lengths[e]
-            target_l = target_lengths[self.edge_map[e]]
-            if target_l != n * l:
-                raise ValueError(
-                    f"dilation fails on edge {cut(e)}: {target_l} != {n} * {l}"
-                )
-            s_uv = self._sdelta[e]
+            self._dilated(e)
+            n, (u, v), l, s_uv = mult[e], ends[e], lengths[e], sdelta[e]
             if l is INF:
-                leaf, inner, s_out = (
-                    (v, u, s_uv) if v in src.infinite_leaves else (u, v, -s_uv)
-                )
-                expected = setting.int_abs(n)
-                if raw[leaf] != expected._value:
+                leaf, inner, s_out = (v, u, s_uv) if v in leaves else (u, v, -s_uv)
+                x, expected = raw[leaf], setting._int_abs_ratio(n)
+                if (x is None) != (expected is None) or (
+                    x is not None and x * expected[1] != expected[0] * den
+                ):
                     raise ValueError(
                         f"delta at infinite leaf {cut(leaf)} must be |{n}| = "
-                        f"{expected}, got {self.delta[leaf]}"
+                        f"{setting.int_abs(n)}, got {ratio_text(x, den)}"
                     )
                 if s_out > 0:
                     raise ValueError(
@@ -254,15 +274,17 @@ class DeltaMorphism:
             else:
                 if raw[u] is None or raw[v] is None:
                     raise ValueError(f"finite edge {cut(e)} has a vanishing endpoint")
-                if raw[v] != raw[u] + s_uv * l:
+                if (raw[v] - raw[u]) * src._den != s_uv * l * den:
                     raise ValueError(
                         f"delta is not linear along edge {cut(e)}: "
-                        f"{self.delta[v]} != {self.delta[u]} + {s_uv} * {l}"
+                        f"{ratio_text(raw[v], den)} != {ratio_text(raw[u], den)} + "
+                        f"{s_uv} * {ratio_text(l, src._den)}"
                     )
             for vert, slope in ((u, s_uv), (v, -s_uv)):
-                key = n, slope, vslot[vert]
+                key = n, slope, raw[vert]
                 if key not in checked:
-                    checked[key] = check_restriction(n, slope, self.delta[vert], setting)
+                    d = NEG_INF if raw[vert] is None else LogAbs(Fraction(raw[vert], den))
+                    checked[key] = check_restriction(n, slope, d, setting)
                 verdict = checked[key]
                 if not verdict:
                     raise ValueError(
@@ -272,18 +294,20 @@ class DeltaMorphism:
 
     def delta_profile(self, e: str) -> PMFunction:
         """log delta along edge ``e`` in arc length from its finite end."""
-        value, s = self._finite_end(e)
-        return PMFunction.line((Fraction(0), self.source.length(e)), value, s)
+        return self._line(e, 1)
 
-    def _finite_end(self, e: str) -> Tuple[Fraction, int]:
-        """log delta at the finite end of ``e`` and its slope into the edge."""
-        u, v = self.source.endpoints(e)
-        s = self._sdelta[e]
-        if self.delta[u].is_neg_inf:
+    def _line(self, e: str, sign: int) -> PMFunction:
+        """``sign * log delta`` along ``e`` from its finite end, made in integers."""
+        (u, v), s, delta = self.source.endpoints(e), self._sdelta[e], self._delta
+        if delta[u] is None:
             u, s = v, -s
-        if self.delta[u].is_neg_inf:
+        if delta[u] is None:
             raise ValueError(f"edge {e} has no finite endpoint value")
-        return self.delta[u].value, s
+        l, ld, dd = self.source._lengths[e], self.source._den, self._delta_den
+        den = lcm(ld, dd)
+        xs = [0] if l is INF else [0, l * (den // ld)]
+        vs = [sign * delta[u] * (den // dd)]
+        return PMFunction._from_scaled(den, xs, vs, [sign * s])
 
     # -- indices -----------------------------------------------------------
 
@@ -351,7 +375,7 @@ class _WorkingGraph:
     def __init__(self, g: GenusGraph):
         self.vertices = {v: g.genus_of(v) for v in g.vertices}
         self.edge_ids = {e: g.endpoints(e) for e in g.edge_ids}
-        self.lengths = {e: g.length(e) for e in g.edge_ids} if g.is_metric else None
+        self.den, self.lengths = g._den, None if g._lengths is None else dict(g._lengths)
         self.infinite_leaves = g.infinite_leaves
         self._branches = {v: list(g.branches(v)) for v in g.vertices}
         self.genus_of = self.vertices.__getitem__
@@ -391,7 +415,9 @@ class _WorkingGraph:
 
     def graph(self) -> GenusGraph:
         leaves = self.infinite_leaves.intersection(self.vertices)
-        return GenusGraph._from_normal(self.vertices, self.edge_ids, self.lengths, leaves)
+        return GenusGraph._from_normal(
+            self.vertices, self.edge_ids, self.den, self.lengths, leaves
+        )
 
 
 class _WorkingMorphism:
@@ -432,8 +458,8 @@ class _WorkingMorphism:
             {e: m.mult[e] for e in edges},
             {e: self._sdelta[e] for e in edges},
         )
-        delta = None if m.delta is None else {v: m.delta[v] for v in vertices}
-        return with_delta(out, delta, m.setting)
+        delta = None if m._delta is None else {v: m._delta[v] for v in vertices}
+        return with_delta(out, m._delta_den, delta, m.setting)
 
 
 def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
@@ -578,8 +604,12 @@ class MetricDeltaMorphism(DeltaMorphism):
         delta: Mapping[str, LogAbs],
         setting: ResidueSetting,
     ):
-        vars(self).update(vars(morphism))
-        self._attach_delta(delta, setting)
+        vertices = morphism.source.vertices if morphism.source.is_metric else ()
+        ratios = {}  # in the core's order, up to the first vertex it misses
+        for v in takewhile(delta.__contains__, vertices):
+            d = delta[v] if isinstance(delta[v], LogAbs) else LogAbs(delta[v])
+            ratios[v] = None if d.is_neg_inf else d.value.as_integer_ratio()
+        self._attach_delta(morphism, *scaled(ratios, None), setting)
 
     @property
     def morphism(self) -> "MetricDeltaMorphism":
@@ -587,12 +617,15 @@ class MetricDeltaMorphism(DeltaMorphism):
 
 
 def with_delta(
-    m: DeltaMorphism,
-    delta: Optional[Mapping[str, LogAbs]],
-    setting: Optional[ResidueSetting],
+    m: DeltaMorphism, den: int, delta: Optional[dict], setting: Optional[ResidueSetting]
 ) -> DeltaMorphism:
-    """``m`` itself without delta values, else the metric morphism over it."""
-    return m if delta is None else MetricDeltaMorphism(m, delta, setting)
+    """``m`` itself without delta values, else the metric morphism over it;
+    ``delta`` holds numerators over ``den``, None for -inf."""
+    if delta is None:
+        return m
+    mm = MetricDeltaMorphism.__new__(MetricDeltaMorphism)
+    mm._attach_delta(m, den, delta, setting)
+    return mm
 
 
 # -- skeleton certificates -----------------------------------------------------
@@ -710,8 +743,9 @@ def morphism_to_json_dict(m: DeltaMorphism) -> dict:
         "n": {e: m.mult[e] for e in m.source.edge_ids},
         "sdelta": {e: m.sdelta_stored(e) for e in m.source.edge_ids},
     }
-    if m.delta is not None:
-        data["delta"] = {v: str(d) for v, d in sorted(m.delta.items())}
+    if m._delta is not None:
+        den = m._delta_den
+        data["delta"] = {v: ratio_text(x, den) for v, x in sorted(m._delta.items())}
         data["setting"] = m.setting.describe()
     return data
 
@@ -744,8 +778,13 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if not isinstance(data["setting"], str):
             raise ValueError(f"morphism setting {echo(data['setting'])} is not a string")
         setting = ResidueSetting.parse(data["setting"])
-        delta = _parse_values(data, "delta", LogAbs.parse, (str,), "a string")
-    m = with_delta(m, delta, setting)
+        delta = _parse_values(
+            data, "delta", lambda t: parse_ratio(t, "-inf", None), (str,), "a string"
+        )
+        m = with_delta(m, *scaled(delta, None), setting)
+    elif source.is_metric:  # with delta values, _attach_delta checks this
+        for e in source.edge_ids:
+            m._dilated(e)
     # every source id has an entry by now, so a longer object names an id
     # the source lacks; every one of them is keyed by str
     vertices, edges = source._genus, source._ends

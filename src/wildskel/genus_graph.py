@@ -14,16 +14,24 @@ that are equal as strings (``1`` and ``"1"``) are an error.  Only the
 public constructors and the loaders coerce (ids to ``str``, numbers to
 ``int``); they and the library's own constructions enter one validating
 core with ``str`` ids, ``int`` values and plain dicts, which it keeps.
+
+Representation.  Lengths are stored like the values of a
+:class:`~wildskel.pmfunc.PMFunction`: integer numerators over one
+minimal denominator per graph, ``INF`` for a tail, so equal graphs store
+equal data.  Checks, contraction sums and the JSON text run on these
+integers; :meth:`GenusGraph.length` makes the Fraction a caller reads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
+from itertools import takewhile
+from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, cut, echo, format_length, parse_length
+    INF, ExtendedRational, Frozen, cut, echo, parse_ratio, ratio_text, scaled
 )
 
 
@@ -104,15 +112,22 @@ class GenusGraph:
             # the checks before this one also see the entries a repeat hides
             _check_ends(genus, ((e, (str(u), str(v))) for e, (u, v) in edges.items()))
             _repeated_id("graph", "edge", edges)
-        self._store(genus, ends, lengths, map(str, infinite_leaves))
+        ratios = {}  # in the core's order, up to the first length it rejects
+        for e in takewhile((lengths or {}).__contains__, sorted(ends)):
+            l = lengths[e]
+            ratios[e] = l = l if l is INF else Fraction(l).as_integer_ratio()
+            if l is not INF and l[0] <= 0:
+                break
+        den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
+        self._store(genus, ends, den, lengths, map(str, infinite_leaves))
 
     @classmethod
-    def _from_normal(cls, genus, ends, lengths, infinite_leaves) -> "GenusGraph":
+    def _from_normal(cls, genus, ends, den, lengths, infinite_leaves) -> "GenusGraph":
         g = cls.__new__(cls, lengths=lengths)
-        g._store(genus, ends, lengths, infinite_leaves)
+        g._store(genus, ends, den, lengths, infinite_leaves)
         return g
 
-    def _store(self, genus, ends, lengths, infinite_leaves) -> None:
+    def _store(self, genus, ends, den, lengths, infinite_leaves) -> None:
         """The core: all checks but repeated ids; it keeps ``genus`` and ``ends``."""
         _check_ends(genus, ends.items())
         self._genus: Dict[str, int] = genus
@@ -129,22 +144,23 @@ class GenusGraph:
             v: tuple(bs) for v, bs in out.items()
         }
         self._connected: Optional[bool] = None  # set by is_connected, once
-        self._lengths: Optional[Dict[str, ExtendedRational]] = None
+        self._lengths, self._den = None, 1  # numerators over _den, INF for a tail
         self.infinite_leaves: frozenset = frozenset(infinite_leaves)
         if lengths is None:
             if self.infinite_leaves:
                 raise ValueError("infinite leaves require edge lengths")
             return
-        self._lengths = {}
         for e in self.edge_ids:
             if e not in lengths:
                 raise ValueError(f"edge {cut(e)} has no length")
             l = lengths[e]
-            if l is not INF:
-                l = l if type(l) is Fraction else Fraction(l)
-                if l <= 0:
-                    raise ValueError(f"edge {cut(e)} has nonpositive length {l}")
-            self._lengths[e] = l
+            if l is not INF and l <= 0:
+                raise ValueError(
+                    f"edge {cut(e)} has nonpositive length {ratio_text(l, den)}"
+                )
+        g = gcd(den, *[l for l in lengths.values() if l is not INF])
+        self._den = den // g
+        self._lengths = {e: l if l is INF else l // g for e, l in lengths.items()}
         for v in self.infinite_leaves:
             if v not in self._genus:
                 raise ValueError(f"infinite leaf {cut(v)} is not a vertex")
@@ -206,7 +222,8 @@ class GenusGraph:
         return self._lengths is not None
 
     def length(self, e: str) -> ExtendedRational:
-        return self._lengths[e]
+        l = self._lengths[e]
+        return l if l is INF else Fraction(l, self._den)
 
     def is_tail(self, e: str) -> bool:
         return self._lengths[e] is INF
@@ -238,6 +255,7 @@ class GenusGraph:
             self._genus == other._genus
             and self._ends == other._ends
             and self._lengths == other._lengths
+            and self._den == other._den
             and self.infinite_leaves == other.infinite_leaves
         )
 
@@ -250,6 +268,7 @@ class GenusGraph:
                 tuple(sorted(self._genus.items())),
                 tuple(sorted(self._ends.items())),
                 lengths,
+                self._den,
                 self.infinite_leaves,
             )
         )
@@ -265,7 +284,7 @@ class GenusGraph:
         for e in self.edge_ids:
             item = {"id": e, "from": self._ends[e][0], "to": self._ends[e][1]}
             if self.is_metric:
-                item["length"] = format_length(self._lengths[e])
+                item["length"] = ratio_text(self._lengths[e], self._den)
             edges.append(item)
         data = {
             "vertices": [
@@ -319,9 +338,8 @@ class GenusGraph:
                 name = f"edge {cut(e)}"
                 u, v = json_field(item, "from", name), json_field(item, "to", name)
             edges[e] = (str(u), str(v))
-        lengths = None
+        lengths = {}
         if metric:
-            lengths = {}
             for e, item in zip(ids["edges"], data["edges"]):
                 length = json_field(item, "length", f"edge {cut(e)}")
                 if not isinstance(length, str):
@@ -329,14 +347,15 @@ class GenusGraph:
                         f"edge {cut(e)} length {echo(length)} is not a string"
                     )
                 try:
-                    lengths[e] = parse_length(length)
+                    lengths[e] = parse_ratio(length, "inf", INF)
                 except ValueError as exc:
                     if isinstance(exc.__context__, ZeroDivisionError):  # names itself
                         raise
                     raise ValueError(
                         f"edge {cut(e)} length {echo(length)} is not a rational or inf"
                     ) from None
-        g = GenusGraph._from_normal(genera, edges, lengths, map(str, infinite_leaves))
+        lengths = scaled(lengths, INF) if metric else (1, None)
+        g = GenusGraph._from_normal(genera, edges, *lengths, map(str, infinite_leaves))
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges
         for kind, kept, key in ("vertex", genera, "vertices"), ("edge", edges, "edges"):

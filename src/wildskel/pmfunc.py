@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, format_length, parse_length
+from .valuation import INF, ExtendedRational, LogAbs, parse_length, ratio_text
 
 
 class OutOfDomainError(ValueError):
@@ -273,12 +273,13 @@ class PMFunction:
         return f"PMFunction({parts})"
 
     def to_json_dict(self) -> dict:
-        bks, d = self.breakpoints, self._den
+        d = self._den
+        bks = [ratio_text(x, d) for x in self._xs] + ([] if self._bounded else ["inf"])
         return {
-            "domain": [format_length(bks[0]), format_length(bks[-1])],
-            "breakpoints": [format_length(x) for x in bks],
+            "domain": [bks[0], bks[-1]],
+            "breakpoints": bks,
             "segments": [
-                {"left_value": str(Fraction(v, d)), "slope": s}
+                {"left_value": ratio_text(v, d), "slope": s}
                 for v, s in zip(self._vs, self._slopes)
             ],
         }

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .delta_morphism import MetricDeltaMorphism
 from .genus_graph import GenusGraph
-from .pmfunc import PMFunction
 from .special import metric_lift
 from .valuation import Frozen, Record
 
@@ -74,14 +73,11 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     center = GenusGraph._from_normal(
         {v: src.genus_of(v) for v in verts},
         {e: src.endpoints(e) for e in edges},
-        {e: src.length(e) for e in edges},
+        src._den,
+        {e: src._lengths[e] for e in edges},
         src.infinite_leaves & verts,
     )
-    radii = {}
-    for e in edges:
-        value, s = mm._finite_end(e)
-        line = PMFunction.line((0, src.length(e)), -value, -s)
-        radii[e] = EdgeRadius(line, p - 1)
+    radii = {e: EdgeRadius(mm._line(e, -1), p - 1) for e in edges}
     return RadialDescription(center=center, radii=radii, denominator=p - 1)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable, with_delta
 from .genus_graph import GenusGraph, OrientedEdge
-from .valuation import INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, ZERO
+from .valuation import INF, Frozen, Record, ResidueSetting, ratio_text, scaled
 
 
 class UnclassifiableError(ValueError):
@@ -332,13 +332,13 @@ def _class_coherent(m: DeltaMorphism, cls: str) -> bool:
 
 
 class _ShapeBuilder:
-    """Accumulates the source of a degree-two morphism (optionally metric)
-    shape by shape; :meth:`build` derives the target as its quotient."""
+    """Accumulates the source of a degree-two morphism (optionally metric,
+    all lengths and delta over one ``den``) shape by shape; :meth:`build`
+    derives the target as its quotient."""
 
-    def __init__(self, lengths: "Lengths | None" = None,
+    def __init__(self, lengths: "Tuple[int, dict] | None" = None,
                  setting: ResidueSetting | None = None):
         metric = lengths is not None
-        self.lengths = lengths
         self.setting = setting
         self.genus: Dict[str, int] = {}
         self.edges: Dict[str, Tuple[str, str]] = {}
@@ -347,14 +347,15 @@ class _ShapeBuilder:
         self.emap: Dict[str, str] = {}
         self.mult: Dict[str, int] = {}
         self.sdelta: Dict[str, int] = {}
-        self.delta: Optional[Dict[str, LogAbs]] = {} if metric else None
+        self.delta: Optional[Dict[str, Optional[int]]] = {} if metric else None
+        self.den, self.of_slope = lengths or (1, {})
         self._counter = 0
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
-    def add_vertex(self, name: str, genus: int, delta: LogAbs = ZERO) -> None:
+    def add_vertex(self, name: str, genus: int, delta: Optional[int] = 0) -> None:
         self.genus[name] = genus
         if self.delta is not None:
             self.delta[name] = delta
@@ -375,12 +376,12 @@ class _ShapeBuilder:
             self.add_vertex(child, 0)
             self.add_edge(self._fresh("e"), at, child, 2, -label)
         elif tree.is_leaf_edge:
-            self.add_vertex(child, 0, self.delta[at] if label == 0 else NEG_INF)
+            self.add_vertex(child, 0, self.delta[at] if label == 0 else None)
             self.leaves.append(child)
             self.add_edge(self._fresh("e"), at, child, 2, -label, INF)
         else:
-            l = self.lengths.of_slope(label)
-            self.add_vertex(child, 0, self.delta[at] + Fraction(-label) * l)
+            l = self.of_slope[label]
+            self.add_vertex(child, 0, self.delta[at] - label * l)
             self.add_edge(self._fresh("e"), at, child, 2, -label, l)
         for sub in tree.children:
             self.attach_tree(child, sub)
@@ -395,18 +396,19 @@ class _ShapeBuilder:
             e + "'": self.mult[e] * self.edge_lengths[e] for e in own
         }
         source = GenusGraph._from_normal(
-            self.genus, self.edges, self.edge_lengths, self.leaves
+            self.genus, self.edges, self.den, self.edge_lengths, self.leaves
         )
         target = GenusGraph._from_normal(
             dict.fromkeys(vmap.values(), 0),
             {e + "'": tuple(map(vmap.get, self.edges[e])) for e in own},
+            self.den,
             target_lengths,
             [v + "'" for v in self.leaves],
         )
         m = DeltaMorphism._from_normal(
             source, target, vmap, self.emap, self.mult, self.sdelta
         )
-        return with_delta(m, self.delta, self.setting)
+        return with_delta(m, self.den, self.delta, self.setting)
 
 
 _0L = RootSubtree(0)
@@ -480,14 +482,15 @@ def _tag_of(kind: str, data) -> str:
     return tag
 
 
-def _build(kind: str, data, lengths: "Lengths | None" = None,
+def _build(kind: str, data, lengths: "Tuple[int, dict] | None" = None,
            setting: ResidueSetting | None = None) -> DeltaMorphism:
-    """Build a ("loop", sides) or ("genus1", trees) shape, metric with lengths."""
+    """Build a ("loop", sides) or ("genus1", trees) shape, metric with
+    ``(den, {slope class: length numerator})``."""
     builder = _ShapeBuilder(lengths, setting)
     if kind == "loop":
         builder.add_vertex("t", 0)
         builder.add_vertex("s", 0)
-        l0 = None if lengths is None else lengths.l0
+        l0 = builder.of_slope.get(0)
         loop_target = builder.add_edge("a", "t", "s", 1, 0, l0)
         builder.add_edge("b", "t", "s", 1, 0, l0, target_edge=loop_target)
         for core, trees in zip(("t", "s"), data):
@@ -621,8 +624,8 @@ class Lengths(Record):
     ):
         values = []
         for name, val in (("l0", l0), ("l1", l1), ("l3", l3)):
-            val = Fraction(val)
-            if val < 0:
+            val = val if type(val) is Fraction else Fraction(val)
+            if val.numerator < 0:
                 raise ValueError(f"{name} must be nonnegative")
             values.append(val)
         super().__init__(*values)
@@ -653,9 +656,11 @@ def metric_lift(
             f"{tag} is a {cls} type but the setting is {setting_cls}"
         )
 
+    ratios = zip((0, 1, 3), (lengths.l0, lengths.l1, lengths.l3))
+    den, of_slope = scaled({i: l.as_integer_ratio() for i, l in ratios}, None)
     inner = _INNER_SLOPES[tag]
     for slope in (0, 1, 3):
-        have = lengths.of_slope(slope)
+        have = of_slope[slope]
         if slope in inner and have <= 0:
             raise UnliftableError(
                 f"{tag} has inner edges of slope {slope}; l{slope} must be positive"
@@ -665,14 +670,14 @@ def metric_lift(
                 f"{tag} has no inner edges of slope {slope}; l{slope} must be 0"
             )
     if cls == "mixed":
-        weighted = lengths.l1 + 3 * lengths.l3
-        log2 = setting.int_abs(2).value
-        if weighted != -log2:
+        weighted, (a, b) = of_slope[1] + 3 * of_slope[3], setting._int_abs_ratio(2)
+        if weighted * b != -a * den:
             raise UnliftableError(
-                f"mixed lengths must satisfy l1 + 3*l3 = {-log2}, got {weighted}"
+                f"mixed lengths must satisfy l1 + 3*l3 = {ratio_text(-a, b)}, "
+                f"got {ratio_text(weighted, den)}"
             )
     try:
-        return _build(*_SHAPES[tag], lengths, setting)
+        return _build(*_SHAPES[tag], (den, of_slope), setting)
     except ValueError as exc:  # pragma: no cover - the prechecks are complete
         raise UnliftableError(str(exc)) from exc
 
@@ -683,23 +688,19 @@ def metric_lengths(mm: MetricDeltaMorphism) -> Lengths:
     Inner edges of the same absolute slope must agree in length (true
     for every special metric morphism).
     """
-    found: Dict[int, Fraction] = {}
+    found: Dict[int, int] = {}  # numerators over the source's denominator
     src = mm.source
     for e in src.edge_ids:
-        if src.is_tail(e):
+        length = src._lengths[e]
+        if length is INF:
             continue
         slope = abs(mm.sdelta_stored(e))
-        length = src.length(e)
         if slope in found and found[slope] != length:
             raise ValueError(
                 f"inner edges of slope {slope} have different lengths"
             )
         found[slope] = length
-    return Lengths(
-        l0=found.get(0, Fraction(0)),
-        l1=found.get(1, Fraction(0)),
-        l3=found.get(3, Fraction(0)),
-    )
+    return Lengths(*[Fraction(found.get(i, 0), src._den) for i in (0, 1, 3)])
 
 
 def bar_discriminator(lengths: Lengths, setting: ResidueSetting) -> SpecialType:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -362,15 +363,43 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
+def parse_ratio(text: str, infinity: str, mark):
+    """``mark`` for the stripped ``text`` equal to ``infinity``, else its
+    :func:`parse_rational` as a reduced ``(numerator, positive denominator)``;
+    ``[-]digits[/digits]`` within the digit limit is read without a Fraction."""
+    text = text.strip()
+    if text == infinity:
+        return mark
+    num, slash, den = text.partition("/")
+    cap = sys.get_int_max_str_digits()
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isdecimal() and (den.isdecimal() or not slash) and not 0 < cap < len(text):
+        p, q = int(num), int(den or 1)
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    return parse_rational(text).as_integer_ratio()
+
+
+def scaled(ratios: dict, mark) -> Tuple[int, dict]:
+    """``(D, {key: D * value})`` for ``(numerator, denominator)`` pairs or ``mark``."""
+    den = lcm(*[r[1] for r in ratios.values() if r is not mark])
+    return den, {k: r if r is mark else r[0] * (den // r[1]) for k, r in ratios.items()}
+
+
+def ratio_text(x, den: int) -> str:
+    """``str(Fraction(x, den))`` without the Fraction; ``inf``/``-inf`` for INF/None."""
+    if x is None or x is INF:
+        return "-inf" if x is None else "inf"
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def parse_length(text: str) -> ExtendedRational:
     text = text.strip()
     if text == "inf":
         return INF
     return parse_rational(text)
-
-
-def format_length(x: ExtendedRational) -> str:
-    return "inf" if x is INF else str(x)
 
 
 #: Miller-Rabin with the first twelve primes as bases is exact below

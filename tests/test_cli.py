@@ -403,6 +403,17 @@ class TestInputErrors:
             "", f"error: '1e999999' has more than {limit} digits\n"
         )
 
+    @pytest.mark.parametrize("command", ["rh-check", "stabilize --json"])
+    def test_dilation_checked_without_delta(self, tmp_path, capsys, command):
+        # over metric graphs, a morphism without delta values is checked for
+        # dilation too; it used to load, and stabilize printed the length 7
+        data = json.loads((FIXTURES / "wb_metric.morphism.json").read_text())
+        del data["delta"], data["setting"]
+        (edge,) = [e for e in data["source"]["edges"] if e["id"] == "a"]
+        edge["length"] = "7"
+        err = self._run(tmp_path, capsys, data, argv=command.split())
+        assert err == "error: dilation fails on edge a: 1 != 1 * 7\n"
+
     def test_morphism_not_an_object(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "wb.morphism.json").read_text())
         err = self._run(tmp_path, capsys, [data])

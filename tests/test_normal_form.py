@@ -13,7 +13,7 @@ that the three agree and store data in normal form: exact dicts with
 import json
 import random
 import types
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,7 +30,7 @@ from wildskel.delta_morphism import (
     with_delta,
 )
 from wildskel.genus_graph import Divisor, GenusGraph
-from wildskel.valuation import INF, LogAbs, ResidueSetting, parse_length
+from wildskel.valuation import INF, LogAbs, ResidueSetting, parse_length, scaled
 
 from tests.support import random_proper_delta_morphism, stabilize_corpus
 from tests.test_special import canonical_lengths, setting_for
@@ -131,13 +131,21 @@ def built_three_ways(data: dict):
         *(GenusGraph(*_graph_args(data[side], True)) for side in ("source", "target")),
         *_maps(data, True),
     )
-    public = with_delta(public, *_delta(data))
+    delta, setting = _delta(data)
+    if delta is not None:
+        public = MetricDeltaMorphism(public, delta, setting)
     graphs = []
     for side in ("source", "target"):
         genera, edges, lengths, leaves = _graph_args(data[side], False)
-        graphs.append(GenusGraph._from_normal(genera, edges, lengths, frozenset(leaves)))
+        den = 1
+        if lengths is not None:  # the core takes numerators over one denominator
+            ratios = {e: l if l is INF else l.as_integer_ratio() for e, l in lengths.items()}
+            den, lengths = scaled(ratios, INF)
+        graphs.append(GenusGraph._from_normal(genera, edges, den, lengths, frozenset(leaves)))
     core = DeltaMorphism._from_normal(*graphs, *_maps(data, False))
-    core = with_delta(core, *_delta(data))
+    if delta is not None:
+        ratios = {v: None if d.is_neg_inf else d.value.as_integer_ratio() for v, d in delta.items()}
+        core = with_delta(core, *scaled(ratios, None), setting)
     return from_json, public, core
 
 
@@ -161,10 +169,11 @@ def normal_form_faults(m) -> list:
         for e, ends in g._ends.items():
             if any(type(v) is not str for v in ends):
                 faults.append(f"{side} edge {e} has ends {ends!r}")
-        if g.is_metric:
+        if g.is_metric:  # integer numerators over one minimal denominator
             check(f"{side} lengths", g._lengths, None)
-            if any(x is not INF and type(x) is not Fraction for x in g._lengths.values()):
-                faults.append(f"{side} lengths {g._lengths!r}")
+            finite = [x for x in g._lengths.values() if x is not INF]
+            if any(type(x) is not int for x in finite) or gcd(g._den, *finite) != 1:
+                faults.append(f"{side} lengths {g._lengths!r} over {g._den!r}")
         if type(g.infinite_leaves) is not frozenset or any(
             type(v) is not str for v in g.infinite_leaves
         ):
@@ -176,6 +185,9 @@ def normal_form_faults(m) -> list:
     check("fibers", m.fibers, tuple)
     if m.delta is not None:
         check("delta", m.delta, LogAbs)
+        finite = [x for x in m._delta.values() if x is not None]
+        if any(type(x) is not int for x in finite) or gcd(m._delta_den, *finite) != 1:
+            faults.append(f"delta {m._delta!r} over {m._delta_den!r}")
     report = m.rh_divisor_identity()
     divisors = [report.canonical, report.pullback_canonical, report.ramification, report.delta]
     divisors += [m.ramification_divisor(), m.delta_divisor(), m.source.canonical_divisor()]

@@ -15,6 +15,7 @@ from wildskel.valuation import (
     _is_prime,
     parse_length,
     parse_rational,
+    parse_ratio,
 )
 
 
@@ -190,3 +191,50 @@ class TestParseRational:
             assert parse_rational("1e5000") == 10**5000
         finally:
             sys.set_int_max_str_digits(before)
+
+
+
+def _outcome(parse, text):
+    """``parse(text)`` as a Fraction (None for -inf, INF for inf), or the type
+    and message of the ValueError it raises."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, LogAbs):
+        return None if value.is_neg_inf else value.value
+    return Fraction(*value) if isinstance(value, tuple) else value
+
+
+class TestParseRatio:
+    """The integer-pair reader of length and delta text agrees with the
+    Fraction readers it replaces in the loaders, fast path or not."""
+
+    PIECES = ["-", "+", " ", "\t", "/", ".", "e", "E", "_", "0", "00", "1", "7",
+              "12", "360", "\u0663", "\u00b2", "x", "inf", "-inf", "nan"]
+
+    def test_fuzzed_texts_agree_with_the_fraction_readers(self):
+        import random
+
+        rng = random.Random(8)
+        limit = sys.get_int_max_str_digits()
+        texts = ["1" * limit, "1" * (limit + 1), "-" + "9" * limit, "1/" + "3" * limit,
+                 " " + "2" * (limit - 1), "2" * (limit - 2) + "/4", "1e3", "1/0",
+                 "-0/0000", "0/7", "-6/4", "8/12", " -inf ", "inf\n"]
+        for _ in range(20000):
+            texts.append("".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 6))))
+        for _ in range(2000):
+            num = str(rng.randint(-10**6, 10**6))
+            texts.append(num if rng.random() < 0.3 else f"{num}/{rng.randint(0, 10**4)}")
+        for text in texts:
+            length = _outcome(lambda t: parse_ratio(t, "inf", INF), text)
+            assert length == _outcome(parse_length, text), text
+            delta = _outcome(lambda t: parse_ratio(t, "-inf", None), text)
+            assert delta == _outcome(LogAbs.parse, text), text
+
+    def test_pairs_are_reduced_with_a_positive_denominator(self):
+        assert parse_ratio("-6/4", "inf", INF) == (-3, 2)
+        assert parse_ratio(" 0/5", "inf", INF) == (0, 1)
+        assert parse_ratio("-0", "-inf", None) == (0, 1)
+        assert parse_ratio("2.50", "-inf", None) == (5, 2)
+        assert parse_ratio("\t-inf ", "-inf", None) is None

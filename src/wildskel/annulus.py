@@ -67,13 +67,17 @@ class ValuedSeries(Frozen):
 
     def __init__(self, coefficients: Mapping[int, Fraction]):
         given = dict(coefficients)
-        coeffs = {int(i): v for i, v in given.items()}
-        if len(coeffs) != len(given):  # keys equal after int(), "1" beside 1
+        coeffs = {
+            int(i): v
+            for i, v in given.items()
+            if not (isinstance(v, LogAbs) and v.is_neg_inf)
+        }
+        if len(coeffs) != len(given):  # -inf values dropped, or keys equal after int()
             keys = list(map(int, given))
-            repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
-            raise ValueError(f"series repeats exponent {repeat}")
-        zero = [i for i, v in coeffs.items() if isinstance(v, LogAbs) and v.is_neg_inf]
-        self._store(*pmfunc.scaled_series({i: coeffs[i] for i in coeffs.keys() - zero}))
+            repeat = next((i for n, i in enumerate(keys) if i in keys[:n]), None)
+            if repeat is not None:
+                raise ValueError(f"series repeats exponent {repeat}")
+        self._store(*pmfunc.scaled_series(coeffs))
 
     @classmethod
     def _from_scaled(cls, den: int, terms: Sequence[Tuple[int, int]]) -> "ValuedSeries":

@@ -22,11 +22,10 @@ The bookkeeping revolves around the differential slope index
 source then decomposes as ``K = pullback(K') + R + Delta`` and the
 degrees give ``2g - 2 = deg * (2g' - 2) + sum R_v``.
 
-Representation.  The finite ``delta`` values are integer numerators over
-one minimal denominator per morphism, ``None`` for ``-inf``, as the
-graph lengths are.  Dilation (``l' * D = n * l * D'``), linearity, the
-tail rules and the memo of slope-restriction verdicts run on integers;
-``delta``, the JSON text and messages make Fractions and ``LogAbs``.
+Representation.  Finite ``delta`` values are integer numerators over one
+minimal denominator per morphism (``None`` for ``-inf``), like the graph
+lengths; every metric check compares integers (dilation as
+``l' * D = n * l * D'``), and ``delta``, JSON and messages make ``LogAbs``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping  # isinstance is 3x faster than on typing's
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
@@ -304,10 +303,8 @@ class DeltaMorphism:
         if delta[u] is None:
             raise ValueError(f"edge {e} has no finite endpoint value")
         l, ld, dd = self.source._lengths[e], self.source._den, self._delta_den
-        den = lcm(ld, dd)
-        xs = [0] if l is INF else [0, l * (den // ld)]
-        vs = [sign * delta[u] * (den // dd)]
-        return PMFunction._from_scaled(den, xs, vs, [sign * s])
+        xs = [0] if l is INF else [0, l * dd]  # over ld * dd, reduced by the core
+        return PMFunction._from_scaled(ld * dd, xs, [sign * delta[u] * ld], [sign * s])
 
     # -- indices -----------------------------------------------------------
 

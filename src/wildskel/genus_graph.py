@@ -15,11 +15,9 @@ public constructors and the loaders coerce (ids to ``str``, numbers to
 ``int``); they and the library's own constructions enter one validating
 core with ``str`` ids, ``int`` values and plain dicts, which it keeps.
 
-Representation.  Lengths are stored like the values of a
-:class:`~wildskel.pmfunc.PMFunction`: integer numerators over one
-minimal denominator per graph, ``INF`` for a tail, so equal graphs store
-equal data.  Checks, contraction sums and the JSON text run on these
-integers; :meth:`GenusGraph.length` makes the Fraction a caller reads.
+Representation.  Lengths are integer numerators over one minimal
+denominator per graph (``INF`` for a tail), as a ``PMFunction`` stores its
+values; :meth:`GenusGraph.length` makes the Fraction a caller reads.
 """
 
 from __future__ import annotations

@@ -143,7 +143,10 @@ def record(out, work: Path, every: int) -> None:
     from tests import support
 
     rec = _Recorder(out, every, work)
-    pub = lambda name: getattr(ws, name, None)  # noqa: E731 - missing is recorded
+
+    def pub(name):  # None for a name this tree lacks: the call is recorded as missing
+        return getattr(ws, name, None)
+
     for argv in rec.sample(list(_cli_inputs(work))):
         for extra in ([], ["--json"]):
             _cli(rec, argv + extra)

@@ -630,9 +630,6 @@ class Lengths(Record):
             values.append(val)
         super().__init__(*values)
 
-    def of_slope(self, slope: int) -> Fraction:
-        return {0: self.l0, 1: self.l1, 3: self.l3}[slope]
-
 
 def metric_lift(
     tag_or_type, lengths: Lengths, setting: ResidueSetting

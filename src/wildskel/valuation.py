@@ -261,10 +261,8 @@ class LogAbs(Frozen):
     @classmethod
     def parse(cls, text: str) -> "LogAbs":
         """Parse ``"p/q"`` or ``"-inf"``."""
-        text = text.strip()
-        if text == "-inf":
-            return NEG_INF
-        return cls(parse_rational(text))
+        ratio = parse_ratio(text, "-inf", None)
+        return NEG_INF if ratio is None else cls(Fraction(*ratio))
 
 
 NEG_INF = LogAbs._make_neg_inf()
@@ -396,10 +394,8 @@ def ratio_text(x, den: int) -> str:
 
 
 def parse_length(text: str) -> ExtendedRational:
-    text = text.strip()
-    if text == "inf":
-        return INF
-    return parse_rational(text)
+    ratio = parse_ratio(text, "inf", INF)
+    return ratio if ratio is INF else Fraction(*ratio)
 
 
 #: Miller-Rabin with the first twelve primes as bases is exact below

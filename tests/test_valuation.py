@@ -201,14 +201,25 @@ def _outcome(parse, text):
         value = parse(text)
     except ValueError as exc:
         return type(exc), str(exc)
-    if isinstance(value, LogAbs):
-        return None if value.is_neg_inf else value.value
     return Fraction(*value) if isinstance(value, tuple) else value
+
+
+def _fraction_length(text):
+    """How the loaders read a length before they read integer pairs."""
+    text = text.strip()
+    return INF if text == "inf" else parse_rational(text)
+
+
+def _fraction_delta(text):
+    """How the loaders read a delta value before they read integer pairs."""
+    text = text.strip()
+    return None if text == "-inf" else parse_rational(text)
 
 
 class TestParseRatio:
     """The integer-pair reader of length and delta text agrees with the
-    Fraction readers it replaces in the loaders, fast path or not."""
+    Fraction readers it replaced in the loaders, fast path or not; the
+    public ``parse_length`` and ``LogAbs.parse`` now read through it."""
 
     PIECES = ["-", "+", " ", "\t", "/", ".", "e", "E", "_", "0", "00", "1", "7",
               "12", "360", "\u0663", "\u00b2", "x", "inf", "-inf", "nan"]
@@ -228,9 +239,14 @@ class TestParseRatio:
             texts.append(num if rng.random() < 0.3 else f"{num}/{rng.randint(0, 10**4)}")
         for text in texts:
             length = _outcome(lambda t: parse_ratio(t, "inf", INF), text)
-            assert length == _outcome(parse_length, text), text
+            assert length == _outcome(_fraction_length, text), text
+            assert _outcome(parse_length, text) == length, text
             delta = _outcome(lambda t: parse_ratio(t, "-inf", None), text)
-            assert delta == _outcome(LogAbs.parse, text), text
+            assert delta == _outcome(_fraction_delta, text), text
+            parsed = _outcome(LogAbs.parse, text)
+            if isinstance(parsed, LogAbs):
+                parsed = None if parsed.is_neg_inf else parsed.value
+            assert parsed == delta, text
 
     def test_pairs_are_reduced_with_a_positive_denominator(self):
         assert parse_ratio("-6/4", "inf", INF) == (-3, 2)

@@ -112,10 +112,14 @@ class DeltaMorphism:
                 raise NotProperError(f"vertex {cut(v)} is not mapped to a target vertex")
             fibers[v2].append(v)
         self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
-        # one sweep over the edges checks them and sums n per source vertex
-        # and image branch; loops map slot to slot (from->from, to->to)
+        # one sweep over the edges checks them, sums n per source vertex and
+        # image branch (loops map slot to slot: from->from, to->to), and adds
+        # up R_v - chi(v) = -sum of S_b = sdelta(b) - n_b + 1 over the branches
+        # at v and Delta_v = -sum of sdelta(b); the branch at v runs against e
         sums: Dict[str, Dict[Tuple[str, bool], int]] = {v: {} for v in source.vertices}
-        ends, target_ends = source._ends, target._ends
+        self._indices = r = dict.fromkeys(source.vertices, 0)
+        self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
+        ends, target_ends, missing = source._ends, target._ends, None
         for e in source.edge_ids:
             e2 = edge_map.get(e)
             if e2 not in target_ends:
@@ -132,44 +136,42 @@ class DeltaMorphism:
             at_u, at_v = sums[u], sums[v]
             at_u[e2, forward] = at_u.get((e2, forward), 0) + n
             at_v[e2, not forward] = at_v.get((e2, not forward), 0) + n
+            s = sdelta.get(e)
+            if s is None:  # raised after the properness checks
+                missing = e if missing is None else missing
+                continue
+            r[u] += s - n + 1
+            r[v] -= s + n - 1
+            d[u] -= s
+            d[v] += s
         if not source.is_connected() or not target.is_connected():
             raise NotProperError("properness requires connected graphs")
-        # R_v starts from chi(v) = 2g - 2 - vertex_mult * (2g' - 2)
+        # R_v adds chi(v) = 2g - 2 - vertex_mult * (2g' - 2)
         self.vertex_mult = vmult = {}
-        self._indices = r = {}
         ranks = dict.fromkeys(target.vertices, 0)
         genus, genus2, branches2 = source._genus, target._genus, target._branches
         for v in source.vertices:
             v2, counts = vmap[v], sums[v]
             # counts has an entry for each branch at v2 that an edge at v
-            # covers; every branch needs one, and all the same sum
-            if len(counts) != len(branches2[v2]) or len(set(counts.values())) > 1:
+            # covers; every branch needs one, and all the same sum; an
+            # isolated fiber point (no branches) has multiplicity one
+            k = max(counts.values(), default=1)
+            if len(counts) != len(branches2[v2]) or min(counts.values(), default=1) != k:
                 branches = branches2[v2]
                 raise NotProperError(
                     f"multiplicity is not locally constant at vertex {cut(v)}: "
                     f"{echo({b: counts.get(b, 0) for b in branches})}"
                 )
-            # an isolated fiber point (no branches) has multiplicity one
-            vmult[v] = k = max(counts.values(), default=1)
+            vmult[v] = k
             ranks[v2] += k
-            r[v] = 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
+            r[v] += 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
         values = set(ranks.values())
         if len(values) != 1 or 0 in values:
             raise NotProperError(f"global rank is not constant: {echo(ranks)}")
         self.degree = values.pop()
+        if missing is not None:
+            raise ValueError(f"edge {cut(missing)} has no sdelta value")
         self._sdelta = sdelta
-        # R_v = chi(v) - sum of S_b = -sdelta(b) + n_b - 1 over its branches,
-        # and Delta_v = -sum of sdelta(b); the branch at v runs against e
-        self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
-        for e in source.edge_ids:
-            if e not in sdelta:
-                raise ValueError(f"edge {cut(e)} has no sdelta value")
-            s, n = sdelta[e], mult[e]
-            u, v = ends[e]
-            r[u] += s - n + 1
-            r[v] -= s + n - 1
-            d[u] -= s
-            d[v] += s
 
     def sdelta(self, oe: OrientedEdge) -> int:
         """Slope along the oriented edge; odd under orientation reversal."""
@@ -800,6 +802,9 @@ def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -
     """``parse`` applied to each value of the object ``data[key]``, keyed by str."""
     out = {}
     for k, value in json_field(data, key, "morphism").items():
+        if type(value) is parse and type(k) is str:  # an exact int needs no int()
+            out[k] = value
+            continue
         # exact types skip the checks: a bool is an int, a float may be in kinds
         if type(value) not in kinds or type(value) is float:
             if not isinstance(value, kinds):

@@ -127,17 +127,21 @@ class GenusGraph:
 
     def _store(self, genus, ends, den, lengths, infinite_leaves) -> None:
         """The core: all checks but repeated ids; it keeps ``genus`` and ``ends``."""
-        _check_ends(genus, ends.items())
         self._genus: Dict[str, int] = genus
         self._ends: Dict[str, Tuple[str, str]] = ends
         self.vertices: Tuple[str, ...] = tuple(sorted(genus))
         self.edge_ids: Tuple[str, ...] = tuple(sorted(ends))
+        if min(genus.values(), default=0) < 0:
+            _check_ends(genus, ends.items())  # raises the first fault in order
         out: Dict[str, list] = {v: [] for v in self.vertices}
         new = tuple.__new__  # skips the namedtuple's Python-level __new__
-        for e in self.edge_ids:
-            a, b = self._ends[e]
-            out[a].append(new(OrientedEdge, (e, True)))
-            out[b].append(new(OrientedEdge, (e, False)))
+        try:
+            for e in self.edge_ids:
+                a, b = ends[e]
+                out[a].append(new(OrientedEdge, (e, True)))
+                out[b].append(new(OrientedEdge, (e, False)))
+        except KeyError:  # an end outside the vertex set
+            _check_ends(genus, ends.items())
         self._branches: Dict[str, Tuple[OrientedEdge, ...]] = {
             v: tuple(bs) for v, bs in out.items()
         }
@@ -299,67 +303,99 @@ class GenusGraph:
         """Parse a graph; errors name it ``entry``, e.g. ``source graph``."""
         if type(data) is not dict and not isinstance(data, Mapping):
             raise ValueError(f"{entry} is not an object")
-        # the checks keep their order (entries and ids, genera, endpoints,
-        # lengths, the graph, repeats); a list is walked once per stage
-        ids = {}  # per list, each entry's id, through str() once
-        for key in ("vertices", "edges"):
-            items = json_field(data, key, entry)
-            if not isinstance(items, list):
-                raise ValueError(f"{entry} {key} is not a list")
-            ids[key] = names = []
-            for item in items:
-                if type(item) is not dict and not isinstance(item, Mapping):
-                    raise ValueError(f"{key} entry {echo(item)} is not an object")
-                ident = item.get("id")
-                if type(ident) is not str and type(ident) is not int:
-                    if "id" not in item:
-                        raise ValueError(f"{key} entry {echo(item)} lacks key 'id'")
-                    raise ValueError(
-                        f"{key} entry id {echo(ident)} is not a string or an integer"
-                    )
-                names.append(str(ident))
+        # one walk per list; the stages keep their order (entries and ids,
+        # the infinite_leaves type, genera, endpoints, lengths), so the first
+        # fault of a later stage is raised only once the earlier ones pass
+        vertices, genera, bad_genus = _json_list(data, "vertices", entry), {}, None
+        for item in vertices:
+            v = item.get("id") if type(item) is dict else None
+            if type(v) is not str:
+                v = _entry_id(item, "vertices")
+            g = genera[v] = item.get("genus", 0)
+            if type(g) is not int and bad_genus is None:  # not a float, not a bool
+                bad_genus = v, g
+        edges, lengths, metric = _json_list(data, "edges", entry), {}, False
+        ends, bad_ends, bad_length = {}, None, None
+        for item in edges:
+            e = item.get("id") if type(item) is dict else None
+            if type(e) is not str:
+                e = _entry_id(item, "edges")
+            u, v = item.get("from"), item.get("to")
+            if type(u) is str and type(v) is str:
+                ends[e] = u, v
+            elif bad_ends is None:
+                try:
+                    ends[e] = _edge_ends(item, e)
+                except ValueError:
+                    bad_ends = item, e
+            if "length" in item:  # a missing one is a fault once the graph is metric
+                metric = True
+                try:
+                    lengths[e] = _parse_length(item["length"], e)
+                except ValueError:
+                    bad_length = bad_length or (item, e)
+            elif bad_length is None:
+                bad_length = item, e
         infinite_leaves = data.get("infinite_leaves", [])
         if not isinstance(infinite_leaves, list):
             raise ValueError(f"{entry} infinite_leaves is not a list")
-        genera = {}
-        for v, item in zip(ids["vertices"], data["vertices"]):
-            g = item.get("genus", 0)
-            if type(g) is not int:  # int() would truncate a float, take a bool
-                raise ValueError(f"vertex {cut(v)} genus {echo(g)} is not an integer")
-            genera[v] = g
-        edges, metric = {}, bool(infinite_leaves)
-        for e, item in zip(ids["edges"], data["edges"]):
-            metric = metric or "length" in item
-            if "from" in item and "to" in item:
-                u, v = item["from"], item["to"]
-            else:  # json_field names the missing key
-                name = f"edge {cut(e)}"
-                u, v = json_field(item, "from", name), json_field(item, "to", name)
-            edges[e] = (str(u), str(v))
-        lengths = {}
-        if metric:
-            for e, item in zip(ids["edges"], data["edges"]):
-                length = json_field(item, "length", f"edge {cut(e)}")
-                if not isinstance(length, str):
-                    raise ValueError(
-                        f"edge {cut(e)} length {echo(length)} is not a string"
-                    )
-                try:
-                    lengths[e] = parse_ratio(length, "inf", INF)
-                except ValueError as exc:
-                    if isinstance(exc.__context__, ZeroDivisionError):  # names itself
-                        raise
-                    raise ValueError(
-                        f"edge {cut(e)} length {echo(length)} is not a rational or inf"
-                    ) from None
+        if bad_genus is not None:
+            v, g = bad_genus
+            raise ValueError(f"vertex {cut(v)} genus {echo(g)} is not an integer")
+        if bad_ends is not None:
+            _edge_ends(*bad_ends)  # raises as it did in the walk
+        metric = metric or bool(infinite_leaves)
+        if metric and bad_length is not None:
+            item, e = bad_length
+            _parse_length(json_field(item, "length", f"edge {cut(e)}"), e)  # raises
         lengths = scaled(lengths, INF) if metric else (1, None)
-        g = GenusGraph._from_normal(genera, edges, *lengths, map(str, infinite_leaves))
+        g = GenusGraph._from_normal(genera, ends, *lengths, map(str, infinite_leaves))
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges
-        for kind, kept, key in ("vertex", genera, "vertices"), ("edge", edges, "edges"):
-            if len(kept) != len(ids[key]):
-                _repeated_id(entry, kind, ids[key])
+        for kind, kept, items in ("vertex", genera, vertices), ("edge", ends, edges):
+            if len(kept) != len(items):
+                _repeated_id(entry, kind, [item["id"] for item in items])
         return g
+
+
+def _json_list(data: Mapping, key: str, entry: str) -> list:
+    items = json_field(data, key, entry)
+    if not isinstance(items, list):
+        raise ValueError(f"{entry} {key} is not a list")
+    return items
+
+
+def _entry_id(item, key: str) -> str:
+    """The id of a ``key`` entry through ``str()``; an entry that is not an
+    object, or an id that is missing or not a string or an integer, raises."""
+    if type(item) is not dict and not isinstance(item, Mapping):
+        raise ValueError(f"{key} entry {echo(item)} is not an object")
+    ident = item.get("id")
+    if type(ident) is not str and type(ident) is not int:
+        if "id" not in item:
+            raise ValueError(f"{key} entry {echo(item)} lacks key 'id'")
+        raise ValueError(f"{key} entry id {echo(ident)} is not a string or an integer")
+    return str(ident)
+
+
+def _edge_ends(item: Mapping, e: str) -> Tuple[str, str]:
+    """``(from, to)`` of the edge entry ``item`` through ``str()``."""
+    name = f"edge {cut(e)}"  # json_field names the missing key
+    return str(json_field(item, "from", name)), str(json_field(item, "to", name))
+
+
+def _parse_length(length, e: str):
+    """The length text of edge ``e`` as a reduced pair, or INF."""
+    if not isinstance(length, str):
+        raise ValueError(f"edge {cut(e)} length {echo(length)} is not a string")
+    try:
+        return parse_ratio(length, "inf", INF)
+    except ValueError as exc:
+        if isinstance(exc.__context__, ZeroDivisionError):  # names itself
+            raise
+        raise ValueError(
+            f"edge {cut(e)} length {echo(length)} is not a rational or inf"
+        ) from None
 
 
 class MetricGenusGraph(GenusGraph):

@@ -86,7 +86,7 @@ class DeltaMorphism:
         sdelta: Mapping[str, int],
     ):
         _check_kind(source, target)  # before any map is read
-        maps = [{str(k): str(v) for k, v in m.items()} for m in (vertex_map, edge_map)]
+        maps = [_as_ids(m, n) for m, n in ((vertex_map, "vertex_map"), (edge_map, "edge_map"))]
         ints = {"mult": mult, "sdelta": sdelta}
         maps += [{str(k): as_int(v, n, k) for k, v in m.items()} for n, m in ints.items()]
         self._store(source, target, *maps)
@@ -765,7 +765,7 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
     m = DeltaMorphism._from_normal(
         source,
         target,
-        *({str(k): str(v) for k, v in json_field(data, key, "morphism").items()}
+        *(_as_ids(json_field(data, key, "morphism"), f"morphism {key}")
           for key in ("vertex_map", "edge_map")),
         _parse_values(data, "n", int, (int, float, str), "a number"),
         _parse_values(data, "sdelta", int, (int, float, str), "a number"),
@@ -796,6 +796,21 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
             kind = "vertex" if ids is vertices else "edge"
             raise ValueError(f"morphism {key} names unknown {kind} {echo(unknown)}")
     return m
+
+
+def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:
+    """``given`` keyed by str, each value an id: a string, or an integer
+    through ``str()``; any other value is a ValueError naming its key."""
+    out = {}
+    for k, v in given.items():
+        if type(v) is not str:
+            if type(v) is not int:
+                raise ValueError(
+                    f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
+                )
+            v = str(v)
+        out[k if type(k) is str else str(k)] = v
+    return out
 
 
 def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:

@@ -45,6 +45,16 @@ def json_field(data: Mapping, key: str, entry: str):
         raise ValueError(f"{entry} lacks key {key!r}") from None
 
 
+def as_id(value, entry: str) -> str:
+    """An id: a string, or an integer through ``str()``; anything else, a
+    bool or a float included, is a ValueError naming ``entry``."""
+    if type(value) is str:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{entry} {echo(value)} is not a string or an integer")
+    return str(value)
+
+
 def as_int(value, entry: str, key) -> int:
     """``int(value)`` for a public constructor's map ``entry``; a float would
     be truncated and a bool taken as a number, so both are a ValueError."""
@@ -105,10 +115,10 @@ class GenusGraph:
         genus = {str(v): as_int(g, "genera", v) for v, g in genera.items()}
         if len(genus) != len(genera):
             _repeated_id("graph", "vertex", genera)
-        ends = {str(e): (str(u), str(v)) for e, (u, v) in edges.items()}
+        ends = {str(e): _edge_ends(e, u, v) for e, (u, v) in edges.items()}
         if len(ends) != len(edges):
             # the checks before this one also see the entries a repeat hides
-            _check_ends(genus, ((e, (str(u), str(v))) for e, (u, v) in edges.items()))
+            _check_ends(genus, ((e, _edge_ends(e, u, v)) for e, (u, v) in edges.items()))
             _repeated_id("graph", "edge", edges)
         ratios = {}  # in the core's order, up to the first length it rejects
         for e in takewhile((lengths or {}).__contains__, sorted(ends)):
@@ -117,7 +127,8 @@ class GenusGraph:
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
-        self._store(genus, ends, den, lengths, map(str, infinite_leaves))
+        leaves = [as_id(v, "graph infinite_leaves entry") for v in infinite_leaves]
+        self._store(genus, ends, den, lengths, leaves)
 
     @classmethod
     def _from_normal(cls, genus, ends, den, lengths, infinite_leaves) -> "GenusGraph":
@@ -325,7 +336,7 @@ class GenusGraph:
                 ends[e] = u, v
             elif bad_ends is None:
                 try:
-                    ends[e] = _edge_ends(item, e)
+                    ends[e] = _json_ends(item, e)
                 except ValueError:
                     bad_ends = item, e
             if "length" in item:  # a missing one is a fault once the graph is metric
@@ -339,17 +350,18 @@ class GenusGraph:
         infinite_leaves = data.get("infinite_leaves", [])
         if not isinstance(infinite_leaves, list):
             raise ValueError(f"{entry} infinite_leaves is not a list")
+        leaves = [as_id(v, f"{entry} infinite_leaves entry") for v in infinite_leaves]
         if bad_genus is not None:
             v, g = bad_genus
             raise ValueError(f"vertex {cut(v)} genus {echo(g)} is not an integer")
         if bad_ends is not None:
-            _edge_ends(*bad_ends)  # raises as it did in the walk
+            _json_ends(*bad_ends)  # raises as it did in the walk
         metric = metric or bool(infinite_leaves)
         if metric and bad_length is not None:
             item, e = bad_length
             _parse_length(json_field(item, "length", f"edge {cut(e)}"), e)  # raises
         lengths = scaled(lengths, INF) if metric else (1, None)
-        g = GenusGraph._from_normal(genera, ends, *lengths, map(str, infinite_leaves))
+        g = GenusGraph._from_normal(genera, ends, *lengths, leaves)
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges
         for kind, kept, items in ("vertex", genera, vertices), ("edge", ends, edges):
@@ -378,10 +390,18 @@ def _entry_id(item, key: str) -> str:
     return str(ident)
 
 
-def _edge_ends(item: Mapping, e: str) -> Tuple[str, str]:
-    """``(from, to)`` of the edge entry ``item`` through ``str()``."""
+def _edge_ends(e, u, v) -> Tuple[str, str]:
+    """The ends ``u`` (from) and ``v`` (to) of the edge ``e`` as ids."""
+    if type(u) is str and type(v) is str:
+        return u, v
+    name = f"edge {cut(str(e))}"
+    return as_id(u, f"{name} from"), as_id(v, f"{name} to")
+
+
+def _json_ends(item: Mapping, e: str) -> Tuple[str, str]:
+    """The ends of the edge entry ``item``, whose id is ``e``."""
     name = f"edge {cut(e)}"  # json_field names the missing key
-    return str(json_field(item, "from", name)), str(json_field(item, "to", name))
+    return _edge_ends(e, json_field(item, "from", name), json_field(item, "to", name))
 
 
 def _parse_length(length, e: str):

@@ -626,6 +626,42 @@ class TestJsonRoundtrip:
         assert morphism_to_json_dict(mm2) == data
 
 
+class TestIdRule:
+    """``vertex_map`` and ``edge_map`` values are ids: a string or an integer."""
+
+    @pytest.mark.parametrize("value", [1.5, True, None, ["t'"]])
+    @pytest.mark.parametrize("key, k", [("vertex_map", "t"), ("edge_map", "a")])
+    def test_loader_value_not_an_id(self, key, k, value):
+        data = morphism_to_json_dict(wb())
+        data[key][k] = value
+        with pytest.raises(ValueError) as info:
+            morphism_from_json_dict(data)
+        assert str(info.value) == (
+            f"morphism {key} value of {k!r} is {value!r}, not a string or an integer"
+        )
+
+    @pytest.mark.parametrize("value", [1.5, False, None])
+    @pytest.mark.parametrize("key, k", [("vertex_map", "t"), ("edge_map", "a")])
+    def test_constructor_value_not_an_id(self, key, k, value):
+        m = wb()
+        maps = {"vertex_map": dict(m.vertex_map), "edge_map": dict(m.edge_map)}
+        maps[key][k] = value
+        with pytest.raises(ValueError) as info:
+            DeltaMorphism(m.source, m.target, *maps.values(), m.mult, m._sdelta)
+        assert str(info.value) == (
+            f"{key} value of {k!r} is {value!r}, not a string or an integer"
+        )
+
+    def test_integer_values_are_ids(self):
+        g = GenusGraph({1: 0, 2: 0}, {3: (1, 2)})
+        m = DeltaMorphism(g, g, {1: 1, 2: 2}, {3: 3}, {3: 1}, {3: 0})
+        assert m.vertex_map == {"1": "1", "2": "2"} and m.edge_map == {"3": "3"}
+        data = {"source": g.to_json_dict(), "target": g.to_json_dict(),
+                "vertex_map": {"1": 1, "2": 2}, "edge_map": {"3": 3},
+                "n": {"3": 1}, "sdelta": {"3": 0}}
+        assert morphism_to_json_dict(morphism_from_json_dict(data)) == morphism_to_json_dict(m)
+
+
 def kummer_two_edges() -> MetricDeltaMorphism:
     """The metric Kummer segment of ``kummer_p2_metric``, cut at its midpoint."""
     src = MetricGenusGraph(

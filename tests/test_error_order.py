@@ -96,6 +96,22 @@ GRAPH_CASES = {
         True, [(V, 1, "genus", None), (E, 0, "length", "x")],
         "vertex b genus None is not an integer",
     ),
+    "genus before an end that is not an id": (
+        False, [(V, 1, "genus", 0.5), (E, 0, "from", 1.5)],
+        "vertex b genus 0.5 is not an integer",
+    ),
+    "an end that is not an id before lengths": (
+        True, [(E, 0, "length", "x"), (E, 1, "to", None)],
+        "edge f to None is not a string or an integer",
+    ),
+    "missing from before a to that is not an id": (
+        False, [(E, 0, "from", DELETE), (E, 0, "to", True)],
+        "edge e lacks key 'from'",
+    ),
+    "a leaf that is not an id before genus": (
+        True, [(V, 0, "genus", None), ("infinite_leaves", [["b"]])],
+        "graph infinite_leaves entry ['b'] is not a string or an integer",
+    ),
     "endpoints of a later edge before lengths": (
         True, [(E, 0, "length", "x"), (E, 1, "to", DELETE)],
         "edge f lacks key 'to'",
@@ -178,6 +194,14 @@ MORPHISM_CASES = {
     "edge_map before n": (
         False, [("edge_map", DELETE), ("n", "e", "x")],
         "morphism lacks key 'edge_map'",
+    ),
+    "a vertex_map value that is not an id before edge_map": (
+        False, [("vertex_map", "b", 1.5), ("edge_map", DELETE)],
+        "morphism vertex_map value of 'b' is 1.5, not a string or an integer",
+    ),
+    "an edge_map value that is not an id before n": (
+        False, [("edge_map", "f", None), ("n", "e", "x")],
+        "morphism edge_map value of 'f' is None, not a string or an integer",
     ),
     "n before sdelta": (
         False, [("n", "f", 1.5), ("sdelta", "e", True)],

@@ -295,6 +295,57 @@ class TestJsonInputContract:
         assert g.edge_ids == ("7",) and g.length("7") == 1
 
 
+class TestIdRule:
+    """Edge ends and infinite leaves are ids: a string or an integer."""
+
+    @pytest.mark.parametrize("value", [1.5, True, None, ["a"], {"a": 0}])
+    @pytest.mark.parametrize("key", ["from", "to"])
+    def test_loader_end_not_an_id(self, key, value):
+        data = {
+            "vertices": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"id": "e", "from": "a", "to": "b"}, {"id": "f", "from": "a", "to": "b"}],
+        }
+        data["edges"][1][key] = value
+        with pytest.raises(ValueError) as info:
+            GenusGraph.from_json_dict(data)
+        assert str(info.value) == f"edge f {key} {value!r} is not a string or an integer"
+
+    def test_loader_integer_ends_are_ids(self):
+        data = {
+            "vertices": [{"id": 1}, {"id": "2"}],
+            "edges": [{"id": "e", "from": 1, "to": 2}],
+        }
+        assert GenusGraph.from_json_dict(data).endpoints("e") == ("1", "2")
+
+    @pytest.mark.parametrize("value", [["b"], 1.5, False, None])
+    def test_loader_leaf_not_an_id(self, value):
+        data = {
+            "vertices": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"id": "e", "from": "a", "to": "b", "length": "inf"}],
+            "infinite_leaves": [value],
+        }
+        with pytest.raises(ValueError) as info:
+            GenusGraph.from_json_dict(data, "source graph")
+        assert str(info.value) == (
+            f"source graph infinite_leaves entry {value!r} is not a string or an integer"
+        )
+
+    @pytest.mark.parametrize("value", [1.5, True, None, ("a",)])
+    def test_constructor_end_not_an_id(self, value):
+        with pytest.raises(ValueError) as info:
+            GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b"), 7: (value, "b")})
+        assert str(info.value) == f"edge 7 from {value!r} is not a string or an integer"
+
+    def test_constructor_leaf_not_an_id(self):
+        with pytest.raises(ValueError) as info:
+            GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": INF}, [True])
+        assert str(info.value) == "graph infinite_leaves entry True is not a string or an integer"
+
+    def test_constructor_integer_ids(self):
+        g = GenusGraph({1: 0, 2: 0}, {"e": (1, 2)}, {"e": INF}, [2])
+        assert g.endpoints("e") == ("1", "2") and g.infinite_leaves == {"2"}
+
+
 class TestBranchIndex:
     def test_branches_match_a_scan_of_the_edges(self):
         rng = random.Random(5)

@@ -37,7 +37,7 @@ from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, exact, json_field
 from .pmfunc import PMFunction
 from .valuation import (
     INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo, parse_ratio,
@@ -88,7 +88,7 @@ class DeltaMorphism:
         _check_kind(source, target)  # before any map is read
         maps = [_as_ids(m, n) for m, n in ((vertex_map, "vertex_map"), (edge_map, "edge_map"))]
         ints = {"mult": mult, "sdelta": sdelta}
-        maps += [{str(k): as_int(v, n, k) for k, v in m.items()} for n, m in ints.items()]
+        maps += [{str(k): int(exact(v, n, k)) for k, v in m.items()} for n, m in ints.items()]
         self._store(source, target, *maps)
 
     @classmethod
@@ -606,7 +606,9 @@ class MetricDeltaMorphism(DeltaMorphism):
         vertices = morphism.source.vertices if morphism.source.is_metric else ()
         ratios = {}  # in the core's order, up to the first vertex it misses
         for v in takewhile(delta.__contains__, vertices):
-            d = delta[v] if isinstance(delta[v], LogAbs) else LogAbs(delta[v])
+            d = delta[v]
+            if not isinstance(d, LogAbs):
+                d = LogAbs(exact(d, "delta", v, "a rational or -inf"))
             ratios[v] = None if d.is_neg_inf else d.value.as_integer_ratio()
         self._attach_delta(morphism, *scaled(ratios, None), setting)
 

@@ -55,12 +55,13 @@ def as_id(value, entry: str) -> str:
     return str(value)
 
 
-def as_int(value, entry: str, key) -> int:
-    """``int(value)`` for a public constructor's map ``entry``; a float would
-    be truncated and a bool taken as a number, so both are a ValueError."""
+def exact(value, entry: str, key, noun: str = "an integer"):
+    """``value`` of a public constructor's map ``entry``; a float would be
+    truncated or taken as its binary fraction and a bool taken as a number,
+    so both are a ValueError naming ``key``, that the value is not ``noun``."""
     if isinstance(value, (bool, float)):
-        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not an integer")
-    return int(value)
+        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not {noun}")
+    return value
 
 
 class OrientedEdge(NamedTuple):
@@ -112,7 +113,7 @@ class GenusGraph:
         lengths: Optional[Mapping[str, ExtendedRational]] = None,
         infinite_leaves: Iterable[str] = (),
     ):
-        genus = {str(v): as_int(g, "genera", v) for v, g in genera.items()}
+        genus = {str(v): int(exact(g, "genera", v)) for v, g in genera.items()}
         if len(genus) != len(genera):
             _repeated_id("graph", "vertex", genera)
         ends = {str(e): _edge_ends(e, u, v) for e, (u, v) in edges.items()}
@@ -123,7 +124,9 @@ class GenusGraph:
         ratios = {}  # in the core's order, up to the first length it rejects
         for e in takewhile((lengths or {}).__contains__, sorted(ends)):
             l = lengths[e]
-            ratios[e] = l = l if l is INF else Fraction(l).as_integer_ratio()
+            if l is not INF:
+                l = Fraction(exact(l, "lengths", e, "a rational or inf")).as_integer_ratio()
+            ratios[e] = l
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)

@@ -487,6 +487,17 @@ class TestMetricDeltaMorphism:
         with pytest.raises(ValueError, match="dilation"):
             MetricDeltaMorphism(dm, {"u": LogAbs(-1), "v": LogAbs(-1)}, MIXED2)
 
+    @pytest.mark.parametrize("value", [-0.5, 0.0, False])
+    def test_float_or_bool_delta_rejected(self, value):
+        """A float is not taken as its binary fraction, nor a bool as a number."""
+        src = MetricGenusGraph({"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": Fraction(1)})
+        dm = DeltaMorphism(src, src, {"u": "u", "v": "v"}, {"e": "e"}, {"e": 1}, {"e": 0})
+        with pytest.raises(ValueError) as info:
+            MetricDeltaMorphism(dm, {"u": LogAbs(0), "v": value}, WILD2)
+        assert str(info.value) == f"delta value of 'v' is {value!r}, not a rational or -inf"
+        with pytest.raises(ValueError, match="^vertex u has no delta value$"):
+            MetricDeltaMorphism(dm, {"v": value}, WILD2)
+
     def test_linearity_violation_rejected(self):
         src = MetricGenusGraph(
             {"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": Fraction(1)}

@@ -173,6 +173,21 @@ class TestMetric:
         with pytest.raises(ValueError):
             MetricGenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": 0})
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, True])
+    def test_float_or_bool_length_rejected(self, value):
+        """A float is not taken as its binary fraction, nor a bool as 1."""
+        with pytest.raises(ValueError) as info:
+            GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, {"e": value})
+        assert str(info.value) == f"lengths value of 'e' is {value!r}, not a rational or inf"
+
+    def test_float_length_after_the_first_rejected_one(self):
+        """The lengths are read in the core's order, up to the first it rejects."""
+        edges = {"a": ("u", "v"), "b": ("u", "v")}
+        with pytest.raises(ValueError, match="^edge a has nonpositive length -1$"):
+            GenusGraph({"u": 0, "v": 0}, edges, {"a": -1, "b": 0.5})
+        with pytest.raises(ValueError, match="^edge a has no length$"):
+            GenusGraph({"u": 0, "v": 0}, edges, {"b": 0.5})
+
 
 class TestJson:
     def test_roundtrip_plain(self):

@@ -18,7 +18,10 @@ text mode and with ``--json`` (stdout, stderr and exit code of
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
-that apply to them; and a few single calls at known edge cases.  A
+that apply to them, each random morphism also loaded from its own JSON
+and each graph of a mutated document loaded alone; ``Divisor``
+arithmetic on the canonical and ramification divisors of the random
+morphisms; and a few single calls at known edge cases.  A
 function missing from one tree is recorded as missing.
 
 Prints the number of differing records and the first twenty of them;
@@ -159,6 +162,17 @@ def record(out, work: Path, every: int) -> None:
     del doc["delta"], doc["setting"]
     doc["source"]["edges"][0]["length"] = "7"
     rec.call("load wb_metric, no delta, a length of 7", pub("morphism_from_json_dict"), doc)
+    graph, two = pub("GenusGraph"), {"a": 0, "b": 0}
+    for ends in (("a", "b"), (True, 1.5), ("a", None)):
+        rec.call(f"graph with ends {ends}", graph, two, {"e": ends})
+    for length in (1, "1/2", ws.INF, 0.1, 1.0, True):
+        rec.call(f"graph with length {length!r}", graph, two, {"e": ("a", "b")}, {"e": length})
+    rec.call("graph with leaf ['b']", graph, two, {"e": ("a", "b")}, {"e": ws.INF}, [["b"]])
+    line = graph(two, {"e": ("a", "b")}, {"e": 1})
+    identity = ws.DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
+    for value in (ws.LogAbs(0), 0, "0", 0.0, -0.5, False):
+        rec.call(f"metric identity with delta {value!r}", pub("MetricDeltaMorphism"),
+                 identity, {"a": ws.LogAbs(0), "b": value}, setting)
 
     def morphism(label, m, stable=True):
         rec.call(f"{label} json", pub("morphism_to_json_dict"), m)
@@ -174,9 +188,32 @@ def record(out, work: Path, every: int) -> None:
     corpus = support.stabilize_corpus()  # quick: the first random draws only
     for i, (group, m) in enumerate(islice(corpus, 3300 // every)):
         morphism(f"stabilize_corpus {group} {i}", m)
+    def divisors(label, m, rng):
+        k, r = m.source.canonical_divisor(), m.ramification_divisor()
+        given = {v: rng.randint(-3, 3) for v in m.target.vertices}
+        d = rec.call(f"{label} divisor", pub("Divisor"), given)
+        if d is not None:
+            rec.call(f"{label} pullback", m.pullback, d)
+        for name, fn in (("K+R", k.__add__), ("K-R", k.__sub__), ("R-R", r.__sub__)):
+            total = rec.call(f"{label} {name}", fn, r)
+            if total is not None:
+                rec.call(f"{label} {name} degree", total.degree)
+        rec.call(f"{label} K+R-R == K", lambda: k + r - r == k)
+        rec.call(f"{label} K hash", lambda: hash(k) == hash(pub("Divisor")(k.to_json_dict())))
+
     rng = random.Random(23)
     for i in range(300 // every):
-        morphism(f"random_proper {i}", support.random_proper_delta_morphism(rng), False)
+        m = support.random_proper_delta_morphism(rng)
+        label = f"random_proper {i}"
+        morphism(label, m, False)
+        loaded = rec.call(f"{label} load", pub("morphism_from_json_dict"), ws.morphism_to_json_dict(m))
+        if loaded is not None:
+            rec.call(f"{label} loaded json", pub("morphism_to_json_dict"), loaded)
+            morphism(f"{label} loaded", loaded, False)
+        divisors(label, m, rng)
+    for given in ({}, {"a": 0}, {"a": 2, "b": -2}, {1: 1, "1": 2}, {"a": 1.5},
+                  {"a": True}, {"a": "1"}, {"a": None}, {2: 3}):
+        rec.call(f"divisor {given!r}", pub("Divisor"), given)
 
     from tests.test_special import canonical_lengths, setting_for
 
@@ -213,10 +250,13 @@ def record(out, work: Path, every: int) -> None:
             if mm is not None and loaded is not None:
                 morphism(label, loaded)
 
+    graph = getattr(ws.GenusGraph, "from_json_dict", None)
     for i, doc in enumerate(support.load_mutations(5, 2000 // every)):
         m = rec.call(f"load_mutation {i}", pub("morphism_from_json_dict"), doc)
         if m is not None:
             rec.call(f"load_mutation {i} json", pub("morphism_to_json_dict"), m)
+        for side in ("source", "target"):
+            rec.call(f"load_mutation {i} {side}", graph, doc.get(side), f"{side} graph")
 
     for name in SETTINGS:
         setting, rng = ws.ResidueSetting.parse(name), random.Random(f"series-{name}")

@@ -86,9 +86,9 @@ class DeltaMorphism:
         sdelta: Mapping[str, int],
     ):
         _check_kind(source, target)  # before any map is read
-        maps = [_as_ids(m, n) for m, n in ((vertex_map, "vertex_map"), (edge_map, "edge_map"))]
-        ints = {"mult": mult, "sdelta": sdelta}
-        maps += [{str(k): int(exact(v, n, k)) for k, v in m.items()} for n, m in ints.items()]
+        maps = [_as_ids(vertex_map, "vertex_map"), _as_ids(edge_map, "edge_map")]
+        for name, given in ("mult", mult), ("sdelta", sdelta):
+            maps.append({str(k): int(exact(v, name, k)) for k, v in given.items()})
         self._store(source, target, *maps)
 
     @classmethod
@@ -114,8 +114,8 @@ class DeltaMorphism:
         self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         # one sweep over the edges checks them, sums n per source vertex and
         # image branch (loops map slot to slot: from->from, to->to), and adds
-        # up R_v - chi(v) = -sum of S_b = sdelta(b) - n_b + 1 over the branches
-        # at v and Delta_v = -sum of sdelta(b); the branch at v runs against e
+        # up R_v - chi(v) = sum of sdelta(b) - n_b + 1 over the branches b at v
+        # and Delta_v = -sum of sdelta(b); the branch at v runs against e
         sums: Dict[str, Dict[Tuple[str, bool], int]] = {v: {} for v in source.vertices}
         self._indices = r = dict.fromkeys(source.vertices, 0)
         self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
@@ -800,18 +800,13 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
 
 
 def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:
-    """``given`` keyed by str, each value an id: a string, or an integer
-    through ``str()``; any other value is a ValueError naming its key."""
-    out = {}
+    """``given`` keyed by str, each value an id: a string or an integer."""
     for k, v in given.items():
-        if type(v) is not str:
-            if type(v) is not int:
-                raise ValueError(
-                    f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
-                )
-            v = str(v)
-        out[k if type(k) is str else str(k)] = v
-    return out
+        if type(v) is not str and type(v) is not int:
+            raise ValueError(
+                f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
+            )
+    return {str(k): str(v) for k, v in given.items()}
 
 
 def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:

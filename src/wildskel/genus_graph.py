@@ -8,12 +8,16 @@ ending in marked genus-zero infinite leaves.  Metric graphs are
 instances of :class:`MetricGenusGraph`; every operation reads the metric
 fields when they are present.  Graphs are the sources and targets of the
 one morphism class, ``delta_morphism.DeltaMorphism``, which indexes the
-``fibers`` over target vertices.  In JSON, ids are strings or integers
-and a genus is an integer; every id is keyed by its ``str()``, so two ids
-that are equal as strings (``1`` and ``"1"``) are an error.  Only the
+``fibers`` over target vertices.  In JSON, ids (of entries, edge ends and
+infinite leaves) are strings or integers and a genus is an integer; every
+id is keyed by its ``str()``, so ``1`` beside ``"1"`` is an error.  Only the
 public constructors and the loaders coerce (ids to ``str``, numbers to
-``int``); they and the library's own constructions enter one validating
-core with ``str`` ids, ``int`` values and plain dicts, which it keeps.
+``int``), refusing a float or a bool for an id, a genus or a length; they
+and the library's own constructions enter one validating core with ``str``
+ids, ``int`` values and plain dicts, which it keeps.  The loader walks each
+list once, yet raises faults in stage order (entries and ids, the
+``infinite_leaves`` type and entries, genera, endpoints, lengths, the
+core's checks, repeated ids): a later stage's only once the earlier pass.
 
 Representation.  Lengths are integer numerators over one minimal
 denominator per graph (``INF`` for a tail), as a ``PMFunction`` stores its
@@ -56,9 +60,8 @@ def as_id(value, entry: str) -> str:
 
 
 def exact(value, entry: str, key, noun: str = "an integer"):
-    """``value`` of a public constructor's map ``entry``; a float would be
-    truncated or taken as its binary fraction and a bool taken as a number,
-    so both are a ValueError naming ``key``, that the value is not ``noun``."""
+    """``value`` of a public constructor's map ``entry``, which must not be a
+    float (inexact) or a bool (a number by accident), else a ValueError."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not {noun}")
     return value
@@ -123,10 +126,8 @@ class GenusGraph:
             _repeated_id("graph", "edge", edges)
         ratios = {}  # in the core's order, up to the first length it rejects
         for e in takewhile((lengths or {}).__contains__, sorted(ends)):
-            l = lengths[e]
-            if l is not INF:
-                l = Fraction(exact(l, "lengths", e, "a rational or inf")).as_integer_ratio()
-            ratios[e] = l
+            l = exact(lengths[e], "lengths", e, "a rational or inf")
+            ratios[e] = l = l if l is INF else Fraction(l).as_integer_ratio()
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
@@ -327,7 +328,7 @@ class GenusGraph:
                 v = _entry_id(item, "vertices")
             g = genera[v] = item.get("genus", 0)
             if type(g) is not int and bad_genus is None:  # not a float, not a bool
-                bad_genus = v, g
+                bad_genus = f"vertex {cut(v)} genus {echo(g)} is not an integer"
         edges, lengths, metric = _json_list(data, "edges", entry), {}, False
         ends, bad_ends, bad_length = {}, None, None
         for item in edges:
@@ -355,8 +356,7 @@ class GenusGraph:
             raise ValueError(f"{entry} infinite_leaves is not a list")
         leaves = [as_id(v, f"{entry} infinite_leaves entry") for v in infinite_leaves]
         if bad_genus is not None:
-            v, g = bad_genus
-            raise ValueError(f"vertex {cut(v)} genus {echo(g)} is not an integer")
+            raise ValueError(bad_genus)
         if bad_ends is not None:
             _json_ends(*bad_ends)  # raises as it did in the walk
         metric = metric or bool(infinite_leaves)
@@ -381,16 +381,12 @@ def _json_list(data: Mapping, key: str, entry: str) -> list:
 
 
 def _entry_id(item, key: str) -> str:
-    """The id of a ``key`` entry through ``str()``; an entry that is not an
-    object, or an id that is missing or not a string or an integer, raises."""
+    """The id of a ``key`` entry, which must be an object with an ``id``."""
     if type(item) is not dict and not isinstance(item, Mapping):
         raise ValueError(f"{key} entry {echo(item)} is not an object")
-    ident = item.get("id")
-    if type(ident) is not str and type(ident) is not int:
-        if "id" not in item:
-            raise ValueError(f"{key} entry {echo(item)} lacks key 'id'")
-        raise ValueError(f"{key} entry id {echo(ident)} is not a string or an integer")
-    return str(ident)
+    if "id" not in item:
+        raise ValueError(f"{key} entry {echo(item)} lacks key 'id'")
+    return as_id(item["id"], f"{key} entry id")
 
 
 def _edge_ends(e, u, v) -> Tuple[str, str]:

@@ -156,7 +156,7 @@ class DeltaMorphism:
             # covers; every branch needs one, and all the same sum; an
             # isolated fiber point (no branches) has multiplicity one
             k = max(counts.values(), default=1)
-            if len(counts) != len(branches2[v2]) or min(counts.values(), default=1) != k:
+            if len(counts) != len(branches2[v2]) or counts and min(counts.values()) != k:
                 branches = branches2[v2]
                 raise NotProperError(
                     f"multiplicity is not locally constant at vertex {cut(v)}: "
@@ -801,12 +801,16 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
 
 def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:
     """``given`` keyed by str, each value an id: a string or an integer."""
+    out = {}
     for k, v in given.items():
-        if type(v) is not str and type(v) is not int:
-            raise ValueError(
-                f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
-            )
-    return {str(k): str(v) for k, v in given.items()}
+        if type(v) is not str:
+            if type(v) is not int:
+                raise ValueError(
+                    f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
+                )
+            v = str(v)
+        out[k if type(k) is str else str(k)] = v
+    return out
 
 
 def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:

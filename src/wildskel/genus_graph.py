@@ -335,7 +335,10 @@ class GenusGraph:
             e = item.get("id") if type(item) is dict else None
             if type(e) is not str:
                 e = _entry_id(item, "edges")
-            u, v = item.get("from"), item.get("to")
+            try:
+                u, v = item["from"], item["to"]
+            except KeyError:  # named below
+                u = v = None
             if type(u) is str and type(v) is str:
                 ends[e] = u, v
             elif bad_ends is None:

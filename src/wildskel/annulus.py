@@ -36,9 +36,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import (
-    Frozen, LogAbs, Record, ResidueSetting, echo, parse_rational, ratio_text
-)
+from .valuation import Frozen, LogAbs, Record, ResidueSetting, echo, parse_rational
 
 
 class ConstantSeriesError(ValueError):
@@ -275,16 +273,10 @@ def check_restriction(
     a nonzero even slope is reported with a dedicated reason (it always
     also fails the base condition).
     """
-    d = log_delta._value  # the raw value: a Fraction, or None for -inf
-    x, den = (None, 1) if d is None else d.as_integer_ratio()
-    return _check_restriction(m, s, x, den, setting)
-
-
-def _check_restriction(m: int, s: int, x, den: int, setting: ResidueSetting) -> Verdict:
-    """:func:`check_restriction` with ``log_delta = x / den`` (``x`` None for -inf)."""
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
-    if x is not None and x > 0:
+    d = log_delta._value  # the raw value: a Fraction, or None for -inf
+    if d is not None and d.numerator > 0:
         raise ValueError("log_delta must be <= 0")
     if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
         return Verdict.violated(
@@ -295,18 +287,16 @@ def _check_restriction(m: int, s: int, x, den: int, setting: ResidueSetting) -> 
     ratios = (
         setting._int_abs_ratio(m + s),
         setting._int_abs_ratio(m),
-        None if x is None else (x, den),
+        None if d is None else d.as_integer_ratio(),
     )
-    common = lcm(*[r[1] for r in ratios if r is not None])
-    u, low, d = [None if r is None else r[0] * (common // r[1]) for r in ratios]
+    den = lcm(*[r[1] for r in ratios if r is not None])
+    u, low, d = [None if r is None else r[0] * (den // r[1]) for r in ratios]
     if d is not None and (u is None or u < d):
         return Verdict.violated(
-            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {ratio_text(x, den)}"
+            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {log_delta}"
         )
     if low is not None and (d is None or d < low):
-        return Verdict.violated(
-            f"log_delta = {ratio_text(x, den)} < |m| = {setting.int_abs(m)}"
-        )
+        return Verdict.violated(f"log_delta = {log_delta} < |m| = {setting.int_abs(m)}")
     if d == u and s > 0:
         return Verdict.violated(
             f"log_delta attains |m+s| = {setting.int_abs(m + s)}, which requires "

@@ -36,7 +36,7 @@ from itertools import takewhile
 from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .annulus import _check_restriction
+from .annulus import check_restriction
 from .genus_graph import Divisor, GenusGraph, OrientedEdge, exact, json_field
 from .pmfunc import PMFunction
 from .valuation import (
@@ -284,7 +284,8 @@ class DeltaMorphism:
             for vert, slope in ((u, s_uv), (v, -s_uv)):
                 key = n, slope, raw[vert]
                 if key not in checked:
-                    checked[key] = _check_restriction(n, slope, raw[vert], den, setting)
+                    d = NEG_INF if raw[vert] is None else LogAbs(Fraction(raw[vert], den))
+                    checked[key] = check_restriction(n, slope, d, setting)
                 verdict = checked[key]
                 if not verdict:
                     raise ValueError(

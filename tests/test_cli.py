@@ -52,6 +52,13 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_metric_lift_unparsable_setting(self, capsys):
+        assert run(["metric-lift", "--type", "MS", "--setting", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: cannot parse residue setting 'bogus'\n"
+        )
+
     def test_metric_lift_unliftable(self, capsys):
         code = run(["metric-lift", "--type", "ME", "--setting", "mixed:2:-1"])
         assert code == 1

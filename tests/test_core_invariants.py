@@ -6,6 +6,10 @@ re-deriving.
   the classifier used before stays here as the reference, ``_two_core``.
 - A fiber vertex that a smoothing removes joins two edges of equal
   multiplicity with a continuous sdelta (``_move_obstruction``).
+- The valence of a target vertex fixes the one move kind it may have: a
+  leaf move needs valence one and a smoothing valence two.  The search
+  that tried both kinds at every target vertex stays here as the
+  reference, ``_two_kind_moves``.
 - A seeded search mutates one or two ``n`` or ``sdelta`` entries of the
   twelve special fixtures and meets every reason of ``is_special`` that
   such a mutation can reach.  It cannot reach these:
@@ -45,9 +49,13 @@ import pytest
 
 from wildskel.delta_morphism import (
     NotProperError,
+    _move_obstruction,
     applicable_moves,
     contract_morphism,
+    is_stable,
     morphism_from_json_dict,
+    morphism_to_json_dict,
+    stabilize,
 )
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import (
@@ -62,7 +70,13 @@ from wildskel.special import (
 )
 from wildskel.valuation import ResidueSetting
 
-from tests.support import random_proper_delta_morphism, stabilize_corpus
+from tests.support import (
+    NON_TAME_SETTINGS,
+    random_metric_delta_morphism,
+    random_proper_delta_morphism,
+    stabilize_corpus,
+    subdivide_metric,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -261,3 +275,47 @@ def test_smoothed_fiber_vertices_join_equal_continuous_edges():
         assert faults == []
         random_total += checked
     assert total > 500 and random_total > 0
+
+
+def _two_kind_moves(m):
+    """The legal moves, found by trying both kinds at every target vertex,
+    smallest first, leaf before smoothing."""
+    return tuple(
+        (kind, v2)
+        for v2 in m.target.vertices
+        for kind in ("leaf", "smooth")
+        if _move_obstruction(m, kind, v2) is None
+    )
+
+
+def _move_corpus():
+    yield from stabilize_corpus()
+    rng = random.Random(71)
+    for _ in range(500):
+        yield "random_proper_seed71", random_proper_delta_morphism(rng, 6)
+    for name in NON_TAME_SETTINGS:
+        rng, setting = random.Random(f"moves-{name}"), ResidueSetting.parse(name)
+        for _ in range(25):
+            mm = random_metric_delta_morphism(rng, setting)
+            if any(not mm.target.is_loop(e) for e in mm.target.edge_ids):
+                yield f"subdivided_random_metric_{name}", subdivide_metric(rng, mm)
+
+
+def test_one_kind_per_target_vertex_finds_the_moves_of_both():
+    """``applicable_moves``, ``is_stable`` and ``stabilize`` agree with the
+    reference on every morphism of the corpus and of its first-move walk
+    (``stabilize`` takes the first applicable move each time)."""
+    walked = moved = 0
+    for group, m in _move_corpus():
+        expected = morphism_to_json_dict(stabilize(m))
+        while True:
+            moves = _two_kind_moves(m)
+            assert applicable_moves(m) == moves, group
+            assert is_stable(m) == (not moves), group
+            walked += 1
+            if not moves:
+                break
+            m = contract_morphism(m, moves[0])
+            moved += 1
+        assert morphism_to_json_dict(m) == expected, group
+    assert walked > 4000 and moved > 500

@@ -10,13 +10,17 @@ and last the repeated ids.  A morphism adds: its maps, ``n`` and
 ``sdelta`` values, the kind of its graphs, the core's properness checks
 (a missing sdelta after the rank), delta and its setting, and last the
 keys that name no source vertex or edge.
+
+A connected source over a disconnected target always leaves a fiber
+empty; with a local-constancy fault, an empty fiber or a missing sdelta
+beside it, the loader and the public constructor name the connectivity.
 """
 
 import copy
 
 import pytest
 
-from wildskel.delta_morphism import morphism_from_json_dict
+from wildskel.delta_morphism import DeltaMorphism, morphism_from_json_dict
 from wildskel.genus_graph import GenusGraph
 
 DELETE = object()
@@ -258,6 +262,40 @@ MORPHISM_CASES = {
 }
 
 
+#: Edits that leave the target disconnected from the image of the source.
+UNHIT = {
+    "an isolated target vertex": [("target", V, "+", {"id": "C", "genus": 0})],
+    "a target component with an edge": [
+        ("target", V, "+", {"id": "C", "genus": 0}),
+        ("target", V, "+", {"id": "D", "genus": 1}),
+        ("target", E, "+", {"id": "G", "from": "C", "to": "D"}),
+    ],
+}
+
+DISCONNECTED_TARGET_CASES = {
+    f"{fault} beside {unhit}": edits + more
+    for unhit, edits in UNHIT.items()
+    for fault, more in (
+        ("an empty fiber", []),
+        ("a local-constancy fault", [("n", "e", 2)]),
+        ("a missing sdelta", [("sdelta", "e", DELETE)]),
+        ("a fault of every kind", [("n", "f", 3), ("sdelta", "f", DELETE)]),
+    )
+}
+
+
+def _constructed(doc):
+    """``DeltaMorphism(...)`` of a plain morphism document."""
+    graphs = (
+        GenusGraph(
+            {v["id"]: v["genus"] for v in g[V]}, {e["id"]: (e["from"], e["to"]) for e in g[E]}
+        )
+        for g in (doc["source"], doc["target"])
+    )
+    maps = (doc[key] for key in ("vertex_map", "edge_map", "n", "sdelta"))
+    return DeltaMorphism(*graphs, *maps)
+
+
 def _first_message(load, doc) -> str:
     with pytest.raises(ValueError) as info:
         load(doc)
@@ -274,6 +312,13 @@ def test_graph_loader_names_the_earlier_stage(name):
 def test_morphism_loader_names_the_earlier_stage(name):
     metric, edits, message = MORPHISM_CASES[name]
     assert _first_message(morphism_from_json_dict, _edited(_morphism(metric), edits)) == message
+
+
+@pytest.mark.parametrize("load", [morphism_from_json_dict, _constructed], ids=["loader", "constructor"])
+@pytest.mark.parametrize("name", sorted(DISCONNECTED_TARGET_CASES))
+def test_a_disconnected_target_is_named_first(name, load):
+    doc = _edited(_morphism(), DISCONNECTED_TARGET_CASES[name])
+    assert _first_message(load, doc) == "properness requires connected graphs"
 
 
 def test_constructor_names_an_edge_without_a_length():

@@ -65,6 +65,11 @@ class TestRootSubtrees:
         for t in enumerate_root_subtrees(4):
             assert all(l == 0 or l % 2 == 1 for l in labels(t))
 
+    @pytest.mark.parametrize("max_leaves", [0, -1])
+    def test_no_leaves_rejected(self, max_leaves):
+        with pytest.raises(ValueError, match="^max_leaves must be at least 1$"):
+            enumerate_root_subtrees(max_leaves)
+
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):
             RootSubtree(2)  # even nonzero label

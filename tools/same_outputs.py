@@ -20,9 +20,12 @@ random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
 that apply to them, each random morphism also loaded from its own JSON
 and each graph of a mutated document loaded alone; ``Divisor``
-arithmetic on the canonical and ramification divisors of the random
-morphisms; and a few single calls at known edge cases.  A
-function missing from one tree is recorded as missing.
+arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
+random morphisms; ``contract_morphism`` and ``contract_graph`` of both
+move kinds at every target vertex of each morphism, legal or not;
+``enumerate_root_subtrees``; the disconnected targets of
+``tests/test_error_order.py``; and a few single calls at known edge
+cases.  A function missing from one tree is recorded as missing.
 
 Prints the number of differing records and the first twenty of them;
 exits 0 when there is none, 1 otherwise.  Standard library only.
@@ -174,11 +177,20 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"metric identity with delta {value!r}", pub("MetricDeltaMorphism"),
                  identity, {"a": ws.LogAbs(0), "b": value}, setting)
 
+    def contracted(m, move):
+        return ws.morphism_to_json_dict(ws.contract_morphism(m, move))
+
     def morphism(label, m, stable=True):
         rec.call(f"{label} json", pub("morphism_to_json_dict"), m)
         rec.call(f"{label} rh divisor", m.rh_divisor_identity)
         rec.call(f"{label} rh degree", m.rh_degree_identity)
         rec.call(f"{label} moves", pub("applicable_moves"), m)
+        rec.call(f"{label} stable", pub("is_stable"), m)
+        for v2 in m.target.vertices:  # every legal move and every illegal one's reason
+            for kind in ("leaf", "smooth"):
+                rec.call(f"{label} contract {kind} {v2}", contracted, m, (kind, v2))
+                rec.call(f"{label} contract target {kind} {v2}", pub("contract_graph"),
+                         m.target, (kind, v2))
         rec.call(f"{label} special", pub("is_special"), m)
         if stable:
             s = rec.call(f"{label} stabilize", pub("stabilize"), m)
@@ -211,6 +223,25 @@ def record(out, work: Path, every: int) -> None:
             rec.call(f"{label} loaded json", pub("morphism_to_json_dict"), loaded)
             morphism(f"{label} loaded", loaded, False)
         divisors(label, m, rng)
+        boundary = {v: [(rng.randint(0, 3), rng.randint(-2, 2))] for v in m.source.vertices[:3]}
+        annotation = rec.call(f"{label} boundary", pub("BoundaryAnnotation"), boundary)
+        if annotation is not None:
+            for ram in (True, False):
+                rec.call(f"{label} certify {ram}", pub("certify_skeleton"), m, annotation, ram)
+        pairs = [(rng.randint(1, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
+        rec.call(f"{label} wide open {pairs}", pub("wide_open_genus_check"), pairs, m.degree,
+                 m.source.genus(), m.target.genus(), m.unbalanced_vertices() and [1, 2])
+    annotation = pub("BoundaryAnnotation")({"zz": [(1, 0)]})
+    rec.call("certify an unknown vertex", pub("certify_skeleton"), m, annotation, True)
+    rec.call("wide open annotation", pub("wide_open_genus_check"), annotation, 1, 0, 0)
+    for k in range(-1, 6):
+        rec.call(f"root subtrees {k}", pub("enumerate_root_subtrees"), k)
+    from tests.test_error_order import DISCONNECTED_TARGET_CASES, _constructed, _edited, _morphism
+
+    for name, edits in DISCONNECTED_TARGET_CASES.items():
+        doc = _edited(_morphism(), edits)
+        rec.call(f"disconnected target load {name}", pub("morphism_from_json_dict"), doc)
+        rec.call(f"disconnected target constructor {name}", _constructed, doc)
     for given in ({}, {"a": 0}, {"a": 2, "b": -2}, {1: 1, "1": 2}, {"a": 1.5},
                   {"a": True}, {"a": "1"}, {"a": None}, {2: 3}):
         rec.call(f"divisor {given!r}", pub("Divisor"), given)

@@ -15,6 +15,8 @@ Contraction works on one mutable working copy; ``stabilize`` is a
 worklist that after a move at ``v'`` re-examines only the target
 neighbours of ``v'``.  Legal moves keep ``R_v`` and ``delta`` at every
 surviving vertex, so only the final morphism is built and validated.
+The valence of ``v'`` fixes the one kind of move it may have (a leaf
+move needs valence one, a smoothing two), so only that kind is tried.
 
 The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
@@ -65,6 +67,10 @@ class DeltaMorphism:
     incidence, connectedness, local constancy of multiplicity (which
     defines ``vertex_mult``), constant global rank (the ``degree``; the
     ``fibers`` index is built here) and an sdelta value on every edge.
+    Only the source is searched for connectedness: when every fiber is
+    nonempty and covers each branch at its target vertex, the connected
+    source maps onto the target, which is then connected too.  So the
+    target is searched only before a local-constancy or rank fault.
     The differential indices are computed here too, once.  ``delta`` and
     ``setting`` are ``None`` unless the morphism is a
     :class:`MetricDeltaMorphism`.  Only the constructor and the loader
@@ -144,7 +150,7 @@ class DeltaMorphism:
             r[v] -= s + n - 1
             d[u] -= s
             d[v] += s
-        if not source.is_connected() or not target.is_connected():
+        if not source.is_connected():
             raise NotProperError("properness requires connected graphs")
         # R_v adds chi(v) = 2g - 2 - vertex_mult * (2g' - 2)
         self.vertex_mult = vmult = {}
@@ -157,6 +163,8 @@ class DeltaMorphism:
             # isolated fiber point (no branches) has multiplicity one
             k = max(counts.values(), default=1)
             if len(counts) != len(branches2[v2]) or counts and min(counts.values()) != k:
+                if not target.is_connected():
+                    raise NotProperError("properness requires connected graphs")
                 branches = branches2[v2]
                 raise NotProperError(
                     f"multiplicity is not locally constant at vertex {cut(v)}: "
@@ -167,7 +175,10 @@ class DeltaMorphism:
             r[v] += 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
         values = set(ranks.values())
         if len(values) != 1 or 0 in values:
+            if not target.is_connected():
+                raise NotProperError("properness requires connected graphs")
             raise NotProperError(f"global rank is not constant: {echo(ranks)}")
+        target._connected = True  # the image of the source (see the class docstring)
         self.degree = values.pop()
         if missing is not None:
             raise ValueError(f"edge {cut(missing)} has no sdelta value")
@@ -247,9 +258,12 @@ class DeltaMorphism:
                 )
         checked = {}  # (n, slope, delta) -> verdict; bounded by the morphism
         mult, ends, sdelta, lengths = self.mult, src._ends, self._sdelta, src._lengths
+        emap, tgt = self.edge_map, self.target
+        lengths2, den1, den2 = tgt._lengths, src._den, tgt._den
         for e in src.edge_ids:
-            self._dilated(e)
             n, (u, v), l, s_uv = mult[e], ends[e], lengths[e], sdelta[e]
+            if lengths2[emap[e]] * den1 != n * l * den2:  # dilation
+                self._dilated(e)  # raises, naming e
             if l is INF:
                 leaf, inner, s_out = (v, u, s_uv) if v in leaves else (u, v, -s_uv)
                 x, expected = raw[leaf], setting._int_abs_ratio(n)
@@ -368,20 +382,19 @@ class RHDegreeReport(Record):
 
 
 class _WorkingGraph:
-    """A mutable copy of a graph that the move rules read like a GenusGraph;
-    ``vertices`` maps each vertex to its genus, ``edge_ids`` each edge to its ends."""
+    """A mutable copy of a graph's stored ``_genus``, ``_ends`` and
+    ``_branches``, which the move rules read as they read a GenusGraph's;
+    ``vertices`` is ``_genus``, so that it answers ``in`` as the graph's does."""
 
     def __init__(self, g: GenusGraph):
-        self.vertices = {v: g.genus_of(v) for v in g.vertices}
-        self.edge_ids = {e: g.endpoints(e) for e in g.edge_ids}
+        self.vertices = self._genus = dict(g._genus)
+        self._ends = dict(g._ends)
+        self._branches = {v: list(bs) for v, bs in g._branches.items()}
         self.den, self.lengths = g._den, None if g._lengths is None else dict(g._lengths)
         self.infinite_leaves = g.infinite_leaves
-        self._branches = {v: list(g.branches(v)) for v in g.vertices}
-        self.genus_of = self.vertices.__getitem__
-        self.branches = self._branches.__getitem__
 
     def head(self, oe: OrientedEdge) -> str:
-        return self.edge_ids[oe.edge][oe.forward]
+        return self._ends[oe.edge][oe.forward]
 
     def contract(self, kind: str, v: str) -> OrientedEdge:
         """Remove the leaf ``v`` or smooth ``v`` (a checked move); return the
@@ -397,8 +410,8 @@ class _WorkingGraph:
             for w, old, forward in ((x, a, True), (y, gone, False)):
                 branches = self._branches[w]
                 branches[branches.index(-old)] = OrientedEdge(a.edge, forward)
-            self.edge_ids[a.edge] = (x, y)
-        del self.edge_ids[gone.edge]
+            self._ends[a.edge] = (x, y)
+        del self._ends[gone.edge]
         if self.lengths is not None:
             length = self.lengths.pop(gone.edge)
             if gone is not a:
@@ -407,15 +420,15 @@ class _WorkingGraph:
 
     def reverse(self, e: str) -> None:
         """Swap the stored ends of the edge ``e``; its branches turn with them."""
-        x, y = self.edge_ids[e]
-        self.edge_ids[e] = (y, x)
+        x, y = self._ends[e]
+        self._ends[e] = (y, x)
         for w in {x, y}:
             self._branches[w] = [-b if b.edge == e else b for b in self._branches[w]]
 
     def graph(self) -> GenusGraph:
         leaves = self.infinite_leaves.intersection(self.vertices)
         return GenusGraph._from_normal(
-            self.vertices, self.edge_ids, self.den, self.lengths, leaves
+            self._genus, self._ends, self.den, self.lengths, leaves
         )
 
 
@@ -438,7 +451,7 @@ class _WorkingMorphism:
             a = self.source.contract(kind, v)
             if kind == "smooth":  # a's edge is the merged one, from a's far end
                 s = self.sdelta(-a)
-                x2, y2 = self.target.edge_ids[merged.edge]
+                x2, y2 = self.target._ends[merged.edge]
                 if x2 == y2 and self.edge_map[a.edge] != merged.edge:
                     # a loop maps slot to slot, so run along the kept target edge
                     self.source.reverse(a.edge)
@@ -448,7 +461,7 @@ class _WorkingMorphism:
 
     def result(self) -> DeltaMorphism:
         """The contracted morphism, built and validated once, on the copy's own dicts."""
-        m, vertices, edges = self.original, self.source.vertices, self.source.edge_ids
+        m, vertices, edges = self.original, self.source._genus, self.source._ends
         out = DeltaMorphism._from_normal(
             self.source.graph(),
             self.target.graph(),
@@ -488,9 +501,9 @@ def _vertex_obstruction(g, kind: str, v: str, noun: str) -> Optional[str]:
         return f"unknown move kind {kind!r}"
     if v not in g.vertices:
         return f"no {noun} {v}"
-    if g.genus_of(v) != 0:
+    if g._genus[v] != 0:
         return f"{noun} {v} has positive genus"
-    branches = g.branches(v)
+    branches = g._branches[v]
     if kind == "leaf":
         if len(branches) != 1:
             return f"{noun} {v} is not a leaf"
@@ -514,7 +527,7 @@ def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
     reason = _vertex_obstruction(m.target, kind, v2, "target vertex")
     if reason:
         return reason
-    if kind == "leaf" and len(m.target.edge_ids) == 1 and m.degree > 1:
+    if kind == "leaf" and len(m.target._ends) == 1 and m.degree > 1:
         # collapsing the target to a point leaves the fiber
         # multiplicities of a degree > 1 morphism undetermined
         return "cannot contract the last target edge at degree > 1"
@@ -549,11 +562,21 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     return work.result()
 
 
+#: The one move kind a target vertex of each valence may have.
+_KINDS = {1: "leaf", 2: "smooth"}
+
+
+def _legal_kind(m, v2: str) -> Optional[str]:
+    """The kind of the legal move at the target vertex ``v2``, if one is."""
+    kind = _KINDS.get(len(m.target._branches[v2]))
+    return kind if kind and _move_obstruction(m, kind, v2) is None else None
+
+
 def _legal_moves(m: DeltaMorphism) -> Iterator[Tuple[str, str]]:
     for v2 in m.target.vertices:
-        for kind in ("leaf", "smooth"):
-            if _move_obstruction(m, kind, v2) is None:
-                yield kind, v2
+        kind = _legal_kind(m, v2)
+        if kind:
+            yield kind, v2
 
 
 def applicable_moves(m: DeltaMorphism) -> Tuple[Tuple[str, str], ...]:
@@ -574,11 +597,10 @@ def stabilize(m: DeltaMorphism) -> DeltaMorphism:
     while pending:
         v2 = min(pending)
         pending.remove(v2)
-        for kind in ("leaf", "smooth"):
-            if _move_obstruction(work, kind, v2) is None:
-                pending |= {work.target.head(b) for b in work.target.branches(v2)}
-                work.contract(kind, v2)
-                break
+        kind = _legal_kind(work, v2)
+        if kind:
+            pending |= {work.target.head(b) for b in work.target._branches[v2]}
+            work.contract(kind, v2)
     return work.result()
 
 
@@ -742,7 +764,7 @@ def morphism_to_json_dict(m: DeltaMorphism) -> dict:
         "vertex_map": {v: m.vertex_map[v] for v in m.source.vertices},
         "edge_map": {e: m.edge_map[e] for e in m.source.edge_ids},
         "n": {e: m.mult[e] for e in m.source.edge_ids},
-        "sdelta": {e: m.sdelta_stored(e) for e in m.source.edge_ids},
+        "sdelta": {e: m._sdelta[e] for e in m.source.edge_ids},
     }
     if m._delta is not None:
         den = m._delta_den

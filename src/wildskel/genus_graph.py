@@ -297,11 +297,11 @@ class GenusGraph:
         )
 
     def to_json_dict(self) -> dict:
-        edges = []
+        edges, ends, lengths = [], self._ends, self._lengths
         for e in self.edge_ids:
-            item = {"id": e, "from": self._ends[e][0], "to": self._ends[e][1]}
-            if self.is_metric:
-                item["length"] = ratio_text(self._lengths[e], self._den)
+            item = {"id": e, "from": ends[e][0], "to": ends[e][1]}
+            if lengths is not None:
+                item["length"] = ratio_text(lengths[e], self._den)
             edges.append(item)
         data = {
             "vertices": [

@@ -39,7 +39,7 @@ from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, exact, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, exact, json_field
 from .pmfunc import PMFunction
 from .valuation import (
     INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo, parse_ratio,
@@ -94,7 +94,7 @@ class DeltaMorphism:
         _check_kind(source, target)  # before any map is read
         maps = [_as_ids(vertex_map, "vertex_map"), _as_ids(edge_map, "edge_map")]
         for name, given in ("mult", mult), ("sdelta", sdelta):
-            maps.append({str(k): int(exact(v, name, k)) for k, v in given.items()})
+            maps.append({str(k): as_int(v, name, k) for k, v in given.items()})
         self._store(source, target, *maps)
 
     @classmethod

@@ -67,6 +67,15 @@ def exact(value, entry: str, key, noun: str = "an integer"):
     return value
 
 
+def as_int(value, entry: str, key) -> int:
+    """``int()`` of an ``exact`` value; a value it cannot read is the same error."""
+    try:
+        return int(exact(value, entry, key))
+    except (TypeError, ValueError):
+        message = f"{entry} value of {echo(key)} is {echo(value)}, not an integer"
+        raise ValueError(message) from None
+
+
 class OrientedEdge(NamedTuple):
     """An edge with a direction; ``forward`` follows the stored (from, to)."""
 
@@ -116,7 +125,7 @@ class GenusGraph:
         lengths: Optional[Mapping[str, ExtendedRational]] = None,
         infinite_leaves: Iterable[str] = (),
     ):
-        genus = {str(v): int(exact(g, "genera", v)) for v, g in genera.items()}
+        genus = {str(v): as_int(g, "genera", v) for v, g in genera.items()}
         if len(genus) != len(genera):
             _repeated_id("graph", "vertex", genera)
         ends = {str(e): _edge_ends(e, u, v) for e, (u, v) in edges.items()}

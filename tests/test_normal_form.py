@@ -30,7 +30,7 @@ from wildskel.delta_morphism import (
     with_delta,
 )
 from wildskel.genus_graph import Divisor, GenusGraph
-from wildskel.valuation import INF, LogAbs, ResidueSetting, parse_length, scaled
+from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_length, scaled
 
 from tests.support import random_proper_delta_morphism, stabilize_corpus
 from tests.test_special import canonical_lengths, setting_for
@@ -336,10 +336,28 @@ def test_public_constructor_precedence():
     unmapped = {v: x for v, x in vertex_map.items() if v != source.vertices[0]}
     with pytest.raises(NotProperError, match="is not mapped to a target vertex"):
         DeltaMorphism(source, target, unmapped, edge_map, mult, sdelta)
-    for bad in ({**mult, "a": "x"}, sdelta), (mult, {**sdelta, "a": "x"}):
-        with pytest.raises(ValueError, match="invalid literal for int") as caught:
+    for name, bad in (
+        ("mult", ({**mult, "a": "x"}, sdelta)), ("sdelta", (mult, {**sdelta, "a": "x"}))
+    ):
+        with pytest.raises(ValueError) as caught:
             DeltaMorphism(source, target, unmapped, edge_map, *bad)
         assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{name} value of 'a' is 'x', not an integer"
+
+
+@pytest.mark.parametrize("value", [None, [1], {}, "1.5", "x", object()])
+def test_public_constructors_name_a_value_int_cannot_read(value):
+    """``int()`` raised a bare TypeError or a ValueError without the entry."""
+    with pytest.raises(ValueError) as caught:
+        GenusGraph({"a": value}, {})
+    assert str(caught.value) == f"genera value of 'a' is {echo(value)}, not an integer"
+    line = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")})
+    vertex_map, edge_map = {"a": "a", "b": "b"}, {"e": "e"}
+    for name, maps in ("mult", ({"e": value}, {"e": 0})), ("sdelta", ({"e": 1}, {"e": value})):
+        with pytest.raises(ValueError) as caught:
+            DeltaMorphism(line, line, vertex_map, edge_map, *maps)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{name} value of 'e' is {echo(value)}, not an integer"
 
 
 @pytest.mark.parametrize("value", [1.5, 1.9, True, False])

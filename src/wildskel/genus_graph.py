@@ -474,12 +474,16 @@ class Divisor(Frozen):
         return sum(self.coefficients.values())
 
     def __add__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         coeffs = dict(self.coefficients)
         for v, c in other.coefficients.items():
             coeffs[v] = coeffs.get(v, 0) + c
         return Divisor._from_normal(coeffs)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         return self + Divisor._from_normal({v: -c for v, c in other.coefficients.items()})
 
     def __hash__(self):

@@ -95,6 +95,17 @@ class TestDivisor:
         assert d + e == Divisor({"a": 1, "c": 1})
         assert d - d == Divisor({})
 
+    @pytest.mark.parametrize("other", [3, None, {"a": 1}], ids=["int", "none", "dict"])
+    def test_arithmetic_with_a_non_divisor_is_a_type_error(self, other):
+        """``+`` and ``-`` read ``other.coefficients`` and raised AttributeError."""
+        d = Divisor({"a": 1})
+        assert d.__add__(other) is NotImplemented and d.__sub__(other) is NotImplemented
+        for combine in (
+            lambda: d + other, lambda: d - other, lambda: other + d, lambda: other - d
+        ):
+            with pytest.raises(TypeError):
+                combine()
+
     @pytest.mark.parametrize(
         "value, shown",
         [(0.4, "0.4"), (1.9, "1.9"), (2.0, "2.0"), ("3", "'3'"), (True, "True")],

@@ -173,6 +173,13 @@ def record(out, work: Path, every: int) -> None:
     rec.call("graph with leaf ['b']", graph, two, {"e": ("a", "b")}, {"e": ws.INF}, [["b"]])
     line = graph(two, {"e": ("a", "b")}, {"e": 1})
     identity = ws.DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
+    maps = {"a": "a", "b": "b"}, {"e": "e"}
+    for value in (None, [1], {}, "1.5", "2", 2):
+        rec.call(f"graph with genus {value!r}", graph, {"a": value}, {})
+        rec.call(f"identity with n {value!r}", pub("DeltaMorphism"), line, line, *maps,
+                 {"e": value}, {"e": 0})
+        rec.call(f"identity with sdelta {value!r}", pub("DeltaMorphism"), line, line, *maps,
+                 {"e": 1}, {"e": value})
     for value in (ws.LogAbs(0), 0, "0", 0.0, -0.5, False):
         rec.call(f"metric identity with delta {value!r}", pub("MetricDeltaMorphism"),
                  identity, {"a": ws.LogAbs(0), "b": value}, setting)
@@ -245,6 +252,10 @@ def record(out, work: Path, every: int) -> None:
     for given in ({}, {"a": 0}, {"a": 2, "b": -2}, {1: 1, "1": 2}, {"a": 1.5},
                   {"a": True}, {"a": "1"}, {"a": None}, {2: 3}):
         rec.call(f"divisor {given!r}", pub("Divisor"), given)
+    one = pub("Divisor")({"a": 1})
+    for other in (3, None):
+        rec.call(f"divisor + {other!r}", lambda: one + other)
+        rec.call(f"divisor - {other!r}", lambda: one - other)
 
     from tests.test_special import canonical_lengths, setting_for
 

@@ -67,10 +67,10 @@ class DeltaMorphism:
     incidence, connectedness, local constancy of multiplicity (which
     defines ``vertex_mult``), constant global rank (the ``degree``; the
     ``fibers`` index is built here) and an sdelta value on every edge.
-    Only the source is searched for connectedness: when every fiber is
+    Only the source is searched for connectedness: if every fiber is
     nonempty and covers each branch at its target vertex, the connected
-    source maps onto the target, which is then connected too.  So the
-    target is searched only before a local-constancy or rank fault.
+    source maps onto the target, which is connected too; so the target is
+    searched only before naming a local-constancy or rank fault.
     The differential indices are computed here too, once.  ``delta`` and
     ``setting`` are ``None`` unless the morphism is a
     :class:`MetricDeltaMorphism`.  Only the constructor and the loader
@@ -259,10 +259,9 @@ class DeltaMorphism:
         checked = {}  # (n, slope, delta) -> verdict; bounded by the morphism
         mult, ends, sdelta, lengths = self.mult, src._ends, self._sdelta, src._lengths
         emap, tgt = self.edge_map, self.target
-        lengths2, den1, den2 = tgt._lengths, src._den, tgt._den
         for e in src.edge_ids:
             n, (u, v), l, s_uv = mult[e], ends[e], lengths[e], sdelta[e]
-            if lengths2[emap[e]] * den1 != n * l * den2:  # dilation
+            if tgt._lengths[emap[e]] * src._den != n * l * tgt._den:  # dilation
                 self._dilated(e)  # raises, naming e
             if l is INF:
                 leaf, inner, s_out = (v, u, s_uv) if v in leaves else (u, v, -s_uv)
@@ -382,9 +381,8 @@ class RHDegreeReport(Record):
 
 
 class _WorkingGraph:
-    """A mutable copy of a graph's stored ``_genus``, ``_ends`` and
-    ``_branches``, which the move rules read as they read a GenusGraph's;
-    ``vertices`` is ``_genus``, so that it answers ``in`` as the graph's does."""
+    """A mutable copy of a graph's ``_genus`` (also ``vertices``, for ``in``),
+    ``_ends`` and ``_branches``, which the move rules read as a GenusGraph's."""
 
     def __init__(self, g: GenusGraph):
         self.vertices = self._genus = dict(g._genus)
@@ -562,12 +560,11 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     return work.result()
 
 
-#: The one move kind a target vertex of each valence may have.
 _KINDS = {1: "leaf", 2: "smooth"}
 
 
 def _legal_kind(m, v2: str) -> Optional[str]:
-    """The kind of the legal move at the target vertex ``v2``, if one is."""
+    """The kind of the legal move at ``v2``, if any; its valence fixes it (``_KINDS``)."""
     kind = _KINDS.get(len(m.target._branches[v2]))
     return kind if kind and _move_obstruction(m, kind, v2) is None else None
 

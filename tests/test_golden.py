@@ -32,7 +32,12 @@ slope -5 to 5 and a set of delta values that contains -inf, 0, ``|m|`` and
 ``golden/value_json.json`` holds, for the instance of every value class
 that ``tests.test_values.BUILDERS`` makes, its truth and, where the class
 has one, its ``to_json_dict()``; it was recorded while each class still
-wrote both by hand.  ``tools/record_goldens.py`` re-records these five.
+wrote both by hand.  ``golden/text_cli.json`` holds the stdout, stderr and
+exit code of the outputs the goldens above leave open: ``annulus`` on both
+series in five residue settings, in text and JSON mode, with and without
+``--domain``; ``elliptic`` in text mode across its case split; and
+``classify-special`` in text mode on the metric fixtures.
+``tools/record_goldens.py`` re-records these six.
 """
 
 import importlib.util
@@ -64,6 +69,9 @@ METRIC_CLI_GOLDEN = json.loads(
 )
 SPECIAL_CLI_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "special_cli.json").read_text()
+)
+TEXT_CLI_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "text_cli.json").read_text()
 )
 SPECIAL_SEARCH_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "special_search.json").read_text()
@@ -132,6 +140,18 @@ def test_metric_cli_stdout(case, capsys):
     "case", SPECIAL_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"])
 )
 def test_special_cli_output(case, capsys):
+    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit"],
+        case["stdout"],
+        case["stderr"],
+    )
+
+
+@pytest.mark.parametrize("case", TEXT_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_text_cli_output(case, capsys):
     argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
     code = run(argv)
     captured = capsys.readouterr()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the contraction, properness, loader, admissibility and value goldens.
+"""Re-record the contraction, properness, loader, admissibility, value and text CLI goldens.
 
 Usage: ``PYTHONPATH=src python tools/record_goldens.py [OUTDIR]``; OUTDIR
 defaults to the repository's ``tests/golden/``.  Writes:
@@ -20,15 +20,23 @@ defaults to the repository's ``tests/golden/``.  Writes:
   invalid arguments;
 - ``value_json.json``: for the instance of every value class that
   ``tests.test_values.BUILDERS`` makes, ``bool`` of it and, where the
-  class has one, its ``to_json_dict()``.
+  class has one, its ``to_json_dict()``;
+- ``text_cli.json``: the argv, exit code, stdout and stderr of
+  ``cli.run`` for ``annulus`` on both series fixtures in the five
+  settings of ``TEXT_ANNULUS_SETTINGS``, in text and JSON mode, with and
+  without ``--domain``; ``elliptic`` in text mode across its case split;
+  and ``classify-special`` in text mode on the metric fixtures.  A
+  ``{fixtures}`` in an argv stands for the fixture directory.
 
 The files pin behaviour, so re-record them only on purpose.
 """
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +50,7 @@ from wildskel import (  # noqa: E402
     stabilize,
 )
 from wildskel.annulus import check_restriction  # noqa: E402
+from wildskel.cli import run  # noqa: E402
 from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting  # noqa: E402
 
 from tests.support import load_mutations, proper_mutations, stabilize_corpus  # noqa: E402
@@ -54,6 +63,14 @@ ADMISSIBILITY_SETTINGS = (
     "mixed:2:-1", "mixed:2:-2/3", "mixed:3:-1",
 )
 FIXED_DELTAS = (NEG_INF, LogAbs(0), LogAbs(Fraction(-1, 3)), LogAbs(-1), LogAbs(-2))
+TEXT_ANNULUS_SETTINGS = ("equichar0", "equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1/2")
+ELLIPTIC_SETTINGS = (
+    ["--char", "0"], ["--char", "3"], ["--char", "2"],
+    ["--char", "0", "--res-char", "2", "--log-p=-1"],
+    ["--char", "0", "--res-char", "2", "--log-p=-2/3"],
+)
+ELLIPTIC_J = (["--j-zero"], ["--log-j=6"], ["--log-j=0"], ["--log-j=-4"], ["--log-j=-9"],
+              ["--log-j=-13"])
 
 
 def sorted_json_sha256(m) -> str:
@@ -124,6 +141,34 @@ def admissibility_text() -> str:
     return "{\n" + "\n".join(lines) + "\n}\n"
 
 
+def text_cli_argvs() -> list:
+    """The argvs of ``text_cli.json``, with ``{fixtures}`` for the fixture directory."""
+    argvs = []
+    for series in ("kummer_p2", "binomial_p2"):
+        for setting in TEXT_ANNULUS_SETTINGS:
+            base = ["annulus", "--series", f"{{fixtures}}/{series}.series", "--setting", setting]
+            for extra in ([], ["--domain=-2:1"], ["--json"], ["--json", "--domain=-2:1"]):
+                argvs.append(base + extra)
+    for setting in ELLIPTIC_SETTINGS:
+        argvs += [["elliptic", *setting, *j] for j in ELLIPTIC_J]
+    for name in ("wb_metric", "ms_metric", "kummer_p2_metric"):
+        argvs.append(["classify-special", f"{{fixtures}}/{name}.morphism.json"])
+    return argvs
+
+
+def cli_outcome(argv) -> dict:
+    """Exit code, stdout and stderr of ``cli.run(argv)`` in process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    fixtures = str(ROOT / "fixtures")
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run([a.replace("{fixtures}", fixtures) for a in argv])
+    return {"argv": argv, "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def text_cli() -> list:
+    return [cli_outcome(argv) for argv in text_cli_argvs()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", nargs="?", default=str(ROOT / "tests" / "golden"))
@@ -133,6 +178,7 @@ def main(argv=None) -> int:
         ("proper_errors.json", proper_errors()),
         ("load_errors.json", load_errors()),
         ("value_json.json", value_json()),
+        ("text_cli.json", text_cli()),
     ):
         (outdir / name).write_text(json.dumps(payload, indent=1) + "\n")
     (outdir / "admissibility.json").write_text(admissibility_text())

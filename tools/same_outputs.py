@@ -18,7 +18,11 @@ text mode and with ``--json`` (stdout, stderr and exit code of
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
-that apply to them, each random morphism also loaded from its own JSON
+that apply to them, each normalized series also through the methods of
+its different profile and of its envelopes (values and slopes on a grid
+and at every breakpoint, tie sets, sup, and products across domains),
+and through the report and profile under a stand-in setting in which
+some ``|i|`` exceed one, each random morphism also loaded from its own JSON
 and each graph of a mutated document loaded alone; ``Divisor``
 arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
 random morphisms; ``contract_morphism`` and ``contract_graph`` of both
@@ -144,6 +148,7 @@ def _cli_inputs(work: Path):
 def record(out, work: Path, every: int) -> None:
     """Write the records of every call, in a fixed order, to ``out``."""
     import random
+    from fractions import Fraction
 
     import wildskel as ws
     from tests import support
@@ -300,6 +305,42 @@ def record(out, work: Path, every: int) -> None:
         for side in ("source", "target"):
             rec.call(f"load_mutation {i} {side}", graph, doc.get(side), f"{side} graph")
 
+    half = Fraction(1, 2)
+
+    class Skewed:
+        """A stand-in setting with ``log|i| = (i mod 3 - 1)/2``: some ``|i|``
+        exceed one, so the different may exceed one too."""
+
+        def int_abs(self, i):
+            return ws.LogAbs(Fraction(i % 3 - 1, 2))
+
+    skewed = Skewed()
+    grid = [Fraction(k, 2) for k in range(-5, 8)]  # -5/2 to 7/2: both ends and beyond
+
+    def profile_methods(label, series, prof):
+        """Values, slopes, tie sets, sup and products of the profile and of
+        the envelope of ``series`` on (-2, 3) and on a one-point domain."""
+        envelope = ws.tropical_eval(series, (-2, 3))
+        point = ws.tropical_eval(series, (half, half))
+        for name, f in (("profile", prof), ("envelope", envelope), ("point", point)):
+            if f is None:
+                continue
+            for x in grid + [x for x in f.breakpoints if x is not ws.INF]:
+                rec.call(f"{label} {name} value {x}", f.value_at, x)
+                rec.call(f"{label} {name} slope left {x}", f.slope_at, x, "left")
+                rec.call(f"{label} {name} slope right {x}", f.slope_at, x, "right")
+                if f is not prof:
+                    rec.call(f"{label} {name} achievers {x}", f.achievers_at, x)
+            rec.call(f"{label} {name} sup", f.sup)
+            if f is not prof:
+                rec.call(f"{label} {name} segment achievers", lambda: f.segment_achievers)
+        for domain in ((-2, 3), (-2, ws.INF), (-1, 3), (-2, 2), (half, half), (half, ws.INF)):
+            other = ws.tropical_eval(series, domain)
+            rec.call(f"{label} {domain} sup", other.sup)
+            for name, f in (("profile", prof), ("envelope", envelope), ("point", point)):
+                if f is not None:
+                    rec.call(f"{label} {name} mul {domain}", f.mul, other)
+
     for name in SETTINGS:
         setting, rng = ws.ResidueSetting.parse(name), random.Random(f"series-{name}")
         for i in range(300 // every):
@@ -312,8 +353,13 @@ def record(out, work: Path, every: int) -> None:
             rec.call(f"{label} tropical", pub("tropical_eval"), s, (-2, 3))
             if n is not None:
                 rec.call(f"{label} report", pub("different_report"), n, setting)
-                rec.call(f"{label} profile", pub("different_profile"), n, setting, (-2, 3))
+                prof = rec.call(f"{label} profile", pub("different_profile"), n, setting, (-2, 3))
                 rec.call(f"{label} image law", pub("skeleton_image_law"), n, 1)
+                profile_methods(label, n, prof)
+                for domain in ((-2, 3), (-2, ws.INF), (half, half)):
+                    rec.call(f"{label} skewed profile {domain}", pub("different_profile"), n,
+                             skewed, domain)
+                rec.call(f"{label} skewed report", pub("different_report"), n, skewed)
             m, s_, k = rng.randint(-4, 6), rng.randint(-4, 4), rng.randint(-8, 1)
             delta = ws.NEG_INF if k == 1 else ws.LogAbs(f"{k}/2")
             rec.call(f"{label} realize {m} {s_} {delta}", pub("realize_triple"), m, s_, delta, setting)

@@ -160,6 +160,31 @@ class TestDifferentReport:
         with pytest.raises(InseparableSeriesError):
             different_report(ValuedSeries({2: 0}), EQUI2)
 
+    def test_constructor_guards(self):
+        with pytest.raises(ValueError, match=r"^log_delta must be <= 0$"):
+            DifferentReport(1, 1, LogAbs(Fraction(1, 2)), 0)
+        with pytest.raises(ValueError, match=r"^slope_s must equal m - n$"):
+            DifferentReport(2, 3, LogAbs(0), 1)
+
+    @pytest.mark.parametrize(
+        "setting, coeffs, expected",
+        [
+            # (m, n, log_delta, s): every tied exponent is listed after the smallest
+            ("equichar0", {3: 0, 1: 0, 2: -1}, (1, 1, 0, 0)),
+            ("equicharP:2", {2: 0, 5: 0, 3: 0}, (2, 3, 0, -1)),
+            ("equicharP:3", {3: 0, 5: 0, 4: 0}, (3, 4, 0, -1)),
+            ("mixed:2:-1", {2: 0, 3: -1, 1: -1}, (2, 1, -1, 1)),
+            ("mixed:3:-1/2", {3: 0, 6: Fraction(-1, 2), 1: Fraction(-1, 2),
+                              -1: Fraction(-1, 2)}, (3, -1, Fraction(-1, 2), 4)),
+        ],
+    )
+    def test_tie_for_the_derivative_term_picks_the_smaller_exponent(
+        self, setting, coeffs, expected
+    ):
+        rep = different_report(ValuedSeries(coeffs), ResidueSetting.parse(setting))
+        m, n, log_delta, s = expected
+        assert rep == DifferentReport(m, n, LogAbs(log_delta), s)
+
 
 class TestCheckRestriction:
     def test_realizable_binomial_triple(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildskel.annulus import ValuedSeries
 from wildskel.pmfunc import (
     DomainMismatchError,
     EmptySeriesError,
@@ -259,6 +260,14 @@ class TestIntegerKernelOracle:
             if b is INF or x < b:
                 assert prof.slope_at(x, "right") == max(ach)
             assert prof.pow(-3).value_at(x) == -3 * prof.value_at(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_maps, domains())
+    def test_segment_achievers_are_the_slopes(self, coeffs, domain):
+        for series in (coeffs, ValuedSeries(coeffs)):
+            prof = tropical_eval(series, domain)
+            slopes = [s for *_, s in prof.segments()]
+            assert prof.segment_achievers == tuple(frozenset({s}) for s in slopes)
 
     @settings(max_examples=100, deadline=None)
     @given(coefficient_maps, domains())

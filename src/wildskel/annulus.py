@@ -23,9 +23,9 @@ Representation.  A series is stored like a
 exponent.  ``D`` is minimal, so equal series store equal data.
 Normalization, derivatives, reports, image laws, witnesses and the
 slope restriction all run on these integers, and :func:`tropical_eval`
-reads them directly.  Fractions are made only where a value leaves the
-module: ``coefficients``, ``series[i]``, ``to_text``, ``repr``, report
-values and messages.
+reads them directly; the report builds no derivative series.  Fractions
+are made only where a value leaves the module: ``coefficients``,
+``series[i]``, ``to_text``, ``repr``, report values and messages.
 """
 
 from __future__ import annotations
@@ -208,19 +208,24 @@ def skeleton_image_law(series: ValuedSeries, at_log_r) -> Tuple[int, LogAbs]:
     return m, LogAbs(Fraction(n, series.den))
 
 
-def derivative(series: ValuedSeries, setting: ResidueSetting) -> ValuedSeries:
-    """Term-wise derivative: ``log|i * h_i|`` placed at exponent ``i - 1``."""
-    den, kept = series.den, []
+def _surviving_terms(series: ValuedSeries, setting: ResidueSetting) -> list:
+    """``(i, D * log|h_i|, a, b)`` with ``log|i| = a/b`` per term with ``|i| > 0``."""
+    kept = []
     for i, n in series.terms:
         scale = setting.int_abs(i)._value  # None for -inf
         if scale is not None:
-            a, b = scale.as_integer_ratio()
-            den = lcm(den, b)
-            kept.append((i, n, a, b))
+            kept.append((i, n, *scale.as_integer_ratio()))
     if not kept:
         raise InseparableSeriesError(
             "derivative vanishes identically; the covering is inseparable"
         )
+    return kept
+
+
+def derivative(series: ValuedSeries, setting: ResidueSetting) -> ValuedSeries:
+    """Term-wise derivative: ``log|i * h_i|`` placed at exponent ``i - 1``."""
+    kept = _surviving_terms(series, setting)
+    den = lcm(series.den, *[b for *_, b in kept])
     k = den // series.den
     return ValuedSeries._from_scaled(
         den, [(i - 1, n * k + a * (den // b)) for i, n, a, b in kept]
@@ -240,8 +245,8 @@ def different_profile(
     t_h = pmfunc.tropical_eval(series, domain)
     t_hp = pmfunc.tropical_eval(deriv, domain)
     profile = pmfunc.monomial_product(((t_hp, 1), (t_h, -1)), r_exponent=1)
-    sup = profile.sup()
-    if sup is pmfunc.INF or sup > 0:
+    top = profile._sup_num()  # over the profile's denominator; None for +inf
+    if top is None or top > 0:
         raise InvalidModelError(
             f"different exceeds one on {domain}; the series does not model "
             "a covering there"
@@ -254,12 +259,15 @@ def different_report(series: ValuedSeries, setting: ResidueSetting) -> Different
     _require_normalized(series)
     # terms are sorted, so the first exponent found is the minimal one
     m = next(i for i, n in series.terms if n == 0)
-    deriv = derivative(series, setting)
-    top = max([v for _, v in deriv.terms])
-    # exponents shift by one under differentiation
-    n = next(j for j, v in deriv.terms if v == top) + 1
-    log_delta = LogAbs(Fraction(top, deriv.den))
-    return DifferentReport(m=m, n=n, log_delta=log_delta, slope_s=m - n)
+    # the dominant derivative term has log|i| + log|h_i| = a/b + h/D
+    # largest, that is (a*D + h*b) / b; the first one found wins a tie
+    den, best = series.den, None
+    for i, h, a, b in _surviving_terms(series, setting):
+        key = a * den + h * b
+        if best is None or key * best[2] > best[1] * b:
+            best = (i, key, b)
+    n, key, b = best
+    return DifferentReport(m=m, n=n, log_delta=LogAbs(Fraction(key, b * den)), slope_s=m - n)
 
 
 def check_restriction(

@@ -21,7 +21,8 @@ products, hulls and tie sets all run on these integers; a point ``p/q``
 is placed among the breakpoints by comparing ``D*p // q`` with them.
 Fractions are made only where a value leaves the module: ``domain``,
 ``breakpoints``, ``segments()``, ``value_at`` (one per call), ``sup``,
-``to_json_dict``, ``repr`` and error messages.
+``to_json_dict``, ``repr`` and error messages.  A tropical evaluation
+stores no achievers: each segment's achiever is its slope.
 """
 
 from __future__ import annotations
@@ -241,17 +242,17 @@ class PMFunction:
             self._den, self._xs, [v * n for v in self._vs], [s * n for s in self._slopes]
         )
 
+    def _sup_num(self):
+        """The supremum over ``_den`` (a left value or the right end's), None for ``INF``."""
+        xs, vs, slopes = self._xs, self._vs, self._slopes
+        if len(xs) == len(slopes):
+            return None if slopes[-1] > 0 else max(vs)
+        return max(max(vs), vs[-1] + slopes[-1] * (xs[-1] - xs[-2]))
+
     def sup(self) -> ExtendedRational:
         """Supremum over the domain (``INF`` if unbounded above)."""
-        xs, vs = self._xs, self._vs
-        best = max(vs)
-        for j, s in enumerate(self._slopes):
-            if j + 1 == len(xs):
-                if s > 0:
-                    return INF
-                continue
-            best = max(best, vs[j] + s * (xs[j + 1] - xs[j]))
-        return Fraction(best, self._den)
+        best = self._sup_num()
+        return INF if best is None else Fraction(best, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, PMFunction):
@@ -302,8 +303,14 @@ def monomial_product(
     must share one domain, and validated once.
     """
     first = factors[0][0]
+    d0, a0, b0, bounded = first._den, first._xs[0], first._xs[-1], first._bounded
     for f, _ in factors[1:]:
-        if f.domain != first.domain:
+        d, xs = f._den, f._xs
+        if (
+            f._bounded != bounded
+            or xs[0] * d0 != a0 * d
+            or (bounded and xs[-1] * d0 != b0 * d)
+        ):
             raise DomainMismatchError(
                 f"domains differ: {first.domain} vs {f.domain}"
             )
@@ -335,8 +342,8 @@ def monomial_product(
 class NewtonProfile(PMFunction):
     """Tropical evaluation of a valued series, with achiever bookkeeping.
 
-    Besides the envelope itself, the profile remembers which exponent
-    realizes the maximum on each segment and can report the exact tie
+    Besides the envelope itself, the profile reports which exponent
+    realizes the maximum on each segment (its slope) and the exact tie
     set at any point.  Just left of a point the minimal achieving
     exponent dominates, just right the maximal one; both conventions are
     exposed because the two sides of an annulus use opposite ones.
@@ -345,28 +352,32 @@ class NewtonProfile(PMFunction):
     :func:`tropical_eval`.
     """
 
-    __slots__ = ("_cden", "_terms", "_seg_achievers")
+    __slots__ = ("_cden", "_terms")
 
     @classmethod
-    def _build(cls, den: int, xs, vs, slopes, cden: int, terms, seg_achievers):
+    def _build(cls, den: int, xs, vs, slopes, cden: int, terms):
         """Validated profile over ``den`` with its terms over ``cden``."""
         obj = cls._from_scaled(den, xs, vs, slopes)
         obj._cden = cden
         obj._terms = tuple(terms)
-        obj._seg_achievers = tuple([frozenset(s) for s in seg_achievers])
         return obj
 
     @property
     def segment_achievers(self) -> Tuple[frozenset, ...]:
-        return self._seg_achievers
+        return tuple([frozenset((s,)) for s in self._slopes])
 
     def achievers_at(self, x) -> frozenset:
         # every term, hull or not: a collinear middle term ties too
         p, q, _ = self._locate(x)
         c = p * self._cden
-        keys = [(n * q + i * c, i) for i, n in self._terms]
-        best = max(k for k, _ in keys)
-        return frozenset(i for k, i in keys if k == best)
+        best, ties = None, []
+        for i, n in self._terms:
+            k = n * q + i * c
+            if best is None or k > best:
+                best, ties = k, [i]
+            elif k == best:
+                ties.append(i)
+        return frozenset(ties)
 
     def min_achiever(self, x) -> int:
         """Dominant exponent just left of ``x`` (inward convention)."""
@@ -421,9 +432,7 @@ def tropical_eval(series, domain) -> NewtonProfile:
     if hi_end == lo_end:
         best = max(n + i * lo_end for i, n in pts)
         owner = min(i for i, n in pts if n + i * lo_end == best)
-        return NewtonProfile._build(
-            big_l, (lo_end, lo_end), (best,), (owner,), big_l, pts, ({owner},)
-        )
+        return NewtonProfile._build(big_l, (lo_end, lo_end), (best,), (owner,), big_l, pts)
 
     # hull point j is active between the crossings with its neighbours;
     # positions are kept as (num, den) in units of 1/L, clipped to [a, b]
@@ -449,6 +458,4 @@ def tropical_eval(series, domain) -> NewtonProfile:
     xs = [p * (m // q) for p, q in bounds]
     vs = [n * m + i * x for (i, n), x in zip(owners, xs)]
     slopes = [i for i, _ in owners]
-    return NewtonProfile._build(
-        big_l * m, xs, vs, slopes, big_l, pts, [(i,) for i in slopes]
-    )
+    return NewtonProfile._build(big_l * m, xs, vs, slopes, big_l, pts)

@@ -68,12 +68,15 @@ def exact(value, entry: str, key, noun: str = "an integer"):
 
 
 def as_int(value, entry: str, key) -> int:
-    """``int()`` of an ``exact`` value; a value it cannot read is the same error."""
+    """``int()`` of an ``exact`` value, which must keep a number whole; a value
+    it cannot read or would round (``Fraction(3, 2)``) is the same error."""
     try:
-        return int(exact(value, entry, key))
-    except (TypeError, ValueError):
-        message = f"{entry} value of {echo(key)} is {echo(value)}, not an integer"
-        raise ValueError(message) from None
+        n = int(exact(value, entry, key))
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (n != value and not isinstance(value, (str, bytes))):
+        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not an integer")
+    return n
 
 
 class OrientedEdge(NamedTuple):

@@ -13,6 +13,8 @@ that the three agree and store data in normal form: exact dicts with
 import json
 import random
 import types
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -358,6 +360,32 @@ def test_public_constructors_name_a_value_int_cannot_read(value):
             DeltaMorphism(line, line, vertex_map, edge_map, *maps)
         assert type(caught.value) is ValueError
         assert str(caught.value) == f"{name} value of 'e' is {echo(value)}, not an integer"
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(3, 2), Fraction(-1, 3), Decimal("1.9"), Decimal("Infinity")]
+)
+def test_public_constructors_reject_a_value_int_would_round(value):
+    """``int()`` truncated a Fraction or a Decimal: genus ``Fraction(3, 2)``
+    and genus ``Decimal('1.9')`` both built genus 1."""
+    with pytest.raises(ValueError) as caught:
+        GenusGraph({"a": value}, {})
+    assert str(caught.value) == f"genera value of 'a' is {value!r}, not an integer"
+    line = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")})
+    vertex_map, edge_map = {"a": "a", "b": "b"}, {"e": "e"}
+    for name, maps in ("mult", ({"e": value}, {"e": 0})), ("sdelta", ({"e": 1}, {"e": value})):
+        with pytest.raises(ValueError) as caught:
+            DeltaMorphism(line, line, vertex_map, edge_map, *maps)
+        assert str(caught.value) == f"{name} value of 'e' is {value!r}, not an integer"
+
+
+@pytest.mark.parametrize("value", [Fraction(2), Decimal("2"), "2", 2])
+def test_public_constructors_keep_an_integral_value(value):
+    assert GenusGraph({"a": value}, {}).genus_of("a") == 2
+    line = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")})
+    m = DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": value}, {"e": value})
+    data = morphism_to_json_dict(m)
+    assert (data["n"], data["sdelta"]) == ({"e": 2}, {"e": 2})
 
 
 @pytest.mark.parametrize("value", [1.5, 1.9, True, False])

@@ -148,6 +148,7 @@ def _cli_inputs(work: Path):
 def record(out, work: Path, every: int) -> None:
     """Write the records of every call, in a fixed order, to ``out``."""
     import random
+    from decimal import Decimal
     from fractions import Fraction
 
     import wildskel as ws
@@ -179,7 +180,8 @@ def record(out, work: Path, every: int) -> None:
     line = graph(two, {"e": ("a", "b")}, {"e": 1})
     identity = ws.DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
     maps = {"a": "a", "b": "b"}, {"e": "e"}
-    for value in (None, [1], {}, "1.5", "2", 2):
+    for value in (None, [1], {}, "1.5", "2", 2, Fraction(3, 2), Fraction(2), Decimal("1.9"),
+                  Decimal("2")):
         rec.call(f"graph with genus {value!r}", graph, {"a": value}, {})
         rec.call(f"identity with n {value!r}", pub("DeltaMorphism"), line, line, *maps,
                  {"e": value}, {"e": 0})

@@ -663,7 +663,9 @@ class BoundaryAnnotation(Frozen):
     def __init__(self, branches: Mapping[str, Tuple[Tuple[int, int], ...]]):
         data = {}
         for v, items in dict(branches).items():
-            pairs = tuple((int(n), int(s)) for n, s in items)
+            pairs = tuple(
+                (as_int(n, "off-graph n", v), as_int(s, "off-graph sdelta", v)) for n, s in items
+            )
             for n, _ in pairs:
                 if n < 1:
                     raise ValueError(f"off-graph branch at {v} needs n >= 1")
@@ -726,8 +728,11 @@ def wide_open_genus_check(
     """
     if isinstance(infinity, BoundaryAnnotation):
         infinity = [pair for _, items in infinity.items() for pair in items]
-    pairs = [(int(n), int(s)) for n, s in infinity]
-    r_values = [int(r) for r in ram]
+    pairs = [
+        (as_int(n, "infinity n", f"branch {k}"), as_int(s, "infinity sdelta", f"branch {k}"))
+        for k, (n, s) in enumerate(infinity)
+    ]
+    r_values = [as_int(r, "ram", f"point {k}") for k, r in enumerate(ram)]
     lhs = 2 * g_source - 2 - degree * (2 * g_target - 2)
     slope_indices = [-s + n - 1 for n, s in pairs]
     rhs = sum(r_values) + sum(

@@ -591,6 +591,25 @@ class TestCertifySkeleton:
             mm, BoundaryAnnotation({}), ram_in_vertices=False
         ).ok
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # int() stored (1, 0), and raised a bare TypeError for None
+            ([(1.9, 0.5)], "off-graph n value of 'a' is 1.9, not an integer"),
+            ([(None, 0)], "off-graph n value of 'a' is None, not an integer"),
+            ([(2, Fraction(1, 2))], "off-graph sdelta value of 'a' is Fraction(1, 2), not an integer"),
+            ([(2, 1), (1, True)], "off-graph sdelta value of 'a' is True, not an integer"),
+        ],
+    )
+    def test_annotation_values_must_be_integers(self, pairs, message):
+        with pytest.raises(ValueError) as caught:
+            BoundaryAnnotation({"a": pairs})
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
+    def test_annotation_keeps_integral_values(self):
+        given = BoundaryAnnotation({"a": [(Fraction(2), "1")]})
+        assert given == BoundaryAnnotation({"a": ((2, 1),)})
+
 
 class TestWideOpenGenus:
     def test_etale_disc_cover(self):
@@ -618,6 +637,20 @@ class TestWideOpenGenus:
         boundary = BoundaryAnnotation({"v": ((2, 1),)})
         rep = wide_open_genus_check(boundary, 2, 0, 0)
         assert rep.ok and rep.disc_criterion
+
+    @pytest.mark.parametrize(
+        "infinity, ram, message",
+        [
+            # int() computed with n = 2 and s = 1
+            ([(2.7, True)], (), "infinity n value of 'branch 0' is 2.7, not an integer"),
+            ([(2, 1), (1, None)], (), "infinity sdelta value of 'branch 1' is None, not an integer"),
+            ([(2, 1)], [1, Fraction(3, 2)], "ram value of 'point 1' is Fraction(3, 2), not an integer"),
+        ],
+    )
+    def test_values_must_be_integers(self, infinity, ram, message):
+        with pytest.raises(ValueError) as caught:
+            wide_open_genus_check(infinity, 2, 1, 0, ram)
+        assert type(caught.value) is ValueError and str(caught.value) == message
 
 
 class TestJsonRoundtrip:

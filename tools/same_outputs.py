@@ -248,6 +248,11 @@ def record(out, work: Path, every: int) -> None:
     annotation = pub("BoundaryAnnotation")({"zz": [(1, 0)]})
     rec.call("certify an unknown vertex", pub("certify_skeleton"), m, annotation, True)
     rec.call("wide open annotation", pub("wide_open_genus_check"), annotation, 1, 0, 0)
+    for pairs in ([(1.9, 0.5)], [(None, 0)], [(2, True)], [(Fraction(2), "1")]):
+        rec.call(f"boundary {pairs!r}", pub("BoundaryAnnotation"), {"a": pairs})
+        rec.call(f"wide open {pairs!r}", pub("wide_open_genus_check"), pairs, 2, 1, 0)
+    for ram in ([1.5], [None], [Fraction(2)]):
+        rec.call(f"wide open ram {ram!r}", pub("wide_open_genus_check"), [(2, 1)], 2, 1, 0, ram)
     for k in range(-1, 6):
         rec.call(f"root subtrees {k}", pub("enumerate_root_subtrees"), k)
     from tests.test_error_order import DISCONNECTED_TARGET_CASES, _constructed, _edited, _morphism

@@ -136,30 +136,27 @@ def test_metric_cli_stdout(case, capsys):
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
 
 
+def _check_cli_case(case, capsys):
+    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit"],
+        case["stdout"],
+        case["stderr"],
+    )
+
+
 @pytest.mark.parametrize(
     "case", SPECIAL_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"])
 )
 def test_special_cli_output(case, capsys):
-    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        case["exit"],
-        case["stdout"],
-        case["stderr"],
-    )
+    _check_cli_case(case, capsys)
 
 
 @pytest.mark.parametrize("case", TEXT_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_text_cli_output(case, capsys):
-    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        case["exit"],
-        case["stdout"],
-        case["stderr"],
-    )
+    _check_cli_case(case, capsys)
 
 
 def test_special_search():

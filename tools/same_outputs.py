@@ -18,12 +18,12 @@ text mode and with ``--json`` (stdout, stderr and exit code of
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
-that apply to them, each normalized series also through the methods of
-its different profile and of its envelopes (values and slopes on a grid
-and at every breakpoint, tie sets, sup, and products across domains),
-and through the report and profile under a stand-in setting in which
-some ``|i|`` exceed one, each random morphism also loaded from its own JSON
-and each graph of a mutated document loaded alone; ``Divisor``
+that apply to them, each random morphism also loaded from its own JSON
+and each graph of a mutated document loaded alone, and each normalized
+series also through the methods of its different profile and envelopes
+(values and slopes on a grid and at every breakpoint, tie sets, sup,
+products across domains) and, under a stand-in setting in which some
+``|i|`` exceed one, through the report and the profile; ``Divisor``
 arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
 random morphisms; ``contract_morphism`` and ``contract_graph`` of both
 move kinds at every target vertex of each morphism, legal or not;

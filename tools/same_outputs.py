@@ -27,7 +27,10 @@ products across domains) and, under a stand-in setting in which some
 arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
 random morphisms; ``contract_morphism`` and ``contract_graph`` of both
 move kinds at every target vertex of each morphism, legal or not;
-``enumerate_root_subtrees``; the disconnected targets of
+``enumerate_root_subtrees``; the public ``DeltaMorphism`` on each random
+metric draw's graphs with one finite length doubled, and on the metric
+fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
+RH divisor report of what it builds; the disconnected targets of
 ``tests/test_error_order.py``; and a few single calls at known edge
 cases.  A function missing from one tree is recorded as missing.
 
@@ -145,6 +148,20 @@ def _cli_inputs(work: Path):
     yield ["enumerate-special"]
 
 
+def built(rec: _Recorder, label: str, *args) -> None:
+    """Record the public ``DeltaMorphism(*args)``, then the JSON of its
+    ``stabilize`` and its RH divisor report, or "not built" for both."""
+    import wildskel as ws
+
+    m = rec.call(f"{label} constructor", ws.DeltaMorphism, *args)
+    for name, fn in (("stabilize", lambda: ws.morphism_to_json_dict(ws.stabilize(m))),
+                     ("rh divisor", lambda: m.rh_divisor_identity())):
+        if m is None:
+            rec.write(f"{label} {name}", "not built")
+        else:
+            rec.call(f"{label} {name}", fn)
+
+
 def record(out, work: Path, every: int) -> None:
     """Write the records of every call, in a fixed order, to ``out``."""
     import random
@@ -171,6 +188,10 @@ def record(out, work: Path, every: int) -> None:
     del doc["delta"], doc["setting"]
     doc["source"]["edges"][0]["length"] = "7"
     rec.call("load wb_metric, no delta, a length of 7", pub("morphism_from_json_dict"), doc)
+    graphs = [ws.GenusGraph.from_json_dict(doc[side], f"{side} graph")
+              for side in ("source", "target")]
+    built(rec, "wb_metric, no delta, a length of 7", *graphs,
+          *(doc[key] for key in ("vertex_map", "edge_map", "n", "sdelta")))
     graph, two = pub("GenusGraph"), {"a": 0, "b": 0}
     for ends in (("a", "b"), (True, 1.5), ("a", None)):
         rec.call(f"graph with ends {ends}", graph, two, {"e": ends})
@@ -303,6 +324,19 @@ def record(out, work: Path, every: int) -> None:
             loaded = rec.call(f"{label} load", pub("morphism_from_json_dict"), doc)
             if mm is not None and loaded is not None:
                 morphism(label, loaded)
+            side = ("source", "target")[i % 2]  # one finite length of it doubled
+            g = getattr(m, side)
+            finite = [e for e in g.edge_ids if not g.is_tail(e)]
+            if finite:
+                e = finite[i % len(finite)]
+                lengths = {x: g.length(x) * (2 if x == e else 1) for x in g.edge_ids}
+                doubled = ws.GenusGraph({v: g.genus_of(v) for v in g.vertices},
+                                       {x: g.endpoints(x) for x in g.edge_ids},
+                                       lengths, g.infinite_leaves)
+                pair = (doubled, m.target) if side == "source" else (m.source, doubled)
+                sdelta = {x: m.sdelta_stored(x) for x in m.source.edge_ids}
+                built(rec, f"{label} {side} {e} doubled", *pair, m.vertex_map, m.edge_map,
+                      m.mult, sdelta)
 
     graph = getattr(ws.GenusGraph, "from_json_dict", None)
     for i, doc in enumerate(support.load_mutations(5, 2000 // every)):

@@ -5,9 +5,11 @@ integer multiplicities on edges, locally constant multiplicity at
 vertices and constant global rank (the degree), and an oriented integer
 function ``sdelta`` on source edges, the slope of the different along
 each edge.  It indexes its ``fibers`` (target vertex -> source vertices)
-once, for the contraction moves.  When source and target are metric
-graphs (both or neither), it may also carry the different itself: a
-log-different value ``delta`` per source vertex, in a residue
+once, for the contraction moves.  Source and target are metric graphs
+both or neither; when they are, lengths dilate, ``length(phi(e)) = n_e *
+length(e)`` on every source edge, and the core checks that whichever entry
+builds the morphism.  A metric morphism may also carry the different
+itself: a log-different value ``delta`` per source vertex, in a residue
 ``setting``.  Such a morphism is a :class:`MetricDeltaMorphism`; every
 operation, contraction included, keeps the metric data when present.
 
@@ -66,7 +68,8 @@ class DeltaMorphism:
     Validated on construction: both graphs metric or both plain,
     incidence, connectedness, local constancy of multiplicity (which
     defines ``vertex_mult``), constant global rank (the ``degree``; the
-    ``fibers`` index is built here) and an sdelta value on every edge.
+    ``fibers`` index is built here), an sdelta value on every edge and,
+    last, when both graphs are metric, dilation on every edge.
     Only the source is searched for connectedness: if every fiber is
     nonempty and covers each branch at its target vertex, the connected
     source maps onto the target, which is connected too; so the target is
@@ -75,7 +78,8 @@ class DeltaMorphism:
     ``setting`` are ``None`` unless the morphism is a
     :class:`MetricDeltaMorphism`.  Only the constructor and the loader
     coerce the four maps; they, the contractions and the shape builder
-    enter one validating core.
+    enter one validating core, ``_store``, followed on the same object by
+    ``_attach_delta`` when there are delta values.
     """
 
     _delta: Optional[Dict[str, Optional[int]]] = None  # over _delta_den, None for -inf
@@ -98,10 +102,16 @@ class DeltaMorphism:
         self._store(source, target, *maps)
 
     @classmethod
-    def _from_normal(cls, source, target, vertex_map, edge_map, mult, sdelta):
+    def _from_normal(
+        cls, source, target, vertex_map, edge_map, mult, sdelta, den=1, delta=None, setting=None
+    ):
+        """The core entry of normal-form data; ``delta`` values (numerators
+        over ``den``, None for -inf) make a :class:`MetricDeltaMorphism`."""
         _check_kind(source, target)
-        m = cls.__new__(cls)
+        m = object.__new__(cls if delta is None else MetricDeltaMorphism)
         m._store(source, target, vertex_map, edge_map, mult, sdelta)
+        if delta is not None:
+            m._attach_delta(den, delta, setting)
         return m
 
     def _store(self, source, target, vertex_map, edge_map, mult, sdelta) -> None:
@@ -183,6 +193,15 @@ class DeltaMorphism:
         if missing is not None:
             raise ValueError(f"edge {cut(missing)} has no sdelta value")
         self._sdelta = sdelta
+        if source._lengths is not None:  # dilation: l(phi(e)) * D = n * l(e) * D'
+            lengths, den, den2 = source._lengths, source._den, target._den
+            for e in source.edge_ids:
+                l, l2 = lengths[e], target._lengths[edge_map[e]]
+                if l2 * den != mult[e] * l * den2:  # INF * k is INF
+                    raise ValueError(
+                        f"dilation fails on edge {cut(e)}: {ratio_text(l2, den2)} != "
+                        f"{mult[e]} * {ratio_text(l, den)}"
+                    )
 
     def sdelta(self, oe: OrientedEdge) -> int:
         """Slope along the oriented edge; odd under orientation reversal."""
@@ -218,23 +237,12 @@ class DeltaMorphism:
             v: NEG_INF if x is None else LogAbs(Fraction(x, den)) for v, x in d.items()
         }
 
-    def _dilated(self, e: str) -> None:
-        """Raise unless ``length(phi(e)) = n_e * length(e)``; ``INF * k`` is INF."""
-        src, tgt, n = self.source, self.target, self.mult[e]
-        l, target_l = src._lengths[e], tgt._lengths[self.edge_map[e]]
-        if target_l * src._den != n * l * tgt._den:
-            raise ValueError(
-                f"dilation fails on edge {cut(e)}: {ratio_text(target_l, tgt._den)} != "
-                f"{n} * {ratio_text(l, src._den)}"
-            )
-
-    def _attach_delta(self, morphism, den: int, delta: Mapping, setting) -> None:
-        """Take over the data of ``morphism``, then store and validate delta,
-        numerators over ``den`` (None for -inf): dilation, linearity along
-        finite edges, ``delta = |n|`` at infinite leaves and the admissibility
-        of the (multiplicity, slope, different) triple at both ends of every
-        edge, each distinct triple checked once, with the edges in order."""
-        vars(self).update(vars(morphism))
+    def _attach_delta(self, den: int, delta: Mapping, setting) -> None:
+        """Store and validate delta, numerators over ``den`` (None for -inf),
+        on a morphism ``_store`` has checked: linearity along finite edges,
+        ``delta = |n|`` at infinite leaves and the admissibility of the
+        (multiplicity, slope, different) triple at both ends of every edge,
+        each distinct triple checked once, with the edges in order."""
         src = self.source
         if not src.is_metric:
             raise ValueError("metric delta-morphisms require metric graphs")
@@ -258,11 +266,8 @@ class DeltaMorphism:
                 )
         checked = {}  # (n, slope, delta) -> verdict; bounded by the morphism
         mult, ends, sdelta, lengths = self.mult, src._ends, self._sdelta, src._lengths
-        emap, tgt = self.edge_map, self.target
         for e in src.edge_ids:
             n, (u, v), l, s_uv = mult[e], ends[e], lengths[e], sdelta[e]
-            if tgt._lengths[emap[e]] * src._den != n * l * tgt._den:  # dilation
-                self._dilated(e)  # raises, naming e
             if l is INF:
                 leaf, inner, s_out = (v, u, s_uv) if v in leaves else (u, v, -s_uv)
                 x, expected = raw[leaf], setting._int_abs_ratio(n)
@@ -460,16 +465,17 @@ class _WorkingMorphism:
     def result(self) -> DeltaMorphism:
         """The contracted morphism, built and validated once, on the copy's own dicts."""
         m, vertices, edges = self.original, self.source._genus, self.source._ends
-        out = DeltaMorphism._from_normal(
+        return DeltaMorphism._from_normal(
             self.source.graph(),
             self.target.graph(),
             {v: m.vertex_map[v] for v in vertices},
             {e: self.edge_map[e] for e in edges},
             {e: m.mult[e] for e in edges},
             {e: self._sdelta[e] for e in edges},
+            m._delta_den,
+            None if m._delta is None else {v: m._delta[v] for v in vertices},
+            m.setting,
         )
-        delta = None if m._delta is None else {v: m._delta[v] for v in vertices}
-        return with_delta(out, m._delta_den, delta, m.setting)
 
 
 def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
@@ -612,8 +618,9 @@ def is_stable(m: DeltaMorphism) -> bool:
 class MetricDeltaMorphism(DeltaMorphism):
     """A delta-morphism of metric genus graphs with different values.
 
-    Takes over the already validated combinatorial data of ``morphism``
-    and validates ``delta`` against it (see ``DeltaMorphism._attach_delta``).
+    The core checks the graphs and maps of ``morphism`` on this object,
+    dilation included as for every metric pair, then validates ``delta``
+    against them (see ``DeltaMorphism._attach_delta``).
     """
 
     def __init__(
@@ -622,30 +629,23 @@ class MetricDeltaMorphism(DeltaMorphism):
         delta: Mapping[str, LogAbs],
         setting: ResidueSetting,
     ):
-        vertices = morphism.source.vertices if morphism.source.is_metric else ()
+        source, target = morphism.source, morphism.target
+        _check_kind(source, target)
+        self._store(
+            source, target, morphism.vertex_map, morphism.edge_map, morphism.mult,
+            morphism._sdelta,
+        )
         ratios = {}  # in the core's order, up to the first vertex it misses
-        for v in takewhile(delta.__contains__, vertices):
+        for v in takewhile(delta.__contains__, source.vertices if source.is_metric else ()):
             d = delta[v]
             if not isinstance(d, LogAbs):
                 d = LogAbs(exact(d, "delta", v, "a rational or -inf"))
             ratios[v] = None if d.is_neg_inf else d.value.as_integer_ratio()
-        self._attach_delta(morphism, *scaled(ratios, None), setting)
+        self._attach_delta(*scaled(ratios, None), setting)
 
     @property
     def morphism(self) -> "MetricDeltaMorphism":
         return self
-
-
-def with_delta(
-    m: DeltaMorphism, den: int, delta: Optional[dict], setting: Optional[ResidueSetting]
-) -> DeltaMorphism:
-    """``m`` itself without delta values, else the metric morphism over it;
-    ``delta`` holds numerators over ``den``, None for -inf."""
-    if delta is None:
-        return m
-    mm = MetricDeltaMorphism.__new__(MetricDeltaMorphism)
-    mm._attach_delta(m, den, delta, setting)
-    return mm
 
 
 # -- skeleton certificates -----------------------------------------------------
@@ -788,7 +788,8 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         GenusGraph.from_json_dict(json_field(data, side, "morphism"), f"{side} graph")
         for side in ("source", "target")
     )
-    m = DeltaMorphism._from_normal(
+    # the class first, so the core's faults come before those of setting and delta
+    m = (MetricDeltaMorphism if "delta" in data else DeltaMorphism)._from_normal(
         source,
         target,
         *(_as_ids(json_field(data, key, "morphism"), f"morphism {key}")
@@ -796,7 +797,7 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         _parse_values(data, "n", int, (int, float, str), "a number"),
         _parse_values(data, "sdelta", int, (int, float, str), "a number"),
     )
-    delta = setting = None
+    delta = None
     if "delta" in data:
         if "setting" not in data:
             raise ValueError("delta values require a residue setting")
@@ -806,10 +807,7 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         delta = _parse_values(
             data, "delta", lambda t: parse_ratio(t, "-inf", None), (str,), "a string"
         )
-        m = with_delta(m, *scaled(delta, None), setting)
-    elif source.is_metric:  # with delta values, _attach_delta checks this
-        for e in source.edge_ids:
-            m._dilated(e)
+        m._attach_delta(*scaled(delta, None), setting)
     # every source id has an entry by now, so a longer object names an id
     # the source lacks; every one of them is keyed by str
     vertices, edges = source._genus, source._ends

@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable, with_delta
+from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
 from .genus_graph import GenusGraph, OrientedEdge
 from .valuation import INF, Frozen, Record, ResidueSetting, ratio_text, scaled
 
@@ -405,10 +405,10 @@ class _ShapeBuilder:
             target_lengths,
             [v + "'" for v in self.leaves],
         )
-        m = DeltaMorphism._from_normal(
-            source, target, vmap, self.emap, self.mult, self.sdelta
+        return DeltaMorphism._from_normal(
+            source, target, vmap, self.emap, self.mult, self.sdelta,
+            self.den, self.delta, self.setting,
         )
-        return with_delta(m, self.den, self.delta, self.setting)
 
 
 _0L = RootSubtree(0)

@@ -29,7 +29,6 @@ from wildskel.delta_morphism import (
     morphism_from_json_dict,
     morphism_to_json_dict,
     stabilize,
-    with_delta,
 )
 from wildskel.genus_graph import Divisor, GenusGraph
 from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_length, scaled
@@ -144,10 +143,11 @@ def built_three_ways(data: dict):
             ratios = {e: l if l is INF else l.as_integer_ratio() for e, l in lengths.items()}
             den, lengths = scaled(ratios, INF)
         graphs.append(GenusGraph._from_normal(genera, edges, den, lengths, frozenset(leaves)))
-    core = DeltaMorphism._from_normal(*graphs, *_maps(data, False))
+    den = 1
     if delta is not None:
         ratios = {v: None if d.is_neg_inf else d.value.as_integer_ratio() for v, d in delta.items()}
-        core = with_delta(core, *scaled(ratios, None), setting)
+        den, delta = scaled(ratios, None)
+    core = DeltaMorphism._from_normal(*graphs, *_maps(data, False), den, delta, setting)
     return from_json, public, core
 
 

@@ -36,7 +36,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import Frozen, LogAbs, Record, ResidueSetting, echo, parse_rational
+from .valuation import Frozen, LogAbs, Record, ResidueSetting, as_int, echo, parse_rational
 
 
 class ConstantSeriesError(ValueError):
@@ -67,13 +67,12 @@ class ValuedSeries(Frozen):
 
     def __init__(self, coefficients: Mapping[int, Fraction]):
         given = dict(coefficients)
+        keys = [as_int(i, "series exponent") for i in given]
         coeffs = {
-            int(i): v
-            for i, v in given.items()
+            i: v for i, v in zip(keys, given.values())
             if not (isinstance(v, LogAbs) and v.is_neg_inf)
         }
         if len(coeffs) != len(given):  # -inf values dropped, or keys equal after int()
-            keys = list(map(int, given))
             repeat = next((i for n, i in enumerate(keys) if i in keys[:n]), None)
             if repeat is not None:
                 raise ValueError(f"series repeats exponent {repeat}")

@@ -41,11 +41,11 @@ from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, as_int, exact, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
 from .pmfunc import PMFunction
 from .valuation import (
-    INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, cut, echo, parse_ratio,
-    ratio_text, scaled,
+    INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, cut, echo, exact,
+    parse_ratio, ratio_text, scaled,
 )
 
 

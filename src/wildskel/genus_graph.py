@@ -33,7 +33,7 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, cut, echo, parse_ratio, ratio_text, scaled
+    INF, ExtendedRational, Frozen, as_int, cut, echo, exact, parse_ratio, ratio_text, scaled
 )
 
 
@@ -57,26 +57,6 @@ def as_id(value, entry: str) -> str:
     if type(value) is not int:
         raise ValueError(f"{entry} {echo(value)} is not a string or an integer")
     return str(value)
-
-
-def exact(value, entry: str, key, noun: str = "an integer"):
-    """``value`` of a public constructor's map ``entry``, which must not be a
-    float (inexact) or a bool (a number by accident), else a ValueError."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not {noun}")
-    return value
-
-
-def as_int(value, entry: str, key) -> int:
-    """``int()`` of an ``exact`` value, which must keep a number whole; a value
-    it cannot read or would round (``Fraction(3, 2)``) is the same error."""
-    try:
-        n = int(exact(value, entry, key))
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or (n != value and not isinstance(value, (str, bytes))):
-        raise ValueError(f"{entry} value of {echo(key)} is {echo(value)}, not an integer")
-    return n
 
 
 class OrientedEdge(NamedTuple):

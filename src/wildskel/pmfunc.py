@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, parse_length, ratio_text
+from .valuation import INF, ExtendedRational, LogAbs, as_int, parse_length, ratio_text
 
 
 class OutOfDomainError(ValueError):
@@ -111,9 +111,8 @@ class PMFunction:
         den, nums = _over_common_denominator(
             finite + [_value_ratio(v) for v in left_values]
         )
-        self._store(
-            den, nums[: len(finite)], nums[len(finite) :], [int(s) for s in slopes]
-        )
+        slopes = [as_int(s, f"slope of segment {j}") for j, s in enumerate(slopes)]
+        self._store(den, nums[: len(finite)], nums[len(finite) :], slopes)
 
     @classmethod
     def _from_scaled(cls, den: int, xs, vs, slopes) -> "PMFunction":
@@ -160,7 +159,7 @@ class PMFunction:
     def line(cls, domain, left_value, slope: int) -> "PMFunction":
         ends = _domain_ends(domain)
         den, nums = _over_common_denominator(ends + [_value_ratio(left_value)])
-        return cls._from_scaled(den, nums[:-1], nums[-1:], [int(slope)])
+        return cls._from_scaled(den, nums[:-1], nums[-1:], [as_int(slope, "slope")])
 
     @classmethod
     def identity(cls, domain) -> "PMFunction":
@@ -289,8 +288,7 @@ class PMFunction:
     def from_json_dict(cls, data: Mapping) -> "PMFunction":
         breaks = [parse_length(x) for x in data["breakpoints"]]
         values = [Fraction(seg["left_value"]) for seg in data["segments"]]
-        slopes = [int(seg["slope"]) for seg in data["segments"]]
-        return cls(breaks, values, slopes)
+        return cls(breaks, values, [seg["slope"] for seg in data["segments"]])
 
 
 def monomial_product(
@@ -406,7 +404,7 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
 def scaled_series(coeffs: Mapping) -> Tuple[int, List[Tuple[int, int]]]:
     """A map ``exponent -> log coefficient`` over its least common
     denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
-    items = sorted((int(i), _value_ratio(v)) for i, v in coeffs.items())
+    items = sorted((as_int(i, "series exponent"), _value_ratio(v)) for i, v in coeffs.items())
     if not items:
         raise EmptySeriesError("series has empty support")
     den, nums = _over_common_denominator([r for _, r in items])

@@ -338,6 +338,33 @@ def echo(value) -> str:
     return cut(repr(value))
 
 
+def _named(entry: str, key) -> str:
+    return entry if key is None else f"{entry} value of {echo(key)}"
+
+
+def exact(value, entry: str, key=None, noun: str = "an integer"):
+    """``value`` of a public constructor's map ``entry`` (at ``key``, if
+    any), which must not be a float (inexact) or a bool (a number by
+    accident), else a ValueError."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{_named(entry, key)} is {echo(value)}, not {noun}")
+    return value
+
+
+def as_int(value, entry: str, key=None) -> int:
+    """``int()`` of an ``exact`` value, which must keep a number whole; a value
+    it cannot read or would round (``Fraction(3, 2)``) is the same error."""
+    if type(value) is int:
+        return value
+    try:
+        n = int(exact(value, entry, key))
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (n != value and not isinstance(value, (str, bytes))):
+        raise ValueError(f"{_named(entry, key)} is {echo(value)}, not an integer")
+    return n
+
+
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, with a zero denominator a ``ValueError`` too.
 

@@ -397,6 +397,19 @@ def test_series_keys_equal_after_int_are_an_error():
     assert ValuedSeries({1: 0, "2": NEG_INF}) == ValuedSeries({1: 0})
 
 
+@pytest.mark.parametrize("exponent", [1.5, True, Fraction(5, 2)])
+def test_series_exponent_int_would_round_is_an_error(exponent):
+    # int() used to read ValuedSeries({1.5: 0, 3: -1}) as ValuedSeries({1: 0, 3: -1})
+    message = f"series exponent is {exponent!r}, not an integer"
+    with pytest.raises(ValueError) as info:
+        ValuedSeries({exponent: 0, 3: -1})
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        tropical_eval({exponent: 0, 3: -1}, (0, 1))
+    assert str(info.value) == message
+    assert ValuedSeries({"2": 0, Fraction(6, 2): -1}) == ValuedSeries({2: 0, 3: -1})
+
+
 def test_admissible_triple_with_vanishing_delta_and_nonzero_slope():
     setting = ResidueSetting.equichar(2)
     assert check_restriction(2, 3, NEG_INF, setting)

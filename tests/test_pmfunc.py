@@ -327,3 +327,18 @@ class TestIntegerKernelOracle:
         whole = PMFunction.identity((0, 2))
         assert split == whole and hash(split) == hash(whole)
         assert split.breakpoints == (Fraction(0), Fraction(2))
+
+
+@pytest.mark.parametrize("slope", [1.5, 1.9, True])
+def test_slope_int_would_round_is_an_error(slope):
+    # int() used to read both as the slope-1 line PMFunction([0,1]: 0+1x)
+    message = f"slope of segment 0 is {slope!r}, not an integer"
+    with pytest.raises(ValueError) as info:
+        PMFunction([0, 1], [0], [slope])
+    assert str(info.value) == message
+    doc = {"breakpoints": ["0", "1"], "segments": [{"left_value": "0", "slope": slope}]}
+    with pytest.raises(ValueError) as info:
+        PMFunction.from_json_dict(doc)
+    assert str(info.value) == message
+    doc["segments"][0]["slope"] = "2"
+    assert PMFunction.from_json_dict(doc) == PMFunction([0, 1], [0], [2])

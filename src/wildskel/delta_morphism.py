@@ -290,15 +290,14 @@ class DeltaMorphism:
                     raise ValueError(
                         f"delta must vanish at the end of the descending tail {cut(e)}"
                     )
-            else:
-                if raw[u] is None or raw[v] is None:
-                    raise ValueError(f"finite edge {cut(e)} has a vanishing endpoint")
-                if (raw[v] - raw[u]) * src._den != s_uv * l * den:
-                    raise ValueError(
-                        f"delta is not linear along edge {cut(e)}: "
-                        f"{ratio_text(raw[v], den)} != {ratio_text(raw[u], den)} + "
-                        f"{s_uv} * {ratio_text(l, src._den)}"
-                    )
+            # both ends are finite: -inf is only at infinite leaves (the vertex
+            # loop above), and every edge at one is a tail (GenusGraph._store)
+            elif (raw[v] - raw[u]) * src._den != s_uv * l * den:
+                raise ValueError(
+                    f"delta is not linear along edge {cut(e)}: "
+                    f"{ratio_text(raw[v], den)} != {ratio_text(raw[u], den)} + "
+                    f"{s_uv} * {ratio_text(l, src._den)}"
+                )
             for vert, slope in ((u, s_uv), (v, -s_uv)):
                 key = n, slope, raw[vert]
                 if key not in checked:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildskel.annulus import check_restriction
+from wildskel.cli import run
 from wildskel.delta_morphism import (
     BoundaryAnnotation,
     DeltaMorphism,
@@ -564,6 +565,30 @@ class TestMetricDeltaMorphism:
         assert prof.value_at(Fraction(1, 6)) == Fraction(-1, 2)
 
 
+def test_tail_between_two_infinite_leaves_has_no_delta_profile(tmp_path, capsys):
+    """One tail joins two infinite leaves, with delta = |2| = -inf at both
+    ends: the morphism is valid, but its edge has no finite end to start
+    the profile from, in the library and in ``wildskel radial``."""
+    graph = {
+        "vertices": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "length": "inf"}],
+        "infinite_leaves": ["a", "b"],
+    }
+    doc = {
+        "source": graph, "target": graph, "vertex_map": {"a": "a", "b": "b"},
+        "edge_map": {"e": "e"}, "n": {"e": 2}, "sdelta": {"e": 0},
+        "delta": {"a": "-inf", "b": "-inf"}, "setting": "equicharP:2",
+    }
+    mm = morphism_from_json_dict(doc)
+    with pytest.raises(ValueError, match="^edge e has no finite endpoint value$"):
+        mm.delta_profile("e")
+    path = tmp_path / "tail.morphism.json"
+    path.write_text(json.dumps(doc))
+    assert run(["radial", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: edge e has no finite endpoint value\n")
+
+
 class TestCertifySkeleton:
     def test_trivial_branches_pass(self):
         mm = metric_lift("WB", Lengths(l0=Fraction(1)), WILD2)
@@ -609,6 +634,17 @@ class TestCertifySkeleton:
     def test_annotation_keeps_integral_values(self):
         given = BoundaryAnnotation({"a": [(Fraction(2), "1")]})
         assert given == BoundaryAnnotation({"a": ((2, 1),)})
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_annotation_needs_a_positive_n(self, n):
+        with pytest.raises(ValueError, match="^off-graph branch at a needs n >= 1$"):
+            BoundaryAnnotation({"a": [(1, 0), (n, 0)]})
+
+    def test_annotation_of_an_unknown_vertex(self):
+        mm = metric_lift("WB", Lengths(l0=Fraction(1)), WILD2)
+        boundary = BoundaryAnnotation({"zz": ((1, 0),)})
+        with pytest.raises(ValueError, match="^annotation mentions unknown vertex zz$"):
+            certify_skeleton(mm, boundary, ram_in_vertices=True)
 
 
 class TestWideOpenGenus:

@@ -11,10 +11,12 @@ Each revision's ``src/`` is exported with ``git archive`` into a temporary
 directory, so ``git status`` stays as it was.  The recording walk below
 (this file, from the working tree, with ``tests/support.py``) then runs
 once per ``src/`` in a subprocess, and writes one record per call: a label,
-then the JSON or ``repr`` of the result, or the exception type and
-message.  The inputs are every fixture through every CLI subcommand, in
-text mode and with ``--json`` (stdout, stderr and exit code of
-``cli.run`` in process); seeded mutations of the series fixtures; the
+then the JSON or ``repr`` of the result (a built morphism as its
+``morphism_to_json_dict``, from the tree under test), or the exception type
+and message.  The inputs are every fixture through every CLI subcommand, in
+text mode and with ``--json`` (the exit code of ``cli.run`` in process, then
+stdout and stderr one line per record, labelled with the line number);
+seeded mutations of the series fixtures; the
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
@@ -34,8 +36,11 @@ RH divisor report of what it builds; the disconnected targets of
 ``tests/test_error_order.py``; and a few single calls at known edge
 cases.  A function missing from one tree is recorded as missing.
 
-Prints the number of differing records and the first twenty of them;
-exits 0 when there is none, 1 otherwise.  Standard library only.
+Records are matched by label (the ``k``-th record of a label with the
+``k``-th of the same label), so a line that one tree prints and the other
+does not shifts no other record.  Prints the number of differing records
+and the first twenty of them; exits 0 when there is none, 1 otherwise.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ SETTINGS = ("equichar0", "equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1
 
 
 def _render(value) -> str:
+    import wildskel  # the tree under test
+
+    if isinstance(value, wildskel.DeltaMorphism):
+        value = wildskel.morphism_to_json_dict(value)
     if hasattr(value, "to_json_dict"):
         return json.dumps(value.to_json_dict(), sort_keys=True, default=str)
     if isinstance(value, (dict, list)):
@@ -101,7 +110,11 @@ def _cli(rec: _Recorder, argv) -> None:
             code = cli.run(list(argv))
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
-    rec.write("cli " + " ".join(argv), json.dumps([code, stdout.getvalue(), stderr.getvalue()]))
+    label = "cli " + " ".join(argv)
+    rec.write(f"{label} exit", str(code))
+    for name, stream in ("stdout", stdout), ("stderr", stderr):
+        for k, line in enumerate(stream.getvalue().splitlines(keepends=True), 1):
+            rec.write(f"{label} {name} {k}", json.dumps(line))
 
 
 def _cli_inputs(work: Path):
@@ -429,6 +442,16 @@ def _records(src: Path, work: Path, every: int) -> list:
     return done.stdout.splitlines()
 
 
+def _by_label(records: list) -> dict:
+    """The records keyed by ``(label, k)`` for the ``k``-th record of each label."""
+    seen, out = {}, {}
+    for line in records:
+        label = line.split("\t", 1)[0]
+        k = seen[label] = seen.get(label, -1) + 1
+        out[label, k] = line
+    return out
+
+
 def compare(rev: str, other, every: int) -> int:
     """Print the differing records of ``rev`` and ``other`` (None: the
     working tree); return their number."""
@@ -442,11 +465,12 @@ def compare(rev: str, other, every: int) -> int:
         else:
             srcs.append(srcs[0] if other == rev else _export(other, tmp / "b"))
         a, b = (_records(src, work, every) for src in srcs)
+    a, b = _by_label(a), _by_label(b)
     if len(a) != len(b):
-        print(f"record counts differ: {len(a)} and {len(b)}; compared in order")
-    diffs = [(x, y) for x, y in zip(a, b) if x != y]
-    diffs += [(x, None) for x in a[len(b):]] + [(None, y) for y in b[len(a):]]
-    print(f"{len(diffs)} differing records of {max(len(a), len(b))}")
+        print(f"record counts differ: {len(a)} and {len(b)}")
+    keys = list(a) + [k for k in b if k not in a]
+    diffs = [(a.get(k), b.get(k)) for k in keys if a.get(k) != b.get(k)]
+    print(f"{len(diffs)} differing records of {len(keys)}")
     for x, y in diffs[:20]:
         print(f"- {x}\n+ {y}")
     return len(diffs)

@@ -547,60 +547,42 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
         check = is_special(m)
         if not check or not _class_coherent(m, check.characteristic_class):
             continue
-        tag = _tag_of(kind, data)
-        if tag in results:
-            raise AssertionError(f"duplicate special type {tag}")
-        results[tag] = m
+        # no tag twice: the candidates' shape keys are distinct, and
+        # _TAG_BY_SHAPE gives the twelve keys of _SHAPES twelve tags
+        results[_tag_of(kind, data)] = m
     return [
         (SpecialType(tag), results[tag]) for tag in SPECIAL_TAGS if tag in results
     ]
 
 
 def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
-    if m.mult[branch.edge] != 2:
-        raise UnclassifiableError(
-            f"tree edge {branch.edge} has multiplicity {m.mult[branch.edge]}"
-        )
-    label = -m.sdelta(branch)
     child = m.source.head(branch)
-    sub = []
-    for b in m.source.branches(child):
-        if b.edge == branch.edge:
-            continue
-        sub.append(_extract_tree(m, b))
-    try:
-        return RootSubtree(label, tuple(sub))
-    except ValueError as exc:
-        raise UnclassifiableError(str(exc)) from exc
+    sub = [_extract_tree(m, b) for b in m.source.branches(child) if b.edge != branch.edge]
+    return RootSubtree(-m.sdelta(branch), tuple(sub))
 
 
 def classify_special(m: DeltaMorphism) -> SpecialType:
     """Match a special morphism against the twelve shapes.
 
-    Trees hang off the genus-one vertex, or off the two ends of the cycle.
-    The target is a tree, so a cycle upstairs runs over each of its edges
-    twice, and those edges are split; a split edge off the cycle would end
-    in genus-zero leaves of multiplicity one with ``R = 0``, and a stable
-    morphism has none.  So the cycle is the set of multiplicity-one edges.
+    Trees hang off the genus-one vertex, or off the two ends of the cycle,
+    and only the shape can miss the twelve: :func:`is_special` settles the
+    rest (``tests/test_core_invariants.py`` gives the argument and searches
+    for a counterexample).  The source has genus ``1 = h1 + sum of genera``,
+    so one vertex has genus one and there is no cycle, or none has and there
+    is one.  Stability makes the cycle a double edge between two vertices,
+    its edges the only split ones, and each tree a :class:`RootSubtree`.
     """
     check = is_special(m)
     if not check:
         raise ValueError(f"not special: {check.reason}")
     src = m.source
     genus1 = [v for v in src.vertices if src.genus_of(v) == 1]
-    h1 = src.h1()
-    if genus1 and h1 == 0:
-        kind, roots, cycle = "genus1", genus1[:1], ()
-    elif not genus1 and h1 == 1:
+    if genus1:
+        kind, roots, cycle = "genus1", genus1, ()
+    else:
+        kind = "loop"
         cycle = [e for e in src.edge_ids if m.mult[e] == 1]
         roots = sorted({v for e in cycle for v in src.endpoints(e)})
-        if len(roots) != 2 or len(cycle) != 2:
-            raise UnclassifiableError("the cycle is not a two-vertex double edge")
-        kind = "loop"
-    else:
-        raise UnclassifiableError(
-            "neither a genus-one vertex with trees nor a loop with trees"
-        )
     data = [
         [_extract_tree(m, b) for b in src.branches(v) if b.edge not in cycle]
         for v in roots
@@ -673,10 +655,10 @@ def metric_lift(
                 f"mixed lengths must satisfy l1 + 3*l3 = {ratio_text(-a, b)}, "
                 f"got {ratio_text(weighted, den)}"
             )
-    try:
-        return _build(*_SHAPES[tag], (den, of_slope), setting)
-    except ValueError as exc:  # pragma: no cover - the prechecks are complete
-        raise UnliftableError(str(exc)) from exc
+    # the prechecks are complete: delta falls from 0 at the root by label *
+    # length to |2| at every tail (0 tame, -inf wild, -l1 - 3*l3 mixed), and
+    # each (n, slope, delta) triple is admissible (tests/test_core_invariants.py)
+    return _build(*_SHAPES[tag], (den, of_slope), setting)
 
 
 def metric_lengths(mm: MetricDeltaMorphism) -> Lengths:

@@ -664,6 +664,10 @@ class TestDot:
         assert dot.count("--") == 4 + 3  # source edges + target edges
         assert "n=1 sd=0" in dot and "n=2 sd=-1" in dot
 
+    def test_an_object_neither_graph_nor_morphism_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^cannot export object as DOT$"):
+            export_dot(object())
+
     def test_parallel_edges_rendered_twice(self):
         g = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b"), "f": ("a", "b")})
         dot = export_dot(g)

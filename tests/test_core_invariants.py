@@ -4,6 +4,46 @@ re-deriving.
 - The cycle of a special morphism with bad reduction is the set of its
   multiplicity-one edges (``classify_special``).  The leaf-stripping walk
   the classifier used before stays here as the reference, ``_two_core``.
+- ``classify_special`` reads a shape off every special morphism; it has no
+  other failure.  The source has genus ``1 = h1 + sum of genera``, so one
+  vertex has genus one and ``h1 = 0``, or none has and ``h1 = 1``.  The
+  target is a tree, and stability gives the rest:
+
+  - Every split (multiplicity-one) edge is on the cycle.  The two edges
+    over a target edge must disconnect the source, since each side of the
+    target has a nonempty preimage; so both are bridges or both are on
+    the cycle (a cycle crosses a cut an even number of times).  Two bridges
+    leave three pieces, so one side of the target lies under two
+    degree-one sheets, each a copy of that side.  Their edges are split, of
+    slope zero (condition 4), so a vertex there has ``R = 2g``; a
+    genus-one vertex would be an unbalanced non-leaf or a leaf of positive
+    genus (condition 2), so all have genus zero and ``R = 0``.  A target
+    leaf on that side then admits a leaf move, unless the target is that
+    one edge: then the middle vertex has genus one, valence two and
+    ``R = 4``, against condition 2.
+  - The cycle is a double edge between two vertices.  A cycle vertex of
+    multiplicity one has only split edges, so only its two cycle edges,
+    and ``R = 0``, and its target vertex has valence two: a smoothing
+    applies.  So each cycle vertex has multiplicity two, its two cycle
+    edges lie over one target edge, and the cycle is those two edges.
+  - So every tree edge has multiplicity two, and every tree is a
+    ``RootSubtree``.  With ``label`` the slope toward the root, a tree
+    vertex has ``R = label + 1 - sum of (label + 1) over its children``.
+    A leaf with ``R = 0`` admits a leaf move (its target vertex is a leaf
+    with it as the whole fiber, on a target of more than one edge), so a
+    leaf has ``label >= 0``; an inner vertex is balanced (condition 2), so
+    its children's slope indices sum to its own, it has at least two
+    children (one child makes a smoothing) and ``label >= 1``; nonzero
+    labels are odd (condition 5).
+
+  ``test_special_morphisms_have_the_classified_structure`` checks these
+  facts with its own oracle on every special morphism of the corpora and
+  of a seeded search over degree-two covers of random trees.
+- ``metric_lift`` builds every liftable type once its prechecks pass: on
+  the shape builder's output dilation, linearity, the tail values ``|2|``
+  and the slope restriction hold (``test_metric_lift_builds_...``).
+- ``enumerate_special`` finds each tag once: the candidate shapes have
+  distinct keys, and ``_TAG_BY_SHAPE`` has twelve.
 - A fiber vertex that a smoothing removes joins two edges of equal
   multiplicity with a continuous sdelta (``_move_obstruction``).
 - The valence of a target vertex fixes the one move kind it may have: a
@@ -28,15 +68,8 @@ re-deriving.
     sum of at least 3, and no pair of tails has one.  On the loop a
     transfer runs around the cycle, over the split edges, and ``(4)``
     fails first.
-  - ``classify_special``'s two ``UnclassifiableError`` branches and the two
-    errors of ``_extract_tree``.  A special source has genus one, so it has
-    a genus-one vertex and ``h1 = 0`` or none and ``h1 = 1``.  The mutants
-    keep their graphs, so the multiplicity-one edges of a proper loop
-    mutant are its two loop edges.  A tree edge of multiplicity other than
-    2 breaks local constancy at the genus-one vertex.  At an inner tree
-    vertex ``R`` is the slope index minus the children's, so a label sum
-    that fails, a single child, a negative or an even label each fail
-    ``is_special`` or stability first.
+  The tests of ``tests/test_special.py`` reach both ``violated(2)`` for a
+  leaf's multiplicity and ``violated(5)``, on morphisms of their own.
 """
 
 import json
@@ -58,14 +91,21 @@ from wildskel.delta_morphism import (
     stabilize,
 )
 from wildskel.genus_graph import GenusGraph
+from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
 from wildskel.special import (
+    _SHAPES,
+    _TAG_BY_SHAPE,
     LIFTABLE_TAGS,
     SPECIAL_TAGS,
     Lengths,
     SpecialType,
+    _candidate_shapes,
+    _shape_key,
     build_special,
     classify_special,
+    enumerate_root_subtrees,
     is_special,
+    metric_lengths,
     metric_lift,
 )
 from wildskel.valuation import ResidueSetting
@@ -319,3 +359,176 @@ def test_one_kind_per_target_vertex_finds_the_moves_of_both():
             moved += 1
         assert morphism_to_json_dict(m) == expected, group
     assert walked > 4000 and moved > 500
+
+
+# -- the facts classify_special and metric_lift rely on ------------------------
+
+
+def test_candidate_shapes_have_distinct_keys():
+    keys = [_shape_key(kind, data) for kind, data in _candidate_shapes()]
+    assert len(set(keys)) == len(keys) > 12
+    inventory = enumerate_root_subtrees(4)
+    assert len({t.describe() for t in inventory}) == len(inventory)
+    assert len(_TAG_BY_SHAPE) == len(_SHAPES) == 12
+
+
+def _structure_fault(m):
+    """Why ``m`` lacks the structure ``classify_special`` reads, or None:
+    one genus-one vertex on a tree, or a double edge of the split edges
+    between two vertices; tree edges of multiplicity two; and at each tree
+    vertex, with labels the negated slopes away from the roots, a leaf of
+    label >= 0 or an inner vertex of at least two children whose slope
+    indices sum to its own, nonzero labels odd."""
+    src = m.source
+    genus1 = [v for v in src.vertices if src.genus_of(v)]
+    split = sorted(e for e in src.edge_ids if m.mult[e] == 1)
+    if genus1:
+        if (len(genus1), src.genus_of(genus1[0]), src.h1(), split) != (1, 1, 0, []):
+            return "genus-one vertex"
+        roots = genus1
+    else:
+        ends = {frozenset(src.endpoints(e)) for e in split}
+        if src.h1() != 1 or len(split) != 2 or len(ends) != 1 or len(next(iter(ends))) != 2:
+            return "cycle"
+        roots = sorted(next(iter(ends)))
+    stack = [(b, v) for v in roots for b in src.branches(v) if b.edge not in split]
+    while stack:
+        b, parent = stack.pop()
+        child = src.head(b)
+        kids = [c for c in src.branches(child) if c.edge != b.edge]
+        label = -m.sdelta(b)
+        if m.mult[b.edge] != 2 or (label % 2 == 0 and label != 0):
+            return f"tree edge {b.edge}"
+        if not kids and label < 0:
+            return f"leaf {child}"
+        if kids and (len(kids) < 2 or sum(1 - m.sdelta(c) for c in kids) != label + 1):
+            return f"inner vertex {child}"
+        stack += [(c, child) for c in kids]
+    return None
+
+
+def _double_cover(rng):
+    """A seeded degree-two cover of a random tree, None if improper or of
+    genus above one.  Each target vertex has one fiber vertex (``v3``, of
+    multiplicity two) or two (``v3a``, ``v3b``); an edge between two single
+    fiber vertices is one edge of multiplicity two or, at times, a double
+    edge of split ones.  Split edges have slope zero (condition 4).  The
+    labels balance every inner tree vertex, the root mostly too, and some
+    are moved by one or two, so stability and balance both fail at times."""
+    k = rng.randint(2, 9)
+    parent = {i: rng.choice((0, rng.randrange(i), rng.randrange(i))) for i in range(1, k)}
+    split = [rng.random() < 0.3 for _ in range(k)]
+    fiber = {i: [f"v{i}a", f"v{i}b"] if split[i] else [f"v{i}"] for i in range(k)}
+    ends, emap, mult, sdelta, labels = {}, {}, {}, {}, {}
+    for i in range(k - 1, 0, -1):
+        p, e2 = parent[i], f"e{i}'"
+        if split[i] or split[p] or rng.random() < 0.2:
+            for e, a, b in ((f"e{i}a", fiber[p][0], fiber[i][0]),
+                            (f"e{i}b", fiber[p][-1], fiber[i][-1])):
+                ends[e], emap[e], mult[e], sdelta[e] = (a, b), e2, 1, 0
+            continue
+        kids = [j for j in labels if parent[j] == i]
+        inner = any(parent[j] == i for j in parent)
+        label = sum(labels[j] + 1 for j in kids) - 1 if inner else rng.choice((-1, 0, 0, 0, 1, 1, 3))
+        if rng.random() < 0.15:
+            label += rng.choice((-2, -1, 1, 2))
+        labels[i] = label
+        ends[f"e{i}"], emap[f"e{i}"], mult[f"e{i}"] = (fiber[p][0], fiber[i][0]), e2, 2
+    genus = {v: 0 for vs in fiber.values() for v in vs}
+    h1 = len(ends) - len(genus) + 1
+    leaves = [j for j in labels if parent[j] == 0 and all(parent[x] != j for x in parent)]
+    if not split[0] and leaves and rng.random() < 0.7:  # balance the root
+        j = rng.choice(leaves)
+        labels[j] += (4 if h1 == 0 else 2) - sum(labels[x] + 1 for x in labels if parent[x] == 0)
+    sdelta.update({f"e{j}": -label for j, label in labels.items()})
+    if h1 == 0:
+        genus[rng.choice(["v0"] * 6 * (not split[0]) + sorted(genus))] = 1
+    elif h1 != 1:
+        return None
+    target = GenusGraph(
+        {f"v{i}'": 0 for i in range(k)},
+        {f"e{i}'": (f"v{p}'", f"v{i}'") for i, p in parent.items()},
+    )
+    vmap = {v: f"v{i}'" for i, vs in fiber.items() for v in vs}
+    try:
+        return DeltaMorphism(GenusGraph(genus, ends), target, vmap, emap, mult, sdelta)
+    except NotProperError:  # a source in two pieces
+        return None
+
+
+def test_special_morphisms_have_the_classified_structure(search):
+    """On every special morphism of the corpora, the fixtures, the lifts and
+    their stabilized subdivisions, ``stabilize_corpus`` stabilized, the
+    mutation search and 8,000 seeded degree-two covers, the facts hold and
+    ``classify_special`` returns."""
+    corpus = [("shape", build_special(tag)) for tag in SPECIAL_TAGS]
+    corpus += [(p.name, morphism_from_json_dict(json.loads(p.read_text())))
+               for p in sorted(FIXTURES.glob("*.morphism.json"))]
+    corpus += list(lifts()) + search[1]
+    corpus += [(group, stabilize(m)) for group, m in stabilize_corpus()]
+    rng, covers = random.Random(29), []
+    for i in range(8000):
+        m = _double_cover(rng)
+        if m is not None:
+            covers.append(("double cover", m))
+    near = 0  # covers with a split edge off a double edge, all rejected
+    tags = set()
+    for group, m in corpus + covers:
+        if not is_special(m):
+            near += group == "double cover" and _structure_fault(m) in ("genus-one vertex", "cycle")
+            continue
+        assert _structure_fault(m) is None, group
+        tags.add(classify_special(m).tag)
+        if group == "double cover":
+            tags.add("cover " + classify_special(m).tag)
+    assert tags >= set(SPECIAL_TAGS) | {"cover WB", "cover WO", "cover WSS"}
+    assert near > 1000
+
+
+#: Residue settings of each characteristic class for the random lifts.
+LIFT_SETTINGS = {
+    "tame": ("equichar0", "equicharP:3", "equicharP:5", "mixed:3:-1/2", "mixed:7:-5"),
+    "mixed": ("mixed:2:-1", "mixed:2:-2/3", "mixed:2:-7/4"),
+    "wild": ("equicharP:2",),
+}
+
+
+def _random_lengths(rng, tag, setting):
+    """Random admissible lengths of ``tag``: positive exactly on its inner
+    slope classes, ``l1 + 3*l3 = -log|2|`` when mixed."""
+    def positive():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 9))
+
+    w = -setting.int_abs(2).value if tag[0] == "M" else None
+    t = Fraction(rng.randint(1, 11), 12)
+    return {
+        "TB": lambda: Lengths(l0=positive()),
+        "WB": lambda: Lengths(l0=positive()),
+        "MB": lambda: Lengths(l0=positive(), l1=w),
+        "MO": lambda: Lengths(l1=w),
+        "MS": lambda: Lengths(l1=w * t, l3=w * (1 - t) / 3),
+        "MSS": lambda: Lengths(l3=w / 3),
+        "WS": lambda: Lengths(l3=positive()),
+        "TG": Lengths,
+        "WO": Lengths,
+        "WSS": Lengths,
+    }[tag]()
+
+
+def test_metric_lift_builds_for_random_admissible_lengths():
+    rng, built = random.Random(43), 0
+    for tag in LIFTABLE_TAGS:
+        names = list(LIFT_SETTINGS[SpecialType(tag).characteristic_class])
+        if tag[0] == "M":  # and a random log_p
+            names.append(f"mixed:2:-{rng.randint(1, 30)}/{rng.randint(1, 7)}")
+        for name in names:
+            setting = ResidueSetting.parse(name)
+            for _ in range(10):
+                lengths = _random_lengths(rng, tag, setting)
+                mm = metric_lift(tag, lengths, setting)
+                assert isinstance(mm, MetricDeltaMorphism)
+                assert metric_lengths(mm) == lengths
+                assert classify_special(mm).tag == tag
+                built += 1
+    assert built == 10 * (2 * 5 + 4 * 4 + 4 * 1)
+

@@ -111,6 +111,21 @@ class TestProperness:
         with pytest.raises(NotProperError):
             DeltaMorphism(source, target, {"a": "x", "b": "x"}, {}, {}, {})
 
+    @pytest.mark.parametrize("genera, ranks", [({"v": 0}, "{'v': 0}"), ({}, "{}")])
+    def test_empty_source_has_no_constant_rank(self, genera, ranks):
+        # the one way to a non-constant rank: a nonempty source over a
+        # connected target has a constant one by local constancy
+        empty = GenusGraph({}, {})
+        with pytest.raises(NotProperError) as info:
+            DeltaMorphism(empty, GenusGraph(genera, {}), {}, {}, {}, {})
+        assert str(info.value) == f"global rank is not constant: {ranks}"
+
+    def test_repr_names_the_degree_and_the_graph_sizes(self):
+        assert repr(wb()) == (
+            "DeltaMorphism(degree 2: GenusGraph(4 vertices, 4 edges) -> "
+            "GenusGraph(4 vertices, 3 edges))"
+        )
+
 
 def _restated_index(m: DeltaMorphism, v: str) -> int:
     """``chi(v) - sum of S`` from the stored data, each branch found by a scan."""

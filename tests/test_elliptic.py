@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from wildskel.elliptic import EllipticInput, classify_elliptic, log_256
+import pytest
+
+from wildskel.elliptic import EllipticInput, InvalidSettingError, classify_elliptic, log_256
 from wildskel.special import LIFTABLE_TAGS, metric_lift
 from wildskel.valuation import LogAbs, ResidueSetting
 
@@ -79,6 +81,12 @@ class TestTable:
         rep = classify(MIXED2, 4)
         assert rep.lengths.l0 == Fraction(2)
         assert rep.lengths.l1 == Fraction(1)
+
+
+class TestInput:
+    def test_log_j_must_be_a_log_abs(self):
+        with pytest.raises(InvalidSettingError, match="^expected a LogAbs, got 0$"):
+            EllipticInput(TAME0, 0)
 
 
 class TestInvariants:

@@ -245,6 +245,9 @@ class TestEqualityAndHash:
             assert type(again) is type(g) and again == g
             assert again.branches("a") == g.branches("a")
 
+    def test_a_foreign_object_is_unequal(self):
+        assert triangle() != 1 and not triangle() == 1
+
     def test_infinite_leaves_need_lengths(self):
         with pytest.raises(ValueError, match="require edge lengths"):
             GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, infinite_leaves=["l"])

@@ -192,6 +192,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PMFunction((0, 1, 2), (0, 5), (1, 1))
 
+    def test_a_foreign_object_is_unequal(self):
+        f = PMFunction.line((0, 1), 0, 1)
+        assert f != 1 and not f == 1
+
+    def test_line_on_an_empty_domain(self):
+        with pytest.raises(ValueError, match=r"^empty domain \[1, 0\]$"):
+            PMFunction.line((1, 0), 0, 1)
+
     def test_merge_equal_slopes(self):
         f = PMFunction((0, 1, 2), (0, 1), (1, 1))
         assert len(list(f.segments())) == 1

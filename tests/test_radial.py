@@ -10,7 +10,9 @@ from wildskel.delta_morphism import (
 )
 from wildskel.elliptic import EllipticInput, classify_elliptic
 from wildskel.genus_graph import MetricGenusGraph
+from wildskel import radial
 from wildskel.radial import (
+    StrictnessReport,
     WrongDegreeError,
     degree_p_locus,
     radial_vs_ball,
@@ -211,4 +213,13 @@ class TestSupersingularWitness:
         )
         assert not supersingular_witness(
             classify_elliptic(EllipticInput.of(WILD2, Fraction(0)))
+        )
+
+    def test_disagreement_is_an_assertion_error(self, monkeypatch):
+        report = classify_elliptic(EllipticInput.of(MIXED2, Fraction(0)))  # MO
+        monkeypatch.setattr(radial, "radial_vs_ball", lambda r: StrictnessReport(True, "e"))
+        with pytest.raises(AssertionError) as info:
+            supersingular_witness(report)
+        assert str(info.value) == (
+            "witness disagreement for MO: type=False scan=False radial=True"
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
+from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism, stabilize
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import (
     LIFTABLE_TAGS,
@@ -114,6 +114,38 @@ class TestIsSpecial:
         check = is_special(m)
         assert not check.ok
         assert "violated(2)" in check.reason
+
+    def test_leaf_of_multiplicity_one_violates_the_leaf_condition(self):
+        # two split leaves over one target leaf; w1 has R = 1, w2 R = 3, and
+        # v balances them; one target edge leaves no move
+        source = GenusGraph({"v": 1, "w1": 0, "w2": 0}, {"a": ("w1", "v"), "b": ("w2", "v")})
+        target = GenusGraph({"x": 0, "y": 0}, {"e": ("x", "y")})
+        m = DeltaMorphism(
+            source, target, {"v": "y", "w1": "x", "w2": "x"}, {"a": "e", "b": "e"},
+            {"a": 1, "b": 1}, {"a": 1, "b": 3},
+        )
+        check = is_special(m)
+        assert not check.ok
+        assert check.reason == "violated(2): leaf w1 has R = 1 but multiplicity 1"
+
+    def test_even_nonzero_slope_violates_condition_five(self):
+        # TG with three of its tame tails moved behind an inner edge of
+        # label 2 (slope index 3 = 1 + 1 + 1): stable, balanced, mixed
+        ends = {"e": ("r", "c"), "f1": ("c", "l1"), "f2": ("c", "l2"),
+                "f3": ("c", "l3"), "g": ("r", "l4")}
+        genera = {"r": 1, "c": 0, "l1": 0, "l2": 0, "l3": 0, "l4": 0}
+        target = GenusGraph(
+            {v + "'": 0 for v in genera},
+            {e + "'": (a + "'", b + "'") for e, (a, b) in ends.items()},
+        )
+        m = DeltaMorphism(
+            GenusGraph(genera, ends), target, {v: v + "'" for v in genera},
+            {e: e + "'" for e in ends}, dict.fromkeys(ends, 2),
+            {"e": -2, "f1": 0, "f2": 0, "f3": 0, "g": 0},
+        )
+        check = is_special(m)
+        assert not check.ok
+        assert check.reason == "violated(5): edge e has even nonzero slope -2"
 
     def test_all_twelve_pass(self):
         for tag in SPECIAL_TAGS:
@@ -337,6 +369,21 @@ class TestMetricLiftValidation:
             setting = setting_for(tag)
             mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
             assert classify_special(mm.morphism).tag == tag
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^l0 must be nonnegative$"):
+            Lengths(l0=-1)
+
+    def test_unequal_pieces_of_one_slope_class_rejected(self):
+        from tests.support import subdivide_metric
+        from wildskel.special import metric_lengths
+
+        setting = setting_for("WS")
+        mm = metric_lift("WS", canonical_lengths("WS", setting), setting)
+        sub = subdivide_metric(random.Random(2), mm)
+        with pytest.raises(ValueError, match="^inner edges of slope 3 have different lengths$"):
+            metric_lengths(sub)
+        assert metric_lengths(stabilize(sub)) == canonical_lengths("WS", setting)
 
     def test_metric_lengths_roundtrip(self):
         from wildskel.special import metric_lengths

@@ -49,6 +49,30 @@ class TestLogAbs:
         assert NEG_INF < 0
         assert LogAbs(0) == 0
 
+    def test_neg_inf_has_no_value(self):
+        with pytest.raises(ValueError, match="^NEG_INF has no finite value$"):
+            NEG_INF.value
+
+    @pytest.mark.parametrize("other", [1.5, "1", None])
+    def test_foreign_operand_is_a_type_error(self, other):
+        for apply in (lambda a: a + other, lambda a: a - other, lambda a: a * other):
+            with pytest.raises(TypeError):
+                apply(LogAbs(1))
+
+    def test_neg_inf_minus_a_finite_value_is_neg_inf(self):
+        assert NEG_INF - LogAbs(3) is NEG_INF
+        assert NEG_INF - 2 is NEG_INF
+
+    def test_compare_with_a_str(self):
+        assert LogAbs(0) != "0" and not LogAbs(0) == "0"
+        for compare in (lambda a: a < "0", lambda a: a >= "0"):
+            with pytest.raises(TypeError):
+                compare(LogAbs(0))
+
+    def test_greater_or_equal(self):
+        assert LogAbs(0) >= LogAbs(-1) and LogAbs(0) >= 0 and LogAbs(0) >= NEG_INF
+        assert NEG_INF >= NEG_INF and not NEG_INF >= -5 and not LogAbs(-1) >= 0
+
 
 class TestPlusInfinity:
     def test_ordering(self):

@@ -36,7 +36,9 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from . import pmfunc
 from .pmfunc import PMFunction
-from .valuation import Frozen, LogAbs, Record, ResidueSetting, as_int, echo, parse_rational
+from .valuation import (
+    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, parse_rational
+)
 
 
 class ConstantSeriesError(ValueError):
@@ -200,7 +202,7 @@ def skeleton_image_law(series: ValuedSeries, at_log_r) -> Tuple[int, LogAbs]:
     map on the skeleton is ``|m|``.
     """
     _require_normalized(series)
-    p, q = pmfunc._ratio(at_log_r)
+    p, q = as_ratio(at_log_r, "at_log_r")
     pd = p * series.den
     # (m, h_m) with h_m + m*x maximal, scaled by D*q; the minimal m wins a tie
     m, n = max(series.terms, key=lambda t: (t[1] * q + t[0] * pd, -t[0]))

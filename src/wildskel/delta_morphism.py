@@ -44,7 +44,7 @@ from .annulus import check_restriction
 from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
 from .pmfunc import PMFunction
 from .valuation import (
-    INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, cut, echo, exact,
+    INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, cut, echo,
     parse_ratio, ratio_text, scaled,
 )
 
@@ -637,9 +637,8 @@ class MetricDeltaMorphism(DeltaMorphism):
         ratios = {}  # in the core's order, up to the first vertex it misses
         for v in takewhile(delta.__contains__, source.vertices if source.is_metric else ()):
             d = delta[v]
-            if not isinstance(d, LogAbs):
-                d = LogAbs(exact(d, "delta", v, "a rational or -inf"))
-            ratios[v] = None if d.is_neg_inf else d.value.as_integer_ratio()
+            noun = "a rational or -inf"
+            ratios[v] = None if d == NEG_INF else as_ratio(d, "delta", v, noun, log=True)
         self._attach_delta(*scaled(ratios, None), setting)
 
     @property

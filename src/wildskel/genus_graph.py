@@ -33,7 +33,7 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, as_int, cut, echo, exact, parse_ratio, ratio_text, scaled
+    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, parse_ratio, ratio_text, scaled
 )
 
 
@@ -118,8 +118,8 @@ class GenusGraph:
             _repeated_id("graph", "edge", edges)
         ratios = {}  # in the core's order, up to the first length it rejects
         for e in takewhile((lengths or {}).__contains__, sorted(ends)):
-            l = exact(lengths[e], "lengths", e, "a rational or inf")
-            ratios[e] = l = l if l is INF else Fraction(l).as_integer_ratio()
+            l = lengths[e]
+            ratios[e] = l = l if l is INF else as_ratio(l, "lengths", e, "a rational or inf")
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, as_int, parse_length, ratio_text
+from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, parse_length, ratio_text
 
 
 class OutOfDomainError(ValueError):
@@ -51,18 +51,6 @@ class EmptySeriesError(ValueError):
 Domain = Tuple[Fraction, ExtendedRational]
 
 
-def _ratio(x) -> Tuple[int, int]:
-    """Numerator and positive denominator of a rational point."""
-    if type(x) is not Fraction and type(x) is not int:
-        x = Fraction(x)
-    return x.as_integer_ratio()
-
-
-def _value_ratio(v) -> Tuple[int, int]:
-    """As :func:`_ratio`, also accepting a finite :class:`LogAbs`."""
-    return _ratio(v.value if isinstance(v, LogAbs) else v)
-
-
 def _over_common_denominator(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
     """The lcm of the denominators, and each ratio's numerator over it."""
     den = lcm(*[q for _, q in ratios])
@@ -73,10 +61,10 @@ def _domain_ends(domain) -> List[Tuple[int, int]]:
     """The finite ends of ``domain = (a, b)`` as ratios: ``[a]`` when
     ``b`` is ``+inf``, else ``[a, b]``."""
     a, b = domain
-    ra = _ratio(a)
+    ra = as_ratio(a, "domain", 0)
     if b is INF:
         return [ra]
-    rb = _ratio(b)
+    rb = as_ratio(b, "domain", 1)
     if rb[0] * ra[1] < ra[0] * rb[1]:
         raise ValueError(f"empty domain [{Fraction(*ra)}, {Fraction(*rb)}]")
     return [ra, rb]
@@ -100,17 +88,14 @@ class PMFunction:
         left_values: Sequence[Fraction],
         slopes: Sequence[int],
     ):
-        if len(breaks) < 2 or len(left_values) != len(breaks) - 1 or len(
-            slopes
-        ) != len(breaks) - 1:
+        if len(breaks) < 2 or not len(left_values) == len(slopes) == len(breaks) - 1:
             raise ValueError("inconsistent segment data")
         breaks = list(breaks)
         if any(x is INF for x in breaks[:-1]):
             raise ValueError("only the final breakpoint may be infinite")
-        finite = [_ratio(x) for x in breaks if x is not INF]
-        den, nums = _over_common_denominator(
-            finite + [_value_ratio(v) for v in left_values]
-        )
+        finite = [as_ratio(x, "breakpoints", j) for j, x in enumerate(breaks) if x is not INF]
+        values = [as_ratio(v, "left_values", j, log=True) for j, v in enumerate(left_values)]
+        den, nums = _over_common_denominator(finite + values)
         slopes = [as_int(s, f"slope of segment {j}") for j, s in enumerate(slopes)]
         self._store(den, nums[: len(finite)], nums[len(finite) :], slopes)
 
@@ -157,8 +142,8 @@ class PMFunction:
 
     @classmethod
     def line(cls, domain, left_value, slope: int) -> "PMFunction":
-        ends = _domain_ends(domain)
-        den, nums = _over_common_denominator(ends + [_value_ratio(left_value)])
+        ratios = _domain_ends(domain) + [as_ratio(left_value, "left_value", log=True)]
+        den, nums = _over_common_denominator(ratios)
         return cls._from_scaled(den, nums[:-1], nums[-1:], [as_int(slope, "slope")])
 
     @classmethod
@@ -194,7 +179,7 @@ class PMFunction:
     def _locate(self, x) -> Tuple[int, int, int]:
         """``(p, q, j)`` with ``x = p/q`` and ``j`` the rightmost segment
         whose left endpoint is <= x (``x == b`` uses the last segment)."""
-        p, q = _ratio(x)
+        p, q = as_ratio(x, "point")
         xs, n = self._xs, len(self._slopes)
         pd = p * self._den
         if pd < xs[0] * q or (len(xs) > n and pd > xs[-1] * q):
@@ -286,9 +271,9 @@ class PMFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PMFunction":
-        breaks = [parse_length(x) for x in data["breakpoints"]]
-        values = [Fraction(seg["left_value"]) for seg in data["segments"]]
-        return cls(breaks, values, [seg["slope"] for seg in data["segments"]])
+        breaks = [parse_length(x) if type(x) is str else x for x in data["breakpoints"]]
+        segments = data["segments"]
+        return cls(breaks, [s["left_value"] for s in segments], [s["slope"] for s in segments])
 
 
 def monomial_product(
@@ -404,7 +389,8 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
 def scaled_series(coeffs: Mapping) -> Tuple[int, List[Tuple[int, int]]]:
     """A map ``exponent -> log coefficient`` over its least common
     denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
-    items = sorted((as_int(i, "series exponent"), _value_ratio(v)) for i, v in coeffs.items())
+    items = sorted([(as_int(i, "series exponent"), as_ratio(v, "series", i, log=True))
+                    for i, v in coeffs.items()])
     if not items:
         raise EmptySeriesError("series has empty support")
     den, nums = _over_common_denominator([r for _, r in items])

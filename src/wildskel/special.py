@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
 from .genus_graph import GenusGraph, OrientedEdge
-from .valuation import INF, Frozen, Record, ResidueSetting, ratio_text, scaled
+from .valuation import INF, Frozen, Record, ResidueSetting, as_ratio, ratio_text, scaled
 
 
 class UnclassifiableError(ValueError):
@@ -606,7 +606,7 @@ class Lengths(Record):
     ):
         values = []
         for name, val in (("l0", l0), ("l1", l1), ("l3", l3)):
-            val = val if type(val) is Fraction else Fraction(val)
+            val = val if type(val) is Fraction else Fraction(*as_ratio(val, name))
             if val.numerator < 0:
                 raise ValueError(f"{name} must be nonnegative")
             values.append(val)

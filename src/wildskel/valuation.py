@@ -163,7 +163,7 @@ class LogAbs(Frozen):
     def __init__(self, value: RationalLike):
         # Fractions are immutable, so an exact Fraction is shared, not copied
         if type(value) is not Fraction:
-            value = Fraction(value)
+            value = Fraction(*as_ratio(value, "log value"))
         object.__setattr__(self, "_value", value)
 
     @classmethod
@@ -267,7 +267,7 @@ class LogAbs(Frozen):
 
 NEG_INF = LogAbs._make_neg_inf()
 
-ZERO = LogAbs(0)
+ZERO = LogAbs(Fraction(0))
 
 
 class _PlusInfinity:
@@ -363,6 +363,18 @@ def as_int(value, entry: str, key=None) -> int:
     if n is None or (n != value and not isinstance(value, (str, bytes))):
         raise ValueError(f"{_named(entry, key)} is {echo(value)}, not an integer")
     return n
+
+
+def as_ratio(value, entry: str, key=None, noun: str = "a rational", log: bool = False):
+    """``(numerator, positive denominator)`` of the rational ``value`` of ``entry``
+    (at ``key``): a text through :func:`parse_rational`, a finite LogAbs if ``log``
+    values belong there, and else ``Fraction()`` of an ``exact`` value."""
+    cls = type(value)
+    if cls is not Fraction and cls is not int:  # the common cases first
+        if log and cls is LogAbs:
+            value = value.value
+        value = parse_rational(value) if cls is str else Fraction(exact(value, entry, key, noun))
+    return value.as_integer_ratio()
 
 
 def parse_rational(text: str) -> Fraction:
@@ -466,6 +478,7 @@ class ResidueSetting(Frozen):
     __slots__ = ("char", "res_char", "log_p", "_kind")
 
     def __init__(self, char: int, res_char: int, log_p: LogAbs | None = None):
+        char, res_char = as_int(char, "char"), as_int(res_char, "res_char")
         if char >= 2**64 or res_char >= 2**64:
             raise ValueError(f"characteristic {max(char, res_char)} is not below 2^64")
         if char == 0 and res_char == 0:

@@ -278,3 +278,85 @@ class TestParseRatio:
         assert parse_ratio("-0", "-inf", None) == (0, 1)
         assert parse_ratio("2.50", "-inf", None) == (5, 2)
         assert parse_ratio("\t-inf ", "-inf", None) is None
+
+
+# -- one reader of rationals at every public entry ------------------------------
+
+
+def _entries():
+    """``name -> (call of one value, message[, sign of the value])``: each
+    public entry that reads a rational value outside graph lengths and delta,
+    which refuse a float and a bool alike (``as_ratio``)."""
+    from wildskel.annulus import ValuedSeries, different_profile, skeleton_image_law
+    from wildskel.elliptic import EllipticInput
+    from wildskel.pmfunc import PMFunction, tropical_eval
+    from wildskel.special import Lengths
+
+    series, setting = ValuedSeries({1: 0, 2: -1}), ResidueSetting.equichar(3)
+    line = PMFunction.line((0, 2), 0, 1)
+
+    def segment(value, point="1"):
+        return {"breakpoints": ["0", point], "segments": [{"left_value": value, "slope": 1}]}
+
+    return {
+        "series value": (lambda x: ValuedSeries({1: x, 2: -1}), "series value of 1"),
+        "series map value": (lambda x: tropical_eval({1: x}, (0, 1)), "series value of 1"),
+        "left value": (lambda x: PMFunction([0, 1], [x], [1]), "left_values value of 0"),
+        "breakpoint": (lambda x: PMFunction([0, x, 2], [0, 0], [0, 0]), "breakpoints value of 1"),
+        "JSON left value": (lambda x: PMFunction.from_json_dict(segment(x)), "left_values value of 0"),
+        "JSON breakpoint": (lambda x: PMFunction.from_json_dict(segment(0, x)),
+                            "breakpoints value of 1"),
+        "line domain": (lambda x: PMFunction.line((x, 2), 0, 1), "domain value of 0"),
+        "line left value": (lambda x: PMFunction.line((0, 2), x, 1), "left_value"),
+        "value_at": (line.value_at, "point"),
+        "slope_at": (lambda x: line.slope_at(x, "left"), "point"),
+        "profile domain": (lambda x: different_profile(series, setting, (0, x)),
+                           "domain value of 1"),
+        "image law point": (lambda x: skeleton_image_law(series, x), "at_log_r"),
+        "LogAbs": (LogAbs, "log value"),
+        "Lengths": (lambda x: Lengths(l1=x), "l1"),
+        "mixed log_p": (lambda x: ResidueSetting.mixed(2, x), "log value", -1),
+        "EllipticInput.of": (lambda x: EllipticInput.of(setting, x), "log value"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_entries()))
+def test_float_and_bool_are_refused(name):
+    call, entry, sign = (*_entries()[name], 1)[:3]
+    for value in (0.5 * sign, 1.0 * sign, True):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{entry} is {value!r}, not a rational"
+
+
+@pytest.mark.parametrize("name", sorted(_entries()))
+def test_int_fraction_and_text_read_alike(name):
+    call, _, sign = (*_entries()[name], 1)[:3]
+    results = [call(value) for value in (sign, Fraction(sign), str(sign), f" {2 * sign}/2 ")]
+    assert all(r == results[0] for r in results)
+
+
+@pytest.mark.parametrize("value", [3.0, 3.5, True])
+def test_characteristics_are_integers(value):
+    for char, res_char, entry in ((value, 3, "char"), (0, value, "res_char")):
+        with pytest.raises(ValueError) as info:
+            ResidueSetting(char, res_char, None if char else LogAbs(-1))
+        assert str(info.value) == f"{entry} is {value!r}, not an integer"
+    assert ResidueSetting("3", 3).describe() == "equicharP:3"
+
+
+def test_a_copy_of_neg_inf_is_minus_infinity_as_delta():
+    import copy
+
+    from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
+    from wildskel.genus_graph import GenusGraph
+
+    g = GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": INF}, ["l"])
+    m = DeltaMorphism(g, g, {"a": "a", "l": "l"}, {"e": "e"}, {"e": 1}, {"e": 0})
+    setting = ResidueSetting.equichar(2)
+    mm = MetricDeltaMorphism(m, {"a": ZERO, "l": copy.deepcopy(ZERO)}, setting)
+    assert mm.delta == {"a": ZERO, "l": ZERO}
+    two = DeltaMorphism(g, GenusGraph({"x": 0, "y": 0}, {"f": ("x", "y")}, {"f": INF}, ["y"]),
+                        {"a": "x", "l": "y"}, {"e": "f"}, {"e": 2}, {"e": -1})
+    mm = MetricDeltaMorphism(two, {"a": ZERO, "l": copy.deepcopy(NEG_INF)}, setting)
+    assert mm.delta["l"] is NEG_INF

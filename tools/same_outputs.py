@@ -29,7 +29,10 @@ products across domains) and, under a stand-in setting in which some
 arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
 random morphisms; ``contract_morphism`` and ``contract_graph`` of both
 move kinds at every target vertex of each morphism, legal or not;
-``enumerate_root_subtrees``; the public ``DeltaMorphism`` on each random
+``enumerate_root_subtrees``; numbers, texts, floats, bools and a
+``LogAbs`` as series values, ``PMFunction`` values and breakpoints, ``LogAbs``,
+``Lengths`` and query points, and as characteristics of a ``ResidueSetting``;
+the public ``DeltaMorphism`` on each random
 metric draw's graphs with one finite length doubled, and on the metric
 fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
 RH divisor report of what it builds; the disconnected targets of
@@ -224,6 +227,18 @@ def record(out, work: Path, every: int) -> None:
     for value in (ws.LogAbs(0), 0, "0", 0.0, -0.5, False):
         rec.call(f"metric identity with delta {value!r}", pub("MetricDeltaMorphism"),
                  identity, {"a": ws.LogAbs(0), "b": value}, setting)
+
+    line = ws.PMFunction.line((0, 2), 0, 1)
+    for value in (Fraction(1, 10), "1/10", "1/0", 0.1, 1.0, True, ws.LogAbs(-1), None):
+        rec.call(f"series with value {value!r}", pub("ValuedSeries"), {1: value, 2: -1})
+        rec.call(f"PMFunction with left value {value!r}", pub("PMFunction"), [0, 1], [value], [1])
+        rec.call(f"PMFunction with breakpoint {value!r}", pub("PMFunction"), [0, value, 2],
+                 [0, 0], [0, 0])
+        rec.call(f"LogAbs of {value!r}", pub("LogAbs"), value)
+        rec.call(f"Lengths with l1 {value!r}", lambda: ws.Lengths(l1=value))
+        rec.call(f"value_at {value!r}", line.value_at, value)
+    for char in (3, "3", 3.0, 3.5, True):
+        rec.call(f"setting with characteristic {char!r}", lambda: ws.ResidueSetting(char, char))
 
     def contracted(m, move):
         return ws.morphism_to_json_dict(ws.contract_morphism(m, move))

@@ -8,6 +8,10 @@ linear ones, and all identities become exact integer/rational checks.
 
 The normalization of the scale is a free choice; by convention
 ``log|p| = -1`` unless the caller picks another negative rational.
+
+Public inputs are read here, exactly: :func:`as_int` for integers and
+:func:`as_ratio` for rationals, which refuse a float (inexact) and a bool
+(a number by accident) alike: ``series value of 1 is 0.1, not a rational``.
 """
 
 from __future__ import annotations
@@ -343,9 +347,8 @@ def _named(entry: str, key) -> str:
 
 
 def exact(value, entry: str, key=None, noun: str = "an integer"):
-    """``value`` of a public constructor's map ``entry`` (at ``key``, if
-    any), which must not be a float (inexact) or a bool (a number by
-    accident), else a ValueError."""
+    """``value`` of the public input ``entry`` (at ``key``, if any), unless it is
+    a float or a bool: that is the ValueError ``... is <value>, not <noun>``."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"{_named(entry, key)} is {echo(value)}, not {noun}")
     return value
@@ -366,9 +369,8 @@ def as_int(value, entry: str, key=None) -> int:
 
 
 def as_ratio(value, entry: str, key=None, noun: str = "a rational", log: bool = False):
-    """``(numerator, positive denominator)`` of the rational ``value`` of ``entry``
-    (at ``key``): a text through :func:`parse_rational`, a finite LogAbs if ``log``
-    values belong there, and else ``Fraction()`` of an ``exact`` value."""
+    """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_rational`,
+    a finite LogAbs if ``log``, else ``Fraction()`` of an ``exact`` value."""
     cls = type(value)
     if cls is not Fraction and cls is not int:  # the common cases first
         if log and cls is LogAbs:

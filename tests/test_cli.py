@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildskel.cli import export_dot, run
+from wildskel.cli import build_parser, export_dot, run
 from wildskel.delta_morphism import morphism_from_json_dict, morphism_to_json_dict
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import build_special
@@ -688,6 +689,54 @@ class TestDot:
         assert strings == [
             'g_a"b', 'a"b g=0', "g_c\\", "c\\ g=1", 'g_a"b', "g_c\\", 'e"\\'
         ]
+
+
+#: One call per subcommand that succeeds when stdout can be written.
+EVERY_SUBCOMMAND = [
+    ["rh-check", str(FIXTURES / "wb.morphism.json")],
+    ["stabilize", str(FIXTURES / "wb_subdivided.morphism.json")],
+    ["classify-special", str(FIXTURES / "ms.morphism.json")],
+    ["enumerate-special"],
+    ["metric-lift", "--type", "MS", "--l1", "1/2", "--l3", "1/6", "--setting", "mixed:2:-1"],
+    ["elliptic", "--char", "0", "--res-char", "2", "--log-p", "-1", "--log-j", "-4"],
+    ["annulus", "--series", str(FIXTURES / "binomial_p2.series"), "--setting", "mixed:2:-1",
+     "--domain=-1:0"],
+    ["radial", str(FIXTURES / "ms_metric.morphism.json")],
+    ["export-dot", str(FIXTURES / "wb.morphism.json")],
+]
+
+
+class TestOutput:
+    """What every subcommand does with its output, whatever it computes."""
+
+    def test_every_subcommand_is_listed(self):
+        subparsers = build_parser()._subparsers._group_actions[0]
+        assert sorted(argv[0] for argv in EVERY_SUBCOMMAND) == sorted(subparsers.choices)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_broken_pipe_is_an_input_error(self, argv, mode):
+        """A stdout that refuses to be written (a closed pipe) is exit 2 and
+        one error line, not a traceback."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            code = run(argv + mode)
+        assert (code, err.getvalue()) == (2, f"error: [Errno {errno.EPIPE}] Broken pipe\n")
+
+    def test_export_dot_prints_dot_under_json(self, tmp_path, capsys):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(build_special("WB").source.to_json_dict()))
+        for path in (FIXTURES / "wb.morphism.json", graph):
+            assert run(["export-dot", str(path)]) == 0
+            text = capsys.readouterr()
+            assert run(["export-dot", str(path), "--json"]) == 0
+            assert capsys.readouterr() == text
+            assert text.out.startswith("graph ") and text.err == ""
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -4,6 +4,12 @@ Subcommands: rh-check, stabilize, classify-special, enumerate-special,
 metric-lift, elliptic, annulus, radial, export-dot.  Exit code 0 means
 success (or a passing verdict), 1 a failing verdict or an unliftable
 request, 2 an input error.
+
+Output takes one path: a subcommand computes its result once and returns
+``(exit code, JSON payload, text lines)`` without printing; :func:`run`
+prints the payload under ``--json`` (export-dot has none and prints DOT in
+both modes) and the lines otherwise, inside the ``try`` that turns an
+``OSError`` such as a closed pipe into ``error: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import json
 import os
 import sys
 
-from . import annulus as annulus_mod
-from . import radial as radial_mod
 from .annulus import ValuedSeries, different_profile, different_report, normalize
 from .delta_morphism import (
     DeltaMorphism,
@@ -24,6 +28,7 @@ from .delta_morphism import (
 )
 from .elliptic import EllipticInput, classify_elliptic
 from .genus_graph import GenusGraph
+from .radial import degree_p_locus, radial_vs_ball
 from .special import (
     Lengths,
     UnliftableError,
@@ -101,23 +106,21 @@ def graph_to_dot(
 def export_dot(obj) -> str:
     """Deterministic DOT text for a graph or a morphism."""
     if isinstance(obj, DeltaMorphism):
-        lines = ["graph morphism {"]
-        lines.append("  subgraph cluster_source {")
-        lines.append('    label="source";')
-        lines.append(
-            graph_to_dot(
-                obj.source,
-                "src",
-                "    ",
-                lambda e: f"n={obj.mult[e]} sd={obj.sdelta_stored(e)}",
-            )
-        )
-        lines.append("  }")
-        lines.append("  subgraph cluster_target {")
-        lines.append('    label="target";')
-        lines.append(graph_to_dot(obj.target, "tgt", "    "))
-        lines.append("  }")
-        lines.append("}")
+        def edge_label(e):
+            return f"n={obj.mult[e]} sd={obj.sdelta_stored(e)}"
+
+        lines = [
+            "graph morphism {",
+            "  subgraph cluster_source {",
+            '    label="source";',
+            graph_to_dot(obj.source, "src", "    ", edge_label),
+            "  }",
+            "  subgraph cluster_target {",
+            '    label="target";',
+            graph_to_dot(obj.target, "tgt", "    "),
+            "  }",
+            "}",
+        ]
         return "\n".join(lines) + "\n"
     if isinstance(obj, GenusGraph):
         return "graph g {\n" + graph_to_dot(obj, "g", "  ") + "\n}\n"
@@ -127,36 +130,31 @@ def export_dot(obj) -> str:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _cmd_rh_check(args) -> int:
+def _cmd_rh_check(args):
     m = _load_morphism(args.file)
     div = m.rh_divisor_identity()
     deg = m.rh_degree_identity()
-    if args.json:
-        print(_dump({"divisor": div.to_json_dict(), "degree": deg.to_json_dict()}))
-    else:
-        print(f"K_source          = {div.canonical!r}")
-        print(f"pullback K_target = {div.pullback_canonical!r}")
-        print(f"R (ramification)  = {div.ramification!r}")
-        print(f"Delta             = {div.delta!r}")
-        print(f"divisor identity: {'ok' if div.ok else 'VIOLATED'}")
-        print(
-            f"degree identity:  {'ok' if deg.ok else 'VIOLATED'} "
-            f"({deg.lhs} = {deg.degree}*(2g'-2) + {deg.r_sum})"
-        )
-    return 0 if div.ok and deg.ok else 1
+    payload = {"divisor": div.to_json_dict(), "degree": deg.to_json_dict()}
+    lines = [
+        f"K_source          = {div.canonical!r}",
+        f"pullback K_target = {div.pullback_canonical!r}",
+        f"R (ramification)  = {div.ramification!r}",
+        f"Delta             = {div.delta!r}",
+        f"divisor identity: {'ok' if div.ok else 'VIOLATED'}",
+        f"degree identity:  {'ok' if deg.ok else 'VIOLATED'} "
+        f"({deg.lhs} = {deg.degree}*(2g'-2) + {deg.r_sum})",
+    ]
+    return 0 if div.ok and deg.ok else 1, payload, lines
 
 
-def _cmd_stabilize(args) -> int:
+def _cmd_stabilize(args):
     result = stabilize(_load_morphism(args.file))
-    if args.json:
-        print(_dump(morphism_to_json_dict(result)))
-    else:
-        print(
-            f"stabilized: {len(result.source.vertices)} vertices, "
-            f"{len(result.source.edge_ids)} edges over "
-            f"{len(result.target.vertices)} vertices"
-        )
-    return 0
+    line = (
+        f"stabilized: {len(result.source.vertices)} vertices, "
+        f"{len(result.source.edge_ids)} edges over "
+        f"{len(result.target.vertices)} vertices"
+    )
+    return 0, morphism_to_json_dict(result), [line]
 
 
 def _type_report(t, m) -> dict:
@@ -168,33 +166,25 @@ def _type_report(t, m) -> dict:
     }
 
 
-def _cmd_classify_special(args) -> int:
+def _cmd_classify_special(args):
     m = _load_morphism(args.file)
     check = is_special(m)
     if not check:
-        if args.json:
-            print(_dump({"special": False, "reason": check.reason}))
-        else:
-            print(f"not special: {check.reason}")
-        return 1
+        reason = check.reason
+        return 1, {"special": False, "reason": reason}, [f"not special: {reason}"]
     t = classify_special(m)
     report = {"special": True, **_type_report(t, m)}
+    line = (
+        f"type {t.tag} ({t.characteristic_class}); ramification "
+        f"signature {report['ramification_signature']}"
+    )
     if m.setting is not None:
         report["lengths"] = metric_lengths(m).to_json_dict()
-    if args.json:
-        print(_dump(report))
-    else:
-        line = (
-            f"type {t.tag} ({t.characteristic_class}); ramification "
-            f"signature {report['ramification_signature']}"
-        )
-        if "lengths" in report:
-            line += f"; lengths {report['lengths']}"
-        print(line)
-    return 0
+        line += f"; lengths {report['lengths']}"
+    return 0, report, [line]
 
 
-def _cmd_enumerate_special(args) -> int:
+def _cmd_enumerate_special(args):
     pairs = enumerate_special()
     if args.fixtures:
         os.makedirs(args.fixtures, exist_ok=True)
@@ -208,20 +198,18 @@ def _cmd_enumerate_special(args) -> int:
             path = os.path.join(args.fixtures, name)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_dump(data) + "\n")
-    if args.json:
-        print(
-            _dump([{**_type_report(t, m), "liftable": t.liftable} for t, m in pairs])
-        )
-    else:
-        for t, m in pairs:
-            sig = ramification_signature(m)
-            lift = "liftable" if t.liftable else "exceptional"
-            print(f"{t.tag:3}  {t.characteristic_class:5}  R={list(sig)}  {lift}")
-        print(f"total: {len(pairs)}")
-    return 0
+    reports = [{**_type_report(t, m), "liftable": t.liftable} for t, m in pairs]
+    lines = [
+        f"{r['type']:3}  {r['characteristic_class']:5}  "
+        f"R={r['ramification_signature']}  "
+        + ("liftable" if r["liftable"] else "exceptional")
+        for r in reports
+    ]
+    lines.append(f"total: {len(reports)}")
+    return 0, reports, lines
 
 
-def _cmd_metric_lift(args) -> int:
+def _cmd_metric_lift(args):
     setting = ResidueSetting.parse(args.setting)
     lengths = Lengths(
         parse_rational(args.l0), parse_rational(args.l1), parse_rational(args.l3)
@@ -229,22 +217,14 @@ def _cmd_metric_lift(args) -> int:
     try:
         mm = metric_lift(args.type, lengths, setting)
     except UnliftableError as exc:
-        if args.json:
-            print(_dump({"ok": False, "reason": str(exc)}))
-        else:
-            print(f"unliftable: {exc}")
-        return 1
-    if args.json:
-        print(_dump(morphism_to_json_dict(mm)))
-    else:
-        print(
-            f"lifted {args.type}: delta values "
-            + ", ".join(f"{v}={d}" for v, d in sorted(mm.delta.items()))
-        )
-    return 0
+        return 1, {"ok": False, "reason": str(exc)}, [f"unliftable: {exc}"]
+    line = f"lifted {args.type}: delta values " + ", ".join(
+        f"{v}={d}" for v, d in sorted(mm.delta.items())
+    )
+    return 0, morphism_to_json_dict(mm), [line]
 
 
-def _cmd_elliptic(args) -> int:
+def _cmd_elliptic(args):
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
         raise ValueError("mixed characteristic requires --log-p")
     log_p = None if args.log_p is None else LogAbs(parse_rational(args.log_p))
@@ -254,73 +234,63 @@ def _cmd_elliptic(args) -> int:
     else:
         inp = EllipticInput.of(setting, parse_rational(args.log_j))
     report = classify_elliptic(inp)
-    if args.json:
-        print(_dump(report.to_json_dict()))
-    else:
-        t = report.type
-        print(
-            f"type {t.tag} ({t.characteristic_class}); reduction "
-            f"{report.reduction}/{report.reduction_fiber}; "
-            f"l0={report.lengths.l0} l1={report.lengths.l1} l3={report.lengths.l3}"
-        )
-    return 0
+    t = report.type
+    line = (
+        f"type {t.tag} ({t.characteristic_class}); reduction "
+        f"{report.reduction}/{report.reduction_fiber}; "
+        f"l0={report.lengths.l0} l1={report.lengths.l1} l3={report.lengths.l3}"
+    )
+    return 0, report.to_json_dict(), [line]
 
 
-def _cmd_annulus(args) -> int:
+def _cmd_annulus(args):
     with open(args.series, "r", encoding="utf-8") as fh:
         series = ValuedSeries.from_text(fh.read())
     setting = ResidueSetting.parse(args.setting)
-    series = normalize(series) if not annulus_mod.is_normalized(series) else series
+    series = normalize(series)
     report = different_report(series, setting)
     payload = report.to_json_dict()
+    lines = [
+        f"m={report.m} n={report.n} log_delta={report.log_delta} "
+        f"s={report.slope_s}"
+    ]
     if args.domain:
         lo, hi = (parse_rational(part) for part in args.domain.split(":"))
         profile = different_profile(series, setting, (lo, hi))
         payload["profile"] = profile.to_json_dict()
-    if args.json:
-        print(_dump(payload))
-    else:
-        print(
-            f"m={report.m} n={report.n} log_delta={report.log_delta} "
-            f"s={report.slope_s}"
-        )
-        if args.domain:
-            print(f"profile: {payload['profile']}")
-    return 0
+        lines.append(f"profile: {payload['profile']}")
+    return 0, payload, lines
 
 
-def _cmd_radial(args) -> int:
+def _cmd_radial(args):
     mm = _load_morphism(args.file)
     if mm.setting is None:
         raise ValueError("radial needs a metric morphism file with delta values")
-    desc = radial_mod.degree_p_locus(mm, args.p)
-    strict = radial_mod.radial_vs_ball(desc)
+    desc = degree_p_locus(mm, args.p)
+    strict = radial_vs_ball(desc)
     payload = desc.to_json_dict()
     payload["strictness"] = strict.to_json_dict()
-    if args.json:
-        print(_dump(payload))
+    lines = [
+        f"center: {len(desc.center.vertices)} vertices, "
+        f"{len(desc.center.edge_ids)} edges; radius denominator "
+        f"{desc.denominator}"
+    ]
+    if strict.strict:
+        lines.append(f"radial set is STRICTLY smaller than the ball "
+                     f"(witness edge {strict.witness_edge})")
     else:
-        print(
-            f"center: {len(desc.center.vertices)} vertices, "
-            f"{len(desc.center.edge_ids)} edges; radius denominator "
-            f"{desc.denominator}"
-        )
-        if strict.strict:
-            print(f"radial set is STRICTLY smaller than the ball "
-                  f"(witness edge {strict.witness_edge})")
-        else:
-            print("radial set equals the metric ball")
-    return 0
+        lines.append("radial set equals the metric ball")
+    return 0, payload, lines
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args):
     data = _load_json(args.file)
     if isinstance(data, dict) and "vertex_map" in data:
         obj = morphism_from_json_dict(data)
     else:
         obj = GenusGraph.from_json_dict(data)
-    sys.stdout.write(export_dot(obj))
-    return 0
+    # DOT in both modes: no payload
+    return 0, None, [export_dot(obj).removesuffix("\n")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,10 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
+        if args.json and payload is not None:
+            print(_dump(payload))
+        else:
+            print(*lines, sep="\n")
+        return code
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

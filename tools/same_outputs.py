@@ -31,7 +31,9 @@ random morphisms; ``contract_morphism`` and ``contract_graph`` of both
 move kinds at every target vertex of each morphism, legal or not;
 ``enumerate_root_subtrees``; numbers, texts, floats, bools and a
 ``LogAbs`` as series values, ``PMFunction`` values and breakpoints, ``LogAbs``,
-``Lengths`` and query points, and as characteristics of a ``ResidueSetting``;
+``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
+and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
+equal numbers;
 the public ``DeltaMorphism`` on each random
 metric draw's graphs with one finite length doubled, and on the metric
 fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
@@ -239,6 +241,14 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"value_at {value!r}", line.value_at, value)
     for char in (3, "3", 3.0, 3.5, True):
         rec.call(f"setting with characteristic {char!r}", lambda: ws.ResidueSetting(char, char))
+    for log_p in (-1, Fraction(-1, 2), "-1/2", -0.5, True, ws.NEG_INF, 0, "1"):
+        rec.call(f"mixed setting with log_p {log_p!r}", lambda: ws.ResidueSetting(0, 2, log_p))
+    for value in (0, Fraction(1, 2), -3):
+        x = ws.LogAbs(value)
+        rec.call(f"set of LogAbs({value}) and {value!r}", lambda: len({x, value}))
+        rec.call(f"dict keyed by LogAbs({value}) at {value!r}", lambda: {x: 1}.get(value))
+        rec.call(f"dict keyed by {value!r} at LogAbs({value})", lambda: {value: 1}.get(x))
+    rec.call("set of NEG_INF twice", lambda: len({ws.NEG_INF, ws.LogAbs.parse("-inf")}))
 
     def contracted(m, move):
         return ws.morphism_to_json_dict(ws.contract_morphism(m, move))

@@ -242,7 +242,8 @@ class LogAbs(Frozen):
         return self._compare(other, operator.eq)
 
     def __hash__(self):
-        return hash(("LogAbs", self._value))
+        # a finite value hashes as its Fraction, which it equals (NEG_INF: None)
+        return hash(self._value)
 
     def __lt__(self, other):
         return self._compare(other, operator.lt)

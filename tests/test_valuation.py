@@ -69,6 +69,17 @@ class TestLogAbs:
             with pytest.raises(TypeError):
                 compare(LogAbs(0))
 
+    @pytest.mark.parametrize("number", [0, -3, Fraction(1, 2)])
+    def test_hashes_as_the_number_it_equals(self, number):
+        value = LogAbs(number)
+        assert value == number and hash(value) == hash(number)
+        assert len({value, number}) == 1
+        assert {value: "found"}.get(number) == "found"
+        assert {number: "found"}.get(value) == "found"
+
+    def test_neg_inf_hashes_alike_in_every_copy(self):
+        assert len({NEG_INF, LogAbs.parse("-inf"), NEG_INF + 1}) == 1
+
     def test_greater_or_equal(self):
         assert LogAbs(0) >= LogAbs(-1) and LogAbs(0) >= 0 and LogAbs(0) >= NEG_INF
         assert NEG_INF >= NEG_INF and not NEG_INF >= -5 and not LogAbs(-1) >= 0

@@ -475,12 +475,16 @@ class ResidueSetting(Frozen):
     (equicharacteristic zero), ``(0, p)`` (mixed characteristic, which
     carries the normalization ``log_p = log|p| < 0``) and ``(p, p)``
     (equicharacteristic ``p``).  The setting determines the absolute
-    value of every integer via :meth:`int_abs`.
+    value of every integer via :meth:`int_abs`.  ``log_p`` is read as a
+    rational (an int, a ``Fraction``, text or a ``LogAbs``) and stored as a
+    ``LogAbs``.
     """
 
     __slots__ = ("char", "res_char", "log_p", "_kind")
 
-    def __init__(self, char: int, res_char: int, log_p: LogAbs | None = None):
+    def __init__(
+        self, char: int, res_char: int, log_p: LogAbs | RationalLike | None = None
+    ):
         char, res_char = as_int(char, "char"), as_int(res_char, "res_char")
         if char >= 2**64 or res_char >= 2**64:
             raise ValueError(f"characteristic {max(char, res_char)} is not below 2^64")
@@ -491,6 +495,8 @@ class ResidueSetting(Frozen):
         elif char == 0 and _is_prime(res_char):
             if log_p is None:
                 raise ValueError("mixed characteristic requires log_p")
+            if type(log_p) is not LogAbs:
+                log_p = LogAbs(Fraction(*as_ratio(log_p, "log_p")))
             if log_p.is_neg_inf or log_p.value >= 0:
                 raise ValueError("log_p must be a strictly negative rational")
             kind = "mixed"

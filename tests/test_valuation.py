@@ -120,6 +120,26 @@ class TestResidueSetting:
         with pytest.raises(ValueError):
             ResidueSetting(2, 2, LogAbs(-1))  # equichar p carries no log_p
 
+    @pytest.mark.parametrize("log_p", [-1, Fraction(-1, 2), "-3/4"],
+                             ids=["int", "Fraction", "text"])
+    def test_log_p_is_read_as_a_rational(self, log_p):
+        setting = ResidueSetting(0, 2, log_p)
+        assert setting == ResidueSetting.mixed(2, log_p)
+        assert type(setting.log_p) is LogAbs and setting.int_abs(4) == 2 * setting.log_p
+
+    @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1)])
+    def test_log_p_must_be_negative(self, log_p):
+        message = "^log_p must be a strictly negative rational$"
+        with pytest.raises(ValueError, match=message):
+            ResidueSetting(0, 2, log_p)
+
+    @pytest.mark.parametrize("log_p", [-1, -0.5, True, LogAbs(-1)])
+    def test_log_p_in_equicharacteristic_keeps_its_message(self, log_p):
+        for char, res_char, kind in ((0, 0, "zero"), (2, 2, "p")):
+            message = f"^equicharacteristic {kind} carries no log_p$"
+            with pytest.raises(ValueError, match=message):
+                ResidueSetting(char, res_char, log_p)
+
     def test_parse_describe_roundtrip(self):
         for text in ["equichar0", "equicharP:3", "mixed:2:-1", "mixed:5:-2/3"]:
             assert ResidueSetting.parse(text).describe() == text
@@ -327,6 +347,7 @@ def _entries():
         "LogAbs": (LogAbs, "log value"),
         "Lengths": (lambda x: Lengths(l1=x), "l1"),
         "mixed log_p": (lambda x: ResidueSetting.mixed(2, x), "log value", -1),
+        "ResidueSetting log_p": (lambda x: ResidueSetting(0, 2, x), "log_p", -1),
         "EllipticInput.of": (lambda x: EllipticInput.of(setting, x), "log value"),
     }
 

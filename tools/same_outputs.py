@@ -33,7 +33,11 @@ move kinds at every target vertex of each morphism, legal or not;
 ``LogAbs`` as series values, ``PMFunction`` values and breakpoints, ``LogAbs``,
 ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
 and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
-equal numbers;
+equal numbers; every public rational entry (the ``_entries`` table of
+``tests/test_valuation.py``, graph lengths and ``MetricDeltaMorphism``
+delta) on values ``Fraction()`` cannot take, a ``LogAbs``, ``-inf`` and
+bad text; ``ResidueSetting.parse`` of bad settings and
+``wide_open_genus_check`` of a branch with ``n = 0`` and of a float degree;
 the public ``DeltaMorphism`` on each random
 metric draw's graphs with one finite length doubled, and on the metric
 fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
@@ -249,6 +253,22 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"dict keyed by LogAbs({value}) at {value!r}", lambda: {x: 1}.get(value))
         rec.call(f"dict keyed by {value!r} at LogAbs({value})", lambda: {value: 1}.get(x))
     rec.call("set of NEG_INF twice", lambda: len({ws.NEG_INF, ws.LogAbs.parse("-inf")}))
+    from tests.test_valuation import _entries
+
+    entries = {  # every public rational entry, graph lengths and delta included
+        **{name: call for name, (call, *_) in _entries().items()},
+        "graph length": lambda x: graph(two, {"e": ("a", "b")}, {"e": x}),
+        "metric delta": lambda x: ws.MetricDeltaMorphism(
+            identity, {"a": ws.LogAbs(0), "b": x}, setting),
+    }
+    for value in (None, [1], {}, ws.LogAbs(1), ws.NEG_INF, "-inf", "1/0", "x"):
+        for name, call in sorted(entries.items()):
+            rec.call(f"rational entry {name} on {value!r}", call, value)
+    for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
+        rec.call(f"setting {text}", ws.ResidueSetting.parse, text)
+    for infinity, degree in (([(0, 0)], 1), ([(1, 0)], 1.5)):
+        rec.call(f"wide open {infinity!r} of degree {degree!r}", pub("wide_open_genus_check"),
+                 infinity, degree, 0, 0)
 
     def contracted(m, move):
         return ws.morphism_to_json_dict(ws.contract_morphism(m, move))

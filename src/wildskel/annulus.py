@@ -37,7 +37,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 from . import pmfunc
 from .pmfunc import PMFunction
 from .valuation import (
-    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, parse_rational
+    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, read_ratio
 )
 
 
@@ -131,17 +131,10 @@ class ValuedSeries(Frozen):
                 raise ValueError(
                     f"line {lineno}: exponent {echo(exponent)} is not an integer"
                 ) from None
-            try:
-                v = parse_rational(value)
-            except ValueError as exc:
-                if isinstance(exc.__context__, ZeroDivisionError):  # names itself
-                    raise
-                raise ValueError(
-                    f"line {lineno}: value {echo(value)} is not a rational"
-                ) from None
+            v = read_ratio(value, None, None, "line {id}: value {value} is not a rational", lineno)
             if i in coeffs:
                 raise ValueError(f"line {lineno} repeats exponent {i}")
-            coeffs[i] = v
+            coeffs[i] = Fraction(*v)
         return cls(coeffs)
 
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .annulus import ValuedSeries, different_profile, different_report, normalize
 from .delta_morphism import (
@@ -40,7 +41,7 @@ from .special import (
     metric_lift,
     ramification_signature,
 )
-from .valuation import LogAbs, ResidueSetting, parse_rational
+from .valuation import ResidueSetting, as_ratio
 
 
 def _dump(data) -> str:
@@ -211,11 +212,8 @@ def _cmd_enumerate_special(args):
 
 def _cmd_metric_lift(args):
     setting = ResidueSetting.parse(args.setting)
-    lengths = Lengths(
-        parse_rational(args.l0), parse_rational(args.l1), parse_rational(args.l3)
-    )
     try:
-        mm = metric_lift(args.type, lengths, setting)
+        mm = metric_lift(args.type, Lengths(args.l0, args.l1, args.l3), setting)
     except UnliftableError as exc:
         return 1, {"ok": False, "reason": str(exc)}, [f"unliftable: {exc}"]
     line = f"lifted {args.type}: delta values " + ", ".join(
@@ -227,12 +225,11 @@ def _cmd_metric_lift(args):
 def _cmd_elliptic(args):
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
         raise ValueError("mixed characteristic requires --log-p")
-    log_p = None if args.log_p is None else LogAbs(parse_rational(args.log_p))
-    setting = ResidueSetting(args.char, args.res_char or args.char, log_p)
+    setting = ResidueSetting(args.char, args.res_char or args.char, args.log_p)
     if args.j_zero:
         inp = EllipticInput.j_zero(setting)
     else:
-        inp = EllipticInput.of(setting, parse_rational(args.log_j))
+        inp = EllipticInput.of(setting, args.log_j)
     report = classify_elliptic(inp)
     t = report.type
     line = (
@@ -255,7 +252,7 @@ def _cmd_annulus(args):
         f"s={report.slope_s}"
     ]
     if args.domain:
-        lo, hi = (parse_rational(part) for part in args.domain.split(":"))
+        lo, hi = (Fraction(*as_ratio(part, "domain")) for part in args.domain.split(":"))
         profile = different_profile(series, setting, (lo, hi))
         payload["profile"] = profile.to_json_dict()
         lines.append(f"profile: {payload['profile']}")

@@ -45,7 +45,7 @@ from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
 from .pmfunc import PMFunction
 from .valuation import (
     INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, cut, echo,
-    parse_ratio, ratio_text, scaled,
+    ratio_text, read_ratio, refused, scaled,
 )
 
 
@@ -638,7 +638,7 @@ class MetricDeltaMorphism(DeltaMorphism):
         for v in takewhile(delta.__contains__, source.vertices if source.is_metric else ()):
             d = delta[v]
             noun = "a rational or -inf"
-            ratios[v] = None if d == NEG_INF else as_ratio(d, "delta", v, noun, log=True)
+            ratios[v] = None if d == NEG_INF else as_ratio(d, "delta", v, noun)
         self._attach_delta(*scaled(ratios, None), setting)
 
     @property
@@ -792,8 +792,8 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         target,
         *(_as_ids(json_field(data, key, "morphism"), f"morphism {key}")
           for key in ("vertex_map", "edge_map")),
-        _parse_values(data, "n", int, (int, float, str), "a number"),
-        _parse_values(data, "sdelta", int, (int, float, str), "a number"),
+        _parse_ints(data, "n"),
+        _parse_ints(data, "sdelta"),
     )
     delta = None
     if "delta" in data:
@@ -802,9 +802,11 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         if not isinstance(data["setting"], str):
             raise ValueError(f"morphism setting {echo(data['setting'])} is not a string")
         setting = ResidueSetting.parse(data["setting"])
-        delta = _parse_values(
-            data, "delta", lambda t: parse_ratio(t, "-inf", None), (str,), "a string"
-        )
+        delta, fault = {}, "morphism delta value of {key} is {value}, not a rational or -inf"
+        for k, text in json_field(data, "delta", "morphism").items():
+            if not isinstance(text, str):
+                raise refused(text, "morphism delta", k, "a string")
+            delta[str(k)] = read_ratio(text, "-inf", None, fault, k)
         m._attach_delta(*scaled(delta, None), setting)
     # every source id has an entry by now, so a longer object names an id
     # the source lacks; every one of them is keyed by str
@@ -834,30 +836,14 @@ def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:
     return out
 
 
-def _parse_values(data: Mapping, key: str, parse, kinds: tuple, expected: str) -> dict:
-    """``parse`` applied to each value of the object ``data[key]``, keyed by str."""
+def _parse_ints(data: Mapping, key: str) -> dict:
+    """The integers of the object ``data[key]`` (numbers or their text), keyed by str."""
     out = {}
     for k, value in json_field(data, key, "morphism").items():
-        if type(value) is parse and type(k) is str:  # an exact int needs no int()
+        if type(value) is int and type(k) is str:  # an exact int needs no int()
             out[k] = value
             continue
-        # exact types skip the checks: a bool is an int, a float may be in kinds
-        if type(value) not in kinds or type(value) is float:
-            if not isinstance(value, kinds):
-                raise ValueError(
-                    f"morphism {key} value of {echo(k)} is {echo(value)}, not {expected}"
-                )
-            if isinstance(value, (bool, float)):  # int() would truncate it
-                raise ValueError(
-                    f"morphism {key} value of {echo(k)} is {echo(value)}, not an integer"
-                )
-        try:
-            out[str(k)] = parse(value)
-        except ValueError as exc:
-            if isinstance(exc.__context__, ZeroDivisionError):  # names itself
-                raise
-            noun = "an integer" if parse is int else "a rational or -inf"
-            raise ValueError(
-                f"morphism {key} value of {echo(k)} is {echo(value)}, not {noun}"
-            ) from None
+        if not isinstance(value, (int, float, str)):
+            raise refused(value, f"morphism {key}", k, "a number")
+        out[str(k)] = as_int(value, f"morphism {key}", k)
     return out

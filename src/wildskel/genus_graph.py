@@ -33,7 +33,7 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, parse_ratio, ratio_text, scaled
+    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, ratio_text, read_ratio, scaled
 )
 
 
@@ -402,14 +402,7 @@ def _parse_length(length, e: str):
     """The length text of edge ``e`` as a reduced pair, or INF."""
     if not isinstance(length, str):
         raise ValueError(f"edge {cut(e)} length {echo(length)} is not a string")
-    try:
-        return parse_ratio(length, "inf", INF)
-    except ValueError as exc:
-        if isinstance(exc.__context__, ZeroDivisionError):  # names itself
-            raise
-        raise ValueError(
-            f"edge {cut(e)} length {echo(length)} is not a rational or inf"
-        ) from None
+    return read_ratio(length, "inf", INF, "edge {id} length {value} is not a rational or inf", e)
 
 
 class MetricGenusGraph(GenusGraph):

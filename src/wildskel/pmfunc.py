@@ -94,7 +94,7 @@ class PMFunction:
         if any(x is INF for x in breaks[:-1]):
             raise ValueError("only the final breakpoint may be infinite")
         finite = [as_ratio(x, "breakpoints", j) for j, x in enumerate(breaks) if x is not INF]
-        values = [as_ratio(v, "left_values", j, log=True) for j, v in enumerate(left_values)]
+        values = [as_ratio(v, "left_values", j) for j, v in enumerate(left_values)]
         den, nums = _over_common_denominator(finite + values)
         slopes = [as_int(s, f"slope of segment {j}") for j, s in enumerate(slopes)]
         self._store(den, nums[: len(finite)], nums[len(finite) :], slopes)
@@ -142,7 +142,7 @@ class PMFunction:
 
     @classmethod
     def line(cls, domain, left_value, slope: int) -> "PMFunction":
-        ratios = _domain_ends(domain) + [as_ratio(left_value, "left_value", log=True)]
+        ratios = _domain_ends(domain) + [as_ratio(left_value, "left_value")]
         den, nums = _over_common_denominator(ratios)
         return cls._from_scaled(den, nums[:-1], nums[-1:], [as_int(slope, "slope")])
 
@@ -389,7 +389,7 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
 def scaled_series(coeffs: Mapping) -> Tuple[int, List[Tuple[int, int]]]:
     """A map ``exponent -> log coefficient`` over its least common
     denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
-    items = sorted([(as_int(i, "series exponent"), as_ratio(v, "series", i, log=True))
+    items = sorted([(as_int(i, "series exponent"), as_ratio(v, "series", i))
                     for i, v in coeffs.items()])
     if not items:
         raise EmptySeriesError("series has empty support")

@@ -9,9 +9,13 @@ linear ones, and all identities become exact integer/rational checks.
 The normalization of the scale is a free choice; by convention
 ``log|p| = -1`` unless the caller picks another negative rational.
 
-Public inputs are read here, exactly: :func:`as_int` for integers and
-:func:`as_ratio` for rationals, which refuse a float (inexact) and a bool
-(a number by accident) alike: ``series value of 1 is 0.1, not a rational``.
+Every outside value becomes a number here, exactly: :func:`as_int` reads
+integers and :func:`as_ratio` rationals, a finite ``LogAbs`` as its value.
+Both refuse a float (inexact), a bool (a number by accident) and what
+``int()`` or ``Fraction()`` cannot take with one named error:
+``series value of 1 is 0.1, not a rational``.  The loaders read their
+text through :func:`read_ratio`, which names a fault by the loader's
+message; a zero denominator names itself.
 """
 
 from __future__ import annotations
@@ -164,9 +168,11 @@ class LogAbs(Frozen):
 
     _value: Fraction | None
 
-    def __init__(self, value: RationalLike):
+    def __init__(self, value: LogAbs | RationalLike):
         # Fractions are immutable, so an exact Fraction is shared, not copied
-        if type(value) is not Fraction:
+        if type(value) is LogAbs:
+            value = value._value  # None: a copy of NEG_INF
+        elif type(value) is not Fraction:
             value = Fraction(*as_ratio(value, "log value"))
         object.__setattr__(self, "_value", value)
 
@@ -343,40 +349,44 @@ def echo(value) -> str:
     return cut(repr(value))
 
 
-def _named(entry: str, key) -> str:
-    return entry if key is None else f"{entry} value of {echo(key)}"
-
-
-def exact(value, entry: str, key=None, noun: str = "an integer"):
-    """``value`` of the public input ``entry`` (at ``key``, if any), unless it is
-    a float or a bool: that is the ValueError ``... is <value>, not <noun>``."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{_named(entry, key)} is {echo(value)}, not {noun}")
-    return value
+def refused(value, entry: str, key, noun: str) -> ValueError:
+    """The error ``<entry> [value of <key>] is <value>, not <noun>`` of the
+    public input ``entry``."""
+    named = entry if key is None else f"{entry} value of {echo(key)}"
+    return ValueError(f"{named} is {echo(value)}, not {noun}")
 
 
 def as_int(value, entry: str, key=None) -> int:
-    """``int()`` of an ``exact`` value, which must keep a number whole; a value
-    it cannot read or would round (``Fraction(3, 2)``) is the same error."""
+    """``int()`` of ``value``, which must keep a number whole; a float, a bool
+    and a value it cannot read or would round (``Fraction(3, 2)``) are refused."""
     if type(value) is int:
         return value
     try:
-        n = int(exact(value, entry, key))
+        n = None if isinstance(value, (bool, float)) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (n != value and not isinstance(value, (str, bytes))):
-        raise ValueError(f"{_named(entry, key)} is {echo(value)}, not an integer")
+        raise refused(value, entry, key, "an integer")
     return n
 
 
-def as_ratio(value, entry: str, key=None, noun: str = "a rational", log: bool = False):
+def as_ratio(value, entry: str, key=None, noun: str = "a rational"):
     """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_rational`,
-    a finite LogAbs if ``log``, else ``Fraction()`` of an ``exact`` value."""
+    a finite LogAbs by its value, else by ``Fraction()``; a float, a bool and
+    what ``Fraction()`` cannot take (``None``, ``NEG_INF``) are refused."""
     cls = type(value)
     if cls is not Fraction and cls is not int:  # the common cases first
-        if log and cls is LogAbs:
-            value = value.value
-        value = parse_rational(value) if cls is str else Fraction(exact(value, entry, key, noun))
+        if cls is str:
+            value = parse_rational(value)
+        elif cls is LogAbs and value._value is not None:
+            value = value._value
+        elif isinstance(value, (bool, float)):
+            raise refused(value, entry, key, noun)
+        else:
+            try:
+                value = Fraction(value)
+            except TypeError:
+                raise refused(value, entry, key, noun) from None
     return value.as_integer_ratio()
 
 
@@ -403,7 +413,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def parse_ratio(text: str, infinity: str, mark):
+def parse_ratio(text: str, infinity: str | None, mark):
     """``mark`` for the stripped ``text`` equal to ``infinity``, else its
     :func:`parse_rational` as a reduced ``(numerator, positive denominator)``;
     ``[-]digits[/digits]`` within the digit limit is read without a Fraction."""
@@ -419,6 +429,20 @@ def parse_ratio(text: str, infinity: str, mark):
             g = gcd(p, q)
             return p // g, q // g
     return parse_rational(text).as_integer_ratio()
+
+
+def read_ratio(text: str, infinity: str | None, mark, fault: str, key):
+    """:func:`parse_ratio` of the text a loader read at ``key``.  A text that
+    is no rational is the ValueError ``fault``, formatted with ``{key}`` (the
+    echoed key), ``{id}`` (the key as text) and ``{value}`` (the echoed text);
+    a zero denominator names itself."""
+    try:
+        return parse_ratio(text, infinity, mark)
+    except ValueError as exc:
+        if isinstance(exc.__context__, ZeroDivisionError):
+            raise
+        message = fault.format(key=echo(key), id=cut(str(key)), value=echo(text))
+    raise ValueError(message)
 
 
 def scaled(ratios: dict, mark) -> Tuple[int, dict]:
@@ -476,7 +500,8 @@ class ResidueSetting(Frozen):
     carries the normalization ``log_p = log|p| < 0``) and ``(p, p)``
     (equicharacteristic ``p``).  The setting determines the absolute
     value of every integer via :meth:`int_abs`.  ``log_p`` is read as a
-    rational (an int, a ``Fraction``, text or a ``LogAbs``) and stored as a
+    rational (an int, a ``Fraction``, text or a ``LogAbs``; the text
+    ``-inf`` is ``NEG_INF``, which the rule refuses) and stored as a
     ``LogAbs``.
     """
 
@@ -495,7 +520,9 @@ class ResidueSetting(Frozen):
         elif char == 0 and _is_prime(res_char):
             if log_p is None:
                 raise ValueError("mixed characteristic requires log_p")
-            if type(log_p) is not LogAbs:
+            if type(log_p) is str:
+                log_p = LogAbs.parse(log_p)  # "-inf" is NEG_INF, refused below
+            elif type(log_p) is not LogAbs:
                 log_p = LogAbs(Fraction(*as_ratio(log_p, "log_p")))
             if log_p.is_neg_inf or log_p.value >= 0:
                 raise ValueError("log_p must be a strictly negative rational")
@@ -565,7 +592,7 @@ class ResidueSetting(Frozen):
         if parts[0] == "equichar0" and len(parts) == 1:
             return cls.equichar_zero()
         if parts[0] == "equicharP" and len(parts) == 2:
-            return cls.equichar(int(parts[1]))
+            return cls.equichar(as_int(parts[1], "p"))
         if parts[0] == "mixed" and len(parts) == 3:
-            return cls.mixed(int(parts[1]), parse_rational(parts[2]))
+            return cls(0, as_int(parts[1], "p"), parts[2])
         raise ValueError(f"cannot parse residue setting {text!r}")

@@ -730,20 +730,18 @@ def wide_open_genus_check(
         (as_int(n, "infinity n", f"branch {k}"), as_int(s, "infinity sdelta", f"branch {k}"))
         for k, (n, s) in enumerate(infinity)
     ]
+    for k, (n, _) in enumerate(pairs):
+        if n < 1:
+            raise ValueError(f"branch {k} at infinity needs n >= 1")
     r_values = [as_int(r, "ram", f"point {k}") for k, r in enumerate(ram)]
+    degree, g_source, g_target = (
+        as_int(degree, "degree"), as_int(g_source, "g_source"), as_int(g_target, "g_target")
+    )
     lhs = 2 * g_source - 2 - degree * (2 * g_target - 2)
     slope_indices = [-s + n - 1 for n, s in pairs]
-    rhs = sum(r_values) + sum(
-        2 * n - 2 - si for (n, _), si in zip(pairs, slope_indices)
-    )
-    solved = Fraction(
-        rhs + 2 + degree * (2 * g_target - 2), 2
-    )
-    disc = (
-        len(pairs) == 1
-        and all(si == 0 for si in slope_indices)
-        and not r_values
-    )
+    rhs = sum(r_values) + sum(2 * n - 2 - si for (n, _), si in zip(pairs, slope_indices))
+    solved = Fraction(rhs + 2 + degree * (2 * g_target - 2), 2)
+    disc = slope_indices == [0] and not r_values
     return WideOpenReport(
         ok=lhs == rhs,
         lhs=lhs,

@@ -60,6 +60,19 @@ class TestExitCodes:
             "", "error: cannot parse residue setting 'bogus'\n"
         )
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("mixed:2:-inf", "log_p must be a strictly negative rational"),
+            ("equicharP:x", "p is 'x', not an integer"),
+            ("mixed:x:-1", "p is 'x', not an integer"),
+        ],
+    )
+    def test_setting_fault_is_named(self, capsys, setting, message):
+        series = str(FIXTURES / "kummer_p2.series")
+        assert run(["annulus", "--series", series, "--setting", setting]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_metric_lift_unliftable(self, capsys):
         code = run(["metric-lift", "--type", "ME", "--setting", "mixed:2:-1"])
         assert code == 1
@@ -623,6 +636,7 @@ class TestEllipticSetting:
             ("--char 0 --log-p -1", "equicharacteristic zero carries no log_p"),
             ("--char 2 --log-p -1", "equicharacteristic p carries no log_p"),
             ("--char 0 --res-char 2", "mixed characteristic requires --log-p"),
+            ("--char 0 --res-char 2 --log-p=-inf", "log_p must be a strictly negative rational"),
         ],
     )
     def test_invalid_flags_exit_2(self, capsys, flags, message):

@@ -703,6 +703,27 @@ class TestWideOpenGenus:
             wide_open_genus_check(infinity, 2, 1, 0, ram)
         assert type(caught.value) is ValueError and str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "infinity, degree, genera, message",
+        [
+            # BoundaryAnnotation refuses such a branch too
+            ([(0, 0)], 1, (0, 0), "branch 0 at infinity needs n >= 1"),
+            ([(2, 1), (-1, 0)], 2, (0, 0), "branch 1 at infinity needs n >= 1"),
+            # Fraction(1.5 * -2, 2) used to raise a bare TypeError
+            ([(1, 0)], 1.5, (0, 0), "degree is 1.5, not an integer"),
+            ([(1, 0)], 1, (True, 0), "g_source is True, not an integer"),
+            ([(1, 0)], 1, (0, None), "g_target is None, not an integer"),
+        ],
+    )
+    def test_branches_and_degree_are_checked(self, infinity, degree, genera, message):
+        with pytest.raises(ValueError) as caught:
+            wide_open_genus_check(infinity, degree, *genera)
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
+    def test_degree_and_genera_read_as_integers(self):
+        expected = wide_open_genus_check([(2, 1)], 2, 0, 0)
+        assert wide_open_genus_check([(2, 1)], "2", Fraction(0), "0") == expected
+
 
 class TestJsonRoundtrip:
     def test_plain(self):

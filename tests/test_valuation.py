@@ -77,6 +77,10 @@ class TestLogAbs:
         assert {value: "found"}.get(number) == "found"
         assert {number: "found"}.get(value) == "found"
 
+    @pytest.mark.parametrize("value", [NEG_INF, ZERO, LogAbs(-2), LogAbs(Fraction(1, 3))])
+    def test_reads_any_log_abs(self, value):
+        assert LogAbs(value) == value and hash(LogAbs(value)) == hash(value)
+
     def test_neg_inf_hashes_alike_in_every_copy(self):
         assert len({NEG_INF, LogAbs.parse("-inf"), NEG_INF + 1}) == 1
 
@@ -127,11 +131,30 @@ class TestResidueSetting:
         assert setting == ResidueSetting.mixed(2, log_p)
         assert type(setting.log_p) is LogAbs and setting.int_abs(4) == 2 * setting.log_p
 
-    @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1)])
+    @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1), "-inf", " -inf"])
     def test_log_p_must_be_negative(self, log_p):
         message = "^log_p must be a strictly negative rational$"
         with pytest.raises(ValueError, match=message):
             ResidueSetting(0, 2, log_p)
+
+    def test_mixed_reads_a_log_abs(self):
+        assert ResidueSetting.mixed(2, LogAbs(-2)) == ResidueSetting.mixed(2, -2)
+        with pytest.raises(ValueError, match="^log_p must be a strictly negative rational$"):
+            ResidueSetting.mixed(2, NEG_INF)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mixed:2:-inf", "log_p must be a strictly negative rational"),
+            ("equicharP:x", "p is 'x', not an integer"),
+            ("mixed:x:-1", "p is 'x', not an integer"),
+            ("mixed:2:x", "Invalid literal for Fraction: 'x'"),
+        ],
+    )
+    def test_parse_names_the_fault(self, text, message):
+        with pytest.raises(ValueError) as info:
+            ResidueSetting.parse(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("log_p", [-1, -0.5, True, LogAbs(-1)])
     def test_log_p_in_equicharacteristic_keeps_its_message(self, log_p):
@@ -392,3 +415,38 @@ def test_a_copy_of_neg_inf_is_minus_infinity_as_delta():
                         {"a": "x", "l": "y"}, {"e": "f"}, {"e": 2}, {"e": -1})
     mm = MetricDeltaMorphism(two, {"a": ZERO, "l": copy.deepcopy(NEG_INF)}, setting)
     assert mm.delta["l"] is NEG_INF
+
+
+def _refusing_entries():
+    """``name -> (call of one value, message, noun, takes -inf)``: the entries of
+    ``_entries``, graph lengths and ``MetricDeltaMorphism`` delta."""
+    from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
+    from wildskel.genus_graph import GenusGraph
+
+    two = {"a": 0, "b": 0}
+    line = GenusGraph(two, {"e": ("a", "b")}, {"e": 1})
+    identity = DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
+    setting = ResidueSetting.equichar(2)
+    # -inf belongs to series values (a vanishing term), log_j (j = 0) and LogAbs;
+    # as log_p it is a value that the rule refuses
+    takes = {"series value", "EllipticInput.of", "LogAbs", "mixed log_p", "ResidueSetting log_p"}
+    entries = {name: (call, entry, "a rational", name in takes)
+               for name, (call, entry, *_) in _entries().items()}
+    entries["graph length"] = (lambda x: GenusGraph(two, {"e": ("a", "b")}, {"e": x}),
+                               "lengths value of 'e'", "a rational or inf", False)
+    entries["delta"] = (lambda x: MetricDeltaMorphism(identity, {"a": ZERO, "b": x}, setting),
+                        "delta value of 'b'", "a rational or -inf", True)
+    return entries
+
+
+@pytest.mark.parametrize("name", sorted(_refusing_entries()))
+def test_unreadable_values_are_named(name):
+    call, entry, noun, takes_neg_inf = _refusing_entries()[name]
+    values = [[1], {}] + ([] if takes_neg_inf else [NEG_INF])
+    if name != "ResidueSetting log_p":  # there None is no log_p: "requires log_p"
+        values.append(None)
+    for value in values:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{entry} is {value!r}, not {noun}"

@@ -373,7 +373,8 @@ def as_int(value, entry: str, key=None) -> int:
 def as_ratio(value, entry: str, key=None, noun: str = "a rational"):
     """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_rational`,
     a finite LogAbs by its value, else by ``Fraction()``; a float, a bool and
-    what ``Fraction()`` cannot take (``None``, ``NEG_INF``) are refused."""
+    what ``Fraction()`` cannot take (``None``, ``NEG_INF``, ``Decimal("inf")``)
+    are refused."""
     cls = type(value)
     if cls is not Fraction and cls is not int:  # the common cases first
         if cls is str:
@@ -385,7 +386,7 @@ def as_ratio(value, entry: str, key=None, noun: str = "a rational"):
         else:
             try:
                 value = Fraction(value)
-            except TypeError:
+            except (TypeError, ValueError, OverflowError):  # Decimal("NaN") is a ValueError
                 raise refused(value, entry, key, noun) from None
     return value.as_integer_ratio()
 
@@ -441,8 +442,7 @@ def read_ratio(text: str, infinity: str | None, mark, fault: str, key):
     except ValueError as exc:
         if isinstance(exc.__context__, ZeroDivisionError):
             raise
-        message = fault.format(key=echo(key), id=cut(str(key)), value=echo(text))
-    raise ValueError(message)
+        raise ValueError(fault.format(key=echo(key), id=cut(str(key)), value=echo(text))) from None
 
 
 def scaled(ratios: dict, mark) -> Tuple[int, dict]:

@@ -1,5 +1,6 @@
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -442,7 +443,7 @@ def _refusing_entries():
 @pytest.mark.parametrize("name", sorted(_refusing_entries()))
 def test_unreadable_values_are_named(name):
     call, entry, noun, takes_neg_inf = _refusing_entries()[name]
-    values = [[1], {}] + ([] if takes_neg_inf else [NEG_INF])
+    values = [[1], {}, Decimal("NaN"), Decimal("-Infinity")] + ([] if takes_neg_inf else [NEG_INF])
     if name != "ResidueSetting log_p":  # there None is no log_p: "requires log_p"
         values.append(None)
     for value in values:

@@ -32,7 +32,7 @@ class EllipticInput(Frozen):
 
     @classmethod
     def of(cls, setting: ResidueSetting, log_j) -> "EllipticInput":
-        return cls(setting, log_j if isinstance(log_j, LogAbs) else LogAbs(log_j))
+        return cls(setting, LogAbs(log_j))
 
     @classmethod
     def j_zero(cls, setting: ResidueSetting) -> "EllipticInput":

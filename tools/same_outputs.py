@@ -36,7 +36,13 @@ and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
 equal numbers; every public rational entry (the ``_entries`` table of
 ``tests/test_valuation.py``, graph lengths and ``MetricDeltaMorphism``
 delta) on values ``Fraction()`` cannot take, a ``LogAbs``, ``-inf`` and
-bad text; ``ResidueSetting.parse`` of bad settings and
+bad text; those entries, ``LogAbs.parse``, a last and an inner breakpoint,
+a ``tropical_eval`` domain end, a tail length, the delta of an infinite
+leaf and the ``log_delta`` of ``check_restriction``, ``realize_triple``
+and ``DifferentReport`` on every spelling of ``inf`` and ``-inf`` (text,
+spaced text, ``INF``, ``NEG_INF`` and a copy of it); those three
+``log_delta`` entries on numbers, text, ``None`` and a list;
+``ResidueSetting.parse`` of bad settings and
 ``wide_open_genus_check`` of a branch with ``n = 0`` and of a float degree;
 the public ``DeltaMorphism`` on each random
 metric draw's graphs with one finite length doubled, and on the metric
@@ -165,6 +171,9 @@ def _cli_inputs(work: Path):
         ["--char", "0", "--res-char", "2", "--log-p", "-1", "--log-j", "-9"],
         ["--char", "0", "--res-char", "2", "--log-p", "-1/2", "--j-zero"],
         ["--char", "4", "--log-j", "-1"],
+        ["--char", "3", "--log-j=-inf"],
+        ["--char", "2", "--log-j= -inf "],
+        ["--char", "0", "--res-char", "2", "--log-p", "-1", "--log-j=-inf"],
     ):
         yield ["elliptic", *args]
     yield ["enumerate-special"]
@@ -186,6 +195,7 @@ def built(rec: _Recorder, label: str, *args) -> None:
 
 def record(out, work: Path, every: int) -> None:
     """Write the records of every call, in a fixed order, to ``out``."""
+    import copy
     import random
     from decimal import Decimal
     from fractions import Fraction
@@ -264,6 +274,32 @@ def record(out, work: Path, every: int) -> None:
     for value in (None, [1], {}, ws.LogAbs(1), ws.NEG_INF, "-inf", "1/0", "x"):
         for name, call in sorted(entries.items()):
             rec.call(f"rational entry {name} on {value!r}", call, value)
+    series, mixed = ws.ValuedSeries({1: 0, 2: -1}), ws.ResidueSetting.mixed(2, -1)
+    tail = graph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": ws.INF}, ["l"])
+    descending = ws.DeltaMorphism(
+        tail, graph({"x": 0, "y": 0}, {"f": ("x", "y")}, {"f": ws.INF}, ["y"]),
+        {"a": "x", "l": "y"}, {"e": "f"}, {"e": 2}, {"e": -1})
+    two_segments = [{"left_value": "0", "slope": 0}] * 2
+    entries.update({  # the entries that read an infinity, and log_delta
+        "LogAbs.parse": pub("LogAbs").parse,
+        "last breakpoint": lambda x: ws.PMFunction([0, x], [0], [1]),
+        "JSON inner breakpoint": lambda x: ws.PMFunction.from_json_dict(
+            {"breakpoints": ["0", x, "2"], "segments": two_segments}),
+        "tropical domain": lambda x: ws.tropical_eval(series, (0, x)),
+        "tail length": lambda x: graph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": x}, ["l"]),
+        "delta at a leaf": lambda x: ws.MetricDeltaMorphism(
+            descending, {"a": ws.LogAbs(0), "l": x}, setting),
+        "check_restriction": lambda x: pub("check_restriction")(2, 0, x, mixed),
+        "realize_triple": lambda x: pub("realize_triple")(2, -1, x, mixed),
+        "DifferentReport": lambda x: repr(pub("DifferentReport")(2, 3, x, -1)),
+    })
+    spellings = ("inf", " inf ", "-inf", " -inf ", ws.INF, ws.NEG_INF, copy.deepcopy(ws.NEG_INF))
+    for value in spellings:
+        for name, call in sorted(entries.items()):
+            rec.call(f"infinity entry {name} on {value!r}", call, value)
+    for value in (-1, Fraction(-1, 2), "-1/2", None, [1]):
+        for name in ("check_restriction", "realize_triple", "DifferentReport"):
+            rec.call(f"log_delta entry {name} on {value!r}", entries[name], value)
     for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
         rec.call(f"setting {text}", ws.ResidueSetting.parse, text)
     for infinity, degree in (([(0, 0)], 1), ([(1, 0)], 1.5)):

@@ -60,8 +60,8 @@ class UnrealizableTripleError(ValueError):
 class ValuedSeries(Frozen):
     """Finite-support map ``exponent -> log|coefficient|``.
 
-    Coefficients with absolute value zero are simply absent, so every
-    stored value is a finite rational.  The fields ``den`` and ``terms``
+    Coefficients with absolute value zero (any spelling of ``-inf``) are
+    simply absent, so every stored value is a finite rational.  The fields ``den`` and ``terms``
     hold the integer form described in the module docstring.
     """
 
@@ -70,14 +70,11 @@ class ValuedSeries(Frozen):
     def __init__(self, coefficients: Mapping[int, Fraction]):
         given = dict(coefficients)
         keys = [as_int(i, "series exponent") for i in given]
-        coeffs = {
-            i: v for i, v in zip(keys, given.values())
-            if not (isinstance(v, LogAbs) and v.is_neg_inf)
-        }
-        if len(coeffs) != len(given):  # -inf values dropped, or keys equal after int()
-            repeat = next((i for n, i in enumerate(keys) if i in keys[:n]), None)
-            if repeat is not None:
-                raise ValueError(f"series repeats exponent {repeat}")
+        if len(set(keys)) != len(keys):  # keys equal after int()
+            repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
+            raise ValueError(f"series repeats exponent {repeat}")
+        coeffs = {i: v for i, v in zip(keys, given.values())
+                  if as_ratio(v, "series", i, infinity="-inf") is not None}
         self._store(*pmfunc.scaled_series(coeffs))
 
     @classmethod
@@ -131,7 +128,7 @@ class ValuedSeries(Frozen):
                 raise ValueError(
                     f"line {lineno}: exponent {echo(exponent)} is not an integer"
                 ) from None
-            v = read_ratio(value, None, None, "line {id}: value {value} is not a rational", lineno)
+            v = read_ratio(value, None, "line {id}: value {value} is not a rational", lineno)
             if i in coeffs:
                 raise ValueError(f"line {lineno} repeats exponent {i}")
             coeffs[i] = Fraction(*v)

@@ -636,9 +636,7 @@ class MetricDeltaMorphism(DeltaMorphism):
         )
         ratios = {}  # in the core's order, up to the first vertex it misses
         for v in takewhile(delta.__contains__, source.vertices if source.is_metric else ()):
-            d = delta[v]
-            noun = "a rational or -inf"
-            ratios[v] = None if d == NEG_INF else as_ratio(d, "delta", v, noun)
+            ratios[v] = as_ratio(delta[v], "delta", v, "a rational or -inf", "-inf")
         self._attach_delta(*scaled(ratios, None), setting)
 
     @property
@@ -804,7 +802,7 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         for k, text in json_field(data, "delta", "morphism").items():
             if not isinstance(text, str):
                 raise refused(text, "morphism delta", k, "a string")
-            delta[str(k)] = read_ratio(text, "-inf", None, fault, k)
+            delta[str(k)] = read_ratio(text, "-inf", fault, k)
         m._attach_delta(*scaled(delta, None), setting)
     # every source id has an entry by now, so a longer object names an id
     # the source lacks; every one of them is keyed by str

@@ -118,8 +118,7 @@ class GenusGraph:
             _repeated_id("graph", "edge", edges)
         ratios = {}  # in the core's order, up to the first length it rejects
         for e in takewhile((lengths or {}).__contains__, sorted(ends)):
-            l = lengths[e]
-            ratios[e] = l = l if l is INF else as_ratio(l, "lengths", e, "a rational or inf")
+            ratios[e] = l = as_ratio(lengths[e], "lengths", e, "a rational or inf", "inf")
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
@@ -402,7 +401,7 @@ def _parse_length(length, e: str):
     """The length text of edge ``e`` as a reduced pair, or INF."""
     if not isinstance(length, str):
         raise ValueError(f"edge {cut(e)} length {echo(length)} is not a string")
-    return read_ratio(length, "inf", INF, "edge {id} length {value} is not a rational or inf", e)
+    return read_ratio(length, "inf", "edge {id} length {value} is not a rational or inf", e)
 
 
 class MetricGenusGraph(GenusGraph):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, parse_length, ratio_text
+from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, ratio_text
 
 
 class OutOfDomainError(ValueError):
@@ -61,10 +61,9 @@ def _domain_ends(domain) -> List[Tuple[int, int]]:
     """The finite ends of ``domain = (a, b)`` as ratios: ``[a]`` when
     ``b`` is ``+inf``, else ``[a, b]``."""
     a, b = domain
-    ra = as_ratio(a, "domain", 0)
-    if b is INF:
+    ra, rb = as_ratio(a, "domain", 0), as_ratio(b, "domain", 1, infinity="inf")
+    if rb is INF:
         return [ra]
-    rb = as_ratio(b, "domain", 1)
     if rb[0] * ra[1] < ra[0] * rb[1]:
         raise ValueError(f"empty domain [{Fraction(*ra)}, {Fraction(*rb)}]")
     return [ra, rb]
@@ -90,10 +89,10 @@ class PMFunction:
     ):
         if len(breaks) < 2 or not len(left_values) == len(slopes) == len(breaks) - 1:
             raise ValueError("inconsistent segment data")
-        breaks = list(breaks)
-        if any(x is INF for x in breaks[:-1]):
+        finite = [as_ratio(x, "breakpoints", j, infinity="inf") for j, x in enumerate(breaks)]
+        if INF in finite[:-1]:
             raise ValueError("only the final breakpoint may be infinite")
-        finite = [as_ratio(x, "breakpoints", j) for j, x in enumerate(breaks) if x is not INF]
+        finite = finite if finite[-1] is not INF else finite[:-1]
         values = [as_ratio(v, "left_values", j) for j, v in enumerate(left_values)]
         den, nums = _over_common_denominator(finite + values)
         slopes = [as_int(s, f"slope of segment {j}") for j, s in enumerate(slopes)]
@@ -271,8 +270,7 @@ class PMFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PMFunction":
-        breaks = [parse_length(x) if type(x) is str else x for x in data["breakpoints"]]
-        segments = data["segments"]
+        breaks, segments = data["breakpoints"], data["segments"]
         return cls(breaks, [s["left_value"] for s in segments], [s["slope"] for s in segments])
 
 

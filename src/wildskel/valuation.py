@@ -10,8 +10,14 @@ The normalization of the scale is a free choice; by convention
 ``log|p| = -1`` unless the caller picks another negative rational.
 
 Every outside value becomes a number here, exactly: :func:`as_int` reads
-integers and :func:`as_ratio` rationals, a finite ``LogAbs`` as its value.
-Both refuse a float (inexact), a bool (a number by accident) and what
+integers and :func:`as_ratio` rationals, a finite ``LogAbs`` as its value
+and text through :func:`parse_ratio`.  An entry that reads an infinity
+names it to :func:`as_ratio`, ``"inf"`` (a tail length, the last
+breakpoint, the right end of a domain) or ``"-inf"`` (a ``LogAbs``,
+``log_p``, a different, a series value), and every spelling of it is
+``INF`` or None: the text with or without spaces, ``INF``, and
+``NEG_INF`` or any copy.  Both readers refuse a float (inexact), a bool
+(a number by accident), an infinity the entry does not read and what
 ``int()`` or ``Fraction()`` cannot take with one named error:
 ``series value of 1 is 0.1, not a rational``.  The loaders read their
 text through :func:`read_ratio`, which names a fault by the loader's
@@ -170,17 +176,10 @@ class LogAbs(Frozen):
 
     def __init__(self, value: LogAbs | RationalLike):
         # Fractions are immutable, so an exact Fraction is shared, not copied
-        if type(value) is LogAbs:
-            value = value._value  # None: a copy of NEG_INF
-        elif type(value) is not Fraction:
-            value = Fraction(*as_ratio(value, "log value"))
+        if type(value) is not Fraction:
+            value = as_ratio(value, "log value", infinity="-inf")
+            value = None if value is None else Fraction(*value)  # None: -inf
         object.__setattr__(self, "_value", value)
-
-    @classmethod
-    def _make_neg_inf(cls) -> "LogAbs":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_value", None)
-        return obj
 
     @property
     def is_neg_inf(self) -> bool:
@@ -272,11 +271,8 @@ class LogAbs(Frozen):
     @classmethod
     def parse(cls, text: str) -> "LogAbs":
         """Parse ``"p/q"`` or ``"-inf"``."""
-        ratio = parse_ratio(text, "-inf", None)
-        return NEG_INF if ratio is None else cls(Fraction(*ratio))
+        return cls(text)
 
-
-NEG_INF = LogAbs._make_neg_inf()
 
 ZERO = LogAbs(Fraction(0))
 
@@ -370,17 +366,20 @@ def as_int(value, entry: str, key=None) -> int:
     return n
 
 
-def as_ratio(value, entry: str, key=None, noun: str = "a rational"):
-    """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_rational`,
-    a finite LogAbs by its value, else by ``Fraction()``; a float, a bool and
-    what ``Fraction()`` cannot take (``None``, ``NEG_INF``, ``Decimal("inf")``)
-    are refused."""
+def as_ratio(value, entry: str, key=None, noun: str = "a rational", infinity=None):
+    """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_ratio`,
+    a finite LogAbs by its value, else by ``Fraction()``.  Each spelling of
+    ``infinity`` (``"inf"``: INF, ``"-inf"``: None) is read as it; a float, a
+    bool, another infinity and what ``Fraction()`` cannot take (``None``,
+    ``Decimal("inf")``) are refused."""
     cls = type(value)
     if cls is not Fraction and cls is not int:  # the common cases first
         if cls is str:
-            value = parse_rational(value)
-        elif cls is LogAbs and value._value is not None:
+            return parse_ratio(value, infinity)
+        if cls is LogAbs and value._value is not None:
             value = value._value
+        elif (cls is LogAbs or value is INF) and str(value) == infinity:
+            return None if cls is LogAbs else INF
         elif isinstance(value, (bool, float)):
             raise refused(value, entry, key, noun)
         else:
@@ -414,13 +413,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def parse_ratio(text: str, infinity: str | None, mark):
-    """``mark`` for the stripped ``text`` equal to ``infinity``, else its
-    :func:`parse_rational` as a reduced ``(numerator, positive denominator)``;
-    ``[-]digits[/digits]`` within the digit limit is read without a Fraction."""
+def parse_ratio(text: str, infinity: str | None):
+    """INF or None for the stripped ``text`` equal to ``infinity`` (``"inf"``
+    or ``"-inf"``), else its :func:`parse_rational` as a reduced ``(numerator,
+    positive denominator)``; ``[-]digits[/digits]`` within the digit limit is
+    read without a Fraction."""
     text = text.strip()
     if text == infinity:
-        return mark
+        return INF if text == "inf" else None
     num, slash, den = text.partition("/")
     cap = sys.get_int_max_str_digits()
     digits = num[1:] if num[:1] == "-" else num
@@ -432,13 +432,13 @@ def parse_ratio(text: str, infinity: str | None, mark):
     return parse_rational(text).as_integer_ratio()
 
 
-def read_ratio(text: str, infinity: str | None, mark, fault: str, key):
+def read_ratio(text: str, infinity: str | None, fault: str, key):
     """:func:`parse_ratio` of the text a loader read at ``key``.  A text that
     is no rational is the ValueError ``fault``, formatted with ``{key}`` (the
     echoed key), ``{id}`` (the key as text) and ``{value}`` (the echoed text);
     a zero denominator names itself."""
     try:
-        return parse_ratio(text, infinity, mark)
+        return parse_ratio(text, infinity)
     except ValueError as exc:
         if isinstance(exc.__context__, ZeroDivisionError):
             raise
@@ -460,8 +460,11 @@ def ratio_text(x, den: int) -> str:
 
 
 def parse_length(text: str) -> ExtendedRational:
-    ratio = parse_ratio(text, "inf", INF)
+    ratio = parse_ratio(text, "inf")
     return ratio if ratio is INF else Fraction(*ratio)
+
+
+NEG_INF = LogAbs("-inf")  # log 0
 
 
 #: Miller-Rabin with the first twelve primes as bases is exact below
@@ -500,8 +503,8 @@ class ResidueSetting(Frozen):
     carries the normalization ``log_p = log|p| < 0``) and ``(p, p)``
     (equicharacteristic ``p``).  The setting determines the absolute
     value of every integer via :meth:`int_abs`.  ``log_p`` is read as a
-    rational (an int, a ``Fraction``, text or a ``LogAbs``; the text
-    ``-inf`` is ``NEG_INF``, which the rule refuses) and stored as a
+    rational (an int, a ``Fraction``, text or a ``LogAbs``; each spelling
+    of ``-inf`` is ``NEG_INF``, which the rule refuses) and stored as a
     ``LogAbs``.
     """
 
@@ -520,13 +523,10 @@ class ResidueSetting(Frozen):
         elif char == 0 and _is_prime(res_char):
             if log_p is None:
                 raise ValueError("mixed characteristic requires log_p")
-            if type(log_p) is str:
-                log_p = LogAbs.parse(log_p)  # "-inf" is NEG_INF, refused below
-            elif type(log_p) is not LogAbs:
-                log_p = LogAbs(Fraction(*as_ratio(log_p, "log_p")))
-            if log_p.is_neg_inf or log_p.value >= 0:
+            ratio = as_ratio(log_p, "log_p", infinity="-inf")
+            if ratio is None or ratio[0] >= 0:
                 raise ValueError("log_p must be a strictly negative rational")
-            kind = "mixed"
+            log_p, kind = LogAbs(Fraction(*ratio)), "mixed"
         elif char == res_char and _is_prime(char):
             if log_p is not None:
                 raise ValueError("equicharacteristic p carries no log_p")

@@ -317,10 +317,10 @@ class TestParseRatio:
             num = str(rng.randint(-10**6, 10**6))
             texts.append(num if rng.random() < 0.3 else f"{num}/{rng.randint(0, 10**4)}")
         for text in texts:
-            length = _outcome(lambda t: parse_ratio(t, "inf", INF), text)
+            length = _outcome(lambda t: parse_ratio(t, "inf"), text)
             assert length == _outcome(_fraction_length, text), text
             assert _outcome(parse_length, text) == length, text
-            delta = _outcome(lambda t: parse_ratio(t, "-inf", None), text)
+            delta = _outcome(lambda t: parse_ratio(t, "-inf"), text)
             assert delta == _outcome(_fraction_delta, text), text
             parsed = _outcome(LogAbs.parse, text)
             if isinstance(parsed, LogAbs):
@@ -328,11 +328,11 @@ class TestParseRatio:
             assert parsed == delta, text
 
     def test_pairs_are_reduced_with_a_positive_denominator(self):
-        assert parse_ratio("-6/4", "inf", INF) == (-3, 2)
-        assert parse_ratio(" 0/5", "inf", INF) == (0, 1)
-        assert parse_ratio("-0", "-inf", None) == (0, 1)
-        assert parse_ratio("2.50", "-inf", None) == (5, 2)
-        assert parse_ratio("\t-inf ", "-inf", None) is None
+        assert parse_ratio("-6/4", "inf") == (-3, 2)
+        assert parse_ratio(" 0/5", "inf") == (0, 1)
+        assert parse_ratio("-0", "-inf") == (0, 1)
+        assert parse_ratio("2.50", "-inf") == (5, 2)
+        assert parse_ratio("\t-inf ", "-inf") is None
 
 
 # -- one reader of rationals at every public entry ------------------------------

@@ -37,8 +37,11 @@ from typing import Dict, Mapping, Sequence, Tuple
 from . import pmfunc
 from .pmfunc import PMFunction
 from .valuation import (
-    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, read_ratio
+    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, ratio_text, read_ratio
 )
+
+#: how ``log_delta`` is read: a rational or any spelling of -inf (None)
+_LOG_DELTA = ("log_delta", None, "a rational or -inf", "-inf")
 
 
 class ConstantSeriesError(ValueError):
@@ -140,17 +143,19 @@ class DifferentReport(Record):
 
     ``slope_s`` is the slope of the different toward the inside of the
     annulus (increasing as the radius shrinks when positive); it always
-    equals ``m - n``.
+    equals ``m - n``.  ``log_delta`` is read as a rational or ``-inf`` and
+    stored as a ``LogAbs``.
     """
 
     __slots__ = ("m", "n", "log_delta", "slope_s")
 
-    def __init__(self, m: int, n: int, log_delta: LogAbs, slope_s: int):
-        if log_delta > 0:
+    def __init__(self, m: int, n: int, log_delta, slope_s: int):
+        d = as_ratio(log_delta, *_LOG_DELTA)
+        if d is not None and d[0] > 0:
             raise ValueError("log_delta must be <= 0")
         if slope_s != m - n:
             raise ValueError("slope_s must equal m - n")
-        super().__init__(m, n, log_delta, slope_s)
+        super().__init__(m, n, LogAbs(log_delta), slope_s)
 
 
 class Verdict(Frozen):
@@ -258,24 +263,22 @@ def different_report(series: ValuedSeries, setting: ResidueSetting) -> Different
         if best is None or key * best[2] > best[1] * b:
             best = (i, key, b)
     n, key, b = best
-    return DifferentReport(m=m, n=n, log_delta=LogAbs(Fraction(key, b * den)), slope_s=m - n)
+    return DifferentReport(m=m, n=n, log_delta=Fraction(key, b * den), slope_s=m - n)
 
 
-def check_restriction(
-    m: int, s: int, log_delta: LogAbs, setting: ResidueSetting
-) -> Verdict:
+def check_restriction(m: int, s: int, log_delta, setting: ResidueSetting) -> Verdict:
     """Admissibility of a (multiplicity, slope, different) triple.
 
     The condition is ``|m+s| >= delta >= |m|`` together with ``s <= 0``
     when the first inequality is an equality and ``s >= 0`` when the
     second one is.  For residue characteristic two and ``m = 2 mod 4``
     a nonzero even slope is reported with a dedicated reason (it always
-    also fails the base condition).
+    also fails the base condition).  ``log_delta`` is a rational or ``-inf``.
     """
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
-    d = log_delta._value  # the raw value: a Fraction, or None for -inf
-    if d is not None and d.numerator > 0:
+    d = as_ratio(log_delta, *_LOG_DELTA)
+    if d is not None and d[0] > 0:
         raise ValueError("log_delta must be <= 0")
     if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
         return Verdict.violated(
@@ -283,19 +286,15 @@ def check_restriction(
             f"in residue characteristic 2, got s={s}"
         )
     # |m+s|, |m| and delta as integers over one denominator, None for -inf
-    ratios = (
-        setting._int_abs_ratio(m + s),
-        setting._int_abs_ratio(m),
-        None if d is None else d.as_integer_ratio(),
-    )
+    ratios = (setting._int_abs_ratio(m + s), setting._int_abs_ratio(m), d)
     den = lcm(*[r[1] for r in ratios if r is not None])
     u, low, d = [None if r is None else r[0] * (den // r[1]) for r in ratios]
     if d is not None and (u is None or u < d):
         return Verdict.violated(
-            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {log_delta}"
+            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {ratio_text(d, den)}"
         )
     if low is not None and (d is None or d < low):
-        return Verdict.violated(f"log_delta = {log_delta} < |m| = {setting.int_abs(m)}")
+        return Verdict.violated(f"log_delta = {ratio_text(d, den)} < |m| = {setting.int_abs(m)}")
     if d == u and s > 0:
         return Verdict.violated(
             f"log_delta attains |m+s| = {setting.int_abs(m + s)}, which requires "
@@ -309,9 +308,7 @@ def check_restriction(
     return _PASSED
 
 
-def realize_triple(
-    m: int, s: int, log_delta: LogAbs, setting: ResidueSetting
-) -> ValuedSeries:
+def realize_triple(m: int, s: int, log_delta, setting: ResidueSetting) -> ValuedSeries:
     """A normalized series whose report is ``(m, m-s, log_delta, s)``.
 
     For ``s = 0`` the monomial ``t^m`` works; otherwise
@@ -325,7 +322,8 @@ def realize_triple(
         raise UnrealizableTripleError(verdict.reason)
     if s == 0:
         return ValuedSeries._from_scaled(1, [(m, 0)])
-    if log_delta.is_neg_inf:
+    d = as_ratio(log_delta, *_LOG_DELTA)
+    if d is None:
         raise UnrealizableTripleError(
             f"log_delta = -inf needs s = 0 (the witness would need a = 0), got s={s}"
         )
@@ -333,6 +331,5 @@ def realize_triple(
     # admissible triple with s != 0, |m-s| is finite and at least delta:
     # |m-s| < delta would force |m+s| = |2m| = |2s| with delta in [|m|, |2m|],
     # which leaves only s = 0 in every setting.
-    dp, dq = log_delta.value.as_integer_ratio()
-    a, b = setting._int_abs_ratio(m - s)
+    (dp, dq), (a, b) = d, setting._int_abs_ratio(m - s)
     return ValuedSeries._from_scaled(dq * b, sorted([(m, 0), (m - s, dp * b - a * dq)]))

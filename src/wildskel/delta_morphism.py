@@ -301,7 +301,7 @@ class DeltaMorphism:
             for vert, slope in ((u, s_uv), (v, -s_uv)):
                 key = n, slope, raw[vert]
                 if key not in checked:
-                    d = NEG_INF if raw[vert] is None else LogAbs(Fraction(raw[vert], den))
+                    d = NEG_INF if raw[vert] is None else Fraction(raw[vert], den)
                     checked[key] = check_restriction(n, slope, d, setting)
                 verdict = checked[key]
                 if not verdict:

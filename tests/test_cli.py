@@ -644,6 +644,18 @@ class TestEllipticSetting:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags", ["--char 3", "--char 0 --res-char 2 --log-p -1", "--char 2"],
+                             ids=["tame", "mixed", "wild"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_log_j_minus_inf_is_j_zero(self, capsys, flags, json_flag):
+        outputs = []
+        for log_j in (["--j-zero"], ["--log-j=-inf"], ["--log-j= -inf "]):
+            code = run(["elliptic", *flags.split(), *log_j, *json_flag])
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        assert outputs[0][0] == 0 and outputs[0][1] and not outputs[0][2]
+        assert outputs == outputs[:1] * 3
+
 
 class TestRoundTrips:
     def test_fixture_files_roundtrip(self):

@@ -1,3 +1,4 @@
+import copy
 import sys
 import time
 from decimal import Decimal
@@ -132,7 +133,8 @@ class TestResidueSetting:
         assert setting == ResidueSetting.mixed(2, log_p)
         assert type(setting.log_p) is LogAbs and setting.int_abs(4) == 2 * setting.log_p
 
-    @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1), "-inf", " -inf"])
+    @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1), "-inf", " -inf",
+                                       copy.deepcopy(NEG_INF), " -inf "])
     def test_log_p_must_be_negative(self, log_p):
         message = "^log_p must be a strictly negative rational$"
         with pytest.raises(ValueError, match=message):
@@ -373,6 +375,8 @@ def _entries():
         "mixed log_p": (lambda x: ResidueSetting.mixed(2, x), "log value", -1),
         "ResidueSetting log_p": (lambda x: ResidueSetting(0, 2, x), "log_p", -1),
         "EllipticInput.of": (lambda x: EllipticInput.of(setting, x), "log value"),
+        "last breakpoint": (lambda x: PMFunction([0, x], [0], [1]), "breakpoints value of 1"),
+        "tropical domain": (lambda x: tropical_eval(series, (0, x)), "domain value of 1"),
     }
 
 
@@ -418,25 +422,87 @@ def test_a_copy_of_neg_inf_is_minus_infinity_as_delta():
     assert mm.delta["l"] is NEG_INF
 
 
+_SPELLINGS = {"inf": (INF, "inf", " inf "),
+              "-inf": (NEG_INF, copy.deepcopy(NEG_INF), "-inf", " -inf ")}
+
+
+def _spelled(call, entry, noun, infinity, sign):
+    """``call``, once it has read ``sign`` as an int, a Fraction, text and a
+    LogAbs alike, every spelling of ``infinity`` alike, and refused each
+    spelling of another infinity as a value it cannot read."""
+
+    def outcome(value):
+        try:
+            return call(value)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def checked(value):
+        numbers = [outcome(x) for x in (sign, Fraction(sign), str(sign), LogAbs(sign))]
+        assert numbers == numbers[:1] * 4, numbers
+        for spelled, spellings in _SPELLINGS.items():
+            got = [outcome(s) for s in spellings]
+            if spelled == infinity:
+                assert got == got[:1] * len(got), got
+            else:
+                assert got == [(ValueError, f"Invalid literal for Fraction: {s.strip()!r}")
+                               if type(s) is str else (ValueError, f"{entry} is {s!r}, not {noun}")
+                               for s in spellings], got
+        return call(value)
+
+    return checked
+
+
 def _refusing_entries():
     """``name -> (call of one value, message, noun, takes -inf)``: the entries of
-    ``_entries``, graph lengths and ``MetricDeltaMorphism`` delta."""
+    ``_entries``, graph lengths, ``MetricDeltaMorphism`` delta and the
+    ``log_delta`` of a report, a restriction check and a witness; each also
+    as ``<name> on infinities``, which first reads every spelling of both
+    infinities (but ``ResidueSetting log_p``, whose None is no log_p:
+    ``test_log_p_must_be_negative`` reads its spellings)."""
+    from wildskel.annulus import DifferentReport, check_restriction, realize_triple
     from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism
     from wildskel.genus_graph import GenusGraph
 
     two = {"a": 0, "b": 0}
     line = GenusGraph(two, {"e": ("a", "b")}, {"e": 1})
     identity = DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
-    setting = ResidueSetting.equichar(2)
-    # -inf belongs to series values (a vanishing term), log_j (j = 0) and LogAbs;
-    # as log_p it is a value that the rule refuses
-    takes = {"series value", "EllipticInput.of", "LogAbs", "mixed log_p", "ResidueSetting log_p"}
+    tail = GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": INF}, ["l"])
+    descending = DeltaMorphism(
+        tail, GenusGraph({"x": 0, "y": 0}, {"f": ("x", "y")}, {"f": INF}, ["y"]),
+        {"a": "x", "l": "y"}, {"e": "f"}, {"e": 2}, {"e": -1})
+    setting, mixed = ResidueSetting.equichar(2), ResidueSetting.mixed(2, -1)
+    # -inf belongs to series values (a vanishing term), log_j (j = 0), LogAbs, delta
+    # and log_delta; as log_p it is a value that the rule refuses.  inf belongs to
+    # lengths (a tail), breakpoints and the right end of a domain; on an inner
+    # breakpoint or an edge that is no tail it is a value its place refuses
+    takes = {"series value", "EllipticInput.of", "LogAbs", "mixed log_p", "ResidueSetting log_p",
+             "delta", "delta at a leaf", "DifferentReport", "check_restriction", "realize_triple"}
+    tails = {"breakpoint", "last breakpoint", "JSON breakpoint", "profile domain",
+             "tropical domain", "graph length", "tail length"}
     entries = {name: (call, entry, "a rational", name in takes)
                for name, (call, entry, *_) in _entries().items()}
     entries["graph length"] = (lambda x: GenusGraph(two, {"e": ("a", "b")}, {"e": x}),
                                "lengths value of 'e'", "a rational or inf", False)
+    entries["tail length"] = (lambda x: GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": x},
+                                                   ["l"]), "lengths value of 'e'", "a rational or inf", False)
     entries["delta"] = (lambda x: MetricDeltaMorphism(identity, {"a": ZERO, "b": x}, setting),
                         "delta value of 'b'", "a rational or -inf", True)
+    entries["delta at a leaf"] = (
+        lambda x: MetricDeltaMorphism(descending, {"a": ZERO, "l": x}, setting).delta,
+        "delta value of 'l'", "a rational or -inf", True)
+    for name, call in (("DifferentReport", lambda x: DifferentReport(2, 3, x, -1)),
+                       ("check_restriction", lambda x: check_restriction(2, 0, x, mixed)),
+                       ("realize_triple", lambda x: realize_triple(2, -1, x, mixed))):
+        entries[name] = (call, "log_delta", "a rational or -inf", True)
+    signs = {name: (*row, 1)[2] for name, row in _entries().items()}
+    for name, (call, entry, noun, takes_neg_inf) in list(entries.items()):
+        if name != "ResidueSetting log_p":
+            infinity = "-inf" if takes_neg_inf else "inf" if name in tails else None
+            sign = -1 if name in takes - {"series value", "EllipticInput.of", "LogAbs"} else 1
+            entries[f"{name} on infinities"] = (
+                _spelled(call, entry, noun, infinity, signs.get(name, sign)), entry, noun,
+                takes_neg_inf)
     return entries
 
 

@@ -824,9 +824,7 @@ def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:
     for k, v in given.items():
         if type(v) is not str:
             if type(v) is not int:
-                raise ValueError(
-                    f"{entry} value of {echo(k)} is {echo(v)}, not a string or an integer"
-                )
+                raise refused(v, entry, k, "a string or an integer")
             v = str(v)
         out[k if type(k) is str else str(k)] = v
     return out

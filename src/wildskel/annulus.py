@@ -64,8 +64,9 @@ class ValuedSeries(Frozen):
     """Finite-support map ``exponent -> log|coefficient|``.
 
     Coefficients with absolute value zero (any spelling of ``-inf``) are
-    simply absent, so every stored value is a finite rational.  The fields ``den`` and ``terms``
-    hold the integer form described in the module docstring.
+    simply absent, so every stored value is a finite rational.  The fields
+    ``den`` and ``terms`` hold the integer form described in the module
+    docstring.
     """
 
     __slots__ = ("den", "terms")
@@ -76,9 +77,8 @@ class ValuedSeries(Frozen):
         if len(set(keys)) != len(keys):  # keys equal after int()
             repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
             raise ValueError(f"series repeats exponent {repeat}")
-        coeffs = {i: v for i, v in zip(keys, given.values())
-                  if as_ratio(v, "series", i, infinity="-inf") is not None}
-        self._store(*pmfunc.scaled_series(coeffs))
+        ratios = [as_ratio(v, "series", i, infinity="-inf") for i, v in zip(keys, given.values())]
+        self._store(*pmfunc.scaled_series([t for t in zip(keys, ratios) if t[1] is not None]))
 
     @classmethod
     def _from_scaled(cls, den: int, terms: Sequence[Tuple[int, int]]) -> "ValuedSeries":

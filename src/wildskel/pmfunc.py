@@ -384,11 +384,10 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
     return hull
 
 
-def scaled_series(coeffs: Mapping) -> Tuple[int, List[Tuple[int, int]]]:
-    """A map ``exponent -> log coefficient`` over its least common
+def scaled_series(terms) -> Tuple[int, List[Tuple[int, int]]]:
+    """``(exponent, (numerator, denominator))`` pairs over their least common
     denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
-    items = sorted([(as_int(i, "series exponent"), as_ratio(v, "series", i))
-                    for i, v in coeffs.items()])
+    items = sorted(terms)
     if not items:
         raise EmptySeriesError("series has empty support")
     den, nums = _over_common_denominator([r for _, r in items])
@@ -400,10 +399,14 @@ def tropical_eval(series, domain) -> NewtonProfile:
 
     ``series`` is a :class:`~wildskel.annulus.ValuedSeries`, read in its
     integer form ``(den, terms)``, or a mapping ``exponent -> log
-    coefficient``, first brought to that form by :func:`scaled_series`.
+    coefficient``, whose values are read as rationals (no ``-inf``) and
+    brought to that form by :func:`scaled_series`.
     """
-    is_map = isinstance(series, Mapping)
-    den, terms = scaled_series(series) if is_map else (series.den, series.terms)
+    if isinstance(series, Mapping):
+        den, terms = scaled_series([(as_int(i, "series exponent"), as_ratio(v, "series", i))
+                                    for i, v in series.items()])
+    else:
+        den, terms = series.den, series.terms
     ends = _domain_ends(domain)
     # values and domain ends over one denominator L
     big_l = lcm(den, *[q for _, q in ends])

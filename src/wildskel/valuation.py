@@ -366,7 +366,7 @@ def as_int(value, entry: str, key=None) -> int:
     return n
 
 
-def as_ratio(value, entry: str, key=None, noun: str = "a rational", infinity=None):
+def as_ratio(value, entry: str, key=None, noun: str = "a rational", infinity: str | None = None):
     """``(numerator, denominator > 0)`` of ``value``: a text by :func:`parse_ratio`,
     a finite LogAbs by its value, else by ``Fraction()``.  Each spelling of
     ``infinity`` (``"inf"``: INF, ``"-inf"``: None) is read as it; a float, a

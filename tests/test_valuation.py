@@ -484,8 +484,9 @@ def _refusing_entries():
                for name, (call, entry, *_) in _entries().items()}
     entries["graph length"] = (lambda x: GenusGraph(two, {"e": ("a", "b")}, {"e": x}),
                                "lengths value of 'e'", "a rational or inf", False)
-    entries["tail length"] = (lambda x: GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": x},
-                                                   ["l"]), "lengths value of 'e'", "a rational or inf", False)
+    entries["tail length"] = (
+        lambda x: GenusGraph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": x}, ["l"]),
+        "lengths value of 'e'", "a rational or inf", False)
     entries["delta"] = (lambda x: MetricDeltaMorphism(identity, {"a": ZERO, "b": x}, setting),
                         "delta value of 'b'", "a rational or -inf", True)
     entries["delta at a leaf"] = (
@@ -499,10 +500,9 @@ def _refusing_entries():
     for name, (call, entry, noun, takes_neg_inf) in list(entries.items()):
         if name != "ResidueSetting log_p":
             infinity = "-inf" if takes_neg_inf else "inf" if name in tails else None
-            sign = -1 if name in takes - {"series value", "EllipticInput.of", "LogAbs"} else 1
+            sign = signs.get(name, -1 if takes_neg_inf else 1)
             entries[f"{name} on infinities"] = (
-                _spelled(call, entry, noun, infinity, signs.get(name, sign)), entry, noun,
-                takes_neg_inf)
+                _spelled(call, entry, noun, infinity, sign), entry, noun, takes_neg_inf)
     return entries
 
 

@@ -37,7 +37,9 @@ exit code of the outputs the goldens above leave open: ``annulus`` on both
 series in five residue settings, in text and JSON mode, with and without
 ``--domain``; ``elliptic`` in text mode across its case split; and
 ``classify-special`` in text mode on the metric fixtures.
-``tools/record_goldens.py`` re-records these six.
+``golden/usage_cli.json`` holds the same for argparse's help and usage
+errors (``tools/record_goldens.py:usage_cli_argvs``) at ``COLUMNS=80``.
+``tools/record_goldens.py`` re-records these seven.
 """
 
 import importlib.util
@@ -72,6 +74,9 @@ SPECIAL_CLI_GOLDEN = json.loads(
 )
 TEXT_CLI_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "text_cli.json").read_text()
+)
+USAGE_CLI_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "usage_cli.json").read_text()
 )
 SPECIAL_SEARCH_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "special_search.json").read_text()
@@ -157,6 +162,21 @@ def test_special_cli_output(case, capsys):
 @pytest.mark.parametrize("case", TEXT_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_text_cli_output(case, capsys):
     _check_cli_case(case, capsys)
+
+
+@pytest.fixture(scope="module")
+def record_goldens():
+    return _load_tool("record_goldens")
+
+
+@pytest.mark.parametrize("case", USAGE_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_usage_cli_output(case, record_goldens, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert record_goldens.cli_outcome(case["argv"]) == case
+
+
+def test_usage_cli_golden_lists_its_argvs(record_goldens):
+    assert [case["argv"] for case in USAGE_CLI_GOLDEN] == record_goldens.usage_cli_argvs()
 
 
 def test_special_search():

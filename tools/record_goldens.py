@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the contraction, properness, loader, admissibility, value and text CLI goldens.
+"""Re-record the contraction, properness, loader, admissibility, value, text and usage CLI goldens.
 
 Usage: ``PYTHONPATH=src python tools/record_goldens.py [OUTDIR]``; OUTDIR
 defaults to the repository's ``tests/golden/``.  Writes:
@@ -26,7 +26,10 @@ defaults to the repository's ``tests/golden/``.  Writes:
   settings of ``TEXT_ANNULUS_SETTINGS``, in text and JSON mode, with and
   without ``--domain``; ``elliptic`` in text mode across its case split;
   and ``classify-special`` in text mode on the metric fixtures.  A
-  ``{fixtures}`` in an argv stands for the fixture directory.
+  ``{fixtures}`` in an argv stands for the fixture directory;
+- ``usage_cli.json``: the same for the help and usage-error argvs of
+  ``usage_cli_argvs``, with ``COLUMNS=80`` pinned for argparse's line
+  width and the exit code of a ``SystemExit`` as the call's.
 
 The files pin behaviour, so re-record them only on purpose.
 """
@@ -35,10 +38,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -156,17 +161,52 @@ def text_cli_argvs() -> list:
     return argvs
 
 
+def usage_cli_argvs() -> list:
+    """The argvs of ``usage_cli.json``: help, and what argparse refuses."""
+    morphism, series = "{fixtures}/wb.morphism.json", "{fixtures}/binomial_p2.series"
+    argvs = [["-h"], [], ["nope"], ["--json", "rh-check", morphism]]
+    argvs += [[name, "-h"] for name in (
+        "rh-check", "stabilize", "classify-special", "enumerate-special", "metric-lift",
+        "elliptic", "annulus", "radial", "export-dot")]
+    return argvs + [
+        ["rh-check"],  # a missing required argument, each kind
+        ["metric-lift", "--setting", "equichar0"],
+        ["annulus", "--series", series],
+        ["elliptic", "--char", "0"],
+        ["rh-check", morphism, "extra"],  # a surplus positional
+        ["enumerate-special", "extra"],
+        ["export-dot", "-h", "extra"],
+        ["rh-check", morphism, "--bogus"],  # an unknown option
+        ["annulus", "--ser", series, "--setting", "mixed:2:-1"],  # abbreviated
+        ["metric-lift", "--type", "WB", "--setting", "equichar0", "--l", "1"],  # ambiguous
+        ["annulus", "--series", series, "--setting", "mixed:2:-1", "--domain", "-1:0"],
+        ["annulus", "--series", series, "--setting", "mixed:2:-1", "--domain"],
+        ["elliptic", "--char", "0", "--log-j", "0", "--j-zero"],
+        ["elliptic", "--char", "x", "--j-zero"],
+        ["radial", "{fixtures}/ms_metric.morphism.json", "--p", "x"],
+    ]
+
+
 def cli_outcome(argv) -> dict:
-    """Exit code, stdout and stderr of ``cli.run(argv)`` in process."""
+    """Exit code, stdout and stderr of ``cli.run(argv)`` in process; the
+    code of a ``SystemExit`` (argparse's help and errors) is the exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     fixtures = str(ROOT / "fixtures")
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = run([a.replace("{fixtures}", fixtures) for a in argv])
+        try:
+            code = run([a.replace("{fixtures}", fixtures) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 def text_cli() -> list:
     return [cli_outcome(argv) for argv in text_cli_argvs()]
+
+
+def usage_cli() -> list:
+    with patch.dict(os.environ, {"COLUMNS": "80"}):
+        return [cli_outcome(argv) for argv in usage_cli_argvs()]
 
 
 def main(argv=None) -> int:
@@ -179,6 +219,7 @@ def main(argv=None) -> int:
         ("load_errors.json", load_errors()),
         ("value_json.json", value_json()),
         ("text_cli.json", text_cli()),
+        ("usage_cli.json", usage_cli()),
     ):
         (outdir / name).write_text(json.dumps(payload, indent=1) + "\n")
     (outdir / "admissibility.json").write_text(admissibility_text())

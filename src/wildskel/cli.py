@@ -10,41 +10,24 @@ Output takes one path: a subcommand computes its result once and returns
 prints the payload under ``--json`` (export-dot has none and prints DOT in
 both modes) and the lines otherwise, inside the ``try`` that turns an
 ``OSError`` such as a closed pipe into ``error: ...`` and exit 2.
+
+A call loads only what its subcommand runs: each subcommand imports its
+library modules, and ``json`` is imported where JSON is read or written.
+:func:`run` parses with the named subcommand's parser alone; the full
+:func:`build_parser`, built from the same ``COMMANDS`` table, parses when
+no subcommand is named and reports arguments left over.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-
-from .annulus import ValuedSeries, different_profile, different_report, normalize
-from .delta_morphism import (
-    DeltaMorphism,
-    morphism_from_json_dict,
-    morphism_to_json_dict,
-    stabilize,
-)
-from .elliptic import EllipticInput, classify_elliptic
-from .genus_graph import GenusGraph
-from .radial import degree_p_locus, radial_vs_ball
-from .special import (
-    Lengths,
-    UnliftableError,
-    classify_special,
-    enumerate_root_subtrees,
-    enumerate_special,
-    is_special,
-    metric_lengths,
-    metric_lift,
-    ramification_signature,
-)
-from .valuation import ResidueSetting, as_ratio
 
 
 def _dump(data) -> str:
+    import json
+
     return json.dumps(data, sort_keys=True, indent=2)
 
 
@@ -52,6 +35,8 @@ def _load_json(path: str):
     """The JSON document in ``path``.  A key repeated in one object (whose
     earlier values ``json.load`` would drop) is an error naming the key,
     and so is nesting too deep for the decoder."""
+    import json
+
     repeats = []  # (object, key), in the order the objects close
 
     def pairs_hook(pairs):
@@ -77,6 +62,8 @@ def _load_json(path: str):
 
 
 def _load_morphism(path: str):
+    from .delta_morphism import morphism_from_json_dict
+
     return morphism_from_json_dict(_load_json(path))
 
 
@@ -106,6 +93,9 @@ def graph_to_dot(
 
 def export_dot(obj) -> str:
     """Deterministic DOT text for a graph or a morphism."""
+    from .delta_morphism import DeltaMorphism
+    from .genus_graph import GenusGraph
+
     if isinstance(obj, DeltaMorphism):
         def edge_label(e):
             return f"n={obj.mult[e]} sd={obj.sdelta_stored(e)}"
@@ -149,6 +139,8 @@ def _cmd_rh_check(args):
 
 
 def _cmd_stabilize(args):
+    from .delta_morphism import morphism_to_json_dict, stabilize
+
     result = stabilize(_load_morphism(args.file))
     line = (
         f"stabilized: {len(result.source.vertices)} vertices, "
@@ -160,6 +152,8 @@ def _cmd_stabilize(args):
 
 def _type_report(t, m) -> dict:
     """The per-type fields of classify-special and enumerate-special."""
+    from .special import ramification_signature
+
     return {
         "type": t.tag,
         "characteristic_class": t.characteristic_class,
@@ -168,6 +162,8 @@ def _type_report(t, m) -> dict:
 
 
 def _cmd_classify_special(args):
+    from .special import classify_special, is_special, metric_lengths
+
     m = _load_morphism(args.file)
     check = is_special(m)
     if not check:
@@ -186,6 +182,9 @@ def _cmd_classify_special(args):
 
 
 def _cmd_enumerate_special(args):
+    from .delta_morphism import morphism_to_json_dict
+    from .special import enumerate_root_subtrees, enumerate_special
+
     pairs = enumerate_special()
     if args.fixtures:
         os.makedirs(args.fixtures, exist_ok=True)
@@ -211,6 +210,10 @@ def _cmd_enumerate_special(args):
 
 
 def _cmd_metric_lift(args):
+    from .delta_morphism import morphism_to_json_dict
+    from .special import Lengths, UnliftableError, metric_lift
+    from .valuation import ResidueSetting
+
     setting = ResidueSetting.parse(args.setting)
     try:
         mm = metric_lift(args.type, Lengths(args.l0, args.l1, args.l3), setting)
@@ -223,6 +226,9 @@ def _cmd_metric_lift(args):
 
 
 def _cmd_elliptic(args):
+    from .elliptic import EllipticInput, classify_elliptic
+    from .valuation import ResidueSetting
+
     if args.char == 0 and args.res_char not in (0, None) and args.log_p is None:
         raise ValueError("mixed characteristic requires --log-p")
     setting = ResidueSetting(args.char, args.res_char or args.char, args.log_p)
@@ -241,6 +247,9 @@ def _cmd_elliptic(args):
 
 
 def _cmd_annulus(args):
+    from .annulus import ValuedSeries, different_profile, different_report, normalize
+    from .valuation import ResidueSetting
+
     with open(args.series, "r", encoding="utf-8") as fh:
         series = ValuedSeries.from_text(fh.read())
     setting = ResidueSetting.parse(args.setting)
@@ -252,7 +261,7 @@ def _cmd_annulus(args):
         f"s={report.slope_s}"
     ]
     if args.domain:
-        lo, hi = (Fraction(*as_ratio(part, "domain")) for part in args.domain.split(":"))
+        lo, hi = args.domain.split(":")
         profile = different_profile(series, setting, (lo, hi))
         payload["profile"] = profile.to_json_dict()
         lines.append(f"profile: {payload['profile']}")
@@ -260,6 +269,8 @@ def _cmd_annulus(args):
 
 
 def _cmd_radial(args):
+    from .radial import degree_p_locus, radial_vs_ball
+
     mm = _load_morphism(args.file)
     if mm.setting is None:
         raise ValueError("radial needs a metric morphism file with delta values")
@@ -281,6 +292,9 @@ def _cmd_radial(args):
 
 
 def _cmd_export_dot(args):
+    from .delta_morphism import morphism_from_json_dict
+    from .genus_graph import GenusGraph
+
     data = _load_json(args.file)
     if isinstance(data, dict) and "vertex_map" in data:
         obj = morphism_from_json_dict(data)
@@ -290,67 +304,81 @@ def _cmd_export_dot(args):
     return 0, None, [export_dot(obj).removesuffix("\n")]
 
 
+_MORPHISM_FILE = ("file", {"help": "morphism JSON file"})
+
+#: name: (function, help, arguments).  An argument is ``(flag, keywords)``
+#: for ``add_argument``; a tuple of arguments is a required choice of one.
+COMMANDS = {
+    "rh-check": (_cmd_rh_check, "verify both Riemann-Hurwitz identities", [_MORPHISM_FILE]),
+    "stabilize": (_cmd_stabilize, "contract a morphism until stable", [_MORPHISM_FILE]),
+    "classify-special": (_cmd_classify_special, "check and classify a special morphism",
+                         [_MORPHISM_FILE]),
+    "enumerate-special": (_cmd_enumerate_special, "list the twelve special types", [
+        ("--fixtures", {"metavar": "DIR", "help": "write the shapes as morphism JSON fixtures"}),
+    ]),
+    "metric-lift": (_cmd_metric_lift, "lift a type to a metric morphism", [
+        ("--type", {"required": True}),
+        ("--l0", {"default": "0"}),
+        ("--l1", {"default": "0"}),
+        ("--l3", {"default": "0"}),
+        ("--setting", {"required": True, "help": "equichar0 | equicharP:p | mixed:p:logp"}),
+    ]),
+    "elliptic": (_cmd_elliptic, "skeleton type of a genus-one double cover", [
+        ("--char", {"type": int, "required": True}),
+        ("--res-char", {"type": int, "default": None}),
+        ("--log-p", {"default": None}),
+        (("--log-j", {"default": None}), ("--j-zero", {"action": "store_true"})),
+    ]),
+    "annulus": (_cmd_annulus, "different report of a valued series", [
+        ("--series", {"required": True, "help": "series file (lines: i log_abs)"}),
+        ("--setting", {"required": True}),
+        ("--domain", {"default": None, "help": "profile domain as lo:hi"}),
+    ]),
+    "radial": (_cmd_radial, "radial ramification locus of a metric morphism", [
+        ("file", {"help": "metric morphism JSON file"}),
+        ("--p", {"type": int, "default": 2}),
+    ]),
+    "export-dot": (_cmd_export_dot, "DOT text for a graph or morphism",
+                   [("file", {"help": "graph or morphism JSON file"})]),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of subcommand ``name``."""
+    fn, _, arguments = COMMANDS[name]
+    parser.add_argument("--json", action="store_true", help="machine output")
+    parser.set_defaults(fn=fn)
+    for argument in arguments:
+        if isinstance(argument[0], str):
+            parser.add_argument(argument[0], **argument[1])
+        else:
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag, keywords in argument:
+                group.add_argument(flag, **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wildskel",
         description="Exact different-function calculus on skeletons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="machine output")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("rh-check", _cmd_rh_check, help="verify both Riemann-Hurwitz identities")
-    p.add_argument("file", help="morphism JSON file")
-
-    p = add("stabilize", _cmd_stabilize, help="contract a morphism until stable")
-    p.add_argument("file", help="morphism JSON file")
-
-    p = add("classify-special", _cmd_classify_special,
-            help="check and classify a special morphism")
-    p.add_argument("file", help="morphism JSON file")
-
-    p = add("enumerate-special", _cmd_enumerate_special,
-            help="list the twelve special types")
-    p.add_argument("--fixtures", metavar="DIR",
-                   help="write the shapes as morphism JSON fixtures")
-
-    p = add("metric-lift", _cmd_metric_lift, help="lift a type to a metric morphism")
-    p.add_argument("--type", required=True)
-    p.add_argument("--l0", default="0")
-    p.add_argument("--l1", default="0")
-    p.add_argument("--l3", default="0")
-    p.add_argument("--setting", required=True,
-                   help="equichar0 | equicharP:p | mixed:p:logp")
-
-    p = add("elliptic", _cmd_elliptic, help="skeleton type of a genus-one double cover")
-    p.add_argument("--char", type=int, required=True)
-    p.add_argument("--res-char", type=int, default=None)
-    p.add_argument("--log-p", default=None)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--log-j", default=None)
-    group.add_argument("--j-zero", action="store_true")
-
-    p = add("annulus", _cmd_annulus, help="different report of a valued series")
-    p.add_argument("--series", required=True, help="series file (lines: i log_abs)")
-    p.add_argument("--setting", required=True)
-    p.add_argument("--domain", default=None, help="profile domain as lo:hi")
-
-    p = add("radial", _cmd_radial, help="radial ramification locus of a metric morphism")
-    p.add_argument("file", help="metric morphism JSON file")
-    p.add_argument("--p", type=int, default=2)
-
-    p = add("export-dot", _cmd_export_dot, help="DOT text for a graph or morphism")
-    p.add_argument("file", help="graph or morphism JSON file")
-
+    for name, (_, summary, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:  # the subcommand's own parser, as build_parser makes it
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"wildskel {name}"), name)
+        args, rest = parser.parse_known_args(argv[1:])
+    if name not in COMMANDS or rest:
+        # the full parser names no or an unknown subcommand, and it is the
+        # one that reports arguments the subcommand leaves over
+        args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
         if args.json and payload is not None:

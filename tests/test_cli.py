@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildskel.cli import build_parser, export_dot, run
+from wildskel.annulus import ValuedSeries, different_profile, normalize
+from wildskel.cli import COMMANDS, _add_arguments, build_parser, export_dot, run
 from wildskel.delta_morphism import morphism_from_json_dict, morphism_to_json_dict
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import build_special
+from wildskel.valuation import INF, ResidueSetting
 
 from tests.support import json_value_paths
 
@@ -143,6 +146,40 @@ class TestReports:
         assert payload["log_delta"] == "-1/2"
         assert payload["slope_s"] == -1
         assert payload["profile"]["segments"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("series", ["kummer_p2", "binomial_p2"])
+    def test_annulus_profile_on_an_unbounded_domain(self, capsys, series, json_flag):
+        path = FIXTURES / f"{series}.series"
+        expected = different_profile(
+            normalize(ValuedSeries.from_text(path.read_text())),
+            ResidueSetting.parse("mixed:2:-1"), (-1, INF),
+        ).to_json_dict()
+        argv = ["annulus", "--series", str(path), "--setting", "mixed:2:-1", "--domain=-1:inf"]
+        assert run(argv + json_flag) == 0
+        out = capsys.readouterr().out
+        if json_flag:
+            assert json.loads(out)["profile"] == expected
+        else:
+            assert out.splitlines()[1] == f"profile: {expected}"
+        assert expected["domain"] == ["-1", "inf"] and expected["breakpoints"][-1] == "inf"
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("x:1", "Invalid literal for Fraction: 'x'"),
+            ("0:x", "Invalid literal for Fraction: 'x'"),
+            ("1:0", "empty domain [1, 0]"),
+            ("inf:0", "Invalid literal for Fraction: 'inf'"),
+            ("1", "not enough values to unpack (expected 2, got 1)"),
+            ("1:2:3", "too many values to unpack (expected 2)"),
+        ],
+    )
+    def test_annulus_domain_errors(self, capsys, domain, message):
+        series = str(FIXTURES / "kummer_p2.series")
+        assert run(["annulus", "--series", series, "--setting", "mixed:2:-1",
+                    f"--domain={domain}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_enumerate_special_json(self, capsys):
         assert run(["enumerate-special", "--json"]) == 0
@@ -754,6 +791,12 @@ class TestOutput:
             code = run(argv + mode)
         assert (code, err.getvalue()) == (2, f"error: [Errno {errno.EPIPE}] Broken pipe\n")
 
+    def test_a_subcommand_parser_alone_is_the_full_parsers_subparser(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for name in COMMANDS:
+            alone = _add_arguments(argparse.ArgumentParser(prog=f"wildskel {name}"), name)
+            assert alone.format_help() == subparsers[name].format_help(), name
+
     def test_export_dot_prints_dot_under_json(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_text(json.dumps(build_special("WB").source.to_json_dict()))
@@ -782,3 +825,54 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_GRAPH_LAYERS = {"valuation", "pmfunc", "annulus", "genus_graph", "delta_morphism"}
+#: the library modules a call of each subcommand loads
+LOADS = {
+    "rh-check": _GRAPH_LAYERS,
+    "stabilize": _GRAPH_LAYERS,
+    "export-dot": _GRAPH_LAYERS,
+    "classify-special": _GRAPH_LAYERS | {"special"},
+    "enumerate-special": _GRAPH_LAYERS | {"special"},
+    "metric-lift": _GRAPH_LAYERS | {"special"},
+    "elliptic": _GRAPH_LAYERS | {"special", "elliptic"},
+    "radial": _GRAPH_LAYERS | {"special", "radial"},
+    "annulus": {"valuation", "pmfunc", "annulus"},
+}
+
+
+def _fresh(code, *argv) -> list:
+    """The last stdout line of ``code`` run in a fresh ``python -S``, split."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.splitlines()[-1].split()
+
+
+#: the wildskel modules loaded, as an argument list for ``print``
+_LOADED = "*sorted(m for m in sys.modules if m.startswith('wildskel.'))"
+
+
+@pytest.mark.parametrize(
+    "argv", EVERY_SUBCOMMAND + [EVERY_SUBCOMMAND[6][:-1]],
+    ids=[argv[0] for argv in EVERY_SUBCOMMAND] + ["annulus-without-domain"],
+)
+def test_a_call_loads_only_what_its_subcommand_runs(argv):
+    code = (
+        "import contextlib, io, sys; from wildskel.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = run(sys.argv[1:])\n"
+        f"print(code, {_LOADED})"
+    )
+    code, *loaded = _fresh(code, *argv)
+    assert code == "0"
+    assert set(loaded) == {"wildskel.cli"} | {f"wildskel.{m}" for m in LOADS[argv[0]]}
+
+
+def test_imports_load_no_library_module():
+    """``import wildskel`` loads no submodule; ``import wildskel.cli``, neither
+    a library module nor ``json``."""
+    assert _fresh(f"import sys, wildskel; print({_LOADED})") == []
+    loaded = _fresh(f"import sys, wildskel.cli; print('json' in sys.modules, {_LOADED})")
+    assert loaded == ["False", "wildskel.cli"]

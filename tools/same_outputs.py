@@ -156,6 +156,7 @@ def _cli_inputs(work: Path):
         for setting in SETTINGS:
             yield ["annulus", "--series", str(path), "--setting", setting]
             yield ["annulus", "--series", str(path), "--setting", setting, "--domain=-2:3"]
+            yield ["annulus", "--series", str(path), "--setting", setting, "--domain=-2:inf"]
     from wildskel import SPECIAL_TAGS
 
     for tag in SPECIAL_TAGS:

@@ -325,14 +325,14 @@ COMMANDS = {
     ]),
     "elliptic": (_cmd_elliptic, "skeleton type of a genus-one double cover", [
         ("--char", {"type": int, "required": True}),
-        ("--res-char", {"type": int, "default": None}),
-        ("--log-p", {"default": None}),
-        (("--log-j", {"default": None}), ("--j-zero", {"action": "store_true"})),
+        ("--res-char", {"type": int}),
+        ("--log-p", {}),
+        (("--log-j", {}), ("--j-zero", {"action": "store_true"})),
     ]),
     "annulus": (_cmd_annulus, "different report of a valued series", [
         ("--series", {"required": True, "help": "series file (lines: i log_abs)"}),
         ("--setting", {"required": True}),
-        ("--domain", {"default": None, "help": "profile domain as lo:hi"}),
+        ("--domain", {"help": "profile domain as lo:hi"}),
     ]),
     "radial": (_cmd_radial, "radial ramification locus of a metric morphism", [
         ("file", {"help": "metric morphism JSON file"}),

@@ -23,9 +23,11 @@ Representation.  A series is stored like a
 exponent.  ``D`` is minimal, so equal series store equal data.
 Normalization, derivatives, reports, image laws, witnesses and the
 slope restriction all run on these integers, and :func:`tropical_eval`
-reads them directly; the report builds no derivative series.  Fractions
-are made only where a value leaves the module: ``coefficients``,
-``series[i]``, ``to_text``, ``repr``, report values and messages.
+reads them directly; the report builds no derivative series, and the
+profile sums the two envelopes as integer segment data into one validated
+``PMFunction``.  Fractions are made only where a value leaves the module:
+``coefficients``, ``series[i]``, ``to_text``, ``repr``, report values and
+messages.
 """
 
 from __future__ import annotations
@@ -238,9 +240,10 @@ def different_profile(
     """
     _require_normalized(series)
     deriv = derivative(series, setting)
-    t_h = pmfunc.tropical_eval(series, domain)
-    t_hp = pmfunc.tropical_eval(deriv, domain)
-    profile = pmfunc.monomial_product(((t_hp, 1), (t_h, -1)), r_exponent=1)
+    # both envelopes as segment data (D, xs, vs, slopes): no NewtonProfile is built
+    t_h = pmfunc._envelope(series.den, series.terms, domain)[:4]
+    t_hp = pmfunc._envelope(deriv.den, deriv.terms, domain)[:4]
+    profile = pmfunc._merge(((*t_hp, 1), (*t_h, -1)), r_exponent=1)
     top = profile._sup_num()  # over the profile's denominator; None for +inf
     if top is None or top > 0:
         raise InvalidModelError(

@@ -22,7 +22,9 @@ is placed among the breakpoints by comparing ``D*p // q`` with them.
 Fractions are made only where a value leaves the module: ``domain``,
 ``breakpoints``, ``segments()``, ``value_at`` (one per call), ``sup``,
 ``to_json_dict``, ``repr`` and error messages.  A tropical evaluation
-stores no achievers: each segment's achiever is its slope.
+stores no achievers: each segment's achiever is its slope.  The annulus
+different sums two envelopes as integer segment data (``_envelope``,
+``_merge``) and builds one validated function, no ``NewtonProfile``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, ratio_text
+from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, echo, ratio_text
 
 
 class OutOfDomainError(ValueError):
@@ -178,7 +180,7 @@ class PMFunction:
     def _locate(self, x) -> Tuple[int, int, int]:
         """``(p, q, j)`` with ``x = p/q`` and ``j`` the rightmost segment
         whose left endpoint is <= x (``x == b`` uses the last segment)."""
-        p, q = as_ratio(x, "point")
+        p, q = x.as_integer_ratio() if type(x) is Fraction else as_ratio(x, "point")
         xs, n = self._xs, len(self._slopes)
         pd = p * self._den
         if pd < xs[0] * q or (len(xs) > n and pd > xs[-1] * q):
@@ -188,11 +190,16 @@ class PMFunction:
         return p, q, j if j < n else n - 1
 
     def value_at(self, x) -> Fraction:
-        p, q, j = self._locate(x)
-        d = self._den
-        return Fraction(
-            self._vs[j] * q + self._slopes[j] * (p * d - self._xs[j] * q), d * q
-        )
+        # _locate inline: this is the hottest call of the annulus kernel
+        p, q = x.as_integer_ratio() if type(x) is Fraction else as_ratio(x, "point")
+        xs, n, d = self._xs, len(self._slopes), self._den
+        pd = p * d
+        if pd < xs[0] * q or (len(xs) > n and pd > xs[-1] * q):
+            raise OutOfDomainError(f"{Fraction(p, q)} outside domain {self.domain}")
+        j = bisect_right(xs, pd // q) - 1
+        if j == n:
+            j -= 1
+        return Fraction(self._vs[j] * q + self._slopes[j] * (pd - xs[j] * q), d * q)
 
     def eval(self, x) -> LogAbs:
         return LogAbs(self.value_at(x))
@@ -221,6 +228,7 @@ class PMFunction:
 
     def pow(self, n: int) -> "PMFunction":
         """n-th power in the multiplicative scale: log values scale by n."""
+        n = as_int(n, "exponent")
         return PMFunction._from_scaled(
             self._den, self._xs, [v * n for v in self._vs], [s * n for s in self._slopes]
         )
@@ -283,6 +291,14 @@ def monomial_product(
     built in one merge sweep over the breakpoints of all factors, which
     must share one domain, and validated once.
     """
+    if not factors:
+        raise ValueError("monomial_product needs at least one factor")
+    parts = []
+    for k, (f, e) in enumerate(factors):
+        if not isinstance(f, PMFunction):
+            raise ValueError(f"factor {k} is {echo(f)}, not a PMFunction")
+        parts.append((f._den, f._xs, f._vs, f._slopes, as_int(e, f"exponent of factor {k}")))
+    r_exponent = as_int(r_exponent, "r_exponent")
     first = factors[0][0]
     d0, a0, b0, bounded = first._den, first._xs[0], first._xs[-1], first._bounded
     for f, _ in factors[1:]:
@@ -295,15 +311,23 @@ def monomial_product(
             raise DomainMismatchError(
                 f"domains differ: {first.domain} vs {f.domain}"
             )
-    den = lcm(*[f._den for f, _ in factors])
+    return _merge(parts, r_exponent)
+
+
+def _merge(parts, r_exponent: int) -> PMFunction:
+    """The product of ``parts = ((den, xs, vs, slopes, e), ...)``, segment
+    data on one domain, read as bounded or degenerate off the first part."""
+    den = lcm(*[d for d, *_ in parts])
     scaled = []
-    for f, e in factors:
-        k = den // f._den
-        scaled.append(([x * k for x in f._xs], [v * k for v in f._vs], f._slopes, e))
+    for d, xs, vs, ss, e in parts:
+        k = den // d
+        scaled.append(([x * k for x in xs], [v * k for v in vs], ss, e))
     cuts = sorted({x for xs, _, _, _ in scaled for x in xs})
-    if first.is_degenerate:
+    _, xs0, _, ss0, _ = parts[0]
+    bounded = len(xs0) > len(ss0)
+    if bounded and xs0[0] == xs0[-1]:
         cuts.append(cuts[0])
-    starts = cuts[:-1] if first._bounded else cuts
+    starts = cuts[:-1] if bounded else cuts
     at = [0] * len(scaled)
     values, slopes = [], []
     for c in starts:
@@ -371,14 +395,12 @@ class NewtonProfile(PMFunction):
 
 def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
     """Strict upper concave hull of points sorted by abscissa."""
-
-    def strictly_above(a, b, c) -> bool:
-        # b strictly above the chord a--c
-        return (b[1] - a[1]) * (c[0] - a[0]) > (c[1] - a[1]) * (b[0] - a[0])
-
     hull: list = []
     for p in points:
-        while len(hull) >= 2 and not strictly_above(hull[-2], hull[-1], p):
+        while len(hull) >= 2:
+            (a0, a1), (b0, b1) = hull[-2], hull[-1]
+            if (b1 - a1) * (p[0] - a0) > (p[1] - a1) * (b0 - a0):
+                break  # b strictly above the chord a--p
             hull.pop()
         hull.append(p)
     return hull
@@ -407,6 +429,13 @@ def tropical_eval(series, domain) -> NewtonProfile:
                                     for i, v in series.items()])
     else:
         den, terms = series.den, series.terms
+    return NewtonProfile._build(*_envelope(den, terms, domain))
+
+
+def _envelope(den: int, terms, domain) -> tuple:
+    """The envelope of the ``(exponent, numerator)`` pairs ``terms`` over
+    ``den`` as segment data ``(D, xs, vs, slopes, L, pts)``: unreduced
+    breakpoints, left values and slopes over ``D``, and the terms over ``L``."""
     ends = _domain_ends(domain)
     # values and domain ends over one denominator L
     big_l = lcm(den, *[q for _, q in ends])
@@ -417,7 +446,7 @@ def tropical_eval(series, domain) -> NewtonProfile:
     if hi_end == lo_end:
         best = max(n + i * lo_end for i, n in pts)
         owner = min(i for i, n in pts if n + i * lo_end == best)
-        return NewtonProfile._build(big_l, (lo_end, lo_end), (best,), (owner,), big_l, pts)
+        return big_l, (lo_end, lo_end), (best,), (owner,), big_l, pts
 
     # hull point j is active between the crossings with its neighbours;
     # positions are kept as (num, den) in units of 1/L, clipped to [a, b]
@@ -443,4 +472,4 @@ def tropical_eval(series, domain) -> NewtonProfile:
     xs = [p * (m // q) for p, q in bounds]
     vs = [n * m + i * x for (i, n), x in zip(owners, xs)]
     slopes = [i for i, _ in owners]
-    return NewtonProfile._build(big_l * m, xs, vs, slopes, big_l, pts)
+    return big_l * m, xs, vs, slopes, big_l, pts

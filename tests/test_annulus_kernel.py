@@ -5,7 +5,8 @@ The reference functions below rewrite ``normalize``, ``derivative``,
 dict ``exponent -> Fraction``, with ``log|k|`` read off the setting's
 text; they call nothing of the library.  On random series in five
 residue settings the library must give the same values, raise the same
-exception types and word the same messages.
+exception types and word the same messages.  ``different_profile``, which
+fuses two envelopes and their product, is held to that public composition.
 """
 
 import random
@@ -17,16 +18,18 @@ from tests.support import random_valued_series
 from wildskel.annulus import (
     ConstantSeriesError,
     InseparableSeriesError,
+    InvalidModelError,
     UnrealizableTripleError,
     ValuedSeries,
     derivative,
+    different_profile,
     different_report,
     is_normalized,
     normalize,
     realize_triple,
     skeleton_image_law,
 )
-from wildskel.pmfunc import tropical_eval
+from wildskel.pmfunc import monomial_product, tropical_eval
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 SETTINGS = ["equichar0", "equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1/2"]
@@ -259,3 +262,54 @@ def test_tropical_eval_reads_series_and_maps_alike():
         s = random_valued_series(rng)
         for domain in domains:
             assert form(tropical_eval(s, domain)) == form(tropical_eval(s.coefficients, domain))
+
+
+
+class _OverOneSomewhere:
+    """A stand-in setting with ``log|i| = (i mod 3 - 1)/2``: a third of the
+    exponents have ``|i| > 1``, so some profiles exceed zero."""
+
+    def int_abs(self, n):
+        return LogAbs(Fraction(n % 3 - 1, 2))
+
+
+def _random_domain(rng, kind):
+    a = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+    if kind == "finite":
+        return a, a + Fraction(rng.randint(1, 12), rng.choice([1, 2, 5]))
+    return (a, INF) if kind == "tail" else (a, a)
+
+
+@pytest.mark.parametrize("setting_text", SETTINGS + ["over one somewhere"])
+def test_different_profile_is_the_public_composition(setting_text):
+    """``T(h') + x - T(h)`` without intermediate envelopes equals the product
+    of the two public envelopes, and is refused exactly where its sup exceeds
+    0: never in a residue setting, where ``|i| <= 1``."""
+    real = setting_text in SETTINGS
+    setting = ResidueSetting.parse(setting_text) if real else _OverOneSomewhere()
+    rng = random.Random(f"fused-{setting_text}")
+    seen = {"ok": 0, "invalid": 0}
+    for _ in range(1000):
+        try:
+            series = normalize(random_valued_series(rng))
+            deriv = derivative(series, setting)
+        except (ConstantSeriesError, InseparableSeriesError):
+            continue
+        for kind in ("finite", "tail", "point"):
+            domain = _random_domain(rng, kind)
+            want = monomial_product(
+                ((tropical_eval(deriv, domain), 1), (tropical_eval(series, domain), -1)),
+                r_exponent=1,
+            )
+            top = want.sup()
+            got = outcome(different_profile, series, setting, domain)
+            if top is INF or top > 0:
+                assert got == (InvalidModelError, f"different exceeds one on {domain}; "
+                               "the series does not model a covering there")
+                seen["invalid"] += 1
+            else:
+                assert got == want and got.to_json_dict() == want.to_json_dict()
+                assert type(got) is type(want)
+                seen["ok"] += 1
+    assert seen["ok"] > 1000, seen
+    assert seen["invalid"] == 0 if real else seen["invalid"] > 300, seen

@@ -11,6 +11,7 @@ from wildskel.pmfunc import (
     EmptySeriesError,
     OutOfDomainError,
     PMFunction,
+    monomial_product,
     tropical_eval,
 )
 from wildskel.valuation import INF, LogAbs
@@ -350,3 +351,50 @@ def test_slope_int_would_round_is_an_error(slope):
     assert str(info.value) == message
     doc["segments"][0]["slope"] = "2"
     assert PMFunction.from_json_dict(doc) == PMFunction([0, 1], [0], [2])
+
+
+def _refusal(call) -> tuple:
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "x", None, Fraction(3, 2)])
+def test_pow_refuses_what_is_no_integer(n):
+    # True used to read as 1 and 1.5 or "x" raised a bare TypeError
+    f = PMFunction.line((0, 1), 0, 1)
+    assert _refusal(lambda: f.pow(n)) == (ValueError, f"exponent is {n!r}, not an integer")
+
+
+def test_pow_reads_an_integer_like_exponent():
+    f = PMFunction.line((0, 1), 0, 1)
+    assert f.pow("3") == f.pow(Fraction(3)) == f.pow(3) == PMFunction.line((0, 1), 0, 3)
+
+
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), None, LogAbs(0), "f"])
+def test_mul_refuses_what_is_no_pmfunction(other):
+    # an int used to raise AttributeError: 'int' object has no attribute '_den'
+    f = PMFunction.line((0, 1), 0, 1)
+    assert _refusal(lambda: f.mul(other)) == (
+        ValueError, f"factor 1 is {other!r}, not a PMFunction")
+
+
+def test_monomial_product_refuses_bad_factors_and_exponents():
+    f = PMFunction.line((0, 1), 0, 1)
+    assert _refusal(lambda: monomial_product([])) == (
+        ValueError, "monomial_product needs at least one factor")
+    assert _refusal(lambda: monomial_product(())) == (
+        ValueError, "monomial_product needs at least one factor")
+    assert _refusal(lambda: monomial_product([(f, 1), (2, 1)])) == (
+        ValueError, "factor 1 is 2, not a PMFunction")
+    for e in (1.5, True, None, "x"):
+        assert _refusal(lambda: monomial_product([(f, e)])) == (
+            ValueError, f"exponent of factor 0 is {e!r}, not an integer")
+        assert _refusal(lambda: monomial_product([(f, 1), (f, e)])) == (
+            ValueError, f"exponent of factor 1 is {e!r}, not an integer")
+        assert _refusal(lambda: monomial_product([(f, 1)], r_exponent=e)) == (
+            ValueError, f"r_exponent is {e!r}, not an integer")
+    assert _refusal(lambda: monomial_product([(f, 1)], r_exponent=0.5)) == (
+        ValueError, "r_exponent is 0.5, not an integer")
+    # integer-like values still read as integers
+    assert monomial_product([(f, "2")], r_exponent=Fraction(-1)) == PMFunction.line((0, 1), 0, 1)

@@ -367,6 +367,7 @@ def _entries():
         "line left value": (lambda x: PMFunction.line((0, 2), x, 1), "left_value"),
         "value_at": (line.value_at, "point"),
         "slope_at": (lambda x: line.slope_at(x, "left"), "point"),
+        "achievers_at": (tropical_eval(series, (0, 2)).achievers_at, "point"),
         "profile domain": (lambda x: different_profile(series, setting, (0, x)),
                            "domain value of 1"),
         "image law point": (lambda x: skeleton_image_law(series, x), "at_log_r"),

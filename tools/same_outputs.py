@@ -26,7 +26,9 @@ series also through the methods of its different profile and envelopes
 (values and slopes on a grid and at every breakpoint, tie sets, sup,
 products across domains) and, under a stand-in setting in which some
 ``|i|`` exceed one, through the report and the profile; ``Divisor``
-arithmetic, ``certify_skeleton`` and ``wide_open_genus_check`` on the
+arithmetic; ``PMFunction.pow``, ``PMFunction.mul`` and ``monomial_product``
+on an int, a bool, a float, text and ``None`` as exponent or factor, and on
+no factor; ``certify_skeleton`` and ``wide_open_genus_check`` on the
 random morphisms; ``contract_morphism`` and ``contract_graph`` of both
 move kinds at every target vertex of each morphism, legal or not;
 ``enumerate_root_subtrees``; numbers, texts, floats, bools and a
@@ -384,6 +386,15 @@ def record(out, work: Path, every: int) -> None:
     for other in (3, None):
         rec.call(f"divisor + {other!r}", lambda: one + other)
         rec.call(f"divisor - {other!r}", lambda: one - other)
+    import wildskel.pmfunc as pm
+
+    line = ws.PMFunction.line((0, 1), 0, 1)
+    for bad in (3, True, 1.5, "x", None):
+        rec.call(f"pow {bad!r}", line.pow, bad)
+        rec.call(f"mul {bad!r}", line.mul, bad)
+        rec.call(f"product exponent {bad!r}", pm.monomial_product, [(line, 1), (line, bad)])
+        rec.call(f"product r_exponent {bad!r}", pm.monomial_product, [(line, 1)], bad)
+    rec.call("product of no factor", pm.monomial_product, [])
 
     from tests.test_special import canonical_lengths, setting_for
 

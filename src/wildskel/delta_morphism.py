@@ -129,10 +129,12 @@ class DeltaMorphism:
             fibers[v2].append(v)
         self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         # one sweep over the edges checks them, sums n per source vertex and
-        # image branch (loops map slot to slot: from->from, to->to), and adds
-        # up R_v - chi(v) = sum of sdelta(b) - n_b + 1 over the branches b at v
-        # and Delta_v = -sum of sdelta(b); the branch at v runs against e
-        sums: Dict[str, Dict[Tuple[str, bool], int]] = {v: {} for v in source.vertices}
+        # image branch, and adds up R_v - chi(v) = sum of sdelta(b) - n_b + 1
+        # over the branches b at v and Delta_v = -sum of sdelta(b); the branch
+        # at v runs against e.  A target edge that is not a loop has one
+        # branch at each end, so its id keys the branch; a target loop has two
+        # at its vertex, keyed (e2, forward): an edge over it maps from->from
+        sums: Dict[str, dict] = {v: {} for v in source.vertices}
         self._indices = r = dict.fromkeys(source.vertices, 0)
         self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
         ends, target_ends, missing = source._ends, target._ends, None
@@ -143,15 +145,20 @@ class DeltaMorphism:
             u, v = ends[e]
             a, b = vmap[u], vmap[v]
             u2, v2 = target_ends[e2]
-            if not (a == u2 and b == v2 or a == v2 and b == u2):
+            if u2 != v2:
+                incident = a == u2 and b == v2 or a == v2 and b == u2
+                key_u = key_v = e2
+            else:
+                incident = a == u2 == b
+                key_u, key_v = (e2, True), (e2, False)
+            if not incident:
                 raise NotProperError(f"edge {cut(e)} violates incidence under the map")
             n = mult.get(e, 0)
             if n < 1:
                 raise NotProperError(f"edge {cut(e)} needs a positive multiplicity")
-            forward = u2 == v2 or a == u2  # the image of the branch at u
             at_u, at_v = sums[u], sums[v]
-            at_u[e2, forward] = at_u.get((e2, forward), 0) + n
-            at_v[e2, not forward] = at_v.get((e2, not forward), 0) + n
+            at_u[key_u] = at_u.get(key_u, 0) + n
+            at_v[key_v] = at_v.get(key_v, 0) + n
             s = sdelta.get(e)
             if s is None:  # raised after the properness checks
                 missing = e if missing is None else missing
@@ -171,14 +178,19 @@ class DeltaMorphism:
             # counts has an entry for each branch at v2 that an edge at v
             # covers; every branch needs one, and all the same sum; an
             # isolated fiber point (no branches) has multiplicity one
-            k = max(counts.values(), default=1)
-            if len(counts) != len(branches2[v2]) or counts and min(counts.values()) != k:
+            if counts:
+                totals = counts.values()
+                k = max(totals)
+                constant = len(counts) == len(branches2[v2]) and min(totals) == k
+            else:
+                k, constant = 1, not branches2[v2]
+            if not constant:
                 if not target.is_connected():
                     raise NotProperError("properness requires connected graphs")
-                branches = branches2[v2]
+                loops = {e2 for e2, (u2, w2) in target_ends.items() if u2 == w2}
+                found = {b: counts.get(b if b.edge in loops else b.edge, 0) for b in branches2[v2]}
                 raise NotProperError(
-                    f"multiplicity is not locally constant at vertex {cut(v)}: "
-                    f"{echo({b: counts.get(b, 0) for b in branches})}"
+                    f"multiplicity is not locally constant at vertex {cut(v)}: {echo(found)}"
                 )
             vmult[v] = k
             ranks[v2] += k
@@ -214,7 +226,12 @@ class DeltaMorphism:
     # -- divisors ----------------------------------------------------------
 
     def pullback(self, d: Divisor) -> Divisor:
-        return Divisor._from_normal(self._pulled_back(d.coefficients))
+        """``f^* d``; a vertex of ``d`` that is not a target vertex is a ValueError."""
+        coefficients, vertices = d.coefficients, self.target._genus
+        if not coefficients.keys() <= vertices.keys():
+            v = next(v for v in coefficients if v not in vertices)
+            raise ValueError(f"divisor vertex {cut(v)} is not a target vertex")
+        return Divisor._from_normal(self._pulled_back(coefficients))
 
     def _pulled_back(self, coefficients: Mapping[str, int]) -> Dict[str, int]:
         """The pullback's coefficient at every source vertex, zeros included."""

@@ -439,7 +439,7 @@ class Divisor(Frozen):
     def _from_normal(cls, coefficients: Dict[str, int]) -> "Divisor":
         """The divisor of a ``str -> int`` dict: zeros are dropped, nothing is checked."""
         d = cls.__new__(cls)
-        Frozen.__init__(d, {v: c for v, c in coefficients.items() if c})
+        cls._setters[0](d, {v: c for v, c in coefficients.items() if c})  # the one field
         return d
 
     def coefficient(self, v: str) -> int:

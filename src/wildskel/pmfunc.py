@@ -291,17 +291,30 @@ def monomial_product(
     built in one merge sweep over the breakpoints of all factors, which
     must share one domain, and validated once.
     """
+    try:
+        factors = tuple(factors)
+    except TypeError:
+        raise ValueError(
+            f"factors is {echo(factors)}, not an iterable of (PMFunction, exponent) pairs"
+        ) from None
     if not factors:
         raise ValueError("monomial_product needs at least one factor")
-    parts = []
-    for k, (f, e) in enumerate(factors):
+    parts, functions = [], []
+    for k, factor in enumerate(factors):
+        try:
+            f, e = factor
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"factor {k} is {echo(factor)}, not a (PMFunction, exponent) pair"
+            ) from None
         if not isinstance(f, PMFunction):
             raise ValueError(f"factor {k} is {echo(f)}, not a PMFunction")
+        functions.append(f)
         parts.append((f._den, f._xs, f._vs, f._slopes, as_int(e, f"exponent of factor {k}")))
     r_exponent = as_int(r_exponent, "r_exponent")
-    first = factors[0][0]
+    first = functions[0]
     d0, a0, b0, bounded = first._den, first._xs[0], first._xs[-1], first._bounded
-    for f, _ in factors[1:]:
+    for f in functions[1:]:
         d, xs = f._den, f._xs
         if (
             f._bounded != bounded

@@ -127,6 +127,161 @@ class TestProperness:
         )
 
 
+def _reference_core(source, target, vertex_map, edge_map, mult, sdelta):
+    """What the core derives from sums of ``n`` per (source vertex, image
+    ``OrientedEdge``): ``(vertex_mult, degree, fibers, R, Delta)``, or the
+    local-constancy message of the first source vertex that fails it."""
+    sums = {v: {} for v in source.vertices}
+    for e in source.edge_ids:
+        (u, v), e2 = source.endpoints(e), edge_map[e]
+        u2, v2 = target.endpoints(e2)
+        forward = u2 == v2 or vertex_map[u] == u2  # a loop maps from->from, to->to
+        for w, branch in ((u, OrientedEdge(e2, forward)), (v, OrientedEdge(e2, not forward))):
+            sums[w][branch] = sums[w].get(branch, 0) + mult[e]
+    vertex_mult = {}
+    for v in source.vertices:
+        counts = {b: sums[v].get(b, 0) for b in target.branches(vertex_map[v])}
+        if len(set(counts.values())) > 1 or 0 in counts.values():
+            return f"multiplicity is not locally constant at vertex {v}: {counts!r}"
+        vertex_mult[v] = next(iter(counts.values()), 1)
+    fibers = {
+        v2: tuple(v for v in source.vertices if vertex_map[v] == v2) for v2 in target.vertices
+    }
+    (degree,) = {sum(vertex_mult[v] for v in vs) for vs in fibers.values()}
+    r, delta = {}, {}
+    for v in source.vertices:
+        g, g2 = source.genus_of(v), target.genus_of(vertex_map[v])
+        r[v], delta[v] = 2 * g - 2 - vertex_mult[v] * (2 * g2 - 2), 0
+        for b in source.branches(v):
+            s = sdelta[b.edge] if b.forward else -sdelta[b.edge]
+            r[v] -= -s + mult[b.edge] - 1
+            delta[v] -= s
+    return vertex_mult, degree, fibers, r, delta
+
+
+def _core_input(m: DeltaMorphism) -> tuple:
+    sdelta = {e: m.sdelta_stored(e) for e in m.source.edge_ids}
+    return m.source, m.target, m.vertex_map, m.edge_map, m.mult, sdelta
+
+
+def _loops_over_a_loop() -> DeltaMorphism:
+    """Degree two: two source loops of n = 1 over the target loop ``l``
+    at ``x``, and two sheets over the edge ``g``."""
+    source = GenusGraph(
+        {"a": 1, "b1": 0, "b2": 2},
+        {"k1": ("a", "a"), "k2": ("a", "a"), "r1": ("a", "b1"), "r2": ("b2", "a")},
+    )
+    target = GenusGraph({"x": 0, "y": 1}, {"g": ("x", "y"), "l": ("x", "x")})
+    return DeltaMorphism(
+        source, target, {"a": "x", "b1": "y", "b2": "y"},
+        {"k1": "l", "k2": "l", "r1": "g", "r2": "g"},
+        {"k1": 1, "k2": 1, "r1": 1, "r2": 1}, {"k1": 2, "k2": -1, "r1": 0, "r2": 3},
+    )
+
+
+def _edges_over_a_loop() -> DeltaMorphism:
+    """Degree two: a two-cycle over the target loop ``l``, a double edge
+    over ``g`` and one edge of ``n = 2`` over the parallel edge ``h``."""
+    source = GenusGraph(
+        {"a1": 0, "a2": 1, "b": 0},
+        {"p": ("a1", "a2"), "q": ("a2", "a1"), "r": ("a1", "b"), "s": ("a2", "b"),
+         "t": ("b", "a1"), "u": ("b", "a2")},
+    )
+    target = GenusGraph({"x": 0, "y": 0}, {"g": ("x", "y"), "h": ("y", "x"), "l": ("x", "x")})
+    return DeltaMorphism(
+        source, target, {"a1": "x", "a2": "x", "b": "y"},
+        {"p": "l", "q": "l", "r": "g", "s": "g", "t": "h", "u": "h"},
+        {"p": 1, "q": 1, "r": 1, "s": 1, "t": 1, "u": 1},
+        {"p": 1, "q": 0, "r": -2, "s": 1, "t": 0, "u": 2},
+    )
+
+
+def _three_sheets_over_parallel_edges() -> DeltaMorphism:
+    """Degree three over three parallel target edges, one of them reversed,
+    with a source loop of ``n = 1`` and one of ``n = 2`` over the loop ``l``."""
+    source = GenusGraph(
+        {"a": 0, "b1": 1, "b2": 0},
+        {"g1": ("a", "b1"), "g2": ("a", "b2"), "h1": ("b1", "a"), "h2": ("b2", "a"),
+         "h3": ("b2", "a"), "k1": ("a", "b1"), "k2": ("a", "b2"), "o1": ("a", "a"),
+         "o2": ("a", "a")},
+    )
+    target = GenusGraph(
+        {"x": 0, "y": 0}, {"g": ("x", "y"), "h": ("y", "x"), "k": ("x", "y"), "l": ("x", "x")}
+    )
+    edge_map = {"g1": "g", "g2": "g", "h1": "h", "h2": "h", "h3": "h", "k1": "k", "k2": "k",
+                "o1": "l", "o2": "l"}
+    mult = {"g1": 1, "g2": 2, "h1": 1, "h2": 1, "h3": 1, "k1": 1, "k2": 2, "o1": 1, "o2": 2}
+    sdelta = dict(zip(sorted(edge_map), (0, 1, -1, 2, 0, -3, 1, 3, -2)))
+    return DeltaMorphism(source, target, {"a": "x", "b1": "y", "b2": "y"}, edge_map, mult, sdelta)
+
+
+HAND_MADE = (_loops_over_a_loop, _edges_over_a_loop, _three_sheets_over_parallel_edges)
+
+
+class TestCoreAgainstReference:
+    """The core keys branch sums by target edge id, or by (edge, direction)
+    on a target loop; a plain reference keyed by ``OrientedEdge`` agrees."""
+
+    @staticmethod
+    def assert_matches(m: DeltaMorphism) -> None:
+        vertex_mult, degree, fibers, r, delta = _reference_core(*_core_input(m))
+        assert m.vertex_mult == vertex_mult
+        assert (m.degree, m.fibers) == (degree, fibers)
+        assert {v: m.differential_index(v) for v in m.source.vertices} == r
+        assert m.delta_divisor() == Divisor(delta)
+
+    @staticmethod
+    def assert_fault(m: DeltaMorphism, e: str) -> bool:
+        """Raise ``n`` on ``e`` by one; if the reference names a
+        local-constancy fault, the core raises it word for word."""
+        source, target, vertex_map, edge_map, mult, sdelta = _core_input(m)
+        mult = {**mult, e: mult[e] + 1}
+        expected = _reference_core(source, target, vertex_map, edge_map, mult, sdelta)
+        if not isinstance(expected, str):
+            return False
+        with pytest.raises(NotProperError) as info:
+            DeltaMorphism(source, target, vertex_map, edge_map, mult, sdelta)
+        assert str(info.value) == expected
+        return True
+
+    @pytest.mark.parametrize("build", HAND_MADE)
+    def test_hand_made_morphisms(self, build):
+        m = build()
+        self.assert_matches(m)
+        assert all(self.assert_fault(m, e) for e in m.source.edge_ids)
+
+    def test_random_proper_morphisms(self):
+        rng, faults = random.Random(41), 0
+        for _ in range(150):
+            m = random_proper_delta_morphism(rng)
+            self.assert_matches(m)
+            faults += self.assert_fault(m, rng.choice(m.source.edge_ids))
+        assert faults > 100
+
+    def test_fault_messages_name_loop_branches_by_direction(self):
+        m = _loops_over_a_loop()
+        source, target, vertex_map, edge_map, mult, sdelta = _core_input(m)
+        for e, message in (
+            ("k1", "{OrientedEdge(edge='g', forward=True): 2, "
+                   "OrientedEdge(edge='l', forward=True): 3, "
+                   "OrientedEdge(edge='l', forward=False): 3}"),
+            ("r1", "{OrientedEdge(edge='g', forward=True): 3, "
+                   "OrientedEdge(edge='l', forward=True): 2, "
+                   "OrientedEdge(edge='l', forward=False): 2}"),
+        ):
+            with pytest.raises(NotProperError) as info:
+                DeltaMorphism(source, target, vertex_map, edge_map, {**mult, e: 2}, sdelta)
+            assert str(info.value) == f"multiplicity is not locally constant at vertex a: {message}"
+
+    def test_an_edge_onto_a_loop_keeps_incidence(self):
+        # a source edge whose ends map to two target vertices cannot cover a loop
+        m = _edges_over_a_loop()
+        source, target, vertex_map, edge_map, mult, sdelta = _core_input(m)
+        with pytest.raises(NotProperError) as info:
+            DeltaMorphism(source, target, vertex_map, {**edge_map, "r": "l"}, mult, sdelta)
+        assert str(info.value) == "edge r violates incidence under the map"
+
+
 def _restated_index(m: DeltaMorphism, v: str) -> int:
     """``chi(v) - sum of S`` from the stored data, each branch found by a scan."""
     g, g2 = m.source.genus_of(v), m.target.genus_of(m.vertex_map[v])
@@ -290,6 +445,15 @@ class TestRiemannHurwitz:
                 {v: rng.randint(-3, 3) for v in m.target.vertices}
             )
             assert m.pullback(d).degree() == m.degree * d.degree()
+
+    def test_pullback_refuses_a_vertex_off_the_target(self):
+        # it used to drop such a coefficient: Divisor(0), and deg f*D != deg f * deg D
+        m = morphism_from_json_dict(json.loads((FIXTURES / "wb.morphism.json").read_text()))
+        for given in ({"nope": 5}, {"t'": 1, "nope": 5, "v1": 2}):
+            with pytest.raises(ValueError) as info:
+                m.pullback(Divisor(given))
+            assert str(info.value) == "divisor vertex nope is not a target vertex"
+        assert m.pullback(Divisor({"t'": 1})).degree() == m.degree
 
 
 class TestGraphContraction:

@@ -398,3 +398,18 @@ def test_monomial_product_refuses_bad_factors_and_exponents():
         ValueError, "r_exponent is 0.5, not an integer")
     # integer-like values still read as integers
     assert monomial_product([(f, "2")], r_exponent=Fraction(-1)) == PMFunction.line((0, 1), 0, 1)
+
+
+def test_monomial_product_refuses_what_is_no_list_of_pairs():
+    # each used to raise a bare TypeError, or an unpacking ValueError naming no factor
+    f = PMFunction.line((0, 1), 0, 1)
+    assert _refusal(lambda: monomial_product(f)) == (
+        ValueError, f"factors is {f!r}, not an iterable of (PMFunction, exponent) pairs")
+    for factors, bad in (([f], f), ([(f,)], (f,)), ([(f, 1, 2)], (f, 1, 2))):
+        assert _refusal(lambda: monomial_product(factors)) == (
+            ValueError, f"factor 0 is {bad!r}, not a (PMFunction, exponent) pair")
+    assert _refusal(lambda: monomial_product([(f, 1), f])) == (
+        ValueError, f"factor 1 is {f!r}, not a (PMFunction, exponent) pair")
+    # factors are read once, so an iterator of pairs is a product like a list
+    assert monomial_product(iter([(f, 1), (f, 2)])) == monomial_product([(f, 1), (f, 2)])
+    assert monomial_product(iter([(f, 1)])) == f

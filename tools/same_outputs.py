@@ -27,10 +27,13 @@ series also through the methods of its different profile and envelopes
 products across domains) and, under a stand-in setting in which some
 ``|i|`` exceed one, through the report and the profile; ``Divisor``
 arithmetic; ``PMFunction.pow``, ``PMFunction.mul`` and ``monomial_product``
-on an int, a bool, a float, text and ``None`` as exponent or factor, and on
-no factor; ``certify_skeleton`` and ``wide_open_genus_check`` on the
-random morphisms; ``contract_morphism`` and ``contract_graph`` of both
-move kinds at every target vertex of each morphism, legal or not;
+on an int, a bool, a float, text and ``None`` as exponent or factor, on
+no factor, and ``monomial_product`` on a bare function, a lone function, an
+iterator, a 1-tuple and a 3-tuple as factors; the pullback of each random
+morphism along a divisor that also names a vertex off the target;
+``certify_skeleton`` and ``wide_open_genus_check`` on the random morphisms;
+``contract_morphism`` and ``contract_graph`` of both move kinds at every
+target vertex of each morphism, legal or not;
 ``enumerate_root_subtrees``; numbers, texts, floats, bools and a
 ``LogAbs`` as series values, ``PMFunction`` values and breakpoints, ``LogAbs``,
 ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
@@ -338,6 +341,9 @@ def record(out, work: Path, every: int) -> None:
         d = rec.call(f"{label} divisor", pub("Divisor"), given)
         if d is not None:
             rec.call(f"{label} pullback", m.pullback, d)
+        off = rec.call(f"{label} divisor off target", pub("Divisor"), {**given, "nope": 5})
+        if off is not None:
+            rec.call(f"{label} pullback off target", m.pullback, off)
         for name, fn in (("K+R", k.__add__), ("K-R", k.__sub__), ("R-R", r.__sub__)):
             total = rec.call(f"{label} {name}", fn, r)
             if total is not None:
@@ -395,6 +401,11 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"product exponent {bad!r}", pm.monomial_product, [(line, 1), (line, bad)])
         rec.call(f"product r_exponent {bad!r}", pm.monomial_product, [(line, 1)], bad)
     rec.call("product of no factor", pm.monomial_product, [])
+    for name, factors in (
+        ("a bare factor", [line]), ("a lone function", line), ("an iterator", iter([(line, 1)])),
+        ("a 1-tuple", [(line,)]), ("a 3-tuple", [(line, 1, 2)]),
+    ):
+        rec.call(f"product of {name}", pm.monomial_product, factors)
 
     from tests.test_special import canonical_lengths, setting_for
 

@@ -337,7 +337,7 @@ class DeltaMorphism:
         if delta[u] is None:
             u, s = v, -s
         if delta[u] is None:
-            raise ValueError(f"edge {e} has no finite endpoint value")
+            raise ValueError(f"edge {cut(e)} has no finite endpoint value")
         l, ld, dd = self.source._lengths[e], self.source._den, self._delta_den
         xs = [0] if l is INF else [0, l * dd]  # over ld * dd, reduced by the core
         return PMFunction._from_scaled(ld * dd, xs, [sign * delta[u] * ld], [sign * s])
@@ -520,21 +520,21 @@ def _vertex_obstruction(g, kind: str, v: str, noun: str) -> Optional[str]:
     if kind not in ("leaf", "smooth"):
         return f"unknown move kind {kind!r}"
     if v not in g.vertices:
-        return f"no {noun} {v}"
+        return f"no {noun} {cut(str(v))}"
     if g._genus[v] != 0:
-        return f"{noun} {v} has positive genus"
+        return f"{noun} {cut(v)} has positive genus"
     branches = g._branches[v]
     if kind == "leaf":
         if len(branches) != 1:
-            return f"{noun} {v} is not a leaf"
+            return f"{noun} {cut(v)} is not a leaf"
         w = g.head(branches[0])
         if w in g.infinite_leaves:
-            return f"removing leaf {v} would isolate the infinite leaf {w}"
+            return f"removing leaf {cut(v)} would isolate the infinite leaf {cut(w)}"
     else:
         if len(branches) != 2:
-            return f"{noun} {v} does not have valence 2"
+            return f"{noun} {cut(v)} does not have valence 2"
         if branches[0].edge == branches[1].edge:
-            return f"{noun} {v} is a loop vertex"
+            return f"{noun} {cut(v)} is a loop vertex"
     return None
 
 
@@ -559,7 +559,7 @@ def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
         # multiplicity vertex_mult; R_v = sdelta(b1) + sdelta(b2) = 0 is continuity
         r = m.differential_index(v)
         if r != 0:
-            return f"fiber vertex {v} has R = {r} != 0"
+            return f"fiber vertex {cut(v)} has R = {r} != 0"
     return None
 
 
@@ -681,7 +681,7 @@ class BoundaryAnnotation(Frozen):
             )
             for n, _ in pairs:
                 if n < 1:
-                    raise ValueError(f"off-graph branch at {v} needs n >= 1")
+                    raise ValueError(f"off-graph branch at {cut(str(v))} needs n >= 1")
             data[str(v)] = pairs
         super().__init__(data)
 
@@ -709,8 +709,8 @@ def certify_skeleton(
     """
     violations = []
     for v, pairs in sorted(boundary.items()):
-        if v not in m.source.vertices:
-            raise ValueError(f"annotation mentions unknown vertex {v}")
+        if v not in m.source._genus:
+            raise ValueError(f"annotation mentions unknown vertex {cut(v)}")
         for i, (n, s) in enumerate(pairs):
             index = -s + n - 1
             if index != 0:

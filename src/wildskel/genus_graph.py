@@ -428,7 +428,7 @@ class Divisor(Frozen):
         for v, c in given.items():
             if type(c) is not int:  # int() would truncate a float, take a bool or a str
                 raise ValueError(
-                    f"divisor coefficient of vertex {v} is {echo(c)}, not an integer"
+                    f"divisor coefficient of vertex {cut(str(v))} is {echo(c)}, not an integer"
                 )
             coeffs[str(v)] = c
         if len(coeffs) != len(given):

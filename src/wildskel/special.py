@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
 from .genus_graph import GenusGraph, OrientedEdge
-from .valuation import INF, Frozen, Record, ResidueSetting, as_ratio, ratio_text, scaled
+from .valuation import INF, Frozen, Record, ResidueSetting, as_ratio, cut, ratio_text, scaled
 
 
 class UnclassifiableError(ValueError):
@@ -264,18 +264,18 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
         r = m.differential_index(v)
         if not m.source.is_leaf(v):
             return SpecialCheck(
-                False, f"violated(2): vertex {v} has R = {r} but is not a leaf"
+                False, f"violated(2): vertex {cut(v)} has R = {r} but is not a leaf"
             )
         if m.source.genus_of(v) != 0:
             return SpecialCheck(
-                False, f"violated(2): leaf {v} has R = {r} and positive genus"
+                False, f"violated(2): leaf {cut(v)} has R = {r} and positive genus"
             )
         if r < 0:
-            return SpecialCheck(False, f"violated(2): leaf {v} has R = {r} < 0")
+            return SpecialCheck(False, f"violated(2): leaf {cut(v)} has R = {r} < 0")
         if m.vertex_mult[v] != 2:
             return SpecialCheck(
                 False,
-                f"violated(2): leaf {v} has R = {r} but multiplicity "
+                f"violated(2): leaf {cut(v)} has R = {r} but multiplicity "
                 f"{m.vertex_mult[v]}",
             )
     # (3) tame / mixed / wild trichotomy
@@ -296,14 +296,14 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
     for e in m.source.edge_ids:
         if m.mult[e] == 1 and m.sdelta_stored(e) != 0:
             return SpecialCheck(
-                False, f"violated(4): split edge {e} has nonzero slope"
+                False, f"violated(4): split edge {cut(e)} has nonzero slope"
             )
     # (5) nonzero slopes are odd
     for e in m.source.edge_ids:
         s = m.sdelta_stored(e)
         if s != 0 and s % 2 == 0:
             return SpecialCheck(
-                False, f"violated(5): edge {e} has even nonzero slope {s}"
+                False, f"violated(5): edge {cut(e)} has even nonzero slope {s}"
             )
     return SpecialCheck(True, characteristic_class=cls)
 
@@ -418,7 +418,8 @@ _1C = RootSubtree(1, (_0L, _0L))
 
 #: Source shape of each type, in listing order: ("loop", per-side trees)
 #: or ("genus1", trees).  The one shape table; the tables below derive
-#: from it.
+#: from it.  Trees are in ``_subtree_key`` order, as the search builds
+#: them, so ``build_special`` assigns the ids ``enumerate_special`` does.
 _SHAPES: Dict[str, tuple] = {
     "TB": ("loop", ((_0L, _0L), (_0L, _0L))),
     "MB": ("loop", ((_1C,), (_1C,))),
@@ -430,7 +431,7 @@ _SHAPES: Dict[str, tuple] = {
     "WS": ("genus1", (RootSubtree(3, (_1L, _1L)),)),
     "MSS": ("genus1", (RootSubtree(3, (_0L, _0L, _0L, _0L)),)),
     "WSS": ("genus1", (_3L,)),
-    "ME": ("genus1", (_1C, _0L, _0L)),
+    "ME": ("genus1", (_0L, _0L, _1C)),
     "MES": ("genus1", (RootSubtree(3, (_1C, _0L, _0L)),)),
 }
 

@@ -1,4 +1,6 @@
-"""Random generators shared by the property and acceptance tests.
+"""Settings, corpora, references and stand-ins shared by the tests and the
+tools: the one module they share.  It imports only the standard library and
+``wildskel``, so the tools run without pytest or hypothesis.
 
 ``random_proper_delta_morphism`` builds proper morphisms by
 construction: it draws a target multigraph, splits the degree into
@@ -18,22 +20,157 @@ the seeded inputs of the ``proper_errors``, ``load_errors`` and
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from wildskel import (
     INF,
+    LIFTABLE_TAGS,
+    NEG_INF,
     ZERO,
+    BoundaryAnnotation,
     DeltaMorphism,
+    DifferentReport,
+    Divisor,
+    EdgeRadius,
+    EllipticInput,
     GenusGraph,
+    Lengths,
     LogAbs,
     MetricDeltaMorphism,
+    MetricGenusGraph,
     OrientedEdge,
+    PMFunction,
     ResidueSetting,
+    RootSubtree,
+    SpecialType,
+    StrictnessReport,
     ValuedSeries,
+    Verdict,
+    build_special,
+    certify_skeleton,
     check_restriction,
+    classify_elliptic,
+    contract_graph,
+    contract_morphism,
+    degree_p_locus,
+    different_profile,
+    is_special,
+    metric_lift,
+    morphism_from_json_dict,
+    morphism_to_json_dict,
+    skeleton_image_law,
+    tropical_eval,
+    wide_open_genus_check,
 )
+from wildskel.delta_morphism import CertifyReport
+from wildskel.special import SpecialCheck
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
+WILD2 = ResidueSetting.equichar(2)
+TAME0 = ResidueSetting.equichar_zero()
+TAME3 = ResidueSetting.equichar(3)
+
+
+# -- settings, lengths and fixed morphisms ----------------------------------------
+
+
+def canonical_lengths(tag: str, setting: ResidueSetting) -> Lengths:
+    """A valid length assignment for each liftable type."""
+    two = setting.int_abs(2)
+    log2 = None if two.is_neg_inf else two.value
+    table = {
+        "TB": Lengths(l0=Fraction(1)),
+        "TG": Lengths(),
+        "WB": Lengths(l0=Fraction(1)),
+        "WO": Lengths(),
+        "WS": Lengths(l3=Fraction(2, 3)),
+        "WSS": Lengths(),
+        "MB": Lengths(l0=Fraction(2), l1=-log2 if log2 is not None else 0),
+        "MO": Lengths(l1=-log2 if log2 is not None else 0),
+        "MS": Lengths(l1=-log2 / 2 if log2 is not None else 0,
+                      l3=-log2 / 6 if log2 is not None else 0),
+        "MSS": Lengths(l3=-log2 / 3 if log2 is not None else 0),
+    }
+    return table[tag]
+
+
+def setting_for(tag: str) -> ResidueSetting:
+    return {"tame": TAME0, "mixed": MIXED2, "wild": WILD2}[
+        SpecialType(tag).characteristic_class
+    ]
+
+
+def identity_morphism(g: GenusGraph) -> DeltaMorphism:
+    return DeltaMorphism(
+        g,
+        g,
+        {v: v for v in g.vertices},
+        {e: e for e in g.edge_ids},
+        {e: 1 for e in g.edge_ids},
+        {e: 0 for e in g.edge_ids},
+    )
+
+
+def kummer_segment(p: int, log_p: Fraction, length=Fraction(1)) -> MetricDeltaMorphism:
+    """Degree-p cover of a segment with constant different |p|."""
+    setting = ResidueSetting.mixed(p, log_p)
+    src = MetricGenusGraph({"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": length})
+    tgt = MetricGenusGraph(
+        {"u'": 0, "v'": 0}, {"e'": ("u'", "v'")}, {"e'": p * length}
+    )
+    dm = DeltaMorphism(
+        src, tgt, {"u": "u'", "v": "v'"}, {"e": "e'"}, {"e": p}, {"e": 0}
+    )
+    return MetricDeltaMorphism(
+        dm, {"u": LogAbs(log_p), "v": LogAbs(log_p)}, setting
+    )
+
+
+#: What contracting ``kummer_two_edges().morphism`` (``tests/test_delta_morphism.py``)
+#: at m' used to return: a plain source over a metric target, with every delta
+#: value dropped.
+HYBRID_KUMMER = {
+    "edge_map": {"e": "e'"},
+    "n": {"e": 2},
+    "sdelta": {"e": 0},
+    "source": {
+        "edges": [{"from": "u", "id": "e", "to": "v"}],
+        "vertices": [{"genus": 0, "id": "u"}, {"genus": 0, "id": "v"}],
+    },
+    "target": {
+        "edges": [{"from": "u'", "id": "e'", "length": "2", "to": "v'"}],
+        "vertices": [{"genus": 0, "id": "u'"}, {"genus": 0, "id": "v'"}],
+    },
+    "vertex_map": {"u": "u'", "v": "v'"},
+}
+
+
+# -- stand-ins and oracles -----------------------------------------------------------
+
+
+class StandInSetting:
+    """A stand-in residue setting with ``log|i| = log_abs(i)``: where some
+    ``|i|`` exceed one, the different may exceed one too."""
+
+    def __init__(self, log_abs):
+        self.log_abs = log_abs
+
+    def int_abs(self, i):
+        return LogAbs(self.log_abs(i))
+
+
+def _per_term_max(coeffs, x):
+    best = max(v + i * x for i, v in coeffs.items())
+    return best, [i for i, v in coeffs.items() if v + i * x == best]
+
+
+# -- random corpora ------------------------------------------------------------------
 
 
 def _random_composition(rng: random.Random, total: int) -> List[int]:
@@ -227,8 +364,6 @@ def random_metric_delta_morphism(
     ``|n| = -inf``, else flat, so delta at their inner end must be ``|n|``.
     A draw is kept only if ``_reference_attach_delta`` accepts it.
     """
-    from tests.test_delta_morphism import _reference_attach_delta
-
     while True:
         drawn = _metric_draw(rng, setting)
         if drawn is not None and _reference_attach_delta(*drawn, setting) is None:
@@ -300,6 +435,65 @@ def _metric_draw(rng: random.Random, setting: ResidueSetting):
     source = GenusGraph(genera, edges, src_len, leaves)
     target = GenusGraph(tgt_genera, tgt_edges, tgt_len, tgt_leaves)
     return DeltaMorphism(source, target, vmap, emap, mult, sdelta), delta
+
+
+# -- the metric checks against the unmemoized loop --------------------------------
+
+
+def _reference_attach_delta(m, delta, setting):
+    """The first message of the metric checks, restated from the loop that
+    tests both ends of every edge (no memo), or None when they pass."""
+    src = m.source
+    for v in src.vertices:
+        if v not in delta:
+            return f"vertex {v} has no delta value"
+    for v in src.vertices:
+        d = delta[v]
+        if d > 0:
+            return f"delta at {v} must be <= 0, got {d}"
+        if d.is_neg_inf and v not in src.infinite_leaves:
+            return f"delta vanishes at {v}, which is not an infinite leaf"
+    for e in src.edge_ids:
+        n = m.mult[e]
+        u, v = src.endpoints(e)
+        l = src.length(e)
+        target_l = m.target.length(m.edge_map[e])
+        if target_l != n * l:
+            return f"dilation fails on edge {e}: {target_l} != {n} * {l}"
+        s_uv = m.sdelta(OrientedEdge(e, True))
+        du, dv = delta[u], delta[v]
+        if l is INF:
+            leaf, s_out, d_leaf, d_inner = (
+                (v, s_uv, dv, du) if v in src.infinite_leaves else (u, -s_uv, du, dv)
+            )
+            expected = setting.int_abs(n)
+            if d_leaf != expected:
+                return (
+                    f"delta at infinite leaf {leaf} must be |{n}| = {expected}, "
+                    f"got {d_leaf}"
+                )
+            if s_out > 0:
+                return f"delta would exceed one along the tail {e}"
+            if s_out == 0 and d_leaf != d_inner:
+                return f"delta is not constant along the slope-zero tail {e}"
+            if s_out < 0 and not d_leaf.is_neg_inf:
+                return f"delta must vanish at the end of the descending tail {e}"
+        else:
+            if du.is_neg_inf or dv.is_neg_inf:
+                return f"finite edge {e} has a vanishing endpoint"
+            if dv != du + Fraction(s_uv) * l:
+                return (
+                    f"delta is not linear along edge {e}: {dv} != {du} + {s_uv} * {l}"
+                )
+        for vert, slope in ((u, s_uv), (v, -s_uv)):
+            verdict = check_restriction(n, slope, delta[vert], setting)
+            if not verdict:
+                reason = verdict.reason
+                return f"edge {e} fails the slope restriction at {vert}: {reason}"
+    return None
+
+
+# -- seeded mutations ----------------------------------------------------------------
 
 
 def _random_loop_morphism(rng: random.Random) -> DeltaMorphism:
@@ -413,17 +607,10 @@ def stabilize_corpus():
     ``wb_subdivided`` fixture and 20 ``subdivide_metric`` draws (seeds
     0-19) of the canonical metric lift of each liftable type.
     """
-    import json
-    from pathlib import Path
-
-    from wildskel import LIFTABLE_TAGS, metric_lift, morphism_from_json_dict
-    from tests.test_special import canonical_lengths, setting_for
-
     rng = random.Random(61)
     for _ in range(3000):
         yield "random_proper_seed61", random_proper_delta_morphism(rng)
-    path = Path(__file__).resolve().parent.parent / "fixtures" / "wb_subdivided.morphism.json"
-    yield "wb_subdivided", morphism_from_json_dict(json.loads(path.read_text()))
+    yield "wb_subdivided", _fixture("wb_subdivided")
     for tag in LIFTABLE_TAGS:
         setting = setting_for(tag)
         mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
@@ -468,11 +655,7 @@ def load_mutations(seed: int, count: int):
     entries still use the old name), or add an isolated vertex to the
     source (mapped to a target vertex) or the target.
     """
-    import json
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent / "fixtures"
-    texts = [p.read_text() for p in sorted(root.glob("*.morphism.json"))]
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.morphism.json"))]
     rng = random.Random(seed)
     for _ in range(count):
         data = json.loads(rng.choice(texts))
@@ -519,3 +702,249 @@ def load_mutations(seed: int, count: int):
                 if side == "source" and isinstance(vmap, dict) and vmap:
                     vmap["iso"] = rng.choice(sorted(str(v) for v in vmap.values()))
         yield data
+
+
+# -- every public rational entry ------------------------------------------------------
+
+
+def _entries():
+    """``name -> (call of one value, message[, sign of the value])``: each
+    public entry that reads a rational value outside graph lengths and delta,
+    which refuse a float and a bool alike (``as_ratio``)."""
+    series, setting = ValuedSeries({1: 0, 2: -1}), ResidueSetting.equichar(3)
+    line = PMFunction.line((0, 2), 0, 1)
+
+    def segment(value, point="1"):
+        return {"breakpoints": ["0", point], "segments": [{"left_value": value, "slope": 1}]}
+
+    return {
+        "series value": (lambda x: ValuedSeries({1: x, 2: -1}), "series value of 1"),
+        "series map value": (lambda x: tropical_eval({1: x}, (0, 1)), "series value of 1"),
+        "left value": (lambda x: PMFunction([0, 1], [x], [1]), "left_values value of 0"),
+        "breakpoint": (lambda x: PMFunction([0, x, 2], [0, 0], [0, 0]), "breakpoints value of 1"),
+        "JSON left value": (lambda x: PMFunction.from_json_dict(segment(x)), "left_values value of 0"),
+        "JSON breakpoint": (lambda x: PMFunction.from_json_dict(segment(0, x)),
+                            "breakpoints value of 1"),
+        "line domain": (lambda x: PMFunction.line((x, 2), 0, 1), "domain value of 0"),
+        "line left value": (lambda x: PMFunction.line((0, 2), x, 1), "left_value"),
+        "value_at": (line.value_at, "point"),
+        "slope_at": (lambda x: line.slope_at(x, "left"), "point"),
+        "achievers_at": (tropical_eval(series, (0, 2)).achievers_at, "point"),
+        "profile domain": (lambda x: different_profile(series, setting, (0, x)),
+                           "domain value of 1"),
+        "image law point": (lambda x: skeleton_image_law(series, x), "at_log_r"),
+        "LogAbs": (LogAbs, "log value"),
+        "Lengths": (lambda x: Lengths(l1=x), "l1"),
+        "mixed log_p": (lambda x: ResidueSetting.mixed(2, x), "log value", -1),
+        "ResidueSetting log_p": (lambda x: ResidueSetting(0, 2, x), "log_p", -1),
+        "EllipticInput.of": (lambda x: EllipticInput.of(setting, x), "log value"),
+        "last breakpoint": (lambda x: PMFunction([0, x], [0], [1]), "breakpoints value of 1"),
+        "tropical domain": (lambda x: tropical_eval(series, (0, x)), "domain value of 1"),
+    }
+
+
+# -- one instance of each value class -------------------------------------------------
+
+
+def _fixture(name):
+    return morphism_from_json_dict(
+        json.loads((FIXTURES / f"{name}.morphism.json").read_text())
+    )
+
+
+#: One builder per value class; each call makes a fresh, equal instance.
+BUILDERS = {
+    "ResidueSetting": lambda: ResidueSetting.mixed(2, -1),
+    "ValuedSeries": lambda: ValuedSeries({1: 0, 2: Fraction(-1, 2)}),
+    "DifferentReport": lambda: DifferentReport(2, 1, LogAbs(-1), 1),
+    "Verdict": lambda: Verdict.violated("upper bound attained with s > 0"),
+    "Divisor": lambda: Divisor({"a": 2, "b": -1, "c": 0}),
+    "RHDivisorReport": lambda: _fixture("wb").rh_divisor_identity(),
+    "RHDegreeReport": lambda: _fixture("wb").rh_degree_identity(),
+    "BoundaryAnnotation": lambda: BoundaryAnnotation({"v": [(1, 0), (2, 1)]}),
+    "CertifyReport": lambda: CertifyReport(False, (("v", 1, 2, 0, 1),)),
+    "WideOpenReport": lambda: wide_open_genus_check([(2, 1)], 2, 0, 0),
+    "SpecialType": lambda: SpecialType("MSS"),
+    "RootSubtree": lambda: RootSubtree(1, (RootSubtree(0), RootSubtree(0))),
+    "SpecialCheck": lambda: SpecialCheck(True, "", "wild"),
+    "Lengths": lambda: Lengths(Fraction(1, 2), 1, Fraction(1, 6)),
+    "EllipticInput": lambda: EllipticInput.of(ResidueSetting.equichar(2), -3),
+    "SkeletonReport": lambda: classify_elliptic(
+        EllipticInput.of(ResidueSetting.mixed(2, -1), -3)
+    ),
+    "EdgeRadius": lambda: EdgeRadius(
+        PMFunction([Fraction(0), Fraction(1)], [Fraction(1)], [0]), 1
+    ),
+    "RadialDescription": lambda: degree_p_locus(_fixture("wb_metric"), 2),
+    "StrictnessReport": lambda: StrictnessReport(True, "e2"),
+}
+
+
+# -- morphism documents with two faults -----------------------------------------------
+
+
+DELETE = object()
+
+
+def _edited(doc, edits):
+    doc = copy.deepcopy(doc)
+    for *path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        elif path[-1] == "+":
+            parent.append(value)
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _graph(metric=False, a="a", b="b"):
+    """Two vertices and two parallel edges ``e`` and ``f``."""
+    edges = [{"id": "e", "from": a, "to": b}, {"id": "f", "from": a, "to": b}]
+    if metric:
+        for edge in edges:
+            edge["length"] = "1"
+    return {"vertices": [{"id": a, "genus": 0}, {"id": b, "genus": 0}], "edges": edges}
+
+
+def _morphism(metric=False):
+    """The identity of ``_graph`` onto a copy with upper-case ids."""
+    target = _graph(metric, "A", "B")
+    target["edges"] = [dict(x, id=x["id"].upper()) for x in target["edges"]]
+    return {
+        "source": _graph(metric),
+        "target": target,
+        "vertex_map": {"a": "A", "b": "B"},
+        "edge_map": {"e": "E", "f": "F"},
+        "n": {"e": 1, "f": 1},
+        "sdelta": {"e": 0, "f": 0},
+    }
+
+
+V, E = "vertices", "edges"
+
+#: Edits that leave the target disconnected from the image of the source.
+UNHIT = {
+    "an isolated target vertex": [("target", V, "+", {"id": "C", "genus": 0})],
+    "a target component with an edge": [
+        ("target", V, "+", {"id": "C", "genus": 0}),
+        ("target", V, "+", {"id": "D", "genus": 1}),
+        ("target", E, "+", {"id": "G", "from": "C", "to": "D"}),
+    ],
+}
+
+DISCONNECTED_TARGET_CASES = {
+    f"{fault} beside {unhit}": edits + more
+    for unhit, edits in UNHIT.items()
+    for fault, more in (
+        ("an empty fiber", []),
+        ("a local-constancy fault", [("n", "e", 2)]),
+        ("a missing sdelta", [("sdelta", "e", DELETE)]),
+        ("a fault of every kind", [("n", "f", 3), ("sdelta", "f", DELETE)]),
+    )
+}
+
+
+def _constructed(doc):
+    """``DeltaMorphism(...)`` of a plain morphism document."""
+    graphs = (
+        GenusGraph(
+            {v["id"]: v["genus"] for v in g[V]}, {e["id"]: (e["from"], e["to"]) for e in g[E]}
+        )
+        for g in (doc["source"], doc["target"])
+    )
+    maps = (doc[key] for key in ("vertex_map", "edge_map", "n", "sdelta"))
+    return DeltaMorphism(*graphs, *maps)
+
+
+# -- messages that show a long id ----------------------------------------------------
+
+
+#: A 1,000-character id, and how a message shows it: cut after 400 characters.
+LONG = "a" * 1000
+SHOWN = "a" * 400 + "... (600 more characters)"
+
+
+def _long_special(tag: str, old: str, sdelta=None) -> DeltaMorphism:
+    """``build_special(tag)`` with ``sdelta`` changed and the id ``old`` renamed ``LONG``."""
+    doc = morphism_to_json_dict(build_special(tag))
+    doc["sdelta"].update(sdelta or {})
+    return morphism_from_json_dict(json.loads(json.dumps(doc).replace(f'"{old}"', f'"{LONG}"')))
+
+
+def split_leaves(w1: str) -> DeltaMorphism:
+    """Two split leaves over one target leaf: ``w1`` has R = 1, ``w2`` R = 3,
+    and ``v`` balances them; one target edge leaves no move."""
+    return DeltaMorphism(
+        GenusGraph({"v": 1, w1: 0, "w2": 0}, {"a": (w1, "v"), "b": ("w2", "v")}),
+        GenusGraph({"x": 0, "y": 0}, {"e": ("x", "y")}), {"v": "y", w1: "x", "w2": "x"},
+        {"a": "e", "b": "e"}, {"a": 1, "b": 1}, {"a": 1, "b": 3},
+    )
+
+
+def even_slope(e: str) -> DeltaMorphism:
+    """TG with three of its tame tails moved behind an inner edge ``e`` of
+    label 2 (slope index 3 = 1 + 1 + 1): stable, balanced, mixed."""
+    ends = {e: ("r", "c"), "f1": ("c", "l1"), "f2": ("c", "l2"), "f3": ("c", "l3"),
+            "g": ("r", "l4")}
+    genera = {"r": 1, "c": 0, "l1": 0, "l2": 0, "l3": 0, "l4": 0}
+    target = GenusGraph({v + "'": 0 for v in genera},
+                        {x + "'": (a + "'", b + "'") for x, (a, b) in ends.items()})
+    return DeltaMorphism(GenusGraph(genera, ends), target, {v: v + "'" for v in genera},
+                         {x: x + "'" for x in ends}, dict.fromkeys(ends, 2),
+                         {**dict.fromkeys(ends, 0), e: -2})
+
+
+def _tail(ends, leaves) -> GenusGraph:
+    """One edge ``LONG`` of infinite length between ``ends``, ending at ``leaves``."""
+    return GenusGraph({v: 0 for v in ends}, {LONG: ends}, {LONG: INF}, leaves)
+
+
+#: name -> (a call that raises or returns a ``SpecialCheck``, its message or
+#: reason, which shows a 1,000-character id cut).
+LONG_ID_MESSAGES = {
+    "certify_skeleton": (lambda: certify_skeleton(build_special("WB"), BoundaryAnnotation(
+        {LONG: [(1, 0)]}), True), f"annotation mentions unknown vertex {SHOWN}"),
+    "BoundaryAnnotation": (lambda: BoundaryAnnotation({LONG: [(0, 0)]}),
+                           f"off-graph branch at {SHOWN} needs n >= 1"),
+    "delta_profile": (lambda: MetricDeltaMorphism(DeltaMorphism(
+        *[_tail(("a", "b"), ["a", "b"])] * 2, {"a": "a", "b": "b"}, {LONG: LONG}, {LONG: 2},
+        {LONG: 0}), {"a": NEG_INF, "b": NEG_INF}, WILD2).delta_profile(LONG),
+        f"edge {SHOWN} has no finite endpoint value"),
+    "no vertex": (lambda: contract_graph(_tail(("a", "b"), ["b"]), ("leaf", 10 ** 999)),
+                  "no vertex 1" + "0" * 399 + "... (600 more characters)"),
+    "positive genus": (lambda: contract_graph(GenusGraph({LONG: 1}, {}), ("leaf", LONG)),
+                       f"vertex {SHOWN} has positive genus"),
+    "not a leaf": (lambda: contract_graph(GenusGraph({LONG: 0}, {}), ("leaf", LONG)),
+                   f"vertex {SHOWN} is not a leaf"),
+    "valence": (lambda: contract_graph(GenusGraph({LONG: 0}, {}), ("smooth", LONG)),
+                f"vertex {SHOWN} does not have valence 2"),
+    "loop": (lambda: contract_graph(GenusGraph({LONG: 0}, {"l": (LONG, LONG)}), ("smooth", LONG)),
+             f"vertex {SHOWN} is a loop vertex"),
+    "isolated leaf": (lambda: contract_graph(GenusGraph({"a": 0, LONG: 0}, {"e": ("a", LONG)},
+                      {"e": INF}, [LONG]), ("leaf", "a")),
+                      f"removing leaf a would isolate the infinite leaf {SHOWN}"),
+    "isolating leaf": (lambda: contract_graph(GenusGraph({"a": 0, LONG: 0}, {"e": ("a", LONG)},
+                       {"e": INF}, ["a"]), ("leaf", LONG)),
+                       f"removing leaf {SHOWN} would isolate the infinite leaf a"),
+    "fiber R": (lambda: contract_morphism(_long_special("WB", "v1"), ("leaf", "v1'")),
+                f"fiber vertex {SHOWN} has R = 2 != 0"),
+    "special not a leaf": (lambda: is_special(_long_special("TB", "s", {"a": -4})),
+                           f"violated(2): vertex {SHOWN} has R = 4 but is not a leaf"),
+    "special genus": (lambda: is_special(_long_special("MS", "r", {"e2": -4})),
+                      f"violated(2): leaf {SHOWN} has R = -1 and positive genus"),
+    "special R < 0": (lambda: is_special(_long_special("TB", "v3", {"e2": -4, "e4": 4})),
+                      f"violated(2): leaf {SHOWN} has R = -3 < 0"),
+    "special multiplicity": (lambda: is_special(split_leaves(LONG)),
+                             f"violated(2): leaf {SHOWN} has R = 1 but multiplicity 1"),
+    "special split edge": (lambda: is_special(_long_special("TB", "a", {"a": -4, "b": 4})),
+                           f"violated(4): split edge {SHOWN} has nonzero slope"),
+    "special even slope": (lambda: is_special(even_slope(LONG)),
+                           f"violated(5): edge {SHOWN} has even nonzero slope -2"),
+    "Divisor": (lambda: Divisor({10 ** 999: 1.5}),
+                "divisor coefficient of vertex 1" + "0" * 399 + "... (600 more characters) "
+                "is 1.5, not an integer"),
+}

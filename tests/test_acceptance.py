@@ -33,7 +33,6 @@ from wildskel.special import (
     LIFTABLE_TAGS,
     SPECIAL_TAGS,
     Lengths,
-    SpecialType,
     UnliftableError,
     bar_discriminator,
     enumerate_root_subtrees,
@@ -43,11 +42,15 @@ from wildskel.special import (
 )
 from wildskel.valuation import LogAbs, ResidueSetting
 
-from tests.support import random_proper_delta_morphism, random_valued_series
-
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-WILD2 = ResidueSetting.equichar(2)
-TAME0 = ResidueSetting.equichar_zero()
+from tests.support import (
+    MIXED2,
+    TAME0,
+    WILD2,
+    kummer_segment,
+    random_proper_delta_morphism,
+    random_valued_series,
+    setting_for,
+)
 
 _corpus_cache = []
 
@@ -113,12 +116,6 @@ def test_criterion_03_root_subtrees():
     _report(3, f"exactly 8 subtree classes, all three conditions ({elapsed:.2f}s)")
 
 
-def _setting_for(tag: str) -> ResidueSetting:
-    return {"tame": TAME0, "mixed": MIXED2, "wild": WILD2}[
-        SpecialType(tag).characteristic_class
-    ]
-
-
 def _valid_lengths(tag: str) -> Lengths:
     return {
         "TB": Lengths(l0=Fraction(1)),
@@ -147,7 +144,7 @@ def test_criterion_04_twelve_special_types():
         assert sig in allowed, (t.tag, sig)
     lifted = []
     for t, _ in pairs:
-        setting = _setting_for(t.tag)
+        setting = setting_for(t.tag)
         try:
             metric_lift(t, _valid_lengths(t.tag), setting)
             lifted.append(t.tag)
@@ -272,23 +269,7 @@ def test_criterion_07_kummer_reproduction():
             0,
         )
         # radial locus of a degree-p segment model with constant different
-        from wildskel.delta_morphism import DeltaMorphism
-        from wildskel.genus_graph import MetricGenusGraph
-
-        src = MetricGenusGraph(
-            {"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": Fraction(1)}
-        )
-        tgt = MetricGenusGraph(
-            {"u'": 0, "v'": 0}, {"e'": ("u'", "v'")}, {"e'": Fraction(p)}
-        )
-        mm = MetricDeltaMorphism(
-            DeltaMorphism(
-                src, tgt, {"u": "u'", "v": "v'"}, {"e": "e'"}, {"e": p}, {"e": 0}
-            ),
-            {"u": LogAbs(log_p), "v": LogAbs(log_p)},
-            setting,
-        )
-        desc = degree_p_locus(mm, p)
+        desc = degree_p_locus(kummer_segment(p, log_p), p)
         expected = -log_p / (p - 1)
         for k in range(5):
             assert desc.radius_at("e", Fraction(k, 4)) == expected

@@ -24,9 +24,7 @@ from wildskel.annulus import (
 from wildskel.pmfunc import PMFunction, tropical_eval
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-EQUI0 = ResidueSetting.equichar_zero()
-EQUI2 = ResidueSetting.equichar(2)
+from tests.support import MIXED2, TAME0, WILD2, StandInSetting, _per_term_max
 
 
 class TestValuedSeries:
@@ -90,7 +88,7 @@ class TestDerivative:
 
     def test_frobenius_inseparable(self):
         with pytest.raises(InseparableSeriesError):
-            derivative(ValuedSeries({2: 0}), EQUI2)
+            derivative(ValuedSeries({2: 0}), WILD2)
 
     def test_binomial(self):
         s = ValuedSeries({2: 0, 3: Fraction(-1, 2)})
@@ -105,7 +103,7 @@ class TestDifferentProfile:
             assert prof == PMFunction.constant((-1, 0), log_p)
 
     def test_split_covering(self):
-        prof = different_profile(ValuedSeries({1: 0}), EQUI0, (-1, 0))
+        prof = different_profile(ValuedSeries({1: 0}), TAME0, (-1, 0))
         assert prof == PMFunction.constant((-1, 0), 0)
 
     def test_binomial_value_at_zero(self):
@@ -119,7 +117,7 @@ class TestDifferentProfile:
 
     def test_tame_monomials_have_trivial_different(self):
         for m in (2, 3, 5):
-            prof = different_profile(ValuedSeries({m: 0}), EQUI0, (-2, 2))
+            prof = different_profile(ValuedSeries({m: 0}), TAME0, (-2, 2))
             assert prof == PMFunction.constant((-2, 2), 0)
 
     def test_kummer_constant_on_infinite_tail(self):
@@ -153,12 +151,12 @@ class TestDifferentReport:
         assert rep == DifferentReport(2, 3, LogAbs(Fraction(-1, 2)), -1)
 
     def test_identity(self):
-        rep = different_report(ValuedSeries({1: 0}), EQUI0)
+        rep = different_report(ValuedSeries({1: 0}), TAME0)
         assert rep == DifferentReport(1, 1, LogAbs(0), 0)
 
     def test_inseparable(self):
         with pytest.raises(InseparableSeriesError):
-            different_report(ValuedSeries({2: 0}), EQUI2)
+            different_report(ValuedSeries({2: 0}), WILD2)
 
     def test_constructor_guards(self):
         with pytest.raises(ValueError, match=r"^log_delta must be <= 0$"):
@@ -212,14 +210,14 @@ class TestCheckRestriction:
         assert "odd" in verdict.reason
 
     def test_neg_inf_delta_wild_tail(self):
-        assert check_restriction(2, 3, NEG_INF, EQUI2).ok
-        assert not check_restriction(3, 0, NEG_INF, EQUI2).ok  # |3| = 1 > -inf
+        assert check_restriction(2, 3, NEG_INF, WILD2).ok
+        assert not check_restriction(3, 0, NEG_INF, WILD2).ok  # |3| = 1 > -inf
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            check_restriction(0, 0, LogAbs(0), EQUI0)
+            check_restriction(0, 0, LogAbs(0), TAME0)
         with pytest.raises(ValueError):
-            check_restriction(2, 0, LogAbs(1), EQUI0)
+            check_restriction(2, 0, LogAbs(1), TAME0)
 
 
 class TestRealizeTriple:
@@ -235,7 +233,7 @@ class TestRealizeTriple:
             )
 
     def test_identity_triple(self):
-        for setting in (EQUI0, MIXED2, EQUI2):
+        for setting in (TAME0, MIXED2, WILD2):
             assert realize_triple(1, 0, LogAbs(0), setting) == ValuedSeries({1: 0})
 
     def test_unrealizable(self):
@@ -259,7 +257,7 @@ class TestRealizeTriple:
 
     def test_roundtrip_on_reports(self):
         rng = random.Random(11)
-        settings = [EQUI0, MIXED2, ResidueSetting.mixed(3, Fraction(-1, 2)), EQUI2]
+        settings = [TAME0, MIXED2, ResidueSetting.mixed(3, Fraction(-1, 2)), WILD2]
         trials = 0
         while trials < 200:
             setting = rng.choice(settings)
@@ -281,7 +279,7 @@ class TestRealizeTriple:
 class TestProfileSegmentsSatisfyRestriction:
     def test_random_series(self):
         rng = random.Random(23)
-        settings = [EQUI0, MIXED2, EQUI2, ResidueSetting.equichar(3)]
+        settings = [TAME0, MIXED2, WILD2, ResidueSetting.equichar(3)]
         checked = 0
         for _ in range(400):
             idx = rng.sample(range(-6, 9), rng.randint(1, 8))
@@ -316,13 +314,6 @@ class TestProfileSegmentsSatisfyRestriction:
 
 # -- different_profile against a brute-force Fraction per-term-max oracle ------
 
-class _OverOne:
-    """A stand-in setting under which every |i| exceeds one."""
-
-    def int_abs(self, n):
-        return LogAbs(1)
-
-
 @st.composite
 def profile_domains(draw):
     """A finite, an unbounded ``(a, +inf)`` or a one-point ``(a, a)`` domain."""
@@ -333,11 +324,6 @@ def profile_domains(draw):
     if kind == "point":
         return (a, a)
     return (a, a + draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)))
-
-
-def _per_term_max(coeffs, x):
-    best = max(v + i * x for i, v in coeffs.items())
-    return best, [i for i, v in coeffs.items() if v + i * x == best]
 
 
 class TestDifferentProfileOracle:
@@ -381,7 +367,7 @@ class TestDifferentProfileOracle:
     def test_invalid_model_error_unchanged(self):
         for domain in ((Fraction(-1), Fraction(0)), (Fraction(0), INF)):
             with pytest.raises(InvalidModelError) as info:
-                different_profile(ValuedSeries({2: 0}), _OverOne(), domain)
+                different_profile(ValuedSeries({2: 0}), StandInSetting(lambda i: 1), domain)
             assert str(info.value) == (
                 f"different exceeds one on {domain}; the series does not model "
                 "a covering there"

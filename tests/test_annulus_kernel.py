@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.support import random_valued_series
+from tests.support import StandInSetting, random_valued_series
 from wildskel.annulus import (
     ConstantSeriesError,
     InseparableSeriesError,
@@ -265,14 +265,6 @@ def test_tropical_eval_reads_series_and_maps_alike():
 
 
 
-class _OverOneSomewhere:
-    """A stand-in setting with ``log|i| = (i mod 3 - 1)/2``: a third of the
-    exponents have ``|i| > 1``, so some profiles exceed zero."""
-
-    def int_abs(self, n):
-        return LogAbs(Fraction(n % 3 - 1, 2))
-
-
 def _random_domain(rng, kind):
     a = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
     if kind == "finite":
@@ -286,7 +278,9 @@ def test_different_profile_is_the_public_composition(setting_text):
     of the two public envelopes, and is refused exactly where its sup exceeds
     0: never in a residue setting, where ``|i| <= 1``."""
     real = setting_text in SETTINGS
-    setting = ResidueSetting.parse(setting_text) if real else _OverOneSomewhere()
+    # the stand-in has |i| > 1 for a third of the exponents, so some profiles exceed 0
+    setting = (ResidueSetting.parse(setting_text) if real
+               else StandInSetting(lambda i: Fraction(i % 3 - 1, 2)))
     rng = random.Random(f"fused-{setting_text}")
     seen = {"ok": 0, "invalid": 0}
     for _ in range(1000):

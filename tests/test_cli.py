@@ -20,10 +20,16 @@ from wildskel.genus_graph import GenusGraph
 from wildskel.special import build_special
 from wildskel.valuation import INF, ResidueSetting
 
-from tests.support import json_value_paths
+from tests.support import (
+    FIXTURES,
+    HYBRID_KUMMER,
+    _fixture,
+    identity_morphism,
+    json_value_paths,
+    subdivide_metric,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
 
 
 class TestExitCodes:
@@ -83,8 +89,6 @@ class TestExitCodes:
 
     def test_classify_not_special(self, tmp_path, capsys):
         g = GenusGraph({"a": 1, "b": 0}, {"e": ("a", "b")})
-        from tests.test_delta_morphism import identity_morphism
-
         data = morphism_to_json_dict(identity_morphism(g))
         path = tmp_path / "ident.json"
         path.write_text(json.dumps(data))
@@ -218,11 +222,7 @@ class TestReports:
     def test_stabilize_keeps_metric_data(self, tmp_path, capsys):
         import random
 
-        from tests.support import subdivide_metric
-
-        mm = morphism_from_json_dict(
-            json.loads((FIXTURES / "ms_metric.morphism.json").read_text())
-        )
+        mm = _fixture("ms_metric")
         path = tmp_path / "ms_subdivided.json"
         path.write_text(
             json.dumps(morphism_to_json_dict(subdivide_metric(random.Random(7), mm)))
@@ -248,8 +248,6 @@ class TestInputErrors:
         return err
 
     def test_hybrid_morphism_rejected(self, tmp_path, capsys):
-        from tests.test_delta_morphism import HYBRID_KUMMER
-
         err = self._run(tmp_path, capsys, HYBRID_KUMMER)
         assert "must both be metric or both plain" in err
 

@@ -76,7 +76,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -111,14 +110,13 @@ from wildskel.special import (
 from wildskel.valuation import ResidueSetting
 
 from tests.support import (
+    FIXTURES,
     NON_TAME_SETTINGS,
     random_metric_delta_morphism,
     random_proper_delta_morphism,
     stabilize_corpus,
     subdivide_metric,
 )
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _two_core(g: GenusGraph):

@@ -3,13 +3,11 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildskel.annulus import check_restriction
 from wildskel.cli import run
 from wildskel.delta_morphism import (
     BoundaryAnnotation,
@@ -32,28 +30,22 @@ from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 from tests.support import (
+    FIXTURES,
+    HYBRID_KUMMER,
+    LONG_ID_MESSAGES,
+    MIXED2,
     NON_TAME_SETTINGS,
+    WILD2,
+    _fixture,
+    _reference_attach_delta,
+    canonical_lengths,
+    identity_morphism,
     random_metric_delta_morphism,
     random_proper_delta_morphism,
+    setting_for,
     stabilize_corpus,
     subdivide_metric,
 )
-from tests.test_special import canonical_lengths, setting_for
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-WILD2 = ResidueSetting.equichar(2)
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-
-
-def identity_morphism(g: GenusGraph) -> DeltaMorphism:
-    return DeltaMorphism(
-        g,
-        g,
-        {v: v for v in g.vertices},
-        {e: e for e in g.edge_ids},
-        {e: 1 for e in g.edge_ids},
-        {e: 0 for e in g.edge_ids},
-    )
 
 
 def wb() -> DeltaMorphism:
@@ -448,7 +440,7 @@ class TestRiemannHurwitz:
 
     def test_pullback_refuses_a_vertex_off_the_target(self):
         # it used to drop such a coefficient: Divisor(0), and deg f*D != deg f * deg D
-        m = morphism_from_json_dict(json.loads((FIXTURES / "wb.morphism.json").read_text()))
+        m = _fixture("wb")
         for given in ({"nope": 5}, {"t'": 1, "nope": 5, "v1": 2}):
             with pytest.raises(ValueError) as info:
                 m.pullback(Divisor(given))
@@ -508,8 +500,7 @@ class TestMorphismContraction:
         assert m2 is m
 
     def test_stabilize_subdivided_wb(self):
-        with open("fixtures/wb_subdivided.morphism.json") as fh:
-            m = morphism_from_json_dict(json.load(fh))
+        m = _fixture("wb_subdivided")
         assert not is_stable(m)
         before_genus = m.source.genus()
         before_sig = sorted(
@@ -965,24 +956,6 @@ def kummer_two_edges() -> MetricDeltaMorphism:
     return MetricDeltaMorphism(dm, {v: LogAbs(-1) for v in "umv"}, MIXED2)
 
 
-#: What contracting ``kummer_two_edges().morphism`` at m' used to return:
-#: a plain source over a metric target, with every delta value dropped.
-HYBRID_KUMMER = {
-    "edge_map": {"e": "e'"},
-    "n": {"e": 2},
-    "sdelta": {"e": 0},
-    "source": {
-        "edges": [{"from": "u", "id": "e", "to": "v"}],
-        "vertices": [{"genus": 0, "id": "u"}, {"genus": 0, "id": "v"}],
-    },
-    "target": {
-        "edges": [{"from": "u'", "id": "e'", "length": "2", "to": "v'"}],
-        "vertices": [{"genus": 0, "id": "u'"}, {"genus": 0, "id": "v'"}],
-    },
-    "vertex_map": {"u": "u'", "v": "v'"},
-}
-
-
 class TestMetricContraction:
     def test_smoothing_keeps_lengths_and_delta(self):
         mm = kummer_two_edges()
@@ -991,8 +964,8 @@ class TestMetricContraction:
             assert isinstance(out, MetricDeltaMorphism)
             assert isinstance(out.source, MetricGenusGraph)
             assert isinstance(out.target, MetricGenusGraph)
-            with open("fixtures/kummer_p2_metric.morphism.json") as fh:
-                assert morphism_to_json_dict(out) == json.load(fh)
+            fixture = json.loads((FIXTURES / "kummer_p2_metric.morphism.json").read_text())
+            assert morphism_to_json_dict(out) == fixture
 
     def test_stabilize_metric_morphism(self):
         out = stabilize(kummer_two_edges())
@@ -1021,8 +994,6 @@ class TestMetricContraction:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32))
     def test_stabilize_undoes_metric_subdivision(self, tag, seed):
-        from tests.test_special import canonical_lengths, setting_for
-
         setting = setting_for(tag)
         mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
         sub = subdivide_metric(random.Random(seed), mm)
@@ -1165,14 +1136,11 @@ class TestMoveRulesAgainstReference:
         assert sum(1 for s in steps if s) > 10
 
     def test_stabilize_wb_subdivided(self):
-        with open("fixtures/wb_subdivided.morphism.json") as fh:
-            m = morphism_from_json_dict(json.load(fh))
+        m = _fixture("wb_subdivided")
         assert _assert_moves_match_reference(m) > 0
 
     @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
     def test_stabilize_metric_subdivisions(self, tag):
-        from tests.test_special import canonical_lengths, setting_for
-
         setting = setting_for(tag)
         mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
         for seed in range(5):
@@ -1206,14 +1174,11 @@ class TestMoveOrder:
         assert checked > 10
 
     def test_wb_subdivided(self):
-        with open("fixtures/wb_subdivided.morphism.json") as fh:
-            m = morphism_from_json_dict(json.load(fh))
+        m = _fixture("wb_subdivided")
         _assert_move_order_free(m, random.Random(63))
 
     @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
     def test_metric_subdivisions(self, tag):
-        from tests.test_special import canonical_lengths, setting_for
-
         setting = setting_for(tag)
         mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
         rng = random.Random(64)
@@ -1365,6 +1330,17 @@ def test_illegal_move_message(rule, side):
         assert move not in applicable_moves(obj)
 
 
+@pytest.mark.parametrize("name", sorted(LONG_ID_MESSAGES))
+def test_long_id_is_cut_in_the_message(name):
+    """Each message, or ``is_special`` reason, showed a 1,000-character id whole."""
+    call, message = LONG_ID_MESSAGES[name]
+    try:
+        shown = call().reason
+    except ValueError as exc:
+        shown = str(exc)
+    assert shown == message
+
+
 # -- smoothing between parallel target edges ------------------------------------
 
 
@@ -1477,62 +1453,7 @@ class TestParallelEdgeSmoothing:
 # -- the metric checks against the unmemoized loop --------------------------------
 
 
-def _reference_attach_delta(m, delta, setting):
-    """The first message of the metric checks, restated from the loop that
-    tests both ends of every edge (no memo), or None when they pass."""
-    src = m.source
-    for v in src.vertices:
-        if v not in delta:
-            return f"vertex {v} has no delta value"
-    for v in src.vertices:
-        d = delta[v]
-        if d > 0:
-            return f"delta at {v} must be <= 0, got {d}"
-        if d.is_neg_inf and v not in src.infinite_leaves:
-            return f"delta vanishes at {v}, which is not an infinite leaf"
-    for e in src.edge_ids:
-        n = m.mult[e]
-        u, v = src.endpoints(e)
-        l = src.length(e)
-        target_l = m.target.length(m.edge_map[e])
-        if target_l != n * l:
-            return f"dilation fails on edge {e}: {target_l} != {n} * {l}"
-        s_uv = m.sdelta(OrientedEdge(e, True))
-        du, dv = delta[u], delta[v]
-        if l is INF:
-            leaf, s_out, d_leaf, d_inner = (
-                (v, s_uv, dv, du) if v in src.infinite_leaves else (u, -s_uv, du, dv)
-            )
-            expected = setting.int_abs(n)
-            if d_leaf != expected:
-                return (
-                    f"delta at infinite leaf {leaf} must be |{n}| = {expected}, "
-                    f"got {d_leaf}"
-                )
-            if s_out > 0:
-                return f"delta would exceed one along the tail {e}"
-            if s_out == 0 and d_leaf != d_inner:
-                return f"delta is not constant along the slope-zero tail {e}"
-            if s_out < 0 and not d_leaf.is_neg_inf:
-                return f"delta must vanish at the end of the descending tail {e}"
-        else:
-            if du.is_neg_inf or dv.is_neg_inf:
-                return f"finite edge {e} has a vanishing endpoint"
-            if dv != du + Fraction(s_uv) * l:
-                return (
-                    f"delta is not linear along edge {e}: {dv} != {du} + {s_uv} * {l}"
-                )
-        for vert, slope in ((u, s_uv), (v, -s_uv)):
-            verdict = check_restriction(n, slope, delta[vert], setting)
-            if not verdict:
-                reason = verdict.reason
-                return f"edge {e} fails the slope restriction at {vert}: {reason}"
-    return None
-
-
 def _metric_bases():
-    from tests.test_special import canonical_lengths, setting_for
-
     for tag in LIFTABLE_TAGS:
         setting = setting_for(tag)
         yield tag, metric_lift(tag, canonical_lengths(tag, setting), setting)

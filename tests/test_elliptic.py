@@ -6,10 +6,8 @@ from wildskel.elliptic import EllipticInput, InvalidSettingError, classify_ellip
 from wildskel.special import LIFTABLE_TAGS, metric_lift
 from wildskel.valuation import LogAbs, ResidueSetting
 
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-WILD2 = ResidueSetting.equichar(2)
-TAME0 = ResidueSetting.equichar_zero()
-TAME3 = ResidueSetting.equichar(3)
+from tests.support import MIXED2, TAME0, TAME3, WILD2
+
 MIXED3 = ResidueSetting.mixed(3, Fraction(-1))
 
 

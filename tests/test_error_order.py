@@ -16,55 +16,21 @@ empty; with a local-constancy fault, an empty fiber or a missing sdelta
 beside it, the loader and the public constructor name the connectivity.
 """
 
-import copy
-
 import pytest
 
-from wildskel.delta_morphism import DeltaMorphism, morphism_from_json_dict
+from wildskel.delta_morphism import morphism_from_json_dict
 from wildskel.genus_graph import GenusGraph
 
-DELETE = object()
-
-
-def _edited(doc, edits):
-    doc = copy.deepcopy(doc)
-    for *path, value in edits:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is DELETE:
-            del parent[path[-1]]
-        elif path[-1] == "+":
-            parent.append(value)
-        else:
-            parent[path[-1]] = value
-    return doc
-
-
-def _graph(metric=False, a="a", b="b"):
-    """Two vertices and two parallel edges ``e`` and ``f``."""
-    edges = [{"id": "e", "from": a, "to": b}, {"id": "f", "from": a, "to": b}]
-    if metric:
-        for edge in edges:
-            edge["length"] = "1"
-    return {"vertices": [{"id": a, "genus": 0}, {"id": b, "genus": 0}], "edges": edges}
-
-
-def _morphism(metric=False):
-    """The identity of ``_graph`` onto a copy with upper-case ids."""
-    target = _graph(metric, "A", "B")
-    target["edges"] = [dict(x, id=x["id"].upper()) for x in target["edges"]]
-    return {
-        "source": _graph(metric),
-        "target": target,
-        "vertex_map": {"a": "A", "b": "B"},
-        "edge_map": {"e": "E", "f": "F"},
-        "n": {"e": 1, "f": 1},
-        "sdelta": {"e": 0, "f": 0},
-    }
-
-
-V, E = "vertices", "edges"
+from tests.support import (
+    DELETE,
+    DISCONNECTED_TARGET_CASES,
+    E,
+    V,
+    _constructed,
+    _edited,
+    _graph,
+    _morphism,
+)
 
 GRAPH_CASES = {
     "vertex entry before edge entry": (
@@ -260,40 +226,6 @@ MORPHISM_CASES = {
         "morphism vertex_map names unknown vertex 'zz'",
     ),
 }
-
-
-#: Edits that leave the target disconnected from the image of the source.
-UNHIT = {
-    "an isolated target vertex": [("target", V, "+", {"id": "C", "genus": 0})],
-    "a target component with an edge": [
-        ("target", V, "+", {"id": "C", "genus": 0}),
-        ("target", V, "+", {"id": "D", "genus": 1}),
-        ("target", E, "+", {"id": "G", "from": "C", "to": "D"}),
-    ],
-}
-
-DISCONNECTED_TARGET_CASES = {
-    f"{fault} beside {unhit}": edits + more
-    for unhit, edits in UNHIT.items()
-    for fault, more in (
-        ("an empty fiber", []),
-        ("a local-constancy fault", [("n", "e", 2)]),
-        ("a missing sdelta", [("sdelta", "e", DELETE)]),
-        ("a fault of every kind", [("n", "f", 3), ("sdelta", "f", DELETE)]),
-    )
-}
-
-
-def _constructed(doc):
-    """``DeltaMorphism(...)`` of a plain morphism document."""
-    graphs = (
-        GenusGraph(
-            {v["id"]: v["genus"] for v in g[V]}, {e["id"]: (e["from"], e["to"]) for e in g[E]}
-        )
-        for g in (doc["source"], doc["target"])
-    )
-    maps = (doc[key] for key in ("vertex_map", "edge_map", "n", "sdelta"))
-    return DeltaMorphism(*graphs, *maps)
 
 
 def _first_message(load, doc) -> str:

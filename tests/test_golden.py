@@ -30,7 +30,7 @@ fixtures, which pins the loader's messages and their precedence.
 slope -5 to 5 and a set of delta values that contains -inf, 0, ``|m|`` and
 ``|m+s|``, in six residue settings, and its two ``ValueError`` messages.
 ``golden/value_json.json`` holds, for the instance of every value class
-that ``tests.test_values.BUILDERS`` makes, its truth and, where the class
+that ``tests.support.BUILDERS`` makes, its truth and, where the class
 has one, its ``to_json_dict()``; it was recorded while each class still
 wrote both by hand.  ``golden/text_cli.json`` holds the stdout, stderr and
 exit code of the outputs the goldens above leave open: ``annulus`` on both
@@ -59,37 +59,19 @@ from wildskel.pmfunc import PMFunction
 from wildskel.special import _candidate_shapes, _shape_key, enumerate_root_subtrees
 from wildskel.valuation import INF, ResidueSetting, parse_length
 
-from tests.support import stabilize_corpus
+from tests.support import FIXTURES, stabilize_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
-ANNULUS_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "annulus.json").read_text()
-)
-METRIC_CLI_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "metric_cli.json").read_text()
-)
-SPECIAL_CLI_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "special_cli.json").read_text()
-)
-TEXT_CLI_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "text_cli.json").read_text()
-)
-USAGE_CLI_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "usage_cli.json").read_text()
-)
-SPECIAL_SEARCH_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "special_search.json").read_text()
-)
-STABILIZE_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "stabilize.json").read_text()
-)
-PROPER_ERRORS_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "proper_errors.json").read_text()
-)
-LOAD_ERRORS_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "load_errors.json").read_text()
-)
+GOLDEN = ROOT / "tests" / "golden"
+ANNULUS_GOLDEN = json.loads((GOLDEN / "annulus.json").read_text())
+METRIC_CLI_GOLDEN = json.loads((GOLDEN / "metric_cli.json").read_text())
+SPECIAL_CLI_GOLDEN = json.loads((GOLDEN / "special_cli.json").read_text())
+TEXT_CLI_GOLDEN = json.loads((GOLDEN / "text_cli.json").read_text())
+USAGE_CLI_GOLDEN = json.loads((GOLDEN / "usage_cli.json").read_text())
+SPECIAL_SEARCH_GOLDEN = json.loads((GOLDEN / "special_search.json").read_text())
+STABILIZE_GOLDEN = json.loads((GOLDEN / "stabilize.json").read_text())
+PROPER_ERRORS_GOLDEN = json.loads((GOLDEN / "proper_errors.json").read_text())
+LOAD_ERRORS_GOLDEN = json.loads((GOLDEN / "load_errors.json").read_text())
 
 
 def _case_id(case):
@@ -141,32 +123,21 @@ def test_metric_cli_stdout(case, capsys):
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
 
 
-def _check_cli_case(case, capsys):
-    argv = [a.replace("{fixtures}", str(FIXTURES)) for a in case["argv"]]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        case["exit"],
-        case["stdout"],
-        case["stderr"],
-    )
+@pytest.fixture(scope="module")
+def record_goldens():
+    return _load_tool("record_goldens")
 
 
 @pytest.mark.parametrize(
     "case", SPECIAL_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"])
 )
-def test_special_cli_output(case, capsys):
-    _check_cli_case(case, capsys)
+def test_special_cli_output(case, record_goldens):
+    assert record_goldens.cli_outcome(case["argv"]) == case
 
 
 @pytest.mark.parametrize("case", TEXT_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_text_cli_output(case, capsys):
-    _check_cli_case(case, capsys)
-
-
-@pytest.fixture(scope="module")
-def record_goldens():
-    return _load_tool("record_goldens")
+def test_text_cli_output(case, record_goldens):
+    assert record_goldens.cli_outcome(case["argv"]) == case
 
 
 @pytest.mark.parametrize("case", USAGE_CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
@@ -216,12 +187,12 @@ def test_load_errors_golden():
 
 
 def test_admissibility_golden():
-    path = Path(__file__).resolve().parent / "golden" / "admissibility.json"
+    path = GOLDEN / "admissibility.json"
     assert _load_tool("record_goldens").admissibility_text() == path.read_text()
 
 
 def test_value_json_golden():
-    path = Path(__file__).resolve().parent / "golden" / "value_json.json"
+    path = GOLDEN / "value_json.json"
     text = json.dumps(_load_tool("record_goldens").value_json(), indent=1) + "\n"
     assert text == path.read_text()
 

@@ -16,7 +16,6 @@ import types
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -33,10 +32,13 @@ from wildskel.delta_morphism import (
 from wildskel.genus_graph import Divisor, GenusGraph
 from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_length, scaled
 
-from tests.support import random_proper_delta_morphism, stabilize_corpus
-from tests.test_special import canonical_lengths, setting_for
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from tests.support import (
+    FIXTURES,
+    canonical_lengths,
+    random_proper_delta_morphism,
+    setting_for,
+    stabilize_corpus,
+)
 
 
 def corpus():

@@ -16,9 +16,7 @@ from wildskel.pmfunc import (
 )
 from wildskel.valuation import INF, LogAbs
 
-
-def brute_force_max(coeffs, x):
-    return max(v + i * x for i, v in coeffs.items())
+from tests.support import _per_term_max
 
 
 class TestEval:
@@ -161,7 +159,7 @@ class TestTropicalEval:
         assert slopes == sorted(slopes)
         for k in range(-12, 13):
             x = Fraction(k, 4)
-            assert prof.value_at(x) == brute_force_max(coeffs, x)
+            assert prof.value_at(x) == _per_term_max(coeffs, x)[0]
 
     def test_slope_at(self):
         prof = tropical_eval({2: 0, 3: Fraction(-1, 2)}, (-1, 1))
@@ -244,11 +242,6 @@ def sample_points(domain, extra=()):
     return sorted(set(pts) | {x for x in extra if x is not INF})
 
 
-def oracle_achievers(coeffs, x):
-    best = brute_force_max(coeffs, x)
-    return {i for i, v in coeffs.items() if v + i * x == best}
-
-
 class TestIntegerKernelOracle:
     @settings(max_examples=150, deadline=None)
     @given(coefficient_maps, domains())
@@ -257,8 +250,8 @@ class TestIntegerKernelOracle:
         a, b = domain
         assert prof.domain == (a, b)
         for x in sample_points(domain, prof.breakpoints):
-            ach = oracle_achievers(coeffs, x)
-            assert prof.value_at(x) == brute_force_max(coeffs, x)
+            best, ach = _per_term_max(coeffs, x)
+            assert prof.value_at(x) == best
             assert prof.achievers_at(x) == frozenset(ach)
             if prof.is_degenerate:
                 with pytest.raises(OutOfDomainError):

@@ -19,32 +19,15 @@ from wildskel.radial import (
     supersingular_witness,
 )
 from wildskel.special import Lengths, metric_lift
-from wildskel.valuation import LogAbs, ResidueSetting
+from wildskel.valuation import LogAbs
 
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-WILD2 = ResidueSetting.equichar(2)
-TAME0 = ResidueSetting.equichar_zero()
-
-
-def kummer_segment(p, log_p, length=Fraction(1)):
-    setting = ResidueSetting.mixed(p, log_p)
-    src = MetricGenusGraph({"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": length})
-    tgt = MetricGenusGraph(
-        {"u'": 0, "v'": 0}, {"e'": ("u'", "v'")}, {"e'": p * length}
-    )
-    dm = DeltaMorphism(
-        src, tgt, {"u": "u'", "v": "v'"}, {"e": "e'"}, {"e": p}, {"e": 0}
-    )
-    return (
-        MetricDeltaMorphism(dm, {"u": LogAbs(log_p), "v": LogAbs(log_p)}, setting),
-        setting,
-    )
+from tests.support import MIXED2, TAME0, WILD2, kummer_segment
 
 
 class TestDegreePLocus:
     def test_kummer_constant_radius(self):
         for p, log_p in ((2, Fraction(-1)), (3, Fraction(-1)), (5, Fraction(-2, 3))):
-            mm, _ = kummer_segment(p, log_p)
+            mm = kummer_segment(p, log_p)
             desc = degree_p_locus(mm, p)
             expected = -log_p / (p - 1)
             for num in range(0, 5):
@@ -73,7 +56,7 @@ class TestDegreePLocus:
         assert [s for *_, s in r.neg_log_delta.segments()] == [3]
 
     def test_wrong_degree(self):
-        mm, _ = kummer_segment(3, Fraction(-1))
+        mm = kummer_segment(3, Fraction(-1))
         with pytest.raises(WrongDegreeError):
             degree_p_locus(mm, 2)
 
@@ -120,7 +103,7 @@ class TestDegreePLocus:
 
 class TestRadialVsBall:
     def test_constant_radius_is_equal(self):
-        mm, _ = kummer_segment(2, Fraction(-1))
+        mm = kummer_segment(2, Fraction(-1))
         assert not radial_vs_ball(degree_p_locus(mm, 2)).strict
 
     def test_slope_one_boundary_is_equal(self):

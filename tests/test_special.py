@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from wildskel.delta_morphism import DeltaMorphism, MetricDeltaMorphism, stabilize
+from wildskel.delta_morphism import (
+    DeltaMorphism, MetricDeltaMorphism, morphism_to_json_dict, stabilize,
+)
 from wildskel.genus_graph import GenusGraph
 from wildskel.special import (
     LIFTABLE_TAGS,
@@ -21,12 +24,19 @@ from wildskel.special import (
     metric_lift,
     ramification_signature,
 )
-from wildskel.valuation import ResidueSetting
 
-MIXED2 = ResidueSetting.mixed(2, Fraction(-1))
-WILD2 = ResidueSetting.equichar(2)
-TAME0 = ResidueSetting.equichar_zero()
-TAME3 = ResidueSetting.equichar(3)
+from tests.support import (
+    FIXTURES,
+    MIXED2,
+    TAME0,
+    TAME3,
+    WILD2,
+    canonical_lengths,
+    even_slope,
+    setting_for,
+    split_leaves,
+    subdivide_metric,
+)
 
 
 class TestRootSubtrees:
@@ -116,34 +126,12 @@ class TestIsSpecial:
         assert "violated(2)" in check.reason
 
     def test_leaf_of_multiplicity_one_violates_the_leaf_condition(self):
-        # two split leaves over one target leaf; w1 has R = 1, w2 R = 3, and
-        # v balances them; one target edge leaves no move
-        source = GenusGraph({"v": 1, "w1": 0, "w2": 0}, {"a": ("w1", "v"), "b": ("w2", "v")})
-        target = GenusGraph({"x": 0, "y": 0}, {"e": ("x", "y")})
-        m = DeltaMorphism(
-            source, target, {"v": "y", "w1": "x", "w2": "x"}, {"a": "e", "b": "e"},
-            {"a": 1, "b": 1}, {"a": 1, "b": 3},
-        )
-        check = is_special(m)
+        check = is_special(split_leaves("w1"))
         assert not check.ok
         assert check.reason == "violated(2): leaf w1 has R = 1 but multiplicity 1"
 
     def test_even_nonzero_slope_violates_condition_five(self):
-        # TG with three of its tame tails moved behind an inner edge of
-        # label 2 (slope index 3 = 1 + 1 + 1): stable, balanced, mixed
-        ends = {"e": ("r", "c"), "f1": ("c", "l1"), "f2": ("c", "l2"),
-                "f3": ("c", "l3"), "g": ("r", "l4")}
-        genera = {"r": 1, "c": 0, "l1": 0, "l2": 0, "l3": 0, "l4": 0}
-        target = GenusGraph(
-            {v + "'": 0 for v in genera},
-            {e + "'": (a + "'", b + "'") for e, (a, b) in ends.items()},
-        )
-        m = DeltaMorphism(
-            GenusGraph(genera, ends), target, {v: v + "'" for v in genera},
-            {e: e + "'" for e in ends}, dict.fromkeys(ends, 2),
-            {"e": -2, "f1": 0, "f2": 0, "f3": 0, "g": 0},
-        )
-        check = is_special(m)
+        check = is_special(even_slope("e"))
         assert not check.ok
         assert check.reason == "violated(5): edge e has even nonzero slope -2"
 
@@ -226,31 +214,12 @@ class TestEnumerateSpecial:
             rep = m.rh_degree_identity()
             assert rep.ok and rep.r_sum == 4
 
-
-def canonical_lengths(tag: str, setting: ResidueSetting) -> Lengths:
-    """A valid length assignment for each liftable type."""
-    two = setting.int_abs(2)
-    log2 = None if two.is_neg_inf else two.value
-    table = {
-        "TB": Lengths(l0=Fraction(1)),
-        "TG": Lengths(),
-        "WB": Lengths(l0=Fraction(1)),
-        "WO": Lengths(),
-        "WS": Lengths(l3=Fraction(2, 3)),
-        "WSS": Lengths(),
-        "MB": Lengths(l0=Fraction(2), l1=-log2 if log2 is not None else 0),
-        "MO": Lengths(l1=-log2 if log2 is not None else 0),
-        "MS": Lengths(l1=-log2 / 2 if log2 is not None else 0,
-                      l3=-log2 / 6 if log2 is not None else 0),
-        "MSS": Lengths(l3=-log2 / 3 if log2 is not None else 0),
-    }
-    return table[tag]
-
-
-def setting_for(tag: str) -> ResidueSetting:
-    return {"tame": TAME0, "mixed": MIXED2, "wild": WILD2}[
-        SpecialType(tag).characteristic_class
-    ]
+    def test_built_enumerated_and_fixture_morphisms_are_equal(self):
+        """ME was built with its edge ids in another order than the search's."""
+        for t, m in enumerate_special():
+            fixture = json.loads((FIXTURES / f"{t.tag.lower()}.morphism.json").read_text())
+            built = morphism_to_json_dict(build_special(t.tag))
+            assert built == morphism_to_json_dict(m) == fixture, t.tag
 
 
 class TestMetricLift:
@@ -375,7 +344,6 @@ class TestMetricLiftValidation:
             Lengths(l0=-1)
 
     def test_unequal_pieces_of_one_slope_class_rejected(self):
-        from tests.support import subdivide_metric
         from wildskel.special import metric_lengths
 
         setting = setting_for("WS")

@@ -20,6 +20,8 @@ from wildskel.valuation import (
     parse_ratio,
 )
 
+from tests.support import _entries
+
 
 class TestLogAbs:
     def test_ordering(self):
@@ -338,47 +340,6 @@ class TestParseRatio:
 
 
 # -- one reader of rationals at every public entry ------------------------------
-
-
-def _entries():
-    """``name -> (call of one value, message[, sign of the value])``: each
-    public entry that reads a rational value outside graph lengths and delta,
-    which refuse a float and a bool alike (``as_ratio``)."""
-    from wildskel.annulus import ValuedSeries, different_profile, skeleton_image_law
-    from wildskel.elliptic import EllipticInput
-    from wildskel.pmfunc import PMFunction, tropical_eval
-    from wildskel.special import Lengths
-
-    series, setting = ValuedSeries({1: 0, 2: -1}), ResidueSetting.equichar(3)
-    line = PMFunction.line((0, 2), 0, 1)
-
-    def segment(value, point="1"):
-        return {"breakpoints": ["0", point], "segments": [{"left_value": value, "slope": 1}]}
-
-    return {
-        "series value": (lambda x: ValuedSeries({1: x, 2: -1}), "series value of 1"),
-        "series map value": (lambda x: tropical_eval({1: x}, (0, 1)), "series value of 1"),
-        "left value": (lambda x: PMFunction([0, 1], [x], [1]), "left_values value of 0"),
-        "breakpoint": (lambda x: PMFunction([0, x, 2], [0, 0], [0, 0]), "breakpoints value of 1"),
-        "JSON left value": (lambda x: PMFunction.from_json_dict(segment(x)), "left_values value of 0"),
-        "JSON breakpoint": (lambda x: PMFunction.from_json_dict(segment(0, x)),
-                            "breakpoints value of 1"),
-        "line domain": (lambda x: PMFunction.line((x, 2), 0, 1), "domain value of 0"),
-        "line left value": (lambda x: PMFunction.line((0, 2), x, 1), "left_value"),
-        "value_at": (line.value_at, "point"),
-        "slope_at": (lambda x: line.slope_at(x, "left"), "point"),
-        "achievers_at": (tropical_eval(series, (0, 2)).achievers_at, "point"),
-        "profile domain": (lambda x: different_profile(series, setting, (0, x)),
-                           "domain value of 1"),
-        "image law point": (lambda x: skeleton_image_law(series, x), "at_log_r"),
-        "LogAbs": (LogAbs, "log value"),
-        "Lengths": (lambda x: Lengths(l1=x), "l1"),
-        "mixed log_p": (lambda x: ResidueSetting.mixed(2, x), "log value", -1),
-        "ResidueSetting log_p": (lambda x: ResidueSetting(0, 2, x), "log_p", -1),
-        "EllipticInput.of": (lambda x: EllipticInput.of(setting, x), "log value"),
-        "last breakpoint": (lambda x: PMFunction([0, x], [0], [1]), "breakpoints value of 1"),
-        "tropical domain": (lambda x: tropical_eval(series, (0, x)), "domain value of 1"),
-    }
 
 
 @pytest.mark.parametrize("name", sorted(_entries()))

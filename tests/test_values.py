@@ -19,59 +19,16 @@ from pathlib import Path
 
 import pytest
 
-import wildskel  # noqa: F401 - loads every module, so every value class
-from wildskel.annulus import DifferentReport, ValuedSeries, Verdict
-from wildskel.delta_morphism import (
-    BoundaryAnnotation,
-    CertifyReport,
-    morphism_from_json_dict,
-    wide_open_genus_check,
-)
-from wildskel.elliptic import EllipticInput, classify_elliptic
+from wildskel.annulus import Verdict
+from wildskel.delta_morphism import CertifyReport, wide_open_genus_check
 from wildskel.genus_graph import Divisor
-from wildskel.pmfunc import PMFunction
-from wildskel.radial import EdgeRadius, StrictnessReport, degree_p_locus
+from wildskel.radial import StrictnessReport
 from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType
 from wildskel.valuation import NEG_INF, ZERO, Frozen, LogAbs, Record, ResidueSetting
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "values.json").read_text()
-)
+from tests.support import BUILDERS
 
-
-def _fixture(name):
-    return morphism_from_json_dict(
-        json.loads((FIXTURES / f"{name}.morphism.json").read_text())
-    )
-
-
-#: One builder per value class; each call makes a fresh, equal instance.
-BUILDERS = {
-    "ResidueSetting": lambda: ResidueSetting.mixed(2, -1),
-    "ValuedSeries": lambda: ValuedSeries({1: 0, 2: Fraction(-1, 2)}),
-    "DifferentReport": lambda: DifferentReport(2, 1, LogAbs(-1), 1),
-    "Verdict": lambda: Verdict.violated("upper bound attained with s > 0"),
-    "Divisor": lambda: Divisor({"a": 2, "b": -1, "c": 0}),
-    "RHDivisorReport": lambda: _fixture("wb").rh_divisor_identity(),
-    "RHDegreeReport": lambda: _fixture("wb").rh_degree_identity(),
-    "BoundaryAnnotation": lambda: BoundaryAnnotation({"v": [(1, 0), (2, 1)]}),
-    "CertifyReport": lambda: CertifyReport(False, (("v", 1, 2, 0, 1),)),
-    "WideOpenReport": lambda: wide_open_genus_check([(2, 1)], 2, 0, 0),
-    "SpecialType": lambda: SpecialType("MSS"),
-    "RootSubtree": lambda: RootSubtree(1, (RootSubtree(0), RootSubtree(0))),
-    "SpecialCheck": lambda: SpecialCheck(True, "", "wild"),
-    "Lengths": lambda: Lengths(Fraction(1, 2), 1, Fraction(1, 6)),
-    "EllipticInput": lambda: EllipticInput.of(ResidueSetting.equichar(2), -3),
-    "SkeletonReport": lambda: classify_elliptic(
-        EllipticInput.of(ResidueSetting.mixed(2, -1), -3)
-    ),
-    "EdgeRadius": lambda: EdgeRadius(
-        PMFunction([Fraction(0), Fraction(1)], [Fraction(1)], [0]), 1
-    ),
-    "RadialDescription": lambda: degree_p_locus(_fixture("wb_metric"), 2),
-    "StrictnessReport": lambda: StrictnessReport(True, "e2"),
-}
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "values.json").read_text())
 
 #: Classes with a dict field, which no hash can cover.
 UNHASHABLE = {"BoundaryAnnotation", "RadialDescription"}

@@ -11,18 +11,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from wildskel import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from wildskel import (  # noqa: E402
     DeltaMorphism,
     GenusGraph,
     Lengths,
-    LogAbs,
-    MetricDeltaMorphism,
-    MetricGenusGraph,
     ResidueSetting,
     metric_lift,
     morphism_to_json_dict,
 )
-from wildskel.cli import run
+from wildskel.cli import run  # noqa: E402
+
+from tests.support import kummer_segment  # noqa: E402
 
 
 def dump(path: Path, payload) -> None:
@@ -68,28 +70,13 @@ def wb_subdivided() -> DeltaMorphism:
     )
 
 
-def kummer_segment(p: int, log_p: Fraction, length: Fraction) -> MetricDeltaMorphism:
-    """Degree-p cover of a segment with constant different |p|."""
-    setting = ResidueSetting.mixed(p, log_p)
-    src = MetricGenusGraph({"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": length})
-    tgt = MetricGenusGraph(
-        {"u'": 0, "v'": 0}, {"e'": ("u'", "v'")}, {"e'": p * length}
-    )
-    dm = DeltaMorphism(
-        src, tgt, {"u": "u'", "v": "v'"}, {"e": "e'"}, {"e": p}, {"e": 0}
-    )
-    return MetricDeltaMorphism(
-        dm, {"u": LogAbs(log_p), "v": LogAbs(log_p)}, setting
-    )
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "outdir",
         nargs="?",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "fixtures",
+        default=ROOT / "fixtures",
         help="directory to write the fixtures to (default: fixtures/)",
     )
     outdir = parser.parse_args(argv).outdir

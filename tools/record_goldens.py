@@ -19,7 +19,7 @@ defaults to the repository's ``tests/golden/``.  Writes:
   ``|m|`` and ``|m+s|``, then the ``[exception type, message]`` of its
   invalid arguments;
 - ``value_json.json``: for the instance of every value class that
-  ``tests.test_values.BUILDERS`` makes, ``bool`` of it and, where the
+  ``tests.support.BUILDERS`` makes, ``bool`` of it and, where the
   class has one, its ``to_json_dict()``;
 - ``text_cli.json``: the argv, exit code, stdout and stderr of
   ``cli.run`` for ``annulus`` on both series fixtures in the five
@@ -58,8 +58,7 @@ from wildskel.annulus import check_restriction  # noqa: E402
 from wildskel.cli import run  # noqa: E402
 from wildskel.valuation import NEG_INF, LogAbs, ResidueSetting  # noqa: E402
 
-from tests.support import load_mutations, proper_mutations, stabilize_corpus  # noqa: E402
-from tests.test_values import BUILDERS  # noqa: E402
+from tests.support import BUILDERS, load_mutations, proper_mutations, stabilize_corpus  # noqa: E402
 
 PROPER_SEED, PROPER_COUNT = 71, 2000
 LOAD_SEED, LOAD_COUNT = 83, 2000

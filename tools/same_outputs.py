@@ -34,12 +34,13 @@ morphism along a divisor that also names a vertex off the target;
 ``certify_skeleton`` and ``wide_open_genus_check`` on the random morphisms;
 ``contract_morphism`` and ``contract_graph`` of both move kinds at every
 target vertex of each morphism, legal or not;
-``enumerate_root_subtrees``; numbers, texts, floats, bools and a
-``LogAbs`` as series values, ``PMFunction`` values and breakpoints, ``LogAbs``,
-``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
+``enumerate_root_subtrees``; ``build_special`` of every tag; the messages
+of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
+numbers, texts, floats, bools and a ``LogAbs`` as series values,
+``PMFunction`` values and breakpoints, ``LogAbs``, ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
 and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
 equal numbers; every public rational entry (the ``_entries`` table of
-``tests/test_valuation.py``, graph lengths and ``MetricDeltaMorphism``
+``tests/support.py``, graph lengths and ``MetricDeltaMorphism``
 delta) on values ``Fraction()`` cannot take, a ``LogAbs``, ``-inf`` and
 bad text; those entries, ``LogAbs.parse``, a last and an inner breakpoint,
 a ``tropical_eval`` domain end, a tail length, the delta of an infinite
@@ -53,14 +54,14 @@ the public ``DeltaMorphism`` on each random
 metric draw's graphs with one finite length doubled, and on the metric
 fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
 RH divisor report of what it builds; the disconnected targets of
-``tests/test_error_order.py``; and a few single calls at known edge
+``tests/support.py``; and a few single calls at known edge
 cases.  A function missing from one tree is recorded as missing.
 
 Records are matched by label (the ``k``-th record of a label with the
 ``k``-th of the same label), so a line that one tree prints and the other
 does not shifts no other record.  Prints the number of differing records
 and the first twenty of them; exits 0 when there is none, 1 otherwise.
-Standard library only.
+It needs only the standard library and ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -269,10 +270,8 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"dict keyed by LogAbs({value}) at {value!r}", lambda: {x: 1}.get(value))
         rec.call(f"dict keyed by {value!r} at LogAbs({value})", lambda: {value: 1}.get(x))
     rec.call("set of NEG_INF twice", lambda: len({ws.NEG_INF, ws.LogAbs.parse("-inf")}))
-    from tests.test_valuation import _entries
-
     entries = {  # every public rational entry, graph lengths and delta included
-        **{name: call for name, (call, *_) in _entries().items()},
+        **{name: call for name, (call, *_) in support._entries().items()},
         "graph length": lambda x: graph(two, {"e": ("a", "b")}, {"e": x}),
         "metric delta": lambda x: ws.MetricDeltaMorphism(
             identity, {"a": ws.LogAbs(0), "b": x}, setting),
@@ -379,12 +378,14 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"wide open ram {ram!r}", pub("wide_open_genus_check"), [(2, 1)], 2, 1, 0, ram)
     for k in range(-1, 6):
         rec.call(f"root subtrees {k}", pub("enumerate_root_subtrees"), k)
-    from tests.test_error_order import DISCONNECTED_TARGET_CASES, _constructed, _edited, _morphism
-
-    for name, edits in DISCONNECTED_TARGET_CASES.items():
-        doc = _edited(_morphism(), edits)
+    for tag in ws.SPECIAL_TAGS:
+        rec.call(f"build_special {tag}", pub("build_special"), tag)
+    for name, (call, _) in support.LONG_ID_MESSAGES.items():
+        rec.call(f"long id {name}", call)
+    for name, edits in support.DISCONNECTED_TARGET_CASES.items():
+        doc = support._edited(support._morphism(), edits)
         rec.call(f"disconnected target load {name}", pub("morphism_from_json_dict"), doc)
-        rec.call(f"disconnected target constructor {name}", _constructed, doc)
+        rec.call(f"disconnected target constructor {name}", support._constructed, doc)
     for given in ({}, {"a": 0}, {"a": 2, "b": -2}, {1: 1, "1": 2}, {"a": 1.5},
                   {"a": True}, {"a": "1"}, {"a": None}, {2: 3}):
         rec.call(f"divisor {given!r}", pub("Divisor"), given)
@@ -407,11 +408,9 @@ def record(out, work: Path, every: int) -> None:
     ):
         rec.call(f"product of {name}", pm.monomial_product, factors)
 
-    from tests.test_special import canonical_lengths, setting_for
-
     for tag in ws.LIFTABLE_TAGS:
-        setting = setting_for(tag)
-        lengths = canonical_lengths(tag, setting)
+        setting = support.setting_for(tag)
+        lengths = support.canonical_lengths(tag, setting)
         mm = rec.call(f"lift {tag}", pub("metric_lift"), tag, lengths, setting)
         if mm is None:
             continue
@@ -464,15 +463,7 @@ def record(out, work: Path, every: int) -> None:
             rec.call(f"load_mutation {i} {side}", graph, doc.get(side), f"{side} graph")
 
     half = Fraction(1, 2)
-
-    class Skewed:
-        """A stand-in setting with ``log|i| = (i mod 3 - 1)/2``: some ``|i|``
-        exceed one, so the different may exceed one too."""
-
-        def int_abs(self, i):
-            return ws.LogAbs(Fraction(i % 3 - 1, 2))
-
-    skewed = Skewed()
+    skewed = support.StandInSetting(lambda i: Fraction(i % 3 - 1, 2))  # some |i| > 1
     grid = [Fraction(k, 2) for k in range(-5, 8)]  # -5/2 to 7/2: both ends and beyond
 
     def profile_methods(label, series, prof):

@@ -27,7 +27,9 @@ reads them directly; the report builds no derivative series, and the
 profile sums the two envelopes as integer segment data into one validated
 ``PMFunction``.  Fractions are made only where a value leaves the module:
 ``coefficients``, ``series[i]``, ``to_text``, ``repr``, report values and
-messages.
+messages.  Each input has one reader: a series mapping ``pmfunc._read_series``,
+``log_delta`` :func:`_read_log_delta` (for the report, the check and the
+witness alike) and ``log|i|`` the setting's integer ``_int_abs_ratio``.
 """
 
 from __future__ import annotations
@@ -39,11 +41,16 @@ from typing import Dict, Mapping, Sequence, Tuple
 from . import pmfunc
 from .pmfunc import PMFunction
 from .valuation import (
-    Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, ratio_text, read_ratio
+    NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_ratio, echo, ratio_text, read_ratio
 )
 
-#: how ``log_delta`` is read: a rational or any spelling of -inf (None)
-_LOG_DELTA = ("log_delta", None, "a rational or -inf", "-inf")
+
+def _read_log_delta(log_delta):
+    """``log_delta`` as ``(numerator, denominator)``, None for -inf; it is at most 0."""
+    d = as_ratio(log_delta, "log_delta", None, "a rational or -inf", "-inf")
+    if d is not None and d[0] > 0:
+        raise ValueError("log_delta must be <= 0")
+    return d
 
 
 class ConstantSeriesError(ValueError):
@@ -74,13 +81,7 @@ class ValuedSeries(Frozen):
     __slots__ = ("den", "terms")
 
     def __init__(self, coefficients: Mapping[int, Fraction]):
-        given = dict(coefficients)
-        keys = [as_int(i, "series exponent") for i in given]
-        if len(set(keys)) != len(keys):  # keys equal after int()
-            repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
-            raise ValueError(f"series repeats exponent {repeat}")
-        ratios = [as_ratio(v, "series", i, infinity="-inf") for i, v in zip(keys, given.values())]
-        self._store(*pmfunc.scaled_series([t for t in zip(keys, ratios) if t[1] is not None]))
+        self._store(*pmfunc._read_series(coefficients, "-inf"))
 
     @classmethod
     def _from_scaled(cls, den: int, terms: Sequence[Tuple[int, int]]) -> "ValuedSeries":
@@ -145,19 +146,16 @@ class DifferentReport(Record):
 
     ``slope_s`` is the slope of the different toward the inside of the
     annulus (increasing as the radius shrinks when positive); it always
-    equals ``m - n``.  ``log_delta`` is read as a rational or ``-inf`` and
-    stored as a ``LogAbs``.
+    equals ``m - n``.  ``log_delta`` is stored as the ``LogAbs`` it reads.
     """
 
     __slots__ = ("m", "n", "log_delta", "slope_s")
 
     def __init__(self, m: int, n: int, log_delta, slope_s: int):
-        d = as_ratio(log_delta, *_LOG_DELTA)
-        if d is not None and d[0] > 0:
-            raise ValueError("log_delta must be <= 0")
+        d = _read_log_delta(log_delta)
         if slope_s != m - n:
             raise ValueError("slope_s must equal m - n")
-        super().__init__(m, n, LogAbs(log_delta), slope_s)
+        super().__init__(m, n, NEG_INF if d is None else LogAbs(Fraction(*d)), slope_s)
 
 
 class Verdict(Frozen):
@@ -208,11 +206,8 @@ def skeleton_image_law(series: ValuedSeries, at_log_r) -> Tuple[int, LogAbs]:
 
 def _surviving_terms(series: ValuedSeries, setting: ResidueSetting) -> list:
     """``(i, D * log|h_i|, a, b)`` with ``log|i| = a/b`` per term with ``|i| > 0``."""
-    kept = []
-    for i, n in series.terms:
-        scale = setting.int_abs(i)._value  # None for -inf
-        if scale is not None:
-            kept.append((i, n, *scale.as_integer_ratio()))
+    scales = [(i, n, setting._int_abs_ratio(i)) for i, n in series.terms]  # None for -inf
+    kept = [(i, n, *r) for i, n, r in scales if r is not None]
     if not kept:
         raise InseparableSeriesError(
             "derivative vanishes identically; the covering is inseparable"
@@ -280,9 +275,7 @@ def check_restriction(m: int, s: int, log_delta, setting: ResidueSetting) -> Ver
     """
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
-    d = as_ratio(log_delta, *_LOG_DELTA)
-    if d is not None and d[0] > 0:
-        raise ValueError("log_delta must be <= 0")
+    d = _read_log_delta(log_delta)
     if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
         return Verdict.violated(
             f"even multiplicity {m} = 2 mod 4 admits only odd nonzero slopes "
@@ -325,7 +318,7 @@ def realize_triple(m: int, s: int, log_delta, setting: ResidueSetting) -> Valued
         raise UnrealizableTripleError(verdict.reason)
     if s == 0:
         return ValuedSeries._from_scaled(1, [(m, 0)])
-    d = as_ratio(log_delta, *_LOG_DELTA)
+    d = _read_log_delta(log_delta)
     if d is None:
         raise UnrealizableTripleError(
             f"log_delta = -inf needs s = 0 (the witness would need a = 0), got s={s}"

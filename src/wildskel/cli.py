@@ -260,7 +260,7 @@ def _cmd_annulus(args):
         f"m={report.m} n={report.n} log_delta={report.log_delta} "
         f"s={report.slope_s}"
     ]
-    if args.domain:
+    if args.domain is not None:
         lo, hi = args.domain.split(":")
         profile = different_profile(series, setting, (lo, hi))
         payload["profile"] = profile.to_json_dict()

@@ -25,6 +25,7 @@ Fractions are made only where a value leaves the module: ``domain``,
 stores no achievers: each segment's achiever is its slope.  The annulus
 different sums two envelopes as integer segment data (``_envelope``,
 ``_merge``) and builds one validated function, no ``NewtonProfile``.
+:func:`_read_series` reads a series mapping, for ``ValuedSeries`` and :func:`tropical_eval`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, echo, ratio_text
+from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, echo, ratio_text, scaled
 
 
 class OutOfDomainError(ValueError):
@@ -419,27 +420,31 @@ def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:
     return hull
 
 
-def scaled_series(terms) -> Tuple[int, List[Tuple[int, int]]]:
-    """``(exponent, (numerator, denominator))`` pairs over their least common
-    denominator ``D``: ``(D, [(exponent, D * value), ...])`` by exponent."""
-    items = sorted(terms)
-    if not items:
+def _read_series(mapping, infinity: str | None) -> Tuple[int, List[Tuple[int, int]]]:
+    """``(D, [(exponent, D * value), ...])`` by exponent: every key by :func:`as_int`,
+    a repeat refused, then the values by :func:`as_ratio`, ``infinity`` a vanishing term."""
+    given = dict(mapping)
+    keys = [as_int(i, "series exponent") for i in given]
+    if len(set(keys)) != len(keys):  # keys equal after int()
+        repeat = next(i for n, i in enumerate(keys) if i in keys[:n])
+        raise ValueError(f"series repeats exponent {repeat}")
+    den, nums = scaled({i: as_ratio(v, "series", i, infinity=infinity)
+                        for i, v in zip(keys, given.values())}, None)
+    terms = sorted([t for t in nums.items() if t[1] is not None])
+    if not terms:
         raise EmptySeriesError("series has empty support")
-    den, nums = _over_common_denominator([r for _, r in items])
-    return den, [(i, n) for (i, _), n in zip(items, nums)]
+    return den, terms
 
 
 def tropical_eval(series, domain) -> NewtonProfile:
     """Upper envelope ``x -> max_i (log|h_i| + i*x)`` on ``domain``.
 
     ``series`` is a :class:`~wildskel.annulus.ValuedSeries`, read in its
-    integer form ``(den, terms)``, or a mapping ``exponent -> log
-    coefficient``, whose values are read as rationals (no ``-inf``) and
-    brought to that form by :func:`scaled_series`.
+    integer form ``(den, terms)``, or a mapping read by :func:`_read_series`
+    as ``ValuedSeries`` reads one, but with no ``-inf`` among its values.
     """
     if isinstance(series, Mapping):
-        den, terms = scaled_series([(as_int(i, "series exponent"), as_ratio(v, "series", i))
-                                    for i, v in series.items()])
+        den, terms = _read_series(series, None)
     else:
         den, terms = series.den, series.terms
     return NewtonProfile._build(*_envelope(den, terms, domain))

@@ -66,6 +66,8 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     """
     if mm.degree != p:
         raise WrongDegreeError(f"morphism has degree {mm.degree}, expected {p}")
+    if p < 2:  # the radius divides by p - 1
+        raise ValueError(f"p must be at least 2, got {p}")
     src = mm.source
     edges = [e for e in src.edge_ids if mm.mult[e] == p]
     verts = {v for e in edges for v in src.endpoints(e)}

@@ -71,8 +71,7 @@ class Frozen:
         setters = self._setters
         if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        # by index, not zip(): a zip costs more than the store of a one-field
-        # value, and several Divisors are built for every checked morphism
+        # by index, not zip(): a zip costs more than the store of a few fields
         i = 0
         for value in args:
             setters[i](self, value)

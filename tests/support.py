@@ -117,6 +117,12 @@ def identity_morphism(g: GenusGraph) -> DeltaMorphism:
     )
 
 
+def one_edge_identity() -> MetricDeltaMorphism:
+    """The identity of a segment of length one in ``mixed:2:-1``: degree 1."""
+    line = MetricGenusGraph({"u": 0, "v": 0}, {"e": ("u", "v")}, {"e": 1})
+    return MetricDeltaMorphism(identity_morphism(line), {"u": ZERO, "v": ZERO}, MIXED2)
+
+
 def kummer_segment(p: int, log_p: Fraction, length=Fraction(1)) -> MetricDeltaMorphism:
     """Degree-p cover of a segment with constant different |p|."""
     setting = ResidueSetting.mixed(p, log_p)
@@ -156,13 +162,14 @@ HYBRID_KUMMER = {
 
 class StandInSetting:
     """A stand-in residue setting with ``log|i| = log_abs(i)``: where some
-    ``|i|`` exceed one, the different may exceed one too."""
+    ``|i|`` exceed one, the different may exceed one too.  It has only the
+    integer method that the annulus layer reads."""
 
     def __init__(self, log_abs):
         self.log_abs = log_abs
 
-    def int_abs(self, i):
-        return LogAbs(self.log_abs(i))
+    def _int_abs_ratio(self, i):
+        return Fraction(self.log_abs(i)).as_integer_ratio()
 
 
 def _per_term_max(coeffs, x):

@@ -381,6 +381,22 @@ def test_series_keys_equal_after_int_are_an_error():
     with pytest.raises(ValueError, match=r"^series repeats exponent 2$"):
         ValuedSeries({2: NEG_INF, "2": 0})  # checked before -inf values drop
     assert ValuedSeries({1: 0, "2": NEG_INF}) == ValuedSeries({1: 0})
+    # tropical_eval used to read this map as the line PMFunction([0,1]: 0+1x)
+    with pytest.raises(ValueError, match=r"^series repeats exponent 1$"):
+        tropical_eval({1: 0, "1": -1}, (0, 1))
+
+
+@pytest.mark.parametrize("given", [
+    {1: "x", "y": 0},  # every key is read before any value
+    {"1": None, 2: 0},  # a value is named by its key as an integer
+    {1: 0, "1": "x"},  # the repeat is found before the value
+])
+def test_a_series_map_faults_as_a_valued_series_does(given):
+    with pytest.raises(ValueError) as want:
+        ValuedSeries(given)
+    with pytest.raises(ValueError) as got:
+        tropical_eval(given, (0, 1))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @pytest.mark.parametrize("exponent", [1.5, True, Fraction(5, 2)])

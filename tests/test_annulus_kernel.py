@@ -252,16 +252,26 @@ def test_internal_results_store_the_minimal_denominator():
     assert (back.den, back.terms) == (2, ((2, 0), (3, -1)))
 
 
-def test_tropical_eval_reads_series_and_maps_alike():
+@pytest.mark.parametrize("setting_text", SETTINGS)
+def test_tropical_eval_reads_series_and_maps_alike(setting_text):
+    """A series and its map of coefficients give one envelope, down to the
+    tie set at every breakpoint; so do a series' derivative and its map."""
     def form(profile):
-        return profile, profile._cden, profile._terms, profile.segment_achievers
+        ties = [profile.achievers_at(x) for x in profile.breakpoints if x is not INF]
+        return profile, profile._cden, profile._terms, profile.segment_achievers, ties
 
+    setting = ResidueSetting.parse(setting_text)
     rng = random.Random("envelope")
     domains = [(Fraction(-2), Fraction(1)), (Fraction(-1, 3), INF), (Fraction(1, 2),) * 2]
     for _ in range(500):
         s = random_valued_series(rng)
-        for domain in domains:
-            assert form(tropical_eval(s, domain)) == form(tropical_eval(s.coefficients, domain))
+        try:
+            series = (s, derivative(s, setting))
+        except InseparableSeriesError:
+            series = (s,)
+        for t in series:
+            for domain in domains:
+                assert form(tropical_eval(t, domain)) == form(tropical_eval(t.coefficients, domain))
 
 
 

@@ -26,6 +26,7 @@ from tests.support import (
     _fixture,
     identity_morphism,
     json_value_paths,
+    one_edge_identity,
     subdivide_metric,
 )
 
@@ -176,6 +177,7 @@ class TestReports:
             ("1:0", "empty domain [1, 0]"),
             ("inf:0", "Invalid literal for Fraction: 'inf'"),
             ("1", "not enough values to unpack (expected 2, got 1)"),
+            ("", "not enough values to unpack (expected 2, got 1)"),  # was ignored: exit 0
             ("1:2:3", "too many values to unpack (expected 2)"),
         ],
     )
@@ -606,6 +608,17 @@ class TestInputErrors:
         shown = "[" * 400 + "... (1520 more characters)"
         message = f"error: morphism n value of 'zz' is {shown}, not a number\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    @pytest.mark.parametrize("p, message", [
+        ("1", "p must be at least 2, got 1"),  # was exit 0, "radius denominator 0"
+        ("0", "morphism has degree 1, expected 0"),
+    ])
+    def test_radial_p_below_two_is_an_input_error(self, tmp_path, capsys, p, message):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(morphism_to_json_dict(one_edge_identity())))
+        for extra in ([], ["--json"]):
+            assert run(["radial", str(path), "--p", p, *extra]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_radial_needs_delta_values(self, capsys):
         assert run(["radial", str(FIXTURES / "wb.morphism.json")]) == 2

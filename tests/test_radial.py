@@ -21,7 +21,7 @@ from wildskel.radial import (
 from wildskel.special import Lengths, metric_lift
 from wildskel.valuation import LogAbs
 
-from tests.support import MIXED2, TAME0, WILD2, kummer_segment
+from tests.support import MIXED2, TAME0, WILD2, kummer_segment, one_edge_identity
 
 
 class TestDegreePLocus:
@@ -59,6 +59,15 @@ class TestDegreePLocus:
         mm = kummer_segment(3, Fraction(-1))
         with pytest.raises(WrongDegreeError):
             degree_p_locus(mm, 2)
+
+    def test_p_one_has_no_radius(self):
+        # a degree-1 cover used to give denominator 0, and radius_at a ZeroDivisionError
+        mm = one_edge_identity()
+        with pytest.raises(ValueError) as info:
+            degree_p_locus(mm, 1)
+        assert (type(info.value), str(info.value)) == (ValueError, "p must be at least 2, got 1")
+        with pytest.raises(WrongDegreeError, match=r"^morphism has degree 1, expected 0$"):
+            degree_p_locus(mm, 0)  # the degree is tested first
 
     def test_pointwise_oracle(self):
         mm = metric_lift(

@@ -16,7 +16,10 @@ then the JSON or ``repr`` of the result (a built morphism as its
 and message.  The inputs are every fixture through every CLI subcommand, in
 text mode and with ``--json`` (the exit code of ``cli.run`` in process, then
 stdout and stderr one line per record, labelled with the line number);
-seeded mutations of the series fixtures; the
+seeded mutations of the series fixtures, with an empty ``--domain=`` too;
+``radial --p`` 0, 1 and 2 on the degree-1 ``one_edge_identity`` of
+``tests/support.py``, and ``degree_p_locus`` of it at 0 and 1; a
+repeated exponent given to ``ValuedSeries`` and to ``tropical_eval``; the
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
 ``random_valued_series`` in five settings) through the public functions
@@ -163,9 +166,15 @@ def _cli_inputs(work: Path):
             yield ["annulus", "--series", str(path), "--setting", setting]
             yield ["annulus", "--series", str(path), "--setting", setting, "--domain=-2:3"]
             yield ["annulus", "--series", str(path), "--setting", setting, "--domain=-2:inf"]
-    from wildskel import SPECIAL_TAGS
+            yield ["annulus", "--series", str(path), "--setting", setting, "--domain="]
+    import wildskel
+    from tests import support
 
-    for tag in SPECIAL_TAGS:
+    identity = work / "identity.morphism.json"  # degree 1, in mixed:2:-1
+    identity.write_text(json.dumps(wildskel.morphism_to_json_dict(support.one_edge_identity())))
+    for p in ("0", "1", "2"):
+        yield ["radial", str(identity), "--p", p]
+    for tag in wildskel.SPECIAL_TAGS:
         for setting in ("equichar0", "equicharP:2", "mixed:2:-1"):
             for lengths in ([], ["--l0", "1"], ["--l1", "1"], ["--l1", "1/2", "--l3", "1/6"]):
                 yield ["metric-lift", "--type", tag, "--setting", setting, *lengths]
@@ -221,6 +230,10 @@ def record(out, work: Path, every: int) -> None:
 
     # edge cases of the public constructors and the loaders
     rec.call("series {1: 0, '1': -1}", pub("ValuedSeries"), {1: 0, "1": -1})
+    rec.call("tropical_eval {1: 0, '1': -1}", pub("tropical_eval"), {1: 0, "1": -1}, (0, 1))
+    for p in (0, 1):
+        rec.call(f"degree_p_locus of a degree-1 identity at p = {p}", pub("degree_p_locus"),
+                 support.one_edge_identity(), p)
     setting = ws.ResidueSetting.parse("equicharP:2")
     rec.call("realize_triple 2 3 -inf equicharP:2", pub("realize_triple"), 2, 3, ws.NEG_INF, setting)
     doc = json.loads((ROOT / "fixtures" / "wb_metric.morphism.json").read_text())

@@ -231,12 +231,10 @@ class DeltaMorphism:
         if not coefficients.keys() <= vertices.keys():
             v = next(v for v in coefficients if v not in vertices)
             raise ValueError(f"divisor vertex {cut(v)} is not a target vertex")
-        return Divisor._from_normal(self._pulled_back(coefficients))
-
-    def _pulled_back(self, coefficients: Mapping[str, int]) -> Dict[str, int]:
-        """The pullback's coefficient at every source vertex, zeros included."""
-        vmap, m, get = self.vertex_map, self.vertex_mult, coefficients.get
-        return {v: get(vmap[v], 0) * k for v, k in m.items()}
+        vmap, get = self.vertex_map, coefficients.get  # vertex_mult is in vertex order
+        return Divisor._from_normal(
+            {v: c for v, k in self.vertex_mult.items() if (c := get(vmap[v], 0) * k)}
+        )
 
     def __repr__(self):
         return (
@@ -357,10 +355,10 @@ class DeltaMorphism:
         return self._indices[v]
 
     def ramification_divisor(self) -> Divisor:
-        return Divisor._from_normal(self._indices)
+        return Divisor._from_normal({v: r for v, r in self._indices.items() if r})
 
     def delta_divisor(self) -> Divisor:
-        return Divisor._from_normal(self._delta_coefficients)
+        return Divisor._from_normal({v: d for v, d in self._delta_coefficients.items() if d})
 
     def unbalanced_vertices(self) -> Tuple[str, ...]:
         return tuple(v for v, r in self._indices.items() if r != 0)
@@ -368,13 +366,29 @@ class DeltaMorphism:
     # -- Riemann-Hurwitz -----------------------------------------------------
 
     def rh_divisor_identity(self) -> "RHDivisorReport":
-        # plain dicts with every source vertex; each Divisor is built once
-        k = self.source._canonical_coefficients()
-        pk = self._pulled_back(self.target._canonical_coefficients())
-        r, d = self._indices, self._delta_coefficients
-        mism = tuple(v for v in k if k[v] != pk[v] + r[v] + d[v])
+        # one sweep in source vertex order (vertex_mult's) fills the four
+        # divisors' normal forms and the mismatches; each Divisor is built once
+        src, tgt, vmap = self.source, self.target, self.vertex_map
+        genus, branches, genus2 = src._genus, src._branches, tgt._genus
+        k2 = {v2: len(bs) + 2 * genus2[v2] - 2 for v2, bs in tgt._branches.items()}
+        indices, deltas = self._indices, self._delta_coefficients
+        k, pk, r, d, mism = {}, {}, {}, {}, []
+        for v, m in self.vertex_mult.items():
+            kv, pkv = len(branches[v]) + 2 * genus[v] - 2, k2[vmap[v]] * m
+            rv, dv = indices[v], deltas[v]
+            if kv:
+                k[v] = kv
+            if pkv:
+                pk[v] = pkv
+            if rv:
+                r[v] = rv
+            if dv:
+                d[v] = dv
+            if kv != pkv + rv + dv:
+                mism.append(v)
+        new = Divisor._from_normal
         # positional: built on every checked morphism, skips keyword binding
-        return RHDivisorReport(not mism, *map(Divisor._from_normal, (k, pk, r, d)), mism)
+        return RHDivisorReport(not mism, new(k), new(pk), new(r), new(d), tuple(mism))
 
     def rh_degree_identity(self) -> "RHDegreeReport":
         lhs = 2 * self.source.genus() - 2

@@ -21,7 +21,11 @@ core's checks, repeated ids): a later stage's only once the earlier pass.
 
 Representation.  Lengths are integer numerators over one minimal
 denominator per graph (``INF`` for a tail), as a ``PMFunction`` stores its
-values; :meth:`GenusGraph.length` makes the Fraction a caller reads.
+values; :meth:`GenusGraph.length` makes the Fraction a caller reads.  A
+divisor keeps only its nonzero coefficients, keyed by vertex id in sorted
+order, so ``Divisor.coefficients`` iterates in that order and the JSON
+form, the repr and the hash read it without sorting; equality is that of
+the dicts, as before.
 """
 
 from __future__ import annotations
@@ -246,13 +250,12 @@ class GenusGraph:
     def genus(self) -> int:
         return self.h1() + sum(self._genus.values())
 
-    def _canonical_coefficients(self) -> Dict[str, int]:
-        """``K_v = valence + 2g - 2`` at every vertex, zeros included."""
-        genus = self._genus
-        return {v: len(bs) + 2 * genus[v] - 2 for v, bs in self._branches.items()}
-
     def canonical_divisor(self) -> "Divisor":
-        return Divisor._from_normal(self._canonical_coefficients())
+        """``K_v = valence + 2g - 2``; ``_branches`` is in vertex order."""
+        genus = self._genus
+        return Divisor._from_normal(
+            {v: k for v, bs in self._branches.items() if (k := len(bs) + 2 * genus[v] - 2)}
+        )
 
     # -- misc -------------------------------------------------------------
 
@@ -419,7 +422,11 @@ class MetricGenusGraph(GenusGraph):
 
 class Divisor(Frozen):
     """Formal integer combination of vertices, zeros dropped; a coefficient
-    that is not an ``int`` or two ids equal after ``str()`` are a ValueError."""
+    that is not an ``int`` or two ids equal after ``str()`` are a ValueError.
+
+    ``coefficients`` is the normal form: a ``str -> int`` dict with no zeros
+    and its keys in sorted order, so the JSON form, the repr and the hash
+    read it as it is."""
 
     __slots__ = ("coefficients",)
 
@@ -433,17 +440,18 @@ class Divisor(Frozen):
             coeffs[str(v)] = c
         if len(coeffs) != len(given):
             _repeated_id("divisor", "vertex", given)
-        super().__init__({v: c for v, c in coeffs.items() if c})
+        super().__init__({v: c for v, c in sorted(coeffs.items()) if c})
 
     @classmethod
     def _from_normal(cls, coefficients: Dict[str, int]) -> "Divisor":
-        """The divisor of a ``str -> int`` dict: zeros are dropped, nothing is checked."""
+        """The divisor of a dict in normal form, which it keeps; nothing is checked."""
         d = cls.__new__(cls)
-        cls._setters[0](d, {v: c for v, c in coefficients.items() if c})  # the one field
+        cls._setters[0](d, coefficients)  # the one field
         return d
 
-    def coefficient(self, v: str) -> int:
-        return self.coefficients.get(v, 0)
+    def coefficient(self, v) -> int:
+        """The coefficient of ``v``, an id as the constructor reads one."""
+        return self.coefficients.get(as_id(v, "divisor vertex"), 0)
 
     def degree(self) -> int:
         return sum(self.coefficients.values())
@@ -454,7 +462,7 @@ class Divisor(Frozen):
         coeffs = dict(self.coefficients)
         for v, c in other.coefficients.items():
             coeffs[v] = coeffs.get(v, 0) + c
-        return Divisor._from_normal(coeffs)
+        return Divisor._from_normal({v: c for v, c in sorted(coeffs.items()) if c})
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
@@ -462,15 +470,13 @@ class Divisor(Frozen):
         return self + Divisor._from_normal({v: -c for v, c in other.coefficients.items()})
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coefficients.items())))
+        return hash(tuple(self.coefficients.items()))
 
     def __repr__(self):
         if not self.coefficients:
             return "Divisor(0)"
-        terms = " + ".join(
-            f"{c}*{v}" for v, c in sorted(self.coefficients.items())
-        )
+        terms = " + ".join(f"{c}*{v}" for v, c in self.coefficients.items())
         return f"Divisor({terms})"
 
     def to_json_dict(self) -> dict:
-        return dict(sorted(self.coefficients.items()))
+        return dict(self.coefficients)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .delta_morphism import MetricDeltaMorphism
 from .genus_graph import GenusGraph
 from .special import metric_lift
-from .valuation import Frozen, Record
+from .valuation import Frozen, Record, as_int
 
 
 class WrongDegreeError(ValueError):
@@ -64,6 +64,7 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     (elsewhere the cover splits); the radius there is
     ``-log delta / (p - 1)``.
     """
+    p = as_int(p, "p")  # a float or a bool equal to the degree is no p
     if mm.degree != p:
         raise WrongDegreeError(f"morphism has degree {mm.degree}, expected {p}")
     if p < 2:  # the radius divides by p - 1

@@ -15,6 +15,7 @@ from wildskel.delta_morphism import (
     IllegalMoveError,
     MetricDeltaMorphism,
     NotProperError,
+    RHDivisorReport,
     applicable_moves,
     certify_skeleton,
     contract_graph,
@@ -428,6 +429,38 @@ class TestRiemannHurwitz:
         for tag in LIFTABLE_TAGS:
             setting = setting_for(tag)
             check(metric_lift(tag, canonical_lengths(tag, setting), setting))
+
+    def test_report_matches_the_public_pieces(self):
+        """The report, built in one sweep, equals one restated from the public
+        divisors field by field, in JSON, and in each divisor's key order; a
+        copy with shifted indices has mismatches to compare too."""
+        rng = random.Random(30)
+        draws = [random_proper_delta_morphism(rng) for _ in range(2000)]
+        tampered = []
+        for m in draws[::50]:
+            x = copy.copy(m)
+            x._indices = {v: r + n % 2 for n, (v, r) in enumerate(m._indices.items())}
+            tampered.append(x)
+        count = mismatched = 0
+        for m in [*draws, *tampered, *(m for _, m in stabilize_corpus())]:
+            k, pk = m.source.canonical_divisor(), m.pullback(m.target.canonical_divisor())
+            r, d = m.ramification_divisor(), m.delta_divisor()
+            mism = tuple(
+                v for v in m.source.vertices
+                if k.coefficient(v) != pk.coefficient(v) + r.coefficient(v) + d.coefficient(v)
+            )
+            want = RHDivisorReport(not mism, k, pk, r, d, mism)
+            got = m.rh_divisor_identity()
+            for field in RHDivisorReport._fields:
+                assert getattr(got, field) == getattr(want, field), field
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            got_json, want_json = got.to_json_dict(), want.to_json_dict()
+            assert got_json == want_json
+            for field in ("canonical", "pullback_canonical", "ramification", "delta"):
+                assert list(got_json[field]) == list(want_json[field]) == sorted(got_json[field])
+            count += 1
+            mismatched += bool(mism)
+        assert count >= 5_000 and mismatched == len(tampered)
 
     def test_pullback_degree_multiplicative(self):
         rng = random.Random(19)

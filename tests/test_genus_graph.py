@@ -131,6 +131,47 @@ class TestDivisor:
         assert Divisor({"a": 0}) == Divisor({}) and hash(Divisor({"a": 0})) == hash(Divisor({}))
         assert Divisor([("a", 1), ("b", 0)]) == Divisor({"a": 1})
 
+    def test_coefficient_reads_an_integer_id(self):
+        """The constructor keys ``1`` by ``"1"``; the reader read ``1`` as 0."""
+        d = Divisor({1: 3, "b": -1})
+        assert (d.coefficient(1), d.coefficient("1"), d.coefficient("b")) == (3, 3, -1)
+        assert (d.coefficient(2), d.coefficient("x")) == (0, 0)
+
+    @pytest.mark.parametrize("v, shown", [(1.0, "1.0"), (True, "True"), (None, "None")])
+    def test_coefficient_refuses_a_non_id(self, v, shown):
+        with pytest.raises(ValueError) as info:
+            Divisor({1: 3}).coefficient(v)
+        assert (type(info.value), str(info.value)) == (
+            ValueError, f"divisor vertex {shown} is not a string or an integer"
+        )
+
+    def test_constructor_sorts_unsorted_and_integer_keys(self):
+        d = Divisor({"b": 1, 10: 2, 2: -1, "a": 0, "1": 4})
+        assert list(d.coefficients) == ["1", "10", "2", "b"]
+        assert d == Divisor({"1": 4, "10": 2, "2": -1, "b": 1})
+        assert d.to_json_dict() == {"1": 4, "10": 2, "2": -1, "b": 1}
+
+    def test_arithmetic_keeps_sorted_order(self):
+        d = Divisor({"a": 1, "c": 2, "e": 3, "g": 0})
+        e = Divisor({"b": -1, "c": -2, "d": 4, "f": 5})
+        for result in (d + e, e + d, d - e, e - d, d - d, e + e):
+            assert list(result.coefficients) == sorted(result.coefficients)
+            assert 0 not in result.coefficients.values()
+        assert list((d + e).coefficients) == ["a", "b", "d", "e", "f"]
+        assert list((e - d).coefficients) == ["a", "b", "c", "d", "e", "f"]
+
+    def test_repr_hash_and_json_read_the_sorted_form(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            ids = rng.sample(["a", "b", "c", "10", "2", "v1", "v10", 3, 11], rng.randint(0, 6))
+            d = Divisor({v: rng.randint(-3, 3) for v in ids})
+            d = d + Divisor({v: rng.randint(-3, 3) for v in ids[:3]}) if ids else d
+            items = sorted(d.coefficients.items())
+            terms = " + ".join(f"{c}*{v}" for v, c in items)
+            assert repr(d) == (f"Divisor({terms})" if items else "Divisor(0)")
+            assert hash(d) == hash(tuple(items))
+            assert list(d.to_json_dict().items()) == items
+
 
 class TestBranches:
     def test_negation_involution(self):

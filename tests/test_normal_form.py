@@ -155,7 +155,8 @@ def built_three_ways(data: dict):
 
 def normal_form_faults(m) -> list:
     """What in ``m`` (and the divisors it builds) is not an exact ``str``-keyed dict
-    with ``str`` or ``int`` values."""
+    with ``str`` or ``int`` values, and a divisor that holds a zero or whose
+    keys are not in sorted order."""
     faults = []
 
     def check(name, d, value_type):
@@ -198,6 +199,8 @@ def normal_form_faults(m) -> list:
     divisors.append(m.pullback(m.target.canonical_divisor()))
     for d in divisors:
         check("divisor", d.coefficients, int)
+        if list(d.coefficients) != sorted(d.coefficients) or 0 in d.coefficients.values():
+            faults.append(f"divisor {d.coefficients!r} is not in normal form")
     return faults
 
 
@@ -217,6 +220,15 @@ def test_three_ways_agree_and_store_normal_form():
             assert normal_form_faults(built) == [], name
         count += 1
     assert count > 3_300
+
+
+def test_normal_form_faults_names_a_divisor_out_of_order():
+    m = random_proper_delta_morphism(random.Random(8))
+    assert normal_form_faults(m) == []
+    m._indices = {v: 1 for v in reversed(m.source.vertices)}  # nonzero, reversed
+    assert normal_form_faults(m) == [
+        f"divisor {m.ramification_divisor().coefficients!r} is not in normal form"
+    ]
 
 
 def test_contractions_agree_with_the_public_constructor():
@@ -250,6 +262,7 @@ def test_contractions_agree_with_the_public_constructor():
         for d in (k + r, k - r, r - r, mm.pullback(mm.target.canonical_divisor())):
             assert d == Divisor(dict(d.coefficients))
             assert type(d.coefficients) is dict and 0 not in d.coefficients.values()
+            assert list(d.coefficients) == sorted(d.coefficients)
 
 
 def _integer_keyed(data: dict) -> dict:

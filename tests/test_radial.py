@@ -69,6 +69,19 @@ class TestDegreePLocus:
         with pytest.raises(WrongDegreeError, match=r"^morphism has degree 1, expected 0$"):
             degree_p_locus(mm, 0)  # the degree is tested first
 
+    @pytest.mark.parametrize("p", [2.0, True, 1.5, None])
+    def test_p_is_an_integer(self, p):
+        # 2.0 used to build denominator 1.0, whose JSON form was a bare TypeError
+        mm = kummer_segment(2, Fraction(-1))
+        with pytest.raises(ValueError) as info:
+            degree_p_locus(mm, p)
+        assert (type(info.value), str(info.value)) == (ValueError, f"p is {p!r}, not an integer")
+
+    def test_bool_p_is_read_before_the_degree(self):
+        # True equals the degree of a degree-1 cover
+        with pytest.raises(ValueError, match=r"^p is True, not an integer$"):
+            degree_p_locus(one_edge_identity(), True)
+
     def test_pointwise_oracle(self):
         mm = metric_lift(
             "MS", Lengths(l1=Fraction(1, 2), l3=Fraction(1, 6)), MIXED2

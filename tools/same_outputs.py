@@ -18,7 +18,9 @@ text mode and with ``--json`` (the exit code of ``cli.run`` in process, then
 stdout and stderr one line per record, labelled with the line number);
 seeded mutations of the series fixtures, with an empty ``--domain=`` too;
 ``radial --p`` 0, 1 and 2 on the degree-1 ``one_edge_identity`` of
-``tests/support.py``, and ``degree_p_locus`` of it at 0 and 1; a
+``tests/support.py``, and ``degree_p_locus`` of it at 0, 1 and ``True``
+and of a degree-2 ``kummer_segment`` at ``2.0`` and ``True``;
+``Divisor.coefficient`` of an int, a str, a float, a bool and ``None``; a
 repeated exponent given to ``ValuedSeries`` and to ``tropical_eval``; the
 corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
 random metric draws, metric lifts, ``load_mutations``,
@@ -29,10 +31,13 @@ series also through the methods of its different profile and envelopes
 (values and slopes on a grid and at every breakpoint, tie sets, sup,
 products across domains) and, under a stand-in setting in which some
 ``|i|`` exceed one, through the report and the profile; ``Divisor``
-arithmetic; ``PMFunction.pow``, ``PMFunction.mul`` and ``monomial_product``
-on an int, a bool, a float, text and ``None`` as exponent or factor, on
-no factor, and ``monomial_product`` on a bare function, a lone function, an
-iterator, a 1-tuple and a 3-tuple as factors; the pullback of each random
+arithmetic, each result also as the key order of its JSON form and of its
+``coefficients`` (the JSON records sort their keys), and so each divisor
+of every RH divisor report and every pullback; ``PMFunction.pow``,
+``PMFunction.mul`` and ``monomial_product`` on an int, a bool, a float,
+text and ``None`` as exponent or factor, on no factor, and
+``monomial_product`` on a bare function, a lone function, an iterator, a
+1-tuple and a 3-tuple as factors; the pullback of each random
 morphism along a divisor that also names a vertex off the target;
 ``certify_skeleton`` and ``wide_open_genus_check`` on the random morphisms;
 ``contract_morphism`` and ``contract_graph`` of both move kinds at every
@@ -108,16 +113,18 @@ class _Recorder:
         return (x for i, x in enumerate(items) if i % self.every == 0)
 
     def call(self, label: str, fn, *args):
-        """Record ``fn(*args)``; the result is returned, or None on an error."""
+        """Record ``fn(*args)``; the result is returned, or None on an error,
+        also on one that rendering the result raises."""
         if fn is None:
             self.write(label, "missing")
             return None
         try:
             result = fn(*args)
+            text = _render(result)
         except Exception as exc:  # every exception is an outcome to compare
             self.write(label, f"!{type(exc).__name__}: {exc}")
             return None
-        self.write(label, _render(result))
+        self.write(label, text)
         return result
 
     def write(self, label: str, text: str) -> None:
@@ -195,14 +202,27 @@ def _cli_inputs(work: Path):
     yield ["enumerate-special"]
 
 
+def _key_order(d) -> list:
+    """The key order of a divisor's JSON form and of its ``coefficients``."""
+    return [list(d.to_json_dict()), list(d.coefficients)]
+
+
+def _report_key_order(report) -> list:
+    """The key orders of the four divisors of an RH divisor report."""
+    return [_key_order(getattr(report, name)) for name in (
+        "canonical", "pullback_canonical", "ramification", "delta")]
+
+
 def built(rec: _Recorder, label: str, *args) -> None:
     """Record the public ``DeltaMorphism(*args)``, then the JSON of its
-    ``stabilize`` and its RH divisor report, or "not built" for both."""
+    ``stabilize``, its RH divisor report and that report's key orders, or
+    "not built" for each."""
     import wildskel as ws
 
     m = rec.call(f"{label} constructor", ws.DeltaMorphism, *args)
     for name, fn in (("stabilize", lambda: ws.morphism_to_json_dict(ws.stabilize(m))),
-                     ("rh divisor", lambda: m.rh_divisor_identity())):
+                     ("rh divisor", lambda: m.rh_divisor_identity()),
+                     ("rh divisor key order", lambda: _report_key_order(m.rh_divisor_identity()))):
         if m is None:
             rec.write(f"{label} {name}", "not built")
         else:
@@ -231,9 +251,14 @@ def record(out, work: Path, every: int) -> None:
     # edge cases of the public constructors and the loaders
     rec.call("series {1: 0, '1': -1}", pub("ValuedSeries"), {1: 0, "1": -1})
     rec.call("tropical_eval {1: 0, '1': -1}", pub("tropical_eval"), {1: 0, "1": -1}, (0, 1))
-    for p in (0, 1):
-        rec.call(f"degree_p_locus of a degree-1 identity at p = {p}", pub("degree_p_locus"),
+    for p in (0, 1, True):
+        rec.call(f"degree_p_locus of a degree-1 identity at p = {p!r}", pub("degree_p_locus"),
                  support.one_edge_identity(), p)
+    for p in (2.0, True):
+        rec.call(f"degree_p_locus of a degree-2 segment at p = {p!r}", pub("degree_p_locus"),
+                 support.kummer_segment(2, Fraction(-1)), p)
+    for v in (1, "1", 1.0, True, None):
+        rec.call(f"Divisor({{1: 3}}).coefficient({v!r})", pub("Divisor")({1: 3}).coefficient, v)
     setting = ws.ResidueSetting.parse("equicharP:2")
     rec.call("realize_triple 2 3 -inf equicharP:2", pub("realize_triple"), 2, 3, ws.NEG_INF, setting)
     doc = json.loads((ROOT / "fixtures" / "wb_metric.morphism.json").read_text())
@@ -329,7 +354,9 @@ def record(out, work: Path, every: int) -> None:
 
     def morphism(label, m, stable=True):
         rec.call(f"{label} json", pub("morphism_to_json_dict"), m)
-        rec.call(f"{label} rh divisor", m.rh_divisor_identity)
+        report = rec.call(f"{label} rh divisor", m.rh_divisor_identity)
+        if report is not None:
+            rec.call(f"{label} rh divisor key order", _report_key_order, report)
         rec.call(f"{label} rh degree", m.rh_degree_identity)
         rec.call(f"{label} moves", pub("applicable_moves"), m)
         rec.call(f"{label} stable", pub("is_stable"), m)
@@ -352,7 +379,9 @@ def record(out, work: Path, every: int) -> None:
         given = {v: rng.randint(-3, 3) for v in m.target.vertices}
         d = rec.call(f"{label} divisor", pub("Divisor"), given)
         if d is not None:
-            rec.call(f"{label} pullback", m.pullback, d)
+            pulled = rec.call(f"{label} pullback", m.pullback, d)
+            if pulled is not None:
+                rec.call(f"{label} pullback key order", _key_order, pulled)
         off = rec.call(f"{label} divisor off target", pub("Divisor"), {**given, "nope": 5})
         if off is not None:
             rec.call(f"{label} pullback off target", m.pullback, off)
@@ -360,6 +389,7 @@ def record(out, work: Path, every: int) -> None:
             total = rec.call(f"{label} {name}", fn, r)
             if total is not None:
                 rec.call(f"{label} {name} degree", total.degree)
+                rec.call(f"{label} {name} key order", _key_order, total)
         rec.call(f"{label} K+R-R == K", lambda: k + r - r == k)
         rec.call(f"{label} K hash", lambda: hash(k) == hash(pub("Divisor")(k.to_json_dict())))
 

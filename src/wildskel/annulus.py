@@ -282,9 +282,11 @@ def check_restriction(m: int, s: int, log_delta, setting: ResidueSetting) -> Ver
             f"in residue characteristic 2, got s={s}"
         )
     # |m+s|, |m| and delta as integers over one denominator, None for -inf
-    ratios = (setting._int_abs_ratio(m + s), setting._int_abs_ratio(m), d)
-    den = lcm(*[r[1] for r in ratios if r is not None])
-    u, low, d = [None if r is None else r[0] * (den // r[1]) for r in ratios]
+    ru, rl = setting._int_abs_ratio(m + s), setting._int_abs_ratio(m)
+    den = lcm(1 if ru is None else ru[1], 1 if rl is None else rl[1], 1 if d is None else d[1])
+    u = None if ru is None else ru[0] * (den // ru[1])
+    low = None if rl is None else rl[0] * (den // rl[1])
+    d = None if d is None else d[0] * (den // d[1])
     if d is not None and (u is None or u < d):
         return Verdict.violated(
             f"|m+s| = {setting.int_abs(m + s)} < log_delta = {ratio_text(d, den)}"

@@ -29,7 +29,8 @@ degrees give ``2g - 2 = deg * (2g' - 2) + sum R_v``.
 Representation.  Finite ``delta`` values are integer numerators over one
 minimal denominator per morphism (``None`` for ``-inf``), like the graph
 lengths; every metric check compares integers (dilation as
-``l' * D = n * l * D'``), and ``delta``, JSON and messages make ``LogAbs``.
+``l' * D = n * l * D'``, and a tail with a tail by identity, ``INF``), and
+``delta``, JSON and messages make ``LogAbs``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class DeltaMorphism:
     :class:`MetricDeltaMorphism`.  Only the constructor and the loader
     coerce the four maps; they, the contractions and the shape builder
     enter one validating core, ``_store``, followed on the same object by
-    ``_attach_delta`` when there are delta values.
+    ``_attach_delta`` when there are delta values.  The loader and both
+    public constructors then refuse a key that names no source vertex or
+    edge (``_known_ids``).
     """
 
     _delta: Optional[Dict[str, Optional[int]]] = None  # over _delta_den, None for -inf
@@ -100,6 +103,7 @@ class DeltaMorphism:
         for name, given in ("mult", mult), ("sdelta", sdelta):
             maps.append({str(k): as_int(v, name, k) for k, v in given.items()})
         self._store(source, target, *maps)
+        _known_ids(self, None, _ARGUMENTS)
 
     @classmethod
     def _from_normal(
@@ -206,14 +210,19 @@ class DeltaMorphism:
             raise ValueError(f"edge {cut(missing)} has no sdelta value")
         self._sdelta = sdelta
         if source._lengths is not None:  # dilation: l(phi(e)) * D = n * l(e) * D'
-            lengths, den, den2 = source._lengths, source._den, target._den
+            lengths, lengths2 = source._lengths, target._lengths
+            den, den2 = source._den, target._den
             for e in source.edge_ids:
-                l, l2 = lengths[e], target._lengths[edge_map[e]]
-                if l2 * den != mult[e] * l * den2:  # INF * k is INF
-                    raise ValueError(
-                        f"dilation fails on edge {cut(e)}: {ratio_text(l2, den2)} != "
-                        f"{mult[e]} * {ratio_text(l, den)}"
-                    )
+                l, l2 = lengths[e], lengths2[edge_map[e]]
+                if l is INF or l2 is INF:  # a tail dilates only onto a tail
+                    if l is l2:
+                        continue
+                elif l2 * den == mult[e] * l * den2:
+                    continue
+                raise ValueError(
+                    f"dilation fails on edge {cut(e)}: {ratio_text(l2, den2)} != "
+                    f"{mult[e]} * {ratio_text(l, den)}"
+                )
 
     def sdelta(self, oe: OrientedEdge) -> int:
         """Slope along the oriented edge; odd under orientation reversal."""
@@ -262,13 +271,16 @@ class DeltaMorphism:
         if not src.is_metric:
             raise ValueError("metric delta-morphisms require metric graphs")
         self.setting = setting
-        for v in src.vertices:
-            if v not in delta:
-                raise ValueError(f"vertex {cut(v)} has no delta value")
-        raw = {v: delta[v] for v in src.vertices}
+        try:
+            raw = {v: delta[v] for v in src.vertices}
+        except KeyError:
+            v = next(v for v in src.vertices if v not in delta)
+            raise ValueError(f"vertex {cut(v)} has no delta value") from None
         g = gcd(den, *[x for x in raw.values() if x is not None])
-        self._delta_den = den = den // g
-        self._delta = raw = {v: None if x is None else x // g for v, x in raw.items()}
+        if g != 1:
+            den //= g
+            raw = {v: None if x is None else x // g for v, x in raw.items()}
+        self._delta_den, self._delta = den, raw
         leaves = src.infinite_leaves
         for v, x in raw.items():
             if x is not None and x > 0:
@@ -314,11 +326,11 @@ class DeltaMorphism:
                     f"{s_uv} * {ratio_text(l, src._den)}"
                 )
             for vert, slope in ((u, s_uv), (v, -s_uv)):
-                key = n, slope, raw[vert]
-                if key not in checked:
-                    d = NEG_INF if raw[vert] is None else Fraction(raw[vert], den)
-                    checked[key] = check_restriction(n, slope, d, setting)
-                verdict = checked[key]
+                x = raw[vert]
+                verdict = checked.get((n, slope, x))
+                if verdict is None:  # an integer is its own value over den 1
+                    d = NEG_INF if x is None else x if den == 1 else Fraction(x, den)
+                    verdict = checked[n, slope, x] = check_restriction(n, slope, d, setting)
                 if not verdict:
                     raise ValueError(
                         f"edge {cut(e)} fails the slope restriction at {cut(vert)}: "
@@ -331,7 +343,7 @@ class DeltaMorphism:
 
     def _line(self, e: str, sign: int) -> PMFunction:
         """``sign * log delta`` along ``e`` from its finite end, made in integers."""
-        (u, v), s, delta = self.source.endpoints(e), self._sdelta[e], self._delta
+        (u, v), s, delta = self.source._ends[e], self._sdelta[e], self._delta
         if delta[u] is None:
             u, s = v, -s
         if delta[u] is None:
@@ -626,15 +638,17 @@ def stabilize(m: DeltaMorphism) -> DeltaMorphism:
     if first is None:
         return m
     work = _WorkingMorphism(m)
-    pending = {v2 for v2 in m.target.vertices if v2 >= first[1]}
-    while pending:
-        v2 = min(pending)
-        pending.remove(v2)
-        kind = _legal_kind(work, v2)
+    kind, v2 = first  # legal on the copy too: it holds the same data
+    pending = {w for w in m.target.vertices if w > v2}
+    while True:
         if kind:
             pending |= {work.target.head(b) for b in work.target._branches[v2]}
             work.contract(kind, v2)
-    return work.result()
+        if not pending:
+            return work.result()
+        v2 = min(pending)
+        pending.remove(v2)
+        kind = _legal_kind(work, v2)
 
 
 def is_stable(m: DeltaMorphism) -> bool:
@@ -669,6 +683,7 @@ class MetricDeltaMorphism(DeltaMorphism):
         for v in takewhile(delta.__contains__, source.vertices if source.is_metric else ()):
             ratios[v] = as_ratio(delta[v], "delta", v, "a rational or -inf", "-inf")
         self._attach_delta(*scaled(ratios, None), setting)
+        _known_ids(self, delta, _ARGUMENTS)
 
     @property
     def morphism(self) -> "MetricDeltaMorphism":
@@ -835,18 +850,28 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
                 raise refused(text, "morphism delta", k, "a string")
             delta[str(k)] = read_ratio(text, "-inf", fault, k)
         m._attach_delta(*scaled(delta, None), setting)
-    # every source id has an entry by now, so a longer object names an id
-    # the source lacks; every one of them is keyed by str
-    vertices, edges = source._genus, source._ends
-    for key, given, ids in (
-        ("vertex_map", m.vertex_map, vertices), ("edge_map", m.edge_map, edges),
-        ("n", m.mult, edges), ("sdelta", m._sdelta, edges), ("delta", delta, vertices),
-    ):
-        if given is not None and len(given) != len(ids):
-            unknown = next(k for k in given if k not in ids)
-            kind = "vertex" if ids is vertices else "edge"
-            raise ValueError(f"morphism {key} names unknown {kind} {echo(unknown)}")
+    _known_ids(m, delta, _ENTRIES)
     return m
+
+
+#: How the constructors' arguments and the loader's entries name the
+#: vertex_map, edge_map, multiplicities, sdelta and delta.
+_ARGUMENTS = ("vertex_map", "edge_map", "mult", "sdelta", "delta")
+_ENTRIES = tuple(f"morphism {key}" for key in ("vertex_map", "edge_map", "n", "sdelta", "delta"))
+
+
+def _known_ids(m: DeltaMorphism, delta: Optional[Mapping], names: Sequence[str]) -> None:
+    """Refuse a map key that names no source vertex or edge: the check that
+    the loader and the public constructors make last.  Every source id has
+    an entry by now, so a longer map names an id the source lacks.  ``delta``
+    is the mapping given (None without one); ``names`` name the five maps."""
+    vertices, edges = m.source._genus, m.source._ends
+    given = m.vertex_map, m.edge_map, m.mult, m._sdelta, delta
+    for name, keys, ids in zip(names, given, (vertices, edges, edges, edges, vertices)):
+        if keys is not None and len(keys) != len(ids):
+            unknown = next(k for k in keys if k not in ids)
+            kind = "vertex" if ids is vertices else "edge"
+            raise ValueError(f"{name} names unknown {kind} {echo(unknown)}")
 
 
 def _as_ids(given: Mapping, entry: str) -> Dict[str, str]:

@@ -18,14 +18,17 @@ ids, ``int`` values and plain dicts, which it keeps.  The loader walks each
 list once, yet raises faults in stage order (entries and ids, the
 ``infinite_leaves`` type and entries, genera, endpoints, lengths, the
 core's checks, repeated ids): a later stage's only once the earlier pass.
+The core checks the lengths in one pass over the edges, and the fault of
+the tail rule it finds there waits until the infinite leaves are checked.
 
 Representation.  Lengths are integer numerators over one minimal
-denominator per graph (``INF`` for a tail), as a ``PMFunction`` stores its
-values; :meth:`GenusGraph.length` makes the Fraction a caller reads.  A
-divisor keeps only its nonzero coefficients, keyed by vertex id in sorted
-order, so ``Divisor.coefficients`` iterates in that order and the JSON
-form, the repr and the hash read it without sorting; equality is that of
-the dicts, as before.
+denominator per graph (``INF`` for a tail, which every check tests by
+identity), as a ``PMFunction`` stores its values; :meth:`GenusGraph.length`
+makes the Fraction a caller reads.  A divisor keeps only its nonzero
+coefficients, keyed by vertex id in sorted order, so
+``Divisor.coefficients`` iterates in that order and the JSON form, the
+repr and the hash read it without sorting; equality is that of the dicts,
+as before.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class OrientedEdge(NamedTuple):
     forward: bool
 
     def __neg__(self) -> "OrientedEdge":
-        return OrientedEdge(self.edge, not self.forward)
+        # skips the namedtuple's Python-level __new__, as GenusGraph._store does
+        return tuple.__new__(OrientedEdge, (self[0], not self[1]))
 
 
 def _repeated_id(entry: str, kind: str, ids: Iterable) -> None:
@@ -136,7 +140,8 @@ class GenusGraph:
         return g
 
     def _store(self, genus, ends, den, lengths, infinite_leaves) -> None:
-        """The core: all checks but repeated ids; it keeps ``genus`` and ``ends``."""
+        """The core: all checks but repeated ids; it keeps ``genus`` and ``ends``,
+        and ``lengths`` when ``den`` is already minimal."""
         self._genus: Dict[str, int] = genus
         self._ends: Dict[str, Tuple[str, str]] = ends
         self.vertices: Tuple[str, ...] = tuple(sorted(genus))
@@ -158,35 +163,47 @@ class GenusGraph:
         self._connected: Optional[bool] = None  # set by is_connected, once
         self._lengths, self._den = None, 1  # numerators over _den, INF for a tail
         self.infinite_leaves: frozenset = frozenset(infinite_leaves)
+        leaves = self.infinite_leaves
         if lengths is None:
-            if self.infinite_leaves:
+            if leaves:
                 raise ValueError("infinite leaves require edge lengths")
             return
+        # one pass raises a missing or nonpositive length in edge order and
+        # keeps the first edge that breaks the tail rule for after the leaves
+        not_tail = None
         for e in self.edge_ids:
-            if e not in lengths:
+            l = lengths.get(e)
+            if l is None:
                 raise ValueError(f"edge {cut(e)} has no length")
-            l = lengths[e]
-            if l is not INF and l <= 0:
+            if l is INF:
+                if not_tail is None:
+                    u, v = ends[e]
+                    if u not in leaves and v not in leaves:
+                        not_tail = e
+            elif l <= 0:
                 raise ValueError(
                     f"edge {cut(e)} has nonpositive length {ratio_text(l, den)}"
                 )
+            elif not_tail is None:
+                u, v = ends[e]
+                if u in leaves or v in leaves:
+                    not_tail = e
         g = gcd(den, *[l for l in lengths.values() if l is not INF])
         self._den = den // g
-        self._lengths = {e: l if l is INF else l // g for e, l in lengths.items()}
-        for v in self.infinite_leaves:
-            if v not in self._genus:
+        self._lengths = lengths if g == 1 else {
+            e: l if l is INF else l // g for e, l in lengths.items()
+        }
+        for v in leaves:
+            if v not in genus:
                 raise ValueError(f"infinite leaf {cut(v)} is not a vertex")
-            if self.genus_of(v) != 0:
+            if genus[v] != 0:
                 raise ValueError(f"infinite leaf {cut(v)} must have genus 0")
-            if not self.is_leaf(v):
+            if len(self.branches(v)) != 1:  # benchmark/test_benchmark.py counts it
                 raise ValueError(f"infinite leaf {cut(v)} must have valence 1")
-        for e in self.edge_ids:
-            u, v = self._ends[e]
-            is_tail = u in self.infinite_leaves or v in self.infinite_leaves
-            if is_tail != (self._lengths[e] is INF):
-                raise ValueError(
-                    f"edge {cut(e)} must have infinite length iff it is a tail"
-                )
+        if not_tail is not None:
+            raise ValueError(
+                f"edge {cut(not_tail)} must have infinite length iff it is a tail"
+            )
 
     # -- basic structure ------------------------------------------------
 

@@ -69,19 +69,20 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
         raise WrongDegreeError(f"morphism has degree {mm.degree}, expected {p}")
     if p < 2:  # the radius divides by p - 1
         raise ValueError(f"p must be at least 2, got {p}")
-    src = mm.source
-    edges = [e for e in src.edge_ids if mm.mult[e] == p]
-    verts = {v for e in edges for v in src.endpoints(e)}
-    verts.update(v for v in src.vertices if mm.vertex_mult[v] == p)
+    src, mult, vmult = mm.source, mm.mult, mm.vertex_mult
+    ends, lengths = src._ends, src._lengths
+    edges = [e for e in src.edge_ids if mult[e] == p]
+    verts = {v for e in edges for v in ends[e]}
+    verts.update([v for v in src.vertices if vmult[v] == p])
     center = GenusGraph._from_normal(
-        {v: src.genus_of(v) for v in verts},
-        {e: src.endpoints(e) for e in edges},
+        {v: src._genus[v] for v in verts},
+        {e: ends[e] for e in edges},
         src._den,
-        {e: src._lengths[e] for e in edges},
+        {e: lengths[e] for e in edges},
         src.infinite_leaves & verts,
     )
     radii = {e: EdgeRadius(mm._line(e, -1), p - 1) for e in edges}
-    return RadialDescription(center=center, radii=radii, denominator=p - 1)
+    return RadialDescription(center, radii, p - 1)
 
 
 def radial_vs_ball(r: RadialDescription) -> StrictnessReport:
@@ -95,8 +96,8 @@ def radial_vs_ball(r: RadialDescription) -> StrictnessReport:
     for e in sorted(r.radii):
         er = r.radii[e]
         if any(abs(s) > er.denominator for s in er.neg_log_delta._slopes):
-            return StrictnessReport(strict=True, witness_edge=e)
-    return StrictnessReport(strict=False)
+            return StrictnessReport(True, e)
+    return StrictnessReport(False, None)
 
 
 def supersingular_witness(report) -> bool:

@@ -20,7 +20,8 @@ tags each special candidate by the shape key it was built from;
 :func:`classify_special` reads the shape back off a given morphism: its
 trees hang off the genus-one vertex or off the cycle of multiplicity-one
 edges.  The shape builder records the source only and derives the target
-as its quotient.
+as its quotient, a tail's image a tail (by identity).  A root subtree
+builds its sort key once, from its children's.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class RootSubtree(Frozen):
     indices sum to the slope index of the tree.
     """
 
-    __slots__ = ("label", "children")
+    __slots__ = ("label", "children", "_key")
 
     def __init__(self, label: int, children: Tuple["RootSubtree", ...] = ()):
         if label < 0:
@@ -123,6 +124,8 @@ class RootSubtree(Frozen):
             raise ValueError(f"nonzero label {label} must be odd")
         kids = tuple(sorted(children, key=_subtree_key))
         super().__init__(label, kids)
+        # the sort key, built once from the children's own
+        object.__setattr__(self, "_key", (label, tuple([c._key for c in kids])))
         if kids:
             if len(kids) < 2:
                 raise ValueError("an inner vertex needs at least two subtrees "
@@ -163,7 +166,8 @@ class RootSubtree(Frozen):
 
 
 def _subtree_key(t: RootSubtree):
-    return (t.label, tuple(_subtree_key(c) for c in t.children))
+    """``(label, keys of the children)``, stored at construction."""
+    return t._key
 
 
 #: The differential indices R of ramification leaves, which are also the
@@ -236,8 +240,8 @@ class SpecialCheck(Frozen):
 
 
 def _wild_vertices(m: DeltaMorphism) -> frozenset:
-    ends = m.source.endpoints
-    return frozenset(v for e in m.source.edge_ids if m.sdelta_stored(e) for v in ends(e))
+    ends, sdelta = m.source._ends, m._sdelta
+    return frozenset([v for e in m.source.edge_ids if sdelta[e] for v in ends[e]])
 
 
 def ramification_signature(m: DeltaMorphism) -> Tuple[int, ...]:
@@ -253,39 +257,40 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
         return SpecialCheck(False, "violated(1): the morphism is contractible")
     if m.degree != 2:
         return SpecialCheck(False, f"violated(1): degree is {m.degree}, not 2")
-    if m.source.genus() != 1 or m.target.genus() != 0:
+    src = m.source
+    if src.genus() != 1 or m.target.genus() != 0:
         return SpecialCheck(
             False,
-            f"violated(1): genera are {m.source.genus()} -> "
+            f"violated(1): genera are {src.genus()} -> "
             f"{m.target.genus()}, not 1 -> 0",
         )
     # (2) unbalanced vertices: genus-zero leaves, R > 0, multiplicity 2
-    for v in m.unbalanced_vertices():
-        r = m.differential_index(v)
-        if not m.source.is_leaf(v):
+    ram, indices, vmult = m.unbalanced_vertices(), m._indices, m.vertex_mult
+    for v in ram:
+        r = indices[v]
+        if len(src._branches[v]) != 1:
             return SpecialCheck(
                 False, f"violated(2): vertex {cut(v)} has R = {r} but is not a leaf"
             )
-        if m.source.genus_of(v) != 0:
+        if src._genus[v] != 0:
             return SpecialCheck(
                 False, f"violated(2): leaf {cut(v)} has R = {r} and positive genus"
             )
         if r < 0:
             return SpecialCheck(False, f"violated(2): leaf {cut(v)} has R = {r} < 0")
-        if m.vertex_mult[v] != 2:
+        if vmult[v] != 2:
             return SpecialCheck(
                 False,
                 f"violated(2): leaf {cut(v)} has R = {r} but multiplicity "
-                f"{m.vertex_mult[v]}",
+                f"{vmult[v]}",
             )
     # (3) tame / mixed / wild trichotomy
     wild = _wild_vertices(m)
-    ram = set(m.unbalanced_vertices())
     if not wild:
         cls = "tame"
-    elif ram.isdisjoint(wild):
+    elif wild.isdisjoint(ram):
         cls = "mixed"
-    elif ram <= wild:
+    elif wild.issuperset(ram):
         cls = "wild"
     else:
         return SpecialCheck(
@@ -293,19 +298,20 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
             "violated(3): ramification leaves are neither all tame nor all wild",
         )
     # (4) split edges carry slope zero
-    for e in m.source.edge_ids:
-        if m.mult[e] == 1 and m.sdelta_stored(e) != 0:
+    mult, sdelta = m.mult, m._sdelta
+    for e in src.edge_ids:
+        if mult[e] == 1 and sdelta[e] != 0:
             return SpecialCheck(
                 False, f"violated(4): split edge {cut(e)} has nonzero slope"
             )
     # (5) nonzero slopes are odd
-    for e in m.source.edge_ids:
-        s = m.sdelta_stored(e)
+    for e in src.edge_ids:
+        s = sdelta[e]
         if s != 0 and s % 2 == 0:
             return SpecialCheck(
                 False, f"violated(5): edge {cut(e)} has even nonzero slope {s}"
             )
-    return SpecialCheck(True, characteristic_class=cls)
+    return SpecialCheck(True, "", cls)
 
 
 def _class_coherent(m: DeltaMorphism, cls: str) -> bool:
@@ -392,11 +398,12 @@ class _ShapeBuilder:
         ``n * l``."""
         vmap = {v: v + "'" for v in self.genus}
         own = [e for e, e2 in self.emap.items() if e2 == e + "'"]
-        target_lengths = None if self.edge_lengths is None else {
-            e + "'": self.mult[e] * self.edge_lengths[e] for e in own
+        lengths = self.edge_lengths
+        target_lengths = None if lengths is None else {  # a tail's image is a tail
+            e + "'": l if (l := lengths[e]) is INF else self.mult[e] * l for e in own
         }
         source = GenusGraph._from_normal(
-            self.genus, self.edges, self.den, self.edge_lengths, self.leaves
+            self.genus, self.edges, self.den, lengths, self.leaves
         )
         target = GenusGraph._from_normal(
             dict.fromkeys(vmap.values(), 0),
@@ -557,9 +564,11 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
 
 
 def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
-    child = m.source.head(branch)
-    sub = [_extract_tree(m, b) for b in m.source.branches(child) if b.edge != branch.edge]
-    return RootSubtree(-m.sdelta(branch), tuple(sub))
+    e, forward = branch
+    src, s = m.source, m._sdelta[e]
+    child = src._ends[e][forward]  # the head: "to" when forward
+    sub = [_extract_tree(m, b) for b in src._branches[child] if b[0] != e]
+    return RootSubtree(-s if forward else s, tuple(sub))  # minus sdelta(branch)
 
 
 def classify_special(m: DeltaMorphism) -> SpecialType:
@@ -577,15 +586,15 @@ def classify_special(m: DeltaMorphism) -> SpecialType:
     if not check:
         raise ValueError(f"not special: {check.reason}")
     src = m.source
-    genus1 = [v for v in src.vertices if src.genus_of(v) == 1]
+    genus1 = [v for v in src.vertices if src._genus[v] == 1]
     if genus1:
         kind, roots, cycle = "genus1", genus1, ()
     else:
         kind = "loop"
         cycle = [e for e in src.edge_ids if m.mult[e] == 1]
-        roots = sorted({v for e in cycle for v in src.endpoints(e)})
+        roots = sorted({v for e in cycle for v in src._ends[e]})
     data = [
-        [_extract_tree(m, b) for b in src.branches(v) if b.edge not in cycle]
+        [_extract_tree(m, b) for b in src._branches[v] if b[0] not in cycle]
         for v in roots
     ]
     return SpecialType(_tag_of(kind, data[0] if kind == "genus1" else data))
@@ -669,12 +678,12 @@ def metric_lengths(mm: MetricDeltaMorphism) -> Lengths:
     for every special metric morphism).
     """
     found: Dict[int, int] = {}  # numerators over the source's denominator
-    src = mm.source
+    src, sdelta = mm.source, mm._sdelta
     for e in src.edge_ids:
         length = src._lengths[e]
         if length is INF:
             continue
-        slope = abs(mm.sdelta_stored(e))
+        slope = abs(sdelta[e])
         if slope in found and found[slope] != length:
             raise ValueError(
                 f"inner edges of slope {slope} have different lengths"

@@ -504,10 +504,11 @@ class ResidueSetting(Frozen):
     value of every integer via :meth:`int_abs`.  ``log_p`` is read as a
     rational (an int, a ``Fraction``, text or a ``LogAbs``; each spelling
     of ``-inf`` is ``NEG_INF``, which the rule refuses) and stored as a
-    ``LogAbs``.
+    ``LogAbs``; the kind and the ``log_p`` ratio that ``int_abs`` reads are
+    fixed at construction, in private slots.
     """
 
-    __slots__ = ("char", "res_char", "log_p", "_kind")
+    __slots__ = ("char", "res_char", "log_p", "_kind", "_log_p_ratio")
 
     def __init__(
         self, char: int, res_char: int, log_p: LogAbs | RationalLike | None = None
@@ -535,6 +536,8 @@ class ResidueSetting(Frozen):
         super().__init__(char, res_char, log_p)
         # decided once here, not on every int_abs call
         object.__setattr__(self, "_kind", kind)
+        ratio = log_p._value.as_integer_ratio() if kind == "mixed" else None
+        object.__setattr__(self, "_log_p_ratio", ratio)
 
     @classmethod
     def equichar_zero(cls) -> "ResidueSetting":
@@ -574,7 +577,7 @@ class ResidueSetting(Frozen):
         while n % p == 0:
             n //= p
             vp += 1
-        a, b = self.log_p._value.as_integer_ratio()
+        a, b = self._log_p_ratio
         return a * vp, b
 
     def describe(self) -> str:

@@ -691,6 +691,19 @@ class TestMetricDeltaMorphism:
             )
         assert str(info.value) == "dilation fails on edge e: 3 != 2 * 1"
 
+    @pytest.mark.parametrize("tail, message", [
+        ("source", "dilation fails on edge e: 1 != 1 * inf"),
+        ("target", "dilation fails on edge e: inf != 1 * 1"),
+    ])
+    def test_dilation_of_a_tail_over_a_finite_edge(self, tail, message):
+        """A tail dilates only onto a tail, in either direction."""
+        tailed = MetricGenusGraph({"u": 0, "l": 0}, {"e": ("u", "l")}, {"e": INF}, ["l"])
+        finite = MetricGenusGraph({"u": 0, "l": 0}, {"e": ("u", "l")}, {"e": 1})
+        src, tgt = (tailed, finite) if tail == "source" else (finite, tailed)
+        with pytest.raises(ValueError) as info:
+            DeltaMorphism(src, tgt, {"u": "u", "l": "l"}, {"e": "e"}, {"e": 1}, {"e": 0})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [-0.5, 0.0, False])
     def test_float_or_bool_delta_rejected(self, value):
         """A float is not taken as its binary fraction, nor a bool as a number."""
@@ -964,6 +977,53 @@ class TestIdRule:
                 "vertex_map": {"1": 1, "2": 2}, "edge_map": {"3": 3},
                 "n": {"3": 1}, "sdelta": {"3": 0}}
         assert morphism_to_json_dict(morphism_from_json_dict(data)) == morphism_to_json_dict(m)
+
+
+class TestUnknownIds:
+    """A map key that names no source vertex or edge is refused after every
+    other check, by both public constructors as by the loader
+    (``tests/test_cli.py`` covers the loader's entries)."""
+
+    MAPS = {"vertex_map": {"a": "x", "b": "y"}, "edge_map": {"e": "f"},
+            "mult": {"e": 1}, "sdelta": {"e": 0}}
+
+    @staticmethod
+    def graphs(metric=False):
+        lengths = ({"e": 1}, {"f": 1}) if metric else (None, None)
+        return (GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b")}, lengths[0]),
+                GenusGraph({"x": 0, "y": 0}, {"f": ("x", "y")}, lengths[1]))
+
+    @pytest.mark.parametrize("name, extra, message", [
+        ("vertex_map", {"zz": "x"}, "vertex_map names unknown vertex 'zz'"),
+        ("edge_map", {"qq": "f"}, "edge_map names unknown edge 'qq'"),
+        ("mult", {"qq": 3}, "mult names unknown edge 'qq'"),
+        ("sdelta", {"ww": 5}, "sdelta names unknown edge 'ww'"),
+    ])
+    def test_constructor_entry(self, name, extra, message):
+        maps = {key: dict(value) for key, value in self.MAPS.items()}
+        maps[name].update(extra)
+        with pytest.raises(ValueError) as info:
+            DeltaMorphism(*self.graphs(), **maps)
+        assert str(info.value) == message
+
+    def test_constructor_names_the_first_entry(self):
+        with pytest.raises(ValueError, match="^vertex_map names unknown vertex 'zz'$"):
+            DeltaMorphism(
+                *self.graphs(), {"a": "x", "b": "y", "zz": "x"}, {"e": "f", "qq": "f"},
+                {"e": 1, "qq": 3}, {"e": 0, "ww": 5},
+            )
+
+    def test_constructor_names_the_core_fault_first(self):
+        with pytest.raises(ValueError, match="^edge e needs a positive multiplicity$"):
+            DeltaMorphism(*self.graphs(), **dict(self.MAPS, mult={"e": 0, "qq": 3}))
+
+    def test_metric_constructor_delta(self):
+        m = DeltaMorphism(*self.graphs(metric=True), **self.MAPS)
+        with pytest.raises(ValueError, match="^delta names unknown vertex 'zz'$"):
+            MetricDeltaMorphism(m, {"a": 0, "b": 0, "zz": 0}, WILD2)
+        with pytest.raises(ValueError, match="^delta at a must be <= 0, got 1$"):
+            MetricDeltaMorphism(m, {"a": 1, "b": 0, "zz": 0}, WILD2)
+        assert MetricDeltaMorphism(m, {"a": 0, "b": 0}, WILD2).delta == {"a": 0, "b": 0}
 
 
 def kummer_two_edges() -> MetricDeltaMorphism:

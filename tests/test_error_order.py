@@ -129,6 +129,14 @@ GRAPH_CASES = {
         True, [(E, 1, "length", "-1"), ("infinite_leaves", ["zz"])],
         "edge f has nonpositive length -1",
     ),
+    "nonpositive length on a later edge before a tail fault": (
+        True, [(E, 0, "length", "inf"), (E, 1, "length", "-1")],
+        "edge f has nonpositive length -1",
+    ),
+    "leaf genus before the tail fault of an earlier edge": (
+        True, [(V, 1, "genus", 1), ("infinite_leaves", ["b"])],
+        "infinite leaf b must have genus 0",
+    ),
     "leaf not a vertex before the tail rule": (
         True, [("infinite_leaves", ["zz"])],
         "infinite leaf zz is not a vertex",

@@ -23,7 +23,7 @@ from wildskel.annulus import Verdict
 from wildskel.delta_morphism import CertifyReport, wide_open_genus_check
 from wildskel.genus_graph import Divisor
 from wildskel.radial import StrictnessReport
-from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType
+from wildskel.special import Lengths, RootSubtree, SpecialCheck, SpecialType, _subtree_key
 from wildskel.valuation import NEG_INF, ZERO, Frozen, LogAbs, Record, ResidueSetting
 
 from tests.support import BUILDERS
@@ -135,6 +135,27 @@ def test_log_abs_copy_and_pickle_round_trip(how):
         assert again == value and again.is_neg_inf == value.is_neg_inf
     with pytest.raises(AttributeError):
         again._value = Fraction(1)
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_round_trips_keep_the_private_slots(how):
+    """A copy keeps what construction stores once: the ``log_p`` ratio that
+    a mixed setting's ``int_abs`` reads, and a subtree's sort key."""
+    for setting in (ResidueSetting.mixed(2, Fraction(-2, 3)), ResidueSetting.parse("mixed:3:-5")):
+        again = ROUND_TRIPS[how](setting)
+        assert again == setting and hash(again) == hash(setting)
+        assert [again.int_abs(n) for n in range(-9, 10)] == [
+            setting.int_abs(n) for n in range(-9, 10)
+        ]
+    c = RootSubtree(1, (RootSubtree(0), RootSubtree(0)))
+    trees = [RootSubtree(3, (RootSubtree(0), c, RootSubtree(0))), RootSubtree(3, (c, c)),
+             RootSubtree(3), c, RootSubtree(0), RootSubtree(3, (RootSubtree(1), RootSubtree(1)))]
+    copies = [ROUND_TRIPS[how](t) for t in trees]
+    assert copies == trees and [hash(t) for t in copies] == [hash(t) for t in trees]
+    order = sorted(range(len(trees)), key=lambda i: _subtree_key(trees[i]))
+    assert sorted(range(len(copies)), key=lambda i: _subtree_key(copies[i])) == order
+    # a copied child sorts among fresh ones as the original does
+    assert RootSubtree(3, (copies[3], RootSubtree(0), RootSubtree(0))) == trees[0]
 
 
 def test_log_abs_value_cannot_be_deleted():

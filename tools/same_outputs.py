@@ -69,6 +69,9 @@ Records are matched by label (the ``k``-th record of a label with the
 ``k``-th of the same label), so a line that one tree prints and the other
 does not shifts no other record.  Prints the number of differing records
 and the first twenty of them; exits 0 when there is none, 1 otherwise.
+An argument other than a revision and ``--quick``, or a revision that
+``git rev-parse --verify`` cannot resolve, prints the usage and exits 2
+before anything is exported.
 It needs only the standard library and ``tests/support.py``.
 """
 
@@ -560,6 +563,17 @@ def record(out, work: Path, every: int) -> None:
 # -- the comparison ------------------------------------------------------------------
 
 
+def _resolves(rev: str) -> bool:
+    """Whether ``rev`` names a commit; an option (``-h``, ``--help``) names none."""
+    if rev.startswith("-"):
+        return False
+    done = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True,
+    )
+    return done.returncode == 0
+
+
 def _export(rev: str, into: Path) -> Path:
     """``src/`` of ``rev``, extracted under ``into``; the repository is not touched."""
     tar = subprocess.run(
@@ -621,8 +635,8 @@ def main(argv) -> int:
         return 0
     quick = "--quick" in argv
     revs = [a for a in argv if a != "--quick"]
-    if len(revs) not in (1, 2):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+    if len(revs) not in (1, 2) or not all(map(_resolves, revs)):
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     return 1 if compare(revs[0], revs[1] if len(revs) == 2 else None, 20 if quick else 1) else 0
 

@@ -19,6 +19,8 @@ neighbours of ``v'``.  Legal moves keep ``R_v`` and ``delta`` at every
 surviving vertex, so only the final morphism is built and validated.
 The valence of ``v'`` fixes the one kind of move it may have (a leaf
 move needs valence one, a smoothing two), so only that kind is tried.
+A move rule that fails returns the rule and its operands, and only
+``contract_graph`` and ``contract_morphism`` format them, when they raise.
 
 The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
@@ -192,7 +194,10 @@ class DeltaMorphism:
                 if not target.is_connected():
                     raise NotProperError("properness requires connected graphs")
                 loops = {e2 for e2, (u2, w2) in target_ends.items() if u2 == w2}
-                found = {b: counts.get(b if b.edge in loops else b.edge, 0) for b in branches2[v2]}
+                found = {  # the named form only here, for the message
+                    OrientedEdge(*b): counts.get(b if b[0] in loops else b[0], 0)
+                    for b in branches2[v2]
+                }
                 raise NotProperError(
                     f"multiplicity is not locally constant at vertex {cut(v)}: {echo(found)}"
                 )
@@ -225,9 +230,10 @@ class DeltaMorphism:
                 )
 
     def sdelta(self, oe: OrientedEdge) -> int:
-        """Slope along the oriented edge; odd under orientation reversal."""
-        s = self._sdelta[oe.edge]
-        return s if oe.forward else -s
+        """Slope along the oriented edge, or along a plain ``(edge, forward)``;
+        odd under orientation reversal."""
+        s = self._sdelta[oe[0]]
+        return s if oe[1] else -s
 
     def sdelta_stored(self, e: str) -> int:
         return self._sdelta[e]
@@ -355,7 +361,7 @@ class DeltaMorphism:
     # -- indices -----------------------------------------------------------
 
     def slope_index(self, oe: OrientedEdge) -> int:
-        return -self.sdelta(oe) + self.mult[oe.edge] - 1
+        return -self.sdelta(oe) + self.mult[oe[0]] - 1
 
     def chi(self, v: str) -> int:
         g = self.source.genus_of(v)
@@ -429,7 +435,8 @@ class RHDegreeReport(Record):
 
 class _WorkingGraph:
     """A mutable copy of a graph's ``_genus`` (also ``vertices``, for ``in``),
-    ``_ends`` and ``_branches``, which the move rules read as a GenusGraph's."""
+    ``_ends`` and ``_branches``, which the move rules read as a GenusGraph's;
+    a branch is a plain ``(edge, forward)`` pair, as there."""
 
     def __init__(self, g: GenusGraph):
         self.vertices = self._genus = dict(g._genus)
@@ -438,29 +445,29 @@ class _WorkingGraph:
         self.den, self.lengths = g._den, None if g._lengths is None else dict(g._lengths)
         self.infinite_leaves = g.infinite_leaves
 
-    def head(self, oe: OrientedEdge) -> str:
-        return self._ends[oe.edge][oe.forward]
+    def head(self, b: Tuple[str, bool]) -> str:
+        return self._ends[b[0]][b[1]]
 
-    def contract(self, kind: str, v: str) -> OrientedEdge:
+    def contract(self, kind: str, v: str) -> Tuple[str, bool]:
         """Remove the leaf ``v`` or smooth ``v`` (a checked move); return the
         branch at ``v`` along the removed edge, or along the smaller of two merged
         edges, which keeps its id and runs between their far ends; lengths add."""
         del self.vertices[v]
         if kind == "leaf":
             (a,) = (gone,) = self._branches.pop(v)
-            self._branches[self.head(a)].remove(-a)
+            self._branches[self.head(a)].remove((a[0], not a[1]))
         else:
             a, gone = sorted(self._branches.pop(v))
             x, y = self.head(a), self.head(gone)
             for w, old, forward in ((x, a, True), (y, gone, False)):
                 branches = self._branches[w]
-                branches[branches.index(-old)] = OrientedEdge(a.edge, forward)
-            self._ends[a.edge] = (x, y)
-        del self._ends[gone.edge]
+                branches[branches.index((old[0], not old[1]))] = (a[0], forward)
+            self._ends[a[0]] = (x, y)
+        del self._ends[gone[0]]
         if self.lengths is not None:
-            length = self.lengths.pop(gone.edge)
+            length = self.lengths.pop(gone[0])
             if gone is not a:
-                self.lengths[a.edge] += length
+                self.lengths[a[0]] += length
         return a
 
     def reverse(self, e: str) -> None:
@@ -468,7 +475,7 @@ class _WorkingGraph:
         x, y = self._ends[e]
         self._ends[e] = (y, x)
         for w in {x, y}:
-            self._branches[w] = [-b if b.edge == e else b for b in self._branches[w]]
+            self._branches[w] = [(e, not b[1]) if b[0] == e else b for b in self._branches[w]]
 
     def graph(self) -> GenusGraph:
         leaves = self.infinite_leaves.intersection(self.vertices)
@@ -495,14 +502,15 @@ class _WorkingMorphism:
         for v in self.fibers[v2]:
             a = self.source.contract(kind, v)
             if kind == "smooth":  # a's edge is the merged one, from a's far end
-                s = self.sdelta(-a)
-                x2, y2 = self.target._ends[merged.edge]
-                if x2 == y2 and self.edge_map[a.edge] != merged.edge:
+                e, e2 = a[0], merged[0]
+                s = self.sdelta((e, not a[1]))
+                x2, y2 = self.target._ends[e2]
+                if x2 == y2 and self.edge_map[e] != e2:
                     # a loop maps slot to slot, so run along the kept target edge
-                    self.source.reverse(a.edge)
+                    self.source.reverse(e)
                     s = -s
-                self.edge_map[a.edge] = merged.edge
-                self._sdelta[a.edge] = s
+                self.edge_map[e] = e2
+                self._sdelta[e] = s
 
     def result(self) -> DeltaMorphism:
         """The contracted morphism, built and validated once, on the copy's own dicts."""
@@ -528,64 +536,74 @@ def contract_graph(g: GenusGraph, move: Tuple[str, str]) -> GenusGraph:
     merging its two edges; lengths add in the metric case).
     """
     kind, v = move
-    reason = _vertex_obstruction(g, kind, v, "vertex")
-    if reason:
-        raise IllegalMoveError(reason)
+    failed = _vertex_obstruction(g, kind, v, "vertex")
+    if failed:
+        raise IllegalMoveError(_reason(*failed))
     work = _WorkingGraph(g)
     work.contract(kind, v)
     return work.graph()
 
 
-def _vertex_obstruction(g, kind: str, v: str, noun: str) -> Optional[str]:
-    """Why ``g`` admits no ``kind`` move at ``v`` (named ``noun``), if none.
+def _reason(rule: str, noun: Optional[str], v, x) -> str:
+    """The message of a failed move rule, formatted only by a caller that
+    raises.  A rule returns ``(rule, noun, v, x)``: its message template, the
+    noun naming the vertex, the vertex (shown cut) and one more operand or
+    None (shown as given, or as the id ``w``, cut)."""
+    return rule.format(noun=noun, v=cut(str(v)), x=x, w=cut(x) if type(x) is str else x)
+
+
+def _vertex_obstruction(g, kind: str, v: str, noun: str) -> Optional[tuple]:
+    """The rule by which ``g`` admits no ``kind`` move at ``v`` (named ``noun``),
+    with its operands (``_reason``); None when there is a move.
 
     The graph rules, shared by graph, target and fiber vertices (of a
     working copy, too).  An infinite leaf whose neighbour is removed would
     be left at valence 0.
     """
     if kind not in ("leaf", "smooth"):
-        return f"unknown move kind {kind!r}"
+        return "unknown move kind {x!r}", None, None, kind
     if v not in g.vertices:
-        return f"no {noun} {cut(str(v))}"
+        return "no {noun} {v}", noun, v, None
     if g._genus[v] != 0:
-        return f"{noun} {cut(v)} has positive genus"
+        return "{noun} {v} has positive genus", noun, v, None
     branches = g._branches[v]
     if kind == "leaf":
         if len(branches) != 1:
-            return f"{noun} {cut(v)} is not a leaf"
+            return "{noun} {v} is not a leaf", noun, v, None
         w = g.head(branches[0])
         if w in g.infinite_leaves:
-            return f"removing leaf {cut(v)} would isolate the infinite leaf {cut(w)}"
+            return "removing leaf {v} would isolate the infinite leaf {w}", noun, v, w
     else:
         if len(branches) != 2:
-            return f"{noun} {cut(v)} does not have valence 2"
-        if branches[0].edge == branches[1].edge:
-            return f"{noun} {cut(v)} is a loop vertex"
+            return "{noun} {v} does not have valence 2", noun, v, None
+        if branches[0][0] == branches[1][0]:
+            return "{noun} {v} is a loop vertex", noun, v, None
     return None
 
 
-def _move_obstruction(m, kind: str, v2: str) -> Optional[str]:
-    """Why ``m`` admits no ``kind`` move at the target vertex ``v2``, if none.
+def _move_obstruction(m, kind: str, v2: str) -> Optional[tuple]:
+    """The rule by which ``m`` admits no ``kind`` move at the target vertex
+    ``v2``, with its operands (``_reason``); None when there is a move.
 
     The graph rules on ``v2`` and on each fiber vertex, then the morphism
     rules; ``m`` may be a working copy.
     """
-    reason = _vertex_obstruction(m.target, kind, v2, "target vertex")
-    if reason:
-        return reason
+    failed = _vertex_obstruction(m.target, kind, v2, "target vertex")
+    if failed:
+        return failed
     if kind == "leaf" and len(m.target._ends) == 1 and m.degree > 1:
         # collapsing the target to a point leaves the fiber
         # multiplicities of a degree > 1 morphism undetermined
-        return "cannot contract the last target edge at degree > 1"
+        return "cannot contract the last target edge at degree > 1", None, None, None
     for v in m.fibers[v2]:
-        reason = _vertex_obstruction(m.source, kind, v, "fiber vertex")
-        if reason:
-            return reason
+        failed = _vertex_obstruction(m.source, kind, v, "fiber vertex")
+        if failed:
+            return failed
         # a smoothed fiber vertex has one edge over each target branch, both of
         # multiplicity vertex_mult; R_v = sdelta(b1) + sdelta(b2) = 0 is continuity
         r = m.differential_index(v)
         if r != 0:
-            return f"fiber vertex {cut(v)} has R = {r} != 0"
+            return "fiber vertex {v} has R = {x} != 0", None, v, r
     return None
 
 
@@ -600,9 +618,9 @@ def contract_morphism(m: DeltaMorphism, move: Tuple[str, str]) -> DeltaMorphism:
     Lengths add on merged edges, and surviving vertices keep their delta.
     """
     kind, v2 = move
-    reason = _move_obstruction(m, kind, v2)
-    if reason:
-        raise IllegalMoveError(reason)
+    failed = _move_obstruction(m, kind, v2)
+    if failed:
+        raise IllegalMoveError(_reason(*failed))
     work = _WorkingMorphism(m)
     work.contract(kind, v2)
     return work.result()

@@ -28,7 +28,10 @@ makes the Fraction a caller reads.  A divisor keeps only its nonzero
 coefficients, keyed by vertex id in sorted order, so
 ``Divisor.coefficients`` iterates in that order and the JSON form, the
 repr and the hash read it without sorting; equality is that of the dicts,
-as before.
+as before.  A branch is stored as the plain pair ``(edge, forward)``, each
+vertex's in edge-id order, and every reader inside the library takes that
+pair; :class:`OrientedEdge` is the public named form, which
+:meth:`GenusGraph.branches` makes and which equals and hashes like the pair.
 """
 
 from __future__ import annotations
@@ -67,13 +70,17 @@ def as_id(value, entry: str) -> str:
 
 
 class OrientedEdge(NamedTuple):
-    """An edge with a direction; ``forward`` follows the stored (from, to)."""
+    """An edge with a direction; ``forward`` follows the stored (from, to).
+
+    The public named form of a branch.  A graph stores its branches as plain
+    ``(edge, forward)`` pairs, which an OrientedEdge equals and hashes like,
+    and makes this form only where a caller reads one (``branches``)."""
 
     edge: str
     forward: bool
 
     def __neg__(self) -> "OrientedEdge":
-        # skips the namedtuple's Python-level __new__, as GenusGraph._store does
+        # skips the namedtuple's Python-level __new__, as GenusGraph.branches does
         return tuple.__new__(OrientedEdge, (self[0], not self[1]))
 
 
@@ -149,15 +156,15 @@ class GenusGraph:
         if min(genus.values(), default=0) < 0:
             _check_ends(genus, ends.items())  # raises the first fault in order
         out: Dict[str, list] = {v: [] for v in self.vertices}
-        new = tuple.__new__  # skips the namedtuple's Python-level __new__
         try:
             for e in self.edge_ids:
                 a, b = ends[e]
-                out[a].append(new(OrientedEdge, (e, True)))
-                out[b].append(new(OrientedEdge, (e, False)))
+                out[a].append((e, True))
+                out[b].append((e, False))
         except KeyError:  # an end outside the vertex set
             _check_ends(genus, ends.items())
-        self._branches: Dict[str, Tuple[OrientedEdge, ...]] = {
+        # plain (edge, forward) pairs, in edge-id order; branches() names them
+        self._branches: Dict[str, Tuple[Tuple[str, bool], ...]] = {
             v: tuple(bs) for v, bs in out.items()
         }
         self._connected: Optional[bool] = None  # set by is_connected, once
@@ -218,18 +225,21 @@ class GenusGraph:
         return u == v
 
     def head(self, oe: OrientedEdge) -> str:
-        u, v = self._ends[oe.edge]
-        return v if oe.forward else u
+        """The vertex ``oe`` runs into; ``oe`` may be a plain ``(edge, forward)``."""
+        u, v = self._ends[oe[0]]
+        return v if oe[1] else u
 
     def branches(self, v: str) -> Tuple[OrientedEdge, ...]:
-        """Oriented edges leaving ``v``; a loop contributes two."""
-        return self._branches.get(v, ())
+        """Oriented edges leaving ``v``, made from the stored pairs; a loop
+        contributes two, and a vertex the graph lacks none."""
+        new = tuple.__new__  # skips the namedtuple's Python-level __new__
+        return tuple([new(OrientedEdge, b) for b in self._branches.get(v, ())])
 
     def valence(self, v: str) -> int:
-        return len(self.branches(v))
+        return len(self._branches.get(v, ()))
 
     def is_leaf(self, v: str) -> bool:
-        return self.valence(v) == 1
+        return len(self._branches.get(v, ())) == 1
 
     def is_connected(self) -> bool:
         if self._connected is None:

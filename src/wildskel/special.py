@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
-from .genus_graph import GenusGraph, OrientedEdge
+from .genus_graph import GenusGraph
 from .valuation import INF, Frozen, Record, ResidueSetting, as_ratio, cut, ratio_text, scaled
 
 
@@ -563,8 +563,8 @@ def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
     ]
 
 
-def _extract_tree(m: DeltaMorphism, branch: OrientedEdge) -> RootSubtree:
-    e, forward = branch
+def _extract_tree(m: DeltaMorphism, branch: Tuple[str, bool]) -> RootSubtree:
+    e, forward = branch  # a stored (edge, forward) pair
     src, s = m.source, m._sdelta[e]
     child = src._ends[e][forward]  # the head: "to" when forward
     sub = [_extract_tree(m, b) for b in src._branches[child] if b[0] != e]

@@ -1423,6 +1423,17 @@ def test_illegal_move_message(rule, side):
         assert move not in applicable_moves(obj)
 
 
+@pytest.mark.parametrize("kind", [7, None, ("leaf",), "k" * 500])
+def test_unknown_move_kind_is_shown_whole(kind):
+    """The kind is not an id: its message shows its ``repr``, uncut."""
+    for contract, obj in (contract_graph, _path(0, 0)), (
+        contract_morphism, identity_morphism(_path(0, 0))
+    ):
+        with pytest.raises(IllegalMoveError) as info:
+            contract(obj, (kind, "a"))
+        assert str(info.value) == f"unknown move kind {kind!r}"
+
+
 @pytest.mark.parametrize("name", sorted(LONG_ID_MESSAGES))
 def test_long_id_is_cut_in_the_message(name):
     """Each message, or ``is_special`` reason, showed a 1,000-character id whole."""

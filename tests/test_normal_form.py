@@ -22,14 +22,17 @@ import pytest
 from wildskel import LIFTABLE_TAGS, degree_p_locus, metric_lift
 from wildskel.delta_morphism import (
     DeltaMorphism,
+    IllegalMoveError,
     MetricDeltaMorphism,
     NotProperError,
+    applicable_moves,
     contract_graph,
+    contract_morphism,
     morphism_from_json_dict,
     morphism_to_json_dict,
     stabilize,
 )
-from wildskel.genus_graph import Divisor, GenusGraph
+from wildskel.genus_graph import Divisor, GenusGraph, OrientedEdge
 from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_length, scaled
 
 from tests.support import (
@@ -155,8 +158,9 @@ def built_three_ways(data: dict):
 
 def normal_form_faults(m) -> list:
     """What in ``m`` (and the divisors it builds) is not an exact ``str``-keyed dict
-    with ``str`` or ``int`` values, and a divisor that holds a zero or whose
-    keys are not in sorted order."""
+    with ``str`` or ``int`` values, a stored branch that is not an exact
+    ``(str, bool)`` tuple or a vertex whose branches are not in edge-id order,
+    and a divisor that holds a zero or whose keys are not in sorted order."""
     faults = []
 
     def check(name, d, value_type):
@@ -171,6 +175,12 @@ def normal_form_faults(m) -> list:
         check(f"{side} genera", g._genus, int)
         check(f"{side} ends", g._ends, tuple)
         check(f"{side} branches", g._branches, tuple)
+        for v, bs in g._branches.items():  # plain (edge, forward) pairs in edge-id order
+            if any(type(b) is not tuple or len(b) != 2 or type(b[0]) is not str
+                   or type(b[1]) is not bool for b in bs):
+                faults.append(f"{side} branches at {v} are {bs!r}")
+            elif [b[0] for b in bs] != sorted(b[0] for b in bs):
+                faults.append(f"{side} branches at {v} are out of edge-id order: {bs!r}")
         for e, ends in g._ends.items():
             if any(type(v) is not str for v in ends):
                 faults.append(f"{side} edge {e} has ends {ends!r}")
@@ -229,6 +239,48 @@ def test_normal_form_faults_names_a_divisor_out_of_order():
     assert normal_form_faults(m) == [
         f"divisor {m.ramification_divisor().coefficients!r} is not in normal form"
     ]
+
+
+def test_normal_form_faults_names_a_named_or_unordered_branch():
+    m = random_proper_delta_morphism(random.Random(8))
+    v = next(v for v in m.source.vertices if len(m.source._branches[v]) > 1)
+    stored = m.source._branches[v]
+    m.source._branches[v] = m.source.branches(v)  # OrientedEdges, not plain pairs
+    assert normal_form_faults(m) == [f"source branches at {v} are {m.source.branches(v)!r}"]
+    m.source._branches[v] = stored[::-1]
+    assert normal_form_faults(m) == [
+        f"source branches at {v} are out of edge-id order: {stored[::-1]!r}"
+    ]
+
+
+def test_branches_name_the_stored_pairs():
+    """``branches`` makes OrientedEdges that equal and hash like the stored
+    pairs; ``head``, ``sdelta`` and ``slope_index`` read a pair as they read
+    its OrientedEdge; and ``applicable_moves`` is exactly the set of moves
+    that ``contract_morphism`` accepts."""
+    count = 0
+    for name, m in corpus():
+        for g in (m.source, m.target):
+            for v in g.vertices:
+                named, stored = g.branches(v), g._branches[v]
+                assert [type(b) for b in named] == [OrientedEdge] * len(stored), name
+                assert named == stored and list(map(hash, named)) == list(map(hash, stored))
+                for b, pair in zip(named, stored):
+                    assert -b == (pair[0], not pair[1]) and g.head(pair) == g.head(b), name
+                    if g is m.source:
+                        assert m.sdelta(pair) == m.sdelta(b), name
+                        assert m.slope_index(pair) == m.slope_index(b), name
+        accepted = set()
+        for v2 in m.target.vertices:
+            for kind in ("leaf", "smooth"):
+                try:
+                    contract_morphism(m, (kind, v2))
+                except IllegalMoveError:
+                    continue
+                accepted.add((kind, v2))
+        assert set(applicable_moves(m)) == accepted, name
+        count += 1
+    assert count > 3_300
 
 
 def test_contractions_agree_with_the_public_constructor():

@@ -40,6 +40,8 @@ text and ``None`` as exponent or factor, on no factor, and
 1-tuple and a 3-tuple as factors; the pullback of each random
 morphism along a divisor that also names a vertex off the target;
 ``certify_skeleton`` and ``wide_open_genus_check`` on the random morphisms;
+the ``repr`` of ``branches`` at every source and target vertex of each
+morphism, and ``head``, ``sdelta`` and ``slope_index`` of each branch;
 ``contract_morphism`` and ``contract_graph`` of both move kinds at every
 target vertex of each morphism, legal or not;
 ``enumerate_root_subtrees``; ``build_special`` of every tag; the messages
@@ -363,6 +365,14 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"{label} rh degree", m.rh_degree_identity)
         rec.call(f"{label} moves", pub("applicable_moves"), m)
         rec.call(f"{label} stable", pub("is_stable"), m)
+        for side, g in (("source", m.source), ("target", m.target)):
+            for v in g.vertices:  # the public branch API, whatever a graph stores
+                for b in rec.call(f"{label} {side} branches {v}", g.branches, v) or ():
+                    at = f"{label} {side} branch {b[0]} {b[1]}"
+                    rec.call(f"{at} head", g.head, b)
+                    if g is m.source:
+                        rec.call(f"{at} sdelta", m.sdelta, b)
+                        rec.call(f"{at} slope index", m.slope_index, b)
         for v2 in m.target.vertices:  # every legal move and every illegal one's reason
             for kind in ("leaf", "smooth"):
                 rec.call(f"{label} contract {kind} {v2}", contracted, m, (kind, v2))

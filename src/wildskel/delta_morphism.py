@@ -44,11 +44,11 @@ from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .annulus import check_restriction
-from .genus_graph import Divisor, GenusGraph, OrientedEdge, json_field
+from .genus_graph import Divisor, GenusGraph, OrientedEdge
 from .pmfunc import PMFunction
 from .valuation import (
     INF, NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, cut, echo,
-    ratio_text, read_ratio, refused, scaled,
+    json_field, ratio_text, read_ratio, refused, scaled,
 )
 
 
@@ -350,6 +350,8 @@ class DeltaMorphism:
     def _line(self, e: str, sign: int) -> PMFunction:
         """``sign * log delta`` along ``e`` from its finite end, made in integers."""
         (u, v), s, delta = self.source._ends[e], self._sdelta[e], self._delta
+        if delta is None:
+            raise ValueError("morphism has no delta values")
         if delta[u] is None:
             u, s = v, -s
         if delta[u] is None:

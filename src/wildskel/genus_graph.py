@@ -43,20 +43,13 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, ratio_text, read_ratio, scaled
+    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, ratio_text,
+    read_ratio, scaled,
 )
 
 
 class DisconnectedError(ValueError):
     pass
-
-
-def json_field(data: Mapping, key: str, entry: str):
-    """``data[key]``, or a ValueError naming the entry that lacks the key."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{entry} lacks key {key!r}") from None
 
 
 def as_id(value, entry: str) -> str:
@@ -220,10 +213,6 @@ class GenusGraph:
     def endpoints(self, e: str) -> Tuple[str, str]:
         return self._ends[e]
 
-    def is_loop(self, e: str) -> bool:
-        u, v = self._ends[e]
-        return u == v
-
     def head(self, oe: OrientedEdge) -> str:
         """The vertex ``oe`` runs into; ``oe`` may be a plain ``(edge, forward)``."""
         u, v = self._ends[oe[0]]
@@ -237,9 +226,6 @@ class GenusGraph:
 
     def valence(self, v: str) -> int:
         return len(self._branches.get(v, ()))
-
-    def is_leaf(self, v: str) -> bool:
-        return len(self._branches.get(v, ())) == 1
 
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -263,9 +249,6 @@ class GenusGraph:
     def length(self, e: str) -> ExtendedRational:
         l = self._lengths[e]
         return l if l is INF else Fraction(l, self._den)
-
-    def is_tail(self, e: str) -> bool:
-        return self._lengths[e] is INF
 
     # -- invariants ------------------------------------------------------
 

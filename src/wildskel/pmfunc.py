@@ -36,7 +36,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .valuation import INF, ExtendedRational, LogAbs, as_int, as_ratio, echo, ratio_text, scaled
+from .valuation import (
+    INF, ExtendedRational, as_int, as_ratio, echo, json_field, ratio_text, scaled
+)
 
 
 class OutOfDomainError(ValueError):
@@ -148,11 +150,6 @@ class PMFunction:
         den, nums = _over_common_denominator(ratios)
         return cls._from_scaled(den, nums[:-1], nums[-1:], [as_int(slope, "slope")])
 
-    @classmethod
-    def identity(cls, domain) -> "PMFunction":
-        """The function x -> x (slope-one line through the origin)."""
-        return cls.line(domain, domain[0], 1)
-
     @property
     def _bounded(self) -> bool:
         return len(self._xs) > len(self._slopes)
@@ -201,9 +198,6 @@ class PMFunction:
         if j == n:
             j -= 1
         return Fraction(self._vs[j] * q + self._slopes[j] * (pd - xs[j] * q), d * q)
-
-    def eval(self, x) -> LogAbs:
-        return LogAbs(self.value_at(x))
 
     def slope_at(self, x, direction: str) -> int:
         """Slope of the segment adjacent to ``x`` on the given side."""
@@ -279,8 +273,18 @@ class PMFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PMFunction":
-        breaks, segments = data["breakpoints"], data["segments"]
-        return cls(breaks, [s["left_value"] for s in segments], [s["slope"] for s in segments])
+        """The function of a ``to_json_dict`` form; a fault is named in the
+        graph loader's words (``segment 0 lacks key 'slope'``)."""
+        if not isinstance(data, Mapping):
+            raise ValueError("function is not an object")
+        breaks = json_field(data, "breakpoints", "function")
+        values, slopes = [], []
+        for j, item in enumerate(json_field(data, "segments", "function")):
+            if not isinstance(item, Mapping):
+                raise ValueError(f"segments entry {echo(item)} is not an object")
+            values.append(json_field(item, "left_value", f"segment {j}"))
+            slopes.append(json_field(item, "slope", f"segment {j}"))
+        return cls(breaks, values, slopes)
 
 
 def monomial_product(
@@ -363,9 +367,9 @@ class NewtonProfile(PMFunction):
 
     Besides the envelope itself, the profile reports which exponent
     realizes the maximum on each segment (its slope) and the exact tie
-    set at any point.  Just left of a point the minimal achieving
-    exponent dominates, just right the maximal one; both conventions are
-    exposed because the two sides of an annulus use opposite ones.
+    set at any point (``achievers_at``).  Just left of a point the
+    minimal achieving exponent dominates, just right the maximal one; the
+    two sides of an annulus read opposite ones.
     The coefficients are kept as ``(exponent, numerator)`` pairs over a
     common denominator of their own.  Instances are built by
     :func:`tropical_eval`.
@@ -397,14 +401,6 @@ class NewtonProfile(PMFunction):
             elif k == best:
                 ties.append(i)
         return frozenset(ties)
-
-    def min_achiever(self, x) -> int:
-        """Dominant exponent just left of ``x`` (inward convention)."""
-        return min(self.achievers_at(x))
-
-    def max_achiever(self, x) -> int:
-        """Dominant exponent just right of ``x`` (outward convention)."""
-        return max(self.achievers_at(x))
 
 
 def _upper_hull(points: Sequence[Tuple[int, int]]) -> list:

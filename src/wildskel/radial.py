@@ -69,6 +69,8 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
         raise WrongDegreeError(f"morphism has degree {mm.degree}, expected {p}")
     if p < 2:  # the radius divides by p - 1
         raise ValueError(f"p must be at least 2, got {p}")
+    if mm._delta is None:
+        raise ValueError("morphism has no delta values")
     src, mult, vmult = mm.source, mm.mult, mm.vertex_mult
     ends, lengths = src._ends, src._lengths
     edges = [e for e in src.edge_ids if mult[e] == p]

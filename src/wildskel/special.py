@@ -32,7 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
 from .genus_graph import GenusGraph
-from .valuation import INF, Frozen, Record, ResidueSetting, as_ratio, cut, ratio_text, scaled
+from .valuation import (
+    INF, Frozen, Record, ResidueSetting, as_int, as_ratio, cut, ratio_text, scaled
+)
 
 
 class UnclassifiableError(ValueError):
@@ -220,6 +222,7 @@ def enumerate_root_subtrees(max_leaves: int) -> List[RootSubtree]:
     every hanging subtree are 1, 2 or 4, so that all slopes are odd or
     zero.
     """
+    max_leaves = as_int(max_leaves, "max_leaves")
     if max_leaves < 1:
         raise ValueError("max_leaves must be at least 1")
     trees: Dict[RootSubtree, None] = {}
@@ -679,6 +682,8 @@ def metric_lengths(mm: MetricDeltaMorphism) -> Lengths:
     """
     found: Dict[int, int] = {}  # numerators over the source's denominator
     src, sdelta = mm.source, mm._sdelta
+    if src._lengths is None:
+        raise ValueError("morphism has no edge lengths")
     for e in src.edge_ids:
         length = src._lengths[e]
         if length is INF:

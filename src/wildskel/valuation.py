@@ -165,8 +165,7 @@ class LogAbs(Frozen):
     """A log-scale absolute value: an exact rational or ``-inf``.
 
     Instances are immutable and totally ordered, with ``NEG_INF`` below
-    every finite value.  Addition (product of absolute values) absorbs
-    ``NEG_INF``; multiplication by an integer is exponentiation.
+    every finite value.
     """
 
     __slots__ = ("_value",)
@@ -189,45 +188,6 @@ class LogAbs(Frozen):
         if self._value is None:
             raise ValueError("NEG_INF has no finite value")
         return self._value
-
-    @staticmethod
-    def _coerce(other) -> "LogAbs":
-        if isinstance(other, LogAbs):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LogAbs(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "LogAbs":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None or other._value is None:
-            return NEG_INF
-        return LogAbs(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LogAbs":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other._value is None:
-            raise ValueError("cannot subtract NEG_INF")
-        if self._value is None:
-            return NEG_INF
-        return LogAbs(self._value - other._value)
-
-    def __mul__(self, k) -> "LogAbs":
-        if not isinstance(k, (int, Fraction)):
-            return NotImplemented
-        if self._value is None:
-            if k > 0:
-                return NEG_INF
-            raise ValueError("NEG_INF * k only defined for k > 0")
-        return LogAbs(self._value * k)
-
-    __rmul__ = __mul__
 
     def _compare(self, other, op):
         if isinstance(other, LogAbs):
@@ -277,11 +237,8 @@ ZERO = LogAbs(Fraction(0))
 
 
 class _PlusInfinity:
-    """Positive infinity, used for tail lengths and unbounded domains.
-
-    Compares above every rational; multiplication by a positive number
-    and addition of a rational leave it unchanged.
-    """
+    """Positive infinity, used for tail lengths and unbounded domains;
+    compares above every rational."""
 
     _instance = None
 
@@ -308,14 +265,8 @@ class _PlusInfinity:
     def __hash__(self):
         return hash("_PlusInfinity")
 
-    def __mul__(self, k):
-        if isinstance(k, _PlusInfinity) or k > 0:
-            return self
-        raise ValueError("INF * k only defined for k > 0")
-
-    __rmul__ = __mul__
-
     def __add__(self, other):
+        # a smoothing that merges a tail with a finite edge adds their lengths
         return self
 
     __radd__ = __add__
@@ -349,6 +300,14 @@ def refused(value, entry: str, key, noun: str) -> ValueError:
     public input ``entry``."""
     named = entry if key is None else f"{entry} value of {echo(key)}"
     return ValueError(f"{named} is {echo(value)}, not {noun}")
+
+
+def json_field(data, key: str, entry: str):
+    """``data[key]``, or a ValueError naming the entry that lacks the key."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{entry} lacks key {key!r}") from None
 
 
 def as_int(value, entry: str, key=None) -> int:
@@ -456,11 +415,6 @@ def ratio_text(x, den: int) -> str:
         return "-inf" if x is None else "inf"
     g = gcd(x, den)
     return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-
-def parse_length(text: str) -> ExtendedRational:
-    ratio = parse_ratio(text, "inf")
-    return ratio if ratio is INF else Fraction(*ratio)
 
 
 NEG_INF = LogAbs("-inf")  # log 0

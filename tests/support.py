@@ -307,9 +307,9 @@ def subdivide_metric(
     src_len = {e: src.length(e) for e in src.edge_ids}
     vmap, emap, mult = dict(mm.vertex_map), dict(mm.edge_map), dict(mm.mult)
     sdelta = {e: mm.sdelta_stored(e) for e in src.edge_ids}
-    delta = dict(mm.delta)
+    delta = {v: _fraction(d) for v, d in mm.delta.items()}
 
-    candidates = [f for f in tgt.edge_ids if not tgt.is_loop(f)]
+    candidates = [f for f in tgt.edge_ids if len(set(tgt.endpoints(f))) == 2]
     chosen = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
     for k, f in enumerate(chosen, 1):
         a2, b2 = tgt_edges[f]
@@ -346,7 +346,7 @@ def subdivide_metric(
     source = GenusGraph(src_genus, src_edges, src_len, src.infinite_leaves)
     target = GenusGraph(tgt_genus, tgt_edges, tgt_len, tgt.infinite_leaves)
     m = DeltaMorphism(source, target, vmap, emap, mult, sdelta)
-    return MetricDeltaMorphism(m, delta, mm.setting)
+    return MetricDeltaMorphism(m, _log_values(delta), mm.setting)
 
 
 #: The residue settings with a positive residue characteristic, where the
@@ -377,23 +377,37 @@ def random_metric_delta_morphism(
             return MetricDeltaMorphism(*drawn, setting)
 
 
-def _admitted_slopes(n: int, delta: LogAbs, setting: ResidueSetting) -> List[int]:
+def _fraction(d):
+    """A delta value (a LogAbs, a Fraction or an int) as a Fraction, None for -inf."""
+    if isinstance(d, LogAbs):
+        return None if d.is_neg_inf else d.value
+    return Fraction(d)
+
+
+def _log_values(delta: dict) -> dict:
+    """Fraction delta values as a constructor reads them, ``NEG_INF`` for None."""
+    return {v: NEG_INF if d is None else d for v, d in delta.items()}
+
+
+def _admitted_slopes(n: int, delta: Fraction, setting: ResidueSetting) -> List[int]:
     return [s for s in range(-3, 4) if check_restriction(n, s, delta, setting)]
 
 
 def _metric_draw(rng: random.Random, setting: ResidueSetting):
-    """``(morphism, delta)`` of one draw, or None when a cycle does not close."""
+    """``(morphism, delta)`` of one draw, or None when a cycle does not close;
+    delta is carried in Fractions (None for -inf) and returned as
+    ``_log_values``."""
     m = random_proper_delta_morphism(rng)
     src, tgt = m.source, m.target
     tgt_len = {
         f: Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 6))) for f in tgt.edge_ids
     }
     src_len = {e: tgt_len[m.edge_map[e]] / m.mult[e] for e in src.edge_ids}
-    two = setting.int_abs(2)
+    two = _fraction(setting.int_abs(2))
     anchor = rng.choice(src.vertices)
     delta = {anchor: rng.choice(
-        [ZERO, ZERO, LogAbs(Fraction(-rng.randint(1, 6), rng.choice((1, 2, 3))))]
-        + ([] if two.is_neg_inf else [two])
+        [Fraction(0), Fraction(0), Fraction(-rng.randint(1, 6), rng.choice((1, 2, 3)))]
+        + ([] if two is None else [two])
     )}
     sdelta: Dict[str, int] = {}
     stack = [anchor]
@@ -415,7 +429,7 @@ def _metric_draw(rng: random.Random, setting: ResidueSetting):
     for e in src.edge_ids:  # the edges off the tree close their cycles
         if e not in sdelta:
             u, v = src.endpoints(e)
-            s = (delta[v].value - delta[u].value) / src_len[e]
+            s = (delta[v] - delta[u]) / src_len[e]
             if s.denominator != 1:
                 return None
             sdelta[e] = int(s)
@@ -435,13 +449,13 @@ def _metric_draw(rng: random.Random, setting: ResidueSetting):
                 leaf, e = f"{v}_I{k}_{j}", f"g{k}_{v}_{j}"
                 genera[leaf], vmap[leaf] = 0, leaf2
                 edges[e], emap[e], mult[e], src_len[e] = (v, leaf), f, n, INF
-                delta[leaf] = setting.int_abs(n)
+                delta[leaf] = _fraction(setting.int_abs(n))
                 leaves.append(leaf)
                 down = [s for s in _admitted_slopes(n, delta[v], setting) if s < 0]
-                sdelta[e] = 0 if not delta[leaf].is_neg_inf else rng.choice(down or [-1])
+                sdelta[e] = 0 if delta[leaf] is not None else rng.choice(down or [-1])
     source = GenusGraph(genera, edges, src_len, leaves)
     target = GenusGraph(tgt_genera, tgt_edges, tgt_len, tgt_leaves)
-    return DeltaMorphism(source, target, vmap, emap, mult, sdelta), delta
+    return DeltaMorphism(source, target, vmap, emap, mult, sdelta), _log_values(delta)
 
 
 # -- the metric checks against the unmemoized loop --------------------------------
@@ -449,23 +463,25 @@ def _metric_draw(rng: random.Random, setting: ResidueSetting):
 
 def _reference_attach_delta(m, delta, setting):
     """The first message of the metric checks, restated from the loop that
-    tests both ends of every edge (no memo), or None when they pass."""
+    tests both ends of every edge (no memo), or None when they pass.  Delta
+    is read as Fractions (None for -inf), the values of ``_fraction``."""
     src = m.source
     for v in src.vertices:
         if v not in delta:
             return f"vertex {v} has no delta value"
+    delta = {v: _fraction(delta[v]) for v in src.vertices}
     for v in src.vertices:
         d = delta[v]
-        if d > 0:
+        if d is not None and d > 0:
             return f"delta at {v} must be <= 0, got {d}"
-        if d.is_neg_inf and v not in src.infinite_leaves:
+        if d is None and v not in src.infinite_leaves:
             return f"delta vanishes at {v}, which is not an infinite leaf"
     for e in src.edge_ids:
         n = m.mult[e]
         u, v = src.endpoints(e)
         l = src.length(e)
         target_l = m.target.length(m.edge_map[e])
-        if target_l != n * l:
+        if target_l != (l if l is INF else n * l):  # n >= 1 dilates no tail
             return f"dilation fails on edge {e}: {target_l} != {n} * {l}"
         s_uv = m.sdelta(OrientedEdge(e, True))
         du, dv = delta[u], delta[v]
@@ -473,31 +489,37 @@ def _reference_attach_delta(m, delta, setting):
             leaf, s_out, d_leaf, d_inner = (
                 (v, s_uv, dv, du) if v in src.infinite_leaves else (u, -s_uv, du, dv)
             )
-            expected = setting.int_abs(n)
+            expected = _fraction(setting.int_abs(n))
             if d_leaf != expected:
                 return (
-                    f"delta at infinite leaf {leaf} must be |{n}| = {expected}, "
-                    f"got {d_leaf}"
+                    f"delta at infinite leaf {leaf} must be |{n}| = {_text(expected)}, "
+                    f"got {_text(d_leaf)}"
                 )
             if s_out > 0:
                 return f"delta would exceed one along the tail {e}"
             if s_out == 0 and d_leaf != d_inner:
                 return f"delta is not constant along the slope-zero tail {e}"
-            if s_out < 0 and not d_leaf.is_neg_inf:
+            if s_out < 0 and d_leaf is not None:
                 return f"delta must vanish at the end of the descending tail {e}"
         else:
-            if du.is_neg_inf or dv.is_neg_inf:
+            if du is None or dv is None:
                 return f"finite edge {e} has a vanishing endpoint"
-            if dv != du + Fraction(s_uv) * l:
+            if dv != du + s_uv * l:
                 return (
                     f"delta is not linear along edge {e}: {dv} != {du} + {s_uv} * {l}"
                 )
         for vert, slope in ((u, s_uv), (v, -s_uv)):
-            verdict = check_restriction(n, slope, delta[vert], setting)
+            d = delta[vert]
+            verdict = check_restriction(n, slope, NEG_INF if d is None else d, setting)
             if not verdict:
                 reason = verdict.reason
                 return f"edge {e} fails the slope restriction at {vert}: {reason}"
     return None
+
+
+def _text(d) -> str:
+    """A Fraction delta value as the messages show it, ``-inf`` for None."""
+    return "-inf" if d is None else str(d)
 
 
 # -- seeded mutations ----------------------------------------------------------------

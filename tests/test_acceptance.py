@@ -241,12 +241,12 @@ def test_criterion_06_annulus_oracle():
         for x0 in prof.breakpoints:
             value = LogAbs(prof.value_at(x0))
             if x0 > a:
-                m = abs(envelope.min_achiever(x0))
+                m = abs(min(envelope.achievers_at(x0)))
                 assert check_restriction(
                     m, -prof.slope_at(x0, "left"), value, setting
                 ).ok
             if x0 < b:
-                m = abs(envelope.max_achiever(x0))
+                m = abs(max(envelope.achievers_at(x0)))
                 assert check_restriction(
                     m, prof.slope_at(x0, "right"), value, setting
                 ).ok

@@ -109,7 +109,7 @@ class TestDifferentProfile:
     def test_binomial_value_at_zero(self):
         s = ValuedSeries({2: 0, 3: Fraction(-1, 2)})
         prof = different_profile(s, MIXED2, (-1, 0))
-        assert prof.eval(0) == LogAbs(Fraction(-1, 2))
+        assert prof.value_at(0) == Fraction(-1, 2)
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
@@ -298,13 +298,13 @@ class TestProfileSegmentsSatisfyRestriction:
             for x in prof.breakpoints:
                 value = LogAbs(prof.value_at(x))
                 if x > a:
-                    m = abs(envelope.min_achiever(x))
+                    m = abs(min(envelope.achievers_at(x)))
                     assert check_restriction(
                         m, -prof.slope_at(x, "left"), value, setting
                     ).ok
                     checked += 1
                 if x < b:
-                    m = abs(envelope.max_achiever(x))
+                    m = abs(max(envelope.achievers_at(x)))
                     assert check_restriction(
                         m, prof.slope_at(x, "right"), value, setting
                     ).ok

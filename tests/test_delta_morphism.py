@@ -338,8 +338,8 @@ class TestIndices:
 
     def test_chi_examples(self):
         m = wb()
-        core = [v for v in m.source.vertices if not m.source.is_leaf(v)]
-        leaf = [v for v in m.source.vertices if m.source.is_leaf(v)][0]
+        core = [v for v in m.source.vertices if len(m.source.branches(v)) != 1]
+        leaf = [v for v in m.source.vertices if len(m.source.branches(v)) == 1][0]
         assert m.chi(core[0]) == 2
         assert m.chi(leaf) == 2
         g1 = build_special("WSS")
@@ -350,7 +350,7 @@ class TestIndices:
     def test_differential_index_examples(self):
         m = wb()
         for v in m.source.vertices:
-            expected = 2 if m.source.is_leaf(v) else 0
+            expected = 2 if len(m.source.branches(v)) == 1 else 0
             assert m.differential_index(v) == expected
         ident = identity_morphism(GenusGraph({"a": 1, "b": 0}, {"e": ("a", "b")}))
         assert all(ident.differential_index(v) == 0 for v in ident.source.vertices)
@@ -361,7 +361,7 @@ class TestRiemannHurwitz:
         m = wb()
         rep = m.rh_divisor_identity()
         assert rep.ok
-        core = [v for v in m.source.vertices if not m.source.is_leaf(v)][0]
+        core = [v for v in m.source.vertices if len(m.source.branches(v)) != 1][0]
         assert rep.canonical.coefficient(core) == 1
         assert rep.pullback_canonical.coefficient(core) == 0
         assert rep.ramification.coefficient(core) == 0
@@ -513,7 +513,7 @@ class TestGraphContraction:
     def test_two_gon_smooths_to_loop(self):
         g = GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b"), "f": ("a", "b")})
         g2 = contract_graph(g, ("smooth", "b"))
-        assert g2.is_loop("e")
+        assert len(set(g2.endpoints("e"))) == 1
         assert g2.genus() == 1
 
 
@@ -521,7 +521,7 @@ class TestMorphismContraction:
     def test_ramified_leaf_not_contractible(self):
         m = wb()
         leaf_targets = [
-            m.vertex_map[v] for v in m.source.vertices if m.source.is_leaf(v)
+            m.vertex_map[v] for v in m.source.vertices if len(m.source.branches(v)) == 1
         ]
         with pytest.raises(IllegalMoveError):
             contract_morphism(m, ("leaf", leaf_targets[0]))
@@ -672,7 +672,7 @@ class TestMorphismContraction:
 class TestMetricDeltaMorphism:
     def test_wb_lift_validates(self):
         mm = metric_lift("WB", Lengths(l0=Fraction(1)), WILD2)
-        core = [v for v in mm.source.vertices if not mm.source.is_leaf(v)]
+        core = [v for v in mm.source.vertices if len(mm.source.branches(v)) != 1]
         for v in core:
             assert mm.delta[v] == LogAbs(0)
         for leaf in mm.source.infinite_leaves:
@@ -780,6 +780,17 @@ class TestMetricDeltaMorphism:
         assert prof.value_at(0) == 0
         assert prof.value_at(Fraction(1, 6)) == Fraction(-1, 2)
 
+    def test_a_morphism_without_delta_values_has_no_delta_profile(self):
+        # a plain morphism (or metric graphs without delta) was a bare TypeError
+        doc = morphism_to_json_dict(metric_lift("WB", Lengths(l0=Fraction(1)), WILD2))
+        del doc["delta"], doc["setting"]
+        for m in (build_special("WB"), morphism_from_json_dict(doc)):
+            with pytest.raises(ValueError) as info:
+                m.delta_profile(m.source.edge_ids[0])
+            assert (type(info.value), str(info.value)) == (
+                ValueError, "morphism has no delta values"
+            )
+
 
 def test_tail_between_two_infinite_leaves_has_no_delta_profile(tmp_path, capsys):
     """One tail joins two infinite leaves, with delta = |2| = -inf at both
@@ -808,7 +819,7 @@ def test_tail_between_two_infinite_leaves_has_no_delta_profile(tmp_path, capsys)
 class TestCertifySkeleton:
     def test_trivial_branches_pass(self):
         mm = metric_lift("WB", Lengths(l0=Fraction(1)), WILD2)
-        core = [v for v in mm.source.vertices if not mm.source.is_leaf(v)]
+        core = [v for v in mm.source.vertices if len(mm.source.branches(v)) != 1]
         boundary = BoundaryAnnotation({core[0]: ((1, 0),), core[1]: ((1, 0),)})
         assert certify_skeleton(mm, boundary, ram_in_vertices=True).ok
 
@@ -1161,14 +1172,14 @@ def _reference_isolates(g: GenusGraph, leaf: str) -> bool:
 def _reference_leaf_ok(m: DeltaMorphism, v2: str) -> bool:
     """The leaf move rules, each fiber found by a scan of the source."""
     t = m.target
-    if t.genus_of(v2) != 0 or not t.is_leaf(v2) or _reference_isolates(t, v2):
+    if t.genus_of(v2) != 0 or len(t.branches(v2)) != 1 or _reference_isolates(t, v2):
         return False
     if len(t.edge_ids) == 1 and m.degree > 1:
         return False
     for v in m.source.vertices:
         if m.vertex_map[v] != v2:
             continue
-        if not m.source.is_leaf(v) or _reference_isolates(m.source, v):
+        if len(m.source.branches(v)) != 1 or _reference_isolates(m.source, v):
             return False
         if m.source.genus_of(v) != 0 or m.differential_index(v) != 0:
             return False
@@ -1492,7 +1503,7 @@ class TestParallelEdgeSmoothing:
         m = _two_edge_cycle_cover((0, 1), (1, 0), names=names)
         assert applicable_moves(m)[0] == ("smooth", "v'")
         out = _assert_stable_round_trip(m)
-        assert out.target.edge_ids == ("f1",) and out.target.is_loop("f1")
+        assert out.target.edge_ids == ("f1",) and len(set(out.target.endpoints("f1"))) == 1
         assert {e: out.source.endpoints(e) for e in out.source.edge_ids} == {
             "a": ("x0", "x1"),
             "d": ("x1", "x0"),
@@ -1603,19 +1614,19 @@ def _metric_mutants(mm, rng: random.Random):
     or (``shift``) every finite delta moved alike, which keeps linearity."""
     src, tgt = mm.source, mm.target
     lengths = {e: src.length(e) for e in src.edge_ids}
-    finite = [e for e in tgt.edge_ids if not tgt.is_tail(e)]
+    finite = [e for e in tgt.edge_ids if tgt.length(e) is not INF]
     for _ in range(40):
         delta, base = dict(mm.delta), mm
         kind = rng.choice(("delta", "slope", "length", "rescale", "shift"))
         if kind == "shift":
             c = rng.choice((Fraction(-1, 2), -1, Fraction(-1, 3), Fraction(1, 3)))
-            delta = {v: d if d.is_neg_inf else d + c for v, d in delta.items()}
+            delta = {v: d if d.is_neg_inf else d.value + c for v, d in delta.items()}
         elif kind == "delta":
             v = rng.choice(src.vertices)
             shift = rng.choice((Fraction(-1, 2), Fraction(1, 3), -1, 1))
             choices = [NEG_INF, LogAbs(0), mm.setting.int_abs(2), mm.setting.int_abs(3)]
             if not delta[v].is_neg_inf:
-                choices.append(delta[v] + shift)
+                choices.append(delta[v].value + shift)
             delta[v] = rng.choice(choices)
         elif kind == "slope":
             e = rng.choice(src.edge_ids)
@@ -1632,9 +1643,9 @@ def _metric_mutants(mm, rng: random.Random):
         elif finite:  # a target edge and the source edges over it, scaled alike
             f = rng.choice(finite)
             k = rng.choice((2, Fraction(1, 2), Fraction(1, 3)))
-            tgt_len = {x: tgt.length(x) * (k if x == f else 1) for x in tgt.edge_ids}
+            tgt_len = {x: tgt.length(x) * k if x == f else tgt.length(x) for x in tgt.edge_ids}
             src_len = {
-                x: l * (k if mm.edge_map[x] == f else 1) for x, l in lengths.items()
+                x: l * k if mm.edge_map[x] == f else l for x, l in lengths.items()
             }
             base = _rebuild(mm, src_len=src_len, tgt_len=tgt_len)
         yield base, delta
@@ -1676,7 +1687,7 @@ def _one_value_mutant(mm, rng: random.Random):
     if kind == "length":
         g, side = rng.choice(((src, "src_len"), (tgt, "tgt_len")))
         changed = {x: g.length(x) for x in g.edge_ids}
-        finite = [x for x in g.edge_ids if not g.is_tail(x)]
+        finite = [x for x in g.edge_ids if g.length(x) is not INF]
         if finite:
             changed[rng.choice(finite)] *= rng.choice((2, Fraction(1, 2), Fraction(2, 3)))
         base = _rebuild(mm, **{side: changed})
@@ -1684,7 +1695,7 @@ def _one_value_mutant(mm, rng: random.Random):
         v = rng.choice(src.vertices)
         choices = [NEG_INF, LogAbs(0), setting.int_abs(2), setting.int_abs(3)]
         if not delta[v].is_neg_inf:
-            choices.append(delta[v] + rng.choice((Fraction(-1, 2), Fraction(1, 3), -1)))
+            choices.append(delta[v].value + rng.choice((Fraction(-1, 2), Fraction(1, 3), -1)))
         delta[v] = rng.choice(choices)
     elif kind == "slope":
         e = rng.choice(src.edge_ids)

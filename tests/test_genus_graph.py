@@ -196,7 +196,7 @@ class TestMetric:
             {"e": INF},
             infinite_leaves=["l"],
         )
-        assert g.is_tail("e")
+        assert g.length("e") is INF
         assert g.infinite_leaves == frozenset({"l"})
 
     def test_infinite_length_requires_leaf(self):

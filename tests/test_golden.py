@@ -44,6 +44,7 @@ errors (``tools/record_goldens.py:usage_cli_argvs``) at ``COLUMNS=80``.
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,7 @@ from wildskel.delta_morphism import (
 )
 from wildskel.pmfunc import PMFunction
 from wildskel.special import _candidate_shapes, _shape_key, enumerate_root_subtrees
-from wildskel.valuation import INF, ResidueSetting, parse_length
+from wildskel.valuation import INF, ResidueSetting, parse_ratio
 
 from tests.support import FIXTURES, stabilize_corpus
 
@@ -106,7 +107,8 @@ def test_different_profile_json(case):
     series = normalize(ValuedSeries.from_text(text))
     setting = ResidueSetting.parse(case["setting"])
     for domain, expected in case["profiles"].items():
-        lo, hi = (parse_length(part) for part in domain.split(":"))
+        ends = (parse_ratio(part, "inf") for part in domain.split(":"))
+        lo, hi = (end if end is INF else Fraction(*end) for end in ends)
         try:
             got = different_profile(series, setting, (lo, hi)).to_json_dict()
         except ValueError as exc:

@@ -33,7 +33,7 @@ from wildskel.delta_morphism import (
     stabilize,
 )
 from wildskel.genus_graph import Divisor, GenusGraph, OrientedEdge
-from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_length, scaled
+from wildskel.valuation import INF, LogAbs, ResidueSetting, echo, parse_ratio, scaled
 
 from tests.support import (
     FIXTURES,
@@ -110,7 +110,8 @@ def _graph_args(graph: dict, integers: bool):
     lengths = None
     if any("length" in e for e in graph["edges"]):
         # looked up by the str() of each edge id
-        lengths = {e["id"]: parse_length(e["length"]) for e in graph["edges"]}
+        ratios = {e["id"]: parse_ratio(e["length"], "inf") for e in graph["edges"]}
+        lengths = {e: r if r is INF else Fraction(*r) for e, r in ratios.items()}
     return genera, edges, lengths, [ident(v) for v in graph.get("infinite_leaves", [])]
 
 

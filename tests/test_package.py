@@ -1,12 +1,19 @@
 """The package's public names: each one, read from the package, is its
-module's own object.  That importing the package loads no module is
-checked in a fresh interpreter, in ``tests/test_cli.py``."""
+module's own object, and each public definition has a reader.  That
+importing the package loads no module is checked in a fresh interpreter,
+in ``tests/test_cli.py``."""
 
+import ast
+import re
+from collections import Counter
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 import wildskel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: the public names of ``wildskel``, by module, as the package imported them
 #: eagerly before its exports became lazy
@@ -75,3 +82,45 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'wildskel' has no attribute 'nope'$"):
         wildskel.nope  # noqa: B018
     assert getattr(wildskel, "nope", None) is None
+
+
+def _names(node) -> Counter:
+    """How often each name is read, as an ``ast.Name`` or an ``ast.Attribute``, in ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_definitions(tree):
+    """``(qualified name, node)`` of each public top-level function and class
+    of a module, and of each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_definition_has_a_reader():
+    """Each public definition of ``src/wildskel`` is read in the package
+    outside its own definition, in ``benchmark/*.py``, or named in backticks
+    in README.md; a name no one reads goes."""
+    modules = sorted((ROOT / "src" / "wildskel").glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in modules}
+    package = sum(map(_names, trees.values()), Counter())
+    benchmark = sum(
+        (_names(ast.parse(p.read_text())) for p in (ROOT / "benchmark").glob("*.py")), Counter()
+    )
+    readme = {name for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text())
+              for name in re.findall(r"[A-Za-z_]\w*", span)}
+    unread = [
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, node in _public_definitions(tree)
+        if package[node.name] <= _names(node)[node.name]
+        and node.name not in benchmark and node.name not in readme
+    ]
+    assert unread == []

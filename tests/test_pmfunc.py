@@ -22,29 +22,29 @@ from tests.support import _per_term_max
 class TestEval:
     def test_constant(self):
         f = PMFunction.constant((0, 1), 0)
-        assert f.eval(Fraction(1, 2)) == LogAbs(0)
+        assert f.value_at(Fraction(1, 2)) == 0
 
     def test_single_segment(self):
         f = PMFunction.line((0, 1), -1, 2)
-        assert f.eval(1) == LogAbs(1)
+        assert f.value_at(1) == 1
 
     def test_newton_profile_point(self):
         # envelope of {2: 0, 3: -1/2} passes through 2*(1/4) at x = 1/4
         prof = tropical_eval({2: 0, 3: Fraction(-1, 2)}, (-1, 1))
-        assert prof.eval(Fraction(1, 4)) == LogAbs(Fraction(1, 2))
+        assert prof.value_at(Fraction(1, 4)) == Fraction(1, 2)
 
     def test_out_of_domain(self):
         f = PMFunction.constant((0, 1), 0)
         with pytest.raises(OutOfDomainError):
-            f.eval(2)
+            f.value_at(2)
 
     def test_infinite_domain(self):
         f = PMFunction.line((0, INF), 0, -1)
-        assert f.eval(100) == LogAbs(-100)
+        assert f.value_at(100) == -100
 
     def test_degenerate_domain(self):
         f = PMFunction.constant((1, 1), -3)
-        assert f.eval(1) == LogAbs(-3)
+        assert f.value_at(1) == -3
 
 
 class TestMulPow:
@@ -94,7 +94,7 @@ class TestMulPow:
         prod = f.mul(g)
         for _ in range(1000):
             x = Fraction(rng.randint(-24, 24), 12)
-            assert prod.eval(x) == f.eval(x) + g.eval(x)
+            assert prod.value_at(x) == f.value_at(x) + g.value_at(x)
 
 
 class TestTropicalEval:
@@ -118,8 +118,8 @@ class TestTropicalEval:
     def test_achiever_conventions(self):
         prof = tropical_eval({0: 0, 1: 0, 2: 0}, (-1, 1))
         assert prof.achievers_at(0) == frozenset({0, 1, 2})
-        assert prof.min_achiever(0) == 0
-        assert prof.max_achiever(0) == 2
+        assert min(prof.achievers_at(0)) == 0
+        assert max(prof.achievers_at(0)) == 2
 
     def test_segment_achievers(self):
         prof = tropical_eval({2: 0, 3: Fraction(-1, 2)}, (-1, 1))
@@ -135,13 +135,13 @@ class TestTropicalEval:
 
     def test_degenerate_point_domain(self):
         prof = tropical_eval({1: 0, 2: -1}, (0, 0))
-        assert prof.eval(0) == LogAbs(0)
-        assert prof.min_achiever(0) == 1
+        assert prof.value_at(0) == 0
+        assert min(prof.achievers_at(0)) == 1
 
     def test_infinite_domain_tail(self):
         prof = tropical_eval({1: 0, 2: -1}, (0, INF))
         assert prof.breakpoints == (Fraction(0), Fraction(1), INF)
-        assert prof.eval(10) == LogAbs(19)
+        assert prof.value_at(10) == 19
 
     @settings(max_examples=200)
     @given(
@@ -326,7 +326,7 @@ class TestIntegerKernelOracle:
         g = PMFunction.line((0, Fraction(1, 2)), Fraction(1, 2), 1)
         assert f == g and hash(f) == hash(g)
         split = PMFunction((0, Fraction(1, 3), 2), (0, Fraction(1, 3)), (1, 1))
-        whole = PMFunction.identity((0, 2))
+        whole = PMFunction.line((0, 2), 0, 1)
         assert split == whole and hash(split) == hash(whole)
         assert split.breakpoints == (Fraction(0), Fraction(2))
 
@@ -344,6 +344,23 @@ def test_slope_int_would_round_is_an_error(slope):
     assert str(info.value) == message
     doc["segments"][0]["slope"] = "2"
     assert PMFunction.from_json_dict(doc) == PMFunction([0, 1], [0], [2])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "function is not an object"),
+    ({"segments": []}, "function lacks key 'breakpoints'"),
+    ({"breakpoints": ["0", "1"]}, "function lacks key 'segments'"),
+    ({"breakpoints": ["0", "1"], "segments": [{"left_value": "0"}]},
+     "segment 0 lacks key 'slope'"),
+    ({"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
+     "segment 0 lacks key 'left_value'"),
+    ({"breakpoints": ["0", "1"], "segments": ["x"]}, "segments entry 'x' is not an object"),
+])
+def test_json_faults_are_named(doc, message):
+    # a list document and a missing key were a bare TypeError or KeyError
+    with pytest.raises(ValueError) as info:
+        PMFunction.from_json_dict(doc)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 def _refusal(call) -> tuple:

@@ -18,7 +18,7 @@ from wildskel.radial import (
     radial_vs_ball,
     supersingular_witness,
 )
-from wildskel.special import Lengths, metric_lift
+from wildskel.special import Lengths, build_special, metric_lift
 from wildskel.valuation import LogAbs
 
 from tests.support import MIXED2, TAME0, WILD2, kummer_segment, one_edge_identity
@@ -81,6 +81,19 @@ class TestDegreePLocus:
         # True equals the degree of a degree-1 cover
         with pytest.raises(ValueError, match=r"^p is True, not an integer$"):
             degree_p_locus(one_edge_identity(), True)
+
+    def test_a_morphism_without_delta_values_is_named(self):
+        # a plain morphism (or metric graphs without delta) was a bare TypeError
+        doc = morphism_to_json_dict(kummer_segment(2, Fraction(-1)))
+        del doc["delta"], doc["setting"]
+        for m in (build_special("WB"), morphism_from_json_dict(doc)):
+            with pytest.raises(WrongDegreeError):
+                degree_p_locus(m, 3)  # the degree and p are read first
+            with pytest.raises(ValueError) as info:
+                degree_p_locus(m, 2)
+            assert (type(info.value), str(info.value)) == (
+                ValueError, "morphism has no delta values"
+            )
 
     def test_pointwise_oracle(self):
         mm = metric_lift(

@@ -80,6 +80,17 @@ class TestRootSubtrees:
         with pytest.raises(ValueError, match="^max_leaves must be at least 1$"):
             enumerate_root_subtrees(max_leaves)
 
+    @pytest.mark.parametrize("max_leaves", [1.5, 4.0, True, None, "x"])
+    def test_max_leaves_is_an_integer(self, max_leaves):
+        # 1.5 used to act as 1, and None or text a bare TypeError
+        with pytest.raises(ValueError) as info:
+            enumerate_root_subtrees(max_leaves)
+        message = f"max_leaves is {max_leaves!r}, not an integer"
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    def test_max_leaves_text_reads_as_its_integer(self):
+        assert enumerate_root_subtrees("3") == enumerate_root_subtrees(3)
+
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):
             RootSubtree(2)  # even nonzero label
@@ -352,6 +363,14 @@ class TestMetricLiftValidation:
         with pytest.raises(ValueError, match="^inner edges of slope 3 have different lengths$"):
             metric_lengths(sub)
         assert metric_lengths(stabilize(sub)) == canonical_lengths("WS", setting)
+
+    def test_a_morphism_without_lengths_is_named(self):
+        # a plain morphism was a bare TypeError
+        from wildskel.special import metric_lengths
+
+        with pytest.raises(ValueError) as info:
+            metric_lengths(build_special("WB"))
+        assert (type(info.value), str(info.value)) == (ValueError, "morphism has no edge lengths")
 
     def test_metric_lengths_roundtrip(self):
         from wildskel.special import metric_lengths

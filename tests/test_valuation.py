@@ -15,7 +15,6 @@ from wildskel.valuation import (
     LogAbs,
     ResidueSetting,
     _is_prime,
-    parse_length,
     parse_rational,
     parse_ratio,
 )
@@ -28,21 +27,6 @@ class TestLogAbs:
         assert NEG_INF < LogAbs(-5) < LogAbs(0) < LogAbs(Fraction(1, 2))
         assert NEG_INF <= NEG_INF
         assert not NEG_INF < NEG_INF
-
-    def test_addition_absorbs(self):
-        assert NEG_INF + LogAbs(3) == NEG_INF
-        assert LogAbs(1) + LogAbs(Fraction(1, 2)) == LogAbs(Fraction(3, 2))
-
-    def test_scalar_multiple(self):
-        assert LogAbs(Fraction(-1, 2)) * 4 == LogAbs(-2)
-        assert NEG_INF * 3 == NEG_INF
-        with pytest.raises(ValueError):
-            NEG_INF * 0
-
-    def test_subtraction(self):
-        assert LogAbs(-1) - LogAbs(Fraction(-1, 2)) == LogAbs(Fraction(-1, 2))
-        with pytest.raises(ValueError):
-            LogAbs(0) - NEG_INF
 
     def test_parse_format_roundtrip(self):
         for text in ["-inf", "0", "-1", "3/7", "-22/5"]:
@@ -63,10 +47,6 @@ class TestLogAbs:
             with pytest.raises(TypeError):
                 apply(LogAbs(1))
 
-    def test_neg_inf_minus_a_finite_value_is_neg_inf(self):
-        assert NEG_INF - LogAbs(3) is NEG_INF
-        assert NEG_INF - 2 is NEG_INF
-
     def test_compare_with_a_str(self):
         assert LogAbs(0) != "0" and not LogAbs(0) == "0"
         for compare in (lambda a: a < "0", lambda a: a >= "0"):
@@ -86,7 +66,7 @@ class TestLogAbs:
         assert LogAbs(value) == value and hash(LogAbs(value)) == hash(value)
 
     def test_neg_inf_hashes_alike_in_every_copy(self):
-        assert len({NEG_INF, LogAbs.parse("-inf"), NEG_INF + 1}) == 1
+        assert len({NEG_INF, LogAbs.parse("-inf"), copy.deepcopy(NEG_INF)}) == 1
 
     def test_greater_or_equal(self):
         assert LogAbs(0) >= LogAbs(-1) and LogAbs(0) >= 0 and LogAbs(0) >= NEG_INF
@@ -100,14 +80,11 @@ class TestPlusInfinity:
         assert not INF < INF
 
     def test_arithmetic(self):
-        assert 2 * INF is INF
-        assert INF + Fraction(3) is INF
-        with pytest.raises(ValueError):
-            0 * INF
+        assert INF + 3 is INF and 3 + INF is INF
 
     def test_parse(self):
-        assert parse_length("inf") is INF
-        assert parse_length("3/2") == Fraction(3, 2)
+        assert parse_ratio("inf", "inf") is INF
+        assert parse_ratio("3/2", "inf") == (3, 2)
 
 
 class TestResidueSetting:
@@ -133,7 +110,7 @@ class TestResidueSetting:
     def test_log_p_is_read_as_a_rational(self, log_p):
         setting = ResidueSetting(0, 2, log_p)
         assert setting == ResidueSetting.mixed(2, log_p)
-        assert type(setting.log_p) is LogAbs and setting.int_abs(4) == 2 * setting.log_p
+        assert type(setting.log_p) is LogAbs and setting.int_abs(4).value == 2 * setting.log_p.value
 
     @pytest.mark.parametrize("log_p", [NEG_INF, 0, "0", Fraction(1, 2), LogAbs(1), "-inf", " -inf",
                                        copy.deepcopy(NEG_INF), " -inf "])
@@ -234,7 +211,11 @@ class TestIntAbs:
             ResidueSetting.mixed(3, Fraction(-1, 3)),
             ResidueSetting.equichar(2),
         ):
-            assert setting.int_abs(m * n) == setting.int_abs(m) + setting.int_abs(n)
+            a, b = setting.int_abs(m), setting.int_abs(n)
+            if a.is_neg_inf or b.is_neg_inf:
+                assert setting.int_abs(m * n) == NEG_INF
+            else:
+                assert setting.int_abs(m * n) == a.value + b.value
 
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_ultrametric(self, m, n):
@@ -302,7 +283,7 @@ def _fraction_delta(text):
 class TestParseRatio:
     """The integer-pair reader of length and delta text agrees with the
     Fraction readers it replaced in the loaders, fast path or not; the
-    public ``parse_length`` and ``LogAbs.parse`` now read through it."""
+    public ``LogAbs.parse`` now reads through it."""
 
     PIECES = ["-", "+", " ", "\t", "/", ".", "e", "E", "_", "0", "00", "1", "7",
               "12", "360", "\u0663", "\u00b2", "x", "inf", "-inf", "nan"]
@@ -323,7 +304,6 @@ class TestParseRatio:
         for text in texts:
             length = _outcome(lambda t: parse_ratio(t, "inf"), text)
             assert length == _outcome(_fraction_length, text), text
-            assert _outcome(parse_length, text) == length, text
             delta = _outcome(lambda t: parse_ratio(t, "-inf"), text)
             assert delta == _outcome(_fraction_delta, text), text
             parsed = _outcome(LogAbs.parse, text)

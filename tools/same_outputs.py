@@ -44,7 +44,11 @@ the ``repr`` of ``branches`` at every source and target vertex of each
 morphism, and ``head``, ``sdelta`` and ``slope_index`` of each branch;
 ``contract_morphism`` and ``contract_graph`` of both move kinds at every
 target vertex of each morphism, legal or not;
-``enumerate_root_subtrees``; ``build_special`` of every tag; the messages
+``enumerate_root_subtrees``, also of a float, text, a bool and ``None``;
+``build_special`` of every tag; ``degree_p_locus``, ``delta_profile``
+and ``metric_lengths`` of the plain WB and of ``wb_metric`` without its
+delta values; ``PMFunction.from_json_dict`` of a list, of documents that
+lack a key and of a segment that is no object; the messages
 of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
 numbers, texts, floats, bools and a ``LogAbs`` as series values,
 ``PMFunction`` values and breakpoints, ``LogAbs``, ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
@@ -432,10 +436,27 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"wide open {pairs!r}", pub("wide_open_genus_check"), pairs, 2, 1, 0)
     for ram in ([1.5], [None], [Fraction(2)]):
         rec.call(f"wide open ram {ram!r}", pub("wide_open_genus_check"), [(2, 1)], 2, 1, 0, ram)
-    for k in range(-1, 6):
-        rec.call(f"root subtrees {k}", pub("enumerate_root_subtrees"), k)
+    for k in (*range(-1, 6), 1.5, 4.0, "3", True, None):
+        rec.call(f"root subtrees {k!r}", pub("enumerate_root_subtrees"), k)
     for tag in ws.SPECIAL_TAGS:
         rec.call(f"build_special {tag}", pub("build_special"), tag)
+    plain = ws.build_special("WB")  # no lengths, no delta values
+    rec.call("degree_p_locus of plain WB", pub("degree_p_locus"), plain, 2)
+    rec.call("delta_profile of plain WB", plain.delta_profile, plain.source.edge_ids[0])
+    rec.call("metric_lengths of plain WB", pub("metric_lengths"), plain)
+    doc = json.loads((ROOT / "fixtures" / "wb_metric.morphism.json").read_text())
+    del doc["delta"], doc["setting"]
+    bare = ws.morphism_from_json_dict(doc)  # lengths, no delta values
+    rec.call("degree_p_locus of wb_metric without delta", pub("degree_p_locus"), bare, 2)
+    rec.call("delta_profile of wb_metric without delta", bare.delta_profile,
+             bare.source.edge_ids[0])
+    rec.call("metric_lengths of wb_metric without delta", pub("metric_lengths"), bare)
+    one_segment = {"breakpoints": ["0", "1"], "segments": [{"left_value": "0", "slope": 1}]}
+    for doc in ([], {"segments": []}, {"breakpoints": ["0", "1"]},
+                {"breakpoints": ["0", "1"], "segments": [{"left_value": "0"}]},
+                {"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
+                {"breakpoints": ["0", "1"], "segments": ["x"]}, one_segment):
+        rec.call(f"PMFunction JSON {doc!r}", ws.PMFunction.from_json_dict, doc)
     for name, (call, _) in support.LONG_ID_MESSAGES.items():
         rec.call(f"long id {name}", call)
     for name, edits in support.DISCONNECTED_TARGET_CASES.items():
@@ -498,10 +519,10 @@ def record(out, work: Path, every: int) -> None:
                 morphism(label, loaded)
             side = ("source", "target")[i % 2]  # one finite length of it doubled
             g = getattr(m, side)
-            finite = [e for e in g.edge_ids if not g.is_tail(e)]
+            finite = [e for e in g.edge_ids if g.length(e) is not ws.INF]
             if finite:
                 e = finite[i % len(finite)]
-                lengths = {x: g.length(x) * (2 if x == e else 1) for x in g.edge_ids}
+                lengths = {x: g.length(x) * 2 if x == e else g.length(x) for x in g.edge_ids}
                 doubled = ws.GenusGraph({v: g.genus_of(v) for v in g.vertices},
                                        {x: g.endpoints(x) for x in g.edge_ids},
                                        lengths, g.infinite_leaves)

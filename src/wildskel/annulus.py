@@ -26,7 +26,7 @@ slope restriction all run on these integers, and :func:`tropical_eval`
 reads them directly; the report builds no derivative series, and the
 profile sums the two envelopes as integer segment data into one validated
 ``PMFunction``.  Fractions are made only where a value leaves the module:
-``coefficients``, ``series[i]``, ``to_text``, ``repr``, report values and
+``coefficients``, ``to_text``, ``repr``, report values and
 messages.  Each input has one reader: a series mapping ``pmfunc._read_series``,
 ``log_delta`` :func:`_read_log_delta` (for the report, the check and the
 witness alike) and ``log|i|`` the setting's integer ``_int_abs_ratio``.
@@ -41,7 +41,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 from . import pmfunc
 from .pmfunc import PMFunction
 from .valuation import (
-    NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_ratio, echo, ratio_text, read_ratio
+    NEG_INF, Frozen, LogAbs, Record, ResidueSetting, as_int, as_ratio, echo, ratio_text, read_ratio
 )
 
 
@@ -104,9 +104,6 @@ class ValuedSeries(Frozen):
     def support(self) -> Tuple[int, ...]:
         return tuple([i for i, _ in self.terms])
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coefficients[i]
-
     def __repr__(self):
         terms = ", ".join(f"{i}: {v}" for i, v in self.coefficients.items())
         return f"ValuedSeries({{{terms}}})"
@@ -146,12 +143,14 @@ class DifferentReport(Record):
 
     ``slope_s`` is the slope of the different toward the inside of the
     annulus (increasing as the radius shrinks when positive); it always
-    equals ``m - n``.  ``log_delta`` is stored as the ``LogAbs`` it reads.
+    equals ``m - n``.  ``m``, ``n`` and ``slope_s`` are read as integers, and
+    ``log_delta`` is stored as the ``LogAbs`` it reads.
     """
 
     __slots__ = ("m", "n", "log_delta", "slope_s")
 
     def __init__(self, m: int, n: int, log_delta, slope_s: int):
+        m, n, slope_s = as_int(m, "m"), as_int(n, "n"), as_int(slope_s, "slope_s")
         d = _read_log_delta(log_delta)
         if slope_s != m - n:
             raise ValueError("slope_s must equal m - n")
@@ -161,10 +160,6 @@ class DifferentReport(Record):
 class Verdict(Frozen):
     __slots__ = ("ok", "reason")
     _defaults = {"reason": ""}
-
-    @classmethod
-    def violated(cls, reason: str) -> "Verdict":
-        return cls(False, reason)
 
 
 _PASSED = Verdict(True)  # immutable, so one instance serves every pass
@@ -271,14 +266,16 @@ def check_restriction(m: int, s: int, log_delta, setting: ResidueSetting) -> Ver
     when the first inequality is an equality and ``s >= 0`` when the
     second one is.  For residue characteristic two and ``m = 2 mod 4``
     a nonzero even slope is reported with a dedicated reason (it always
-    also fails the base condition).  ``log_delta`` is a rational or ``-inf``.
+    also fails the base condition).  ``m`` and ``s`` are read as integers
+    and ``log_delta`` as a rational or ``-inf``.
     """
+    m, s = as_int(m, "m"), as_int(s, "s")
     if m <= 0:
         raise ValueError("multiplicity m must be positive")
     d = _read_log_delta(log_delta)
     if setting.res_char == 2 and m % 4 == 2 and s != 0 and s % 2 == 0:
-        return Verdict.violated(
-            f"even multiplicity {m} = 2 mod 4 admits only odd nonzero slopes "
+        return Verdict(
+            False, f"even multiplicity {m} = 2 mod 4 admits only odd nonzero slopes "
             f"in residue characteristic 2, got s={s}"
         )
     # |m+s|, |m| and delta as integers over one denominator, None for -inf
@@ -288,19 +285,19 @@ def check_restriction(m: int, s: int, log_delta, setting: ResidueSetting) -> Ver
     low = None if rl is None else rl[0] * (den // rl[1])
     d = None if d is None else d[0] * (den // d[1])
     if d is not None and (u is None or u < d):
-        return Verdict.violated(
-            f"|m+s| = {setting.int_abs(m + s)} < log_delta = {ratio_text(d, den)}"
+        return Verdict(
+            False, f"|m+s| = {setting.int_abs(m + s)} < log_delta = {ratio_text(d, den)}"
         )
     if low is not None and (d is None or d < low):
-        return Verdict.violated(f"log_delta = {ratio_text(d, den)} < |m| = {setting.int_abs(m)}")
+        return Verdict(False, f"log_delta = {ratio_text(d, den)} < |m| = {setting.int_abs(m)}")
     if d == u and s > 0:
-        return Verdict.violated(
-            f"log_delta attains |m+s| = {setting.int_abs(m + s)}, which requires "
+        return Verdict(
+            False, f"log_delta attains |m+s| = {setting.int_abs(m + s)}, which requires "
             f"s <= 0, got s={s}"
         )
     if d == low and s < 0:
-        return Verdict.violated(
-            f"log_delta attains |m| = {setting.int_abs(m)}, which requires s >= 0, "
+        return Verdict(
+            False, f"log_delta attains |m| = {setting.int_abs(m)}, which requires s >= 0, "
             f"got s={s}"
         )
     return _PASSED
@@ -315,6 +312,7 @@ def realize_triple(m: int, s: int, log_delta, setting: ResidueSetting) -> Valued
     reference point (no irrational radius is ever needed); ``-inf`` with
     ``s != 0`` has none (``a = 0``), an :class:`UnrealizableTripleError`.
     """
+    m, s = as_int(m, "m"), as_int(s, "s")
     verdict = check_restriction(m, s, log_delta, setting)
     if not verdict:
         raise UnrealizableTripleError(verdict.reason)

@@ -98,7 +98,7 @@ def export_dot(obj) -> str:
 
     if isinstance(obj, DeltaMorphism):
         def edge_label(e):
-            return f"n={obj.mult[e]} sd={obj.sdelta_stored(e)}"
+            return f"n={obj.mult[e]} sd={obj.sdelta((e, True))}"
 
         lines = [
             "graph morphism {",

@@ -235,9 +235,6 @@ class DeltaMorphism:
         s = self._sdelta[oe[0]]
         return s if oe[1] else -s
 
-    def sdelta_stored(self, e: str) -> int:
-        return self._sdelta[e]
-
     # -- divisors ----------------------------------------------------------
 
     def pullback(self, d: Divisor) -> Divisor:
@@ -734,9 +731,6 @@ class BoundaryAnnotation(Frozen):
             data[str(v)] = pairs
         super().__init__(data)
 
-    def items(self):
-        return self.branches.items()
-
 
 class CertifyReport(Frozen):
     # violations: (vertex, branch index, n, sdelta, slope index) per failing branch
@@ -757,7 +751,7 @@ def certify_skeleton(
     annotated off-graph branch has slope index ``-sdelta + n - 1 = 0``.
     """
     violations = []
-    for v, pairs in sorted(boundary.items()):
+    for v, pairs in sorted(boundary.branches.items()):
         if v not in m.source._genus:
             raise ValueError(f"annotation mentions unknown vertex {cut(v)}")
         for i, (n, s) in enumerate(pairs):
@@ -789,7 +783,7 @@ def wide_open_genus_check(
     slope index zero and no ramification forces genus zero.
     """
     if isinstance(infinity, BoundaryAnnotation):
-        infinity = [pair for _, items in infinity.items() for pair in items]
+        infinity = [pair for _, items in infinity.branches.items() for pair in items]
     pairs = [
         (as_int(n, "infinity n", f"branch {k}"), as_int(s, "infinity sdelta", f"branch {k}"))
         for k, (n, s) in enumerate(infinity)

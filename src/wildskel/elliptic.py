@@ -38,10 +38,6 @@ class EllipticInput(Frozen):
     def j_zero(cls, setting: ResidueSetting) -> "EllipticInput":
         return cls(setting, NEG_INF)
 
-    @property
-    def j_is_zero(self) -> bool:
-        return self.log_j.is_neg_inf
-
 
 class SkeletonReport(Frozen):
     """Skeleton type, metric and reduction behaviour of the cover."""
@@ -92,7 +88,7 @@ def classify_elliptic(inp: EllipticInput) -> SkeletonReport:
         return _report("TG", Lengths(), setting)
     if cls == "wild":
         # equicharacteristic 2
-        if inp.j_is_zero:
+        if log_j.is_neg_inf:
             return _report("WSS", Lengths(), setting)
         if log_j > 0:
             return _report("WB", Lengths(l0=log_j.value / 2), setting)

@@ -43,7 +43,7 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, ratio_text,
+    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, json_list, ratio_text,
     read_ratio, scaled,
 )
 
@@ -71,10 +71,6 @@ class OrientedEdge(NamedTuple):
 
     edge: str
     forward: bool
-
-    def __neg__(self) -> "OrientedEdge":
-        # skips the namedtuple's Python-level __new__, as GenusGraph.branches does
-        return tuple.__new__(OrientedEdge, (self[0], not self[1]))
 
 
 def _repeated_id(entry: str, kind: str, ids: Iterable) -> None:
@@ -325,7 +321,7 @@ class GenusGraph:
         # one walk per list; the stages keep their order (entries and ids,
         # the infinite_leaves type, genera, endpoints, lengths), so the first
         # fault of a later stage is raised only once the earlier ones pass
-        vertices, genera, bad_genus = _json_list(data, "vertices", entry), {}, None
+        vertices, genera, bad_genus = json_list(data, "vertices", entry), {}, None
         for item in vertices:
             v = item.get("id") if type(item) is dict else None
             if type(v) is not str:
@@ -333,7 +329,7 @@ class GenusGraph:
             g = genera[v] = item.get("genus", 0)
             if type(g) is not int and bad_genus is None:  # not a float, not a bool
                 bad_genus = f"vertex {cut(v)} genus {echo(g)} is not an integer"
-        edges, lengths, metric = _json_list(data, "edges", entry), {}, False
+        edges, lengths, metric = json_list(data, "edges", entry), {}, False
         ends, bad_ends, bad_length = {}, None, None
         for item in edges:
             e = item.get("id") if type(item) is dict else None
@@ -378,13 +374,6 @@ class GenusGraph:
             if len(kept) != len(items):
                 _repeated_id(entry, kind, [item["id"] for item in items])
         return g
-
-
-def _json_list(data: Mapping, key: str, entry: str) -> list:
-    items = json_field(data, key, entry)
-    if not isinstance(items, list):
-        raise ValueError(f"{entry} {key} is not a list")
-    return items
 
 
 def _entry_id(item, key: str) -> str:

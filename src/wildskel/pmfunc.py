@@ -31,13 +31,14 @@ different sums two envelopes as integer segment data (``_envelope``,
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping  # isinstance is 3x faster than on typing's
+from collections.abc import Mapping, Sequence  # isinstance is 3x faster than on typing's
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, as_int, as_ratio, echo, json_field, ratio_text, scaled
+    INF, ExtendedRational, as_int, as_ratio, echo, json_field, json_list, ratio_text,
+    refused, scaled,
 )
 
 
@@ -92,6 +93,9 @@ class PMFunction:
         left_values: Sequence[Fraction],
         slopes: Sequence[int],
     ):
+        for name, seq in ("breakpoints", breaks), ("left_values", left_values), ("slopes", slopes):
+            if not isinstance(seq, Sequence):
+                raise refused(seq, name, None, "a sequence")
         if len(breaks) < 2 or not len(left_values) == len(slopes) == len(breaks) - 1:
             raise ValueError("inconsistent segment data")
         finite = [as_ratio(x, "breakpoints", j, infinity="inf") for j, x in enumerate(breaks)]
@@ -277,9 +281,9 @@ class PMFunction:
         graph loader's words (``segment 0 lacks key 'slope'``)."""
         if not isinstance(data, Mapping):
             raise ValueError("function is not an object")
-        breaks = json_field(data, "breakpoints", "function")
+        breaks = json_list(data, "breakpoints", "function")
         values, slopes = [], []
-        for j, item in enumerate(json_field(data, "segments", "function")):
+        for j, item in enumerate(json_list(data, "segments", "function")):
             if not isinstance(item, Mapping):
                 raise ValueError(f"segments entry {echo(item)} is not an object")
             values.append(json_field(item, "left_value", f"segment {j}"))

@@ -112,7 +112,7 @@ def supersingular_witness(report) -> bool:
     """
     by_type = report.reduction_fiber == "supersingular"
     mm = metric_lift(report.type, report.lengths, report.setting)
-    by_scan = any(abs(mm.sdelta_stored(e)) == 3 for e in mm.source.edge_ids)
+    by_scan = any(abs(mm.sdelta((e, True))) == 3 for e in mm.source.edge_ids)
     by_radial = radial_vs_ball(degree_p_locus(mm, 2)).strict
     if not (by_type == by_scan == by_radial):
         raise AssertionError(

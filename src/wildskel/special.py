@@ -119,6 +119,7 @@ class RootSubtree(Frozen):
     __slots__ = ("label", "children", "_key")
 
     def __init__(self, label: int, children: Tuple["RootSubtree", ...] = ()):
+        label = as_int(label, "label")
         if label < 0:
             raise ValueError("labels are nonnegative (the different cannot grow "
                              "toward a ramification leaf)")
@@ -142,19 +143,15 @@ class RootSubtree(Frozen):
     def slope_index(self) -> int:
         return self.label + 1
 
-    @property
-    def is_leaf_edge(self) -> bool:
-        return not self.children
-
     def leaf_r_values(self) -> Tuple[int, ...]:
-        if self.is_leaf_edge:
+        if not self.children:
             return (self.slope_index,)
         return tuple(
             sorted(r for c in self.children for r in c.leaf_r_values())
         )
 
     def describe(self) -> str:
-        if self.is_leaf_edge:
+        if not self.children:
             return f"{self.label}"
         inner = ",".join(c.describe() for c in self.children)
         return f"{self.label}({inner})"
@@ -384,7 +381,7 @@ class _ShapeBuilder:
         if self.delta is None:
             self.add_vertex(child, 0)
             self.add_edge(self._fresh("e"), at, child, 2, -label)
-        elif tree.is_leaf_edge:
+        elif not tree.children:
             self.add_vertex(child, 0, self.delta[at] if label == 0 else None)
             self.leaves.append(child)
             self.add_edge(self._fresh("e"), at, child, 2, -label, INF)

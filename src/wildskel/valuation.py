@@ -227,11 +227,6 @@ class LogAbs(Frozen):
     def __repr__(self) -> str:
         return f"LogAbs({self})"
 
-    @classmethod
-    def parse(cls, text: str) -> "LogAbs":
-        """Parse ``"p/q"`` or ``"-inf"``."""
-        return cls(text)
-
 
 ZERO = LogAbs(Fraction(0))
 
@@ -308,6 +303,15 @@ def json_field(data, key: str, entry: str):
         return data[key]
     except KeyError:
         raise ValueError(f"{entry} lacks key {key!r}") from None
+
+
+def json_list(data, key: str, entry: str) -> list:
+    """``data[key]``, or a ValueError naming the entry when it lacks the key
+    or the value is no list."""
+    items = json_field(data, key, entry)
+    if not isinstance(items, list):
+        raise ValueError(f"{entry} {key} is not a list")
+    return items
 
 
 def as_int(value, entry: str, key=None) -> int:

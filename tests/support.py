@@ -306,7 +306,7 @@ def subdivide_metric(
     src_edges = {e: src.endpoints(e) for e in src.edge_ids}
     src_len = {e: src.length(e) for e in src.edge_ids}
     vmap, emap, mult = dict(mm.vertex_map), dict(mm.edge_map), dict(mm.mult)
-    sdelta = {e: mm.sdelta_stored(e) for e in src.edge_ids}
+    sdelta = {e: mm.sdelta((e, True)) for e in src.edge_ids}
     delta = {v: _fraction(d) for v, d in mm.delta.items()}
 
     candidates = [f for f in tgt.edge_ids if len(set(tgt.endpoints(f))) == 2]
@@ -625,7 +625,7 @@ def proper_mutations(seed: int, count: int):
             maps["vertex_map"],
             maps["edge_map"],
             maps["n"],
-            {e: m.sdelta_stored(e) for e in src.edge_ids},
+            {e: m.sdelta((e, True)) for e in src.edge_ids},
         )
 
 
@@ -786,7 +786,7 @@ BUILDERS = {
     "ResidueSetting": lambda: ResidueSetting.mixed(2, -1),
     "ValuedSeries": lambda: ValuedSeries({1: 0, 2: Fraction(-1, 2)}),
     "DifferentReport": lambda: DifferentReport(2, 1, LogAbs(-1), 1),
-    "Verdict": lambda: Verdict.violated("upper bound attained with s > 0"),
+    "Verdict": lambda: Verdict(False, "upper bound attained with s > 0"),
     "Divisor": lambda: Divisor({"a": 2, "b": -1, "c": 0}),
     "RHDivisorReport": lambda: _fixture("wb").rh_divisor_identity(),
     "RHDegreeReport": lambda: _fixture("wb").rh_degree_identity(),

@@ -418,3 +418,31 @@ def test_admissible_triple_with_vanishing_delta_and_nonzero_slope():
     with pytest.raises(UnrealizableTripleError, match=r"log_delta = -inf needs s = 0"):
         realize_triple(2, 3, NEG_INF, setting)
     assert realize_triple(2, 0, NEG_INF, setting) == ValuedSeries({2: 0})
+
+
+INTEGER_ENTRIES = {  # (entry, name): a call with every other argument valid, a valid value
+    ("check_restriction", "m"): (lambda x: check_restriction(x, 0, 0, WILD2), 1),
+    ("check_restriction", "s"): (lambda x: check_restriction(2, x, -1, MIXED2), 1),
+    ("realize_triple", "m"): (lambda x: realize_triple(x, 0, 0, WILD2), 1),
+    ("realize_triple", "s"): (lambda x: realize_triple(2, x, -1, MIXED2), 1),
+    ("DifferentReport", "m"): (lambda x: DifferentReport(x, 1, -1, 1), 2),
+    ("DifferentReport", "n"): (lambda x: DifferentReport(2, x, -1, 1), 1),
+    ("DifferentReport", "slope_s"): (lambda x: DifferentReport(2, 1, -1, x), 1),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "x", None, Fraction(3, 2)])
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES, ids="-".join)
+def test_an_integer_entry_refuses_what_is_no_integer(entry, value):
+    # 1.5 built ValuedSeries({1.5: 0}) or a report without a JSON form, and
+    # True passed as 1
+    with pytest.raises(ValueError) as info:
+        INTEGER_ENTRIES[entry][0](value)
+    message = f"{entry[1]} is {value!r}, not an integer"
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES, ids="-".join)
+def test_an_integer_entry_reads_integer_text_as_its_integer(entry):
+    call, value = INTEGER_ENTRIES[entry]
+    assert call(str(value)) == call(Fraction(value)) == call(value)

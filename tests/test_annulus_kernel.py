@@ -237,7 +237,7 @@ def test_equal_maps_store_equal_data():
     assert len({hash(s) for s in series}) == 1
     for s in series:
         assert s.den == 6 and s.terms == ((1, 3), (3, -2), (5, 0))
-        assert s[3] == Fraction(-1, 3) and s.support == (1, 3, 5)
+        assert s.coefficients[3] == Fraction(-1, 3) and s.support == (1, 3, 5)
 
 
 def test_internal_results_store_the_minimal_denominator():

@@ -288,7 +288,8 @@ def _smoothing_faults(m):
                 continue
             checked += 1
             b1, b2 = m.source.branches(v)
-            if m.mult[b1.edge] != m.mult[b2.edge] or m.sdelta(-b1) != m.sdelta(b2):
+            into = m.sdelta((b1.edge, not b1.forward))  # b1 read toward v
+            if m.mult[b1.edge] != m.mult[b2.edge] or into != m.sdelta(b2):
                 faults.append(v)
     return checked, faults
 

@@ -153,7 +153,7 @@ def _reference_core(source, target, vertex_map, edge_map, mult, sdelta):
 
 
 def _core_input(m: DeltaMorphism) -> tuple:
-    sdelta = {e: m.sdelta_stored(e) for e in m.source.edge_ids}
+    sdelta = {e: m.sdelta((e, True)) for e in m.source.edge_ids}
     return m.source, m.target, m.vertex_map, m.edge_map, m.mult, sdelta
 
 
@@ -282,7 +282,7 @@ def _restated_index(m: DeltaMorphism, v: str) -> int:
     total = 0
     for e in m.source.edge_ids:
         a, b = m.source.endpoints(e)
-        n, s = m.mult[e], m.sdelta_stored(e)
+        n, s = m.mult[e], m.sdelta((e, True))
         if a == v:
             total += -s + n - 1
         if b == v:
@@ -773,7 +773,7 @@ class TestMetricDeltaMorphism:
         )
         slope3 = [
             e for e in mm.source.edge_ids
-            if abs(mm.morphism.sdelta_stored(e)) == 3
+            if abs(mm.morphism.sdelta((e, True))) == 3
         ]
         assert len(slope3) == 1
         prof = mm.delta_profile(slope3[0])
@@ -1087,7 +1087,7 @@ class TestMetricContraction:
         dm = kummer_two_edges()
         plain_delta = DeltaMorphism(
             dm.source, dm.target, dm.vertex_map, dm.edge_map, dm.mult,
-            {e: dm.sdelta_stored(e) for e in dm.source.edge_ids},
+            {e: dm.sdelta((e, True)) for e in dm.source.edge_ids},
         )
         out = contract_morphism(plain_delta, ("smooth", "m'"))
         assert not isinstance(out, MetricDeltaMorphism)
@@ -1203,7 +1203,7 @@ def _reference_smooth_ok(m: DeltaMorphism, v2: str) -> bool:
         b1, b2 = m.source.branches(v)
         if b1.edge == b2.edge or m.mult[b1.edge] != m.mult[b2.edge]:
             return False
-        if m.sdelta(-b1) != m.sdelta(b2):
+        if m.sdelta((b1.edge, not b1.forward)) != m.sdelta(b2):
             return False
     return True
 
@@ -1523,7 +1523,7 @@ class TestParallelEdgeSmoothing:
             graphs.append(GenusGraph(genera, ends, lengths))
         m = DeltaMorphism(
             *graphs, plain.vertex_map, plain.edge_map, plain.mult,
-            {e: plain.sdelta_stored(e) for e in plain.source.edge_ids},
+            {e: plain.sdelta((e, True)) for e in plain.source.edge_ids},
         )
         mm = MetricDeltaMorphism(m, dict.fromkeys(m.source.vertices, LogAbs(0)), WILD2)
         out = _assert_stable_round_trip(mm)
@@ -1541,7 +1541,7 @@ class TestParallelEdgeSmoothing:
         assert morphism_to_json_dict(stabilize(swapped)) == morphism_to_json_dict(
             stabilize(plain)
         )
-        assert stabilize(plain).sdelta_stored("a") == 2
+        assert stabilize(plain).sdelta(("a", True)) == 2
 
     def test_permutation_covers(self):
         done = 0
@@ -1605,7 +1605,7 @@ def _rebuild(mm, sdelta=None, src_len=None, tgt_len=None) -> _Unchecked:
         mm.vertex_map,
         mm.edge_map,
         mm.mult,
-        sdelta or {e: mm.sdelta_stored(e) for e in mm.source.edge_ids},
+        sdelta or {e: mm.sdelta((e, True)) for e in mm.source.edge_ids},
     )
 
 
@@ -1630,7 +1630,7 @@ def _metric_mutants(mm, rng: random.Random):
             delta[v] = rng.choice(choices)
         elif kind == "slope":
             e = rng.choice(src.edge_ids)
-            sdelta = {x: mm.sdelta_stored(x) for x in src.edge_ids}
+            sdelta = {x: mm.sdelta((x, True)) for x in src.edge_ids}
             sdelta[e] = rng.choice((-1, 1, -2, 2)) + sdelta[e]
             base = _rebuild(mm, sdelta=sdelta)
         elif kind == "length":
@@ -1682,7 +1682,7 @@ def _one_value_mutant(mm, rng: random.Random):
     building on it raises) with the delta values and the setting."""
     src, tgt = mm.source, mm.target
     delta, setting, base = dict(mm.delta), mm.setting, mm
-    sdelta = {e: mm.sdelta_stored(e) for e in src.edge_ids}
+    sdelta = {e: mm.sdelta((e, True)) for e in src.edge_ids}
     kind = rng.choice(("length", "delta", "slope", "multiplicity", "setting"))
     if kind == "length":
         g, side = rng.choice(((src, "src_len"), (tgt, "tgt_len")))

@@ -174,10 +174,6 @@ class TestDivisor:
 
 
 class TestBranches:
-    def test_negation_involution(self):
-        oe = OrientedEdge("e", True)
-        assert -(-oe) == oe
-
     def test_loop_contributes_two_branches(self):
         g = GenusGraph({"v": 0}, {"l": ("v", "v")})
         assert len(g.branches("v")) == 2

@@ -126,7 +126,7 @@ def _maps(data: dict, integers: bool):
 def _delta(data: dict):
     if "delta" not in data:
         return None, None
-    delta = {k: LogAbs.parse(x) for k, x in data["delta"].items()}
+    delta = {k: LogAbs(x) for k, x in data["delta"].items()}
     return delta, ResidueSetting.parse(data["setting"])
 
 
@@ -267,7 +267,9 @@ def test_branches_name_the_stored_pairs():
                 assert [type(b) for b in named] == [OrientedEdge] * len(stored), name
                 assert named == stored and list(map(hash, named)) == list(map(hash, stored))
                 for b, pair in zip(named, stored):
-                    assert -b == (pair[0], not pair[1]) and g.head(pair) == g.head(b), name
+                    back, pair_back = OrientedEdge(b.edge, not b.forward), (pair[0], not pair[1])
+                    assert back == pair_back and g.head(back) == g.head(pair_back), name
+                    assert g.head(pair) == g.head(b), name
                     if g is m.source:
                         assert m.sdelta(pair) == m.sdelta(b), name
                         assert m.slope_index(pair) == m.slope_index(b), name

@@ -84,43 +84,76 @@ def test_an_unknown_name_is_an_attribute_error():
     assert getattr(wildskel, "nope", None) is None
 
 
-def _names(node) -> Counter:
-    """How often each name is read, as an ``ast.Name`` or an ``ast.Attribute``, in ``node``."""
+def _reads(node) -> Counter:
+    """How often each name is read in ``node``: a bare name (``ast.Name``)
+    as itself, an attribute (``ast.Attribute``) as ``.name``."""
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.id if isinstance(n, ast.Name) else "." + n.attr
         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
     )
 
 
 def _public_definitions(tree):
-    """``(qualified name, node)`` of each public top-level function and class
-    of a module, and of each public method and property of a public class."""
+    """``(qualified name, node, reads)`` of each public top-level function
+    and class of a module, and of each public method and property of a
+    public class.  ``reads`` are the ``_reads`` keys that read it: a bare
+    name or an attribute (``pmfunc.line``) for a top-level definition, an
+    attribute only for a method, so the builtin ``pow(a, d, n)`` reads no
+    method ``pow``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, (node.name, "." + node.name)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
+                        yield f"{node.name}.{item.name}", item, ("." + item.name,)
+
+
+def _unread(modules, outside: Counter, named) -> list:
+    """The public definitions of ``modules`` (name -> ``ast`` tree) that the
+    modules read nowhere outside the definition itself, that ``outside``
+    (``_reads`` of other code) never reads and that ``named`` lacks."""
+    package = sum(map(_reads, modules.values()), Counter())
+    return [
+        f"{module}.{qualified}"
+        for module, tree in modules.items()
+        for qualified, node, keys in _public_definitions(tree)
+        if sum(package[k] - _reads(node)[k] + outside[k] for k in keys) == 0
+        and node.name not in named
+    ]
+
+
+def _public_names_paragraph() -> set:
+    """The names in the code spans of README.md's "Public names" paragraph,
+    which says what needs each kept name."""
+    text = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"^Public names\..*?\n\n", text, re.M | re.S).group()
+    return {name for span in re.findall(r"`+([^`]+)`+", paragraph)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_every_public_definition_has_a_reader():
     """Each public definition of ``src/wildskel`` is read in the package
-    outside its own definition, in ``benchmark/*.py``, or named in backticks
-    in README.md; a name no one reads goes."""
-    modules = sorted((ROOT / "src" / "wildskel").glob("*.py"))
-    trees = {p.stem: ast.parse(p.read_text()) for p in modules}
-    package = sum(map(_names, trees.values()), Counter())
+    outside its own definition, in ``benchmark/*.py``, or named in the
+    README's "Public names" paragraph; a name no one reads goes."""
+    modules = {p.stem: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "wildskel").glob("*.py"))}
     benchmark = sum(
-        (_names(ast.parse(p.read_text())) for p in (ROOT / "benchmark").glob("*.py")), Counter()
+        (_reads(ast.parse(p.read_text())) for p in (ROOT / "benchmark").glob("*.py")), Counter()
     )
-    readme = {name for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text())
-              for name in re.findall(r"[A-Za-z_]\w*", span)}
-    unread = [
-        f"{module}.{qualified}"
-        for module, tree in trees.items()
-        for qualified, node in _public_definitions(tree)
-        if package[node.name] <= _names(node)[node.name]
-        and node.name not in benchmark and node.name not in readme
-    ]
-    assert unread == []
+    assert _unread(modules, benchmark, _public_names_paragraph()) == []
+
+
+def test_a_method_is_read_only_through_an_attribute():
+    # a method pow passed the guard when anything named pow was read
+    module = ast.parse(
+        "class Line:\n"
+        "    def pow(self, n):\n"
+        "        return n\n"
+        "def square(n):\n"
+        "    return pow(n, 2)\n"
+        "square(Line())\n"
+    )
+    assert _unread({"synthetic": module}, Counter(), set()) == ["synthetic.Line.pow"]
+    assert _unread({"synthetic": module}, Counter({".pow": 1}), set()) == []
+    assert _unread({"synthetic": module}, Counter(), {"pow"}) == []

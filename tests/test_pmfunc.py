@@ -355,12 +355,31 @@ def test_slope_int_would_round_is_an_error(slope):
     ({"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
      "segment 0 lacks key 'left_value'"),
     ({"breakpoints": ["0", "1"], "segments": ["x"]}, "segments entry 'x' is not an object"),
+    ({"breakpoints": ["0", "1"], "segments": 3}, "function segments is not a list"),
+    ({"breakpoints": ["0", "1"], "segments": {"x": 1}}, "function segments is not a list"),
+    ({"breakpoints": 3, "segments": []}, "function breakpoints is not a list"),
+    ({"breakpoints": "01", "segments": [{"left_value": "0", "slope": 1}]},
+     "function breakpoints is not a list"),
 ])
 def test_json_faults_are_named(doc, message):
     # a list document and a missing key were a bare TypeError or KeyError
     with pytest.raises(ValueError) as info:
         PMFunction.from_json_dict(doc)
     assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((None, [0], [1]), "breakpoints is None, not a sequence"),
+    (({0: 0, 1: 1}, [0], [1]), "breakpoints is {0: 0, 1: 1}, not a sequence"),
+    (((0, 1), 0, [1]), "left_values is 0, not a sequence"),
+    (([0, 1], [0], iter([1])), "slopes is <list_iterator object"),
+])
+def test_the_constructor_refuses_what_is_no_sequence(args, message):
+    # None or 0 raised a bare TypeError (no len()), and a dict read its keys
+    with pytest.raises(ValueError) as info:
+        PMFunction(*args)
+    assert type(info.value) is ValueError and str(info.value).startswith(message)
+    assert str(info.value).endswith(", not a sequence")
 
 
 def _refusal(call) -> tuple:

@@ -49,7 +49,7 @@ class TestDegreePLocus:
         slope3 = [
             e
             for e in desc.center.edge_ids
-            if abs(mm.morphism.sdelta_stored(e)) == 3
+            if abs(mm.morphism.sdelta((e, True))) == 3
         ][0]
         r = desc.radii[slope3]
         assert r.value_at(Fraction(1, 6)) - r.value_at(0) == Fraction(1, 2)
@@ -151,7 +151,7 @@ class TestRadialVsBall:
         mm = metric_lift("WS", Lengths(l3=Fraction(1, 2)), WILD2)
         report = radial_vs_ball(degree_p_locus(mm, 2))
         assert report.strict
-        assert abs(mm.morphism.sdelta_stored(report.witness_edge)) == 3
+        assert abs(mm.morphism.sdelta((report.witness_edge, True))) == 3
 
     def test_invariant_under_subdivision(self):
         # subdividing the slope-3 edge of a Kummer-like segment changes nothing

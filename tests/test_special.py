@@ -43,14 +43,14 @@ class TestRootSubtrees:
     def test_inventory_of_four_leaves(self):
         trees = enumerate_root_subtrees(4)
         assert len(trees) == 8
-        single = [t for t in trees if t.is_leaf_edge]
+        single = [t for t in trees if not t.children]
         assert sorted(t.label for t in single) == [0, 1, 3]
         assert sorted(t.slope_index for t in single) == [1, 2, 4]
 
     def test_single_leaf_budget(self):
         trees = enumerate_root_subtrees(1)
         assert len(trees) == 3
-        assert all(t.is_leaf_edge for t in trees)
+        assert all(not t.children for t in trees)
 
     def test_slope_index_equals_leaf_r_sum(self):
         for t in enumerate_root_subtrees(4):
@@ -90,6 +90,19 @@ class TestRootSubtrees:
 
     def test_max_leaves_text_reads_as_its_integer(self):
         assert enumerate_root_subtrees("3") == enumerate_root_subtrees(3)
+
+    @pytest.mark.parametrize("label", [1.0, 1.5, True, None, "x"])
+    def test_a_label_is_an_integer(self, label):
+        # 1.0 described itself as '1.0', and None or text was a bare TypeError
+        with pytest.raises(ValueError) as info:
+            RootSubtree(label)
+        message = f"label is {label!r}, not an integer"
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    def test_label_text_reads_as_its_integer(self):
+        tree = RootSubtree("1", (RootSubtree("0"), RootSubtree(Fraction(0))))
+        assert tree == RootSubtree(1, (RootSubtree(0), RootSubtree(0)))
+        assert tree.describe() == "1(0,0)"
 
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ class TestLogAbs:
 
     def test_parse_format_roundtrip(self):
         for text in ["-inf", "0", "-1", "3/7", "-22/5"]:
-            assert str(LogAbs.parse(text)) == text
+            assert str(LogAbs(text)) == text
 
     def test_compare_with_plain_numbers(self):
         assert LogAbs(Fraction(-1, 2)) <= 0
@@ -66,7 +66,7 @@ class TestLogAbs:
         assert LogAbs(value) == value and hash(LogAbs(value)) == hash(value)
 
     def test_neg_inf_hashes_alike_in_every_copy(self):
-        assert len({NEG_INF, LogAbs.parse("-inf"), copy.deepcopy(NEG_INF)}) == 1
+        assert len({NEG_INF, LogAbs("-inf"), copy.deepcopy(NEG_INF)}) == 1
 
     def test_greater_or_equal(self):
         assert LogAbs(0) >= LogAbs(-1) and LogAbs(0) >= 0 and LogAbs(0) >= NEG_INF
@@ -283,7 +283,7 @@ def _fraction_delta(text):
 class TestParseRatio:
     """The integer-pair reader of length and delta text agrees with the
     Fraction readers it replaced in the loaders, fast path or not; the
-    public ``LogAbs.parse`` now reads through it."""
+    public ``LogAbs`` reads text through it."""
 
     PIECES = ["-", "+", " ", "\t", "/", ".", "e", "E", "_", "0", "00", "1", "7",
               "12", "360", "\u0663", "\u00b2", "x", "inf", "-inf", "nan"]
@@ -306,7 +306,7 @@ class TestParseRatio:
             assert length == _outcome(_fraction_length, text), text
             delta = _outcome(lambda t: parse_ratio(t, "-inf"), text)
             assert delta == _outcome(_fraction_delta, text), text
-            parsed = _outcome(LogAbs.parse, text)
+            parsed = _outcome(LogAbs, text)
             if isinstance(parsed, LogAbs):
                 parsed = None if parsed.is_neg_inf else parsed.value
             assert parsed == delta, text

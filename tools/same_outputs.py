@@ -48,7 +48,11 @@ target vertex of each morphism, legal or not;
 ``build_special`` of every tag; ``degree_p_locus``, ``delta_profile``
 and ``metric_lengths`` of the plain WB and of ``wb_metric`` without its
 delta values; ``PMFunction.from_json_dict`` of a list, of documents that
-lack a key and of a segment that is no object; the messages
+lack a key, whose ``breakpoints`` or ``segments`` is no list and of a
+segment that is no object, and ``PMFunction`` of each argument given as
+no sequence; a float, a bool and text as the integer ``m`` and ``s`` of
+``check_restriction`` and ``realize_triple``, ``m``, ``n`` and ``slope_s``
+of ``DifferentReport`` and the ``label`` of a ``RootSubtree``; the messages
 of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
 numbers, texts, floats, bools and a ``LogAbs`` as series values,
 ``PMFunction`` values and breakpoints, ``LogAbs``, ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
@@ -56,7 +60,7 @@ and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
 equal numbers; every public rational entry (the ``_entries`` table of
 ``tests/support.py``, graph lengths and ``MetricDeltaMorphism``
 delta) on values ``Fraction()`` cannot take, a ``LogAbs``, ``-inf`` and
-bad text; those entries, ``LogAbs.parse``, a last and an inner breakpoint,
+bad text; those entries, a last and an inner breakpoint,
 a ``tropical_eval`` domain end, a tail length, the delta of an infinite
 leaf and the ``log_delta`` of ``check_restriction``, ``realize_triple``
 and ``DifferentReport`` on every spelling of ``inf`` and ``-inf`` (text,
@@ -316,7 +320,7 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"set of LogAbs({value}) and {value!r}", lambda: len({x, value}))
         rec.call(f"dict keyed by LogAbs({value}) at {value!r}", lambda: {x: 1}.get(value))
         rec.call(f"dict keyed by {value!r} at LogAbs({value})", lambda: {value: 1}.get(x))
-    rec.call("set of NEG_INF twice", lambda: len({ws.NEG_INF, ws.LogAbs.parse("-inf")}))
+    rec.call("set of NEG_INF twice", lambda: len({ws.NEG_INF, ws.LogAbs("-inf")}))
     entries = {  # every public rational entry, graph lengths and delta included
         **{name: call for name, (call, *_) in support._entries().items()},
         "graph length": lambda x: graph(two, {"e": ("a", "b")}, {"e": x}),
@@ -333,7 +337,6 @@ def record(out, work: Path, every: int) -> None:
         {"a": "x", "l": "y"}, {"e": "f"}, {"e": 2}, {"e": -1})
     two_segments = [{"left_value": "0", "slope": 0}] * 2
     entries.update({  # the entries that read an infinity, and log_delta
-        "LogAbs.parse": pub("LogAbs").parse,
         "last breakpoint": lambda x: ws.PMFunction([0, x], [0], [1]),
         "JSON inner breakpoint": lambda x: ws.PMFunction.from_json_dict(
             {"breakpoints": ["0", x, "2"], "segments": two_segments}),
@@ -352,6 +355,21 @@ def record(out, work: Path, every: int) -> None:
     for value in (-1, Fraction(-1, 2), "-1/2", None, [1]):
         for name in ("check_restriction", "realize_triple", "DifferentReport"):
             rec.call(f"log_delta entry {name} on {value!r}", entries[name], value)
+    integers = {  # every public integer entry that the walk does not reach elsewhere
+        "check_restriction m": lambda x: pub("check_restriction")(x, 0, -1, mixed),
+        "check_restriction s": lambda x: pub("check_restriction")(2, x, -1, mixed),
+        "realize_triple m": lambda x: pub("realize_triple")(x, 0, -1, mixed),
+        "realize_triple s": lambda x: pub("realize_triple")(2, x, -1, mixed),
+        "DifferentReport m": lambda x: repr(pub("DifferentReport")(x, 1, -1, 1)),
+        "DifferentReport n": lambda x: repr(pub("DifferentReport")(2, x, -1, 1)),
+        "DifferentReport slope_s": lambda x: repr(pub("DifferentReport")(2, 1, -1, x)),
+        "RootSubtree label": lambda x: pub("RootSubtree")(x).describe(),
+    }
+    for value in (1.5, 2.0, 1.0, True, "x", "1"):
+        for name, call in integers.items():
+            rec.call(f"integer entry {name} on {value!r}", call, value)
+    for args in ((None, [0], [1]), ((0, 1), 0, [1]), ([0, 1], [0], 1), ({0: 0, 1: 1}, [0], [1])):
+        rec.call(f"PMFunction of {args!r}", pub("PMFunction"), *args)
     for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
         rec.call(f"setting {text}", ws.ResidueSetting.parse, text)
     for infinity, degree in (([(0, 0)], 1), ([(1, 0)], 1.5)):
@@ -455,7 +473,10 @@ def record(out, work: Path, every: int) -> None:
     for doc in ([], {"segments": []}, {"breakpoints": ["0", "1"]},
                 {"breakpoints": ["0", "1"], "segments": [{"left_value": "0"}]},
                 {"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
-                {"breakpoints": ["0", "1"], "segments": ["x"]}, one_segment):
+                {"breakpoints": ["0", "1"], "segments": ["x"]}, one_segment,
+                {"breakpoints": ["0", "1"], "segments": 3}, {"breakpoints": 3, "segments": []},
+                {"breakpoints": "01", "segments": one_segment["segments"]},
+                {"breakpoints": ["0", "1"], "segments": {"x": 1}}):
         rec.call(f"PMFunction JSON {doc!r}", ws.PMFunction.from_json_dict, doc)
     for name, (call, _) in support.LONG_ID_MESSAGES.items():
         rec.call(f"long id {name}", call)
@@ -527,7 +548,7 @@ def record(out, work: Path, every: int) -> None:
                                        {x: g.endpoints(x) for x in g.edge_ids},
                                        lengths, g.infinite_leaves)
                 pair = (doubled, m.target) if side == "source" else (m.source, doubled)
-                sdelta = {x: m.sdelta_stored(x) for x in m.source.edge_ids}
+                sdelta = {x: m.sdelta((x, True)) for x in m.source.edge_ids}
                 built(rec, f"{label} {side} {e} doubled", *pair, m.vertex_map, m.edge_map,
                       m.mult, sdelta)
 

@@ -26,7 +26,12 @@ The bookkeeping revolves around the differential slope index
 ``S_e = -sdelta(e) + n_e - 1`` and the per-vertex balance
 ``R_v = chi(v) - sum of S over branches``; the canonical divisor of the
 source then decomposes as ``K = pullback(K') + R + Delta`` and the
-degrees give ``2g - 2 = deg * (2g' - 2) + sum R_v``.
+degrees give ``2g - 2 = deg * (2g' - 2) + sum R_v``.  The core's sweep
+over the edges sums only ``n`` per branch and ``Delta_v = -sum of
+sdelta(b)`` over the branches ``b`` at ``v``; its loop over the source
+vertices tests local constancy on those branch sums, fills ``fibers`` and
+sets ``R_v = chi(v) - Delta_v - sum of n_b + val(v)`` from the same sums,
+so ``R`` does not lean on the constancy verdict.
 
 Representation.  Finite ``delta`` values are integer numerators over one
 minimal denominator per morphism (``None`` for ``-inf``), like the graph
@@ -77,8 +82,10 @@ class DeltaMorphism:
     nonempty and covers each branch at its target vertex, the connected
     source maps onto the target, which is connected too; so the target is
     searched only before naming a local-constancy or rank fault.
-    The differential indices are computed here too, once.  ``delta`` and
-    ``setting`` are ``None`` unless the morphism is a
+    The differential indices are computed here too, once: the edge sweep
+    sums ``n`` per branch and ``Delta``, and the constancy loop sets
+    ``R_v = chi(v) - Delta_v - sum of n_b + val(v)`` and fills ``fibers``.
+    ``delta`` and ``setting`` are ``None`` unless the morphism is a
     :class:`MetricDeltaMorphism`.  Only the constructor and the loader
     coerce the four maps; they, the contractions and the shape builder
     enter one validating core, ``_store``, followed on the same object by
@@ -127,21 +134,17 @@ class DeltaMorphism:
         self.vertex_map = vmap = vertex_map
         self.edge_map = edge_map
         self.mult = mult
-        fibers: Dict[str, list] = {v2: [] for v2 in target.vertices}
+        genus2 = target._genus
         for v in source.vertices:
-            v2 = vmap.get(v)
-            if v2 not in fibers:
+            if vmap.get(v) not in genus2:
                 raise NotProperError(f"vertex {cut(v)} is not mapped to a target vertex")
-            fibers[v2].append(v)
-        self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         # one sweep over the edges checks them, sums n per source vertex and
-        # image branch, and adds up R_v - chi(v) = sum of sdelta(b) - n_b + 1
-        # over the branches b at v and Delta_v = -sum of sdelta(b); the branch
-        # at v runs against e.  A target edge that is not a loop has one
-        # branch at each end, so its id keys the branch; a target loop has two
-        # at its vertex, keyed (e2, forward): an edge over it maps from->from
+        # image branch, and adds up Delta_v = -sum of sdelta(b) over the
+        # branches b at v; the branch at v runs against e.  A target edge that
+        # is not a loop has one branch at each end, so its id keys the branch;
+        # a target loop has two at its vertex, keyed (e2, forward): an edge
+        # over it maps from->from.  A source loop adds 2n to the sums, 0 to Delta
         sums: Dict[str, dict] = {v: {} for v in source.vertices}
-        self._indices = r = dict.fromkeys(source.vertices, 0)
         self._delta_coefficients = d = dict.fromkeys(source.vertices, 0)
         ends, target_ends, missing = source._ends, target._ends, None
         for e in source.edge_ids:
@@ -169,23 +172,25 @@ class DeltaMorphism:
             if s is None:  # raised after the properness checks
                 missing = e if missing is None else missing
                 continue
-            r[u] += s - n + 1
-            r[v] -= s + n - 1
             d[u] -= s
             d[v] += s
         if not source.is_connected():
             raise NotProperError("properness requires connected graphs")
-        # R_v adds chi(v) = 2g - 2 - vertex_mult * (2g' - 2)
+        # R_v = chi(v) - sum of S_b = chi(v) - Delta_v - sum of n_b + val(v),
+        # chi(v) = 2g - 2 - vertex_mult * (2g' - 2); the n_b are the branch
+        # sums the constancy test reads, so R does not lean on its verdict
         self.vertex_mult = vmult = {}
+        self._indices = r = {}
+        fibers: Dict[str, list] = {v2: [] for v2 in target.vertices}
         ranks = dict.fromkeys(target.vertices, 0)
-        genus, genus2, branches2 = source._genus, target._genus, target._branches
+        genus, branches, branches2 = source._genus, source._branches, target._branches
         for v in source.vertices:
             v2, counts = vmap[v], sums[v]
             # counts has an entry for each branch at v2 that an edge at v
             # covers; every branch needs one, and all the same sum; an
             # isolated fiber point (no branches) has multiplicity one
-            if counts:
-                totals = counts.values()
+            totals = counts.values()
+            if totals:
                 k = max(totals)
                 constant = len(counts) == len(branches2[v2]) and min(totals) == k
             else:
@@ -203,7 +208,10 @@ class DeltaMorphism:
                 )
             vmult[v] = k
             ranks[v2] += k
-            r[v] += 2 * genus[v] - 2 - k * (2 * genus2[v2] - 2)
+            fibers[v2].append(v)
+            r[v] = (2 * genus[v] - 2 - k * (2 * genus2[v2] - 2) - d[v] - sum(totals)
+                    + len(branches[v]))
+        self.fibers = {v2: tuple(vs) for v2, vs in fibers.items()}
         values = set(ranks.values())
         if len(values) != 1 or 0 in values:
             if not target.is_connected():
@@ -838,16 +846,15 @@ def morphism_from_json_dict(data: Mapping) -> DeltaMorphism:
         value = data.get(key, {})
         if type(value) is not dict and not isinstance(value, Mapping):
             raise ValueError(f"morphism {key} is not an object")
-    source, target = (
-        GenusGraph.from_json_dict(json_field(data, side, "morphism"), f"{side} graph")
-        for side in ("source", "target")
-    )
+    load = GenusGraph.from_json_dict
+    source = load(json_field(data, "source", "morphism"), "source graph")
+    target = load(json_field(data, "target", "morphism"), "target graph")
     # the class first, so the core's faults come before those of setting and delta
     m = (MetricDeltaMorphism if "delta" in data else DeltaMorphism)._from_normal(
         source,
         target,
-        *(_as_ids(json_field(data, key, "morphism"), f"morphism {key}")
-          for key in ("vertex_map", "edge_map")),
+        _as_ids(json_field(data, "vertex_map", "morphism"), "morphism vertex_map"),
+        _as_ids(json_field(data, "edge_map", "morphism"), "morphism edge_map"),
         _parse_ints(data, "n"),
         _parse_ints(data, "sdelta"),
     )

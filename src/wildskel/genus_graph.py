@@ -10,16 +10,21 @@ fields when they are present.  Graphs are the sources and targets of the
 one morphism class, ``delta_morphism.DeltaMorphism``, which indexes the
 ``fibers`` over target vertices.  In JSON, ids (of entries, edge ends and
 infinite leaves) are strings or integers and a genus is an integer; every
-id is keyed by its ``str()``, so ``1`` beside ``"1"`` is an error.  Only the
-public constructors and the loaders coerce (ids to ``str``, numbers to
-``int``), refusing a float or a bool for an id, a genus or a length; they
-and the library's own constructions enter one validating core with ``str``
-ids, ``int`` values and plain dicts, which it keeps.  The loader walks each
-list once, yet raises faults in stage order (entries and ids, the
-``infinite_leaves`` type and entries, genera, endpoints, lengths, the
-core's checks, repeated ids): a later stage's only once the earlier pass.
-The core checks the lengths in one pass over the edges, and the fault of
-the tail rule it finds there waits until the infinite leaves are checked.
+id is keyed by its ``str()``, so ``1`` beside ``"1"`` is an error for a
+vertex, an edge and an infinite leaf alike.  The constructor's
+``infinite_leaves`` is a collection of ids, never a ``str`` or ``bytes``,
+whose characters would read as leaves.  Only the public constructors and
+the loaders coerce (ids to ``str``, numbers to ``int``), refusing a float
+or a bool for an id, a genus or a length; they and the library's own
+constructions enter one validating core with ``str`` ids, ``int`` values
+and plain dicts, which it keeps.  The loader walks each list once, yet
+raises faults in stage order (entries and ids, the ``infinite_leaves``
+type and entries, genera, endpoints, lengths, the core's checks, repeated
+ids of vertices, edges, then infinite leaves): a later stage's only once
+the earlier pass.  The constructor, too, refuses a repeated infinite leaf
+after the core's checks.  The core checks the lengths in one pass over
+the edges, and the fault of the tail rule it finds there waits until the
+infinite leaves are checked.
 
 Representation.  Lengths are integer numerators over one minimal
 denominator per graph (``INF`` for a tail, which every check tests by
@@ -44,7 +49,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
     INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, json_list, ratio_text,
-    read_ratio, scaled,
+    read_ratio, refused, scaled,
 )
 
 
@@ -126,12 +131,16 @@ class GenusGraph:
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
+        if isinstance(infinite_leaves, (str, bytes)):  # not its characters
+            raise refused(infinite_leaves, "graph infinite_leaves", None, "a collection of ids")
         leaves = [as_id(v, "graph infinite_leaves entry") for v in infinite_leaves]
         self._store(genus, ends, den, lengths, leaves)
+        if len(self.infinite_leaves) != len(leaves):
+            _repeated_id("graph", "infinite leaf", leaves)
 
-    @classmethod
-    def _from_normal(cls, genus, ends, den, lengths, infinite_leaves) -> "GenusGraph":
-        g = cls.__new__(cls, lengths=lengths)
+    @staticmethod
+    def _from_normal(genus, ends, den, lengths, infinite_leaves) -> "GenusGraph":
+        g = object.__new__(GenusGraph if lengths is None else MetricGenusGraph)
         g._store(genus, ends, den, lengths, infinite_leaves)
         return g
 
@@ -142,7 +151,7 @@ class GenusGraph:
         self._ends: Dict[str, Tuple[str, str]] = ends
         self.vertices: Tuple[str, ...] = tuple(sorted(genus))
         self.edge_ids: Tuple[str, ...] = tuple(sorted(ends))
-        if min(genus.values(), default=0) < 0:
+        if genus and min(genus.values()) < 0:
             _check_ends(genus, ends.items())  # raises the first fault in order
         out: Dict[str, list] = {v: [] for v in self.vertices}
         try:
@@ -225,10 +234,10 @@ class GenusGraph:
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            ends, seen = self._ends, set(self.vertices[:1])
+            ends, branches, seen = self._ends, self._branches, set(self.vertices[:1])
             stack = list(seen)
             while stack:
-                for e, forward in self._branches[stack.pop()]:
+                for e, forward in branches[stack.pop()]:
                     w = ends[e][forward]  # the head: "to" when forward
                     if w not in seen:
                         seen.add(w)
@@ -370,9 +379,12 @@ class GenusGraph:
         g = GenusGraph._from_normal(genera, ends, *lengths, leaves)
         # keyed by str(), a repeated id, also 1 beside "1", keeps only the
         # last entry and leaves fewer vertices or edges
-        for kind, kept, items in ("vertex", genera, vertices), ("edge", ends, edges):
-            if len(kept) != len(items):
-                _repeated_id(entry, kind, [item["id"] for item in items])
+        if len(genera) != len(vertices):
+            _repeated_id(entry, "vertex", [item["id"] for item in vertices])
+        if len(ends) != len(edges):
+            _repeated_id(entry, "edge", [item["id"] for item in edges])
+        if len(g.infinite_leaves) != len(leaves):
+            _repeated_id(entry, "infinite leaf", leaves)
         return g
 
 

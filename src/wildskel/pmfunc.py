@@ -94,7 +94,8 @@ class PMFunction:
         slopes: Sequence[int],
     ):
         for name, seq in ("breakpoints", breaks), ("left_values", left_values), ("slopes", slopes):
-            if not isinstance(seq, Sequence):
+            # text is a Sequence, but of characters, not of values
+            if not isinstance(seq, Sequence) or isinstance(seq, (str, bytes)):
                 raise refused(seq, name, None, "a sequence")
         if len(breaks) < 2 or not len(left_values) == len(slopes) == len(breaks) - 1:
             raise ValueError("inconsistent segment data")

@@ -27,7 +27,7 @@ from wildskel.delta_morphism import (
     wide_open_genus_check,
 )
 from wildskel.genus_graph import Divisor, GenusGraph, MetricGenusGraph, OrientedEdge
-from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
+from wildskel.special import LIFTABLE_TAGS, SPECIAL_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
 from tests.support import (
@@ -38,6 +38,7 @@ from tests.support import (
     NON_TAME_SETTINGS,
     WILD2,
     _fixture,
+    _random_loop_morphism,
     _reference_attach_delta,
     canonical_lengths,
     identity_morphism,
@@ -303,6 +304,28 @@ class TestIndices:
             assert m.rh_degree_identity().r_sum == sum(expected.values())
             unbalanced += bool(m.unbalanced_vertices())
         assert unbalanced > 100
+
+    def test_differential_index_matches_restatement_on_the_shaped_corpora(self):
+        # the special shapes, their metric lifts (tails), their subdivisions,
+        # covers of a loop (source loops and cycles) and metric draws with tails
+        rng = random.Random(25)
+        corpus = [build_special(tag) for tag in SPECIAL_TAGS] + [_fixture("wb_subdivided")]
+        for tag in LIFTABLE_TAGS:
+            setting = setting_for(tag)
+            lift = metric_lift(tag, canonical_lengths(tag, setting), setting)
+            corpus += [lift] + [subdivide_metric(rng, lift) for _ in range(5)]
+        corpus += [_random_loop_morphism(rng) for _ in range(200)]
+        corpus += [random_metric_delta_morphism(rng, ResidueSetting.parse(name))
+                   for name in NON_TAME_SETTINGS for _ in range(10)]
+        loops = tails = 0
+        for m in corpus + [stabilize(m) for m in corpus]:
+            expected = {v: _restated_index(m, v) for v in m.source.vertices}
+            assert m._indices == expected and list(m._indices) == list(expected)
+            assert m.ramification_divisor() == Divisor(expected)
+            assert m.rh_degree_identity().r_sum == sum(expected.values())
+            loops += any(u == v for u, v in m.source._ends.values())
+            tails += bool(m.source.infinite_leaves)
+        assert loops > 100 and tails > 100
 
     @pytest.mark.parametrize(
         "how",

@@ -6,10 +6,11 @@ loader that raised a fault as soon as it met it would name the wrong one.
 The stages of a graph are: entries and ids (vertices, then edges), the
 ``infinite_leaves`` type, genera, endpoints, lengths, the core's checks
 (negative genus, endpoints in the vertex set, lengths, infinite leaves)
-and last the repeated ids.  A morphism adds: its maps, ``n`` and
-``sdelta`` values, the kind of its graphs, the core's properness checks
-(a missing sdelta after the rank), delta and its setting, and last the
-keys that name no source vertex or edge.
+and last the repeated ids (vertices, edges, then infinite leaves).  A
+morphism adds: its maps, ``n`` and ``sdelta`` values, the kind of its
+graphs, the core's properness checks (a missing sdelta after the rank),
+delta and its setting, and last the keys that name no source vertex or
+edge.
 
 A connected source over a disconnected target always leaves a fiber
 empty; with a local-constancy fault, an empty fiber or a missing sdelta
@@ -152,6 +153,21 @@ GRAPH_CASES = {
     "integer id repeats its string": (
         False, [(E, "+", {"id": "1", "from": "a", "to": "b"}), (E, "+", {"id": 1, "from": "a", "to": "b"})],
         "graph repeats edge id '1'",
+    ),
+    "the tail rule before a repeated leaf": (
+        True, [(V, "+", {"id": "c", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": "c", "length": "1"}),
+               ("infinite_leaves", ["c", "c"])],
+        "edge g must have infinite length iff it is a tail",
+    ),
+    "repeated edge before repeated leaf": (
+        True, [(V, "+", {"id": "c", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": "c", "length": "inf"}),
+               (E, "+", {"id": "e", "from": "a", "to": "b", "length": "1"}), ("infinite_leaves", ["c", "c"])],
+        "graph repeats edge id 'e'",
+    ),
+    "integer leaf repeats its string": (
+        True, [(V, "+", {"id": "1", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": 1, "length": "inf"}),
+               ("infinite_leaves", [1, "1"])],
+        "graph repeats infinite leaf id '1'",
     ),
 }
 

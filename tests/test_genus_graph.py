@@ -411,6 +411,30 @@ class TestIdRule:
         g = GenusGraph({1: 0, 2: 0}, {"e": (1, 2)}, {"e": INF}, [2])
         assert g.endpoints("e") == ("1", "2") and g.infinite_leaves == {"2"}
 
+    @pytest.mark.parametrize("leaves", ["ab", b"ab"])
+    def test_constructor_leaves_are_no_text(self, leaves):
+        # the text "ab" was read as the leaves a and b, the bytes as 97 and 98
+        genera = {"a": 0, "b": 0, "c": 0, "ab": 0}
+        with pytest.raises(ValueError) as info:
+            GenusGraph(genera, {"e": ("c", "a"), "f": ("c", "b")}, {"e": INF, "f": INF}, leaves)
+        assert str(info.value) == f"graph infinite_leaves is {leaves!r}, not a collection of ids"
+
+    @pytest.mark.parametrize("leaves, shown", [(["x", "x"], "x"), ([1, "1"], "1")])
+    def test_a_repeated_leaf_is_refused(self, leaves, shown):
+        # both were kept as one leaf, [1, "1"] as {'1'}
+        genera, edges, lengths = {"c": 0, shown: 0}, {"e": ("c", shown)}, {"e": INF}
+        with pytest.raises(ValueError) as info:
+            GenusGraph(genera, edges, lengths, leaves)
+        assert str(info.value) == f"graph repeats infinite leaf id '{shown}'"
+        data = {
+            "vertices": [{"id": "c"}, {"id": shown}],
+            "edges": [{"id": "e", "from": "c", "to": shown, "length": "inf"}],
+            "infinite_leaves": leaves,
+        }
+        with pytest.raises(ValueError) as info:
+            GenusGraph.from_json_dict(data, "source graph")
+        assert str(info.value) == f"source graph repeats infinite leaf id '{shown}'"
+
 
 class TestBranchIndex:
     def test_branches_match_a_scan_of_the_edges(self):

@@ -161,7 +161,9 @@ def normal_form_faults(m) -> list:
     """What in ``m`` (and the divisors it builds) is not an exact ``str``-keyed dict
     with ``str`` or ``int`` values, a stored branch that is not an exact
     ``(str, bool)`` tuple or a vertex whose branches are not in edge-id order,
-    and a divisor that holds a zero or whose keys are not in sorted order."""
+    a ``vertex_mult``, ``_indices``, ``_delta_coefficients`` or fiber that is
+    not in source vertex order, and a divisor that holds a zero or whose keys
+    are not in sorted order."""
     faults = []
 
     def check(name, d, value_type):
@@ -198,7 +200,14 @@ def normal_form_faults(m) -> list:
         check(name, getattr(m, name), str)
     for name in ("mult", "_sdelta", "vertex_mult", "_indices", "_delta_coefficients"):
         check(name, getattr(m, name), int)
+    # the divisors are built from these without sorting
+    for name in ("vertex_mult", "_indices", "_delta_coefficients"):
+        if tuple(getattr(m, name)) != m.source.vertices:
+            faults.append(f"{name} is not in source vertex order: {list(getattr(m, name))!r}")
     check("fibers", m.fibers, tuple)
+    for v2, vs in m.fibers.items():
+        if list(vs) != sorted(vs):
+            faults.append(f"fibers[{v2!r}] is not in source vertex order: {vs!r}")
     if m.delta is not None:
         check("delta", m.delta, LogAbs)
         finite = [x for x in m._delta.values() if x is not None]
@@ -238,7 +247,29 @@ def test_normal_form_faults_names_a_divisor_out_of_order():
     assert normal_form_faults(m) == []
     m._indices = {v: 1 for v in reversed(m.source.vertices)}  # nonzero, reversed
     assert normal_form_faults(m) == [
-        f"divisor {m.ramification_divisor().coefficients!r} is not in normal form"
+        f"_indices is not in source vertex order: {list(m._indices)!r}",
+        f"divisor {m.ramification_divisor().coefficients!r} is not in normal form",
+    ]
+
+
+@pytest.mark.parametrize("name", ["vertex_mult", "_indices", "_delta_coefficients"])
+def test_normal_form_faults_names_a_vertex_map_out_of_order(name):
+    # the divisors built from these maps show it too, but only where two
+    # coefficients are nonzero; the order is named on its own
+    m = random_proper_delta_morphism(random.Random(8))
+    stored = dict(reversed(getattr(m, name).items()))
+    setattr(m, name, stored)
+    assert normal_form_faults(m)[0] == (
+        f"{name} is not in source vertex order: {list(stored)!r}"
+    )
+
+
+def test_normal_form_faults_names_a_fiber_out_of_order():
+    m = random_proper_delta_morphism(random.Random(8))
+    v2 = next(v2 for v2, vs in m.fibers.items() if len(vs) > 1)
+    m.fibers = {**m.fibers, v2: m.fibers[v2][::-1]}
+    assert normal_form_faults(m) == [
+        f"fibers[{v2!r}] is not in source vertex order: {m.fibers[v2]!r}"
     ]
 
 

@@ -373,9 +373,14 @@ def test_json_faults_are_named(doc, message):
     (({0: 0, 1: 1}, [0], [1]), "breakpoints is {0: 0, 1: 1}, not a sequence"),
     (((0, 1), 0, [1]), "left_values is 0, not a sequence"),
     (([0, 1], [0], iter([1])), "slopes is <list_iterator object"),
+    (("01", "0", "1"), "breakpoints is '01', not a sequence"),
+    ((b"01", [0], [1]), "breakpoints is b'01', not a sequence"),
+    (([0, 1], "0", [1]), "left_values is '0', not a sequence"),
+    (([0, 1], [0], b"\x01"), "slopes is b'\\x01', not a sequence"),
 ])
 def test_the_constructor_refuses_what_is_no_sequence(args, message):
-    # None or 0 raised a bare TypeError (no len()), and a dict read its keys
+    # None or 0 raised a bare TypeError (no len()), a dict read its keys, and
+    # text read its characters ("01" was the function on [0, 1]) or bytes
     with pytest.raises(ValueError) as info:
         PMFunction(*args)
     assert type(info.value) is ValueError and str(info.value).startswith(message)

@@ -50,7 +50,9 @@ and ``metric_lengths`` of the plain WB and of ``wb_metric`` without its
 delta values; ``PMFunction.from_json_dict`` of a list, of documents that
 lack a key, whose ``breakpoints`` or ``segments`` is no list and of a
 segment that is no object, and ``PMFunction`` of each argument given as
-no sequence; a float, a bool and text as the integer ``m`` and ``s`` of
+no sequence and of text or bytes as breakpoints; the ``GenusGraph``
+constructor on infinite leaves given as text, as bytes or with a repeat,
+and the loader on the repeats; a float, a bool and text as the integer ``m`` and ``s`` of
 ``check_restriction`` and ``realize_triple``, ``m``, ``n`` and ``slope_s``
 of ``DifferentReport`` and the ``label`` of a ``RootSubtree``; the messages
 of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
@@ -288,6 +290,17 @@ def record(out, work: Path, every: int) -> None:
     for length in (1, "1/2", ws.INF, 0.1, 1.0, True):
         rec.call(f"graph with length {length!r}", graph, two, {"e": ("a", "b")}, {"e": length})
     rec.call("graph with leaf ['b']", graph, two, {"e": ("a", "b")}, {"e": ws.INF}, [["b"]])
+    tails = {"a": 0, "c": 0, "1": 0}, {"e": ("c", "a"), "f": ("c", "1")}
+    # one byte, so the old reading names one leaf that is no vertex, not a set's first
+    for leaves in ("a1", b"a", ["a", "1", "a"], ["a", 1, "1"]):
+        rec.call(f"graph with leaves {leaves!r}", graph, *tails, {"e": ws.INF, "f": ws.INF},
+                 leaves)
+        if type(leaves) is list:
+            doc = {"vertices": [{"id": v} for v in tails[0]], "infinite_leaves": leaves,
+                   "edges": [{"id": e, "from": u, "to": v, "length": "inf"}
+                             for e, (u, v) in tails[1].items()]}
+            rec.call(f"load graph with leaves {leaves!r}", ws.GenusGraph.from_json_dict, doc,
+                     "source graph")
     line = graph(two, {"e": ("a", "b")}, {"e": 1})
     identity = ws.DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
     maps = {"a": "a", "b": "b"}, {"e": "e"}
@@ -368,7 +381,8 @@ def record(out, work: Path, every: int) -> None:
     for value in (1.5, 2.0, 1.0, True, "x", "1"):
         for name, call in integers.items():
             rec.call(f"integer entry {name} on {value!r}", call, value)
-    for args in ((None, [0], [1]), ((0, 1), 0, [1]), ([0, 1], [0], 1), ({0: 0, 1: 1}, [0], [1])):
+    for args in ((None, [0], [1]), ((0, 1), 0, [1]), ([0, 1], [0], 1), ({0: 0, 1: 1}, [0], [1]),
+                 ("01", "0", "1"), (b"01", [0], [1])):
         rec.call(f"PMFunction of {args!r}", pub("PMFunction"), *args)
     for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
         rec.call(f"setting {text}", ws.ResidueSetting.parse, text)

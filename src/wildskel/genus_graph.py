@@ -12,19 +12,20 @@ one morphism class, ``delta_morphism.DeltaMorphism``, which indexes the
 infinite leaves) are strings or integers and a genus is an integer; every
 id is keyed by its ``str()``, so ``1`` beside ``"1"`` is an error for a
 vertex, an edge and an infinite leaf alike.  The constructor's
-``infinite_leaves`` is a collection of ids, never a ``str`` or ``bytes``,
-whose characters would read as leaves.  Only the public constructors and
-the loaders coerce (ids to ``str``, numbers to ``int``), refusing a float
-or a bool for an id, a genus or a length; they and the library's own
-constructions enter one validating core with ``str`` ids, ``int`` values
-and plain dicts, which it keeps.  The loader walks each list once, yet
-raises faults in stage order (entries and ids, the ``infinite_leaves``
-type and entries, genera, endpoints, lengths, the core's checks, repeated
-ids of vertices, edges, then infinite leaves): a later stage's only once
-the earlier pass.  The constructor, too, refuses a repeated infinite leaf
-after the core's checks.  The core checks the lengths in one pass over
-the edges, and the fault of the tail rule it finds there waits until the
-infinite leaves are checked.
+``infinite_leaves`` is a collection of ids, never text or a binary buffer
+(``valuation.TEXT``), whose characters or bytes would read as leaves.
+Only the public constructors and the loaders coerce (ids to ``str``,
+numbers to ``int``), refusing a float or a bool for an id, a genus or a
+length; they and the library's own constructions enter one validating
+core with ``str`` ids, ``int`` values and plain dicts, which it keeps.
+The loader walks each list once, yet raises faults in stage order
+(entries and ids, the ``infinite_leaves`` type and entries, genera,
+endpoints, lengths, the core's checks, repeated ids of vertices, edges,
+then infinite leaves): a later stage's only once the earlier pass.  The
+constructor, too, refuses a repeated infinite leaf after the core's
+checks.  The core checks the lengths in one pass over the edges, and the
+fault of the tail rule it finds there waits until the infinite leaves are
+checked, in sorted id order.
 
 Representation.  Lengths are integer numerators over one minimal
 denominator per graph (``INF`` for a tail, which every check tests by
@@ -48,8 +49,8 @@ from math import gcd
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, json_list, ratio_text,
-    read_ratio, refused, scaled,
+    INF, TEXT, ExtendedRational, Frozen, as_int, as_ratio, cut, echo, json_field, json_list,
+    ratio_text, read_ratio, refused, scaled,
 )
 
 
@@ -131,7 +132,7 @@ class GenusGraph:
             if l is not INF and l[0] <= 0:
                 break
         den, lengths = scaled(ratios, INF) if lengths is not None else (1, None)
-        if isinstance(infinite_leaves, (str, bytes)):  # not its characters
+        if isinstance(infinite_leaves, TEXT):  # not its characters or bytes
             raise refused(infinite_leaves, "graph infinite_leaves", None, "a collection of ids")
         leaves = [as_id(v, "graph infinite_leaves entry") for v in infinite_leaves]
         self._store(genus, ends, den, lengths, leaves)
@@ -198,7 +199,7 @@ class GenusGraph:
         self._lengths = lengths if g == 1 else {
             e: l if l is INF else l // g for e, l in lengths.items()
         }
-        for v in leaves:
+        for v in sorted(leaves):  # not the set's order, which the hash seed picks
             if v not in genus:
                 raise ValueError(f"infinite leaf {cut(v)} is not a vertex")
             if genus[v] != 0:

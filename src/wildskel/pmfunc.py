@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Tuple
 
 from .valuation import (
-    INF, ExtendedRational, as_int, as_ratio, echo, json_field, json_list, ratio_text,
+    INF, TEXT, ExtendedRational, as_int, as_ratio, echo, json_field, json_list, ratio_text,
     refused, scaled,
 )
 
@@ -94,8 +94,8 @@ class PMFunction:
         slopes: Sequence[int],
     ):
         for name, seq in ("breakpoints", breaks), ("left_values", left_values), ("slopes", slopes):
-            # text is a Sequence, but of characters, not of values
-            if not isinstance(seq, Sequence) or isinstance(seq, (str, bytes)):
+            # text and binary buffers are Sequences, of characters or bytes, not of values
+            if not isinstance(seq, Sequence) or isinstance(seq, TEXT):
                 raise refused(seq, name, None, "a sequence")
         if len(breaks) < 2 or not len(left_values) == len(slopes) == len(breaks) - 1:
             raise ValueError("inconsistent segment data")

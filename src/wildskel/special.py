@@ -14,21 +14,21 @@ strongly supersingular, ``E``/``ES`` exceptional (never liftable).  The
 type list, classification, liftability and inner slope classes are
 derived from these two at import.
 
-One multiset enumerator serves the search: it splits slope indices into
-parts for root subtrees, and root subtrees into shapes.  The enumeration
-tags each special candidate by the shape key it was built from;
+:func:`enumerate_special` builds the twelve shapes of the table, and
 :func:`classify_special` reads the shape back off a given morphism: its
 trees hang off the genus-one vertex or off the cycle of multiplicity-one
-edges.  The shape builder records the source only and derives the target
-as its quotient, a tail's image a tail (by identity).  A root subtree
-builds its sort key once, from its children's.
+edges.  That the twelve are every stable special morphism is checked by a
+census of degree-two covers of small trees (``tests/test_census.py``).
+The shape builder records the source only and derives the target as its
+quotient, a tail's image a tail (by identity).  A root subtree builds its
+sort key once, from its children's.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .delta_morphism import DeltaMorphism, MetricDeltaMorphism, is_stable
 from .genus_graph import GenusGraph
@@ -175,8 +175,8 @@ def _subtree_key(t: RootSubtree):
 _LEAF_CAPS = {1: 4, 2: 2, 4: 1}
 
 
-def _multisets(items: Sequence, weight: Callable, total: int) -> List[tuple]:
-    """All multisets of ``items`` whose weights add to ``total``, each a
+def _multisets(items: Sequence[int], total: int) -> List[tuple]:
+    """All multisets of the positive ``items`` that add to ``total``, each a
     tuple in the order of ``items``."""
     out = []
 
@@ -185,9 +185,8 @@ def _multisets(items: Sequence, weight: Callable, total: int) -> List[tuple]:
             out.append(tuple(chosen))
             return
         for i in range(start, len(items)):
-            w = weight(items[i])
-            if w <= remaining:
-                rec(i, remaining - w, chosen + [items[i]])
+            if items[i] <= remaining:
+                rec(i, remaining - items[i], chosen + [items[i]])
 
     rec(0, total, [])
     return out
@@ -198,7 +197,7 @@ def _bodies(slope_index: int, leaf_r: int, budget: int) -> List[RootSubtree]:
     found: List[RootSubtree] = []
     if slope_index == leaf_r and budget >= 1:
         found.append(RootSubtree(slope_index - 1))
-    for parts in _multisets(sorted(_LEAF_CAPS, reverse=True), lambda p: p, slope_index):
+    for parts in _multisets(sorted(_LEAF_CAPS, reverse=True), slope_index):
         if len(parts) < 2:
             continue
         options = [_bodies(p, leaf_r, budget) for p in parts]
@@ -314,26 +313,6 @@ def is_special(m: DeltaMorphism) -> SpecialCheck:
     return SpecialCheck(True, "", cls)
 
 
-def _class_coherent(m: DeltaMorphism, cls: str) -> bool:
-    """Structural coherence of the characteristic class.
-
-    In the mixed family every balanced vertex is wild, and in the wild
-    family every vertex is wild.  A mixed shape violating this cannot
-    carry a different function: a tame balanced vertex sits at the tail
-    value while some other part of the shape forces a strictly larger
-    value at the same vertex.  The enumeration uses this cut; the
-    plain :func:`is_special` predicate does not.
-    """
-    wild = _wild_vertices(m)
-    if cls == "mixed":
-        return all(
-            v in wild for v in m.source.vertices if m.differential_index(v) == 0
-        )
-    if cls == "wild":
-        return wild == frozenset(m.source.vertices)
-    return True
-
-
 # -- building the shapes ------------------------------------------------------------
 
 
@@ -425,8 +404,8 @@ _1C = RootSubtree(1, (_0L, _0L))
 
 #: Source shape of each type, in listing order: ("loop", per-side trees)
 #: or ("genus1", trees).  The one shape table; the tables below derive
-#: from it.  Trees are in ``_subtree_key`` order, as the search builds
-#: them, so ``build_special`` assigns the ids ``enumerate_special`` does.
+#: from it.  Trees are in ``_subtree_key`` order, which fixes the ids
+#: ``build_special`` assigns.
 _SHAPES: Dict[str, tuple] = {
     "TB": ("loop", ((_0L, _0L), (_0L, _0L))),
     "MB": ("loop", ((_1C,), (_1C,))),
@@ -519,48 +498,9 @@ def build_special(tag: str) -> DeltaMorphism:
 # -- enumeration and classification ---------------------------------------------------
 
 
-def _homogeneous(tree_multiset: Sequence[RootSubtree]) -> bool:
-    rs = [r for t in tree_multiset for r in t.leaf_r_values()]
-    if len(set(rs)) != 1:
-        return False
-    r = rs[0]
-    return r in _LEAF_CAPS and len(rs) <= _LEAF_CAPS[r]
-
-
-def _candidate_shapes():
-    inventory = enumerate_root_subtrees(4)
-    # good reduction: trees hang on the genus-one vertex, indices sum to 4
-    for combo in _multisets(inventory, lambda t: t.slope_index, 4):
-        if _homogeneous(combo):
-            yield ("genus1", combo)
-    # bad reduction: two sides of the loop, indices sum to 2 on each;
-    # distinct multisets are distinct tuples, so each unordered pair once
-    sides = _multisets(inventory, lambda t: t.slope_index, 2)
-    for a, b in itertools.combinations_with_replacement(sides, 2):
-        if _homogeneous(a + b):
-            yield ("loop", (a, b))
-
-
 def enumerate_special() -> List[Tuple[SpecialType, DeltaMorphism]]:
-    """Exhaustive search for special morphisms, up to isomorphism.
-
-    Candidates are assembled from the root-subtree inventory (at most
-    four ramification leaves, homogeneous differential indices), run
-    through :func:`is_special` and the class-coherence cut, and tagged
-    by the shape they were built from.
-    """
-    results: Dict[str, DeltaMorphism] = {}
-    for kind, data in _candidate_shapes():
-        m = _build(kind, data)
-        check = is_special(m)
-        if not check or not _class_coherent(m, check.characteristic_class):
-            continue
-        # no tag twice: the candidates' shape keys are distinct, and
-        # _TAG_BY_SHAPE gives the twelve keys of _SHAPES twelve tags
-        results[_tag_of(kind, data)] = m
-    return [
-        (SpecialType(tag), results[tag]) for tag in SPECIAL_TAGS if tag in results
-    ]
+    """The twelve special types with their canonical representatives."""
+    return [(SpecialType(tag), build_special(tag)) for tag in SPECIAL_TAGS]
 
 
 def _extract_tree(m: DeltaMorphism, branch: Tuple[str, bool]) -> RootSubtree:

@@ -290,6 +290,11 @@ def echo(value) -> str:
     return cut(repr(value))
 
 
+#: Text and binary buffers: sequences of characters or bytes, which an entry
+#: that takes a sequence or collection of values or ids refuses.
+TEXT = (str, bytes, bytearray, memoryview)
+
+
 def refused(value, entry: str, key, noun: str) -> ValueError:
     """The error ``<entry> [value of <key>] is <value>, not <noun>`` of the
     public input ``entry``."""

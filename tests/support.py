@@ -16,17 +16,27 @@ subdivision of a metric morphism that ``stabilize`` must undo.
 ``proper_mutations``, ``load_mutations`` and ``stabilize_corpus`` are
 the seeded inputs of the ``proper_errors``, ``load_errors`` and
 ``stabilize`` goldens (``tools/record_goldens.py``).
+
+``special_census`` builds the degree-two covers of genus one of the trees
+``free_trees`` lists, for ``tests/test_census.py``, and
+``messages_under_hash_seed`` runs a graph constructor or a loader in a
+child interpreter under a given ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
+import wildskel
 from wildskel import (
     INF,
     LIFTABLE_TAGS,
@@ -731,6 +741,212 @@ def load_mutations(seed: int, count: int):
                 if side == "source" and isinstance(vmap, dict) and vmap:
                     vmap["iso"] = rng.choice(sorted(str(v) for v in vmap.values()))
         yield data
+
+
+# -- messages under a hash seed -------------------------------------------------------
+
+
+#: Run in a child interpreter: the message of each ``[kind, argument]`` case
+#: of a JSON list read from stdin, printed as a JSON list.
+_MESSAGES = """
+import json, sys
+from wildskel import GenusGraph, morphism_from_json_dict
+
+calls = {"graph": lambda args: GenusGraph(*args), "load graph": GenusGraph.from_json_dict,
+         "load morphism": morphism_from_json_dict}
+out = []
+for kind, argument in json.load(sys.stdin):
+    try:
+        calls[kind](argument)
+        out.append(None)
+    except Exception as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+print(json.dumps(out))
+"""
+
+
+def messages_under_hash_seed(seed: int, cases) -> list:
+    """The exception type and message (None if it passes) of each ``(kind,
+    argument)`` of ``cases``, run in a child interpreter with
+    ``PYTHONHASHSEED=seed``: ``"graph"`` is the ``GenusGraph`` constructor on
+    a JSON list of its arguments, ``"load graph"`` and ``"load morphism"``
+    the loaders on a document."""
+    src = str(Path(wildskel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MESSAGES], input=json.dumps(cases), capture_output=True,
+        text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+    )
+    return json.loads(done.stdout)
+
+
+# -- a census of degree-two covers of trees -------------------------------------------
+
+
+def _tree_code(k: int, edges) -> str:
+    """A code two trees on ``range(k)`` share iff they are isomorphic: the
+    least nested-bracket code of the tree rooted at one of its vertices."""
+    nbrs = [[] for _ in range(k)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    return min(code(root, None) for root in range(k))
+
+
+def free_trees(max_vertices: int) -> List[List[Tuple[int, int]]]:
+    """The free trees on 1 to ``max_vertices`` vertices up to isomorphism,
+    each a list of edges on ``range(k)``: a tree on ``k`` vertices grows one
+    on ``k - 1`` by a leaf, and one tree of each code is kept."""
+    level, trees = [[]], [[]]
+    for k in range(2, max_vertices + 1):
+        grown = {}
+        for edges in level:
+            for v in range(k - 1):
+                grown.setdefault(_tree_code(k, edges + [(v, k - 1)]), edges + [(v, k - 1)])
+        level = list(grown.values())
+        trees += level
+    return trees
+
+
+#: The source edges over a target edge, by the sizes of the fibers over its
+#: ends (one whole vertex of multiplicity 2, or two split ones of multiplicity
+#: 1): each a pair of indices into the two fibers.  Two whole ends are joined
+#: by one edge of n = 2 or by a doubled edge, a whole and a split end by a
+#: fan, and two split ends straight or crossed.
+_JOINS = {
+    (1, 1): (((0, 0),), ((0, 0), (0, 0))),
+    (1, 2): (((0, 0), (0, 1)),),
+    (2, 1): (((0, 0), (1, 0)),),
+    (2, 2): (((0, 0), (1, 1)), ((0, 1), (1, 0))),
+}
+
+
+class Census(NamedTuple):
+    trees: int  # targets, up to isomorphism
+    candidates: int  # morphisms built
+    specials: List[DeltaMorphism]  # those is_special passes, in the order built
+
+
+def special_census(max_vertices: int, prune: bool = True) -> Census:
+    """Every degree-two cover of genus one of a tree with at most
+    ``max_vertices`` vertices that is balanced away from its ramification
+    leaves, with the special ones among them.
+
+    Over each free tree (``free_trees``), each target vertex is whole or
+    split and the fibers over each edge are joined as ``_JOINS`` allows.
+    Genus 1 goes on one source vertex when the source is a tree, and on none
+    when it has one cycle; other sources are skipped.  Each whole leaf of
+    genus 0, a source leaf of multiplicity 2, picks its differential index
+    ``R`` in {0, 1, 2, 4}, which makes the slope away from it ``R - 1``
+    (``R = 3`` gives an even slope, and the ``R`` sum to 4).  Every other
+    vertex is balanced, ``R = 0``: peeling the forest of n = 2 edges from
+    its leaves determines the last unknown slope at each vertex, and a
+    cover on which some vertex is left unbalanced does not exist.  Split
+    edges have slope 0.  Each cover is built through
+    ``DeltaMorphism._from_normal`` and counted as a candidate.
+
+    With ``prune``, covers that admit a contraction move are skipped before
+    they are built.  A split vertex is balanced only at genus 0 (``R = 2g``),
+    so a split target leaf admits a leaf move when the target has more than
+    one edge, and a split target vertex of valence 2 a smoothing.  So does a
+    whole target vertex of valence 2 whose fiber has genus 0 and valence 2,
+    and a whole leaf with ``R = 0`` on a target of more than one edge.
+    """
+    trees = free_trees(max_vertices)
+    candidates, specials = 0, []
+    for edges in trees:
+        for m in _covers(edges, prune):
+            candidates += 1
+            if is_special(m):
+                specials.append(m)
+    return Census(len(trees), candidates, specials)
+
+
+def _covers(edges, prune: bool):
+    """The covers ``special_census`` builds over the tree ``edges``."""
+    k = len(edges) + 1
+    target = GenusGraph._from_normal(
+        dict.fromkeys(map(str, range(k)), 0),
+        {f"e{j}": (str(u), str(v)) for j, (u, v) in enumerate(edges)}, 1, None, (),
+    )
+    movable = (1, 2) if k > 2 else (2,)  # target valences where a split vertex has a move
+    for sizes in itertools.product((1, 2), repeat=k):
+        if prune and any(size == 2 and target.valence(str(v)) in movable
+                         for v, size in enumerate(sizes)):
+            continue
+        fibers = [[str(v)] if size == 1 else [f"{v}a", f"{v}b"] for v, size in enumerate(sizes)]
+        for joins in itertools.product(*[_JOINS[sizes[u], sizes[v]] for u, v in edges]):
+            ends, mult, emap = {}, {}, {}
+            for j, ((u, v), join) in enumerate(zip(edges, joins)):
+                for i, (a, b) in enumerate(join):
+                    e = f"{j}" if len(join) == 1 else f"{j}{'ab'[i]}"
+                    ends[e], mult[e] = (fibers[u][a], fibers[v][b]), 3 - len(join)
+                    emap[e] = f"e{j}"
+            yield from _balanced(target, fibers, ends, mult, emap, prune)
+
+
+def _balanced(target, fibers, ends, mult, emap, prune: bool):
+    """The covers with these source edges: for each placement of the genus,
+    each choice of ``R`` at the genus-0 whole leaves whose slopes balance
+    every other vertex."""
+    vmap = {x: str(v) for v, fiber in enumerate(fibers) for x in fiber}
+    h1 = len(ends) - len(vmap) + 1
+    if h1 not in (0, 1) or not GenusGraph._from_normal(
+            dict.fromkeys(vmap, 0), ends, 1, None, ()).is_connected():
+        return
+    vmult = {x: 3 - len(fiber) for fiber in fibers for x in fiber}
+    at = {x: [] for x in vmap}  # the n = 2 edges at each source vertex
+    valence = dict.fromkeys(vmap, 0)
+    for e, (u, v) in ends.items():
+        valence[u] += 1
+        valence[v] += 1
+        if mult[e] == 2:
+            at[u].append(e)
+            at[v].append(e)
+    choices = (1, 2, 4) if prune and len(target.edge_ids) > 1 else (0, 1, 2, 4)
+    for genus_at in list(vmap) if h1 == 0 else [None]:
+        if prune and any(
+            target.valence(str(v)) == 2 and all(valence[x] == 2 and x != genus_at for x in fiber)
+            for v, fiber in enumerate(fibers)
+        ):
+            continue
+        genus = dict.fromkeys(vmap, 0)
+        if genus_at is not None:
+            genus[genus_at] = 1
+        source = GenusGraph._from_normal(genus, ends, 1, None, ())
+        leaves = [x for x in vmap if vmult[x] == 2 and valence[x] == 1 and x != genus_at]
+        for rs in itertools.product(choices, repeat=len(leaves)):
+            if sum(rs) != 4:  # the R of a cover sum to 2g - 2 - 2(2g' - 2) = 4
+                continue
+            # R_x = 2g - 2 + 2 vertex_mult + the sum of (slope - 1) over the
+            # n = 2 edges at x, the slopes read away from x; so need[x] is
+            # the sum of those slopes that gives x its R
+            wanted = dict(zip(leaves, rs))
+            need = {x: wanted.get(x, 0) - 2 * genus[x] + 2 - 2 * vmult[x] + len(at[x])
+                    for x in vmap}
+            sdelta = {e: 0 for e in ends if mult[e] == 1}
+            unknown = {x: list(es) for x, es in at.items()}
+            stack = [x for x in vmap if len(unknown[x]) == 1]
+            while stack:
+                x = stack.pop()
+                if len(unknown[x]) != 1:
+                    continue
+                e = unknown[x].pop()
+                s, need[x] = need[x], 0
+                u, v = ends[e]
+                y = v if u == x else u
+                sdelta[e] = s if u == x else -s
+                need[y] += s
+                unknown[y].remove(e)
+                if len(unknown[y]) == 1:
+                    stack.append(y)
+            if not any(need.values()):
+                yield DeltaMorphism._from_normal(source, target, vmap, emap, mult, sdelta)
 
 
 # -- every public rational entry ------------------------------------------------------

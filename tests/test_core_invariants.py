@@ -42,8 +42,11 @@ re-deriving.
 - ``metric_lift`` builds every liftable type once its prechecks pass: on
   the shape builder's output dilation, linearity, the tail values ``|2|``
   and the slope restriction hold (``test_metric_lift_builds_...``).
-- ``enumerate_special`` finds each tag once: the candidate shapes have
-  distinct keys, and ``_TAG_BY_SHAPE`` has twelve.
+- The twelve shapes of ``_SHAPES`` are every stable special morphism:
+  ``tests/test_census.py`` builds every degree-two cover of a tree of at
+  most eight vertices and finds each special one isomorphic to
+  ``build_special`` of its tag, or the incoherent loop.  ``_TAG_BY_SHAPE``
+  has twelve keys, so each tag is read off one shape.
 - A fiber vertex that a smoothing removes joins two edges of equal
   multiplicity with a continuous sdelta (``_move_obstruction``).
 - The valence of a target vertex fixes the one move kind it may have: a
@@ -98,8 +101,6 @@ from wildskel.special import (
     SPECIAL_TAGS,
     Lengths,
     SpecialType,
-    _candidate_shapes,
-    _shape_key,
     build_special,
     classify_special,
     enumerate_root_subtrees,
@@ -363,9 +364,7 @@ def test_one_kind_per_target_vertex_finds_the_moves_of_both():
 # -- the facts classify_special and metric_lift rely on ------------------------
 
 
-def test_candidate_shapes_have_distinct_keys():
-    keys = [_shape_key(kind, data) for kind, data in _candidate_shapes()]
-    assert len(set(keys)) == len(keys) > 12
+def test_shape_table_and_inventory_have_distinct_keys():
     inventory = enumerate_root_subtrees(4)
     assert len({t.describe() for t in inventory}) == len(inventory)
     assert len(_TAG_BY_SHAPE) == len(_SHAPES) == 12

@@ -31,6 +31,8 @@ from tests.support import (
     _edited,
     _graph,
     _morphism,
+    load_mutations,
+    messages_under_hash_seed,
 )
 
 GRAPH_CASES = {
@@ -282,3 +284,39 @@ def test_constructor_names_an_edge_without_a_length():
     reaches a public constructor's lengths."""
     with pytest.raises(ValueError, match="^edge f has no length$"):
         GenusGraph({"a": 0, "b": 0}, {"e": ("a", "b"), "f": ("a", "b")}, {"e": 1})
+
+
+def _faulty_leaf_graphs():
+    """Graphs whose infinite leaves have two or three faults: leaves that
+    are no vertex, of genus 1 or of valence 0 or 2, alone and mixed; each as
+    constructor arguments and as a document."""
+    genera = {"c": 0, "a": 0, "g": 1, "h": 1, "k": 1, "p": 0, "q": 0}
+    edges = {"e1": ["c", "a"], "e2": ["c", "g"], "e3": ["c", "h"], "e4": ["c", "k"],
+             "e5": ["c", "p"], "e6": ["p", "a"]}
+    for leaves in (["y", "x"], ["x", "y", "z"], ["z", "y", "x"], ["h", "g"], ["k", "h", "g"],
+                   ["q", "p"], ["q", "x", "g"], ["p", "h", "y"]):
+        lengths = {e: "inf" if set(ends) & set(leaves) else "1" for e, ends in edges.items()}
+        yield "graph", [genera, edges, lengths, leaves]
+        yield "load graph", {
+            "vertices": [{"id": v, "genus": g} for v, g in genera.items()],
+            "edges": [{"id": e, "from": u, "to": v, "length": lengths[e]}
+                      for e, (u, v) in edges.items()],
+            "infinite_leaves": leaves,
+        }
+
+
+def test_messages_do_not_depend_on_the_hash_seed():
+    """Two interpreters with different hash seeds name the same fault of
+    every graph with several faulty infinite leaves, of the documents of the
+    tables above and of 200 mutated morphism documents."""
+    faulty = [
+        *_faulty_leaf_graphs(),
+        *(("load graph", _edited(_graph(metric), edits))
+          for metric, edits, _ in GRAPH_CASES.values()),
+        *(("load morphism", _edited(_morphism(metric), edits))
+          for metric, edits, _ in MORPHISM_CASES.values()),
+    ]
+    cases = faulty + [("load morphism", doc) for doc in load_mutations(3, 200)]
+    first = messages_under_hash_seed(0, cases)
+    assert len(first) == len(cases) and all(first[:len(faulty)])
+    assert messages_under_hash_seed(1, cases) == first

@@ -17,7 +17,7 @@ from wildskel.genus_graph import (
 )
 from wildskel.valuation import INF
 
-from tests.support import random_genus_graph
+from tests.support import messages_under_hash_seed, random_genus_graph
 
 
 def triangle():
@@ -411,9 +411,10 @@ class TestIdRule:
         g = GenusGraph({1: 0, 2: 0}, {"e": (1, 2)}, {"e": INF}, [2])
         assert g.endpoints("e") == ("1", "2") and g.infinite_leaves == {"2"}
 
-    @pytest.mark.parametrize("leaves", ["ab", b"ab"])
+    @pytest.mark.parametrize("leaves", ["ab", b"ab", bytearray(b"ab"), memoryview(b"ab")])
     def test_constructor_leaves_are_no_text(self, leaves):
-        # the text "ab" was read as the leaves a and b, the bytes as 97 and 98
+        # the text "ab" was read as the leaves a and b; bytes, a bytearray and
+        # a memoryview as 97 and 98
         genera = {"a": 0, "b": 0, "c": 0, "ab": 0}
         with pytest.raises(ValueError) as info:
             GenusGraph(genera, {"e": ("c", "a"), "f": ("c", "b")}, {"e": INF, "f": INF}, leaves)
@@ -434,6 +435,17 @@ class TestIdRule:
         with pytest.raises(ValueError) as info:
             GenusGraph.from_json_dict(data, "source graph")
         assert str(info.value) == f"source graph repeats infinite leaf id '{shown}'"
+
+
+    def test_faulty_leaves_are_named_in_sorted_order_under_any_hash_seed(self):
+        # the leaves were checked in the order of a frozenset: this graph
+        # named y under PYTHONHASHSEED=0 and x under 1
+        graph = [{"c": 0, "a": 0}, {}, {}, ["x", "y", "z"]]
+        data = {"vertices": [{"id": "c"}, {"id": "a"}], "edges": [],
+                "infinite_leaves": ["x", "y", "z"]}
+        for seed in (0, 1):
+            messages = messages_under_hash_seed(seed, [("graph", graph), ("load graph", data)])
+            assert messages == ["ValueError: infinite leaf x is not a vertex"] * 2
 
 
 class TestBranchIndex:

@@ -183,24 +183,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_special(m)
 
-    def test_only_unclassifiable_candidate_is_the_incoherent_loop(self):
-        # of all special candidates the enumeration assembles, exactly one
-        # matches no shape: a loop with two tame tails on one side and a
-        # mixed cherry on the other (the class-coherence cut drops it)
-        from wildskel.special import UnclassifiableError, _build, _candidate_shapes
+    def test_the_incoherent_loop_is_special_and_unclassifiable(self):
+        # a loop with two tame tails on one side and a mixed cherry on the
+        # other; tests/test_census.py finds it the one special morphism on a
+        # tree of at most eight vertices that matches none of the twelve
+        from wildskel.special import _0L, _1C, UnclassifiableError, _build
 
-        errors = []
-        for kind, data in _candidate_shapes():
-            m = _build(kind, data)
-            if not is_special(m):
-                continue
-            try:
-                classify_special(m)
-            except UnclassifiableError as exc:
-                errors.append(str(exc))
-        assert errors == [
-            "unknown bad-reduction shape (('0', '0'), ('1(0,0)',))"
-        ]
+        m = _build("loop", ((_0L, _0L), (_1C,)))
+        assert is_special(m)
+        with pytest.raises(UnclassifiableError) as caught:
+            classify_special(m)
+        assert str(caught.value) == "unknown bad-reduction shape (('0', '0'), ('1(0,0)',))"
 
 
 class TestEnumerateSpecial:
@@ -239,7 +232,7 @@ class TestEnumerateSpecial:
             assert rep.ok and rep.r_sum == 4
 
     def test_built_enumerated_and_fixture_morphisms_are_equal(self):
-        """ME was built with its edge ids in another order than the search's."""
+        """The fixtures pin the ids ``build_special`` assigns."""
         for t, m in enumerate_special():
             fixture = json.loads((FIXTURES / f"{t.tag.lower()}.morphism.json").read_text())
             built = morphism_to_json_dict(build_special(t.tag))

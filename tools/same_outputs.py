@@ -50,11 +50,13 @@ and ``metric_lengths`` of the plain WB and of ``wb_metric`` without its
 delta values; ``PMFunction.from_json_dict`` of a list, of documents that
 lack a key, whose ``breakpoints`` or ``segments`` is no list and of a
 segment that is no object, and ``PMFunction`` of each argument given as
-no sequence and of text or bytes as breakpoints; the ``GenusGraph``
-constructor on infinite leaves given as text, as bytes or with a repeat,
-and the loader on the repeats; a float, a bool and text as the integer ``m`` and ``s`` of
-``check_restriction`` and ``realize_triple``, ``m``, ``n`` and ``slope_s``
-of ``DifferentReport`` and the ``label`` of a ``RootSubtree``; the messages
+no sequence and of text, bytes, a bytearray or a memoryview as
+breakpoints; the ``GenusGraph`` constructor on infinite leaves given as
+text, as bytes, as a bytearray, as a memoryview, with a repeat or as two
+or three ids that are no vertex, and the loader on those lists; a float,
+a bool and text as the integer ``m`` and ``s`` of ``check_restriction``
+and ``realize_triple``, ``m``, ``n`` and ``slope_s`` of
+``DifferentReport`` and the ``label`` of a ``RootSubtree``; the messages
 of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
 numbers, texts, floats, bools and a ``LogAbs`` as series values,
 ``PMFunction`` values and breakpoints, ``LogAbs``, ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
@@ -77,6 +79,7 @@ RH divisor report of what it builds; the disconnected targets of
 ``tests/support.py``; and a few single calls at known edge
 cases.  A function missing from one tree is recorded as missing.
 
+A memory address in a record (``<memory at 0x...>``) is masked.
 Records are matched by label (the ``k``-th record of a label with the
 ``k``-th of the same label), so a line that one tree prints and the other
 does not shifts no other record.  Prints the number of differing records
@@ -92,6 +95,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -144,6 +148,7 @@ class _Recorder:
 
     def write(self, label: str, text: str) -> None:
         line = f"{label}\t{text}".replace(self.work, "$WORK").replace(str(ROOT), ".")
+        line = re.sub(r" at 0x[0-9a-f]+", " at 0x...", line)
         self.out.write(line.replace("\n", "\\n") + "\n")
 
 
@@ -291,8 +296,10 @@ def record(out, work: Path, every: int) -> None:
         rec.call(f"graph with length {length!r}", graph, two, {"e": ("a", "b")}, {"e": length})
     rec.call("graph with leaf ['b']", graph, two, {"e": ("a", "b")}, {"e": ws.INF}, [["b"]])
     tails = {"a": 0, "c": 0, "1": 0}, {"e": ("c", "a"), "f": ("c", "1")}
-    # one byte, so the old reading names one leaf that is no vertex, not a set's first
-    for leaves in ("a1", b"a", ["a", "1", "a"], ["a", 1, "1"]):
+    # one byte, so the old reading names one leaf that is no vertex, not a set's first;
+    # the lists of two and three such leaves are named in sorted order
+    for leaves in ("a1", b"a", bytearray(b"a"), memoryview(b"a"), ["a", "1", "a"],
+                   ["a", 1, "1"], ["z", "y"], ["x", "y", "z"]):
         rec.call(f"graph with leaves {leaves!r}", graph, *tails, {"e": ws.INF, "f": ws.INF},
                  leaves)
         if type(leaves) is list:
@@ -382,7 +389,8 @@ def record(out, work: Path, every: int) -> None:
         for name, call in integers.items():
             rec.call(f"integer entry {name} on {value!r}", call, value)
     for args in ((None, [0], [1]), ((0, 1), 0, [1]), ([0, 1], [0], 1), ({0: 0, 1: 1}, [0], [1]),
-                 ("01", "0", "1"), (b"01", [0], [1])):
+                 ("01", "0", "1"), (b"01", [0], [1]), (bytearray(b"01"), [0], [1]),
+                 (memoryview(b"01"), [0], [1])):
         rec.call(f"PMFunction of {args!r}", pub("PMFunction"), *args)
     for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
         rec.call(f"setting {text}", ws.ResidueSetting.parse, text)

@@ -77,7 +77,7 @@ def degree_p_locus(mm: MetricDeltaMorphism, p: int) -> RadialDescription:
     verts = {v for e in edges for v in ends[e]}
     verts.update([v for v in src.vertices if vmult[v] == p])
     center = GenusGraph._from_normal(
-        {v: src._genus[v] for v in verts},
+        {v: src._genus[v] for v in sorted(verts)},  # id order; a set's follows the hash seed
         {e: ends[e] for e in edges},
         src._den,
         {e: lengths[e] for e in edges},

@@ -287,6 +287,13 @@ def cut(text: str) -> str:
 
 
 def echo(value) -> str:
+    """``repr(value)`` for a message, cut; a memoryview shows its bytes, not
+    the address in its ``repr``, which changes from run to run."""
+    if isinstance(value, memoryview):
+        try:
+            return cut(f"memoryview({value.tobytes()!r})")
+        except ValueError:  # released: its repr has no bytes to show
+            pass
     return cut(repr(value))
 
 

@@ -21,6 +21,12 @@ the seeded inputs of the ``proper_errors``, ``load_errors`` and
 ``free_trees`` lists, for ``tests/test_census.py``, and
 ``messages_under_hash_seed`` runs a graph constructor or a loader in a
 child interpreter under a given ``PYTHONHASHSEED``.
+
+Each refused input is written once, in a table here that the tests and the
+recording walk of ``tools/same_outputs.py`` both read: ``GRAPH_CASES`` and
+``MORPHISM_CASES`` (two faults per document), ``PMFUNCTION_REFUSALS``,
+``PMFUNCTION_JSON_REFUSALS``, ``INTEGER_ENTRIES``, ``MAX_LEAVES_REFUSALS``
+and ``LEAF_REFUSALS``.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from wildskel import (
     metric_lift,
     morphism_from_json_dict,
     morphism_to_json_dict,
+    realize_triple,
     skeleton_image_law,
     tropical_eval,
     wide_open_genus_check,
@@ -1105,6 +1112,228 @@ def _constructed(doc):
     return DeltaMorphism(*graphs, *maps)
 
 
+#: name -> (metric, edits of ``_graph(metric)``, the message of the loader):
+#: two faults of adjacent stages of the read path (``tests/test_error_order.py``).
+GRAPH_CASES = {
+    "vertex entry before edge entry": (
+        False, [(V, 1, "b"), (E, 0, ["a", "b"])],
+        "vertices entry 'b' is not an object",
+    ),
+    "vertex id before missing edges": (
+        False, [(V, 1, "id", 1.5), (E, DELETE)],
+        "vertices entry id 1.5 is not a string or an integer",
+    ),
+    "missing edges before genus": (
+        False, [(V, 0, "genus", 1.5), (E, DELETE)],
+        "graph lacks key 'edges'",
+    ),
+    "edge id before genus of an earlier vertex": (
+        False, [(V, 0, "genus", 1.5), (E, 1, "id", [1])],
+        "edges entry id [1] is not a string or an integer",
+    ),
+    "edge id before infinite_leaves type": (
+        False, [(E, 1, "id", None), ("infinite_leaves", "a")],
+        "edges entry id None is not a string or an integer",
+    ),
+    "infinite_leaves type before genus": (
+        False, [("infinite_leaves", "a"), (V, 0, "genus", True)],
+        "graph infinite_leaves is not a list",
+    ),
+    "genus before endpoints": (
+        False, [(V, 1, "genus", "0"), (E, 0, "from", DELETE)],
+        "vertex b genus '0' is not an integer",
+    ),
+    "genus before lengths": (
+        True, [(V, 1, "genus", None), (E, 0, "length", "x")],
+        "vertex b genus None is not an integer",
+    ),
+    "genus before an end that is not an id": (
+        False, [(V, 1, "genus", 0.5), (E, 0, "from", 1.5)],
+        "vertex b genus 0.5 is not an integer",
+    ),
+    "an end that is not an id before lengths": (
+        True, [(E, 0, "length", "x"), (E, 1, "to", None)],
+        "edge f to None is not a string or an integer",
+    ),
+    "missing from before a to that is not an id": (
+        False, [(E, 0, "from", DELETE), (E, 0, "to", True)],
+        "edge e lacks key 'from'",
+    ),
+    "a leaf that is not an id before genus": (
+        True, [(V, 0, "genus", None), ("infinite_leaves", [["b"]])],
+        "graph infinite_leaves entry ['b'] is not a string or an integer",
+    ),
+    "endpoints of a later edge before lengths": (
+        True, [(E, 0, "length", "x"), (E, 1, "to", DELETE)],
+        "edge f lacks key 'to'",
+    ),
+    "endpoints of a later edge before a missing length": (
+        True, [(E, 0, "length", DELETE), (E, 1, "from", DELETE)],
+        "edge f lacks key 'from'",
+    ),
+    "a missing length is a lengths fault": (
+        False, [(E, 1, "length", "1")],
+        "edge e lacks key 'length'",
+    ),
+    "infinite leaves make a graph metric": (
+        False, [("infinite_leaves", ["a"])],
+        "edge e lacks key 'length'",
+    ),
+    "length type before negative genus": (
+        True, [(V, 0, "genus", -1), (E, 1, "length", 2)],
+        "edge f length 2 is not a string",
+    ),
+    "zero denominator before an outside endpoint": (
+        True, [(E, 0, "from", "zz"), (E, 1, "length", "1/0")],
+        "'1/0' has a zero denominator",
+    ),
+    "missing length before a nonpositive one": (
+        True, [(E, 0, "length", "0"), (E, 1, "length", DELETE)],
+        "edge f lacks key 'length'",
+    ),
+    "negative genus before an outside endpoint": (
+        False, [(V, 1, "genus", -1), (E, 0, "to", "zz")],
+        "vertex b has negative genus",
+    ),
+    "outside endpoints in file order": (
+        False, [(E, 0, "id", "z"), (E, 0, "from", "q"), (E, 1, "to", "r")],
+        "edge z has an endpoint outside the vertex set",
+    ),
+    "outside endpoint before repeated vertex": (
+        False, [(V, "+", {"id": "a", "genus": 0}), (E, 0, "to", "zz")],
+        "edge e has an endpoint outside the vertex set",
+    ),
+    "negative genus beside a repeated vertex": (
+        False, [(V, "+", {"id": "b", "genus": -1}), (V, "+", {"id": "a", "genus": 0})],
+        "vertex b has negative genus",
+    ),
+    "nonpositive length before leaves": (
+        True, [(E, 1, "length", "-1"), ("infinite_leaves", ["zz"])],
+        "edge f has nonpositive length -1",
+    ),
+    "nonpositive length on a later edge before a tail fault": (
+        True, [(E, 0, "length", "inf"), (E, 1, "length", "-1")],
+        "edge f has nonpositive length -1",
+    ),
+    "leaf genus before the tail fault of an earlier edge": (
+        True, [(V, 1, "genus", 1), ("infinite_leaves", ["b"])],
+        "infinite leaf b must have genus 0",
+    ),
+    "leaf not a vertex before the tail rule": (
+        True, [("infinite_leaves", ["zz"])],
+        "infinite leaf zz is not a vertex",
+    ),
+    "leaf valence before the tail rule": (
+        True, [("infinite_leaves", ["b"])],
+        "infinite leaf b must have valence 1",
+    ),
+    "repeated vertex before repeated edge": (
+        False, [(V, "+", {"id": "a", "genus": 0}), (E, "+", {"id": "e", "from": "a", "to": "b"})],
+        "graph repeats vertex id 'a'",
+    ),
+    "integer id repeats its string": (
+        False, [(E, "+", {"id": "1", "from": "a", "to": "b"}), (E, "+", {"id": 1, "from": "a", "to": "b"})],
+        "graph repeats edge id '1'",
+    ),
+    "the tail rule before a repeated leaf": (
+        True, [(V, "+", {"id": "c", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": "c", "length": "1"}),
+               ("infinite_leaves", ["c", "c"])],
+        "edge g must have infinite length iff it is a tail",
+    ),
+    "repeated edge before repeated leaf": (
+        True, [(V, "+", {"id": "c", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": "c", "length": "inf"}),
+               (E, "+", {"id": "e", "from": "a", "to": "b", "length": "1"}), ("infinite_leaves", ["c", "c"])],
+        "graph repeats edge id 'e'",
+    ),
+    "integer leaf repeats its string": (
+        True, [(V, "+", {"id": "1", "genus": 0}), (E, "+", {"id": "g", "from": "a", "to": 1, "length": "inf"}),
+               ("infinite_leaves", [1, "1"])],
+        "graph repeats infinite leaf id '1'",
+    ),
+}
+
+#: name -> (metric, edits of ``_morphism(metric)``, the message of the loader).
+MORPHISM_CASES = {
+    "source graph before target graph": (
+        False, [("source", V, 0, "genus", 1.5), ("target", E, DELETE)],
+        "vertex a genus 1.5 is not an integer",
+    ),
+    "target graph before maps": (
+        False, [("target", V, DELETE), ("vertex_map", DELETE)],
+        "target graph lacks key 'vertices'",
+    ),
+    "vertex_map before n": (
+        False, [("vertex_map", DELETE), ("n", "e", 1.5)],
+        "morphism lacks key 'vertex_map'",
+    ),
+    "edge_map before n": (
+        False, [("edge_map", DELETE), ("n", "e", "x")],
+        "morphism lacks key 'edge_map'",
+    ),
+    "a vertex_map value that is not an id before edge_map": (
+        False, [("vertex_map", "b", 1.5), ("edge_map", DELETE)],
+        "morphism vertex_map value of 'b' is 1.5, not a string or an integer",
+    ),
+    "an edge_map value that is not an id before n": (
+        False, [("edge_map", "f", None), ("n", "e", "x")],
+        "morphism edge_map value of 'f' is None, not a string or an integer",
+    ),
+    "n before sdelta": (
+        False, [("n", "f", 1.5), ("sdelta", "e", True)],
+        "morphism n value of 'f' is 1.5, not an integer",
+    ),
+    "sdelta before kind": (
+        False, [("sdelta", "e", 0.5), ("target", E, 0, "length", "1"), ("target", E, 1, "length", "1")],
+        "morphism sdelta value of 'e' is 0.5, not an integer",
+    ),
+    "kind before the core": (
+        False, [("target", E, 0, "length", "1"), ("target", E, 1, "length", "1"), ("vertex_map", "a", "zz")],
+        "source and target must both be metric or both plain",
+    ),
+    "unmapped vertex before unmapped edge": (
+        False, [("vertex_map", "b", "zz"), ("edge_map", "e", "zz")],
+        "vertex b is not mapped to a target vertex",
+    ),
+    "edges in sorted order": (
+        False, [("edge_map", "f", "zz"), ("n", "e", 0)],
+        "edge e needs a positive multiplicity",
+    ),
+    "multiplicity of a later edge before a missing sdelta": (
+        False, [("sdelta", "e", DELETE), ("n", "f", 0)],
+        "edge f needs a positive multiplicity",
+    ),
+    "connectivity before a missing sdelta": (
+        False, [("source", V, "+", {"id": "c", "genus": 0}), ("vertex_map", "c", "A"), ("sdelta", "e", DELETE)],
+        "properness requires connected graphs",
+    ),
+    "local constancy before a missing sdelta": (
+        False, [("n", "e", 2), ("sdelta", "f", DELETE)],
+        "multiplicity is not locally constant at vertex a: "
+        "{OrientedEdge(edge='E', forward=True): 2, OrientedEdge(edge='F', forward=True): 1}",
+    ),
+    "missing sdelta in sorted order": (
+        False, [("sdelta", "f", DELETE), ("sdelta", "e", DELETE)],
+        "edge e has no sdelta value",
+    ),
+    "missing sdelta before delta without setting": (
+        False, [("sdelta", "e", DELETE), ("delta", {"a": "0", "b": "0"})],
+        "edge e has no sdelta value",
+    ),
+    "delta without setting before unknown keys": (
+        False, [("n", "zz", 1), ("delta", {"a": "0", "b": "0"})],
+        "delta values require a residue setting",
+    ),
+    "dilation before unknown keys": (
+        True, [("source", E, 0, "length", "7"), ("n", "zz", 1)],
+        "dilation fails on edge e: 1 != 1 * 7",
+    ),
+    "unknown keys in key order": (
+        False, [("sdelta", "zz", 0), ("vertex_map", "zz", "A")],
+        "morphism vertex_map names unknown vertex 'zz'",
+    ),
+}
+
+
 # -- messages that show a long id ----------------------------------------------------
 
 
@@ -1193,3 +1422,89 @@ LONG_ID_MESSAGES = {
                 "divisor coefficient of vertex 1" + "0" * 399 + "... (600 more characters) "
                 "is 1.5, not an integer"),
 }
+
+
+# -- refusals: each input written once, for the tests and tools/same_outputs.py ------
+
+
+#: (arguments of ``PMFunction``, its message): an argument that is no sequence.
+PMFUNCTION_REFUSALS = [
+    ((None, [0], [1]), "breakpoints is None, not a sequence"),
+    (({0: 0, 1: 1}, [0], [1]), "breakpoints is {0: 0, 1: 1}, not a sequence"),
+    (((0, 1), 0, [1]), "left_values is 0, not a sequence"),
+    (([0, 1], [0], 1), "slopes is 1, not a sequence"),
+    (("01", "0", "1"), "breakpoints is '01', not a sequence"),
+    ((b"01", [0], [1]), "breakpoints is b'01', not a sequence"),
+    ((bytearray(b"01"), [0], [1]), "breakpoints is bytearray(b'01'), not a sequence"),
+    ((memoryview(b"01"), [0], [1]), "breakpoints is memoryview(b'01'), not a sequence"),
+    (([0, 1], "0", [1]), "left_values is '0', not a sequence"),
+    (([0, 1], [0], b"\x01"), "slopes is b'\\x01', not a sequence"),
+]
+
+#: (a document, the message of ``PMFunction.from_json_dict``).
+PMFUNCTION_JSON_REFUSALS = [
+    ([], "function is not an object"),
+    ({"segments": []}, "function lacks key 'breakpoints'"),
+    ({"breakpoints": ["0", "1"]}, "function lacks key 'segments'"),
+    ({"breakpoints": ["0", "1"], "segments": [{"left_value": "0"}]},
+     "segment 0 lacks key 'slope'"),
+    ({"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
+     "segment 0 lacks key 'left_value'"),
+    ({"breakpoints": ["0", "1"], "segments": ["x"]}, "segments entry 'x' is not an object"),
+    ({"breakpoints": ["0", "1"], "segments": 3}, "function segments is not a list"),
+    ({"breakpoints": ["0", "1"], "segments": {"x": 1}}, "function segments is not a list"),
+    ({"breakpoints": 3, "segments": []}, "function breakpoints is not a list"),
+    ({"breakpoints": "01", "segments": [{"left_value": "0", "slope": 1}]},
+     "function breakpoints is not a list"),
+]
+
+#: (entry, name) -> (a call with every other argument valid, a valid value) of
+#: every public integer entry that no other table reaches; a report is called
+#: for its ``repr``.
+INTEGER_ENTRIES = {
+    ("check_restriction", "m"): (lambda x: check_restriction(x, 0, -1, MIXED2), 2),
+    ("check_restriction", "s"): (lambda x: check_restriction(2, x, -1, MIXED2), 1),
+    ("realize_triple", "m"): (lambda x: realize_triple(x, 0, -1, MIXED2), 2),
+    ("realize_triple", "s"): (lambda x: realize_triple(2, x, -1, MIXED2), 1),
+    ("DifferentReport", "m"): (lambda x: repr(DifferentReport(x, 1, -1, 1)), 2),
+    ("DifferentReport", "n"): (lambda x: repr(DifferentReport(2, x, -1, 1)), 1),
+    ("DifferentReport", "slope_s"): (lambda x: repr(DifferentReport(2, 1, -1, x)), 1),
+    ("RootSubtree", "label"): (lambda x: RootSubtree(x).describe(), 1),
+}
+
+#: ``max_leaves`` values that ``enumerate_root_subtrees`` refuses.
+MAX_LEAVES_REFUSALS = (1.5, 4.0, True, None, "x")
+
+#: Genera, edges and lengths of a graph with tails from ``c`` to ``a`` and to ``1``.
+LEAF_GRAPH = ({"a": 0, "c": 0, "1": 0}, {"e": ("c", "a"), "f": ("c", "1")},
+              {"e": INF, "f": INF})
+
+
+def leaf_document(leaves) -> dict:
+    """``LEAF_GRAPH`` with the infinite leaves ``leaves``, as a document."""
+    genera, ends, _ = LEAF_GRAPH
+    return {"vertices": [{"id": v} for v in genera], "infinite_leaves": leaves,
+            "edges": [{"id": e, "from": u, "to": v, "length": "inf"}
+                      for e, (u, v) in ends.items()]}
+
+
+#: (infinite leaves of ``LEAF_GRAPH``, the constructor's message, the message of
+#: the loader on ``leaf_document`` named "source graph").  Text and buffers
+#: have one byte, so a reading of their items names one leaf that is no
+#: vertex; faulty leaves are named in sorted order.
+LEAF_REFUSALS = [
+    ("a1", "graph infinite_leaves is 'a1', not a collection of ids",
+     "source graph infinite_leaves is not a list"),
+    (b"a", "graph infinite_leaves is b'a', not a collection of ids",
+     "source graph infinite_leaves is not a list"),
+    (bytearray(b"a"), "graph infinite_leaves is bytearray(b'a'), not a collection of ids",
+     "source graph infinite_leaves is not a list"),
+    (memoryview(b"a"), "graph infinite_leaves is memoryview(b'a'), not a collection of ids",
+     "source graph infinite_leaves is not a list"),
+    (["a", "1", "a"], "graph repeats infinite leaf id 'a'",
+     "source graph repeats infinite leaf id 'a'"),
+    (["a", 1, "1"], "graph repeats infinite leaf id '1'",
+     "source graph repeats infinite leaf id '1'"),
+    (["z", "y"], "infinite leaf y is not a vertex", "infinite leaf y is not a vertex"),
+    (["x", "y", "z"], "infinite leaf x is not a vertex", "infinite leaf x is not a vertex"),
+]

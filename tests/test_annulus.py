@@ -24,7 +24,14 @@ from wildskel.annulus import (
 from wildskel.pmfunc import PMFunction, tropical_eval
 from wildskel.valuation import INF, NEG_INF, LogAbs, ResidueSetting
 
-from tests.support import MIXED2, TAME0, WILD2, StandInSetting, _per_term_max
+from tests.support import (
+    INTEGER_ENTRIES,
+    MIXED2,
+    TAME0,
+    WILD2,
+    StandInSetting,
+    _per_term_max,
+)
 
 
 class TestValuedSeries:
@@ -418,17 +425,6 @@ def test_admissible_triple_with_vanishing_delta_and_nonzero_slope():
     with pytest.raises(UnrealizableTripleError, match=r"log_delta = -inf needs s = 0"):
         realize_triple(2, 3, NEG_INF, setting)
     assert realize_triple(2, 0, NEG_INF, setting) == ValuedSeries({2: 0})
-
-
-INTEGER_ENTRIES = {  # (entry, name): a call with every other argument valid, a valid value
-    ("check_restriction", "m"): (lambda x: check_restriction(x, 0, 0, WILD2), 1),
-    ("check_restriction", "s"): (lambda x: check_restriction(2, x, -1, MIXED2), 1),
-    ("realize_triple", "m"): (lambda x: realize_triple(x, 0, 0, WILD2), 1),
-    ("realize_triple", "s"): (lambda x: realize_triple(2, x, -1, MIXED2), 1),
-    ("DifferentReport", "m"): (lambda x: DifferentReport(x, 1, -1, 1), 2),
-    ("DifferentReport", "n"): (lambda x: DifferentReport(2, x, -1, 1), 1),
-    ("DifferentReport", "slope_s"): (lambda x: DifferentReport(2, 1, -1, x), 1),
-}
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, True, "x", None, Fraction(3, 2)])

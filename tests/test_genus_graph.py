@@ -17,7 +17,13 @@ from wildskel.genus_graph import (
 )
 from wildskel.valuation import INF
 
-from tests.support import messages_under_hash_seed, random_genus_graph
+from tests.support import (
+    LEAF_GRAPH,
+    LEAF_REFUSALS,
+    leaf_document,
+    messages_under_hash_seed,
+    random_genus_graph,
+)
 
 
 def triangle():
@@ -411,31 +417,18 @@ class TestIdRule:
         g = GenusGraph({1: 0, 2: 0}, {"e": (1, 2)}, {"e": INF}, [2])
         assert g.endpoints("e") == ("1", "2") and g.infinite_leaves == {"2"}
 
-    @pytest.mark.parametrize("leaves", ["ab", b"ab", bytearray(b"ab"), memoryview(b"ab")])
-    def test_constructor_leaves_are_no_text(self, leaves):
-        # the text "ab" was read as the leaves a and b; bytes, a bytearray and
-        # a memoryview as 97 and 98
-        genera = {"a": 0, "b": 0, "c": 0, "ab": 0}
+    @pytest.mark.parametrize("leaves, message, loaded", LEAF_REFUSALS)
+    def test_leaves_that_are_text_repeat_or_name_no_vertex_are_refused(
+            self, leaves, message, loaded):
+        # the text "a1" was read as the leaves a and 1, and bytes, a bytearray
+        # and a memoryview as 97; a repeat was kept as one leaf, [1, "1"] as
+        # {'1'}; of several leaves that are no vertex, the hash seed picked one
         with pytest.raises(ValueError) as info:
-            GenusGraph(genera, {"e": ("c", "a"), "f": ("c", "b")}, {"e": INF, "f": INF}, leaves)
-        assert str(info.value) == f"graph infinite_leaves is {leaves!r}, not a collection of ids"
-
-    @pytest.mark.parametrize("leaves, shown", [(["x", "x"], "x"), ([1, "1"], "1")])
-    def test_a_repeated_leaf_is_refused(self, leaves, shown):
-        # both were kept as one leaf, [1, "1"] as {'1'}
-        genera, edges, lengths = {"c": 0, shown: 0}, {"e": ("c", shown)}, {"e": INF}
+            GenusGraph(*LEAF_GRAPH, leaves)
+        assert str(info.value) == message
         with pytest.raises(ValueError) as info:
-            GenusGraph(genera, edges, lengths, leaves)
-        assert str(info.value) == f"graph repeats infinite leaf id '{shown}'"
-        data = {
-            "vertices": [{"id": "c"}, {"id": shown}],
-            "edges": [{"id": "e", "from": "c", "to": shown, "length": "inf"}],
-            "infinite_leaves": leaves,
-        }
-        with pytest.raises(ValueError) as info:
-            GenusGraph.from_json_dict(data, "source graph")
-        assert str(info.value) == f"source graph repeats infinite leaf id '{shown}'"
-
+            GenusGraph.from_json_dict(leaf_document(leaves), "source graph")
+        assert str(info.value) == loaded
 
     def test_faulty_leaves_are_named_in_sorted_order_under_any_hash_seed(self):
         # the leaves were checked in the order of a frozenset: this graph

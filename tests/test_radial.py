@@ -18,10 +18,18 @@ from wildskel.radial import (
     radial_vs_ball,
     supersingular_witness,
 )
-from wildskel.special import Lengths, build_special, metric_lift
+from wildskel.special import LIFTABLE_TAGS, Lengths, build_special, metric_lift
 from wildskel.valuation import LogAbs
 
-from tests.support import MIXED2, TAME0, WILD2, kummer_segment, one_edge_identity
+from tests.support import (
+    MIXED2,
+    TAME0,
+    WILD2,
+    canonical_lengths,
+    kummer_segment,
+    one_edge_identity,
+    setting_for,
+)
 
 
 class TestDegreePLocus:
@@ -134,6 +142,15 @@ class TestDegreePLocus:
                    for e in flipped.source.edge_ids)
         radii = degree_p_locus(mm, 2).to_json_dict()["per_edge_radius"]
         assert degree_p_locus(flipped, 2).to_json_dict()["per_edge_radius"] == radii
+
+    @pytest.mark.parametrize("tag", LIFTABLE_TAGS)
+    def test_the_center_stores_its_vertices_in_id_order(self, tag):
+        # the genus dict followed a set's order, which the hash seed picks; a
+        # working copy of the center (contract_graph, contract_morphism) keeps it
+        setting = setting_for(tag)
+        mm = metric_lift(tag, canonical_lengths(tag, setting), setting)
+        center = degree_p_locus(mm, 2).center
+        assert list(center._genus) == list(center.vertices)
 
 
 class TestRadialVsBall:

@@ -1,6 +1,7 @@
-"""Self-tests of ``tools/same_outputs.py``: a revision against itself, and
-the arguments it refuses."""
+"""Self-tests of ``tools/same_outputs.py``: a revision against itself, an
+older revision, tiny synthetic trees, and the arguments it refuses."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -10,43 +11,154 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_outputs.py"
+COUNTS = re.compile(
+    r"(\d+) differing, (\d+) older-only, (\d+) newer-only and (\d+) seed-dependent "
+    r"records; (\d+) in .+, (\d+) in .+"
+)
+
+needs_git = pytest.mark.skipif(
+    not (shutil.which("git") and (ROOT / ".git").exists()), reason="needs a git checkout"
+)
 
 
-def _status() -> str:
+def _status(root: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=all"],
+        ["git", "-C", str(root), "status", "--porcelain", "--untracked-files=all"],
         check=True, capture_output=True, text=True,
     ).stdout
 
 
-@pytest.mark.skipif(
-    not (shutil.which("git") and (ROOT / ".git").exists()), reason="needs a git checkout"
-)
-def test_head_against_head_reports_no_difference():
-    before = _status()
+def _run(tool: Path, *argv, root: Path = ROOT):
+    """The exit code, the four counts (None without them) and the output of
+    a run; ``git status`` must read the same before and after it."""
+    before = _status(root)
     done = subprocess.run(
-        [sys.executable, str(TOOL), "HEAD", "HEAD", "--quick"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, str(tool), *argv], capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 0, done.stdout + done.stderr
-    first = done.stdout.splitlines()[0]
-    assert first.startswith("0 differing records of ") and int(first.split()[-1]) > 1000
-    assert _status() == before
+    assert _status(root) == before
+    assert "Traceback" not in done.stdout + done.stderr, done.stdout + done.stderr
+    match = COUNTS.fullmatch(done.stdout.split("\n", 1)[0])
+    counts = match and tuple(map(int, match.groups()[:4]))
+    return done.returncode, counts, done
 
 
-@pytest.mark.skipif(
-    not (shutil.which("git") and (ROOT / ".git").exists()), reason="needs a git checkout"
-)
+@needs_git
+def test_head_against_head_reports_no_difference():
+    code, counts, done = _run(TOOL, "HEAD", "HEAD", "--quick")
+    assert (code, counts) == (0, (0, 0, 0, 0)), done.stdout + done.stderr
+    records = COUNTS.fullmatch(done.stdout.splitlines()[0]).groups()[4:]
+    assert records[0] == records[1] and int(records[0]) > 1000
+
+
+@needs_git
+def test_an_older_revision_records_itself():
+    # 91bb3e4's own walk runs on its own tree: the working tree's walk and
+    # tests/support.py against its src crashed with a traceback and exit 1
+    if subprocess.run(["git", "-C", str(ROOT), "cat-file", "-e", "91bb3e4^{commit}"],
+                      capture_output=True).returncode:
+        pytest.skip("commit 91bb3e4 is not in this checkout")
+    code, counts, done = _run(TOOL, "91bb3e4", "--quick")
+    assert counts is not None, done.stdout + done.stderr
+    differing, older_only, newer_only, seeded = counts
+    assert (differing, seeded) == (0, 0) and newer_only > 1000
+    # what the older side alone records is what was deleted since: LogAbs.parse
+    shown = done.stdout.split("only in 91bb3e4:\n", 1)[1].split("\nonly in ", 1)[0]
+    assert len(shown.splitlines()) == older_only > 0
+    assert all(line.startswith("- infinity entry LogAbs.parse on ") for line in shown.splitlines())
+    assert code == 1
+
+
+#: The records each synthetic tree's walk prints; {seed} is its PYTHONHASHSEED.
+WALKS = {
+    "base": ["a\t1", "b\t2", "gone\t3"],
+    "changed": ["a\t1", "b\t20", "new\t4", "new\t5", "seed\t{seed}"],
+    "grown": ["a\t1", "b\t2", "gone\t3", "extra\t9"],
+    "broken": None,  # a walk that raises
+}
+FAKE = """import os, sys
+assert sys.argv[1] == "--record" and os.path.isdir(sys.argv[2])
+if {records!r} is None:
+    raise RuntimeError("the walk broke")
+for line in {records!r}:
+    print(line.format(seed=os.environ["PYTHONHASHSEED"]))
+"""
+
+
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    """A repository with one commit per walk of ``WALKS``, each tagged by its
+    name, and one tagged ``nowalk`` without a walk; its working tree holds
+    this tool."""
+    if not shutil.which("git"):
+        pytest.skip("needs git")
+    repo = tmp_path_factory.mktemp("synthetic")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "tools").mkdir()
+    (repo / "src").mkdir()
+    (repo / "src" / "keep.txt").write_text("a tree\n")
+    for name, records in WALKS.items():
+        (repo / "tools" / "same_outputs.py").write_text(FAKE.format(records=records))
+        git("add", "-A")
+        git("commit", "-q", "-m", name)
+        git("tag", name)
+    git("rm", "-q", "tools/same_outputs.py")
+    git("commit", "-q", "-m", "no walk")
+    git("tag", "nowalk")
+    (repo / "tools").mkdir()
+    for name in ("same_outputs.py", "export_tree.py"):
+        shutil.copy(ROOT / "tools" / name, repo / "tools" / name)
+    return repo
+
+
+@pytest.mark.parametrize("older, newer, code, counts", [
+    ("base", "base", 0, (0, 0, 0, 0)),
+    ("base", "grown", 0, (0, 0, 1, 0)),  # a new record alone is no difference
+    ("grown", "base", 1, (0, 1, 0, 0)),  # a record that vanished is
+    ("base", "changed", 1, (1, 1, 3, 1)),
+    ("changed", "changed", 1, (0, 0, 0, 1)),  # the seed alone
+])
+def test_synthetic_trees_give_each_count(synthetic, older, newer, code, counts):
+    tool = synthetic / "tools" / "same_outputs.py"
+    got = _run(tool, older, newer, root=synthetic)
+    assert got[:2] == (code, counts), got[2].stdout + got[2].stderr
+
+
+def test_synthetic_counts_name_their_records(synthetic):
+    _, _, done = _run(synthetic / "tools" / "same_outputs.py", "base", "changed",
+                      root=synthetic)
+    assert done.stdout.splitlines()[1:] == [
+        "differing:", "- b\t2", "+ b\t20",
+        "only in base:", "- gone\t3",
+        "only in changed:", "+ new\t4", "+ new\t5", "+ seed\t0",
+        "under PYTHONHASHSEED=0 and 1 in changed:", "0 seed\t0", "1 seed\t1",
+    ]
+
+
+@pytest.mark.parametrize("older, newer, message", [
+    ("base", "nowalk", "nowalk has no recording walk (tools/same_outputs.py)\n"),
+    ("nowalk", "base", "nowalk has no recording walk (tools/same_outputs.py)\n"),
+    ("base", "broken", "the walk of broken failed under PYTHONHASHSEED=0: "
+                       "RuntimeError: the walk broke\n"),
+])
+def test_a_tree_without_a_working_walk_exits_2(synthetic, older, newer, message):
+    code, counts, done = _run(synthetic / "tools" / "same_outputs.py", older, newer,
+                              root=synthetic)
+    assert (code, counts, done.stdout, done.stderr) == (2, None, "", message)
+
+
+@needs_git
 @pytest.mark.parametrize(
     "argv", [["--help"], ["-h"], ["-x"], ["HEAD", "--bogus"], ["no-such-revision"],
              ["HEAD", "no-such-revision", "--quick"]],
 )
 def test_bad_arguments_print_the_usage_and_exit_2(argv):
-    before = _status()
-    done = subprocess.run(
-        [sys.executable, str(TOOL), *argv], capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 2, done.stdout + done.stderr
-    assert "Traceback" not in done.stderr and done.stderr.startswith("Usage::")
+    code, _, done = _run(TOOL, *argv)
+    assert code == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("Usage::")
     assert done.stdout == ""
-    assert _status() == before

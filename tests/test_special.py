@@ -27,6 +27,7 @@ from wildskel.special import (
 
 from tests.support import (
     FIXTURES,
+    MAX_LEAVES_REFUSALS,
     MIXED2,
     TAME0,
     TAME3,
@@ -80,7 +81,7 @@ class TestRootSubtrees:
         with pytest.raises(ValueError, match="^max_leaves must be at least 1$"):
             enumerate_root_subtrees(max_leaves)
 
-    @pytest.mark.parametrize("max_leaves", [1.5, 4.0, True, None, "x"])
+    @pytest.mark.parametrize("max_leaves", MAX_LEAVES_REFUSALS)
     def test_max_leaves_is_an_integer(self, max_leaves):
         # 1.5 used to act as 1, and None or text a bare TypeError
         with pytest.raises(ValueError) as info:

@@ -15,6 +15,8 @@ from wildskel.valuation import (
     LogAbs,
     ResidueSetting,
     _is_prime,
+    cut,
+    echo,
     parse_rational,
     parse_ratio,
 )
@@ -459,3 +461,13 @@ def test_unreadable_values_are_named(name):
             call(value)
         assert type(info.value) is ValueError
         assert str(info.value) == f"{entry} is {value!r}, not {noun}"
+
+
+def test_echo_shows_a_memoryview_by_its_bytes():
+    # its repr is an address, <memory at 0x...>, that changes from run to run
+    views = memoryview(b"01"), memoryview(bytearray(b"01"))
+    assert [echo(v) for v in views] == ["memoryview(b'01')"] * 2
+    assert echo(memoryview(b"a" * 500)) == cut("memoryview(b'" + "a" * 500 + "')")
+    released = memoryview(b"01")
+    released.release()  # no bytes left to show: its repr, as before
+    assert echo(released) == repr(released)

@@ -7,87 +7,57 @@ Usage::
     python tools/same_outputs.py REV OTHER      # REV against OTHER
     python tools/same_outputs.py REV --quick    # every 20th input only
 
-Each revision's ``src/`` is exported with ``git archive`` into a temporary
-directory, so ``git status`` stays as it was.  The recording walk below
-(this file, from the working tree, with ``tests/support.py``) then runs
-once per ``src/`` in a subprocess, and writes one record per call: a label,
-then the JSON or ``repr`` of the result (a built morphism as its
-``morphism_to_json_dict``, from the tree under test), or the exception type
-and message.  The inputs are every fixture through every CLI subcommand, in
-text mode and with ``--json`` (the exit code of ``cli.run`` in process, then
-stdout and stderr one line per record, labelled with the line number);
-seeded mutations of the series fixtures, with an empty ``--domain=`` too;
-``radial --p`` 0, 1 and 2 on the degree-1 ``one_edge_identity`` of
-``tests/support.py``, and ``degree_p_locus`` of it at 0, 1 and ``True``
-and of a degree-2 ``kummer_segment`` at ``2.0`` and ``True``;
-``Divisor.coefficient`` of an int, a str, a float, a bool and ``None``; a
-repeated exponent given to ``ValuedSeries`` and to ``tropical_eval``; the
-corpora of ``tests/support.py`` (``stabilize_corpus``, random morphisms,
-random metric draws, metric lifts, ``load_mutations``,
-``random_valued_series`` in five settings) through the public functions
-that apply to them, each random morphism also loaded from its own JSON
-and each graph of a mutated document loaded alone, and each normalized
-series also through the methods of its different profile and envelopes
-(values and slopes on a grid and at every breakpoint, tie sets, sup,
-products across domains) and, under a stand-in setting in which some
-``|i|`` exceed one, through the report and the profile; ``Divisor``
-arithmetic, each result also as the key order of its JSON form and of its
-``coefficients`` (the JSON records sort their keys), and so each divisor
-of every RH divisor report and every pullback; ``PMFunction.pow``,
-``PMFunction.mul`` and ``monomial_product`` on an int, a bool, a float,
-text and ``None`` as exponent or factor, on no factor, and
-``monomial_product`` on a bare function, a lone function, an iterator, a
-1-tuple and a 3-tuple as factors; the pullback of each random
-morphism along a divisor that also names a vertex off the target;
-``certify_skeleton`` and ``wide_open_genus_check`` on the random morphisms;
-the ``repr`` of ``branches`` at every source and target vertex of each
-morphism, and ``head``, ``sdelta`` and ``slope_index`` of each branch;
-``contract_morphism`` and ``contract_graph`` of both move kinds at every
-target vertex of each morphism, legal or not;
-``enumerate_root_subtrees``, also of a float, text, a bool and ``None``;
-``build_special`` of every tag; ``degree_p_locus``, ``delta_profile``
-and ``metric_lengths`` of the plain WB and of ``wb_metric`` without its
-delta values; ``PMFunction.from_json_dict`` of a list, of documents that
-lack a key, whose ``breakpoints`` or ``segments`` is no list and of a
-segment that is no object, and ``PMFunction`` of each argument given as
-no sequence and of text, bytes, a bytearray or a memoryview as
-breakpoints; the ``GenusGraph`` constructor on infinite leaves given as
-text, as bytes, as a bytearray, as a memoryview, with a repeat or as two
-or three ids that are no vertex, and the loader on those lists; a float,
-a bool and text as the integer ``m`` and ``s`` of ``check_restriction``
-and ``realize_triple``, ``m``, ``n`` and ``slope_s`` of
-``DifferentReport`` and the ``label`` of a ``RootSubtree``; the messages
-of ``LONG_ID_MESSAGES`` in ``tests/support.py``, which show long ids;
-numbers, texts, floats, bools and a ``LogAbs`` as series values,
-``PMFunction`` values and breakpoints, ``LogAbs``, ``Lengths`` and query points, and as characteristics of a ``ResidueSetting``
-and as its ``log_p``; ``LogAbs`` values in a set and as dict keys beside
-equal numbers; every public rational entry (the ``_entries`` table of
-``tests/support.py``, graph lengths and ``MetricDeltaMorphism``
-delta) on values ``Fraction()`` cannot take, a ``LogAbs``, ``-inf`` and
-bad text; those entries, a last and an inner breakpoint,
-a ``tropical_eval`` domain end, a tail length, the delta of an infinite
-leaf and the ``log_delta`` of ``check_restriction``, ``realize_triple``
-and ``DifferentReport`` on every spelling of ``inf`` and ``-inf`` (text,
-spaced text, ``INF``, ``NEG_INF`` and a copy of it); those three
-``log_delta`` entries on numbers, text, ``None`` and a list;
-``ResidueSetting.parse`` of bad settings and
-``wide_open_genus_check`` of a branch with ``n = 0`` and of a float degree;
-the public ``DeltaMorphism`` on each random
-metric draw's graphs with one finite length doubled, and on the metric
-fixture ``wb_metric`` with a source length of 7, then ``stabilize`` and the
-RH divisor report of what it builds; the disconnected targets of
-``tests/support.py``; and a few single calls at known edge
-cases.  A function missing from one tree is recorded as missing.
+Each revision records itself.  ``export_tree`` (``tools/export_tree.py``)
+writes ``src/``, ``tests/``, ``tools/`` and ``fixtures/`` of REV, and of
+OTHER, into a temporary directory, so ``git status`` stays as it was; the
+working tree is used in place.  Each tree then runs its own copy of this
+file, ``python tools/same_outputs.py --record WORK EVERY``, from its own
+root, with its ``src/`` and its root on ``PYTHONPATH`` and with
+``PYTHONHASHSEED=0``; the newer tree (OTHER, or the working tree) runs a
+second time with ``PYTHONHASHSEED=1``.  A tree that has no such file has
+no walk.
 
-A memory address in a record (``<memory at 0x...>``) is masked.
-Records are matched by label (the ``k``-th record of a label with the
-``k``-th of the same label), so a line that one tree prints and the other
-does not shifts no other record.  Prints the number of differing records
-and the first twenty of them; exits 0 when there is none, 1 otherwise.
-An argument other than a revision and ``--quick``, or a revision that
-``git rev-parse --verify`` cannot resolve, prints the usage and exits 2
-before anything is exported.
-It needs only the standard library and ``tests/support.py``.
+The walk (``record`` below) writes one record per call: a label, then the
+JSON or ``repr`` of the result (a built morphism as its
+``morphism_to_json_dict``), or the exception type and message.  Its
+inputs: every fixture through every CLI subcommand, in text and with
+``--json`` (the exit code, then stdout and stderr one line per record),
+and mutated series files; the seeded corpora of ``tests/support.py``
+(``stabilize_corpus``, random morphisms, random metric draws, metric
+lifts and their subdivisions, ``load_mutations``, ``random_valued_series``
+in five settings and under a stand-in setting) through every public
+function that applies, each morphism also through its branches, every
+contraction move, its JSON round trip and ``Divisor`` arithmetic with key
+orders, and each series through its profile and envelopes; every public
+integer, rational and infinity entry on values it must refuse or read;
+the refusal tables of ``tests/support.py``, which the tests read too
+(``GRAPH_CASES``, ``MORPHISM_CASES``, ``PMFUNCTION_REFUSALS``,
+``PMFUNCTION_JSON_REFUSALS``, ``INTEGER_ENTRIES``,
+``MAX_LEAVES_REFUSALS``, ``LEAF_REFUSALS``, ``LONG_ID_MESSAGES`` and
+``DISCONNECTED_TARGET_CASES``); and single calls at known edge cases.  A
+memory address (the ``repr`` of a memoryview in a label) is masked.
+
+The records of two walks are matched by label (the ``k``-th record of a
+label with the ``k``-th of the same label), so a line that one walk
+writes and the other does not shifts no other record.  The first line of
+the output gives four counts, and up to twenty examples of each count that
+is not zero follow:
+
+- differing: records of REV and of the newer tree whose text differs;
+- older-only: records that only REV writes, a call that vanished;
+- newer-only: records that only the newer tree writes, a new input;
+- seed-dependent: records of the newer tree that differ between its two
+  hash seeds, or that only one of its walks writes.
+
+Exit codes: 0 when no record differs, vanished or depends on the seed
+(newer-only records are what added inputs write); 1 when one does; 2 for
+a usage error (an argument other than a revision and ``--quick``, a wrong
+number of revisions, or a revision that ``git rev-parse --verify`` cannot
+resolve, refused before anything is exported) and for a revision with no
+walk or whose walk fails, which the message on stderr names.
+
+It needs only the standard library, ``tests/support.py`` and, to compare,
+``tools/export_tree.py``.
 """
 
 from __future__ import annotations
@@ -98,7 +68,6 @@ import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
@@ -108,7 +77,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SETTINGS = ("equichar0", "equicharP:2", "equicharP:3", "mixed:2:-1", "mixed:3:-1/2")
 
 
-# -- the recording walk, run once per src/ ---------------------------------------
+# -- the recording walk, which each tree runs on itself ---------------------------
 
 
 def _render(value) -> str:
@@ -134,9 +103,6 @@ class _Recorder:
     def call(self, label: str, fn, *args):
         """Record ``fn(*args)``; the result is returned, or None on an error,
         also on one that rendering the result raises."""
-        if fn is None:
-            self.write(label, "missing")
-            return None
         try:
             result = fn(*args)
             text = _render(result)
@@ -261,74 +227,68 @@ def record(out, work: Path, every: int) -> None:
 
     rec = _Recorder(out, every, work)
 
-    def pub(name):  # None for a name this tree lacks: the call is recorded as missing
-        return getattr(ws, name, None)
-
     for argv in rec.sample(list(_cli_inputs(work))):
         for extra in ([], ["--json"]):
             _cli(rec, argv + extra)
 
     # edge cases of the public constructors and the loaders
-    rec.call("series {1: 0, '1': -1}", pub("ValuedSeries"), {1: 0, "1": -1})
-    rec.call("tropical_eval {1: 0, '1': -1}", pub("tropical_eval"), {1: 0, "1": -1}, (0, 1))
+    rec.call("series {1: 0, '1': -1}", ws.ValuedSeries, {1: 0, "1": -1})
+    rec.call("tropical_eval {1: 0, '1': -1}", ws.tropical_eval, {1: 0, "1": -1}, (0, 1))
     for p in (0, 1, True):
-        rec.call(f"degree_p_locus of a degree-1 identity at p = {p!r}", pub("degree_p_locus"),
+        rec.call(f"degree_p_locus of a degree-1 identity at p = {p!r}", ws.degree_p_locus,
                  support.one_edge_identity(), p)
     for p in (2.0, True):
-        rec.call(f"degree_p_locus of a degree-2 segment at p = {p!r}", pub("degree_p_locus"),
+        rec.call(f"degree_p_locus of a degree-2 segment at p = {p!r}", ws.degree_p_locus,
                  support.kummer_segment(2, Fraction(-1)), p)
     for v in (1, "1", 1.0, True, None):
-        rec.call(f"Divisor({{1: 3}}).coefficient({v!r})", pub("Divisor")({1: 3}).coefficient, v)
+        rec.call(f"Divisor({{1: 3}}).coefficient({v!r})", ws.Divisor({1: 3}).coefficient, v)
     setting = ws.ResidueSetting.parse("equicharP:2")
-    rec.call("realize_triple 2 3 -inf equicharP:2", pub("realize_triple"), 2, 3, ws.NEG_INF, setting)
+    rec.call("realize_triple 2 3 -inf equicharP:2", ws.realize_triple, 2, 3, ws.NEG_INF, setting)
     doc = json.loads((ROOT / "fixtures" / "wb_metric.morphism.json").read_text())
     del doc["delta"], doc["setting"]
     doc["source"]["edges"][0]["length"] = "7"
-    rec.call("load wb_metric, no delta, a length of 7", pub("morphism_from_json_dict"), doc)
+    rec.call("load wb_metric, no delta, a length of 7", ws.morphism_from_json_dict, doc)
     graphs = [ws.GenusGraph.from_json_dict(doc[side], f"{side} graph")
               for side in ("source", "target")]
     built(rec, "wb_metric, no delta, a length of 7", *graphs,
           *(doc[key] for key in ("vertex_map", "edge_map", "n", "sdelta")))
-    graph, two = pub("GenusGraph"), {"a": 0, "b": 0}
+    graph, two = ws.GenusGraph, {"a": 0, "b": 0}
     for ends in (("a", "b"), (True, 1.5), ("a", None)):
         rec.call(f"graph with ends {ends}", graph, two, {"e": ends})
     for length in (1, "1/2", ws.INF, 0.1, 1.0, True):
         rec.call(f"graph with length {length!r}", graph, two, {"e": ("a", "b")}, {"e": length})
     rec.call("graph with leaf ['b']", graph, two, {"e": ("a", "b")}, {"e": ws.INF}, [["b"]])
-    tails = {"a": 0, "c": 0, "1": 0}, {"e": ("c", "a"), "f": ("c", "1")}
-    # one byte, so the old reading names one leaf that is no vertex, not a set's first;
-    # the lists of two and three such leaves are named in sorted order
-    for leaves in ("a1", b"a", bytearray(b"a"), memoryview(b"a"), ["a", "1", "a"],
-                   ["a", 1, "1"], ["z", "y"], ["x", "y", "z"]):
-        rec.call(f"graph with leaves {leaves!r}", graph, *tails, {"e": ws.INF, "f": ws.INF},
-                 leaves)
-        if type(leaves) is list:
-            doc = {"vertices": [{"id": v} for v in tails[0]], "infinite_leaves": leaves,
-                   "edges": [{"id": e, "from": u, "to": v, "length": "inf"}
-                             for e, (u, v) in tails[1].items()]}
-            rec.call(f"load graph with leaves {leaves!r}", ws.GenusGraph.from_json_dict, doc,
-                     "source graph")
+    for leaves, *_ in support.LEAF_REFUSALS:
+        rec.call(f"graph with leaves {leaves!r}", graph, *support.LEAF_GRAPH, leaves)
+        rec.call(f"load graph with leaves {leaves!r}", ws.GenusGraph.from_json_dict,
+                 support.leaf_document(leaves), "source graph")
+    for name, (metric, edits, _) in support.GRAPH_CASES.items():
+        rec.call(f"graph case {name}", ws.GenusGraph.from_json_dict,
+                 support._edited(support._graph(metric), edits))
+    for name, (metric, edits, _) in support.MORPHISM_CASES.items():
+        rec.call(f"morphism case {name}", ws.morphism_from_json_dict,
+                 support._edited(support._morphism(metric), edits))
     line = graph(two, {"e": ("a", "b")}, {"e": 1})
     identity = ws.DeltaMorphism(line, line, {"a": "a", "b": "b"}, {"e": "e"}, {"e": 1}, {"e": 0})
     maps = {"a": "a", "b": "b"}, {"e": "e"}
     for value in (None, [1], {}, "1.5", "2", 2, Fraction(3, 2), Fraction(2), Decimal("1.9"),
                   Decimal("2")):
         rec.call(f"graph with genus {value!r}", graph, {"a": value}, {})
-        rec.call(f"identity with n {value!r}", pub("DeltaMorphism"), line, line, *maps,
+        rec.call(f"identity with n {value!r}", ws.DeltaMorphism, line, line, *maps,
                  {"e": value}, {"e": 0})
-        rec.call(f"identity with sdelta {value!r}", pub("DeltaMorphism"), line, line, *maps,
+        rec.call(f"identity with sdelta {value!r}", ws.DeltaMorphism, line, line, *maps,
                  {"e": 1}, {"e": value})
     for value in (ws.LogAbs(0), 0, "0", 0.0, -0.5, False):
-        rec.call(f"metric identity with delta {value!r}", pub("MetricDeltaMorphism"),
+        rec.call(f"metric identity with delta {value!r}", ws.MetricDeltaMorphism,
                  identity, {"a": ws.LogAbs(0), "b": value}, setting)
 
     line = ws.PMFunction.line((0, 2), 0, 1)
     for value in (Fraction(1, 10), "1/10", "1/0", 0.1, 1.0, True, ws.LogAbs(-1), None):
-        rec.call(f"series with value {value!r}", pub("ValuedSeries"), {1: value, 2: -1})
-        rec.call(f"PMFunction with left value {value!r}", pub("PMFunction"), [0, 1], [value], [1])
-        rec.call(f"PMFunction with breakpoint {value!r}", pub("PMFunction"), [0, value, 2],
+        rec.call(f"series with value {value!r}", ws.ValuedSeries, {1: value, 2: -1})
+        rec.call(f"PMFunction with left value {value!r}", ws.PMFunction, [0, 1], [value], [1])
+        rec.call(f"PMFunction with breakpoint {value!r}", ws.PMFunction, [0, value, 2],
                  [0, 0], [0, 0])
-        rec.call(f"LogAbs of {value!r}", pub("LogAbs"), value)
+        rec.call(f"LogAbs of {value!r}", ws.LogAbs, value)
         rec.call(f"Lengths with l1 {value!r}", lambda: ws.Lengths(l1=value))
         rec.call(f"value_at {value!r}", line.value_at, value)
     for char in (3, "3", 3.0, 3.5, True):
@@ -364,9 +324,9 @@ def record(out, work: Path, every: int) -> None:
         "tail length": lambda x: graph({"a": 0, "l": 0}, {"e": ("a", "l")}, {"e": x}, ["l"]),
         "delta at a leaf": lambda x: ws.MetricDeltaMorphism(
             descending, {"a": ws.LogAbs(0), "l": x}, setting),
-        "check_restriction": lambda x: pub("check_restriction")(2, 0, x, mixed),
-        "realize_triple": lambda x: pub("realize_triple")(2, -1, x, mixed),
-        "DifferentReport": lambda x: repr(pub("DifferentReport")(2, 3, x, -1)),
+        "check_restriction": lambda x: ws.check_restriction(2, 0, x, mixed),
+        "realize_triple": lambda x: ws.realize_triple(2, -1, x, mixed),
+        "DifferentReport": lambda x: repr(ws.DifferentReport(2, 3, x, -1)),
     })
     spellings = ("inf", " inf ", "-inf", " -inf ", ws.INF, ws.NEG_INF, copy.deepcopy(ws.NEG_INF))
     for value in spellings:
@@ -375,40 +335,28 @@ def record(out, work: Path, every: int) -> None:
     for value in (-1, Fraction(-1, 2), "-1/2", None, [1]):
         for name in ("check_restriction", "realize_triple", "DifferentReport"):
             rec.call(f"log_delta entry {name} on {value!r}", entries[name], value)
-    integers = {  # every public integer entry that the walk does not reach elsewhere
-        "check_restriction m": lambda x: pub("check_restriction")(x, 0, -1, mixed),
-        "check_restriction s": lambda x: pub("check_restriction")(2, x, -1, mixed),
-        "realize_triple m": lambda x: pub("realize_triple")(x, 0, -1, mixed),
-        "realize_triple s": lambda x: pub("realize_triple")(2, x, -1, mixed),
-        "DifferentReport m": lambda x: repr(pub("DifferentReport")(x, 1, -1, 1)),
-        "DifferentReport n": lambda x: repr(pub("DifferentReport")(2, x, -1, 1)),
-        "DifferentReport slope_s": lambda x: repr(pub("DifferentReport")(2, 1, -1, x)),
-        "RootSubtree label": lambda x: pub("RootSubtree")(x).describe(),
-    }
     for value in (1.5, 2.0, 1.0, True, "x", "1"):
-        for name, call in integers.items():
-            rec.call(f"integer entry {name} on {value!r}", call, value)
-    for args in ((None, [0], [1]), ((0, 1), 0, [1]), ([0, 1], [0], 1), ({0: 0, 1: 1}, [0], [1]),
-                 ("01", "0", "1"), (b"01", [0], [1]), (bytearray(b"01"), [0], [1]),
-                 (memoryview(b"01"), [0], [1])):
-        rec.call(f"PMFunction of {args!r}", pub("PMFunction"), *args)
+        for entry, (call, _) in support.INTEGER_ENTRIES.items():
+            rec.call(f"integer entry {' '.join(entry)} on {value!r}", call, value)
+    for args, _ in support.PMFUNCTION_REFUSALS:
+        rec.call(f"PMFunction of {args!r}", ws.PMFunction, *args)
     for text in ("mixed:2:-inf", "equicharP:x", "mixed:x:-1"):
         rec.call(f"setting {text}", ws.ResidueSetting.parse, text)
     for infinity, degree in (([(0, 0)], 1), ([(1, 0)], 1.5)):
-        rec.call(f"wide open {infinity!r} of degree {degree!r}", pub("wide_open_genus_check"),
+        rec.call(f"wide open {infinity!r} of degree {degree!r}", ws.wide_open_genus_check,
                  infinity, degree, 0, 0)
 
     def contracted(m, move):
         return ws.morphism_to_json_dict(ws.contract_morphism(m, move))
 
     def morphism(label, m, stable=True):
-        rec.call(f"{label} json", pub("morphism_to_json_dict"), m)
+        rec.call(f"{label} json", ws.morphism_to_json_dict, m)
         report = rec.call(f"{label} rh divisor", m.rh_divisor_identity)
         if report is not None:
             rec.call(f"{label} rh divisor key order", _report_key_order, report)
         rec.call(f"{label} rh degree", m.rh_degree_identity)
-        rec.call(f"{label} moves", pub("applicable_moves"), m)
-        rec.call(f"{label} stable", pub("is_stable"), m)
+        rec.call(f"{label} moves", ws.applicable_moves, m)
+        rec.call(f"{label} stable", ws.is_stable, m)
         for side, g in (("source", m.source), ("target", m.target)):
             for v in g.vertices:  # the public branch API, whatever a graph stores
                 for b in rec.call(f"{label} {side} branches {v}", g.branches, v) or ():
@@ -420,13 +368,13 @@ def record(out, work: Path, every: int) -> None:
         for v2 in m.target.vertices:  # every legal move and every illegal one's reason
             for kind in ("leaf", "smooth"):
                 rec.call(f"{label} contract {kind} {v2}", contracted, m, (kind, v2))
-                rec.call(f"{label} contract target {kind} {v2}", pub("contract_graph"),
+                rec.call(f"{label} contract target {kind} {v2}", ws.contract_graph,
                          m.target, (kind, v2))
-        rec.call(f"{label} special", pub("is_special"), m)
+        rec.call(f"{label} special", ws.is_special, m)
         if stable:
-            s = rec.call(f"{label} stabilize", pub("stabilize"), m)
+            s = rec.call(f"{label} stabilize", ws.stabilize, m)
             if s is not None:
-                rec.call(f"{label} stabilized json", pub("morphism_to_json_dict"), s)
+                rec.call(f"{label} stabilized json", ws.morphism_to_json_dict, s)
 
     corpus = support.stabilize_corpus()  # quick: the first random draws only
     for i, (group, m) in enumerate(islice(corpus, 3300 // every)):
@@ -434,12 +382,12 @@ def record(out, work: Path, every: int) -> None:
     def divisors(label, m, rng):
         k, r = m.source.canonical_divisor(), m.ramification_divisor()
         given = {v: rng.randint(-3, 3) for v in m.target.vertices}
-        d = rec.call(f"{label} divisor", pub("Divisor"), given)
+        d = rec.call(f"{label} divisor", ws.Divisor, given)
         if d is not None:
             pulled = rec.call(f"{label} pullback", m.pullback, d)
             if pulled is not None:
                 rec.call(f"{label} pullback key order", _key_order, pulled)
-        off = rec.call(f"{label} divisor off target", pub("Divisor"), {**given, "nope": 5})
+        off = rec.call(f"{label} divisor off target", ws.Divisor, {**given, "nope": 5})
         if off is not None:
             rec.call(f"{label} pullback off target", m.pullback, off)
         for name, fn in (("K+R", k.__add__), ("K-R", k.__sub__), ("R-R", r.__sub__)):
@@ -448,68 +396,62 @@ def record(out, work: Path, every: int) -> None:
                 rec.call(f"{label} {name} degree", total.degree)
                 rec.call(f"{label} {name} key order", _key_order, total)
         rec.call(f"{label} K+R-R == K", lambda: k + r - r == k)
-        rec.call(f"{label} K hash", lambda: hash(k) == hash(pub("Divisor")(k.to_json_dict())))
+        rec.call(f"{label} K hash", lambda: hash(k) == hash(ws.Divisor(k.to_json_dict())))
 
     rng = random.Random(23)
     for i in range(300 // every):
         m = support.random_proper_delta_morphism(rng)
         label = f"random_proper {i}"
         morphism(label, m, False)
-        loaded = rec.call(f"{label} load", pub("morphism_from_json_dict"), ws.morphism_to_json_dict(m))
+        loaded = rec.call(f"{label} load", ws.morphism_from_json_dict, ws.morphism_to_json_dict(m))
         if loaded is not None:
-            rec.call(f"{label} loaded json", pub("morphism_to_json_dict"), loaded)
+            rec.call(f"{label} loaded json", ws.morphism_to_json_dict, loaded)
             morphism(f"{label} loaded", loaded, False)
         divisors(label, m, rng)
         boundary = {v: [(rng.randint(0, 3), rng.randint(-2, 2))] for v in m.source.vertices[:3]}
-        annotation = rec.call(f"{label} boundary", pub("BoundaryAnnotation"), boundary)
+        annotation = rec.call(f"{label} boundary", ws.BoundaryAnnotation, boundary)
         if annotation is not None:
             for ram in (True, False):
-                rec.call(f"{label} certify {ram}", pub("certify_skeleton"), m, annotation, ram)
+                rec.call(f"{label} certify {ram}", ws.certify_skeleton, m, annotation, ram)
         pairs = [(rng.randint(1, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))]
-        rec.call(f"{label} wide open {pairs}", pub("wide_open_genus_check"), pairs, m.degree,
+        rec.call(f"{label} wide open {pairs}", ws.wide_open_genus_check, pairs, m.degree,
                  m.source.genus(), m.target.genus(), m.unbalanced_vertices() and [1, 2])
-    annotation = pub("BoundaryAnnotation")({"zz": [(1, 0)]})
-    rec.call("certify an unknown vertex", pub("certify_skeleton"), m, annotation, True)
-    rec.call("wide open annotation", pub("wide_open_genus_check"), annotation, 1, 0, 0)
+    annotation = ws.BoundaryAnnotation({"zz": [(1, 0)]})
+    rec.call("certify an unknown vertex", ws.certify_skeleton, m, annotation, True)
+    rec.call("wide open annotation", ws.wide_open_genus_check, annotation, 1, 0, 0)
     for pairs in ([(1.9, 0.5)], [(None, 0)], [(2, True)], [(Fraction(2), "1")]):
-        rec.call(f"boundary {pairs!r}", pub("BoundaryAnnotation"), {"a": pairs})
-        rec.call(f"wide open {pairs!r}", pub("wide_open_genus_check"), pairs, 2, 1, 0)
+        rec.call(f"boundary {pairs!r}", ws.BoundaryAnnotation, {"a": pairs})
+        rec.call(f"wide open {pairs!r}", ws.wide_open_genus_check, pairs, 2, 1, 0)
     for ram in ([1.5], [None], [Fraction(2)]):
-        rec.call(f"wide open ram {ram!r}", pub("wide_open_genus_check"), [(2, 1)], 2, 1, 0, ram)
-    for k in (*range(-1, 6), 1.5, 4.0, "3", True, None):
-        rec.call(f"root subtrees {k!r}", pub("enumerate_root_subtrees"), k)
+        rec.call(f"wide open ram {ram!r}", ws.wide_open_genus_check, [(2, 1)], 2, 1, 0, ram)
+    for k in (*range(-1, 6), "3", *support.MAX_LEAVES_REFUSALS):
+        rec.call(f"root subtrees {k!r}", ws.enumerate_root_subtrees, k)
     for tag in ws.SPECIAL_TAGS:
-        rec.call(f"build_special {tag}", pub("build_special"), tag)
+        rec.call(f"build_special {tag}", ws.build_special, tag)
     plain = ws.build_special("WB")  # no lengths, no delta values
-    rec.call("degree_p_locus of plain WB", pub("degree_p_locus"), plain, 2)
+    rec.call("degree_p_locus of plain WB", ws.degree_p_locus, plain, 2)
     rec.call("delta_profile of plain WB", plain.delta_profile, plain.source.edge_ids[0])
-    rec.call("metric_lengths of plain WB", pub("metric_lengths"), plain)
+    rec.call("metric_lengths of plain WB", ws.metric_lengths, plain)
     doc = json.loads((ROOT / "fixtures" / "wb_metric.morphism.json").read_text())
     del doc["delta"], doc["setting"]
     bare = ws.morphism_from_json_dict(doc)  # lengths, no delta values
-    rec.call("degree_p_locus of wb_metric without delta", pub("degree_p_locus"), bare, 2)
+    rec.call("degree_p_locus of wb_metric without delta", ws.degree_p_locus, bare, 2)
     rec.call("delta_profile of wb_metric without delta", bare.delta_profile,
              bare.source.edge_ids[0])
-    rec.call("metric_lengths of wb_metric without delta", pub("metric_lengths"), bare)
+    rec.call("metric_lengths of wb_metric without delta", ws.metric_lengths, bare)
     one_segment = {"breakpoints": ["0", "1"], "segments": [{"left_value": "0", "slope": 1}]}
-    for doc in ([], {"segments": []}, {"breakpoints": ["0", "1"]},
-                {"breakpoints": ["0", "1"], "segments": [{"left_value": "0"}]},
-                {"breakpoints": ["0", "1"], "segments": [{"slope": 1}]},
-                {"breakpoints": ["0", "1"], "segments": ["x"]}, one_segment,
-                {"breakpoints": ["0", "1"], "segments": 3}, {"breakpoints": 3, "segments": []},
-                {"breakpoints": "01", "segments": one_segment["segments"]},
-                {"breakpoints": ["0", "1"], "segments": {"x": 1}}):
+    for doc in (one_segment, *(doc for doc, _ in support.PMFUNCTION_JSON_REFUSALS)):
         rec.call(f"PMFunction JSON {doc!r}", ws.PMFunction.from_json_dict, doc)
     for name, (call, _) in support.LONG_ID_MESSAGES.items():
         rec.call(f"long id {name}", call)
     for name, edits in support.DISCONNECTED_TARGET_CASES.items():
         doc = support._edited(support._morphism(), edits)
-        rec.call(f"disconnected target load {name}", pub("morphism_from_json_dict"), doc)
+        rec.call(f"disconnected target load {name}", ws.morphism_from_json_dict, doc)
         rec.call(f"disconnected target constructor {name}", support._constructed, doc)
     for given in ({}, {"a": 0}, {"a": 2, "b": -2}, {1: 1, "1": 2}, {"a": 1.5},
                   {"a": True}, {"a": "1"}, {"a": None}, {2: 3}):
-        rec.call(f"divisor {given!r}", pub("Divisor"), given)
-    one = pub("Divisor")({"a": 1})
+        rec.call(f"divisor {given!r}", ws.Divisor, given)
+    one = ws.Divisor({"a": 1})
     for other in (3, None):
         rec.call(f"divisor + {other!r}", lambda: one + other)
         rec.call(f"divisor - {other!r}", lambda: one - other)
@@ -531,33 +473,32 @@ def record(out, work: Path, every: int) -> None:
     for tag in ws.LIFTABLE_TAGS:
         setting = support.setting_for(tag)
         lengths = support.canonical_lengths(tag, setting)
-        mm = rec.call(f"lift {tag}", pub("metric_lift"), tag, lengths, setting)
+        mm = rec.call(f"lift {tag}", ws.metric_lift, tag, lengths, setting)
         if mm is None:
             continue
-        rec.call(f"lift {tag} lengths", pub("metric_lengths"), mm)
-        rec.call(f"lift {tag} class", pub("classify_special"), mm)
-        locus = rec.call(f"lift {tag} locus", pub("degree_p_locus"), mm, 2)
+        rec.call(f"lift {tag} lengths", ws.metric_lengths, mm)
+        rec.call(f"lift {tag} class", ws.classify_special, mm)
+        locus = rec.call(f"lift {tag} locus", ws.degree_p_locus, mm, 2)
         if locus is not None:
-            rec.call(f"lift {tag} strict", pub("radial_vs_ball"), locus)
+            rec.call(f"lift {tag} strict", ws.radial_vs_ball, locus)
         for seed in range(3):
             sub = support.subdivide_metric(random.Random(seed), mm)
             morphism(f"lift {tag} subdivided {seed}", sub)
 
-    draw = getattr(support, "_metric_draw", None)
-    for name in SETTINGS[1:] if draw else ():
+    for name in SETTINGS[1:]:
         setting, rng = ws.ResidueSetting.parse(name), random.Random(f"draw-{name}")
         for i in range(200 // every):
-            drawn = draw(rng, setting)
+            drawn = support._metric_draw(rng, setting)
             if drawn is None:
                 continue
             m, delta = drawn
             label = f"metric draw {name} {i}"
-            mm = rec.call(label, pub("MetricDeltaMorphism"), m, delta, setting)
+            mm = rec.call(label, ws.MetricDeltaMorphism, m, delta, setting)
             doc = ws.morphism_to_json_dict(m)
-            rec.call(f"{label} load without delta", pub("morphism_from_json_dict"), doc)
+            rec.call(f"{label} load without delta", ws.morphism_from_json_dict, doc)
             doc["delta"] = {v: str(d) for v, d in delta.items()}
             doc["setting"] = name
-            loaded = rec.call(f"{label} load", pub("morphism_from_json_dict"), doc)
+            loaded = rec.call(f"{label} load", ws.morphism_from_json_dict, doc)
             if mm is not None and loaded is not None:
                 morphism(label, loaded)
             side = ("source", "target")[i % 2]  # one finite length of it doubled
@@ -574,13 +515,13 @@ def record(out, work: Path, every: int) -> None:
                 built(rec, f"{label} {side} {e} doubled", *pair, m.vertex_map, m.edge_map,
                       m.mult, sdelta)
 
-    graph = getattr(ws.GenusGraph, "from_json_dict", None)
     for i, doc in enumerate(support.load_mutations(5, 2000 // every)):
-        m = rec.call(f"load_mutation {i}", pub("morphism_from_json_dict"), doc)
+        m = rec.call(f"load_mutation {i}", ws.morphism_from_json_dict, doc)
         if m is not None:
-            rec.call(f"load_mutation {i} json", pub("morphism_to_json_dict"), m)
+            rec.call(f"load_mutation {i} json", ws.morphism_to_json_dict, m)
         for side in ("source", "target"):
-            rec.call(f"load_mutation {i} {side}", graph, doc.get(side), f"{side} graph")
+            rec.call(f"load_mutation {i} {side}", ws.GenusGraph.from_json_dict, doc.get(side),
+                     f"{side} graph")
 
     half = Fraction(1, 2)
     skewed = support.StandInSetting(lambda i: Fraction(i % 3 - 1, 2))  # some |i| > 1
@@ -616,90 +557,116 @@ def record(out, work: Path, every: int) -> None:
             s = support.random_valued_series(rng)
             label = f"series {name} {i}"
             rec.call(f"{label} text", s.to_text)
-            rec.call(f"{label} normalized", pub("is_normalized"), s)
-            n = rec.call(f"{label} normalize", pub("normalize"), s)
-            rec.call(f"{label} derivative", pub("derivative"), s, setting)
-            rec.call(f"{label} tropical", pub("tropical_eval"), s, (-2, 3))
+            rec.call(f"{label} normalized", ws.is_normalized, s)
+            n = rec.call(f"{label} normalize", ws.normalize, s)
+            rec.call(f"{label} derivative", ws.derivative, s, setting)
+            rec.call(f"{label} tropical", ws.tropical_eval, s, (-2, 3))
             if n is not None:
-                rec.call(f"{label} report", pub("different_report"), n, setting)
-                prof = rec.call(f"{label} profile", pub("different_profile"), n, setting, (-2, 3))
-                rec.call(f"{label} image law", pub("skeleton_image_law"), n, 1)
+                rec.call(f"{label} report", ws.different_report, n, setting)
+                prof = rec.call(f"{label} profile", ws.different_profile, n, setting, (-2, 3))
+                rec.call(f"{label} image law", ws.skeleton_image_law, n, 1)
                 profile_methods(label, n, prof)
                 for domain in ((-2, 3), (-2, ws.INF), (half, half)):
-                    rec.call(f"{label} skewed profile {domain}", pub("different_profile"), n,
+                    rec.call(f"{label} skewed profile {domain}", ws.different_profile, n,
                              skewed, domain)
-                rec.call(f"{label} skewed report", pub("different_report"), n, skewed)
+                rec.call(f"{label} skewed report", ws.different_report, n, skewed)
             m, s_, k = rng.randint(-4, 6), rng.randint(-4, 4), rng.randint(-8, 1)
             delta = ws.NEG_INF if k == 1 else ws.LogAbs(f"{k}/2")
-            rec.call(f"{label} realize {m} {s_} {delta}", pub("realize_triple"), m, s_, delta, setting)
+            rec.call(f"{label} realize {m} {s_} {delta}", ws.realize_triple, m, s_, delta, setting)
 
 
 # -- the comparison ------------------------------------------------------------------
 
 
-def _resolves(rev: str) -> bool:
-    """Whether ``rev`` names a commit; an option (``-h``, ``--help``) names none."""
-    if rev.startswith("-"):
-        return False
-    done = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
-        capture_output=True,
-    )
-    return done.returncode == 0
+SEEDS = ("0", "1")  # PYTHONHASHSEED of every walk; the newer tree also walks under the second
+SHOWN = 20  # examples printed per count
+WALK = Path("tools", "same_outputs.py")  # the recording walk, in each tree
 
 
-def _export(rev: str, into: Path) -> Path:
-    """``src/`` of ``rev``, extracted under ``into``; the repository is not touched."""
-    tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-        check=True, capture_output=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into, filter="data")
-    return into / "src"
+class NoWalk(Exception):
+    """A tree that has no recording walk, or whose walk fails."""
 
 
-def _records(src: Path, work: Path, every: int) -> list:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]))
-    done = subprocess.run(
-        [sys.executable, __file__, "--record", str(work), str(every)],
-        env=env, cwd=ROOT, check=True, capture_output=True, text=True,
-    )
-    return done.stdout.splitlines()
+def _walk(tree: Path, tmp: Path, every: int, seed: str):
+    """Start ``tree``'s own walk under ``PYTHONHASHSEED=seed``; return the
+    process and the file it writes its records to."""
+    work = Path(tempfile.mkdtemp(dir=tmp))
+    (work / "in").mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree)]),
+               PYTHONHASHSEED=seed)
+    with open(work / "records", "w") as out:
+        process = subprocess.Popen(
+            [sys.executable, str(tree / WALK), "--record", str(work / "in"), str(every)],
+            env=env, cwd=tree, stdout=out, stderr=subprocess.PIPE, text=True)
+    return process, work / "records"
 
 
-def _by_label(records: list) -> dict:
-    """The records keyed by ``(label, k)`` for the ``k``-th record of each label."""
-    seen, out = {}, {}
-    for line in records:
-        label = line.split("\t", 1)[0]
-        k = seen[label] = seen.get(label, -1) + 1
-        out[label, k] = line
-    return out
+def _keyed(path: Path):
+    """``((label, k), line)`` for each record of the file ``path``, ``k``
+    counting the earlier records of the same label."""
+    seen = {}
+    with open(path) as records:
+        for line in records:
+            line = line.rstrip("\n")
+            label = line.split("\t", 1)[0]
+            k = seen[label] = seen.get(label, -1) + 1
+            yield (label, k), line
+
+
+def _against(base: dict, path: Path):
+    """The records of ``path`` matched by label with ``base``: the pairs that
+    differ, the lines only in ``path`` and the lines only in ``base``."""
+    differ, only, keys = [], [], set()
+    for key, line in _keyed(path):
+        keys.add(key)
+        old = base.get(key)
+        if old is None:
+            only.append(line)
+        elif old != line:
+            differ.append((line, old))
+    return differ, only, [line for key, line in base.items() if key not in keys]
 
 
 def compare(rev: str, other, every: int) -> int:
-    """Print the differing records of ``rev`` and ``other`` (None: the
-    working tree); return their number."""
+    """Record ``rev`` (older) and ``other`` (newer; None for the working
+    tree), each with its own walk, print the four counts and their first
+    examples, and return the exit code."""
+    from export_tree import export_tree  # beside this file
+
+    names = rev, "the working tree" if other is None else other
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        work = tmp / "work"
-        work.mkdir()
-        srcs = [_export(rev, tmp / "a")]
-        if other is None:
-            srcs.append(ROOT / "src")
-        else:
-            srcs.append(srcs[0] if other == rev else _export(other, tmp / "b"))
-        a, b = (_records(src, work, every) for src in srcs)
-    a, b = _by_label(a), _by_label(b)
-    if len(a) != len(b):
-        print(f"record counts differ: {len(a)} and {len(b)}")
-    keys = list(a) + [k for k in b if k not in a]
-    diffs = [(a.get(k), b.get(k)) for k in keys if a.get(k) != b.get(k)]
-    print(f"{len(diffs)} differing records of {len(keys)}")
-    for x, y in diffs[:20]:
-        print(f"- {x}\n+ {y}")
-    return len(diffs)
+        older = export_tree(rev, tmp / "older")
+        newer = ROOT if other is None else export_tree(other, tmp / "newer")
+        for tree, name in (older, names[0]), (newer, names[1]):
+            if not (tree / WALK).is_file():
+                raise NoWalk(f"{name} has no recording walk ({WALK.as_posix()})")
+        runs = [(older, names[0], SEEDS[0]), (newer, names[1], SEEDS[0]),
+                (newer, names[1], SEEDS[1])]
+        started = [_walk(tree, tmp, every, seed) for tree, _, seed in runs]
+        errors = [process.communicate()[1] for process, _ in started]
+        for (process, _), (_, name, seed), err in zip(started, runs, errors):
+            if process.returncode:
+                last = (err.strip().splitlines() or ["no message"])[-1]
+                raise NoWalk(f"the walk of {name} failed under PYTHONHASHSEED={seed}: {last}")
+        base = dict(_keyed(started[1][1]))
+        differ, older_only, newer_only = _against(base, started[0][1])
+        reseeded = _against(base, started[2][1])
+    total = len(base) - len(newer_only) + len(older_only)
+    seeded = [f"{SEEDS[0]} {b}\n{SEEDS[1]} {a}" for a, b in reseeded[0]] + [
+        f"{SEEDS[1]} {a}" for a in reseeded[1]] + [f"{SEEDS[0]} {b}" for b in reseeded[2]]
+    print(f"{len(differ)} differing, {len(older_only)} older-only, {len(newer_only)} "
+          f"newer-only and {len(seeded)} seed-dependent records; {total} in {names[0]}, "
+          f"{len(base)} in {names[1]}")
+    for title, shown in (
+        ("differing", [f"- {a}\n+ {b}" for a, b in differ[:SHOWN]]),
+        (f"only in {names[0]}", [f"- {a}" for a in older_only[:SHOWN]]),
+        (f"only in {names[1]}", [f"+ {b}" for b in newer_only[:SHOWN]]),
+        (f"under PYTHONHASHSEED={SEEDS[0]} and {SEEDS[1]} in {names[1]}", seeded[:SHOWN]),
+    ):
+        if shown:
+            print(f"{title}:", *shown, sep="\n")
+    return 1 if differ or older_only or seeded else 0
 
 
 def main(argv) -> int:
@@ -709,10 +676,16 @@ def main(argv) -> int:
         return 0
     quick = "--quick" in argv
     revs = [a for a in argv if a != "--quick"]
-    if len(revs) not in (1, 2) or not all(map(_resolves, revs)):
+    from export_tree import resolves  # beside this file
+
+    if len(revs) not in (1, 2) or not all(map(resolves, revs)):
         print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
-    return 1 if compare(revs[0], revs[1] if len(revs) == 2 else None, 20 if quick else 1) else 0
+    try:
+        return compare(revs[0], revs[1] if len(revs) == 2 else None, 20 if quick else 1)
+    except NoWalk as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

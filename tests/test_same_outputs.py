@@ -61,10 +61,13 @@ def test_an_older_revision_records_itself():
     assert counts is not None, done.stdout + done.stderr
     differing, older_only, newer_only, seeded = counts
     assert (differing, seeded) == (0, 0) and newer_only > 1000
-    # what the older side alone records is what was deleted since: LogAbs.parse
+    # what the older side alone records is what was deleted since, LogAbs.parse,
+    # shown first, then CLI inputs that its quick walk sampled by position
     shown = done.stdout.split("only in 91bb3e4:\n", 1)[1].split("\nonly in ", 1)[0]
-    assert len(shown.splitlines()) == older_only > 0
-    assert all(line.startswith("- infinity entry LogAbs.parse on ") for line in shown.splitlines())
+    shown = shown.splitlines()
+    vanished = [line for line in shown if not line.startswith("- cli ")]
+    assert shown[:len(vanished)] == vanished and 0 < len(vanished) < len(shown) <= older_only
+    assert all(line.startswith("- infinity entry LogAbs.parse on ") for line in vanished)
     assert code == 1
 
 
@@ -73,6 +76,7 @@ WALKS = {
     "base": ["a\t1", "b\t2", "gone\t3"],
     "changed": ["a\t1", "b\t20", "new\t4", "new\t5", "seed\t{seed}"],
     "grown": ["a\t1", "b\t2", "gone\t3", "extra\t9"],
+    "cligrown": ["a\t1", "b\t2", "gone\t3", "cli x exit\t0"],
     "broken": None,  # a walk that raises
 }
 FAKE = """import os, sys
@@ -81,6 +85,18 @@ if {records!r} is None:
     raise RuntimeError("the walk broke")
 for line in {records!r}:
     print(line.format(seed=os.environ["PYTHONHASHSEED"]))
+"""
+#: The CLI inputs of walks that sample them as the tool's own walk does; the
+#: second has one more input, ahead of the others.
+INPUTS = [["x", str(i)] for i in range(200)]
+SAMPLED = {"inputs": INPUTS, "inserted": [["new"], *INPUTS]}
+SAMPLING = """import sys
+from pathlib import Path
+sys.path.insert(0, {tools!r})
+from same_outputs import _Recorder
+rec = _Recorder(sys.stdout, int(sys.argv[3]), Path(sys.argv[2]))
+for argv in rec.sample({inputs!r}):
+    rec.write("cli " + " ".join(argv) + " exit", "0")
 """
 
 
@@ -102,8 +118,11 @@ def synthetic(tmp_path_factory):
     (repo / "tools").mkdir()
     (repo / "src").mkdir()
     (repo / "src" / "keep.txt").write_text("a tree\n")
-    for name, records in WALKS.items():
-        (repo / "tools" / "same_outputs.py").write_text(FAKE.format(records=records))
+    walks = {name: FAKE.format(records=records) for name, records in WALKS.items()}
+    walks.update((name, SAMPLING.format(tools=str(TOOL.parent), inputs=inputs))
+                 for name, inputs in SAMPLED.items())
+    for name, walk in walks.items():
+        (repo / "tools" / "same_outputs.py").write_text(walk)
         git("add", "-A")
         git("commit", "-q", "-m", name)
         git("tag", name)
@@ -116,17 +135,31 @@ def synthetic(tmp_path_factory):
     return repo
 
 
-@pytest.mark.parametrize("older, newer, code, counts", [
-    ("base", "base", 0, (0, 0, 0, 0)),
-    ("base", "grown", 0, (0, 0, 1, 0)),  # a new record alone is no difference
-    ("grown", "base", 1, (0, 1, 0, 0)),  # a record that vanished is
-    ("base", "changed", 1, (1, 1, 3, 1)),
-    ("changed", "changed", 1, (0, 0, 0, 1)),  # the seed alone
+@pytest.mark.parametrize("argv, code, counts", [
+    (["base", "base"], 0, (0, 0, 0, 0)),
+    (["base", "grown"], 0, (0, 0, 1, 0)),  # a new record alone is no difference
+    (["grown", "base"], 1, (0, 1, 0, 0)),  # a record that vanished is
+    (["grown", "base", "--quick"], 1, (0, 1, 0, 0)),
+    (["cligrown", "base"], 1, (0, 1, 0, 0)),
+    # a quick walk may sample CLI inputs that the other skips
+    (["cligrown", "base", "--quick"], 0, (0, 1, 0, 0)),
+    (["base", "changed"], 1, (1, 1, 3, 1)),
+    (["changed", "changed"], 1, (0, 0, 0, 1)),  # the seed alone
 ])
-def test_synthetic_trees_give_each_count(synthetic, older, newer, code, counts):
+def test_synthetic_trees_give_each_count(synthetic, argv, code, counts):
     tool = synthetic / "tools" / "same_outputs.py"
-    got = _run(tool, older, newer, root=synthetic)
+    got = _run(tool, *argv, root=synthetic)
     assert got[:2] == (code, counts), got[2].stdout + got[2].stderr
+
+
+def test_an_input_added_ahead_moves_no_sampled_input(synthetic):
+    # the walk keeps a quick CLI input by a hash of its label, not by its place
+    # in the list: kept by place, x 0, x 20, ... would give way to new, x 19, ...
+    tool = synthetic / "tools" / "same_outputs.py"
+    code, counts, done = _run(tool, "inputs", "inserted", "--quick", root=synthetic)
+    total, _ = map(int, COUNTS.fullmatch(done.stdout.splitlines()[0]).groups()[4:])
+    assert (code, counts[:2], counts[3]) == (0, (0, 0), 0), done.stdout + done.stderr
+    assert 0 < total < len(INPUTS) // 2 and counts[2] <= 1
 
 
 def test_synthetic_counts_name_their_records(synthetic):

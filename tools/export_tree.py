@@ -9,11 +9,10 @@ Interface (stdlib only; import it with ``tools/`` on ``sys.path``)::
         tree = export_tree("HEAD~1", Path(tmp) / "older")
 
 ``resolves(rev)`` tells whether ``rev`` names a commit of this repository;
-an option such as ``-h`` names none.  ``export_tree(rev, into, paths=TREE)``
-extracts the top-level directories ``paths`` of the commit ``rev`` (by
-default ``src``, ``tests``, ``tools`` and ``fixtures``; one that ``rev``
-lacks is skipped) into the directory ``into``, which it creates, and
-returns ``into``.  It only reads the repository, with ``git ls-tree`` and
+an option such as ``-h`` names none.  ``export_tree(rev, into)`` extracts
+the top-level directories ``TREE`` of the commit ``rev`` (``src``,
+``tests``, ``tools`` and ``fixtures``; one that ``rev`` lacks is skipped)
+into the directory ``into``, which it creates, and returns ``into``.  It only reads the repository, with ``git ls-tree`` and
 ``git archive``: no index, ref or file of the checkout changes, so
 ``git status --porcelain`` reads the same before and after.  A ``rev`` that
 names no commit raises ``subprocess.CalledProcessError``.
@@ -44,14 +43,14 @@ def resolves(rev: str) -> bool:
     return _git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}").returncode == 0
 
 
-def export_tree(rev: str, into: Path, paths=TREE) -> Path:
-    """The directories ``paths`` of the commit ``rev``, extracted into ``into``."""
+def export_tree(rev: str, into: Path) -> Path:
+    """The directories ``TREE`` of the commit ``rev``, extracted into ``into``."""
     listed = _git("ls-tree", "--name-only", f"{rev}^{{commit}}")
     listed.check_returncode()
     present = set(listed.stdout.decode().splitlines())
     into = Path(into)
     into.mkdir(parents=True, exist_ok=True)
-    kept = [p for p in paths if p in present]
+    kept = [p for p in TREE if p in present]
     if kept:
         tar = _git("archive", "--format=tar", f"{rev}^{{commit}}", "--", *kept)
         tar.check_returncode()
